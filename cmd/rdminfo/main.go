@@ -211,8 +211,12 @@ func runPlan(stdout, stderr io.Writer, cfgID, p, ra, n int, dimsStr string, nnz 
 // runPlanSim replays the compiled schedule on the discrete-event
 // backend (-engine sim) for two epochs under both executors, printing
 // the simulated clocks and meter census, and exits non-zero unless
-// every device clock equals plan.PriceDAGEpochs bit-for-bit. The dump
-// is deterministic and doubles as a CI golden (testdata/plan_sim.txt).
+// every device clock equals plan.PriceDAGEpochs bit-for-bit. Both are
+// views of plan's one replay engine, so the equality holds by
+// construction; the check stays as a guard that running both executors
+// on one engine (the pricer) and one executor per engine (sim.Run)
+// cannot drift apart. The dump is deterministic and doubles as a CI
+// golden (testdata/plan_sim.txt).
 func runPlanSim(stdout, stderr io.Writer, sched *plan.Schedule, nnz int64) int {
 	const epochs = 2
 	dag, err := plan.BuildDAG(sched)

@@ -276,6 +276,10 @@ func runScaleCell(cfg Config, pt ScalePoint, tp *topo.Topology, dims []int, laye
 				DAG: d, Census: cen, HW: cfg.HW, Topology: tp,
 				Epochs: cfg.Epochs, Overlap: overlap, Cache: pc,
 			})
+			// PriceDAG* and sim.Run are two views of plan's one replay
+			// engine, so this holds by construction; it guards the
+			// pricer's engine reuse across executors and the shared
+			// PriceCache against drifting from a fresh run.
 			want := cost.PerDeviceSeq
 			if overlap {
 				want = cost.PerDevice

@@ -1,14 +1,15 @@
 // The metering/topology-routing seam. A Meter computes the modelled
 // time and the metered Volume of one collective round from its byte
 // census alone — the exact code the live fabric's rendezvous
-// finalizers run, extracted so a payload-free executor (internal/sim)
-// prices and meters rounds identically without materializing buffers.
+// finalizers run, extracted so the payload-free replay engine
+// (plan/replay.go, behind internal/sim) prices and meters rounds
+// identically without materializing buffers.
 //
 // Routing: a Meter either carries a topology (collectives price and
 // split bytes per link tier through internal/topo's algorithm library)
 // or a flat hardware model (the pre-topology closed forms). The fabric
 // builds one per round via MeterFor, which folds in per-rank link
-// fault degradation; the sim engine builds one per run from its clean
+// fault degradation; the replay engine builds one from its clean
 // model and topology.
 package comm
 

@@ -322,6 +322,10 @@ func (s *Schedule) OpResource(op *Op, rank int, tp *topo.Topology) hw.Resource {
 		// Regrid all-to-all, or replicate's world allgather.
 		return s.linkRes(s.world(), tp)
 	case KSpMM:
+		if s.P/s.RA < 2 {
+			// Singleton column group: no allgather, no group to build.
+			return hw.ResCompute
+		}
 		return s.linkRes(s.colGroup(rank), tp)
 	case KSpMMABC:
 		// The structural exchange is a world all-to-all (two rounds).

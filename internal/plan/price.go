@@ -74,10 +74,24 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 	}
 	var world []int
 	if tp != nil {
-		world = make([]int, s.P)
-		for i := range world {
-			world[i] = i
+		world = s.world()
+	}
+	// regrid reads a from→to regrid's P×P byte census — and, under a
+	// topology, its routed all-to-all cost — from a private PriceCache,
+	// so a conversion that recurs across layers and directions is
+	// computed once and by the same code the replay engine prices with.
+	pc := NewPriceCache()
+	pc.Bind(s.P, h, tp)
+	regrid := func(from, to dist.Layout, rows, cols int, packed bool) (x *ExchangeCensus, maxEj int64, cst topo.Cost) {
+		from, to = from.Normalize(s.P), to.Normalize(s.P)
+		x = pc.Exchange(from, to, rows, cols, packed)
+		for _, b := range x.Mer {
+			maxEj = max(maxEj, b)
 		}
+		if tp != nil {
+			cst = pc.AllToAllCost(from, to, rows, cols, packed)
+		}
+		return x, maxEj, cst
 	}
 	var c Cost
 	for i := range s.Sections {
@@ -112,15 +126,14 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 					def(op.Dst, op.To, op.Rows, op.Cols)
 					break
 				}
-				vol, inj, ej := s.exchange(op.From, op.To, op.Rows, op.Cols, false)
+				x, ej, cst := regrid(op.From, op.To, op.Rows, op.Cols, false)
 				if tp != nil {
-					_, cst := tp.AllToAll(h, topo.Auto, world, s.pairFn(op.From, op.To, op.Rows, op.Cols, false))
 					oc.AllToAll = cst.Bytes()
 					oc.Tier = cst.Tier
-					oc.Time = h.MemTime(inj) + cst.Time + h.MemTime(ej)
+					oc.Time = h.MemTime(x.MaxInj) + cst.Time + h.MemTime(ej)
 				} else {
-					oc.AllToAll = vol
-					oc.Time = h.MemTime(inj) + h.CollectiveTime(hw.OpAllToAll, s.P, inj) + h.MemTime(ej)
+					oc.AllToAll = x.Total
+					oc.Time = h.MemTime(x.MaxInj) + h.CollectiveTime(hw.OpAllToAll, s.P, x.MaxInj) + h.MemTime(ej)
 				}
 				def(op.Dst, op.To, op.Rows, op.Cols)
 			case KSpMM:
@@ -167,8 +180,8 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 				// (R_A == P), then the ranks run a two-round exchange of the
 				// structurally-touched result rows, summed on arrival. The
 				// structural census is the shared Erdős–Rényi estimate, so
-				// flat pricing, DAG simulation, and the discrete-event
-				// engine agree on the same integers.
+				// this pricer and the replay engine agree on the same
+				// integers.
 				pairs, nnzABC := s.ApproxABCPairs(nnz)
 				meta, pay := abcFns(pairs, op.Cols)
 				x := buildSparseCensus(s.P, meta, pay)
@@ -224,17 +237,16 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 					oc.Time = apply
 					break
 				}
-				vol, inj, ej := s.exchange(op.From, op.To, op.Rows, op.Cols, true)
+				x, ej, cst := regrid(op.From, op.To, op.Rows, op.Cols, true)
 				mask := h.MemTime(tileBytes0(op.From, s.P, op.Rows, op.Cols))
 				if tp != nil {
-					_, cst := tp.AllToAll(h, topo.Auto, world, s.pairFn(op.From, op.To, op.Rows, op.Cols, true))
 					oc.Side = cst.Bytes()
 					oc.SideTier = cst.Tier
-					oc.Time = mask + h.MemTime(inj) + cst.Time + h.MemTime(ej) + apply
+					oc.Time = mask + h.MemTime(x.MaxInj) + cst.Time + h.MemTime(ej) + apply
 				} else {
-					oc.Side = vol
+					oc.Side = x.Total
 					oc.Time = mask +
-						h.MemTime(inj) + h.CollectiveTime(hw.OpAllToAll, s.P, inj) + h.MemTime(ej) +
+						h.MemTime(x.MaxInj) + h.CollectiveTime(hw.OpAllToAll, s.P, x.MaxInj) + h.MemTime(ej) +
 						apply
 				}
 			case KMemoize, KReuse:
@@ -258,14 +270,7 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 				a := regs[op.A]
 				oc.Time = h.MemTime(tileBytes0(a.layout, s.P, a.rows, a.cols))
 			case KUpdate:
-				var wBytes int64
-				for l := 1; l < len(s.Dims); l++ {
-					wBytes += int64(s.Dims[l-1]) * int64(s.Dims[l]) * 4
-				}
-				if s.SAGE {
-					wBytes *= 2
-				}
-				oc.Time = h.MemTime(4 * wBytes)
+				oc.Time = h.MemTime(4 * s.weightBytes())
 			}
 			c.PerOp = append(c.PerOp, oc)
 			c.AllToAll += oc.AllToAll
@@ -289,55 +294,17 @@ func (s *Schedule) PredictTime(nnz int64, h *hw.Model) float64 {
 	return s.Price(nnz, h).Time
 }
 
-// exchange computes the exact all-to-all economics of a from->to
-// redistribution of a rows x cols matrix: the metered volume (every
-// cross-pair chunk counted once), the busiest device's injected bytes,
-// and the busiest device's received bytes. With packed=true chunks are
-// byte-packed masks (four elements per transmitted float32).
-func (s *Schedule) exchange(from, to dist.Layout, rows, cols int, packed bool) (vol, maxInj, maxEj int64) {
-	p := s.P
-	from, to = from.Normalize(p), to.Normalize(p)
-	inj := make([]int64, p)
-	ej := make([]int64, p)
-	for r := 0; r < p; r++ {
-		for q := 0; q < p; q++ {
-			if q == r {
-				continue
-			}
-			n := dist.TileOverlap(from, r, to, q, p, rows, cols)
-			if n == 0 {
-				continue
-			}
-			b := 4 * int64(n)
-			if packed {
-				b = 4 * int64((n+3)/4)
-			}
-			vol += b
-			inj[r] += b
-			ej[q] += b
-		}
+// weightBytes returns the model's total weight bytes (KUpdate charges
+// a memory pass over four times that, as core.execOp does).
+func (s *Schedule) weightBytes() int64 {
+	var b int64
+	for l := 1; l < len(s.Dims); l++ {
+		b += int64(s.Dims[l-1]) * int64(s.Dims[l]) * 4
 	}
-	for r := 0; r < p; r++ {
-		maxInj = max(maxInj, inj[r])
-		maxEj = max(maxEj, ej[r])
+	if s.SAGE {
+		b *= 2
 	}
-	return vol, maxInj, maxEj
-}
-
-// pairFn returns the per-pair byte function of a from->to
-// redistribution — the same census exchange() sums — in the shape
-// internal/topo's all-to-all costers consume. With packed=true chunks
-// are byte-packed masks.
-func (s *Schedule) pairFn(from, to dist.Layout, rows, cols int, packed bool) func(i, j int) int64 {
-	p := s.P
-	from, to = from.Normalize(p), to.Normalize(p)
-	return func(i, j int) int64 {
-		n := dist.TileOverlap(from, i, to, j, p, rows, cols)
-		if packed {
-			return 4 * int64((n+3)/4)
-		}
-		return 4 * int64(n)
-	}
+	return b
 }
 
 // tileBytes0 returns device 0's tile size in bytes under a layout

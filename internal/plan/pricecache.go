@@ -8,13 +8,12 @@ import (
 	"gnnrdm/internal/topo"
 )
 
-// PriceCache memoizes the quadratic work of exact DAG pricing so that
-// repeated pricing of the same problem shape — every epoch of a
-// multi-epoch price, both executors of PriceDAGEpochs, all sixteen
-// Table IV orderings of a sweep, and the discrete-event engine
-// (internal/sim) replaying the same schedule — computes each
-// redistribution's P×P byte census and its topology-routed all-to-all
-// cost exactly once. At P=4096 this is the difference between a sweep
+// PriceCache memoizes the quadratic work of replaying a schedule so
+// that repeated runs over the same problem shape — every epoch of a
+// multi-epoch run, both executors of PriceDAGEpochs, all sixteen
+// Table IV orderings of a sweep, sim.Run replaying the same schedule —
+// compute each redistribution's P×P byte census and its
+// topology-routed all-to-all cost exactly once. At P=4096 this is the difference between a sweep
 // in seconds and one in hours: a single regrid census touches 16.7M
 // tile pairs, and the topology autotuner's Bruck coster evaluates
 // O(P² log P) pair volumes.
@@ -121,9 +120,9 @@ func (c *PriceCache) rangesFor(l dist.Layout, rows, cols int) *rangeSet {
 
 // Exchange returns the memoized byte census of a from→to regrid of a
 // rows×cols matrix. Layouts must be normalized for the bound P (the
-// DAG walk and the sim engine only hold normalized layouts). With
+// replay engine only holds normalized layouts; PriceOn normalizes). With
 // packed=true chunks are byte-packed masks (four elements per
-// transmitted float32), matching Schedule.exchange.
+// transmitted float32).
 func (c *PriceCache) Exchange(from, to dist.Layout, rows, cols int, packed bool) *ExchangeCensus {
 	c.mustBind()
 	k := exchKey{from, to, rows, cols, packed}
@@ -168,9 +167,9 @@ func (c *PriceCache) Exchange(from, to dist.Layout, rows, cols int, packed bool)
 }
 
 // pairFn returns the per-pair byte function of a from→to regrid over
-// the cached range tables — the same census Schedule.pairFn computes
-// via dist.TileOverlap, without the per-call range recomputation the
-// topology costers would otherwise repeat O(P² log P) times.
+// the cached range tables — dist.TileOverlap's census without the
+// per-call range recomputation the topology costers would otherwise
+// repeat O(P² log P) times.
 func (c *PriceCache) pairFn(from, to dist.Layout, rows, cols int, packed bool) func(i, j int) int64 {
 	fr := c.rangesFor(from, rows, cols)
 	tr := c.rangesFor(to, rows, cols)
@@ -216,11 +215,3 @@ func (c *PriceCache) mustBind() {
 		panic("plan: PriceCache used before Bind")
 	}
 }
-
-// World returns the all-ranks group [0..P).
-func (s *Schedule) World() []int { return s.world() }
-
-// ColGroup returns the ranks sharing rank's grid column (ascending) —
-// the KSpMM allgather group. Exported for the discrete-event engine,
-// which replays the same groups the executor communicates over.
-func (s *Schedule) ColGroup(rank int) []int { return s.colGroup(rank) }

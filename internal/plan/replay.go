@@ -1,4 +1,4 @@
-package sim
+package plan
 
 import (
 	"strconv"
@@ -6,25 +6,135 @@ import (
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
-	"gnnrdm/internal/plan"
 	"gnnrdm/internal/topo"
 	"gnnrdm/internal/trace"
 )
 
-// engine is one run's state: per-device occupancy cursors, the clock
-// scratch the rendezvous rule operates on, per-resource time
-// accumulators (index 0 is the base device; 1 and 2 are the overlap
-// executor's link lanes, folded into the base at each epoch join in
-// the executor's merge order), the byte meters, and per-group round
-// counters for trace attribution. Everything is allocated once in
-// newEngine; the walk itself allocates nothing.
+// This file is the one replay of a schedule's per-op charges onto
+// per-device clocks: the discrete-event engine behind both sim.Run
+// (clocks, comm/compute accumulators, the meter census, optional trace)
+// and PriceDAG* (the same clocks, overlapped and sequential). Every
+// device gets one occupancy cursor per resource (hw.Occupancy), every
+// op replays the interpreter's charge sequence — core.execOp's kernel
+// charges, in order, with each rank's own tile shapes — and every
+// collective synchronizes its group to max(member deposits) + the
+// metering seam's time (comm.Meter) for the same group and byte census.
+// Because the charges and the rendezvous rule are the executor's own,
+// the clocks equal the live fabric's device clocks exactly: overlapped
+// when each op starts at max(resource free, dependency finishes),
+// sequential when ops run back to back on one joined timeline
+// (verify.CheckSimMatchesFabric, CheckOverlapEquivalence).
+
+// Meters is the replayed fabric's byte census, field-for-field the
+// live fabric's accounting (comm.Fabric addVolume): primary and
+// side-channel volume, call counts, and per-link-tier splits, all by
+// collective kind.
+type Meters struct {
+	Volume         [hw.NumCollectiveKinds]int64
+	SideVolume     [hw.NumCollectiveKinds]int64
+	Calls          [hw.NumCollectiveKinds]int64
+	TierVolume     [topo.NumTiers][hw.NumCollectiveKinds]int64
+	SideTierVolume [topo.NumTiers][hw.NumCollectiveKinds]int64
+}
+
+// add replicates Fabric.addVolume: primary or side routing, intra/inter
+// tier split, and the per-kind call counter.
+func (m *Meters) add(kind hw.CollectiveKind, vol comm.Volume, side bool) {
+	if side {
+		m.SideVolume[kind] += vol.Bytes
+		m.SideTierVolume[topo.TierIntra][kind] += vol.Bytes - vol.Tier1
+		m.SideTierVolume[topo.TierInter][kind] += vol.Tier1
+	} else {
+		m.Volume[kind] += vol.Bytes
+		m.TierVolume[topo.TierIntra][kind] += vol.Bytes - vol.Tier1
+		m.TierVolume[topo.TierInter][kind] += vol.Tier1
+	}
+	m.Calls[kind]++
+}
+
+// TotalVolume returns all bytes moved including side-channel traffic,
+// matching Fabric.TotalVolume.
+func (m *Meters) TotalVolume() int64 {
+	var s int64
+	for k := range m.Volume {
+		s += m.Volume[k] + m.SideVolume[k]
+	}
+	return s
+}
+
+// TotalSideVolume returns the side-channel bytes across all kinds.
+func (m *Meters) TotalSideVolume() int64 {
+	var s int64
+	for k := range m.SideVolume {
+		s += m.SideVolume[k]
+	}
+	return s
+}
+
+// ReplayResult is everything one replayed run measured.
+type ReplayResult struct {
+	P int
+	// Clocks is each device's final simulated clock (the occupancy
+	// makespan), equal to Device.Clock after the same live run.
+	Clocks []float64
+	// CommTime and ComputeTime are the per-rank accumulators, equal to
+	// Device.CommTime / Device.ComputeTime after the same live run
+	// (including the overlap executor's lane-merge accumulation order).
+	CommTime    []float64
+	ComputeTime []float64
+	// Meters is the final byte census.
+	Meters Meters
+	// EpochClock/EpochComm/EpochCompute are cumulative per-rank
+	// snapshots at each epoch's snapshot point ([epoch][rank]);
+	// EpochBytes is the cumulative total metered volume (including
+	// side-channel) there. Deltas between consecutive epochs reproduce
+	// core.EpochStats exactly when run with two epoch barriers.
+	EpochClock   [][]float64
+	EpochComm    [][]float64
+	EpochCompute [][]float64
+	EpochBytes   []int64
+}
+
+// MaxClock returns the maximum final clock across devices.
+func (r *ReplayResult) MaxClock() float64 {
+	m := 0.0
+	for _, c := range r.Clocks {
+		if c > m {
+			m = c
+		}
+	}
+	return m
+}
+
+// Replay runs the engine once over the DAG: epochs replays of the
+// schedule with per-device clocks carried across epoch boundaries,
+// under the overlap executor's lane model or the sequential
+// interpreter's single timeline, with barriers world barriers after
+// each epoch (0 = a bare Engine.Epoch loop, 2 = core.TrainResumable's
+// barrier/snapshot protocol). A nil cache prices with a private one; a
+// non-nil tracer records the synthesized timeline into a virtual
+// session named label. sim.Run is the validated entry point — Replay
+// trusts its arguments.
+func (d *DAG) Replay(cen Census, h *hw.Model, tp *topo.Topology, epochs int, overlap bool, barriers int, pc *PriceCache, tr *trace.Tracer, label string) *ReplayResult {
+	return newEngine(d, cen, h, tp, epochs, pc).run(overlap, barriers, tr, label)
+}
+
+// engine is the replay state of one (DAG, census, hardware, topology)
+// context: per-device occupancy cursors, the clock scratch the
+// rendezvous rule operates on, per-resource time accumulators (index 0
+// is the base device; 1 and 2 are the overlap executor's link lanes,
+// folded into the base at each epoch join in the executor's merge
+// order), the byte meters, and per-group round counters for trace
+// attribution. newEngine allocates the scratch once; each run allocates
+// only what its result keeps, and the walk itself allocates nothing —
+// so PriceDAG* runs both executors on one engine.
 type engine struct {
-	d   *plan.DAG
-	s   *plan.Schedule
-	cen plan.Census
+	d   *DAG
+	s   *Schedule
+	cen Census
 	h   *hw.Model
 	tp  *topo.Topology
-	pc  *plan.PriceCache
+	pc  *PriceCache
 
 	p       int
 	epochs  int
@@ -35,7 +145,7 @@ type engine struct {
 	occ    []hw.Occupancy
 	clk    []float64
 	finish [][]float64 // [node][rank] finish times, rewritten each epoch
-	regs   map[plan.Reg]regShape
+	regs   map[Reg]regShape
 
 	// comm/compute accumulators per resource lane. Seq mode charges
 	// everything to lane 0; overlap mode charges each op to its
@@ -44,12 +154,12 @@ type engine struct {
 	comm    [hw.NumResources][]float64
 	compute [hw.NumResources][]float64
 	resCur  []hw.Resource // current op's resource per rank (ResCompute in seq mode)
-	resTab  *plan.ResourceTable
+	resTab  *resourceTable
 
 	meters Meters
 
 	world     []int
-	colGroups [][]int
+	colGroups [][]int // nil when every column group is a single rank
 	chunkBuf  []int64
 	wBytes    int64
 
@@ -77,66 +187,43 @@ const gidWorld = 0
 
 func gidCol(j int) int { return 1 + j }
 
-func newEngine(d *plan.DAG, cfg Config, epochs int, pc *plan.PriceCache) *engine {
+func newEngine(d *DAG, cen Census, h *hw.Model, tp *topo.Topology, epochs int, pc *PriceCache) *engine {
 	s := d.Sched
 	p := s.P
-	pc.Bind(p, cfg.HW, cfg.Topology)
+	if pc == nil {
+		pc = NewPriceCache()
+	}
+	pc.Bind(p, h, tp)
 	e := &engine{
-		d: d, s: s, cen: cfg.Census, h: cfg.HW, tp: cfg.Topology, pc: pc,
-		p: p, epochs: epochs, overlap: cfg.Overlap, nbarr: cfg.EpochBarriers,
-		meter:  comm.Meter{HW: cfg.HW, Topo: cfg.Topology},
-		occ:    make([]hw.Occupancy, p),
-		clk:    make([]float64, p),
-		finish: make([][]float64, len(d.Nodes)),
-		regs:   make(map[plan.Reg]regShape, s.NumRegs),
-		resCur: make([]hw.Resource, p),
-		world:  s.World(),
-		gens:   make([]uint64, 1+s.RA),
-		tr:     cfg.Tracer,
-		cfgStr: s.Config.String(),
+		d: d, s: s, cen: cen, h: h, tp: tp, pc: pc,
+		p: p, epochs: epochs,
+		meter:    comm.Meter{HW: h, Topo: tp},
+		occ:      make([]hw.Occupancy, p),
+		clk:      make([]float64, p),
+		finish:   make([][]float64, len(d.Nodes)),
+		regs:     make(map[Reg]regShape, s.NumRegs),
+		resCur:   make([]hw.Resource, p),
+		world:    s.world(),
+		chunkBuf: make([]int64, p),
+		wBytes:   s.weightBytes(),
 	}
 	for i := range e.finish {
 		e.finish[i] = make([]float64, p)
 	}
-	for res := range e.comm {
+	for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
 		e.comm[res] = make([]float64, p)
 		e.compute[res] = make([]float64, p)
 	}
-	e.colGroups = make([][]int, s.RA)
-	for j := 0; j < s.RA; j++ {
-		e.colGroups[j] = s.ColGroup(j)
-	}
-	e.chunkBuf = make([]int64, p)
-	if e.overlap {
-		e.resTab = d.Resources(e.tp)
-	}
-	for l := 1; l < len(s.Dims); l++ {
-		e.wBytes += int64(s.Dims[l-1]) * int64(s.Dims[l]) * 4
-	}
-	if s.SAGE {
-		e.wBytes *= 2
-	}
-	e.snapClock = make([][]float64, epochs)
-	e.snapComm = make([][]float64, epochs)
-	e.snapCompute = make([][]float64, epochs)
-	e.snapBytes = make([]int64, epochs)
-	for ep := range e.snapClock {
-		e.snapClock[ep] = make([]float64, p)
-		e.snapComm[ep] = make([]float64, p)
-		e.snapCompute[ep] = make([]float64, p)
-	}
-	if e.tr != nil {
-		label := cfg.TraceLabel
-		if label == "" {
-			label = "sim"
-		}
-		e.tr.StartVirtualSession(label, p)
-		e.grpKeys = make([]string, 1+s.RA)
-		e.grpKeys[gidWorld] = groupKey(e.world)
-		for j := 0; j < s.RA; j++ {
-			e.grpKeys[gidCol(j)] = groupKey(e.colGroups[j])
+	if p/s.RA > 1 {
+		// Only multi-rank column groups ever rendezvous (KSpMM's
+		// allgather); singleton groups need no rank lists, round
+		// counters or trace keys.
+		e.colGroups = make([][]int, s.RA)
+		for j := range e.colGroups {
+			e.colGroups[j] = s.colGroup(j)
 		}
 	}
+	e.gens = make([]uint64, 1+len(e.colGroups))
 	return e
 }
 
@@ -154,7 +241,47 @@ func groupKey(ranks []int) string {
 	return string(b)
 }
 
-func (e *engine) run() {
+// begin resets the engine for one run and allocates what the run's
+// result keeps (the base-lane accumulators and the epoch snapshots).
+// The link-lane accumulators need no reset: every epoch join leaves
+// them zero. Stale finish times and register shapes are overwritten
+// before they are read (dependencies point backwards in node order).
+func (e *engine) begin(overlap bool, nbarr int, tr *trace.Tracer, label string) {
+	e.overlap, e.nbarr, e.tr = overlap, nbarr, tr
+	clear(e.occ)
+	clear(e.resCur)
+	clear(e.gens)
+	e.meters = Meters{}
+	e.comm[hw.ResCompute] = make([]float64, e.p)
+	e.compute[hw.ResCompute] = make([]float64, e.p)
+	if overlap && e.resTab == nil {
+		e.resTab = e.d.resources(e.tp)
+	}
+	e.snapClock = make([][]float64, e.epochs)
+	e.snapComm = make([][]float64, e.epochs)
+	e.snapCompute = make([][]float64, e.epochs)
+	e.snapBytes = make([]int64, e.epochs)
+	for ep := range e.snapClock {
+		e.snapClock[ep] = make([]float64, e.p)
+		e.snapComm[ep] = make([]float64, e.p)
+		e.snapCompute[ep] = make([]float64, e.p)
+	}
+	if tr != nil {
+		if label == "" {
+			label = "sim"
+		}
+		tr.StartVirtualSession(label, e.p)
+		e.cfgStr = e.s.Config.String()
+		e.grpKeys = make([]string, len(e.gens))
+		e.grpKeys[gidWorld] = groupKey(e.world)
+		for j, grp := range e.colGroups {
+			e.grpKeys[gidCol(j)] = groupKey(grp)
+		}
+	}
+}
+
+func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) *ReplayResult {
+	e.begin(overlap, nbarr, tr, label)
 	for ep := 0; ep < e.epochs; ep++ {
 		e.epoch = ep
 		if e.tr != nil {
@@ -215,13 +342,14 @@ func (e *engine) run() {
 			}
 		}
 	}
+	return e.result()
 }
 
 // position places each rank's clock where the op starts on it and
 // records the op's resource per rank: overlapped ops start at max(their
 // resource's cursor, their DAG dependencies' finishes); sequential ops
 // run back to back on the joined compute timeline.
-func (e *engine) position(n *plan.DAGNode, i int) {
+func (e *engine) position(n *DAGNode, i int) {
 	if !e.overlap {
 		for r := 0; r < e.p; r++ {
 			e.clk[r] = e.occ[r].Free(hw.ResCompute)
@@ -229,7 +357,7 @@ func (e *engine) position(n *plan.DAGNode, i int) {
 		return
 	}
 	for r := 0; r < e.p; r++ {
-		res := e.resTab.At(i, r)
+		res := e.resTab.at(i, r)
 		e.resCur[r] = res
 		start := e.occ[r].Free(res)
 		for _, m := range n.Deps {
@@ -239,8 +367,8 @@ func (e *engine) position(n *plan.DAGNode, i int) {
 	}
 }
 
-func (e *engine) result() *Result {
-	res := &Result{
+func (e *engine) result() *ReplayResult {
+	res := &ReplayResult{
 		P:            e.p,
 		Clocks:       make([]float64, e.p),
 		CommTime:     e.comm[hw.ResCompute],
@@ -268,7 +396,7 @@ func (e *engine) snapshot(ep int) {
 
 // setScope stamps the (rank, track) timeline's scope tags the way the
 // live engine's Trace* setters would before this op's events.
-func (e *engine) setScope(r, track int, n *plan.DAGNode) {
+func (e *engine) setScope(r, track int, n *DAGNode) {
 	layer, step := 0, 0
 	dir := ""
 	if n != nil {
@@ -292,7 +420,7 @@ func (e *engine) setScope(r, track int, n *plan.DAGNode) {
 // kernel charges one compute kernel on rank r: clock and the current
 // lane's compute accumulator advance by t (straggler-multiplied),
 // exactly Device.chargeKernel.
-func (e *engine) kernel(n *plan.DAGNode, r int, opName string, t float64, bytes, flops int64) {
+func (e *engine) kernel(n *DAGNode, r int, opName string, t float64, bytes, flops int64) {
 	if e.cen.Slow != nil && r < len(e.cen.Slow) && e.cen.Slow[r] > 1 {
 		t *= e.cen.Slow[r]
 	}
@@ -310,7 +438,7 @@ func (e *engine) kernel(n *plan.DAGNode, r int, opName string, t float64, bytes,
 	}
 }
 
-func (e *engine) mem(n *plan.DAGNode, r int, bytes int64) {
+func (e *engine) mem(n *DAGNode, r int, bytes int64) {
 	e.kernel(n, r, "mem", e.h.MemTime(bytes), bytes, 0)
 }
 
@@ -319,7 +447,7 @@ func (e *engine) mem(n *plan.DAGNode, r int, bytes int64) {
 // with its own skew-inclusive delta and metering the round once.
 // Callers guarantee len(group) >= 2 (smaller groups never reach the
 // live fabric either).
-func (e *engine) collective(n *plan.DAGNode, group []int, gid int, opName string, kind hw.CollectiveKind, t float64, vol comm.Volume, metered, side bool) {
+func (e *engine) collective(n *DAGNode, group []int, gid int, opName string, kind hw.CollectiveKind, t float64, vol comm.Volume, metered, side bool) {
 	var m float64
 	for _, r := range group {
 		m = max(m, e.clk[r])
@@ -370,7 +498,7 @@ func (e *engine) barrier() {
 // memcpy, metered world all-to-all, merge memcpy — from the cached
 // byte census. side routes the round to the side-channel meters (the
 // byte-packed ReLU masks of RedistributeMask).
-func (e *engine) regrid(n *plan.DAGNode, from, to dist.Layout, rows, cols int, packed, side bool) {
+func (e *engine) regrid(n *DAGNode, from, to dist.Layout, rows, cols int, packed, side bool) {
 	x := e.pc.Exchange(from, to, rows, cols, packed)
 	for _, r := range e.world {
 		e.mem(n, r, x.Div[r])
@@ -399,7 +527,7 @@ func (e *engine) regrid(n *plan.DAGNode, from, to dist.Layout, rows, cols int, p
 // result exchange — metering each round like the live fabric's
 // AllToAllV. Each round function returns the collective's rendezvous
 // time and metered volume.
-func (e *engine) sparseRounds(n *plan.DAGNode, x *plan.SparseExchangeCensus, metaRound, payRound func() (float64, comm.Volume)) {
+func (e *engine) sparseRounds(n *DAGNode, x *SparseExchangeCensus, metaRound, payRound func() (float64, comm.Volume)) {
 	for _, r := range e.world {
 		e.mem(n, r, x.MetaDiv[r])
 	}
@@ -424,7 +552,7 @@ func (e *engine) sparseRounds(n *plan.DAGNode, x *plan.SparseExchangeCensus, met
 
 // sparseRegrid replays one sparse from→to redistribution from the
 // cached two-round census.
-func (e *engine) sparseRegrid(n *plan.DAGNode, from, to dist.Layout, rows, cols int) {
+func (e *engine) sparseRegrid(n *DAGNode, from, to dist.Layout, rows, cols int) {
 	x := e.pc.SparseExchange(e.s, from, to, rows, cols)
 	round := func(metaRound bool, maxInj, total int64) func() (float64, comm.Volume) {
 		return func() (float64, comm.Volume) {
@@ -448,13 +576,13 @@ func (e *engine) tile(l dist.Layout, r, rows, cols int) int64 {
 }
 
 // execNode replays one op's exact charge sequence on every rank.
-func (e *engine) execNode(n *plan.DAGNode) {
+func (e *engine) execNode(n *DAGNode) {
 	op := n.Op
 	s, p := e.s, e.p
 	switch op.Kind {
-	case plan.KInput:
+	case KInput:
 		e.regs[op.Dst] = regShape{op.Layout.Normalize(p), op.Rows, op.Cols}
-	case plan.KRedist:
+	case KRedist:
 		a := e.regs[op.A]
 		from, to := a.layout, op.To.Normalize(p)
 		switch {
@@ -484,7 +612,7 @@ func (e *engine) execNode(n *plan.DAGNode) {
 			}
 		}
 		e.regs[op.Dst] = regShape{to, op.Rows, op.Cols}
-	case plan.KSpMM:
+	case KSpMM:
 		a := e.regs[op.A]
 		if p/s.RA > 1 {
 			// Each column group allgathers its ragged feature slice
@@ -516,12 +644,12 @@ func (e *engine) execNode(n *plan.DAGNode) {
 			e.kernel(n, r, "spmm", e.h.SpMMTime(nnz, pcols), 0, nnz*int64(pcols))
 		}
 		e.regs[op.Dst] = regShape{s.GridL, op.Rows, op.Cols}
-	case plan.KSpMMABC:
+	case KSpMMABC:
 		a := e.regs[op.A]
 		pairs, nnzABC := e.cen.ABCPairs, e.cen.NNZABC
 		if pairs == nil {
-			// Census built without the ABC fill: fall back to the
-			// analytic estimate over the panel total, like the DAG pricer.
+			// Census built without the ABC fill (hand-rolled): fall back
+			// to the analytic estimate over the panel total.
 			var total int64
 			for _, v := range e.cen.NNZFwd {
 				total += v
@@ -535,7 +663,8 @@ func (e *engine) execNode(n *plan.DAGNode) {
 			}
 			e.kernel(n, r, "spmm", e.h.SpMMTime(nnz, a.cols), 0, nnz*int64(a.cols))
 		}
-		x, meta, pay := plan.ABCCensus(p, pairs, a.cols)
+		meta, pay := abcFns(pairs, a.cols)
+		x := buildSparseCensus(p, meta, pay)
 		round := func(fn func(i, j int) int64, maxInj, total int64) func() (float64, comm.Volume) {
 			return func() (float64, comm.Volume) {
 				return e.meter.AllToAll(e.world, fn, maxInj, total)
@@ -545,7 +674,7 @@ func (e *engine) execNode(n *plan.DAGNode) {
 			round(meta, x.MetaMaxInj, x.MetaTotal),
 			round(pay, x.PayMaxInj, x.PayTotal))
 		e.regs[op.Dst] = regShape{dist.H, op.Rows, op.Cols}
-	case plan.KGEMM:
+	case KGEMM:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
 			arows, _ := dist.TileShape(dist.H, p, r, a.rows, a.cols)
@@ -553,7 +682,7 @@ func (e *engine) execNode(n *plan.DAGNode) {
 				0, int64(arows)*int64(a.cols)*int64(op.Cols))
 		}
 		e.regs[op.Dst] = regShape{dist.H, op.Rows, op.Cols}
-	case plan.KGradGEMM:
+	case KGradGEMM:
 		a, bb := e.regs[op.A], e.regs[op.B]
 		for r := 0; r < p; r++ {
 			arows, _ := dist.TileShape(dist.H, p, r, a.rows, a.cols)
@@ -561,18 +690,18 @@ func (e *engine) execNode(n *plan.DAGNode) {
 				0, int64(a.cols)*int64(arows)*int64(bb.cols))
 		}
 		e.regs[op.Dst] = regShape{dist.R, op.Rows, op.Cols}
-	case plan.KAllReduceGrad:
+	case KAllReduceGrad:
 		if p >= 2 {
 			bytes := int64(op.Rows) * int64(op.Cols) * 4
 			t, vol := e.meter.AllReduce(e.world, bytes)
 			e.collective(n, e.world, gidWorld, "allreduce", hw.OpAllReduce, t, vol, true, false)
 		}
-	case plan.KReLU:
+	case KReLU:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
 			e.mem(n, r, e.tile(a.layout, r, a.rows, a.cols))
 		}
-	case plan.KReLUGrad:
+	case KReLUGrad:
 		u, src := e.regs[op.A], e.regs[op.B]
 		if src.layout != u.layout {
 			for r := 0; r < p; r++ {
@@ -583,14 +712,14 @@ func (e *engine) execNode(n *plan.DAGNode) {
 		for r := 0; r < p; r++ {
 			e.mem(n, r, e.tile(u.layout, r, u.rows, u.cols))
 		}
-	case plan.KAdd:
+	case KAdd:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
 			e.mem(n, r, e.tile(a.layout, r, a.rows, a.cols))
 		}
-	case plan.KMemoize, plan.KReuse:
+	case KMemoize, KReuse:
 		e.regs[op.Dst] = e.regs[op.A]
-	case plan.KLoss:
+	case KLoss:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
 			e.mem(n, r, 2*e.tile(dist.H, r, a.rows, a.cols))
@@ -600,12 +729,12 @@ func (e *engine) execNode(n *plan.DAGNode) {
 			e.collective(n, e.world, gidWorld, "allreduce", hw.OpAllReduce, t, vol, true, false)
 		}
 		e.regs[op.Dst] = regShape{dist.H, op.Rows, op.Cols}
-	case plan.KMemWrite:
+	case KMemWrite:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
 			e.mem(n, r, e.tile(a.layout, r, a.rows, a.cols))
 		}
-	case plan.KUpdate:
+	case KUpdate:
 		for r := 0; r < p; r++ {
 			e.mem(n, r, 4*e.wBytes)
 		}

@@ -234,8 +234,8 @@ func liveCountIn(live []int32, lo, hi int) int {
 // sender ships: of the receiver's rowsQ rows, the expected number with
 // at least one adjacency edge into the sender's liveR live rows, under
 // a uniform (Erdős–Rényi) edge model with per-pair edge probability
-// edgeP. Shared by the aggregate pricer and ApproxCensus so flat
-// pricing and DAG simulation agree bit-for-bit.
+// edgeP. Shared by the aggregate pricer and ApproxCensus so PriceOn
+// and the replay engine agree bit-for-bit.
 func abcPairRows(rowsQ, liveR int, edgeP float64) int64 {
 	if rowsQ <= 0 || liveR <= 0 || edgeP <= 0 {
 		return 0
@@ -288,15 +288,6 @@ func abcFns(pairs [][]int64, width int) (meta, pay func(r, q int) int64) {
 		return 4 * pairs[r][q] * int64(width)
 	}
 	return meta, pay
-}
-
-// ABCCensus builds the two-round byte census of a KSpMMABC exchange
-// from its structural census, plus the per-pair metadata and payload
-// byte functions in the shape the topology costers and meters consume.
-// Exported for the discrete-event engine.
-func ABCCensus(p int, pairs [][]int64, width int) (x *SparseExchangeCensus, meta, pay func(i, j int) int64) {
-	meta, pay = abcFns(pairs, width)
-	return buildSparseCensus(p, meta, pay), meta, pay
 }
 
 // ABC returns a copy of the schedule with the aggregate-before-

@@ -214,7 +214,8 @@ func TestABCPriceConsistency(t *testing.T) {
 			if op.Kind != KSpMMABC {
 				continue
 			}
-			x, _, _ := ABCCensus(abc.P, pairs, op.Cols)
+			meta, pay := abcFns(pairs, op.Cols)
+			x := buildSparseCensus(abc.P, meta, pay)
 			wantMeta += x.MetaTotal
 			wantPay += x.PayTotal
 		}
@@ -240,6 +241,79 @@ func TestABCPriceConsistency(t *testing.T) {
 		cost := MustBuildDAG(abc).PriceDAGEpochs(cen, h, tp, 2)
 		if cost.Makespan <= 0 || cost.SeqTime < cost.Makespan {
 			t.Fatalf("degenerate ABC DAG cost: %+v", cost)
+		}
+	}
+}
+
+// TestReplayABCHandComputed pins the replay engine's KSpMMABC arm —
+// the one op kind that never runs on the live fabric, so no
+// fabric-vs-engine differential covers it — against its charge sequence
+// written out by hand: on a P=2 flat world, one partial-aggregation
+// SpMM, then the two-round exchange (metadata divide memcpy, all-to-all,
+// metadata merge, payload divide, all-to-all, payload merge).
+func TestReplayABCHandComputed(t *testing.T) {
+	h := hw.A6000()
+	const n, f = 8, 4
+	s := &Schedule{
+		P: 2, RA: 2, N: n, Dims: []int{f, f}, Config: costmodel.ConfigFromID(0, 1),
+		Live: 4, GridL: dist.G(2).Normalize(2), NumRegs: 2, NumWeights: 1,
+		Sections: []Section{{Phase: "fwd", Layer: 1, Ops: []Op{
+			{Kind: KInput, Step: 1, Dst: 0, A: None, B: None, Layout: dist.H, Rows: n, Cols: f},
+			{Kind: KSpMMABC, Step: 2, Dst: 1, A: 0, B: None, Forward: true, Layout: dist.H, Rows: n, Cols: f},
+		}}},
+	}
+	// Rank 0 ships 3 touched result rows to rank 1 and aggregates 10
+	// stored entries; rank 1 ships 5 rows back and aggregates 20.
+	cen := Census{
+		NNZFwd: []int64{0, 0}, NNZBwd: []int64{0, 0},
+		ABCPairs: [][]int64{{0, 3}, {5, 0}},
+		NNZABC:   []int64{10, 20},
+	}
+	// Metadata parts are a 2-word header plus one id per row; payload
+	// parts are the rows' f float32 columns.
+	const (
+		meta01, meta10 = 4 * (2 + 3), 4 * (2 + 5)
+		pay01, pay10   = 4 * 3 * f, 4 * 5 * f
+	)
+	c0 := h.SpMMTime(10, f)
+	c1 := h.SpMMTime(20, f)
+	c0 += h.MemTime(meta01) // metadata divide
+	c1 += h.MemTime(meta10)
+	m := max(c0, c1) + h.CollectiveTime(hw.OpAllToAll, 2, meta10) // busiest injector
+	c0, c1 = m, m
+	c0 += h.MemTime(meta10) // metadata merge: what the peer sent
+	c1 += h.MemTime(meta01)
+	c0 += h.MemTime(pay01) // payload divide
+	c1 += h.MemTime(pay10)
+	m = max(c0, c1) + h.CollectiveTime(hw.OpAllToAll, 2, pay10)
+	c0, c1 = m, m
+	c0 += h.MemTime(pay10) // payload merge
+	c1 += h.MemTime(pay01)
+	want := []float64{c0, c1}
+
+	d := MustBuildDAG(s)
+	for _, overlap := range []bool{false, true} {
+		res := d.Replay(cen, h, nil, 1, overlap, 0, nil, nil, "")
+		for r, w := range want {
+			if res.Clocks[r] != w {
+				t.Fatalf("overlap=%v rank %d: clock %.17g, hand-computed %.17g", overlap, r, res.Clocks[r], w)
+			}
+		}
+		if g, w := res.Meters.SideVolume[hw.OpAllToAll], int64(meta01+meta10); g != w {
+			t.Fatalf("overlap=%v: side volume %d, want %d", overlap, g, w)
+		}
+		if g, w := res.Meters.Volume[hw.OpAllToAll], int64(pay01+pay10); g != w {
+			t.Fatalf("overlap=%v: primary volume %d, want %d", overlap, g, w)
+		}
+		if g := res.Meters.Calls[hw.OpAllToAll]; g != 2 {
+			t.Fatalf("overlap=%v: %d all-to-all rounds, want 2", overlap, g)
+		}
+	}
+	// PriceDAG* is a view of the same run.
+	cost := d.PriceDAGOn(cen, h, nil)
+	for r, w := range want {
+		if cost.PerDevice[r] != w || cost.PerDeviceSeq[r] != w {
+			t.Fatalf("rank %d: priced (%.17g, %.17g), hand-computed %.17g", r, cost.PerDevice[r], cost.PerDeviceSeq[r], w)
 		}
 	}
 }

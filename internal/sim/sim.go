@@ -1,10 +1,13 @@
-// Package sim is the discrete-event execution backend: it replays a
-// compiled schedule's dependency DAG over per-device occupancy lanes
-// (hw.Occupancy — one serial timeline per compute/link resource) and
-// produces everything the live fabric would measure — per-device
-// clocks, per-rank communication and compute time, the full per-kind /
-// per-tier byte census, and optional trace events — without ever
-// materializing a payload buffer.
+// Package sim is the discrete-event execution backend's validated
+// entry point: it replays a compiled schedule's dependency DAG over
+// per-device occupancy lanes (hw.Occupancy — one serial timeline per
+// compute/link resource) and produces everything the live fabric would
+// measure — per-device clocks, per-rank communication and compute
+// time, the full per-kind / per-tier byte census, and optional trace
+// events — without ever materializing a payload buffer. The replay
+// loop itself is plan's (plan/replay.go, the one engine plan.PriceDAG*
+// also reads its clocks from); Run checks and defaults a Config and
+// hands it over.
 //
 // The engine is an extraction, not an approximation: the charge
 // sequence is the interpreter's own (internal/core execOp, charge for
@@ -27,7 +30,6 @@ package sim
 import (
 	"errors"
 
-	"gnnrdm/internal/comm"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/topo"
@@ -76,86 +78,13 @@ type Config struct {
 	Cache *plan.PriceCache
 }
 
-// Meters is the simulated fabric's byte census, field-for-field the
-// live fabric's accounting (comm.Fabric addVolume): primary and
-// side-channel volume, call counts, and per-link-tier splits, all by
-// collective kind.
-type Meters struct {
-	Volume         [hw.NumCollectiveKinds]int64
-	SideVolume     [hw.NumCollectiveKinds]int64
-	Calls          [hw.NumCollectiveKinds]int64
-	TierVolume     [topo.NumTiers][hw.NumCollectiveKinds]int64
-	SideTierVolume [topo.NumTiers][hw.NumCollectiveKinds]int64
-}
-
-// add replicates Fabric.addVolume: primary or side routing, intra/inter
-// tier split, and the per-kind call counter.
-func (m *Meters) add(kind hw.CollectiveKind, vol comm.Volume, side bool) {
-	if side {
-		m.SideVolume[kind] += vol.Bytes
-		m.SideTierVolume[topo.TierIntra][kind] += vol.Bytes - vol.Tier1
-		m.SideTierVolume[topo.TierInter][kind] += vol.Tier1
-	} else {
-		m.Volume[kind] += vol.Bytes
-		m.TierVolume[topo.TierIntra][kind] += vol.Bytes - vol.Tier1
-		m.TierVolume[topo.TierInter][kind] += vol.Tier1
-	}
-	m.Calls[kind]++
-}
-
-// TotalVolume returns all bytes moved including side-channel traffic,
-// matching Fabric.TotalVolume.
-func (m *Meters) TotalVolume() int64 {
-	var s int64
-	for k := range m.Volume {
-		s += m.Volume[k] + m.SideVolume[k]
-	}
-	return s
-}
-
-// TotalSideVolume returns the side-channel bytes across all kinds.
-func (m *Meters) TotalSideVolume() int64 {
-	var s int64
-	for k := range m.SideVolume {
-		s += m.SideVolume[k]
-	}
-	return s
-}
-
-// Result is everything a simulated run measured.
-type Result struct {
-	P int
-	// Clocks is each device's final simulated clock (the occupancy
-	// makespan), equal to Device.Clock after the same live run.
-	Clocks []float64
-	// CommTime and ComputeTime are the per-rank accumulators, equal to
-	// Device.CommTime / Device.ComputeTime after the same live run
-	// (including the overlap executor's lane-merge accumulation order).
-	CommTime    []float64
-	ComputeTime []float64
-	// Meters is the final byte census.
-	Meters Meters
-	// EpochClock/EpochComm/EpochCompute are cumulative per-rank
-	// snapshots at each epoch's snapshot point ([epoch][rank]);
-	// EpochBytes is the cumulative total metered volume (including
-	// side-channel) there. Deltas between consecutive epochs reproduce
-	// core.EpochStats exactly when EpochBarriers is 2.
-	EpochClock   [][]float64
-	EpochComm    [][]float64
-	EpochCompute [][]float64
-	EpochBytes   []int64
-}
-
-// MaxClock returns the maximum final clock across devices.
-func (r *Result) MaxClock() float64 {
-	m := 0.0
-	for _, c := range r.Clocks {
-		if c > m {
-			m = c
-		}
-	}
-	return m
-}
+// Meters and Result are the engine's output types; the engine lives in
+// internal/plan (plan/replay.go), below this package, because
+// plan.PriceDAG* is a second view of the same replay.
+type (
+	Meters = plan.Meters
+	Result = plan.ReplayResult
+)
 
 // Run executes the simulated training run.
 func Run(cfg Config) (*Result, error) {
@@ -183,13 +112,8 @@ func Run(cfg Config) (*Result, error) {
 	if epochs <= 0 {
 		epochs = 1
 	}
-	pc := cfg.Cache
-	if pc == nil {
-		pc = plan.NewPriceCache()
-	}
-	e := newEngine(d, cfg, epochs, pc)
-	e.run()
-	return e.result(), nil
+	return d.Replay(cfg.Census, cfg.HW, cfg.Topology, epochs, cfg.Overlap,
+		cfg.EpochBarriers, cfg.Cache, cfg.Tracer, cfg.TraceLabel), nil
 }
 
 // MustRun is Run panicking on a config error.

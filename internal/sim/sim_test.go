@@ -1,7 +1,6 @@
 package sim_test
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
@@ -17,78 +16,6 @@ func schedFor(n int, dims []int, cfg, p, ra int, sage bool) *plan.Schedule {
 		N: n, Dims: dims, Config: costmodel.ConfigFromID(cfg, len(dims)-1),
 		P: p, RA: ra, SAGE: sage, Memoize: true, InputGrad: true,
 	}).Optimize()
-}
-
-// TestSimClocksEqualPricer pins the engine's device clocks against
-// plan.PriceDAGEpochs — the exact closed-form replay the live fabric is
-// already verified against — for every Table IV ordering, flat and
-// hierarchical, both executors, sharing one PriceCache per (P, topo)
-// context across all 16 configs the way a sweep would.
-func TestSimClocksEqualPricer(t *testing.T) {
-	h := hw.A6000()
-	dims := []int{16, 12, 8}
-	const n, epochs = 256, 3
-	for _, spec := range []string{"", "8x4:nvlink,ib"} {
-		for _, p := range []int{8, 32} {
-			var tp *topo.Topology
-			name := fmt.Sprintf("flat/P%d", p)
-			if spec != "" {
-				ts, err := topo.ParseSpec(spec)
-				if err != nil {
-					t.Fatal(err)
-				}
-				tp = ts.MustTopology(p)
-				name = fmt.Sprintf("%s/P%d", spec, p)
-			}
-			pc := plan.NewPriceCache()
-			t.Run(name, func(t *testing.T) {
-				for cfg := 0; cfg < costmodel.NumConfigs(len(dims)-1); cfg++ {
-					s := schedFor(n, dims, cfg, p, p, false)
-					d := plan.MustBuildDAG(s)
-					cen := s.ApproxCensus(4 * int64(n))
-					cost := d.PriceDAGEpochsCached(cen, h, tp, epochs, pc)
-					for _, overlap := range []bool{false, true} {
-						res := sim.MustRun(sim.Config{
-							DAG: d, Census: cen, HW: h, Topology: tp,
-							Epochs: epochs, Overlap: overlap, Cache: pc,
-						})
-						want := cost.PerDeviceSeq
-						if overlap {
-							want = cost.PerDevice
-						}
-						for r := 0; r < p; r++ {
-							if res.Clocks[r] != want[r] {
-								t.Fatalf("cfg %d overlap=%v rank %d: sim clock %.17g != priced %.17g",
-									cfg, overlap, r, res.Clocks[r], want[r])
-							}
-						}
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestSimClocksEqualPricerSAGE covers the column-group allgather path
-// (RA < P) and the two-weight SAGE schedule.
-func TestSimClocksEqualPricerSAGE(t *testing.T) {
-	h := hw.A6000()
-	s := schedFor(256, []int{16, 12, 8}, 5, 8, 2, true)
-	d := plan.MustBuildDAG(s)
-	cen := s.ApproxCensus(1024)
-	cost := d.PriceDAGEpochs(cen, h, nil, 2)
-	for _, overlap := range []bool{false, true} {
-		res := sim.MustRun(sim.Config{DAG: d, Census: cen, HW: h, Epochs: 2, Overlap: overlap})
-		want := cost.PerDeviceSeq
-		if overlap {
-			want = cost.PerDevice
-		}
-		for r := range want {
-			if res.Clocks[r] != want[r] {
-				t.Fatalf("overlap=%v rank %d: sim clock %.17g != priced %.17g", overlap, r, res.Clocks[r], want[r])
-			}
-		}
-	}
 }
 
 // TestSimBarriersExtendClocks checks the TrainResumable protocol

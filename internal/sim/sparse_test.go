@@ -23,11 +23,15 @@ func sparseSchedFor(n int, dims []int, cfg, p, live int, abc bool) *plan.Schedul
 	return s
 }
 
-// TestSimClocksEqualPricerSparse extends the engine-vs-pricer clock pin
-// to sparse schedules (two-round exchanges) and ABC-rewritten ones
-// (KSpMMABC): both executors, flat and hierarchical, bit-identical
-// clocks, with the metered volumes matching the pricer's byte totals.
-func TestSimClocksEqualPricerSparse(t *testing.T) {
+// TestSimMetersEqualPriceOnSparse pins the engine's byte census on
+// sparse schedules (two-round exchanges) and ABC-rewritten ones
+// (KSpMMABC) against the aggregate pricer's byte totals — an
+// independent walk (Schedule.PriceOn) over the same schedule — for
+// both executors, flat and hierarchical. (The clocks have no second
+// pricer to agree with: plan.PriceDAG* reads them off this engine.
+// verify.CheckSimMatchesFabric pins them to the live fabric, and
+// plan's TestReplayABCHandComputed pins the fabric-less KSpMMABC arm.)
+func TestSimMetersEqualPriceOnSparse(t *testing.T) {
 	h := hw.A6000()
 	dims := []int{16, 12, 8}
 	const n, epochs, nnz = 256, 2, 4 * 256
@@ -50,25 +54,13 @@ func TestSimClocksEqualPricerSparse(t *testing.T) {
 					s := sparseSchedFor(n, dims, cfg, p, 32, abc)
 					d := plan.MustBuildDAG(s)
 					cen := s.ApproxCensus(nnz)
-					cost := d.PriceDAGEpochsCached(cen, h, tp, epochs, pc)
+					c := s.PriceOn(nnz, h, tp)
 					for _, overlap := range []bool{false, true} {
 						res := sim.MustRun(sim.Config{
 							DAG: d, Census: cen, HW: h, Topology: tp,
 							Epochs: epochs, Overlap: overlap, Cache: pc,
 						})
-						want := cost.PerDeviceSeq
-						if overlap {
-							want = cost.PerDevice
-						}
-						for r := 0; r < p; r++ {
-							if res.Clocks[r] != want[r] {
-								t.Fatalf("cfg %d overlap=%v rank %d: sim clock %.17g != priced %.17g",
-									cfg, overlap, r, res.Clocks[r], want[r])
-							}
-						}
-						// Meters must also agree with the aggregate pricer's
-						// byte totals (volumes are per-epoch invariant).
-						c := s.PriceOn(nnz, h, tp)
+						// Volumes are per-epoch invariant.
 						primary := res.Meters.TotalVolume() - res.Meters.TotalSideVolume()
 						if w := int64(epochs) * (c.RDMBytes() + c.AllReduce); primary != w {
 							t.Fatalf("cfg %d overlap=%v: sim primary volume %d != priced %d", cfg, overlap, primary, w)

@@ -200,7 +200,7 @@ func (m *CSR) SpMMInto(in, out *tensor.Dense) {
 		panic("sparse: SpMMInto shape mismatch")
 	}
 	f := in.Cols
-	ParallelRowRanges(m.Rows, func(r0, r1 int) {
+	tensor.ParallelRows(m.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
 			oi := out.Data[i*f : (i+1)*f]
 			for j := range oi {
@@ -231,7 +231,7 @@ func (m *CSR) MaskedSpMM(in *tensor.Dense, mask [][]int32) *tensor.Dense {
 	}
 	out := tensor.NewDense(m.Rows, in.Cols)
 	f := in.Cols
-	ParallelRowRanges(m.Rows, func(r0, r1 int) {
+	tensor.ParallelRows(m.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
 			oi := out.Data[i*f : (i+1)*f]
 			var allowed []int32

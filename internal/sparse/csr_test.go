@@ -279,22 +279,6 @@ func TestCountsAndFootprint(t *testing.T) {
 	}
 }
 
-func TestParallelRowRangesCoverage(t *testing.T) {
-	for _, rows := range []int{0, 1, 3, 100, 1001} {
-		seen := make([]bool, rows)
-		ParallelRowRanges(rows, func(r0, r1 int) {
-			for i := r0; i < r1; i++ {
-				seen[i] = true // disjoint ranges: no race
-			}
-		})
-		for i, ok := range seen {
-			if !ok {
-				t.Fatalf("rows=%d: index %d not covered", rows, i)
-			}
-		}
-	}
-}
-
 func TestColPanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := randomCSR(rng, 20, 30, 0.2)

@@ -6,9 +6,9 @@ import (
 	"sync"
 )
 
-// parallelRows runs fn over [0, rows) split into contiguous chunks, one per
+// ParallelRows runs fn over [0, rows) split into contiguous chunks, one per
 // worker. Chunks are disjoint so results are deterministic.
-func parallelRows(rows int, fn func(r0, r1 int)) {
+func ParallelRows(rows int, fn func(r0, r1 int)) {
 	workers := runtime.GOMAXPROCS(0)
 	if workers > rows {
 		workers = rows
@@ -52,7 +52,7 @@ func Gemm(alpha float32, a, b *Dense, beta float32, c *Dense) {
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	n := b.Cols
-	parallelRows(a.Rows, func(r0, r1 int) {
+	ParallelRows(a.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
 			ci := c.Data[i*n : (i+1)*n]
 			if beta == 0 {
@@ -90,7 +90,7 @@ func MatMulTA(a, b *Dense) *Dense {
 	}
 	c := NewDense(a.Cols, b.Cols)
 	n := b.Cols
-	parallelRows(a.Cols, func(k0, k1 int) {
+	ParallelRows(a.Cols, func(k0, k1 int) {
 		for i := 0; i < a.Rows; i++ {
 			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
 			bi := b.Data[i*n : (i+1)*n]
@@ -118,7 +118,7 @@ func MatMulTB(a, b *Dense) *Dense {
 	}
 	c := NewDense(a.Rows, b.Rows)
 	k := a.Cols
-	parallelRows(a.Rows, func(r0, r1 int) {
+	ParallelRows(a.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
 			ai := a.Data[i*k : (i+1)*k]
 			ci := c.Data[i*b.Rows : (i+1)*b.Rows]

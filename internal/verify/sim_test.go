@@ -20,32 +20,49 @@ import (
 // sweep: all 16 Table IV orderings × P ∈ {1,2,4,8} × {flat,
 // 8x4:nvlink,ib}, each replayed on the sim engine and pinned
 // bit-identical to live fabric runs — clocks, comm/compute time
-// accumulators, and the full meter matrix — for both executors.
+// accumulators, and the full meter matrix — for both executors. A
+// second, smaller leg leaves that grid: P=3 (a non-power-of-two world,
+// ragged row blocks) and P=16 on 4x4:nvlink,ib (four nodes, so
+// collectives route across several inter-node links, and f < P leaves
+// some ranks empty tiles). The replay engine is the only pricer of
+// per-device clocks, so the fabric is its only witness at any P.
 func TestSimMatchesFabricSweep(t *testing.T) {
 	prob := DefaultProblem(3, 64, 16, 4)
 	dims := []int{16, 12, 8}
-	for _, spec := range []string{"", "8x4:nvlink,ib"} {
-		var ts topo.Spec
-		if spec != "" {
-			var err error
-			if ts, err = topo.ParseSpec(spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for cfg := 0; cfg < costmodel.NumConfigs(len(dims)-1); cfg++ {
-			for _, p := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("flat/cfg%02d/P%d", cfg, p)
-				if spec != "" {
-					name = fmt.Sprintf("%s/cfg%02d/P%d", spec, cfg, p)
+	all := make([]int, costmodel.NumConfigs(len(dims)-1))
+	for i := range all {
+		all[i] = i
+	}
+	for _, leg := range []struct {
+		specs    []string
+		cfgs, ps []int
+	}{
+		{[]string{"", "8x4:nvlink,ib"}, all, []int{1, 2, 4, 8}},
+		{[]string{"", "4x4:nvlink,ib"}, []int{0, 5, 10, 15}, []int{3, 16}},
+	} {
+		for _, spec := range leg.specs {
+			var ts topo.Spec
+			if spec != "" {
+				var err error
+				if ts, err = topo.ParseSpec(spec); err != nil {
+					t.Fatal(err)
 				}
-				cfg, p := cfg, p
-				t.Run(name, func(t *testing.T) {
-					o := DiffSpec{Dims: dims}.opts(cfg)
+			}
+			for _, cfg := range leg.cfgs {
+				for _, p := range leg.ps {
+					name := fmt.Sprintf("flat/cfg%02d/P%d", cfg, p)
 					if spec != "" {
-						o.Topology = ts.MustTopology(p)
+						name = fmt.Sprintf("%s/cfg%02d/P%d", spec, cfg, p)
 					}
-					CheckSimMatchesFabric(t, prob, p, 2, o)
-				})
+					cfg, p := cfg, p
+					t.Run(name, func(t *testing.T) {
+						o := DiffSpec{Dims: dims}.opts(cfg)
+						if spec != "" {
+							o.Topology = ts.MustTopology(p)
+						}
+						CheckSimMatchesFabric(t, prob, p, 2, o)
+					})
+				}
 			}
 		}
 	}
