@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "  serve                  online inference tier: latency/throughput vs load and Zipf skew\n")
 		fmt.Fprintf(stderr, "  overlap                comm/compute overlap: sequential vs DAG-executor epoch time\n")
 		fmt.Fprintf(stderr, "  member                 gossip membership: detection latency and control-plane bytes vs P\n")
-		fmt.Fprintf(stderr, "  scale                  discrete-event backend: 16-config x topology sweeps at P up to 4096\n")
+		fmt.Fprintf(stderr, "  scale                  discrete-event backend: 16-config x topology sweeps at P up to 65536\n")
 		fmt.Fprintf(stderr, "  sparse                 sparsity-aware exchange: comm bytes and epoch time vs feature density\n")
 		fmt.Fprintf(stderr, "  hwablate predict spmm  interconnect sensitivity; model validation; SpMM kernels\n")
 		fmt.Fprintf(stderr, "  all                    everything above\n\nflags:\n")

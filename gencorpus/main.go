@@ -196,6 +196,17 @@ func main() {
 	write(rg, "seed-single-device", bytesArgs(1, 1, 0, 0, 0)...)
 	write(rg, "seed-wide", bytesArgs(3, 9, 1, 1, 0)...)
 
+	// internal/dist: overlap-pair enumerator vs the quadratic
+	// TileOverlap oracle. Args: rows, cols, pSel, srcSel, dstSel (layouts
+	// index {H, V, R, G(proper divisors)...}).
+	op := "internal/dist/testdata/fuzz/FuzzOverlapPairs"
+	write(op, "seed-ragged-p3", bytesArgs(7, 5, 2, 0, 1)...)
+	write(op, "seed-single-device", bytesArgs(1, 1, 0, 0, 0)...)
+	write(op, "seed-cols-below-p12", bytesArgs(40, 3, 11, 4, 1)...)
+	write(op, "seed-rows-below-p17", bytesArgs(2, 30, 16, 1, 0)...)
+	write(op, "seed-grid-to-grid-p24", bytesArgs(47, 39, 23, 3, 7)...)
+	write(op, "seed-replicated", bytesArgs(9, 4, 5, 2, 0)...)
+
 	// internal/dist: two-round sparse row-set redistribution
 	// (codec round-trip + sparse-vs-dense differential). Args:
 	// rows, cols, pSel, srcSel, dstSel, liveCount, seed.

@@ -3,7 +3,7 @@ package bench
 // This file is the discrete-event scale experiment: the full 16-config
 // Table IV sweep replayed on the sim backend (internal/sim) at device
 // counts the goroutine-per-device fabric could never reach — P up to
-// 4096 — on the flat interconnect and hierarchical NVLink/IB machines,
+// 65536 — on the flat interconnect and hierarchical NVLink/IB machines,
 // producing Fig. 12-style compute-vs-communication crossover curves at
 // scale. The runner enforces its own invariants cell by cell: every
 // simulated clock must equal plan.PriceDAGEpochs bit-for-bit (the same
@@ -35,9 +35,11 @@ type ScalePoint struct {
 // String renders the point in the scale-spec grammar.
 func (pt ScalePoint) String() string { return fmt.Sprintf("%d@%s", pt.P, pt.Topo) }
 
-// DefaultScaleSpec is the issue's sweep: P ∈ {256, 1024, 4096}, each on
-// the flat fabric and an 8-GPU-per-node NVLink/IB machine.
-const DefaultScaleSpec = "256;1024;4096"
+// DefaultScaleSpec is the sweep: P ∈ {256, 1024, 4096, 16384, 65536},
+// each on the flat fabric and an 8-GPU-per-node NVLink/IB machine. The
+// two largest points joined once planner pricing stopped being
+// quadratic in P (the whole spec runs in under half a minute).
+const DefaultScaleSpec = "256;1024;4096;16384;65536"
 
 // maxScaleP bounds the grammar so a fuzzed or mistyped spec cannot ask
 // for worlds past anything the engine is sized for; it matches the topo
@@ -171,7 +173,7 @@ type ScaleResult struct {
 func scaleBudget(p int) float64 { return 20 + float64(p)/64 }
 
 // scaleShape is the synthetic paper-scale problem the sweep prices:
-// big enough that every rank owns work at P=4096, fixed so the sweep
+// big enough that every rank owns rows at P=65536, fixed so the sweep
 // is a pure function of (P, topology, config).
 const (
 	scaleN      = 1 << 18

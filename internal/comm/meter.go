@@ -1,16 +1,16 @@
 // The metering/topology-routing seam. A Meter computes the modelled
 // time and the metered Volume of one collective round from its byte
 // census alone — the exact code the live fabric's rendezvous
-// finalizers run, extracted so the payload-free replay engine
-// (plan/replay.go, behind internal/sim) prices and meters rounds
-// identically without materializing buffers.
+// finalizers run. The payload-free replay engine (plan/replay.go,
+// behind internal/sim) prices and meters rounds identically through
+// plan.PriceCache, which evaluates the same topo costers and flat
+// closed forms once per distinct round.
 //
 // Routing: a Meter either carries a topology (collectives price and
 // split bytes per link tier through internal/topo's algorithm library)
 // or a flat hardware model (the pre-topology closed forms). The fabric
 // builds one per round via MeterFor, which folds in per-rank link
-// fault degradation; the replay engine builds one from its clean
-// model and topology.
+// fault degradation.
 package comm
 
 import (

@@ -55,7 +55,7 @@ func PanelCensus(prob *Problem, p, ra int) plan.Census {
 		ra = p
 	}
 	gridL := dist.G(ra).Normalize(p)
-	cen := plan.Census{NNZFwd: make([]int64, p), NNZBwd: make([]int64, p)}
+	cen := plan.Census{NNZFwd: make([]int64, p), NNZBwd: make([]int64, p), NNZ: prob.A.NNZ()}
 	for r := 0; r < p; r++ {
 		rlo, rhi := dist.RowRange(gridL, p, r, prob.N())
 		cen.NNZBwd[r] = prob.A.RowPanel(rlo, rhi).NNZ()

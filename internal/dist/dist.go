@@ -167,6 +167,68 @@ func TileOverlap(a Layout, ra int, b Layout, rb int, p, rows, cols int) int {
 	return r * c
 }
 
+// tiling returns a layout's tile grid: rows split into nr balanced
+// parts and columns into nc, rank r holding part (r/nc, r%nc) — or,
+// when repl, every rank holding the single part.
+func tiling(l Layout, p int) (nr, nc int, repl bool) {
+	if l.Kind == Replicated {
+		return 1, 1, true
+	}
+	pj := gridPJ(l.normalize(p), p)
+	return p / pj, pj, false
+}
+
+// partOf inverts PartRange: the part holding item x of n items split
+// into parts balanced chunks.
+func partOf(n, parts, x int) int {
+	base, rem := n/parts, n%parts
+	if x < rem*(base+1) {
+		return x / (base + 1)
+	}
+	return rem + (x-rem*(base+1))/base
+}
+
+// OverlapPairs visits every (sender, receiver) pair, self pairs
+// included, whose tiles intersect — sender src's tile under from,
+// receiver dst's under to, for a global rows x cols matrix on p
+// devices — with the intersection's row and column ranges; the pair's
+// TileOverlap is (rhi-rlo)*(chi-clo). Tile overlap is separable, so
+// each sender inverts PartRange per axis to reach only the receivers
+// it overlaps: O(p + pairs visited) where calling TileOverlap for
+// every pair is p². Visits run in ascending (src, dst) order.
+func OverlapPairs(from, to Layout, p, rows, cols int, visit func(src, dst, rlo, rhi, clo, chi int)) {
+	fnr, fnc, frepl := tiling(from, p)
+	tnr, tnc, trepl := tiling(to, p)
+	for src := 0; src < p; src++ {
+		fi, fj := src/fnc, src%fnc
+		if frepl {
+			fi, fj = 0, 0
+		}
+		arlo, arhi := PartRange(rows, fnr, fi)
+		aclo, achi := PartRange(cols, fnc, fj)
+		if arlo >= arhi || aclo >= achi {
+			continue
+		}
+		tiHi := partOf(rows, tnr, arhi-1)
+		tjLo, tjHi := partOf(cols, tnc, aclo), partOf(cols, tnc, achi-1)
+		for ti := partOf(rows, tnr, arlo); ti <= tiHi; ti++ {
+			brlo, brhi := PartRange(rows, tnr, ti)
+			rlo, rhi := max(arlo, brlo), min(arhi, brhi)
+			for tj := tjLo; tj <= tjHi; tj++ {
+				bclo, bchi := PartRange(cols, tnc, tj)
+				clo, chi := max(aclo, bclo), min(achi, bchi)
+				if !trepl {
+					visit(src, ti*tnc+tj, rlo, rhi, clo, chi)
+					continue
+				}
+				for dst := 0; dst < p; dst++ {
+					visit(src, dst, rlo, rhi, clo, chi)
+				}
+			}
+		}
+	}
+}
+
 // ColRange returns the global column range of a device's tile.
 func ColRange(l Layout, p, rank, cols int) (lo, hi int) {
 	switch l.normalize(p).Kind {

@@ -53,3 +53,55 @@ func FuzzRegrid(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOverlapPairs drives the overlap enumerator with arbitrary shapes
+// (empty tiles included: rows or cols below the part count), fabric
+// sizes and layout pairs, and checks it against the quadratic oracle:
+// it visits exactly the pairs whose TileOverlap is non-zero, once each,
+// in ascending (src, dst) order, with ranges multiplying to that
+// overlap.
+func FuzzOverlapPairs(f *testing.F) {
+	f.Add(uint8(7), uint8(5), uint8(2), uint8(0), uint8(1))
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(40), uint8(3), uint8(11), uint8(4), uint8(1))
+	f.Add(uint8(2), uint8(30), uint8(16), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, rowsB, colsB, pSel, srcSel, dstSel uint8) {
+		rows := 1 + int(rowsB)%48
+		cols := 1 + int(colsB)%40
+		p := 1 + int(pSel)%24
+		layouts := []dist.Layout{dist.H, dist.V, dist.R}
+		for pj := 2; pj < p; pj++ {
+			if p%pj == 0 {
+				layouts = append(layouts, dist.G(pj))
+			}
+		}
+		from := layouts[int(srcSel)%len(layouts)]
+		to := layouts[int(dstSel)%len(layouts)]
+
+		visited, last := 0, -1
+		dist.OverlapPairs(from, to, p, rows, cols, func(src, dst, rlo, rhi, clo, chi int) {
+			if at := src*p + dst; at <= last {
+				t.Fatalf("P=%d %v->%v on %dx%d: pair (%d,%d) out of order or repeated", p, from, to, rows, cols, src, dst)
+			} else {
+				last = at
+			}
+			visited++
+			want := dist.TileOverlap(from, src, to, dst, p, rows, cols)
+			if got := (rhi - rlo) * (chi - clo); got != want || want == 0 {
+				t.Fatalf("P=%d %v->%v on %dx%d: pair (%d,%d) ranges [%d,%d)x[%d,%d) = %d, TileOverlap %d",
+					p, from, to, rows, cols, src, dst, rlo, rhi, clo, chi, got, want)
+			}
+		})
+		nonEmpty := 0
+		for src := 0; src < p; src++ {
+			for dst := 0; dst < p; dst++ {
+				if dist.TileOverlap(from, src, to, dst, p, rows, cols) > 0 {
+					nonEmpty++
+				}
+			}
+		}
+		if visited != nonEmpty {
+			t.Fatalf("P=%d %v->%v on %dx%d: visited %d pairs, %d have a non-zero TileOverlap", p, from, to, rows, cols, visited, nonEmpty)
+		}
+	})
+}

@@ -21,11 +21,14 @@ type Census struct {
 	// model, comm.Device.SetComputeSlowdown); nil or values <= 1 mean
 	// no slowdown.
 	Slow []float64
-	// ABCPairs and NNZABC carry the KSpMMABC structural census: result
-	// rows shipped r→q and each rank's partial-aggregation stored-entry
-	// work. ApproxCensus fills them analytically whenever R_A == P (the
-	// op's validity precondition); schedules without ABC ops ignore
-	// them.
+	// NNZ is the exact global stored-entry count. The KSpMMABC arm
+	// derives its structural census from it on demand (the same O(P)
+	// class form PriceOn builds from its nnz argument, so the two cannot
+	// disagree); schedules without ABC ops ignore it.
+	NNZ int64
+	// ABCPairs and NNZABC, when set, override that estimate with an
+	// explicit structural census: result rows shipped r→q (P×P) and each
+	// rank's partial-aggregation stored-entry work.
 	ABCPairs [][]int64
 	NNZABC   []int64
 }
@@ -36,16 +39,13 @@ type Census struct {
 // busiest-device panel. Use the engine's real panel counts
 // (core.PanelCensus) when exact clock equality matters.
 func (s *Schedule) ApproxCensus(nnz int64) Census {
-	c := Census{NNZFwd: make([]int64, s.P), NNZBwd: make([]int64, s.P)}
+	c := Census{NNZFwd: make([]int64, s.P), NNZBwd: make([]int64, s.P), NNZ: nnz}
 	for r := 0; r < s.P; r++ {
 		rlo, rhi := dist.RowRange(s.GridL, s.P, r, s.N)
 		prows := rhi - rlo
 		panel := (nnz*int64(prows) + int64(s.N) - 1) / int64(s.N)
 		c.NNZFwd[r] = panel
 		c.NNZBwd[r] = panel
-	}
-	if s.RA == s.P {
-		c.ABCPairs, c.NNZABC = s.ApproxABCPairs(nnz)
 	}
 	return c
 }
@@ -95,7 +95,7 @@ func (d *DAG) PriceDAGEpochs(cen Census, h *hw.Model, tp *topo.Topology, epochs 
 // PriceDAGEpochsCached is PriceDAGEpochs sharing a PriceCache across
 // calls (nil prices with a private cache): a sweep that prices many
 // schedules on one (P, hardware, topology) context computes each
-// regrid's quadratic byte census and topology routing once. Cached and
+// regrid's byte census and topology routing once. Cached and
 // uncached pricing are bit-identical. Pricing is a view of the replay
 // engine (replay.go): one engine, run overlapped then sequentially
 // with no epoch barriers, read off its clocks.

@@ -72,26 +72,23 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 	def := func(r Reg, l dist.Layout, rows, cols int) {
 		regs[r] = rinfo{l.Normalize(s.P), rows, cols}
 	}
-	var world []int
-	if tp != nil {
-		world = s.world()
-	}
-	// regrid reads a from→to regrid's P×P byte census — and, under a
-	// topology, its routed all-to-all cost — from a private PriceCache,
+	// Every collective is priced through a private PriceCache — flat
+	// closed form or routed, by the code the replay engine prices with —
 	// so a conversion that recurs across layers and directions is
-	// computed once and by the same code the replay engine prices with.
+	// computed once.
 	pc := NewPriceCache()
 	pc.Bind(s.P, h, tp)
-	regrid := func(from, to dist.Layout, rows, cols int, packed bool) (x *ExchangeCensus, maxEj int64, cst topo.Cost) {
-		from, to = from.Normalize(s.P), to.Normalize(s.P)
-		x = pc.Exchange(from, to, rows, cols, packed)
-		for _, b := range x.Mer {
-			maxEj = max(maxEj, b)
-		}
-		if tp != nil {
-			cst = pc.AllToAllCost(from, to, rows, cols, packed)
-		}
-		return x, maxEj, cst
+	regrid := func(from, to dist.Layout, rows, cols int, packed bool) *ExchangeCensus {
+		return pc.Exchange(from.Normalize(s.P), to.Normalize(s.P), rows, cols, packed)
+	}
+	// twoRound charges a two-round exchange: each round is its own fused
+	// rendezvous, so pack/collective/merge are charged twice — mirroring
+	// dist.RedistributeSparse's charge sequence.
+	twoRound := func(oc *OpCost, x *SparseExchangeCensus) {
+		oc.Side, oc.SideTier = x.Meta.A2A.Bytes(), x.Meta.A2A.Tier
+		oc.AllToAll, oc.Tier = x.Pay.A2A.Bytes(), x.Pay.A2A.Tier
+		oc.Time += h.MemTime(x.Meta.MaxInj) + x.Meta.A2A.Time + h.MemTime(x.Meta.MaxEj) +
+			h.MemTime(x.Pay.MaxInj) + x.Pay.A2A.Time + h.MemTime(x.Pay.MaxEj)
 	}
 	var c Cost
 	for i := range s.Sections {
@@ -104,36 +101,12 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 			case KRedist:
 				if op.Sparse && s.SparseEligible(op.From, op.To) {
 					// Two-round sparse exchange: metadata adverts on the
-					// side channel, then the variable-volume payload. Each
-					// round is its own fused rendezvous, so the time model
-					// charges pack/collective/merge twice — mirroring
-					// dist.RedistributeSparse's charge sequence.
-					live := s.LiveSet()
-					x := s.sparseExchange(op.From, op.To, op.Rows, op.Cols, live)
-					if tp != nil {
-						_, mc := tp.AllToAll(h, topo.Auto, world, s.sparsePairFn(op.From, op.To, op.Rows, op.Cols, live, true))
-						_, pc := tp.AllToAll(h, topo.Auto, world, s.sparsePairFn(op.From, op.To, op.Rows, op.Cols, live, false))
-						oc.Side, oc.SideTier = mc.Bytes(), mc.Tier
-						oc.AllToAll, oc.Tier = pc.Bytes(), pc.Tier
-						oc.Time = h.MemTime(x.MetaMaxInj) + mc.Time + h.MemTime(x.MetaMaxEj) +
-							h.MemTime(x.PayMaxInj) + pc.Time + h.MemTime(x.PayMaxEj)
-					} else {
-						oc.Side = x.MetaTotal
-						oc.AllToAll = x.PayTotal
-						oc.Time = h.MemTime(x.MetaMaxInj) + h.CollectiveTime(hw.OpAllToAll, s.P, x.MetaMaxInj) + h.MemTime(x.MetaMaxEj) +
-							h.MemTime(x.PayMaxInj) + h.CollectiveTime(hw.OpAllToAll, s.P, x.PayMaxInj) + h.MemTime(x.PayMaxEj)
-					}
-					def(op.Dst, op.To, op.Rows, op.Cols)
-					break
-				}
-				x, ej, cst := regrid(op.From, op.To, op.Rows, op.Cols, false)
-				if tp != nil {
-					oc.AllToAll = cst.Bytes()
-					oc.Tier = cst.Tier
-					oc.Time = h.MemTime(x.MaxInj) + cst.Time + h.MemTime(ej)
+					// side channel, then the variable-volume payload.
+					twoRound(&oc, pc.SparseExchange(s, op.From, op.To, op.Rows, op.Cols))
 				} else {
-					oc.AllToAll = x.Total
-					oc.Time = h.MemTime(x.MaxInj) + h.CollectiveTime(hw.OpAllToAll, s.P, x.MaxInj) + h.MemTime(ej)
+					x := regrid(op.From, op.To, op.Rows, op.Cols, false)
+					oc.AllToAll, oc.Tier = x.A2A.Bytes(), x.A2A.Tier
+					oc.Time = h.MemTime(x.MaxInj) + x.A2A.Time + h.MemTime(x.MaxEj)
 				}
 				def(op.Dst, op.To, op.Rows, op.Cols)
 			case KSpMM:
@@ -182,29 +155,15 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 				// structural census is the shared Erdős–Rényi estimate, so
 				// this pricer and the replay engine agree on the same
 				// integers.
-				pairs, nnzABC := s.ApproxABCPairs(nnz)
-				meta, pay := abcFns(pairs, op.Cols)
-				x := buildSparseCensus(s.P, meta, pay)
+				abc := s.approxABC(nnz, pc.LiveFor(s))
 				var worst float64
 				for r := 0; r < s.P; r++ {
-					if t := h.SpMMTime(nnzABC[r], op.Cols); t > worst {
+					if t := h.SpMMTime(abc.nnz[r], op.Cols); t > worst {
 						worst = t
 					}
 				}
 				oc.Time = worst
-				if tp != nil {
-					_, mc := tp.AllToAll(h, topo.Auto, world, meta)
-					_, pc := tp.AllToAll(h, topo.Auto, world, pay)
-					oc.Side, oc.SideTier = mc.Bytes(), mc.Tier
-					oc.AllToAll, oc.Tier = pc.Bytes(), pc.Tier
-					oc.Time += h.MemTime(x.MetaMaxInj) + mc.Time + h.MemTime(x.MetaMaxEj) +
-						h.MemTime(x.PayMaxInj) + pc.Time + h.MemTime(x.PayMaxEj)
-				} else {
-					oc.Side = x.MetaTotal
-					oc.AllToAll = x.PayTotal
-					oc.Time += h.MemTime(x.MetaMaxInj) + h.CollectiveTime(hw.OpAllToAll, s.P, x.MetaMaxInj) + h.MemTime(x.MetaMaxEj) +
-						h.MemTime(x.PayMaxInj) + h.CollectiveTime(hw.OpAllToAll, s.P, x.PayMaxInj) + h.MemTime(x.PayMaxEj)
-				}
+				twoRound(&oc, abc.exchange(pc, op.Cols))
 				def(op.Dst, dist.H, op.Rows, op.Cols)
 			case KGEMM:
 				a := regs[op.A]
@@ -218,17 +177,8 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 				def(op.Dst, dist.R, op.Rows, op.Cols)
 			case KAllReduceGrad:
 				buf := int64(op.Rows) * int64(op.Cols) * 4
-				if tp != nil {
-					_, cst := tp.AllReduce(h, topo.Auto, world, buf)
-					oc.AllReduce = cst.Bytes()
-					oc.Tier = cst.Tier
-					oc.Time = cst.Time
-				} else {
-					if s.P > 1 {
-						oc.AllReduce = 2 * buf * int64(s.P-1)
-					}
-					oc.Time = h.CollectiveTime(hw.OpAllReduce, s.P, buf)
-				}
+				cst := pc.AllReduceCost(buf)
+				oc.AllReduce, oc.Tier, oc.Time = cst.Bytes(), cst.Tier, cst.Time
 			case KReLU, KAdd:
 				oc.Time = h.MemTime(tileBytes0(op.Layout, s.P, op.Rows, op.Cols))
 			case KReLUGrad:
@@ -237,40 +187,29 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 					oc.Time = apply
 					break
 				}
-				x, ej, cst := regrid(op.From, op.To, op.Rows, op.Cols, true)
+				x := regrid(op.From, op.To, op.Rows, op.Cols, true)
 				mask := h.MemTime(tileBytes0(op.From, s.P, op.Rows, op.Cols))
-				if tp != nil {
-					oc.Side = cst.Bytes()
-					oc.SideTier = cst.Tier
-					oc.Time = mask + h.MemTime(x.MaxInj) + cst.Time + h.MemTime(ej) + apply
-				} else {
-					oc.Side = x.Total
-					oc.Time = mask +
-						h.MemTime(x.MaxInj) + h.CollectiveTime(hw.OpAllToAll, s.P, x.MaxInj) + h.MemTime(ej) +
-						apply
-				}
+				oc.Side, oc.SideTier = x.A2A.Bytes(), x.A2A.Tier
+				oc.Time = mask + h.MemTime(x.MaxInj) + x.A2A.Time + h.MemTime(x.MaxEj) + apply
 			case KMemoize, KReuse:
 				a := regs[op.A]
 				def(op.Dst, a.layout, op.Rows, op.Cols)
 			case KLoss:
 				tile := tileBytes0(dist.H, s.P, op.Rows, op.Cols)
-				if tp != nil {
-					_, cst := tp.AllReduce(h, topo.Auto, world, 8)
-					oc.AllReduce = cst.Bytes()
-					oc.Tier = cst.Tier
-					oc.Time = h.MemTime(2*tile) + cst.Time
-				} else {
-					if s.P > 1 {
-						oc.AllReduce = 2 * 8 * int64(s.P-1)
-					}
-					oc.Time = h.MemTime(2*tile) + h.CollectiveTime(hw.OpAllReduce, s.P, 8)
-				}
+				cst := pc.AllReduceCost(8)
+				oc.AllReduce, oc.Tier = cst.Bytes(), cst.Tier
+				oc.Time = h.MemTime(2*tile) + cst.Time
 				def(op.Dst, dist.H, op.Rows, op.Cols)
 			case KMemWrite:
 				a := regs[op.A]
 				oc.Time = h.MemTime(tileBytes0(a.layout, s.P, a.rows, a.cols))
 			case KUpdate:
 				oc.Time = h.MemTime(4 * s.weightBytes())
+			}
+			if tp == nil {
+				// Flat pricing meters everything on tier 0 and leaves the
+				// per-tier split unpopulated.
+				oc.Tier, oc.SideTier = [topo.NumTiers]int64{}, [topo.NumTiers]int64{}
 			}
 			c.PerOp = append(c.PerOp, oc)
 			c.AllToAll += oc.AllToAll

@@ -17,8 +17,10 @@ import (
 // device gets one occupancy cursor per resource (hw.Occupancy), every
 // op replays the interpreter's charge sequence — core.execOp's kernel
 // charges, in order, with each rank's own tile shapes — and every
-// collective synchronizes its group to max(member deposits) + the
-// metering seam's time (comm.Meter) for the same group and byte census.
+// collective synchronizes its group to max(member deposits) + the price
+// comm.Meter computes on the live fabric for the same group and byte
+// census (PriceCache evaluates the same topo costers and flat closed
+// forms, once per distinct round).
 // Because the charges and the rendezvous rule are the executor's own,
 // the clocks equal the live fabric's device clocks exactly: overlapped
 // when each op starts at max(resource free, dependency finishes),
@@ -141,7 +143,6 @@ type engine struct {
 	overlap bool
 	nbarr   int
 
-	meter  comm.Meter
 	occ    []hw.Occupancy
 	clk    []float64
 	finish [][]float64 // [node][rank] finish times, rewritten each epoch
@@ -160,8 +161,12 @@ type engine struct {
 
 	world     []int
 	colGroups [][]int // nil when every column group is a single rank
-	chunkBuf  []int64
 	wBytes    int64
+
+	// The KSpMMABC structural census and its exchange per operand width,
+	// built when the first ABC node replays.
+	abc  *abcCensus
+	abcX map[int]*SparseExchangeCensus
 
 	// Per-group rendezvous round counters (the fabric's groupComm.gen):
 	// index 0 is the world group, 1+j is column group j.
@@ -197,15 +202,13 @@ func newEngine(d *DAG, cen Census, h *hw.Model, tp *topo.Topology, epochs int, p
 	e := &engine{
 		d: d, s: s, cen: cen, h: h, tp: tp, pc: pc,
 		p: p, epochs: epochs,
-		meter:    comm.Meter{HW: h, Topo: tp},
-		occ:      make([]hw.Occupancy, p),
-		clk:      make([]float64, p),
-		finish:   make([][]float64, len(d.Nodes)),
-		regs:     make(map[Reg]regShape, s.NumRegs),
-		resCur:   make([]hw.Resource, p),
-		world:    s.world(),
-		chunkBuf: make([]int64, p),
-		wBytes:   s.weightBytes(),
+		occ:    make([]hw.Occupancy, p),
+		clk:    make([]float64, p),
+		finish: make([][]float64, len(d.Nodes)),
+		regs:   make(map[Reg]regShape, s.NumRegs),
+		resCur: make([]hw.Resource, p),
+		world:  pc.world,
+		wBytes: s.weightBytes(),
 	}
 	for i := range e.finish {
 		e.finish[i] = make([]float64, p)
@@ -475,6 +478,12 @@ func (e *engine) collective(n *DAGNode, group []int, gid int, opName string, kin
 	}
 }
 
+// round replays one metered collective round from its cached price.
+func (e *engine) round(n *DAGNode, group []int, gid int, opName string, kind hw.CollectiveKind, cst topo.Cost, side bool) {
+	vol := comm.Volume{Bytes: cst.Bytes(), Tier1: cst.Tier[topo.TierInter]}
+	e.collective(n, group, gid, opName, kind, cst.Time, vol, true, side)
+}
+
 // barrier replays one world Barrier on the base timeline: latency-only,
 // never metered, but it does consume a world rendezvous round and its
 // skew lands in comm time, exactly as live.
@@ -486,7 +495,10 @@ func (e *engine) barrier() {
 		e.clk[r] = e.occ[r].Free(hw.ResCompute)
 		e.resCur[r] = hw.ResCompute
 	}
-	t := e.meter.Barrier(e.world)
+	t := e.h.LinkLatency
+	if e.tp != nil {
+		t = e.tp.Barrier(e.h, e.world)
+	}
 	e.collective(nil, e.world, gidWorld, "barrier", hw.OpSendRecv, t, comm.Volume{}, false, false)
 	for r := 0; r < e.p; r++ {
 		e.occ[r].Advance(hw.ResCompute, e.clk[r])
@@ -494,78 +506,55 @@ func (e *engine) barrier() {
 	}
 }
 
-// regrid replays dist.regrid's charge order on every rank — divide
-// memcpy, metered world all-to-all, merge memcpy — from the cached
-// byte census. side routes the round to the side-channel meters (the
-// byte-packed ReLU masks of RedistributeMask).
-func (e *engine) regrid(n *DAGNode, from, to dist.Layout, rows, cols int, packed, side bool) {
-	x := e.pc.Exchange(from, to, rows, cols, packed)
+// exchange replays one all-to-all round's charge order on every rank —
+// divide memcpy, metered world all-to-all, merge memcpy — from its
+// census: dist.regrid's sequence, and each of the two rounds of
+// dist.RedistributeSparse and of the KSpMMABC result exchange. side
+// routes the round to the side-channel meters (byte-packed ReLU masks,
+// sparse metadata adverts).
+func (e *engine) exchange(n *DAGNode, x *ExchangeCensus, side bool) {
 	for _, r := range e.world {
 		e.mem(n, r, x.Div[r])
 	}
 	if e.p >= 2 {
-		var t float64
-		var vol comm.Volume
-		if e.tp != nil {
-			cst := e.pc.AllToAllCost(from, to, rows, cols, packed)
-			t = cst.Time
-			vol = comm.Volume{Bytes: cst.Bytes(), Tier1: cst.Tier[topo.TierInter]}
-		} else {
-			t = e.h.CollectiveTime(hw.OpAllToAll, e.p, x.MaxInj)
-			vol = comm.Volume{Bytes: x.Total}
-		}
-		e.collective(n, e.world, gidWorld, "alltoall", hw.OpAllToAll, t, vol, true, side)
+		e.round(n, e.world, gidWorld, "alltoall", hw.OpAllToAll, x.A2A, side)
 	}
 	for _, r := range e.world {
 		e.mem(n, r, x.Mer[r])
 	}
 }
 
-// sparseRounds replays one two-round sparse exchange's charge order —
-// dist.RedistributeSparse's metadata advert round on the side channel
-// followed by the variable-volume payload round, or the KSpMMABC
-// result exchange — metering each round like the live fabric's
-// AllToAllV. Each round function returns the collective's rendezvous
-// time and metered volume.
-func (e *engine) sparseRounds(n *DAGNode, x *SparseExchangeCensus, metaRound, payRound func() (float64, comm.Volume)) {
-	for _, r := range e.world {
-		e.mem(n, r, x.MetaDiv[r])
-	}
-	if e.p >= 2 {
-		t, vol := metaRound()
-		e.collective(n, e.world, gidWorld, "alltoall", hw.OpAllToAll, t, vol, true, true)
-	}
-	for _, r := range e.world {
-		e.mem(n, r, x.MetaMer[r])
-	}
-	for _, r := range e.world {
-		e.mem(n, r, x.PayDiv[r])
-	}
-	if e.p >= 2 {
-		t, vol := payRound()
-		e.collective(n, e.world, gidWorld, "alltoall", hw.OpAllToAll, t, vol, true, false)
-	}
-	for _, r := range e.world {
-		e.mem(n, r, x.PayMer[r])
-	}
+// sparseExchange replays a two-round exchange: the metadata advert
+// round on the side channel, then the variable-volume payload round.
+func (e *engine) sparseExchange(n *DAGNode, x *SparseExchangeCensus) {
+	e.exchange(n, &x.Meta, true)
+	e.exchange(n, &x.Pay, false)
 }
 
-// sparseRegrid replays one sparse from→to redistribution from the
-// cached two-round census.
-func (e *engine) sparseRegrid(n *DAGNode, from, to dist.Layout, rows, cols int) {
-	x := e.pc.SparseExchange(e.s, from, to, rows, cols)
-	round := func(metaRound bool, maxInj, total int64) func() (float64, comm.Volume) {
-		return func() (float64, comm.Volume) {
-			if e.tp != nil {
-				cst := e.pc.SparseAllToAllCost(e.s, from, to, rows, cols, metaRound)
-				return cst.Time, comm.Volume{Bytes: cst.Bytes(), Tier1: cst.Tier[topo.TierInter]}
+// abcExchange returns the KSpMMABC census and its width-column result
+// exchange, built once per engine: an explicit Census.ABCPairs table
+// (every receiver its own class), else the O(P) estimate from the
+// census's exact stored-entry count.
+func (e *engine) abcExchange(width int) (*abcCensus, *SparseExchangeCensus) {
+	if e.abc == nil {
+		var a abcCensus
+		if pairs := e.cen.ABCPairs; pairs != nil {
+			bounds := make([]int, e.p+1)
+			for i := range bounds {
+				bounds[i] = i
 			}
-			return e.h.CollectiveTime(hw.OpAllToAll, e.p, maxInj), comm.Volume{Bytes: total}
+			a = abcCensus{bounds: bounds, at: func(r, q int) int64 { return pairs[r][q] }, nnz: e.cen.NNZABC}
+		} else {
+			a = e.s.approxABC(e.cen.NNZ, e.pc.LiveFor(e.s))
 		}
+		e.abc, e.abcX = &a, make(map[int]*SparseExchangeCensus)
 	}
-	e.sparseRounds(n, x,
-		round(true, x.MetaMaxInj, x.MetaTotal),
-		round(false, x.PayMaxInj, x.PayTotal))
+	x, ok := e.abcX[width]
+	if !ok {
+		x = e.abc.exchange(e.pc, width)
+		e.abcX[width] = x
+	}
+	return e.abc, x
 }
 
 // tile returns rank r's tile bytes under a layout, the executor's
@@ -592,12 +581,8 @@ func (e *engine) execNode(n *DAGNode) {
 			// replicate: world allgather of ragged source tiles, then
 			// the full-matrix assembly memcpy.
 			if p >= 2 {
-				chunks := e.chunkBuf[:p]
-				for r := 0; r < p; r++ {
-					chunks[r] = e.tile(from, r, a.rows, a.cols)
-				}
-				t, vol := e.meter.AllGather(e.world, chunks)
-				e.collective(n, e.world, gidWorld, "allgather", hw.OpAllGather, t, vol, true, false)
+				e.round(n, e.world, gidWorld, "allgather", hw.OpAllGather,
+					e.pc.AllGatherCost(from, e.world, -1, a.rows, a.cols), false)
 			}
 			for _, r := range e.world {
 				e.mem(n, r, int64(a.rows)*int64(a.cols)*4)
@@ -606,9 +591,9 @@ func (e *engine) execNode(n *DAGNode) {
 			// Distribute from a replicated local copy: free.
 		default:
 			if op.Sparse && s.SparseEligible(from, to) {
-				e.sparseRegrid(n, from, to, a.rows, a.cols)
+				e.sparseExchange(n, e.pc.SparseExchange(s, from, to, a.rows, a.cols))
 			} else {
-				e.regrid(n, from, to, a.rows, a.cols, false, false)
+				e.exchange(n, e.pc.Exchange(from, to, a.rows, a.cols, false), false)
 			}
 		}
 		e.regs[op.Dst] = regShape{to, op.Rows, op.Cols}
@@ -617,14 +602,9 @@ func (e *engine) execNode(n *DAGNode) {
 		if p/s.RA > 1 {
 			// Each column group allgathers its ragged feature slice
 			// concurrently; rank r participates in its own group only.
-			for j := 0; j < s.RA; j++ {
-				grp := e.colGroups[j]
-				chunks := e.chunkBuf[:len(grp)]
-				for k, r := range grp {
-					chunks[k] = e.tile(s.GridL, r, a.rows, a.cols)
-				}
-				t, vol := e.meter.AllGather(grp, chunks)
-				e.collective(n, grp, gidCol(j), "allgather", hw.OpAllGather, t, vol, true, false)
+			for j, grp := range e.colGroups {
+				e.round(n, grp, gidCol(j), "allgather", hw.OpAllGather,
+					e.pc.AllGatherCost(s.GridL, grp, j, a.rows, a.cols), false)
 			}
 			for r := 0; r < p; r++ {
 				_, pcols := dist.TileShape(s.GridL, p, r, a.rows, a.cols)
@@ -646,33 +626,15 @@ func (e *engine) execNode(n *DAGNode) {
 		e.regs[op.Dst] = regShape{s.GridL, op.Rows, op.Cols}
 	case KSpMMABC:
 		a := e.regs[op.A]
-		pairs, nnzABC := e.cen.ABCPairs, e.cen.NNZABC
-		if pairs == nil {
-			// Census built without the ABC fill (hand-rolled): fall back
-			// to the analytic estimate over the panel total.
-			var total int64
-			for _, v := range e.cen.NNZFwd {
-				total += v
-			}
-			pairs, nnzABC = s.ApproxABCPairs(total)
-		}
+		abc, x := e.abcExchange(a.cols)
 		for r := 0; r < p; r++ {
 			nnz := int64(0)
-			if r < len(nnzABC) {
-				nnz = nnzABC[r]
+			if r < len(abc.nnz) {
+				nnz = abc.nnz[r]
 			}
 			e.kernel(n, r, "spmm", e.h.SpMMTime(nnz, a.cols), 0, nnz*int64(a.cols))
 		}
-		meta, pay := abcFns(pairs, a.cols)
-		x := buildSparseCensus(p, meta, pay)
-		round := func(fn func(i, j int) int64, maxInj, total int64) func() (float64, comm.Volume) {
-			return func() (float64, comm.Volume) {
-				return e.meter.AllToAll(e.world, fn, maxInj, total)
-			}
-		}
-		e.sparseRounds(n, x,
-			round(meta, x.MetaMaxInj, x.MetaTotal),
-			round(pay, x.PayMaxInj, x.PayTotal))
+		e.sparseExchange(n, x)
 		e.regs[op.Dst] = regShape{dist.H, op.Rows, op.Cols}
 	case KGEMM:
 		a := e.regs[op.A]
@@ -692,9 +654,8 @@ func (e *engine) execNode(n *DAGNode) {
 		e.regs[op.Dst] = regShape{dist.R, op.Rows, op.Cols}
 	case KAllReduceGrad:
 		if p >= 2 {
-			bytes := int64(op.Rows) * int64(op.Cols) * 4
-			t, vol := e.meter.AllReduce(e.world, bytes)
-			e.collective(n, e.world, gidWorld, "allreduce", hw.OpAllReduce, t, vol, true, false)
+			e.round(n, e.world, gidWorld, "allreduce", hw.OpAllReduce,
+				e.pc.AllReduceCost(int64(op.Rows)*int64(op.Cols)*4), false)
 		}
 	case KReLU:
 		a := e.regs[op.A]
@@ -707,7 +668,7 @@ func (e *engine) execNode(n *DAGNode) {
 			for r := 0; r < p; r++ {
 				e.mem(n, r, e.tile(src.layout, r, src.rows, src.cols))
 			}
-			e.regrid(n, src.layout, u.layout, src.rows, src.cols, true, true)
+			e.exchange(n, e.pc.Exchange(src.layout, u.layout, src.rows, src.cols, true), true)
 		}
 		for r := 0; r < p; r++ {
 			e.mem(n, r, e.tile(u.layout, r, u.rows, u.cols))
@@ -725,8 +686,7 @@ func (e *engine) execNode(n *DAGNode) {
 			e.mem(n, r, 2*e.tile(dist.H, r, a.rows, a.cols))
 		}
 		if p >= 2 {
-			t, vol := e.meter.AllReduce(e.world, 8)
-			e.collective(n, e.world, gidWorld, "allreduce", hw.OpAllReduce, t, vol, true, false)
+			e.round(n, e.world, gidWorld, "allreduce", hw.OpAllReduce, e.pc.AllReduceCost(8), false)
 		}
 		e.regs[op.Dst] = regShape{dist.H, op.Rows, op.Cols}
 	case KMemWrite:

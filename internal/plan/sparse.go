@@ -44,109 +44,13 @@ func (s *Schedule) SparseEligible(from, to dist.Layout) bool {
 		from.Kind != dist.Replicated && to.Kind != dist.Replicated
 }
 
-// SparseExchangeCensus is the per-rank byte census of one two-round
-// sparse exchange: what each rank packs (Div) and unpacks (Mer) per
-// round, self pairs excluded, plus the busiest injector/ejector and
-// summed cross-pair totals per round. Metadata bytes ride the side
-// channel; payload bytes are the primary metered volume. Callers must
-// treat the slices as read-only — cache hits share them.
+// SparseExchangeCensus is the census of one two-round sparse exchange:
+// the metadata advert round, whose bytes ride the side channel, then
+// the variable-volume payload round, the primary metered volume.
+// Read-only for callers — cache hits share it.
 type SparseExchangeCensus struct {
-	MetaDiv, MetaMer, PayDiv, PayMer []int64
-	MetaMaxInj, MetaMaxEj, MetaTotal int64
-	PayMaxInj, PayMaxEj, PayTotal    int64
+	Meta, Pay ExchangeCensus
 }
-
-// buildSparseCensus sums per-pair metadata and payload byte functions
-// into the per-rank census. The pair functions follow the fabric's
-// convention (defined for all pairs, self pairs never summed).
-func buildSparseCensus(p int, metaBytes, payBytes func(r, q int) int64) *SparseExchangeCensus {
-	x := &SparseExchangeCensus{
-		MetaDiv: make([]int64, p), MetaMer: make([]int64, p),
-		PayDiv: make([]int64, p), PayMer: make([]int64, p),
-	}
-	for r := 0; r < p; r++ {
-		for q := 0; q < p; q++ {
-			if q == r {
-				continue
-			}
-			if b := metaBytes(r, q); b > 0 {
-				x.MetaDiv[r] += b
-				x.MetaMer[q] += b
-			}
-			if b := payBytes(r, q); b > 0 {
-				x.PayDiv[r] += b
-				x.PayMer[q] += b
-			}
-		}
-	}
-	for r := 0; r < p; r++ {
-		x.MetaMaxInj = max(x.MetaMaxInj, x.MetaDiv[r])
-		x.MetaMaxEj = max(x.MetaMaxEj, x.MetaMer[r])
-		x.MetaTotal += x.MetaDiv[r]
-		x.PayMaxInj = max(x.PayMaxInj, x.PayDiv[r])
-		x.PayMaxEj = max(x.PayMaxEj, x.PayMer[r])
-		x.PayTotal += x.PayDiv[r]
-	}
-	return x
-}
-
-// sparsePairGeom computes the dense tile intersection of sender r
-// (from) and receiver q (to) — dist.sparseRegrid's pair geometry. ok
-// is the active-pair predicate: inactive pairs exchange nothing, not
-// even a header.
-func sparsePairGeom(p int, from, to dist.Layout, rows, cols, r, q int) (rlo, rhi, clo, chi int, ok bool) {
-	arlo, arhi := dist.RowRange(from, p, r, rows)
-	aclo, achi := dist.ColRange(from, p, r, cols)
-	brlo, brhi := dist.RowRange(to, p, q, rows)
-	bclo, bchi := dist.ColRange(to, p, q, cols)
-	rlo, rhi = max(arlo, brlo), min(arhi, brhi)
-	clo, chi = max(aclo, bclo), min(achi, bchi)
-	return rlo, rhi, clo, chi, rlo < rhi && clo < chi
-}
-
-// sparseRedistFns returns the per-pair metadata and payload byte
-// functions of one sparse from→to redistribution: an active pair's
-// metadata is EncodeRowSet's 2-word header plus its live-row ids, and
-// its payload is those rows' column slices. Layouts must be
-// normalized.
-func sparseRedistFns(p int, from, to dist.Layout, rows, cols int, live []int32) (meta, pay func(r, q int) int64) {
-	meta = func(r, q int) int64 {
-		rlo, rhi, _, _, ok := sparsePairGeom(p, from, to, rows, cols, r, q)
-		if !ok {
-			return 0
-		}
-		return 4 * int64(2+dist.CountInRange(live, rlo, rhi))
-	}
-	pay = func(r, q int) int64 {
-		rlo, rhi, clo, chi, ok := sparsePairGeom(p, from, to, rows, cols, r, q)
-		if !ok {
-			return 0
-		}
-		return 4 * int64(dist.CountInRange(live, rlo, rhi)) * int64(chi-clo)
-	}
-	return meta, pay
-}
-
-// sparseExchange computes (uncached) the two-round census of one
-// sparse redistribution under the schedule's live set.
-func (s *Schedule) sparseExchange(from, to dist.Layout, rows, cols int, live []int32) *SparseExchangeCensus {
-	from, to = from.Normalize(s.P), to.Normalize(s.P)
-	meta, pay := sparseRedistFns(s.P, from, to, rows, cols, live)
-	return buildSparseCensus(s.P, meta, pay)
-}
-
-// sparsePairFn returns one round's per-pair byte function in the shape
-// the topology costers consume.
-func (s *Schedule) sparsePairFn(from, to dist.Layout, rows, cols int, live []int32, metaRound bool) func(i, j int) int64 {
-	from, to = from.Normalize(s.P), to.Normalize(s.P)
-	meta, pay := sparseRedistFns(s.P, from, to, rows, cols, live)
-	if metaRound {
-		return meta
-	}
-	return pay
-}
-
-// --- PriceCache memoization -------------------------------------------
 
 // sparseExchKey identifies one sparse exchange census: the conversion
 // and shape plus the live-set identity (N, Live, SparseSeed) — caches
@@ -158,18 +62,9 @@ type sparseExchKey struct {
 	seed       int64
 }
 
-type sparseA2AKey struct {
-	sparseExchKey
-	metaRound bool
-}
-
 type liveSetKey struct {
 	n, live int
 	seed    int64
-}
-
-func (s *Schedule) sparseKey(from, to dist.Layout, rows, cols int) sparseExchKey {
-	return sparseExchKey{from.Normalize(s.P), to.Normalize(s.P), rows, cols, s.N, s.Live, s.SparseSeed}
 }
 
 // LiveFor returns the memoized live set of the schedule's (N, Live,
@@ -185,38 +80,31 @@ func (c *PriceCache) LiveFor(s *Schedule) []int32 {
 }
 
 // SparseExchange returns the memoized two-round census of a sparse
-// from→to redistribution under the schedule's live set. Layouts must
-// be normalized for the bound P.
+// from→to redistribution under the schedule's live set. An active pair
+// is a nonzero dense tile intersection (dist.sparseRegrid's pair
+// geometry; inactive pairs exchange nothing, not even a header): its
+// metadata is EncodeRowSet's 2-word header plus the ids of the live
+// rows in the pair's row window, its payload those rows' column slices.
 func (c *PriceCache) SparseExchange(s *Schedule, from, to dist.Layout, rows, cols int) *SparseExchangeCensus {
 	c.mustBind()
-	k := s.sparseKey(from, to, rows, cols)
+	from, to = from.Normalize(c.p), to.Normalize(c.p)
+	k := sparseExchKey{from, to, rows, cols, s.N, s.Live, s.SparseSeed}
 	if x, ok := c.sx[k]; ok {
 		return x
 	}
-	x := s.sparseExchange(from, to, rows, cols, c.LiveFor(s))
+	live := c.LiveFor(s)
+	x := &SparseExchangeCensus{Meta: c.newCensus(), Pay: c.newCensus()}
+	meta := c.pairBuf(from, to, rows, cols)
+	pay := make([]topo.Pair, 0, cap(meta))
+	dist.OverlapPairs(from, to, c.p, rows, cols, func(src, dst, rlo, rhi, clo, chi int) {
+		n := int64(dist.CountInRange(live, rlo, rhi))
+		meta = c.add(&x.Meta, meta, src, dst, 4*(2+n))
+		pay = c.add(&x.Pay, pay, src, dst, 4*n*int64(chi-clo))
+	})
+	c.price(&x.Meta, meta)
+	c.price(&x.Pay, pay)
 	c.sx[k] = x
 	return x
-}
-
-// SparseAllToAllCost returns the memoized topology cost of one round
-// (metadata or payload) of a sparse redistribution. Panics on a
-// flat-bound cache, like AllToAllCost.
-func (c *PriceCache) SparseAllToAllCost(s *Schedule, from, to dist.Layout, rows, cols int, metaRound bool) topo.Cost {
-	c.mustBind()
-	if c.tp == nil {
-		panic("plan: SparseAllToAllCost on a flat-bound PriceCache")
-	}
-	k := sparseA2AKey{s.sparseKey(from, to, rows, cols), metaRound}
-	if cst, ok := c.sa2a[k]; ok {
-		return cst
-	}
-	world := make([]int, c.p)
-	for i := range world {
-		world[i] = i
-	}
-	_, cst := c.tp.AllToAll(c.h, topo.Auto, world, s.sparsePairFn(from, to, rows, cols, c.LiveFor(s), metaRound))
-	c.sa2a[k] = cst
-	return cst
 }
 
 // --- Aggregate-before-communicate (KSpMMABC) --------------------------
@@ -234,8 +122,7 @@ func liveCountIn(live []int32, lo, hi int) int {
 // sender ships: of the receiver's rowsQ rows, the expected number with
 // at least one adjacency edge into the sender's liveR live rows, under
 // a uniform (Erdős–Rényi) edge model with per-pair edge probability
-// edgeP. Shared by the aggregate pricer and ApproxCensus so PriceOn
-// and the replay engine agree bit-for-bit.
+// edgeP.
 func abcPairRows(rowsQ, liveR int, edgeP float64) int64 {
 	if rowsQ <= 0 || liveR <= 0 || edgeP <= 0 {
 		return 0
@@ -247,47 +134,94 @@ func abcPairRows(rowsQ, liveR int, edgeP float64) int64 {
 	return int64(math.Round(float64(rowsQ) * frac))
 }
 
-// ApproxABCPairs estimates the KSpMMABC structural census from a global
-// stored-entry count: Pairs[r][q] result rows shipped r→q, and
-// NNZABC[r] the stored entries of the adjacency columns selected by
-// rank r's live rows (the partial-aggregation kernel's work). Use the
-// engine's graph-derived census when exact equality matters; this is
-// the synthetic-sweep estimate.
-func (s *Schedule) ApproxABCPairs(nnz int64) (pairs [][]int64, nnzABC []int64) {
+// abcCensus is a KSpMMABC structural census: at(r, q) result rows
+// shipped r→q, and nnz[r] the stored entries of the adjacency columns
+// selected by rank r's live rows (the partial-aggregation kernel's
+// work). bounds cuts the receivers into classes [bounds[k],
+// bounds[k+1]) inside which at(r, ·) is constant for every r.
+type abcCensus struct {
+	bounds []int
+	at     func(r, q int) int64
+	nnz    []int64
+}
+
+// approxABC estimates the census from the global stored-entry count:
+// the rows r ships q depend on q only through the height of q's H
+// panel, and balanced panels have two heights, so the estimate is two
+// numbers per sender — O(P) to build, and O(P) to fold (exchange).
+// PriceOn and the replay engine both derive it from the same exact
+// count (Census.NNZ), so they agree on the same integers.
+func (s *Schedule) approxABC(nnz int64, live []int32) abcCensus {
 	p := s.P
-	live := s.LiveSet()
 	edgeP := float64(nnz) / (float64(s.N) * float64(s.N))
-	pairs = make([][]int64, p)
-	nnzABC = make([]int64, p)
+	base, tall := s.N/p, s.N%p
+	rows := make([][2]int64, p) // to a receiver of base+1 rows, of base rows
+	a := abcCensus{bounds: []int{0, p}, nnz: make([]int64, p)}
+	if tall > 0 {
+		a.bounds = []int{0, tall, p}
+	}
 	for r := 0; r < p; r++ {
 		rlo, rhi := dist.RowRange(dist.H, p, r, s.N)
 		liveR := liveCountIn(live, rlo, rhi)
-		nnzABC[r] = nnz * int64(liveR) / int64(s.N)
-		pairs[r] = make([]int64, p)
-		for q := 0; q < p; q++ {
-			qlo, qhi := dist.RowRange(dist.H, p, q, s.N)
-			pairs[r][q] = abcPairRows(qhi-qlo, liveR, edgeP)
-		}
+		a.nnz[r] = nnz * int64(liveR) / int64(s.N)
+		rows[r] = [2]int64{abcPairRows(base+1, liveR, edgeP), abcPairRows(base, liveR, edgeP)}
 	}
-	return pairs, nnzABC
+	a.at = func(r, q int) int64 {
+		if q < tall {
+			return rows[r][0]
+		}
+		return rows[r][1]
+	}
+	return a
 }
 
-// abcFns returns the per-pair metadata and payload byte functions of a
-// KSpMMABC exchange from its structural census: pairs with no touched
-// rows exchange nothing; active pairs send the EncodeRowSet header
-// plus ids, and the touched rows' full width-column payload.
-func abcFns(pairs [][]int64, width int) (meta, pay func(r, q int) int64) {
-	meta = func(r, q int) int64 {
-		c := pairs[r][q]
-		if c <= 0 {
-			return 0
+// exchange builds the two-round census of the result exchange of
+// width-column rows: pairs with no touched rows exchange nothing;
+// active pairs send the EncodeRowSet header plus ids, then the touched
+// rows' payload. Each receiver class is folded from one representative,
+// O(P · classes); only a topology needs the pairs spelled out.
+func (a abcCensus) exchange(c *PriceCache, width int) *SparseExchangeCensus {
+	bytes := func(n int64) (meta, pay int64) {
+		if n <= 0 {
+			return 0, 0
 		}
-		return 4 * (2 + c)
+		return 4 * (2 + n), 4 * n * int64(width)
 	}
-	pay = func(r, q int) int64 {
-		return 4 * pairs[r][q] * int64(width)
+	x := &SparseExchangeCensus{Meta: c.newCensus(), Pay: c.newCensus()}
+	for k := 0; k+1 < len(a.bounds); k++ {
+		lo, hi := a.bounds[k], a.bounds[k+1]
+		var metaIn, payIn int64 // what a class member would receive from every rank
+		for r := 0; r < c.p; r++ {
+			m, b := bytes(a.at(r, lo))
+			peers := int64(hi - lo)
+			if lo <= r && r < hi {
+				peers--
+			}
+			x.Meta.Div[r] += peers * m
+			x.Pay.Div[r] += peers * b
+			metaIn += m
+			payIn += b
+		}
+		for q := lo; q < hi; q++ {
+			m, b := bytes(a.at(q, q))
+			x.Meta.Mer[q], x.Pay.Mer[q] = metaIn-m, payIn-b
+		}
 	}
-	return meta, pay
+	var meta, pay []topo.Pair
+	for r := 0; c.tp != nil && r < c.p; r++ {
+		for q := 0; q < c.p; q++ {
+			m, b := bytes(a.at(r, q))
+			if q != r && m > 0 {
+				meta = append(meta, topo.Pair{Src: int32(r), Dst: int32(q), Bytes: m})
+			}
+			if q != r && b > 0 {
+				pay = append(pay, topo.Pair{Src: int32(r), Dst: int32(q), Bytes: b})
+			}
+		}
+	}
+	c.price(&x.Meta, meta)
+	c.price(&x.Pay, pay)
+	return x
 }
 
 // ABC returns a copy of the schedule with the aggregate-before-

@@ -176,9 +176,10 @@ func TestABCRewrite(t *testing.T) {
 	}
 }
 
-// TestABCPriceConsistency pins the three ABC pricers against each
-// other: PriceOn's analytic exchange totals equal the census the DAG
-// simulator replays (same ApproxABCPairs), flat and topo-routed.
+// TestABCPriceConsistency pins PriceOn's ABC arm to the P×P table's
+// quadratic census: its analytic exchange totals equal the sums over
+// ApproxABCPairs, and the DAG pricer accepts the same schedule on both
+// interconnects.
 func TestABCPriceConsistency(t *testing.T) {
 	h := hw.A6000()
 	const n, nnz = 64, 4 * 64
@@ -192,22 +193,7 @@ func TestABCPriceConsistency(t *testing.T) {
 	if countKind(abc, KSpMMABC, false) == 0 {
 		t.Fatalf("no ABC op to price:\n%s", abc)
 	}
-	pairs, nnzABC := abc.ApproxABCPairs(nnz)
-	cen := abc.ApproxCensus(nnz)
-	if cen.ABCPairs == nil || cen.NNZABC == nil {
-		t.Fatalf("ApproxCensus did not fill the ABC census at RA=P")
-	}
-	for r := range pairs {
-		if cen.NNZABC[r] != nnzABC[r] {
-			t.Fatalf("rank %d: census NNZABC %d != ApproxABCPairs %d", r, cen.NNZABC[r], nnzABC[r])
-		}
-		for q := range pairs[r] {
-			if cen.ABCPairs[r][q] != pairs[r][q] {
-				t.Fatalf("pair (%d,%d): census %d != ApproxABCPairs %d", r, q, cen.ABCPairs[r][q], pairs[r][q])
-			}
-		}
-	}
-	// The priced exchange bytes equal the shared census's totals.
+	pairs, _ := abc.ApproxABCPairs(nnz)
 	var wantMeta, wantPay int64
 	for i := range abc.Sections {
 		for _, op := range abc.Sections[i].Ops {
@@ -215,9 +201,8 @@ func TestABCPriceConsistency(t *testing.T) {
 				continue
 			}
 			meta, pay := abcFns(pairs, op.Cols)
-			x := buildSparseCensus(abc.P, meta, pay)
-			wantMeta += x.MetaTotal
-			wantPay += x.PayTotal
+			wantMeta += quadraticCensus(abc.P, meta).Total
+			wantPay += quadraticCensus(abc.P, pay).Total
 		}
 	}
 	c := abc.PriceOn(nnz, h, nil)
@@ -232,13 +217,12 @@ func TestABCPriceConsistency(t *testing.T) {
 		t.Fatalf("PriceOn ABC bytes meta=%d pay=%d, census totals meta=%d pay=%d",
 			gotMeta, gotPay, wantMeta, wantPay)
 	}
-	// The DAG pricer accepts the same schedule on both interconnects.
 	ts, err := topo.ParseSpec("2x2:nvlink,ib")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, tp := range []*topo.Topology{nil, ts.MustTopology(4)} {
-		cost := MustBuildDAG(abc).PriceDAGEpochs(cen, h, tp, 2)
+		cost := MustBuildDAG(abc).PriceDAGEpochs(abc.ApproxCensus(nnz), h, tp, 2)
 		if cost.Makespan <= 0 || cost.SeqTime < cost.Makespan {
 			t.Fatalf("degenerate ABC DAG cost: %+v", cost)
 		}
@@ -327,7 +311,9 @@ func TestSparseExchangeCensusMatchesDist(t *testing.T) {
 	const p, rows, cols = 4, 64, 12
 	live := dist.GenRows(3, rows, 10)
 	s := &Schedule{P: p, N: rows, Live: 10, SparseSeed: 3}
-	x := s.sparseExchange(dist.H, dist.V, rows, cols, live)
+	pc := NewPriceCache()
+	pc.Bind(p, hw.A6000(), nil)
+	x := pc.SparseExchange(s, dist.H, dist.V, rows, cols)
 	var meta, pay int64
 	for r := 0; r < p; r++ {
 		rlo, rhi := dist.RowRange(dist.H, p, r, rows)
@@ -341,8 +327,8 @@ func TestSparseExchangeCensusMatchesDist(t *testing.T) {
 			pay += 4 * cnt * int64(chi-clo)
 		}
 	}
-	if x.MetaTotal != meta || x.PayTotal != pay {
-		t.Fatalf("census meta=%d pay=%d, hand sum meta=%d pay=%d", x.MetaTotal, x.PayTotal, meta, pay)
+	if x.Meta.Total != meta || x.Pay.Total != pay {
+		t.Fatalf("census meta=%d pay=%d, hand sum meta=%d pay=%d", x.Meta.Total, x.Pay.Total, meta, pay)
 	}
 	cm, cp := costmodel.SparseExchangeBytes(p, rows, cols, dist.H, dist.V, live)
 	if cm != meta || cp != pay {

@@ -12,8 +12,9 @@
 // The engine is an extraction, not an approximation: the charge
 // sequence is the interpreter's own (internal/core execOp, charge for
 // charge, in order), the rendezvous rule is the fabric's (all member
-// clocks synchronize to max(deposits) + the metering seam's time for
-// the same group and byte census, via comm.Meter), and the overlap
+// clocks synchronize to max(deposits) + the price comm.Meter computes
+// for the same group and byte census, memoized by plan.PriceCache), and
+// the overlap
 // lane model is the DAG executor's (ops start at max(resource free,
 // dependency finishes), advance only their resource, and rejoin at
 // epoch boundaries in the same merge order). verify.CheckSimMatchesFabric
@@ -21,10 +22,10 @@
 // fabric runs for both executors.
 //
 // Because no payloads move, a run costs O(ops × P) float arithmetic
-// plus memoized O(P²) redistribution censuses (plan.PriceCache, shared
-// across the 16 Table IV configs of a sweep) — which is what lets
-// `rdmbench scale` sweep 16 configs × topologies at P = 4096 in
-// seconds instead of simulating terabytes of tile traffic.
+// plus memoized O(P + intersecting tile pairs) redistribution censuses
+// (plan.PriceCache, shared across the 16 Table IV configs of a sweep) —
+// which is what lets `rdmbench scale` sweep 16 configs × topologies at
+// P = 65536 in seconds instead of simulating terabytes of tile traffic.
 package sim
 
 import (

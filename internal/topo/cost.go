@@ -151,30 +151,38 @@ func (t *Topology) ringBroadcast(h *hw.Model, group []int, rootIdx int, bytes in
 	return c
 }
 
-// ringAllToAll prices direct pairwise exchange: pair(i, j) gives the
-// bytes position i sends position j (i ≠ j; self pairs are ignored).
-func (t *Topology) ringAllToAll(h *hw.Model, group []int, pair func(i, j int) int64) Cost {
-	p := len(group)
-	var c Cost
-	var maxInj int64
+// Pair is one entry of an all-to-all's byte census: group position Src
+// sends position Dst Bytes bytes. Lists hold only the non-empty cross
+// pairs (Src != Dst, Bytes > 0), so a regrid whose tiles mostly miss
+// each other is priced in time proportional to the pairs that meet.
+type Pair struct {
+	Src, Dst int32
+	Bytes    int64
+}
+
+// PairList collects the non-empty cross pairs of a dense per-pair byte
+// function over p group positions.
+func PairList(p int, pair func(i, j int) int64) []Pair {
+	var pairs []Pair
 	for i := 0; i < p; i++ {
-		var inj int64
 		for j := 0; j < p; j++ {
-			if j == i {
-				continue
+			if b := pair(i, j); j != i && b > 0 {
+				pairs = append(pairs, Pair{int32(i), int32(j), b})
 			}
-			b := pair(i, j)
-			if b <= 0 {
-				continue
-			}
-			c.Tier[t.Tier(group[i], group[j])] += b
-			inj += b
-		}
-		if inj > maxInj {
-			maxInj = inj
 		}
 	}
-	c.Time = t.ringTime(h, hw.OpAllToAll, group, maxInj)
+	return pairs
+}
+
+// ringAllToAll prices direct pairwise exchange of the listed pairs.
+func (t *Topology) ringAllToAll(h *hw.Model, group []int, pairs []Pair) Cost {
+	var c Cost
+	inj := make([]int64, len(group))
+	for _, pr := range pairs {
+		c.Tier[t.Tier(group[pr.Src], group[pr.Dst])] += pr.Bytes
+		inj[pr.Src] += pr.Bytes
+	}
+	c.Time = t.ringTime(h, hw.OpAllToAll, group, maxOf(inj))
 	return c
 }
 
@@ -299,36 +307,38 @@ func (t *Topology) rhdReduceScatter(h *hw.Model, group []int, counts []int64) Co
 // size): the block for offset o = (dst−src) mod p hops at every set
 // bit of o, so total volume exceeds direct exchange by the popcount —
 // the classic latency-for-bandwidth trade.
-func (t *Topology) bruckAllToAll(h *hw.Model, group []int, pair func(i, j int) int64) Cost {
+func (t *Topology) bruckAllToAll(h *hw.Model, group []int, pairs []Pair) Cost {
 	p := len(group)
 	var c Cost
 	any := false
+	inj := make([]int64, p)
 	for d := 1; d < p; d *= 2 {
-		inj := make([]int64, p)
+		clear(inj)
 		var tb [NumTiers]int64
 		wt := TierIntra
-		for s := 0; s < p; s++ {
-			for dst := 0; dst < p; dst++ {
-				if dst == s {
-					continue
-				}
-				o := (dst - s + p) % p
-				if o&d == 0 {
-					continue
-				}
-				b := pair(s, dst)
-				if b <= 0 {
-					continue
-				}
-				v := (s + o&(d-1)) % p
-				w := (v + d) % p
-				tier := t.Tier(group[v], group[w])
-				tb[tier] += b
-				if tier > wt {
-					wt = tier
-				}
-				inj[v] += b
+		for _, pr := range pairs {
+			// o = (dst−src) mod p and the hop v → v+d mod p, by
+			// conditional subtraction: every operand is below 2p.
+			s := int(pr.Src)
+			o := int(pr.Dst) - s
+			if o < 0 {
+				o += p
 			}
+			if o&d == 0 {
+				continue
+			}
+			v := s + o&(d-1)
+			if v >= p {
+				v -= p
+			}
+			w := v + d
+			if w >= p {
+				w -= p
+			}
+			tier := t.Tier(group[v], group[w])
+			tb[tier] += pr.Bytes
+			wt = max(wt, tier)
+			inj[v] += pr.Bytes
 		}
 		link := t.model(h, wt)
 		c.Time += link.LinkLatency + float64(maxOf(inj))/link.LinkBandwidth
@@ -476,9 +486,9 @@ func (t *Topology) hierReduceScatter(h *hw.Model, group []int, counts []int64) C
 	st = 0.0
 	for j, nd := range nodes {
 		base := j * g
-		s := t.ringAllToAll(h, nd, func(a, b int) int64 {
+		s := t.ringAllToAll(h, nd, PairList(g, func(a, b int) int64 {
 			return overlap(chOff[a], chOff[a+1], segOff[base+b], segOff[base+b+1])
-		})
+		}))
 		c.addTier(s.Tier)
 		st = math.Max(st, s.Time)
 	}
@@ -486,80 +496,53 @@ func (t *Topology) hierReduceScatter(h *hw.Model, group []int, counts []int64) C
 	return c
 }
 
-func (t *Topology) hierAllToAll(h *hw.Model, group []int, pair func(i, j int) int64) Cost {
+// hierAllToAll prices the leader-staged exchange: members trade their
+// node-local pairs directly while non-leaders forward their cross-node
+// bytes to the node leader (position 0), leaders exchange the
+// aggregated node-to-node traffic, then scatter what arrived. Every
+// stage is a ring all-to-all whose links sit on one tier, so one pass
+// over the pair list yields each position's stage injections.
+func (t *Topology) hierAllToAll(h *hw.Model, group []int, pairs []Pair) Cost {
 	nodes, ok := t.nodeGroups(group)
 	if !ok {
-		return t.ringAllToAll(h, group, pair)
+		return t.ringAllToAll(h, group, pairs)
 	}
-	g := len(nodes[0])
-	m := len(nodes)
-	pos := func(j, a int) int { return j*g + a }
-	crossOut := make([][]int64, m)
-	crossIn := make([][]int64, m)
-	nodePair := make([][]int64, m)
-	for j := 0; j < m; j++ {
-		crossOut[j] = make([]int64, g)
-		crossIn[j] = make([]int64, g)
-		nodePair[j] = make([]int64, m)
-		for a := 0; a < g; a++ {
-			for q := 0; q < m*g; q++ {
-				if q/g == j {
-					continue
-				}
-				crossOut[j][a] += pair(pos(j, a), q)
-				crossIn[j][a] += pair(q, pos(j, a))
-			}
-		}
-		for jj := 0; jj < m; jj++ {
-			if jj == j {
-				continue
-			}
-			for a := 0; a < g; a++ {
-				for b := 0; b < g; b++ {
-					nodePair[j][jj] += pair(pos(j, a), pos(jj, b))
-				}
-			}
+	g := int32(len(nodes[0]))
+	local := make([]int64, len(group))
+	crossOut := make([]int64, len(group))
+	crossIn := make([]int64, len(group))
+	for _, pr := range pairs {
+		if pr.Src/g == pr.Dst/g {
+			local[pr.Src] += pr.Bytes
+		} else {
+			crossOut[pr.Src] += pr.Bytes
+			crossIn[pr.Dst] += pr.Bytes
 		}
 	}
+	intra, inter := t.model(h, TierIntra), t.model(h, TierInter)
 	var c Cost
-	// Stage 1: intra-node exchange; non-leader members also forward
-	// their cross-node bytes to the leader (position 0).
-	st := 0.0
-	for j, nd := range nodes {
-		jj := j
-		s := t.ringAllToAll(h, nd, func(a, b int) int64 {
-			v := pair(pos(jj, a), pos(jj, b))
-			if b == 0 && a != 0 {
-				v += crossOut[jj][a]
+	var st1, st3 float64
+	var maxOut int64
+	for j := range nodes {
+		var inj1, out, in int64
+		for a := j * int(g); a < (j+1)*int(g); a++ {
+			s := local[a]
+			if a != j*int(g) {
+				s += crossOut[a]
+				in += crossIn[a]
 			}
-			return v
-		})
-		c.addTier(s.Tier)
-		st = math.Max(st, s.Time)
+			c.Tier[TierIntra] += s
+			inj1 = max(inj1, s)
+			out += crossOut[a]
+		}
+		c.Tier[TierIntra] += in
+		c.Tier[TierInter] += out
+		maxOut = max(maxOut, out)
+		st1 = math.Max(st1, intra.CollectiveTime(hw.OpAllToAll, int(g), inj1))
+		st3 = math.Max(st3, intra.CollectiveTime(hw.OpAllToAll, int(g), in))
 	}
-	c.Time += st
-	// Stage 2: leaders exchange the aggregated node-to-node traffic.
-	leaders := make([]int, m)
-	for j, nd := range nodes {
-		leaders[j] = nd[0]
-	}
-	s := t.ringAllToAll(h, leaders, func(a, b int) int64 { return nodePair[a][b] })
-	c.addTier(s.Tier)
-	c.Time += s.Time
-	// Stage 3: leaders scatter the received remote bytes locally.
-	st = 0.0
-	for j, nd := range nodes {
-		jj := j
-		s := t.ringAllToAll(h, nd, func(a, b int) int64 {
-			if a == 0 && b != 0 {
-				return crossIn[jj][b]
-			}
-			return 0
-		})
-		c.addTier(s.Tier)
-		st = math.Max(st, s.Time)
-	}
-	c.Time += st
+	c.Time = st1 + inter.CollectiveTime(hw.OpAllToAll, len(nodes), maxOut)
+	c.Time += st3
 	return c
 }
 
@@ -676,33 +659,41 @@ func (t *Topology) ReduceScatter(h *hw.Model, alg Algorithm, group []int, counts
 	return bestAlg, best
 }
 
-// AllToAll prices a personalized exchange; pair(i, j) gives the bytes
-// position i sends position j.
+// AllToAll prices a personalized exchange given as a dense per-pair
+// byte function: pair(i, j) is the bytes position i sends position j.
+// It is AllToAllPairs over the function's non-empty cross pairs, for
+// callers that hold buffers rather than a census.
 func (t *Topology) AllToAll(h *hw.Model, alg Algorithm, group []int, pair func(i, j int) int64) (Algorithm, Cost) {
+	return t.AllToAllPairs(h, alg, group, PairList(len(group), pair))
+}
+
+// AllToAllPairs prices a personalized exchange from its pair list in
+// O(len(group) + len(pairs)·log len(group)).
+func (t *Topology) AllToAllPairs(h *hw.Model, alg Algorithm, group []int, pairs []Pair) (Algorithm, Cost) {
 	switch alg {
 	case Ring:
-		return Ring, t.ringAllToAll(h, group, pair)
+		return Ring, t.ringAllToAll(h, group, pairs)
 	case RHD:
 		if len(group) > 1 {
-			return RHD, t.bruckAllToAll(h, group, pair)
+			return RHD, t.bruckAllToAll(h, group, pairs)
 		}
-		return Ring, t.ringAllToAll(h, group, pair)
+		return Ring, t.ringAllToAll(h, group, pairs)
 	case Hier:
 		if _, ok := t.nodeGroups(group); ok {
-			return Hier, t.hierAllToAll(h, group, pair)
+			return Hier, t.hierAllToAll(h, group, pairs)
 		}
-		return Ring, t.ringAllToAll(h, group, pair)
+		return Ring, t.ringAllToAll(h, group, pairs)
 	}
-	best := t.ringAllToAll(h, group, pair)
+	best := t.ringAllToAll(h, group, pairs)
 	bestAlg := Ring
 	if t.worstTier(group) == TierIntra {
 		return bestAlg, best
 	}
-	if c := t.bruckAllToAll(h, group, pair); c.Time < best.Time {
+	if c := t.bruckAllToAll(h, group, pairs); c.Time < best.Time {
 		best, bestAlg = c, RHD
 	}
 	if _, ok := t.nodeGroups(group); ok {
-		if c := t.hierAllToAll(h, group, pair); c.Time < best.Time {
+		if c := t.hierAllToAll(h, group, pairs); c.Time < best.Time {
 			best, bestAlg = c, Hier
 		}
 	}

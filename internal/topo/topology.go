@@ -148,25 +148,21 @@ func (t *Topology) model(h *hw.Model, tier int) *hw.Model {
 // nodeGroups partitions a sorted group by node, preserving order.
 // ok reports whether the group is node-uniform and multi-node: at
 // least two nodes, every node contributing the same member count —
-// the shape the two-level hierarchical algorithms require.
+// the shape the two-level hierarchical algorithms require. Ranks map
+// to nodes contiguously, so each node's members are a run of the
+// sorted group: the partition is capacity-clipped subslices of group
+// (read-only for callers), one allocation whatever the group size.
 func (t *Topology) nodeGroups(group []int) (nodes [][]int, ok bool) {
-	if t.Tiers == 1 {
+	if t.Tiers == 1 || len(group) == 0 {
 		return nil, false
 	}
-	var cur []int
-	curNode := -1
-	for _, r := range group {
-		n := t.NodeOf(r)
-		if n != curNode {
-			if cur != nil {
-				nodes = append(nodes, cur)
-			}
-			cur, curNode = nil, n
+	nodes = make([][]int, 0, t.NodeOf(group[len(group)-1])-t.NodeOf(group[0])+1)
+	start := 0
+	for i := 1; i <= len(group); i++ {
+		if i == len(group) || t.NodeOf(group[i]) != t.NodeOf(group[start]) {
+			nodes = append(nodes, group[start:i:i])
+			start = i
 		}
-		cur = append(cur, r)
-	}
-	if cur != nil {
-		nodes = append(nodes, cur)
 	}
 	if len(nodes) < 2 {
 		return nodes, false
