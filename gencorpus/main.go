@@ -7,8 +7,10 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"log"
+	"math"
 	"os"
 	"path/filepath"
 
@@ -149,6 +151,39 @@ func main() {
 	write(fc, "seed-single-cell", bs([]byte{1, 1, 0, 0, 1, 0, 0, 2, 0, 0, 3}))
 	write(fc, "seed-empty-rows", bs([]byte{24, 24, 23, 23, 7}))
 	write(fc, "seed-cancellation", bs([]byte{4, 4, 2, 2, 5, 2, 2, 251}))
+
+	// internal/tensor: packed axpy against the Go loop. Two offset bytes,
+	// then s and (x[j], y[j]) pairs as little-endian float32 bits.
+	axpy := func(xo, yo byte, s float32, xy ...float32) string {
+		data := []byte{xo, yo}
+		for _, v := range append([]float32{s}, xy...) {
+			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
+		}
+		return bs(data)
+	}
+	ramp := func(n int) []float32 {
+		xy := make([]float32, 2*n)
+		for i := range xy {
+			xy[i] = float32(i%7)*0.375 - 1
+		}
+		return xy
+	}
+	inf, nan := float32(math.Inf(1)), math.Float32frombits(0x7fc12345)
+	ax := "internal/tensor/testdata/fuzz/FuzzAxpy"
+	write(ax, "seed-scalar-tail-only", axpy(0, 0, 0.5, ramp(3)...))
+	write(ax, "seed-body-and-both-tails", axpy(1, 3, -1.25, ramp(16+4+3)...))
+	write(ax, "seed-two-bodies-unaligned", axpy(3, 2, 3, ramp(32)...))
+	// (1+2^-12)^2 rounds to 1+2^-11, so the unfused sum is 0 where a fused
+	// multiply-add would leave 2^-24; 23 pairs reach the body and both tails.
+	witness := make([]float32, 0, 2*23)
+	for i := 0; i < 23; i++ {
+		witness = append(witness, 1+1.0/4096, -(1 + 1.0/2048))
+	}
+	write(ax, "seed-fma-witness", axpy(0, 1, 1+1.0/4096, witness...))
+	write(ax, "seed-specials", axpy(2, 1, inf,
+		0, 1, float32(math.Copysign(0, -1)), -inf, 1e-45, 1e-45, -1e-39, inf,
+		nan, 1, 1, nan, inf, -inf, 1e30, -1e30, 1e-30, 0))
+	write(ax, "seed-empty", axpy(0, 0, 1))
 
 	// internal/plan: schedule dump grammar (Parse/String fixed point).
 	sched := func(sp plan.Spec, optimize bool) string {

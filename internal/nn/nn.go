@@ -108,6 +108,13 @@ func WeightedSoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask [
 		panic("nn: weights length mismatch")
 	}
 	grad = tensor.NewDense(logits.Rows, logits.Cols)
+	// exps keeps each row's exponentials from the normaliser pass, so a logit
+	// costs one math.Exp; on the stack up to 64 classes.
+	var stack [64]float64
+	exps := stack[:]
+	if logits.Cols > len(stack) {
+		exps = make([]float64, logits.Cols)
+	}
 	loss := 0.0
 	for i := 0; i < logits.Rows; i++ {
 		if (mask != nil && !mask[i]) || labels[i] < 0 {
@@ -131,14 +138,15 @@ func WeightedSoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask [
 			}
 		}
 		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - maxv))
+		for j, v := range row {
+			exps[j] = math.Exp(float64(v - maxv))
+			sum += exps[j]
 		}
 		logSum := math.Log(sum)
 		y := labels[i]
 		loss += inv * (logSum - float64(row[y]-maxv))
 		for j := range row {
-			p := math.Exp(float64(row[j]-maxv)) / sum
+			p := exps[j] / sum
 			grow[j] = float32(p * inv)
 		}
 		grow[y] -= float32(inv)

@@ -252,3 +252,51 @@ func TestWeightedLossMatchesManualScaling(t *testing.T) {
 		t.Fatalf("weighted sum %v want %v", sum, manual)
 	}
 }
+
+// The loss keeps each logit's exponential from the normaliser pass instead of
+// evaluating it again for the probability. Same function, same argument: the
+// bits must match the two-evaluation form on both sides of the 64-class
+// stack row.
+func TestSoftmaxCrossEntropyMatchesTwoExpForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, classes := range []int{1, 8, 41, 64, 65, 200} {
+		logits := tensor.NewDense(5, classes)
+		logits.Randomize(rng, 6)
+		labels := make([]int32, logits.Rows)
+		for i := range labels {
+			labels[i] = int32(rng.Intn(classes))
+		}
+		weights := []float32{1, 0.25, 3, 1e-3, 7}
+		gotLoss, gotGrad, _ := WeightedSoftmaxCrossEntropySum(logits, labels, nil, weights)
+
+		wantLoss := 0.0
+		wantGrad := tensor.NewDense(logits.Rows, classes)
+		for i := 0; i < logits.Rows; i++ {
+			row, inv := logits.Row(i), float64(weights[i])
+			maxv := row[0]
+			for _, v := range row {
+				if v > maxv {
+					maxv = v
+				}
+			}
+			var sum float64
+			for _, v := range row {
+				sum += math.Exp(float64(v - maxv))
+			}
+			wantLoss += inv * (math.Log(sum) - float64(row[labels[i]]-maxv))
+			for j := range row {
+				wantGrad.Row(i)[j] = float32(math.Exp(float64(row[j]-maxv)) / sum * inv)
+			}
+			wantGrad.Row(i)[labels[i]] -= float32(inv)
+		}
+		if math.Float64bits(gotLoss) != math.Float64bits(wantLoss) {
+			t.Fatalf("%d classes: loss %x, two-Exp form says %x", classes, math.Float64bits(gotLoss), math.Float64bits(wantLoss))
+		}
+		for i := range wantGrad.Data {
+			if math.Float32bits(gotGrad.Data[i]) != math.Float32bits(wantGrad.Data[i]) {
+				t.Fatalf("%d classes: grad[%d] %x, two-Exp form says %x", classes, i,
+					math.Float32bits(gotGrad.Data[i]), math.Float32bits(wantGrad.Data[i]))
+			}
+		}
+	}
+}

@@ -203,15 +203,10 @@ func (m *CSR) SpMMInto(in, out *tensor.Dense) {
 	tensor.ParallelRows(m.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
 			oi := out.Data[i*f : (i+1)*f]
-			for j := range oi {
-				oi[j] = 0
-			}
-			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
-				v := m.Val[p]
-				src := in.Data[int(m.ColIdx[p])*f : int(m.ColIdx[p])*f+f]
-				for j, sv := range src {
-					oi[j] += v * sv
-				}
+			clear(oi)
+			cols, vals := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]], m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
+			for p, c := range cols {
+				tensor.Axpy(vals[p], in.Data[int(c)*f:int(c)*f+f], oi)
 			}
 		}
 	})
@@ -249,11 +244,7 @@ func (m *CSR) MaskedSpMM(in *tensor.Dense, mask [][]int32) *tensor.Dense {
 						continue
 					}
 				}
-				v := m.Val[p]
-				src := in.Data[int(c)*f : int(c)*f+f]
-				for j, sv := range src {
-					oi[j] += v * sv
-				}
+				tensor.Axpy(m.Val[p], in.Data[int(c)*f:int(c)*f+f], oi)
 			}
 		}
 	})

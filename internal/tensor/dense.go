@@ -93,6 +93,13 @@ func (m *Dense) GlorotInit(rng *rand.Rand) {
 // Transpose returns a newly allocated transpose of m.
 func (m *Dense) Transpose() *Dense {
 	out := NewDense(m.Cols, m.Rows)
+	m.transposeInto(out.Data)
+	return out
+}
+
+// transposeInto writes mᵀ, row-major, into out, which holds Rows*Cols
+// elements.
+func (m *Dense) transposeInto(out []float32) {
 	// Blocked transpose for cache friendliness.
 	const b = 32
 	for ii := 0; ii < m.Rows; ii += b {
@@ -102,12 +109,11 @@ func (m *Dense) Transpose() *Dense {
 			for i := ii; i < iMax; i++ {
 				row := m.Data[i*m.Cols:]
 				for j := jj; j < jMax; j++ {
-					out.Data[j*m.Rows+i] = row[j]
+					out[j*m.Rows+i] = row[j]
 				}
 			}
 		}
 	}
-	return out
 }
 
 // RowSlice returns a copy of rows [r0, r1).

@@ -44,8 +44,9 @@ func MatMul(a, b *Dense) *Dense {
 
 // Gemm computes C = alpha*A*B + beta*C in place.
 //
-// The kernel iterates i-k-j with the inner j loop over contiguous rows of B
-// and C, which vectorizes well and keeps a deterministic summation order.
+// The kernel iterates i-k-j with the inner j loop, Axpy, over contiguous rows
+// of B and C, which keeps a deterministic summation order. (The Go compiler
+// vectorizes nothing; the packed Axpy is what makes that loop wide.)
 func Gemm(alpha float32, a, b *Dense, beta float32, c *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: Gemm shape mismatch A=%dx%d B=%dx%d C=%dx%d",
@@ -55,28 +56,26 @@ func Gemm(alpha float32, a, b *Dense, beta float32, c *Dense) {
 	ParallelRows(a.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
 			ci := c.Data[i*n : (i+1)*n]
-			if beta == 0 {
-				for j := range ci {
-					ci[j] = 0
-				}
-			} else if beta != 1 {
-				for j := range ci {
-					ci[j] *= beta
-				}
-			}
-			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-			for k, av := range ai {
-				if av == 0 {
-					continue
-				}
-				s := alpha * av
-				bk := b.Data[k*n : (k+1)*n]
-				for j, bv := range bk {
-					ci[j] += s * bv
+			scaleRow(ci, beta)
+			for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
+				if av != 0 {
+					Axpy(alpha*av, b.Data[k*n:(k+1)*n], ci)
 				}
 			}
 		}
 	})
+}
+
+// scaleRow multiplies ci by beta; beta == 0 clears it, so stale NaNs and
+// infinities do not survive.
+func scaleRow(ci []float32, beta float32) {
+	if beta == 0 {
+		clear(ci)
+	} else if beta != 1 {
+		for j := range ci {
+			ci[j] *= beta
+		}
+	}
 }
 
 // MatMulTA returns C = Aᵀ * B without materializing Aᵀ.
@@ -92,16 +91,10 @@ func MatMulTA(a, b *Dense) *Dense {
 	n := b.Cols
 	ParallelRows(a.Cols, func(k0, k1 int) {
 		for i := 0; i < a.Rows; i++ {
-			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
 			bi := b.Data[i*n : (i+1)*n]
 			for k := k0; k < k1; k++ {
-				av := ai[k]
-				if av == 0 {
-					continue
-				}
-				ck := c.Data[k*n : (k+1)*n]
-				for j, bv := range bi {
-					ck[j] += av * bv
+				if av := a.Data[i*a.Cols+k]; av != 0 {
+					Axpy(av, bi, c.Data[k*n:(k+1)*n])
 				}
 			}
 		}
@@ -109,26 +102,43 @@ func MatMulTA(a, b *Dense) *Dense {
 	return c
 }
 
-// MatMulTB returns C = A * Bᵀ without materializing Bᵀ.
+// MatMulTB returns C = A * Bᵀ.
 //
-// A is m x k, B is n x k, C is m x n.
+// A is m x k, B is n x k, C is m x n. Narrow outputs take one dot product
+// per element. Wider ones transpose B (the small operand: a weight matrix)
+// and accumulate each output row with Axpy over ascending t, without
+// zero-skip: per element those are the dot product's products added in the
+// dot product's order starting from +0, so the bits are the same.
 func MatMulTB(a, b *Dense) *Dense {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTB inner mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
-	c := NewDense(a.Rows, b.Rows)
-	k := a.Cols
+	k, n := a.Cols, b.Rows
+	c := NewDense(a.Rows, n)
+	if n < axpyMinWidth {
+		ParallelRows(a.Rows, func(r0, r1 int) {
+			for i := r0; i < r1; i++ {
+				ai := a.Data[i*k : (i+1)*k]
+				ci := c.Data[i*n : (i+1)*n]
+				for j := range ci {
+					bj := b.Data[j*k : (j+1)*k]
+					var s float32
+					for t, av := range ai {
+						s += float32(av * bj[t]) // rounded like Axpy's
+					}
+					ci[j] = s
+				}
+			}
+		})
+		return c
+	}
+	bt := make([]float32, k*n)
+	b.transposeInto(bt)
 	ParallelRows(a.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
-			ai := a.Data[i*k : (i+1)*k]
-			ci := c.Data[i*b.Rows : (i+1)*b.Rows]
-			for j := 0; j < b.Rows; j++ {
-				bj := b.Data[j*k : (j+1)*k]
-				var s float32
-				for t, av := range ai {
-					s += av * bj[t]
-				}
-				ci[j] = s
+			ci := c.Data[i*n : (i+1)*n]
+			for t, av := range a.Data[i*k : (i+1)*k] {
+				Axpy(av, bt[t*n:(t+1)*n], ci)
 			}
 		}
 	})
