@@ -226,10 +226,17 @@ func main() {
 
 	// internal/dist: divide/exchange/merge redistribution.
 	rg := "internal/dist/testdata/fuzz/FuzzRegrid"
-	write(rg, "seed-ragged-p3", bytesArgs(7, 5, 2, 0, 1)...)
-	write(rg, "seed-grid-p4", bytesArgs(12, 4, 3, 2, 0)...)
-	write(rg, "seed-single-device", bytesArgs(1, 1, 0, 0, 0)...)
-	write(rg, "seed-wide", bytesArgs(3, 9, 1, 1, 0)...)
+	write(rg, "seed-ragged-p3", bytesArgs(7, 5, 2, 0, 1, 0)...)
+	write(rg, "seed-grid-p4", bytesArgs(12, 4, 3, 2, 0, 0)...)
+	write(rg, "seed-single-device", bytesArgs(1, 1, 0, 0, 0, 0)...)
+	write(rg, "seed-wide", bytesArgs(3, 9, 1, 1, 0, 0)...)
+	// The sixth byte picks the destination tile: 1 a NaN-filled one of
+	// the right shape, 2 a misshapen one, 3 the source itself.
+	write(rg, "seed-dirty-old-p4", bytesArgs(11, 7, 3, 0, 1, 1)...)
+	write(rg, "seed-dirty-old-grid", bytesArgs(12, 4, 3, 2, 1, 1)...)
+	write(rg, "seed-misfit-old", bytesArgs(7, 5, 2, 1, 0, 2)...)
+	write(rg, "seed-aliasing-old-square", bytesArgs(5, 5, 1, 0, 1, 3)...)
+	write(rg, "seed-aliasing-old-single", bytesArgs(4, 3, 0, 0, 1, 3)...)
 
 	// internal/dist: overlap-pair enumerator vs the quadratic
 	// TileOverlap oracle. Args: rows, cols, pSel, srcSel, dstSel (layouts

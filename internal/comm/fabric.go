@@ -523,11 +523,17 @@ func groupKey(ranks []int) string {
 // synchronized clock, does volume accounting, and reports the round's
 // metered volume, or fails the round with an error); every member then
 // runs extract over the complete slot array before the slots are
-// recycled. Both callbacks run under the group lock and must not call
-// back into the fabric. The return values are the synchronized clock,
-// the round's metered volume, the round's sequence number within this
-// group (for trace attribution), and the round's error, identical on
-// every member. extract is skipped on a failed round.
+// recycled. finalize runs under the group lock; extract runs outside
+// it, on all members side by side: slots and aux are frozen from
+// finalize until the last reader leaves, and the next round's entrants
+// wait on readers > 0, so an extract may read them freely but must
+// write only memory its own caller owns. Neither callback may call
+// back into the fabric, and extract must not panic — its peers would
+// wait forever on a reader that never leaves. The return values are
+// the synchronized clock, the round's metered volume, the round's
+// sequence number within this group (for trace attribution), and the
+// round's error, identical on every member. extract is skipped on a
+// failed round.
 //
 // dead, when non-nil, is consulted at entry and on every wakeup while
 // waiting for peers: a non-nil result abandons the round (withdrawing
@@ -579,7 +585,10 @@ func (g *groupComm) exchange(idx int, clock float64, in any,
 	// newClock/vol/gen.
 	clockOut, volOut, genOut, errOut := g.newClock, g.vol, g.gen, g.err
 	if extract != nil && errOut == nil {
-		extract(g.slots, g.aux)
+		aux := g.aux
+		g.mu.Unlock()
+		extract(g.slots, aux)
+		g.mu.Lock()
 	}
 	g.readers--
 	if g.readers == 0 {
@@ -1362,29 +1371,53 @@ func (d *Device) allReduceSumInto(group []int, local, dst []float32) error {
 // slice is ErrNilBuffer, delivered cooperatively to every member.
 // Individual nil parts are valid "send nothing" entries.
 func (d *Device) TryAllToAll(group []int, parts [][]float32) ([][]float32, error) {
-	const op = "alltoall"
-	myIdx, err := d.groupPos(op, group)
+	out := make([][]float32, len(group))
+	err := d.TryAllToAllRecv(group, parts, func(i int, part []float32) {
+		if group[i] != d.Rank {
+			part = append(make([]float32, 0, len(part)), part...)
+		}
+		out[i] = part
+	})
 	if err != nil {
 		return nil, err
 	}
+	return out, nil
+}
+
+// TryAllToAllRecv is TryAllToAll handing the received parts over in
+// place: recv is called once per group position, in ascending order
+// (own position included), with the part that member addressed to this
+// device, while the round still holds the senders' buffers. part is
+// only valid — and must only be read — during the call; a receiver
+// that merges it straight into its destination saves the private copy
+// TryAllToAll makes. recv runs concurrently with the other members'
+// and must not panic or call back into the fabric; it is not called at
+// all on a failed round, and called after the last retry of one that
+// succeeds.
+func (d *Device) TryAllToAllRecv(group []int, parts [][]float32, recv func(i int, part []float32)) error {
+	const op = "alltoall"
+	myIdx, err := d.groupPos(op, group)
+	if err != nil {
+		return err
+	}
 	if parts != nil && len(parts) != len(group) {
-		return nil, &CollectiveError{Op: op, Rank: d.Rank,
+		return &CollectiveError{Op: op, Rank: d.Rank,
 			Err: fmt.Errorf("%d parts for %d-member group: %w", len(parts), len(group), ErrCountMismatch)}
 	}
 	if len(group) == 1 {
 		if parts == nil {
-			return nil, &CollectiveError{Op: op, Rank: d.Rank,
+			return &CollectiveError{Op: op, Rank: d.Rank,
 				Err: fmt.Errorf("parts: %w", ErrNilBuffer)}
 		}
-		return [][]float32{parts[0]}, nil
+		recv(0, parts[0])
+		return nil
 	}
-	out := make([][]float32, len(group))
 	f := d.F
 	var contribution any = parts
 	if parts == nil {
 		contribution = collErr{fmt.Errorf("parts on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
-	cerr := d.collective(op, group, contribution,
+	return d.collective(op, group, contribution,
 		func(slots []any, clocks []float64) (float64, any, Volume, error) {
 			var maxInject, total int64
 			for i, s := range slots {
@@ -1409,19 +1442,9 @@ func (d *Device) TryAllToAll(group []int, parts [][]float32) ([][]float32, error
 		},
 		func(slots []any, _ any) {
 			for i, s := range slots {
-				ps := s.([][]float32)
-				src := ps[myIdx]
-				if i == myIdx {
-					out[i] = src
-					continue
-				}
-				out[i] = append(make([]float32, 0, len(src)), src...)
+				recv(i, s.([][]float32)[myIdx])
 			}
 		})
-	if cerr != nil {
-		return nil, cerr
-	}
-	return out, nil
 }
 
 // AllToAll is TryAllToAll panicking on failure.

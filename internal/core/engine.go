@@ -210,6 +210,19 @@ type Engine struct {
 	gatherBuf []float32
 	gradBufs  [][]float32
 
+	// regs and grads are Epoch's SSA register file and gradient slots,
+	// kept across epochs: each producer in execOp writes into the tile
+	// its own register held last epoch, so a steady-state epoch allocates
+	// no tile. masks holds KReLUGrad's two temporaries per schedule step
+	// (the local mask at 2*Step, its redistributed form at 2*Step+1) the
+	// same way. One tile per register, no liveness sharing: a tile is
+	// only ever written by its register's producer and the in-place ops
+	// on that register, which the overlap DAG already orders. SetProblem
+	// drops all three — the next problem has its own X and shapes.
+	regs  []*dist.Mat
+	grads []*tensor.Dense
+	masks []*dist.Mat
+
 	// sched is the epoch's compiled, optimized op schedule (internal/plan):
 	// compiled once in NewEngine and interpreted every epoch. Shapes in the
 	// schedule are advisory — the executor reads live matrix shapes, so a
@@ -329,7 +342,10 @@ func (e *Engine) extractPanels() {
 // (vertical layout) this is communication-free (Fig. 2a); with R_A < P
 // each column group gathers its feature slice, moving (P/R_A - 1)·N·w
 // elements (§III-E).
-func (e *Engine) spmm(dev *comm.Device, m *dist.Mat, forward bool) *dist.Mat {
+//
+// The product lands in old's tile when that has the right shape (see
+// dist.TileOf); the sampled-neighbor kernel allocates its own.
+func (e *Engine) spmm(dev *comm.Device, m *dist.Mat, forward bool, old *dist.Mat) *dist.Mat {
 	if m.Layout != e.gridL {
 		panic(fmt.Sprintf("core: spmm input layout %v, want %v", m.Layout, e.gridL))
 	}
@@ -354,23 +370,27 @@ func (e *Engine) spmm(dev *comm.Device, m *dist.Mat, forward bool) *dist.Mat {
 	if e.epochMask != nil {
 		out = panel.MaskedSpMM(full, e.epochMask)
 	} else {
-		out = panel.SpMM(full)
+		out = dist.TileOf(old, panel.Rows, w)
+		panel.SpMMInto(full, out)
 	}
 	dev.ChargeSpMM(nnz, w)
 	return dist.FromLocal(dev, e.gridL, m.GlobalRows, m.GlobalCols, out)
 }
 
 // gemm computes m · W (or m · Wᵀ) for a horizontal m with replicated W:
-// communication-free (Fig. 2b).
-func (e *Engine) gemm(dev *comm.Device, m *dist.Mat, w *tensor.Dense, transW bool) *dist.Mat {
+// communication-free (Fig. 2b). The product lands in old's tile when
+// that has the right shape (see dist.TileOf).
+func (e *Engine) gemm(dev *comm.Device, m *dist.Mat, w *tensor.Dense, transW bool, old *dist.Mat) *dist.Mat {
 	if m.Layout != dist.H {
 		panic("core: gemm input must be horizontal")
 	}
 	var out *tensor.Dense
 	if transW {
-		out = tensor.MatMulTB(m.Local, w)
+		out = dist.TileOf(old, m.Local.Rows, w.Rows)
+		tensor.MatMulTBInto(m.Local, w, out)
 	} else {
-		out = tensor.MatMul(m.Local, w)
+		out = dist.TileOf(old, m.Local.Rows, w.Cols)
+		tensor.Gemm(1, m.Local, w, 0, out)
 	}
 	dev.ChargeGemm(m.Local.Rows, m.Local.Cols, out.Cols)
 	return dist.FromLocal(dev, dist.H, m.GlobalRows, out.Cols, out)
@@ -445,10 +465,18 @@ func (e *Engine) runBackward(regs []*dist.Mat, grads []*tensor.Dense) {
 // compile-time fields), so the same schedule drives problems of any
 // vertex count; only weight shapes — fixed by Dims — are read from the
 // op.
+//
+// regs may still hold last epoch's values (Epoch's retained file,
+// RunInference's): a producer reads its own destination register only to
+// recycle the tile (dist.TileOf, RedistributeInto), never the value.
 func (e *Engine) execOp(dev *comm.Device, op *plan.Op, regs []*dist.Mat, grads []*tensor.Dense) {
 	switch op.Kind {
 	case plan.KInput:
-		regs[op.Dst] = dist.Distribute(dev, op.Layout, e.prob.X)
+		// Sliced once per register file: no op writes an input register
+		// or an alias of one in place (plan's TestInputRegistersReadOnly).
+		if regs[op.Dst] == nil {
+			regs[op.Dst] = dist.Distribute(dev, op.Layout, e.prob.X)
+		}
 	case plan.KRedist:
 		m := regs[op.A]
 		if m.Dev != dev {
@@ -457,18 +485,19 @@ func (e *Engine) execOp(dev *comm.Device, op *plan.Op, regs []*dist.Mat, grads [
 		if op.Sparse {
 			regs[op.Dst] = m.RedistributeSparse(op.To, e.live)
 		} else {
-			regs[op.Dst] = m.Redistribute(op.To)
+			regs[op.Dst] = m.RedistributeInto(op.To, regs[op.Dst])
 		}
 	case plan.KSpMM:
-		regs[op.Dst] = e.spmm(dev, regs[op.A], op.Forward)
+		regs[op.Dst] = e.spmm(dev, regs[op.A], op.Forward, regs[op.Dst])
 	case plan.KGEMM:
-		regs[op.Dst] = e.gemm(dev, regs[op.A], e.weights[op.Weight], op.TransW)
+		regs[op.Dst] = e.gemm(dev, regs[op.A], e.weights[op.Weight], op.TransW, regs[op.Dst])
 	case plan.KGradGEMM:
 		// Local vertex-sliced partial of an (·)ᵀ(·) weight-gradient
 		// product; the partials differ per device until KAllReduceGrad
 		// sums them, so the R layout here is a forward declaration.
 		a, b := regs[op.A], regs[op.B]
-		partial := tensor.MatMulTA(a.Local, b.Local)
+		partial := dist.TileOf(regs[op.Dst], a.Local.Cols, b.Local.Cols)
+		tensor.MatMulTAInto(a.Local, b.Local, partial)
 		dev.ChargeGemm(a.Local.Cols, a.Local.Rows, b.Local.Cols)
 		regs[op.Dst] = dist.FromLocal(dev, dist.R, partial.Rows, partial.Cols, partial)
 	case plan.KAllReduceGrad:
@@ -486,7 +515,7 @@ func (e *Engine) execOp(dev *comm.Device, op *plan.Op, regs []*dist.Mat, grads [
 		regs[op.A].Local.ReLU()
 		dev.ChargeMem(regs[op.A].Local.Bytes())
 	case plan.KReLUGrad:
-		e.applyReLUMask(dev, regs[op.A], regs[op.B])
+		e.applyReLUMask(dev, op, regs[op.A], regs[op.B])
 	case plan.KAdd:
 		regs[op.A].Local.Add(regs[op.B].Local)
 		dev.ChargeMem(regs[op.A].Local.Bytes())
@@ -505,7 +534,8 @@ func (e *Engine) execOp(dev *comm.Device, op *plan.Op, regs []*dist.Mat, grads [
 		if e.prob.LossWeights != nil {
 			lw = e.prob.LossWeights[rlo:rhi]
 		}
-		lossSum, grad, wtot := nn.WeightedSoftmaxCrossEntropySum(logits.Local, e.prob.Labels[rlo:rhi], mask, lw)
+		grad := dist.TileOf(regs[op.Dst], logits.Local.Rows, logits.Local.Cols)
+		lossSum, wtot := nn.WeightedSoftmaxCrossEntropySumInto(logits.Local, e.prob.Labels[rlo:rhi], mask, lw, grad)
 		dev.ChargeMem(2 * logits.Local.Bytes())
 		tot := dev.AllReduceSum(dev.World(), []float32{float32(lossSum), float32(wtot)})
 		totalCount := float64(tot[1])
@@ -535,19 +565,23 @@ func (e *Engine) execOp(dev *comm.Device, op *plan.Op, regs []*dist.Mat, grads [
 // mask is applied locally; otherwise a byte-packed mask is redistributed
 // (¼ of the elements — a mechanical cost the paper's model omits; see
 // EXPERIMENTS.md). The planner encodes the choice in the op's From/To
-// layouts; the decision re-derives here from the live matrices.
-func (e *Engine) applyReLUMask(dev *comm.Device, u, src *dist.Mat) {
+// layouts; the decision re-derives here from the live matrices. The
+// mask and its redistributed form live in the op's two e.masks slots.
+func (e *Engine) applyReLUMask(dev *comm.Device, op *plan.Op, u, src *dist.Mat) {
 	if src.Layout != u.Layout {
 		from := src
-		mask := tensor.NewDense(from.Local.Rows, from.Local.Cols)
+		slot := e.masks[2*op.Step : 2*op.Step+2]
+		mask := dist.TileOf(slot[0], from.Local.Rows, from.Local.Cols)
 		for i, v := range from.Local.Data {
+			mask.Data[i] = 0
 			if v > 0 {
 				mask.Data[i] = 1
 			}
 		}
 		dev.ChargeMem(mask.Bytes())
-		src = dist.FromLocal(dev, from.Layout, from.GlobalRows, from.GlobalCols, mask).
-			RedistributeMask(u.Layout)
+		slot[0] = dist.FromLocal(dev, from.Layout, from.GlobalRows, from.GlobalCols, mask)
+		slot[1] = slot[0].RedistributeMaskInto(u.Layout, slot[1])
+		src = slot[1]
 	}
 	for i, v := range src.Local.Data {
 		if v <= 0 {
@@ -568,8 +602,12 @@ func (e *Engine) Epoch() float64 {
 	e.dev.TraceBeginPhase("epoch")
 	defer e.dev.TraceEndPhase()
 	e.epoch++
-	regs := make([]*dist.Mat, e.sched.NumRegs)
-	grads := make([]*tensor.Dense, len(e.weights))
+	if e.regs == nil {
+		e.regs = make([]*dist.Mat, e.sched.NumRegs)
+		e.grads = make([]*tensor.Dense, len(e.weights))
+		e.masks = make([]*dist.Mat, 2*(e.sched.Ops()+1))
+	}
+	regs, grads := e.regs, e.grads
 	if e.opts.Overlap {
 		e.runOverlap(regs, grads)
 		return e.lastLoss
@@ -637,10 +675,12 @@ func (e *Engine) SetProblem(prob *Problem) {
 	e.extractPanels()
 	e.scanLive()
 	e.lastLogits = nil
+	e.regs, e.grads, e.masks = nil, nil, nil
 }
 
 // Forward runs inference only (no loss/backward) and returns this
-// device's horizontal logits tile.
+// device's horizontal logits tile. The tile is the caller's to keep, so
+// the pass runs on a register file of its own, not Epoch's retained one.
 func (e *Engine) Forward() *dist.Mat {
 	regs := make([]*dist.Mat, e.sched.NumRegs)
 	grads := make([]*tensor.Dense, len(e.weights))

@@ -12,6 +12,7 @@ package dist
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/tensor"
@@ -300,7 +301,15 @@ func (m *Mat) WithDevice(dev *comm.Device) *Mat {
 // Replicated -> any (local slice, free), Horizontal <-> Vertical,
 // Horizontal <-> Grid, Grid -> Horizontal, Grid <-> Vertical, and
 // identity (free).
-func (m *Mat) Redistribute(target Layout) *Mat {
+func (m *Mat) Redistribute(target Layout) *Mat { return m.RedistributeInto(target, nil) }
+
+// RedistributeInto is Redistribute writing a grid-family conversion's
+// result into old's tile — every element is overwritten — when that tile
+// has the target shape and is not m's own; otherwise (old nil included)
+// it allocates one. A steady-state caller passes what the same
+// conversion returned last time and moves the bytes without allocating
+// the tile they land in. Identity and Replicated conversions ignore old.
+func (m *Mat) RedistributeInto(target Layout, old *Mat) *Mat {
 	p := m.Dev.P()
 	target = target.normalize(p)
 	src := m.Layout.normalize(p)
@@ -317,14 +326,18 @@ func (m *Mat) Redistribute(target Layout) *Mat {
 	// Express H and V as degenerate grids and use the general grid
 	// redistribution.
 	srcPJ, dstPJ := gridPJ(src, p), gridPJ(target, p)
-	return m.regrid(srcPJ, dstPJ, nil, nil)
+	return m.regrid(srcPJ, dstPJ, false, old)
 }
 
 // RedistributeMask converts a 0/1-valued matrix (a ReLU-derivative mask)
 // between grid-family layouts, shipping one byte per element — four mask
 // values packed per transmitted float32 — as a real implementation would
 // ship a uint8 mask over NCCL. Replicated layouts are not supported.
-func (m *Mat) RedistributeMask(target Layout) *Mat {
+func (m *Mat) RedistributeMask(target Layout) *Mat { return m.RedistributeMaskInto(target, nil) }
+
+// RedistributeMaskInto is RedistributeMask with RedistributeInto's
+// destination rule.
+func (m *Mat) RedistributeMaskInto(target Layout, old *Mat) *Mat {
 	p := m.Dev.P()
 	target = target.normalize(p)
 	src := m.Layout.normalize(p)
@@ -339,34 +352,7 @@ func (m *Mat) RedistributeMask(target Layout) *Mat {
 	// stay byte-comparable to costmodel predictions.
 	m.Dev.SetSideChannel(true)
 	defer m.Dev.SetSideChannel(false)
-	return m.regrid(gridPJ(src, p), gridPJ(target, p), packMask, unpackMask)
-}
-
-// packMask packs four 0/1 float values per output float32 (one byte
-// each).
-func packMask(vals []float32) []float32 {
-	out := make([]float32, (len(vals)+3)/4)
-	for i, v := range vals {
-		if v != 0 {
-			word := i / 4
-			shift := uint(i%4) * 8
-			bits := math.Float32bits(out[word]) | 1<<shift
-			out[word] = math.Float32frombits(bits)
-		}
-	}
-	return out
-}
-
-// unpackMask reverses packMask given the original element count.
-func unpackMask(packed []float32, n int) []float32 {
-	out := make([]float32, n)
-	for i := range out {
-		bits := math.Float32bits(packed[i/4])
-		if bits>>(uint(i%4)*8)&0xff != 0 {
-			out[i] = 1
-		}
-	}
-	return out
+	return m.regrid(gridPJ(src, p), gridPJ(target, p), true, old)
 }
 
 func gridPJ(l Layout, p int) int {
@@ -381,6 +367,110 @@ func gridPJ(l Layout, p int) int {
 	panic("dist: cannot grid layout " + l.String())
 }
 
+// narrowRow is the row width, in floats, below which copyBlock moves a
+// strided row element by element: a memmove call per 4–8 bytes is what
+// held regrid under 1 GB/s. Picked with BenchmarkRegrid (-cpu 1,2, into a
+// retained tile): on train-redist's rows of 2 and 1 floats the loop takes
+// 5.3 and 2.9 ms per call where copy-per-row takes 7.9 and 6.2; on
+// train-gemm's rows of 16 it takes 4.1 ms where copy takes 2.1. Timed
+// alone at widths 1–32 the two tie at 4 floats and copy wins from 6.
+const narrowRow = 4
+
+// copyBlock copies an h x w block between row-major buffers: row i
+// from src[i*ss:] to dst[i*ds:].
+func copyBlock(dst []float32, ds int, src []float32, ss int, h, w int) {
+	switch {
+	case ds == w && ss == w:
+		copy(dst[:h*w], src[:h*w])
+	case w < narrowRow:
+		for i := 0; i < h; i++ {
+			d, s := i*ds, i*ss
+			for j := 0; j < w; j++ {
+				dst[d+j] = src[s+j]
+			}
+		}
+	default:
+		for i := 0; i < h; i++ {
+			copy(dst[i*ds:i*ds+w], src[i*ss:i*ss+w])
+		}
+	}
+}
+
+// packBlock packs the h x w block of 0/1 values at src (row stride ss)
+// into (h*w+3)/4 wire words: four values per float32, one byte each,
+// in row-major order. Every word is written whole.
+func packBlock(words []float32, src []float32, ss int, h, w int) {
+	n := 0
+	var bits uint32
+	for i := 0; i < h; i++ {
+		for _, v := range src[i*ss : i*ss+w] {
+			if v != 0 {
+				bits |= 1 << (uint(n%4) * 8)
+			}
+			n++
+			if n%4 == 0 {
+				words[n/4-1] = math.Float32frombits(bits)
+				bits = 0
+			}
+		}
+	}
+	if n%4 != 0 {
+		words[n/4] = math.Float32frombits(bits)
+	}
+}
+
+// unpackBlock reverses packBlock into the h x w block at dst (row
+// stride ds), writing every element: 1 where the byte is set, else 0.
+func unpackBlock(dst []float32, ds int, words []float32, h, w int) {
+	n := 0
+	for i := 0; i < h; i++ {
+		row := dst[i*ds : i*ds+w]
+		for j := range row {
+			row[j] = 0
+			if math.Float32bits(words[n/4])>>(uint(n%4)*8)&0xff != 0 {
+				row[j] = 1
+			}
+			n++
+		}
+	}
+}
+
+// stage is a pooled regrid staging buffer: the outgoing parts of one
+// call, packed back to back. Pooled like comm's reduction scratch
+// (comm/pool.go); contents are unspecified at checkout, the divide step
+// writes every word it sends.
+type stage struct{ buf []float32 }
+
+var stagePool sync.Pool // holds *stage
+
+func getStage(n int) *stage {
+	st, _ := stagePool.Get().(*stage)
+	if st == nil {
+		st = new(stage)
+	}
+	if cap(st.buf) < n {
+		st.buf = make([]float32, n)
+	}
+	st.buf = st.buf[:n]
+	return st
+}
+
+// sameStorage reports whether two tiles start at the same element.
+func sameStorage(a, b *tensor.Dense) bool {
+	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
+}
+
+// TileOf returns the rows x cols tile a producer writes its result into:
+// old's, when old is non-nil and its tile has that shape — what the same
+// producer returned last time — else a fresh zeroed one. The caller
+// overwrites the whole tile.
+func TileOf(old *Mat, rows, cols int) *tensor.Dense {
+	if old != nil && old.Local.Rows == rows && old.Local.Cols == cols {
+		return old.Local
+	}
+	return tensor.NewDense(rows, cols)
+}
+
 // regrid converts between two grid layouts (including the degenerate
 // H=G(1) and V=G(P)) with a single all-to-all over the world group.
 // Device r sends to device s exactly the intersection of r's source tile
@@ -388,10 +478,19 @@ func gridPJ(l Layout, p int) int {
 // column-group locality (e.g. the (R_A-1)/R_A·N·f of §IV-A4) emerges
 // naturally: disjoint tiles exchange nothing.
 //
-// When pack/unpack are non-nil every chunk payload is passed through them
-// before transmission and after receipt (used to ship byte-packed masks);
-// unpack receives the original element count.
-func (m *Mat) regrid(srcPJ, dstPJ int, pack func([]float32) []float32, unpack func([]float32, int) []float32) *Mat {
+// Two copies per element: divide packs the outgoing parts back to back
+// into one pooled staging buffer, and merge copies each received part
+// from its sender's staging buffer straight into the destination tile
+// while the round still holds it (comm.TryAllToAllRecv). The staging
+// buffer goes back to the pool only once the collective has returned —
+// a retried round redeposits it, and a round abandoned on a dead peer
+// keeps it out of the pool altogether.
+//
+// When packed, every part travels as byte-packed mask words (packBlock).
+// The result lands in old's tile when that has the target shape and is
+// not m's own, else in a fresh one; the target tiles partition the
+// matrix, so merge overwrites every element either way.
+func (m *Mat) regrid(srcPJ, dstPJ int, packed bool, old *Mat) *Mat {
 	dev := m.Dev
 	dev.TraceBeginPhase("redistribute")
 	defer dev.TraceEndPhase()
@@ -399,30 +498,42 @@ func (m *Mat) regrid(srcPJ, dstPJ int, pack func([]float32) []float32, unpack fu
 	rows, cols := m.GlobalRows, m.GlobalCols
 	srcL := G(srcPJ).normalize(p)
 	dstL := G(dstPJ).normalize(p)
+	src := m.Local
+	wire := func(n int) int {
+		if packed {
+			return (n + 3) / 4
+		}
+		return n
+	}
 
 	myRlo, _ := RowRange(srcL, p, dev.Rank, rows)
 	myClo, _ := ColRange(srcL, p, dev.Rank, cols)
 
-	// Divide: build the part destined to each device.
+	// Divide: pack the part destined to each device. The parts of a
+	// plain regrid are exactly the tile; packed ones round up to a
+	// word each.
+	st := getStage(wire(len(src.Data)) + p)
 	parts := make([][]float32, p)
+	at := 0
 	var divideBytes int64
 	for s := 0; s < p; s++ {
 		trlo, trhi := RowRange(dstL, p, s, rows)
 		tclo, tchi := ColRange(dstL, p, s, cols)
 		// Intersect with my tile (global coords).
-		rlo, rhi := max(trlo, myRlo), min(trhi, myRlo+m.Local.Rows)
-		clo, chi := max(tclo, myClo), min(tchi, myClo+m.Local.Cols)
+		rlo, rhi := max(trlo, myRlo), min(trhi, myRlo+src.Rows)
+		clo, chi := max(tclo, myClo), min(tchi, myClo+src.Cols)
 		if rlo >= rhi || clo >= chi {
-			parts[s] = nil
 			continue
 		}
-		sub := make([]float32, 0, (rhi-rlo)*(chi-clo))
-		for i := rlo; i < rhi; i++ {
-			row := m.Local.Row(i - myRlo)
-			sub = append(sub, row[clo-myClo:chi-myClo]...)
-		}
-		if pack != nil {
-			sub = pack(sub)
+		h, w := rhi-rlo, chi-clo
+		end := at + wire(h*w)
+		sub := st.buf[at:end:end]
+		at = end
+		block := src.Data[(rlo-myRlo)*src.Cols+(clo-myClo):]
+		if packed {
+			packBlock(sub, block, src.Cols, h, w)
+		} else {
+			copyBlock(sub, w, block, src.Cols, h, w)
 		}
 		parts[s] = sub
 		if s != dev.Rank {
@@ -431,43 +542,55 @@ func (m *Mat) regrid(srcPJ, dstPJ int, pack func([]float32) []float32, unpack fu
 	}
 	dev.ChargeMem(divideBytes) // divide step (local packing)
 
-	recv := dev.AllToAll(dev.World(), parts)
-
-	// Merge: place received blocks into the new tile.
-	out := NewMat(dev, dstL, rows, cols)
+	// Merge: place each received block into the new tile as its sender's
+	// turn comes. The callback runs beside the other devices' and must
+	// not panic, so the integrity checks are recorded and raised once the
+	// round has drained.
+	wr, wc := TileShape(dstL, p, dev.Rank, rows, cols)
+	if old != nil && sameStorage(old.Local, src) {
+		old = nil
+	}
+	tile := TileOf(old, wr, wc)
 	nrlo, _ := RowRange(dstL, p, dev.Rank, rows)
 	nclo, _ := ColRange(dstL, p, dev.Rank, cols)
 	var mergeBytes int64
-	for s := 0; s < p; s++ {
-		buf := recv[s]
-		if len(buf) == 0 {
-			continue
+	var broken string
+	err := dev.TryAllToAllRecv(dev.World(), parts, func(s int, buf []float32) {
+		if len(buf) == 0 || broken != "" {
+			return
 		}
 		srlo, srhi := RowRange(srcL, p, s, rows)
 		sclo, schi := ColRange(srcL, p, s, cols)
-		rlo, rhi := max(nrlo, srlo), min(nrlo+out.Local.Rows, srhi)
-		clo, chi := max(nclo, sclo), min(nclo+out.Local.Cols, schi)
+		rlo, rhi := max(nrlo, srlo), min(nrlo+wr, srhi)
+		clo, chi := max(nclo, sclo), min(nclo+wc, schi)
 		if rlo >= rhi || clo >= chi {
-			panic(fmt.Sprintf("dist: regrid received %d elements from %d with empty intersection", len(buf), s))
+			broken = fmt.Sprintf("dist: regrid received %d elements from %d with empty intersection", len(buf), s)
+			return
 		}
-		w := chi - clo
-		n := (rhi - rlo) * w
+		h, w := rhi-rlo, chi-clo
+		if wire(h*w) != len(buf) {
+			broken = fmt.Sprintf("dist: regrid merge size mismatch from %d: %d vs %d", s, wire(h*w), len(buf))
+			return
+		}
 		if s != dev.Rank {
 			mergeBytes += int64(len(buf)) * 4
 		}
-		if unpack != nil {
-			buf = unpack(buf, n)
+		block := tile.Data[(rlo-nrlo)*wc+(clo-nclo):]
+		if packed {
+			unpackBlock(block, wc, buf, h, w)
+		} else {
+			copyBlock(block, wc, buf, w, h, w)
 		}
-		if n != len(buf) {
-			panic(fmt.Sprintf("dist: regrid merge size mismatch from %d: %d vs %d", s, n, len(buf)))
-		}
-		for i := rlo; i < rhi; i++ {
-			dst := out.Local.Row(i - nrlo)
-			copy(dst[clo-nclo:chi-nclo], buf[(i-rlo)*w:(i-rlo+1)*w])
-		}
+	})
+	if err != nil {
+		panic(err)
+	}
+	stagePool.Put(st)
+	if broken != "" {
+		panic(broken)
 	}
 	dev.ChargeMem(mergeBytes) // merge step (local unpacking)
-	return out
+	return &Mat{Dev: dev, GlobalRows: rows, GlobalCols: cols, Layout: dstL, Local: tile}
 }
 
 // replicate gathers the full matrix onto every device.
@@ -582,29 +705,42 @@ func (m *Mat) GatherRows(root int, rows []int32) *tensor.Dense {
 	}
 	parts := make([][]float32, p)
 	parts[root] = mine
-	recv := dev.AllToAll(dev.World(), parts)
-	if dev.Rank != root {
-		return nil
+	// Assemble in request order while the round holds the owners'
+	// buffers: each owner packed its rows in the order they appear in the
+	// request, so walking the request once per owner reads its buffer
+	// front to back. Only root's callback does anything.
+	var out *tensor.Dense
+	if dev.Rank == root {
+		out = tensor.NewDense(len(rows), w)
 	}
-	// Assemble in request order: each owner packed its rows in the order
-	// they appear in the request, so a per-owner cursor walks them back.
-	bounds := make([]int, p+1)
-	for s := 0; s < p; s++ {
-		_, hi := RowRange(src, p, s, m.GlobalRows)
-		bounds[s+1] = hi
-	}
-	cursor := make([]int, p)
-	out := tensor.NewDense(len(rows), w)
-	for i, r := range rows {
-		owner := 0
-		for bounds[owner+1] <= int(r) {
-			owner++
+	short := -1
+	err := dev.TryAllToAllRecv(dev.World(), parts, func(s int, buf []float32) {
+		if out == nil {
+			return
 		}
-		buf := recv[owner]
-		copy(out.Row(i), buf[cursor[owner]*w:(cursor[owner]+1)*w])
-		cursor[owner]++
+		lo, hi := RowRange(src, p, s, m.GlobalRows)
+		at := 0
+		for i, r := range rows {
+			if int(r) < lo || int(r) >= hi {
+				continue
+			}
+			if at+w > len(buf) {
+				short = s // raised below: a callback must not panic
+				return
+			}
+			copy(out.Row(i), buf[at:at+w])
+			at += w
+		}
+	})
+	if err != nil {
+		panic(err)
 	}
-	dev.ChargeMem(out.Bytes())
+	if short >= 0 {
+		panic(fmt.Sprintf("dist: GatherRows got fewer rows from %d than it owns of the request", short))
+	}
+	if out != nil {
+		dev.ChargeMem(out.Bytes())
+	}
 	return out
 }
 

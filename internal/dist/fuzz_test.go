@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -10,16 +11,19 @@ import (
 )
 
 // FuzzRegrid drives the divide/exchange/merge redistribution path
-// (Fig. 7) with arbitrary shapes, fabric sizes, and layout pairs, and
-// checks that a round trip reconstructs the matrix exactly and that the
-// exchanged volume never exceeds two full copies of the matrix (each
-// regrid moves at most every element once).
+// (Fig. 7) with arbitrary shapes, fabric sizes, layout pairs and
+// destination tiles (none, a NaN-filled one of the right shape, a
+// misshapen one, the source's own), and checks that a round trip
+// reconstructs the matrix exactly and that the exchanged volume never
+// exceeds two full copies of the matrix (each regrid moves at most every
+// element once).
 func FuzzRegrid(f *testing.F) {
-	f.Add(uint8(7), uint8(5), uint8(3), uint8(0), uint8(1))
-	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(0))
-	f.Add(uint8(12), uint8(4), uint8(3), uint8(2), uint8(0))
-	f.Add(uint8(3), uint8(9), uint8(1), uint8(1), uint8(0))
-	f.Fuzz(func(t *testing.T, rowsB, colsB, pSel, srcSel, dstSel uint8) {
+	f.Add(uint8(7), uint8(5), uint8(3), uint8(0), uint8(1), uint8(0))
+	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(0), uint8(0))
+	f.Add(uint8(12), uint8(4), uint8(3), uint8(2), uint8(0), uint8(1))
+	f.Add(uint8(3), uint8(9), uint8(1), uint8(1), uint8(0), uint8(2))
+	f.Add(uint8(6), uint8(6), uint8(1), uint8(0), uint8(1), uint8(3))
+	f.Fuzz(func(t *testing.T, rowsB, colsB, pSel, srcSel, dstSel, oldSel uint8) {
 		rows := 1 + int(rowsB)%12
 		cols := 1 + int(colsB)%10
 		p := 1 + int(pSel)%4
@@ -30,19 +34,36 @@ func FuzzRegrid(f *testing.F) {
 		src := layouts[int(srcSel)%len(layouts)]
 		dst := layouts[int(dstSel)%len(layouts)]
 
+		// oldFor builds the destination handed to a conversion of m.
+		oldFor := func(m *dist.Mat, to dist.Layout) *dist.Mat {
+			var old *dist.Mat
+			switch oldSel % 4 {
+			case 1:
+				old = dist.NewMat(m.Dev, to, rows, cols)
+			case 2:
+				old = dist.NewMat(m.Dev, to, rows+1, cols+1)
+			case 3:
+				return m
+			}
+			if old != nil {
+				old.Local.Fill(float32(math.NaN()))
+			}
+			return old
+		}
+
 		global := marked(rows, cols)
 		mats := make([]*dist.Mat, p)
 		var mu sync.Mutex
 		fab := comm.Run(p, hw.A6000(), func(d *comm.Device) {
 			m := dist.Distribute(d, src, global)
-			m = m.Redistribute(dst)
-			m = m.Redistribute(src)
+			m = m.RedistributeInto(dst, oldFor(m, dst))
+			m = m.RedistributeInto(src, oldFor(m, src))
 			mu.Lock()
 			mats[d.Rank] = m
 			mu.Unlock()
 		})
 		if err := sameDense(global, dist.Assemble(mats)); err != nil {
-			t.Fatalf("P=%d %v->%v->%v on %dx%d: %v", p, src, dst, src, rows, cols, err)
+			t.Fatalf("P=%d %v->%v->%v on %dx%d, old %d: %v", p, src, dst, src, rows, cols, oldSel%4, err)
 		}
 		bound := int64(2 * rows * cols * 4)
 		if v := fab.Volume(hw.OpAllToAll); v > bound {

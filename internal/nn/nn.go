@@ -101,13 +101,24 @@ func SoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask []bool) (
 // (the row count when weights is nil). GraphSAINT's loss normalization
 // (λ_v) supplies per-node weights here.
 func WeightedSoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask []bool, weights []float32) (lossSum float64, grad *tensor.Dense, weightTotal float64) {
+	grad = tensor.NewDense(logits.Rows, logits.Cols)
+	lossSum, weightTotal = WeightedSoftmaxCrossEntropySumInto(logits, labels, mask, weights, grad)
+	return lossSum, grad, weightTotal
+}
+
+// WeightedSoftmaxCrossEntropySumInto is WeightedSoftmaxCrossEntropySum
+// writing the gradient into grad (logits' shape), overwriting it: rows
+// that contribute no loss term are cleared.
+func WeightedSoftmaxCrossEntropySumInto(logits *tensor.Dense, labels []int32, mask []bool, weights []float32, grad *tensor.Dense) (lossSum, weightTotal float64) {
 	if len(labels) != logits.Rows {
 		panic("nn: labels length mismatch")
 	}
 	if weights != nil && len(weights) != logits.Rows {
 		panic("nn: weights length mismatch")
 	}
-	grad = tensor.NewDense(logits.Rows, logits.Cols)
+	if grad.Rows != logits.Rows || grad.Cols != logits.Cols {
+		panic("nn: gradient shape mismatch")
+	}
 	// exps keeps each row's exponentials from the normaliser pass, so a logit
 	// costs one math.Exp; on the stack up to 64 classes.
 	var stack [64]float64
@@ -117,19 +128,21 @@ func WeightedSoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask [
 	}
 	loss := 0.0
 	for i := 0; i < logits.Rows; i++ {
+		grow := grad.Row(i)
 		if (mask != nil && !mask[i]) || labels[i] < 0 {
+			clear(grow)
 			continue
 		}
 		inv := 1.0
 		if weights != nil {
 			inv = float64(weights[i])
 			if inv <= 0 {
+				clear(grow)
 				continue
 			}
 		}
 		weightTotal += inv
 		row := logits.Row(i)
-		grow := grad.Row(i)
 		// Numerically stable log-softmax.
 		maxv := row[0]
 		for _, v := range row {
@@ -151,7 +164,7 @@ func WeightedSoftmaxCrossEntropySum(logits *tensor.Dense, labels []int32, mask [
 		}
 		grow[y] -= float32(inv)
 	}
-	return loss, grad, weightTotal
+	return loss, weightTotal
 }
 
 // Accuracy returns the fraction of mask-selected rows whose argmax matches

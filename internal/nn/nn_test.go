@@ -253,6 +253,30 @@ func TestWeightedLossMatchesManualScaling(t *testing.T) {
 	}
 }
 
+// The Into form overwrites a stale gradient: rows that contribute no loss
+// term — masked out, unlabeled, zero weight — are cleared, the rest written,
+// so the result equals the allocating form's bit for bit.
+func TestWeightedLossIntoOverwritesStaleGradient(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	logits := tensor.NewDense(6, 4)
+	logits.Randomize(rng, 2)
+	labels := []int32{0, 3, -1, 2, 1, 0}
+	mask := []bool{true, false, true, true, true, true}
+	weights := []float32{2, 1, 1, 0, 0.5, 1}
+	wantSum, want, wantTot := WeightedSoftmaxCrossEntropySum(logits, labels, mask, weights)
+	got := tensor.NewDense(6, 4)
+	got.Fill(float32(math.NaN()))
+	sum, tot := WeightedSoftmaxCrossEntropySumInto(logits, labels, mask, weights, got)
+	if sum != wantSum || tot != wantTot {
+		t.Fatalf("Into form returned %v/%v, allocating form %v/%v", sum, tot, wantSum, wantTot)
+	}
+	for i := range want.Data {
+		if math.Float32bits(got.Data[i]) != math.Float32bits(want.Data[i]) {
+			t.Fatalf("grad[%d] = %v into a stale tile, %v into a fresh one", i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
 // The loss keeps each logit's exponential from the normaliser pass instead of
 // evaluating it again for the probability. Same function, same argument: the
 // bits must match the two-evaluation form on both sides of the 64-class

@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -237,5 +238,62 @@ func TestOptimizeIdempotent(t *testing.T) {
 	s := Compile(spec2(64, 10, 8, 2, true)).Optimize()
 	if again := s.Optimize().String(); again != s.String() {
 		t.Fatalf("Optimize not idempotent:\n--- first\n%s--- second\n%s", s, again)
+	}
+}
+
+// The executor slices X once per register file and every later epoch
+// reads that slice again (core.execOp's KInput arm), which is only sound
+// while no op writes it: no in-place op — KReLU, KReLUGrad, KAdd — may
+// target a KInput register or an alias of one. Aliases are what the
+// executor makes of KMemoize and KReuse (register copies) and of a
+// redistribution between layouts that normalize equal (Redistribute
+// returns its receiver). Checked on the naive and the optimized schedule
+// of every Table IV ordering × P × R_A × SAGE × Memoize × InputGrad, a
+// 3-layer grid, and the inference compile.
+func TestInputRegistersReadOnly(t *testing.T) {
+	check := func(name string, s *Schedule) {
+		t.Helper()
+		input := make([]bool, s.NumRegs)
+		for i := range s.Sections {
+			for _, op := range s.Sections[i].Ops {
+				switch op.Kind {
+				case KInput:
+					input[op.Dst] = true
+				case KMemoize, KReuse:
+					input[op.Dst] = input[op.A]
+				case KRedist:
+					input[op.Dst] = input[op.A] && op.From.Normalize(s.P) == op.To.Normalize(s.P)
+				case KReLU, KReLUGrad, KAdd:
+					if input[op.A] {
+						t.Fatalf("%s: s%d %s writes an input register in place\n%s", name, op.Step, op.OpString(), s)
+					}
+				}
+			}
+		}
+	}
+	for _, layers := range []int{2, 3} {
+		dims := []int{16, 12, 8}
+		if layers == 3 {
+			dims = []int{16, 12, 10, 8}
+		}
+		for _, p := range []int{1, 2, 3, 4, 8} {
+			for _, ra := range []int{p, p / 2} {
+				if ra < 1 || p%ra != 0 {
+					continue
+				}
+				for cfg := 0; cfg < costmodel.NumConfigs(layers); cfg++ {
+					for flags := 0; flags < 8; flags++ {
+						sp := Spec{
+							N: 29, Dims: dims, Config: costmodel.ConfigFromID(cfg, layers), P: p, RA: ra,
+							SAGE: flags&1 != 0, Memoize: flags&2 != 0, InputGrad: flags&4 != 0,
+						}
+						name := fmt.Sprintf("L=%d P=%d RA=%d cfg=%d flags=%03b", layers, p, ra, cfg, flags)
+						check(name+" naive", Compile(sp))
+						check(name, Compile(sp).Optimize())
+						check(name+" inference", CompileInference(sp).Optimize())
+					}
+				}
+			}
+		}
 	}
 }

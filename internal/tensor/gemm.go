@@ -79,17 +79,25 @@ func scaleRow(ci []float32, beta float32) {
 }
 
 // MatMulTA returns C = Aᵀ * B without materializing Aᵀ.
+func MatMulTA(a, b *Dense) *Dense {
+	c := NewDense(a.Cols, b.Cols)
+	MatMulTAInto(a, b, c)
+	return c
+}
+
+// MatMulTAInto computes c = Aᵀ * B, overwriting c.
 //
 // A is m x k, B is m x n, C is k x n. The parallel split is over rows of C
-// (columns of A); each worker scans A and B once, accumulating only its own
-// output rows, so the result is deterministic.
-func MatMulTA(a, b *Dense) *Dense {
-	if a.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTA outer mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+// (columns of A); each worker clears its own output rows, then scans A and B
+// once accumulating only into them, so the result is deterministic.
+func MatMulTAInto(a, b, c *Dense) {
+	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
+		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch A=%dx%d B=%dx%d C=%dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
-	c := NewDense(a.Cols, b.Cols)
 	n := b.Cols
 	ParallelRows(a.Cols, func(k0, k1 int) {
+		clear(c.Data[k0*n : k1*n])
 		for i := 0; i < a.Rows; i++ {
 			bi := b.Data[i*n : (i+1)*n]
 			for k := k0; k < k1; k++ {
@@ -99,22 +107,28 @@ func MatMulTA(a, b *Dense) *Dense {
 			}
 		}
 	})
-	return c
 }
 
 // MatMulTB returns C = A * Bᵀ.
+func MatMulTB(a, b *Dense) *Dense {
+	c := NewDense(a.Rows, b.Rows)
+	MatMulTBInto(a, b, c)
+	return c
+}
+
+// MatMulTBInto computes c = A * Bᵀ, overwriting c.
 //
 // A is m x k, B is n x k, C is m x n. Narrow outputs take one dot product
 // per element. Wider ones transpose B (the small operand: a weight matrix)
-// and accumulate each output row with Axpy over ascending t, without
+// and accumulate each cleared output row with Axpy over ascending t, without
 // zero-skip: per element those are the dot product's products added in the
 // dot product's order starting from +0, so the bits are the same.
-func MatMulTB(a, b *Dense) *Dense {
-	if a.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: MatMulTB inner mismatch %dx%d, %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
+func MatMulTBInto(a, b, c *Dense) {
+	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: MatMulTB shape mismatch A=%dx%d B=%dx%d C=%dx%d",
+			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	k, n := a.Cols, b.Rows
-	c := NewDense(a.Rows, n)
 	if n < axpyMinWidth {
 		ParallelRows(a.Rows, func(r0, r1 int) {
 			for i := r0; i < r1; i++ {
@@ -130,19 +144,19 @@ func MatMulTB(a, b *Dense) *Dense {
 				}
 			}
 		})
-		return c
+		return
 	}
 	bt := make([]float32, k*n)
 	b.transposeInto(bt)
 	ParallelRows(a.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
 			ci := c.Data[i*n : (i+1)*n]
+			clear(ci)
 			for t, av := range a.Data[i*k : (i+1)*k] {
 				Axpy(av, bt[t*n:(t+1)*n], ci)
 			}
 		}
 	})
-	return c
 }
 
 // GemmFLOPs returns the fused multiply-add count of an (m x k)*(k x n) GEMM.

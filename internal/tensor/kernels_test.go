@@ -199,6 +199,12 @@ func TestKernelsMatchNaive(t *testing.T) {
 				// Aᵀ·B: A is k x m here so the shared dimension is k.
 				at := halfZeros(rng, k, m)
 				requireSameBits(t, "MatMulTA "+shape, MatMulTA(at, b), naiveMatMulTA(at, b))
+				// The Into forms overwrite: a stale destination (the engine's
+				// retained tiles) must not show through.
+				stale := NewDense(m, n)
+				stale.Fill(float32(math.NaN()))
+				MatMulTAInto(at, b, stale)
+				requireSameBits(t, "MatMulTAInto "+shape, stale, naiveMatMulTA(at, b))
 
 				// A·Bᵀ: B is n x k, output width n.
 				bt := halfZeros(rng, n, k)
@@ -206,6 +212,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 					bt.Data[rng.Intn(len(bt.Data))] = float32(math.Inf(-1))
 				}
 				requireSameBits(t, "MatMulTB "+shape, MatMulTB(a, bt), naiveMatMulTB(a, bt))
+				stale.Fill(float32(math.NaN()))
+				MatMulTBInto(a, bt, stale)
+				requireSameBits(t, "MatMulTBInto "+shape, stale, naiveMatMulTB(a, bt))
 			}
 		}
 	}
