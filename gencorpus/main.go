@@ -286,6 +286,18 @@ func main() {
 	write(tf, "seed-missing-field", `string("traffic q=8 users=10 zipf=1.5")`)
 	write(tf, "seed-garbage", `string("traffic q=x users=y zipf=z rate=w seed=v")`)
 
+	// internal/serve: single-pass admission against the goroutine queue
+	// oracle. A stream byte is a query: vertex in the low three bits,
+	// arrival-gap class in the high five (0-2 ties, 31 a step back);
+	// then maxBatch-1 and the deadline in milliseconds, both modular.
+	ac := "internal/serve/testdata/fuzz/FuzzCoalesce"
+	write(ac, "seed-ties", append([]string{bs([]byte{0, 9, 18, 3, 12, 5, 6, 7, 1})}, bytesArgs(2, 1)...)...)
+	write(ac, "seed-deadline-zero", append([]string{bs([]byte{0, 41, 42, 51, 4, 61, 6})}, bytesArgs(7, 0)...)...)
+	write(ac, "seed-batch-one", append([]string{bs([]byte{0, 1, 2, 3, 44, 45})}, bytesArgs(0, 2)...)...)
+	write(ac, "seed-batch-exceeds-stream", append([]string{bs([]byte{2, 35, 4, 53})}, bytesArgs(15, 3)...)...)
+	write(ac, "seed-empty", append([]string{bs(nil)}, bytesArgs(7, 1)...)...)
+	write(ac, "seed-decreasing", append([]string{bs([]byte{0, 40, 255, 3})}, bytesArgs(3, 1)...)...)
+
 	// internal/bench: the rdmbench scale sweep grammar
 	// (P[@topoSpec|@flat], ";"-separated).
 	sc := "internal/bench/testdata/fuzz/FuzzScaleSpec"

@@ -9,8 +9,9 @@ import (
 )
 
 // The hot-path allocation pins: steady-state collective rounds must not
-// allocate payload-sized buffers. The reduction scratch is pooled
-// (comm/pool.go) and the Flat/Into variants write straight into
+// allocate payload-sized buffers. The reduction scratch belongs to the
+// group, staging buffers to the device (comm.Stage), and the Flat/Into
+// variants write straight into
 // caller-held destinations, so per-round allocation is bounded by small
 // rendezvous bookkeeping — orders of magnitude under the payload size.
 // A regression that reintroduces per-round payload copies (each round
@@ -61,7 +62,7 @@ func BenchmarkAllGatherFlat(b *testing.B) {
 
 // BenchmarkRedistributeInto is the steady state of an engine register:
 // each H->V regrid lands in the tile the previous one returned, the
-// parts travel through a pooled staging buffer and are merged straight
+// parts travel through the device's staging buffer and are merged straight
 // out of the senders', so a round allocates no payload either.
 func BenchmarkRedistributeInto(b *testing.B) {
 	fab := comm.NewFabric(allocRanks, hw.A6000())
@@ -78,33 +79,76 @@ func BenchmarkRedistributeInto(b *testing.B) {
 	})
 }
 
-// TestHotPathAllocsBounded runs the pooled-path benchmarks through the
-// framework and asserts the per-round allocated bytes stay under the
+// BenchmarkGatherRowsInto is the serving tier's steady state: a
+// microbatch's miss rows gathered onto rank 0 into the tile the previous
+// gather returned, every owner staging its rows in its comm.Stage.
+func BenchmarkGatherRowsInto(b *testing.B) {
+	fab := comm.NewFabric(allocRanks, hw.A6000())
+	const n, cols = 1024, 40
+	rows := []int32{5, 700, 300, 1000, 5, 260, 513, 900} // every owner, a duplicate
+	b.ReportAllocs()
+	fab.Run(func(d *comm.Device) {
+		logits := dist.NewMat(d, dist.H, n, cols)
+		tile := logits.GatherRowsInto(0, rows, nil)
+		for i := 0; i < b.N; i++ {
+			tile = logits.GatherRowsInto(0, rows, tile)
+		}
+	})
+}
+
+// TestHotPathAllocsBounded runs the retained-buffer benchmarks through
+// the framework and asserts the per-round allocated bytes stay under the
 // bookkeeping allowance — the executable form of the "zero payload
-// allocation in steady state" claim. Under -race the rounds still run,
-// for the data-race coverage, but sync.Pool drops a share of its puts
-// there, so the byte bound is only applied to uninstrumented builds.
+// allocation in steady state" claim. The rooted row gather is held to
+// two objects per device per call as well. Under -race the rounds still
+// run, for the data-race coverage, but the byte bound describes the
+// uninstrumented build and is only applied there.
 func TestHotPathAllocsBounded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed assertion skipped in -short")
 	}
 	for _, bench := range []struct {
-		name string
-		fn   func(*testing.B)
+		name      string
+		fn        func(*testing.B)
+		maxAllocs int64 // objects per round; 0 leaves them unchecked
 	}{
-		{"AllReduceSumInto", BenchmarkAllReduceSumInto},
-		{"AllGatherFlat", BenchmarkAllGatherFlat},
-		{"RedistributeInto", BenchmarkRedistributeInto},
+		{"AllReduceSumInto", BenchmarkAllReduceSumInto, 0},
+		{"AllGatherFlat", BenchmarkAllGatherFlat, 0},
+		{"RedistributeInto", BenchmarkRedistributeInto, 0},
+		{"GatherRowsInto", BenchmarkGatherRowsInto, 2 * allocRanks},
 	} {
 		res := testing.Benchmark(bench.fn)
 		if res.N == 0 {
 			t.Fatalf("%s: benchmark did not run", bench.name)
 		}
-		if got := res.AllocedBytesPerOp(); got > allocBytesBound && !raceEnabled {
-			t.Fatalf("%s: %d bytes allocated per round (N=%d), bookkeeping bound is %d — payload buffers are being allocated on the hot path",
-				bench.name, got, res.N, allocBytesBound)
-		} else {
-			t.Logf("%s: %d bytes/round, %d allocs/round (N=%d)", bench.name, got, res.AllocsPerOp(), res.N)
+		got, objs := res.AllocedBytesPerOp(), res.AllocsPerOp()
+		t.Logf("%s: %d bytes/round, %d allocs/round (N=%d)", bench.name, got, objs, res.N)
+		if got > allocBytesBound && !raceEnabled {
+			t.Fatalf("%s: %d bytes allocated per round, bookkeeping bound is %d — payload buffers are being allocated on the hot path",
+				bench.name, got, allocBytesBound)
 		}
+		if bench.maxAllocs > 0 && objs > bench.maxAllocs {
+			t.Fatalf("%s: %d objects allocated per round of %d devices, bound is %d",
+				bench.name, objs, allocRanks, bench.maxAllocs)
+		}
+	}
+}
+
+// World is the fabric's one shared slice: identical on every device,
+// and capacity-clipped so an append cannot write into it.
+func TestWorldIsSharedAndClipped(t *testing.T) {
+	fab := comm.NewFabric(3, hw.A6000())
+	w := fab.Device(0).World()
+	if len(w) != 3 || cap(w) != len(w) {
+		t.Fatalf("World() = %v with cap %d, want [0 1 2] with cap 3", w, cap(w))
+	}
+	for r := 0; r < 3; r++ {
+		if got := fab.Device(r).World(); &got[0] != &w[0] || got[r] != r {
+			t.Fatalf("rank %d: World() = %v is not the fabric's shared slice", r, got)
+		}
+	}
+	_ = append(w, 99)
+	if again := fab.Device(1).World(); len(again) != 3 || cap(again) != 3 {
+		t.Fatalf("an append to World() changed it: %v cap %d", again, cap(again))
 	}
 }

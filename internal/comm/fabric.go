@@ -42,6 +42,7 @@ import (
 	"sync/atomic"
 
 	"gnnrdm/internal/hw"
+	"gnnrdm/internal/tensor"
 	"gnnrdm/internal/topo"
 	"gnnrdm/internal/trace"
 )
@@ -52,6 +53,7 @@ type Fabric struct {
 	HW *hw.Model
 
 	devices []*Device
+	world   []int // [0, 1, ..., P-1], handed out read-only by Device.World
 
 	mu     sync.Mutex
 	groups map[string]*groupComm
@@ -160,8 +162,10 @@ func NewFabric(p int, model *hw.Model) *Fabric {
 	f := &Fabric{P: p, HW: model, groups: make(map[string]*groupComm)}
 	f.rankSent = make([]atomic.Int64, p)
 	f.devices = make([]*Device, p)
+	f.world = make([]int, p)
 	for r := 0; r < p; r++ {
-		f.devices[r] = &Device{Rank: r, F: f}
+		f.devices[r] = &Device{Rank: r, F: f, stages: new([hw.NumResources]Stage)}
+		f.world[r] = r
 	}
 	return f
 }
@@ -480,6 +484,7 @@ func (f *Fabric) addVolume(kind hw.CollectiveKind, vol Volume, side bool) {
 
 // groupComm is a reusable two-phase rendezvous for one device group.
 type groupComm struct {
+	key      string // the group's rank list, "0,1,2", as trace events name it
 	mu       sync.Mutex
 	cond     *sync.Cond
 	n        int
@@ -492,30 +497,48 @@ type groupComm struct {
 	vol      Volume // round's metered volume, shared with every member
 	aux      any    // round-scoped value passed from finalize to extract
 	err      error  // round's failure, delivered to every member
+
+	// red is the group's reduction scratch (see reduceBuf).
+	red []float32
 }
 
-func (f *Fabric) groupFor(ranks []int) (*groupComm, string) {
-	key := groupKey(ranks)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	g, ok := f.groups[key]
-	if !ok {
-		g = &groupComm{n: len(ranks), slots: make([]any, len(ranks)), clocks: make([]float64, len(ranks))}
-		g.cond = sync.NewCond(&g.mu)
-		f.groups[key] = g
-	}
-	return g, key
-}
-
-func groupKey(ranks []int) string {
-	b := make([]byte, 0, 4*len(ranks))
+// groupFor returns the rendezvous of a rank list, creating it on first
+// use. The lookup builds the key on the stack and allocates nothing once
+// the group exists.
+func (f *Fabric) groupFor(ranks []int) *groupComm {
+	var buf [128]byte
+	b := buf[:0]
 	for i, r := range ranks {
 		if i > 0 {
 			b = append(b, ',')
 		}
 		b = strconv.AppendInt(b, int64(r), 10)
 	}
-	return string(b)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	g, ok := f.groups[string(b)]
+	if !ok {
+		g = &groupComm{key: string(b), n: len(ranks), slots: make([]any, len(ranks)), clocks: make([]float64, len(ranks))}
+		g.cond = sync.NewCond(&g.mu)
+		f.groups[g.key] = g
+	}
+	return g
+}
+
+// reduceBuf returns the group's reduction scratch, zeroed, at length n:
+// the buffer a finalizer sums every deposit into and each member copies
+// its result out of. Only a finalizer may call it. It runs under the
+// group lock after the previous round has drained, so no member can still
+// be reading the buffer it reuses; the members of this round read it
+// until their own drain, before which no finalizer runs again.
+func (g *groupComm) reduceBuf(n int) []float32 {
+	if cap(g.red) < n {
+		g.red = make([]float32, n)
+	} else {
+		g.red = g.red[:n]
+		clear(g.red)
+	}
+	return g.red
 }
 
 // exchange runs one rendezvous round: every group member deposits a
@@ -595,9 +618,6 @@ func (g *groupComm) exchange(idx int, clock float64, in any,
 		for i := range g.slots {
 			g.slots[i] = nil
 		}
-		if s, ok := g.aux.(scratch); ok {
-			putScratch(s) // pooled reduction scratch, fully drained
-		}
 		g.aux, g.err = nil, nil
 		g.cond.Broadcast()
 	} else {
@@ -625,6 +645,45 @@ type Device struct {
 	slow       float64 // straggler multiplier for kernel charges; <= 1 off
 	faultEpoch int     // driver-maintained global epoch tag (SetFaultEpoch)
 	track      int     // trace track (hw.Resource index); 0 on base devices
+
+	// stages is the base device's staging memory, one Stage per track;
+	// its lanes share the pointer and each uses its own track's entry.
+	stages *[hw.NumResources]Stage
+}
+
+// Stage is host memory a device lends to the code staging its collective
+// contributions — packed parts, and the parts slice pointing into them —
+// so that a steady-state caller allocates neither. Each track has its
+// own Stage, and a lane borrows its base device's for its track, so
+// lanes forked afresh every epoch keep the memory. Only the goroutine
+// driving the device or lane may use it. What it stages stays valid until
+// that goroutine next asks for the same buffer, which is safe across a
+// collective: no member returns from a round until every member has
+// finished reading it.
+type Stage struct {
+	buf   []float32
+	parts [][]float32
+}
+
+// Stage returns the staging memory of this device's track.
+func (d *Device) Stage() *Stage { return &d.stages[d.track] }
+
+// Floats returns a length-n buffer with unspecified contents.
+func (s *Stage) Floats(n int) []float32 {
+	if cap(s.buf) < n {
+		s.buf = make([]float32, n)
+	}
+	return s.buf[:n]
+}
+
+// Parts returns a length-n parts slice with every entry nil.
+func (s *Stage) Parts(n int) [][]float32 {
+	if cap(s.parts) < n {
+		s.parts = make([][]float32, n)
+	}
+	p := s.parts[:n]
+	clear(p)
+	return p
 }
 
 // Lane returns a view of this device bound to one resource timeline
@@ -645,6 +704,7 @@ func (d *Device) Lane(track int) *Device {
 		slow:       d.slow,
 		faultEpoch: d.faultEpoch,
 		track:      track,
+		stages:     d.stages,
 	}
 }
 
@@ -714,14 +774,11 @@ func (d *Device) ComputeTime() float64 { return d.computeTime }
 // P returns the fabric size.
 func (d *Device) P() int { return d.F.P }
 
-// World returns the all-ranks group [0, 1, ..., P-1].
-func (d *Device) World() []int {
-	g := make([]int, d.F.P)
-	for i := range g {
-		g[i] = i
-	}
-	return g
-}
+// World returns the all-ranks group [0, 1, ..., P-1]: the fabric's one
+// copy, shared by every device, so callers must not write to it. Its
+// capacity equals its length, so an append copies rather than writing
+// into the shared array.
+func (d *Device) World() []int { return d.F.world }
 
 // ChargeGemm advances the clock by the modelled time of an m x k x n GEMM.
 func (d *Device) ChargeGemm(m, k, n int) {
@@ -872,13 +929,21 @@ func (d *Device) groupPos(op string, group []int) (int, error) {
 func (d *Device) collective(op string, group []int, in any,
 	finalize func(slots []any, clocks []float64) (float64, any, Volume, error),
 	extract func(slots []any, aux any)) error {
+	return d.collectiveIn(d.F.groupFor(group), op, group, in, finalize, extract)
+}
+
+// collectiveIn is collective on the already resolved rendezvous of group,
+// for callers whose finalizer needs it (reduceBuf).
+func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
+	finalize func(slots []any, clocks []float64) (float64, any, Volume, error),
+	extract func(slots []any, aux any)) error {
 
 	f := d.F
 	if h := f.hook; h != nil {
 		h.BeforeCollective(d, op) // may panic Killed: a scheduled crash
 	}
 	idx := indexOf(group, d.Rank)
-	g, key := f.groupFor(group)
+	key := g.key
 	deadCheck := func() error { return f.deadIn(group) }
 	wrapped := func(slots []any, clocks []float64) (float64, any, Volume, error) {
 		if err := slotErr(slots); err != nil {
@@ -1327,40 +1392,46 @@ func (d *Device) AllReduceSumInto(group []int, local, dst []float32) {
 }
 
 // allReduceSumInto runs the single-rendezvous allreduce round shared by
-// TryAllReduceSum and TryAllReduceSumInto. The reduction scratch is a
-// pooled buffer: the finalizer sums every deposit into it, each member
-// copies its private result out during extract, and the drain of the
-// round (exchange's last reader) releases it back to the pool.
+// TryAllReduceSum and TryAllReduceSumInto. The finalizer sums every
+// deposit into the group's reduction scratch and each member copies its
+// private result out during extract.
 func (d *Device) allReduceSumInto(group []int, local, dst []float32) error {
 	const op = "allreduce"
 	f := d.F
+	g := f.groupFor(group)
 	var contribution any = local
 	if local == nil {
 		contribution = collErr{fmt.Errorf("local buffer on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
-	return d.collective(op, group, contribution,
+	return d.collectiveIn(g, op, group, contribution,
 		func(slots []any, clocks []float64) (float64, any, Volume, error) {
-			first := slots[0].([]float32)
-			sum := getScratch(len(first))
-			for i, s := range slots {
-				buf := s.([]float32)
-				if len(buf) != len(sum) {
-					putScratch(sum)
-					return maxClock(clocks), nil, Volume{}, fmt.Errorf(
-						"group position 0 has %d elements, position %d has %d: %w",
-						len(sum), i, len(buf), ErrLengthMismatch)
-				}
-				for j, v := range buf {
-					sum[j] += v
-				}
+			n := len(slots[0].([]float32))
+			if err := sumSlots(g, n, slots); err != nil {
+				return maxClock(clocks), nil, Volume{}, err
 			}
-			t, vol := f.MeterFor(group).AllReduce(group, int64(len(sum))*4)
+			t, vol := f.MeterFor(group).AllReduce(group, int64(n)*4)
 			f.addVolume(hw.OpAllReduce, vol, d.side)
-			return maxClock(clocks) + t, sum, vol, nil
+			return maxClock(clocks) + t, nil, vol, nil
 		},
-		func(slots []any, aux any) {
-			copy(dst, aux.(scratch))
-		})
+		func([]any, any) { copy(dst, g.red) })
+}
+
+// sumSlots sums every deposited []float32 element-wise into the group's
+// reduction scratch (g.red afterwards), in group-position order, through
+// the kernels' packed tensor.Axpy: y += 1·x adds the same bits as y += x.
+// Every deposit must hold n elements; the first that does not fails the
+// round with ErrLengthMismatch.
+func sumSlots(g *groupComm, n int, slots []any) error {
+	sum := g.reduceBuf(n)
+	for i, s := range slots {
+		buf := s.([]float32)
+		if len(buf) != n {
+			return fmt.Errorf("group position 0 has %d elements, position %d has %d: %w",
+				n, i, len(buf), ErrLengthMismatch)
+		}
+		tensor.Axpy(1, buf, sum)
+	}
+	return nil
 }
 
 // TryAllToAll performs personalized exchange: parts[j] is sent to
@@ -1502,24 +1573,22 @@ func (d *Device) TryReduceScatterSum(group []int, local []float32, counts []int)
 	}
 	out := make([]float32, counts[myIdx])
 	f := d.F
+	g := f.groupFor(group)
 	var contribution any = local
 	if local == nil {
 		contribution = collErr{fmt.Errorf("local buffer on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
-	cerr := d.collective(op, group, contribution,
+	cerr := d.collectiveIn(g, op, group, contribution,
 		func(slots []any, clocks []float64) (float64, any, Volume, error) {
-			sum := getScratch(total)
+			sum := g.reduceBuf(total)
 			for i, s := range slots {
 				buf := s.([]float32)
 				if len(buf) != total {
-					putScratch(sum)
 					return maxClock(clocks), nil, Volume{}, fmt.Errorf(
 						"counts sum to %d but group position %d has %d elements: %w",
 						total, i, len(buf), ErrLengthMismatch)
 				}
-				for j, v := range buf {
-					sum[j] += v
-				}
+				tensor.Axpy(1, buf, sum)
 			}
 			cb := make([]int64, len(counts))
 			for i, n := range counts {
@@ -1527,10 +1596,10 @@ func (d *Device) TryReduceScatterSum(group []int, local []float32, counts []int)
 			}
 			t, vol := f.MeterFor(group).ReduceScatter(group, cb, int64(total)*4)
 			f.addVolume(hw.OpReduceScatter, vol, d.side)
-			return maxClock(clocks) + t, sum, vol, nil
+			return maxClock(clocks) + t, nil, vol, nil
 		},
-		func(slots []any, aux any) {
-			copy(out, aux.(scratch)[offset:offset+counts[myIdx]])
+		func([]any, any) {
+			copy(out, g.red[offset:offset+counts[myIdx]])
 		})
 	if cerr != nil {
 		return nil, cerr

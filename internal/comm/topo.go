@@ -131,29 +131,20 @@ func (d *Device) hierAllReduceSum(group []int, local []float32, nodes [][]int) (
 			contribution = collErr{fmt.Errorf("local buffer on rank %d: %w", d.Rank, ErrNilBuffer)}
 		}
 		out := make([]float32, ce[myPos])
-		err := d.collective(op, nd, contribution,
+		g := f.groupFor(nd)
+		err := d.collectiveIn(g, op, nd, contribution,
 			func(slots []any, clocks []float64) (float64, any, Volume, error) {
-				sum := getScratch(n)
-				for i, s := range slots {
-					buf := s.([]float32)
-					if len(buf) != n {
-						putScratch(sum)
-						return maxClock(clocks), nil, Volume{}, fmt.Errorf(
-							"group position 0 has %d elements, position %d has %d: %w",
-							n, i, len(buf), ErrLengthMismatch)
-					}
-					for j, v := range buf {
-						sum[j] += v
-					}
+				if err := sumSlots(g, n, slots); err != nil {
+					return maxClock(clocks), nil, Volume{}, err
 				}
 				tp := f.topoFor(nd)
 				_, c := tp.ReduceScatter(f.HW, topo.Ring, nd, chBytes)
 				vol := volumeOf(c)
 				f.addVolume(hw.OpAllReduce, vol, d.side)
-				return maxClock(clocks) + c.Time, sum, vol, nil
+				return maxClock(clocks) + c.Time, nil, vol, nil
 			},
-			func(slots []any, aux any) {
-				copy(out, aux.(scratch)[off[myPos]:off[myPos+1]])
+			func([]any, any) {
+				copy(out, g.red[off[myPos]:off[myPos+1]])
 			})
 		if err != nil {
 			return nil, err
@@ -172,30 +163,19 @@ func (d *Device) hierAllReduceSum(group []int, local []float32, nodes [][]int) (
 	}
 	myBytes := chBytes[myPos]
 	reduced := make([]float32, len(shard))
-	err := d.collective(op, plane, shard,
+	pg := f.groupFor(plane)
+	err := d.collectiveIn(pg, op, plane, shard,
 		func(slots []any, clocks []float64) (float64, any, Volume, error) {
-			sum := getScratch(len(shard))
-			for i, s := range slots {
-				buf := s.([]float32)
-				if len(buf) != len(sum) {
-					putScratch(sum)
-					return maxClock(clocks), nil, Volume{}, fmt.Errorf(
-						"group position 0 has %d elements, position %d has %d: %w",
-						len(sum), i, len(buf), ErrLengthMismatch)
-				}
-				for j, v := range buf {
-					sum[j] += v
-				}
+			if err := sumSlots(pg, len(shard), slots); err != nil {
+				return maxClock(clocks), nil, Volume{}, err
 			}
 			tp := f.topoFor(plane)
 			_, c := tp.AllReduce(f.HW, topo.Ring, plane, myBytes)
 			vol := volumeOf(c)
 			f.addVolume(hw.OpAllReduce, vol, d.side)
-			return maxClock(clocks) + c.Time, sum, vol, nil
+			return maxClock(clocks) + c.Time, nil, vol, nil
 		},
-		func(slots []any, aux any) {
-			copy(reduced, aux.(scratch))
-		})
+		func([]any, any) { copy(reduced, pg.red) })
 	if err != nil {
 		return nil, err
 	}

@@ -12,7 +12,6 @@ package dist
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/tensor"
@@ -435,26 +434,6 @@ func unpackBlock(dst []float32, ds int, words []float32, h, w int) {
 	}
 }
 
-// stage is a pooled regrid staging buffer: the outgoing parts of one
-// call, packed back to back. Pooled like comm's reduction scratch
-// (comm/pool.go); contents are unspecified at checkout, the divide step
-// writes every word it sends.
-type stage struct{ buf []float32 }
-
-var stagePool sync.Pool // holds *stage
-
-func getStage(n int) *stage {
-	st, _ := stagePool.Get().(*stage)
-	if st == nil {
-		st = new(stage)
-	}
-	if cap(st.buf) < n {
-		st.buf = make([]float32, n)
-	}
-	st.buf = st.buf[:n]
-	return st
-}
-
 // sameStorage reports whether two tiles start at the same element.
 func sameStorage(a, b *tensor.Dense) bool {
 	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
@@ -471,6 +450,22 @@ func TileOf(old *Mat, rows, cols int) *tensor.Dense {
 	return tensor.NewDense(rows, cols)
 }
 
+// reshape returns dst set to rows x cols over its own storage, grown only
+// when too short, or a fresh zeroed tile when dst is nil. The caller
+// overwrites the whole result.
+func reshape(dst *tensor.Dense, rows, cols int) *tensor.Dense {
+	if dst == nil {
+		return tensor.NewDense(rows, cols)
+	}
+	if n := rows * cols; cap(dst.Data) < n {
+		dst.Data = make([]float32, n)
+	} else {
+		dst.Data = dst.Data[:n]
+	}
+	dst.Rows, dst.Cols = rows, cols
+	return dst
+}
+
 // regrid converts between two grid layouts (including the degenerate
 // H=G(1) and V=G(P)) with a single all-to-all over the world group.
 // Device r sends to device s exactly the intersection of r's source tile
@@ -479,12 +474,13 @@ func TileOf(old *Mat, rows, cols int) *tensor.Dense {
 // naturally: disjoint tiles exchange nothing.
 //
 // Two copies per element: divide packs the outgoing parts back to back
-// into one pooled staging buffer, and merge copies each received part
-// from its sender's staging buffer straight into the destination tile
-// while the round still holds it (comm.TryAllToAllRecv). The staging
-// buffer goes back to the pool only once the collective has returned —
-// a retried round redeposits it, and a round abandoned on a dead peer
-// keeps it out of the pool altogether.
+// into the device's staging buffer (comm.Stage), and merge copies each
+// received part from its sender's staging buffer straight into the
+// destination tile while the round still holds it
+// (comm.TryAllToAllRecv). The device reuses the buffer only on its next
+// staging call, after the collective has returned: a retried round
+// redeposits the same buffer, and no member leaves a round before every
+// member has read it.
 //
 // When packed, every part travels as byte-packed mask words (packBlock).
 // The result lands in old's tile when that has the target shape and is
@@ -512,8 +508,9 @@ func (m *Mat) regrid(srcPJ, dstPJ int, packed bool, old *Mat) *Mat {
 	// Divide: pack the part destined to each device. The parts of a
 	// plain regrid are exactly the tile; packed ones round up to a
 	// word each.
-	st := getStage(wire(len(src.Data)) + p)
-	parts := make([][]float32, p)
+	st := dev.Stage()
+	buf := st.Floats(wire(len(src.Data)) + p)
+	parts := st.Parts(p)
 	at := 0
 	var divideBytes int64
 	for s := 0; s < p; s++ {
@@ -527,7 +524,7 @@ func (m *Mat) regrid(srcPJ, dstPJ int, packed bool, old *Mat) *Mat {
 		}
 		h, w := rhi-rlo, chi-clo
 		end := at + wire(h*w)
-		sub := st.buf[at:end:end]
+		sub := buf[at:end:end]
 		at = end
 		block := src.Data[(rlo-myRlo)*src.Cols+(clo-myClo):]
 		if packed {
@@ -585,7 +582,6 @@ func (m *Mat) regrid(srcPJ, dstPJ int, packed bool, old *Mat) *Mat {
 	if err != nil {
 		panic(err)
 	}
-	stagePool.Put(st)
 	if broken != "" {
 		panic(broken)
 	}
@@ -670,6 +666,16 @@ func (m *Mat) GatherRoot(root int) *tensor.Dense {
 // communication deduplicate first. Root charges one memory write for
 // the assembled result, mirroring GatherRoot.
 func (m *Mat) GatherRows(root int, rows []int32) *tensor.Dense {
+	return m.GatherRowsInto(root, rows, nil)
+}
+
+// GatherRowsInto is GatherRows assembling root's result in dst's storage
+// — dst is reshaped to len(rows) x cols, its Data grown only when too
+// short, and every element overwritten — or in a fresh tile when dst is
+// nil. Root returns dst; the other devices ignore it and return nil. A
+// caller gathering batch after batch passes the same dst and allocates no
+// result, and every device stages the rows it sends in its comm.Stage.
+func (m *Mat) GatherRowsInto(root int, rows []int32, dst *tensor.Dense) *tensor.Dense {
 	dev := m.Dev
 	p := dev.P()
 	src := m.Layout.normalize(p)
@@ -677,42 +683,42 @@ func (m *Mat) GatherRows(root int, rows []int32) *tensor.Dense {
 		panic(fmt.Sprintf("dist: GatherRows needs a vertex-sliced source, have %s", src))
 	}
 	w := m.GlobalCols
-	pick := func(dst *tensor.Dense, i int, r int32, lo int) {
+	rlo, rhi := RowRange(src, p, dev.Rank, m.GlobalRows)
+	owned := 0
+	for _, r := range rows {
 		if int(r) < 0 || int(r) >= m.GlobalRows {
 			panic(fmt.Sprintf("dist: GatherRows row %d out of range [0, %d)", r, m.GlobalRows))
 		}
-		copy(dst.Row(i), m.Local.Row(int(r)-lo))
+		if int(r) >= rlo && int(r) < rhi {
+			owned++
+		}
+	}
+	var out *tensor.Dense
+	if dev.Rank == root {
+		out = reshape(dst, len(rows), w)
 	}
 	if p == 1 {
-		out := tensor.NewDense(len(rows), w)
 		for i, r := range rows {
-			pick(out, i, r, 0)
+			copy(out.Row(i), m.Local.Row(int(r)))
 		}
 		dev.ChargeMem(out.Bytes())
 		return out
 	}
 	dev.TraceBeginPhase("gather-rows")
 	defer dev.TraceEndPhase()
-	rlo, rhi := RowRange(src, p, dev.Rank, m.GlobalRows)
-	var mine []float32
+	st := dev.Stage()
+	mine := st.Floats(owned * w)[:0]
 	for _, r := range rows {
-		if int(r) < 0 || int(r) >= m.GlobalRows {
-			panic(fmt.Sprintf("dist: GatherRows row %d out of range [0, %d)", r, m.GlobalRows))
-		}
 		if int(r) >= rlo && int(r) < rhi {
 			mine = append(mine, m.Local.Row(int(r)-rlo)...)
 		}
 	}
-	parts := make([][]float32, p)
+	parts := st.Parts(p)
 	parts[root] = mine
 	// Assemble in request order while the round holds the owners'
 	// buffers: each owner packed its rows in the order they appear in the
 	// request, so walking the request once per owner reads its buffer
 	// front to back. Only root's callback does anything.
-	var out *tensor.Dense
-	if dev.Rank == root {
-		out = tensor.NewDense(len(rows), w)
-	}
 	short := -1
 	err := dev.TryAllToAllRecv(dev.World(), parts, func(s int, buf []float32) {
 		if out == nil {

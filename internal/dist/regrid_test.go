@@ -404,7 +404,7 @@ func TestPackUnpackBlockWidths(t *testing.T) {
 				want := packMask(flat)
 				words := make([]float32, len(want))
 				for i := range words {
-					words[i] = nan // a pooled staging buffer arrives dirty
+					words[i] = nan // a reused staging buffer arrives dirty
 				}
 				packBlock(words, src, ss, h, w)
 				for i := range want {
@@ -459,7 +459,7 @@ func (h *flipFirstPart) OnRound(_ *comm.Device, op string, _ []int, _ uint64, sl
 
 // A bit flipped in a staged part: with the CRC channel on, the fabric
 // restores the staging buffer, the retry retransmits it (it is still
-// deposited — regrid releases it only after the collective returns) and
+// deposited — the device restages only after the collective returns) and
 // the result equals the fault-free one; with it off the flip lands in
 // exactly one element of the result.
 func TestRegridStagedPartSurvivesCRCRetry(t *testing.T) {
@@ -499,21 +499,6 @@ func TestRegridStagedPartSurvivesCRCRetry(t *testing.T) {
 	}
 }
 
-// drainStages empties the staging pool and reports whether any pooled
-// buffer still holds marker.
-func drainStages(marker float32) bool {
-	found := false
-	for {
-		st, _ := stagePool.Get().(*stage)
-		if st == nil {
-			return found
-		}
-		for _, v := range st.buf[:cap(st.buf)] {
-			found = found || v == marker
-		}
-	}
-}
-
 // killAtExchange crashes one rank as it enters the all-to-all.
 type killAtExchange struct{ victim int }
 
@@ -524,32 +509,61 @@ func (h killAtExchange) BeforeCollective(d *comm.Device, op string) {
 }
 func (killAtExchange) OnRound(*comm.Device, string, []int, uint64, []any) error { return nil }
 
-// A peer that dies between divide and exchange: the survivors' regrid
-// surfaces a *comm.FaultError, no goroutine is left parked in the round,
-// and the staging buffers of the abandoned call stay out of the pool. One
-// P, so the pool's per-P caches are all reachable from this goroutine; the
-// clean run first shows the drain would have found a returned buffer.
-func TestRegridPeerDeathKeepsStageOutOfPool(t *testing.T) {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	const p, rows, cols, marker = 3, 12, 5, 12345
+// A staging buffer is not reused while a round can still read it. First
+// the contract regrid leans on, at its sharpest: each device stages round
+// k's part in its comm.Stage, one receiver reads slowly, and the senders
+// restage round k+1 the moment their collective returns — the slow reader
+// must still see round k in every part. Then a peer that dies between
+// divide and exchange: the survivors' regrid surfaces a *comm.FaultError,
+// no goroutine is left parked in the abandoned round, and the same
+// devices' next regrid reuses their staging buffers and lands the
+// fault-free result.
+func TestRegridStageNotReusedWhileRoundCanRead(t *testing.T) {
+	const p, rounds, slow = 3, 20, 2
+	fab := comm.NewFabric(p, hw.A6000())
+	var seen [p][]float32 // per rank: the first value of each part read
+	fab.Run(func(d *comm.Device) {
+		for k := 0; k < rounds; k++ {
+			st := d.Stage()
+			buf := st.Floats(p * 64)
+			for i := range buf {
+				buf[i] = float32(k)
+			}
+			parts := st.Parts(p)
+			for s := range parts {
+				parts[s] = buf[s*64 : (s+1)*64]
+			}
+			err := d.TryAllToAllRecv(d.World(), parts, func(_ int, part []float32) {
+				if d.Rank == slow {
+					time.Sleep(200 * time.Microsecond)
+				}
+				for _, v := range part {
+					if v != float32(k) {
+						seen[d.Rank] = append(seen[d.Rank], v)
+						return
+					}
+				}
+				seen[d.Rank] = append(seen[d.Rank], float32(k))
+			})
+			if err != nil {
+				panic(err)
+			}
+		}
+	})
+	for r := range seen {
+		for i, v := range seen[r] {
+			if k := i / p; v != float32(k) {
+				t.Fatalf("rank %d read %v in round %d: a sender restaged its buffer while the round could still read it", r, v, k)
+			}
+		}
+	}
+
+	const rows, cols, marker = 12, 5, 12345
 	global := tensor.NewDense(rows, cols)
 	global.Fill(marker)
-
-	drainStages(marker)
-	returned := false
-	for try := 0; try < 10 && !returned; try++ { // the race runtime's pool drops a share of its puts
-		comm.NewFabric(p, hw.A6000()).Run(func(d *comm.Device) {
-			Distribute(d, H, global).Redistribute(V)
-		})
-		returned = drainStages(marker)
-	}
-	if !returned {
-		t.Fatal("a completed regrid did not return its staging buffer to the pool")
-	}
-
-	before := runtime.NumGoroutine()
-	fab := comm.NewFabric(p, hw.A6000())
+	fab = comm.NewFabric(p, hw.A6000())
 	fab.SetFaultHook(killAtExchange{victim: 1})
+	before := runtime.NumGoroutine()
 	failures := make([]any, p)
 	fab.Run(func(d *comm.Device) {
 		defer func() {
@@ -576,7 +590,19 @@ func TestRegridPeerDeathKeepsStageOutOfPool(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	if drainStages(marker) {
-		t.Fatal("an abandoned regrid returned its staging buffer to the pool")
+	fab.SetFaultHook(nil)
+	mats := make([]*Mat, p)
+	staged := make([]*float32, p)
+	fab.Run(func(d *comm.Device) {
+		staged[d.Rank] = &d.Stage().Floats(1)[0]
+		mats[d.Rank] = Distribute(d, H, global).Redistribute(V)
+	})
+	if !sameBits(Assemble(mats), global) {
+		t.Fatal("regrid after an abandoned round differs from the fault-free result")
+	}
+	for r := range staged {
+		if r != 1 && staged[r] != &fab.Device(r).Stage().Floats(1)[0] {
+			t.Fatalf("rank %d re-allocated its staging buffer instead of reusing it", r)
+		}
 	}
 }

@@ -1,13 +1,15 @@
 package serve
 
-// The admission queue coalesces the open-loop query stream into
-// microbatches under two triggers: a batch dispatches when it reaches
-// MaxBatch queries (size trigger) or when the stream's clock passes
-// the first enqueued query's arrival + Deadline (deadline trigger) —
-// whichever comes first. Because the stream is simulated, "the clock
-// passes" is observed at the next arrival: a query arriving after the
-// open batch's deadline first flushes that batch at its deadline, then
-// opens a new one. Arrivals must be nondecreasing (Generate's are).
+import "fmt"
+
+// Admission coalesces the open-loop query stream into microbatches under
+// two triggers: a batch dispatches when it reaches MaxBatch queries (size
+// trigger) or when the stream's clock passes the first enqueued query's
+// arrival + Deadline (deadline trigger) — whichever comes first. Because
+// the stream is simulated, "the clock passes" is observed at the next
+// arrival: a query arriving after the open batch's deadline first flushes
+// that batch at its deadline, then opens a new one. Arrivals must be
+// nondecreasing (Generate's are).
 
 // Batch is one dispatched microbatch: the coalesced queries in arrival
 // order and the simulated dispatch time (the deadline or the size-
@@ -17,90 +19,42 @@ type Batch struct {
 	Dispatch float64
 }
 
-// Queue is the admission queue's goroutine form: Submit queries in
-// arrival order, Close when the stream ends, and range over Batches
-// for the dispatched microbatches. Closing an empty queue closes
-// Batches immediately — an empty arrival stream never deadlocks the
-// consumer.
-type Queue struct {
-	in       chan Query
-	out      chan Batch
-	maxBatch int
-	deadline float64
-}
-
-// NewQueue starts an admission queue. maxBatch must be >= 1; deadline
-// is in simulated seconds (0 dispatches every batch at its first
-// query's arrival unless the size trigger fires on identical arrival
-// times).
-func NewQueue(maxBatch int, deadline float64) *Queue {
+// Coalesce runs a whole query stream through admission in one pass and
+// returns the dispatched batches. Each batch's Queries is a sub-slice of
+// queries, capacity-clipped so that appending to it copies. maxBatch must
+// be >= 1 and deadline (simulated seconds) >= 0; deadline 0 dispatches
+// every batch at its first query's arrival unless the size trigger fires
+// on identical arrival times. Coalesce panics, before returning anything,
+// on a stream whose arrivals decrease.
+func Coalesce(queries []Query, maxBatch int, deadline float64) []Batch {
 	if maxBatch < 1 {
-		panic("serve: admission queue needs maxBatch >= 1")
+		panic("serve: admission needs maxBatch >= 1")
 	}
 	if deadline < 0 {
-		panic("serve: admission queue needs deadline >= 0")
+		panic("serve: admission needs deadline >= 0")
 	}
-	q := &Queue{
-		in:       make(chan Query),
-		out:      make(chan Batch),
-		maxBatch: maxBatch,
-		deadline: deadline,
-	}
-	go q.run()
-	return q
-}
-
-func (q *Queue) run() {
-	defer close(q.out)
-	var cur []Query
+	out := make([]Batch, 0, (len(queries)+maxBatch-1)/maxBatch)
+	lo := 0 // the open batch is queries[lo:i]
 	var dl float64
-	flush := func(at float64) {
-		q.out <- Batch{Queries: cur, Dispatch: at}
-		cur = nil
+	for i, q := range queries {
+		if i > 0 && !(q.Arrival >= queries[i-1].Arrival) {
+			panic(fmt.Sprintf("serve: query %d arrives at %v, before query %d at %v; arrivals must be nondecreasing",
+				i, q.Arrival, i-1, queries[i-1].Arrival))
+		}
+		if i > lo && q.Arrival > dl {
+			out = append(out, Batch{Queries: queries[lo:i:i], Dispatch: dl})
+			lo = i
+		}
+		if i == lo {
+			dl = q.Arrival + deadline
+		}
+		if i+1-lo == maxBatch {
+			out = append(out, Batch{Queries: queries[lo : i+1 : i+1], Dispatch: q.Arrival})
+			lo = i + 1
+		}
 	}
-	for query := range q.in {
-		if len(cur) > 0 && query.Arrival > dl {
-			flush(dl)
-		}
-		if len(cur) == 0 {
-			dl = query.Arrival + q.deadline
-		}
-		cur = append(cur, query)
-		if len(cur) == q.maxBatch {
-			flush(query.Arrival)
-		}
-	}
-	if len(cur) > 0 {
-		flush(dl)
-	}
-}
-
-// Submit enqueues one query. Queries must be submitted in
-// nondecreasing arrival order.
-func (q *Queue) Submit(query Query) { q.in <- query }
-
-// Close ends the stream: the partially filled batch (if any) is
-// flushed at its deadline and Batches is closed.
-func (q *Queue) Close() { close(q.in) }
-
-// Batches is the dispatched-microbatch channel; it closes after Close
-// once every batch has been delivered.
-func (q *Queue) Batches() <-chan Batch { return q.out }
-
-// Coalesce runs a whole query stream through an admission queue and
-// collects the dispatched batches — the synchronous form the serving
-// session plans with.
-func Coalesce(queries []Query, maxBatch int, deadline float64) []Batch {
-	q := NewQueue(maxBatch, deadline)
-	go func() {
-		for _, query := range queries {
-			q.Submit(query)
-		}
-		q.Close()
-	}()
-	var out []Batch
-	for b := range q.Batches() {
-		out = append(out, b)
+	if lo < len(queries) {
+		out = append(out, Batch{Queries: queries[lo:len(queries):len(queries)], Dispatch: dl})
 	}
 	return out
 }

@@ -1,7 +1,5 @@
 package serve
 
-import "container/list"
-
 // Cache is the deterministic LRU of historical answers. It stores only
 // vertex membership and an insertion stamp (the microbatch index) —
 // answer values live in the session's store — because hit/miss is a
@@ -9,16 +7,20 @@ import "container/list"
 // float ever depends on it. Eviction order is a pure function of the
 // lookup/insert sequence, which is itself a pure function of the
 // seeded traffic, so two runs of the same stream produce byte-
-// identical hit/miss sequences.
+// identical hit/miss sequences. The recency list is linked by index
+// through one slice of nodes and reuses freed ones, so a warm cache
+// allocates nothing.
 type Cache struct {
-	cap int
-	ll  *list.List
-	m   map[int32]*list.Element
+	cap   int
+	m     map[int32]int32 // vertex -> node
+	nodes []cacheNode     // nodes[0] heads a circular list, most recent next
+	free  int32           // first free node, chained through next; 0 if none
 }
 
-type cacheEntry struct {
-	v     int32
-	stamp int
+type cacheNode struct {
+	v          int32
+	stamp      int
+	prev, next int32
 }
 
 // NewCache builds an LRU holding up to cap vertices; cap == 0 disables
@@ -27,11 +29,11 @@ func NewCache(cap int) *Cache {
 	if cap < 0 {
 		panic("serve: cache capacity must be >= 0")
 	}
-	return &Cache{cap: cap, ll: list.New(), m: make(map[int32]*list.Element)}
+	return &Cache{cap: cap, m: make(map[int32]int32), nodes: make([]cacheNode, 1)}
 }
 
 // Len returns the number of cached vertices.
-func (c *Cache) Len() int { return c.ll.Len() }
+func (c *Cache) Len() int { return len(c.m) }
 
 // Lookup reports whether v's answer is cached and fresh at microbatch
 // index batch: with staleness > 0 an entry inserted at stamp is stale
@@ -39,17 +41,15 @@ func (c *Cache) Len() int { return c.ll.Len() }
 // tier's bounded-staleness contract); staleness == 0 never expires.
 // A hit refreshes recency.
 func (c *Cache) Lookup(v int32, batch, staleness int) bool {
-	e, ok := c.m[v]
+	i, ok := c.m[v]
 	if !ok {
 		return false
 	}
-	ent := e.Value.(*cacheEntry)
-	if staleness > 0 && batch-ent.stamp >= staleness {
-		c.ll.Remove(e)
-		delete(c.m, v)
+	if staleness > 0 && batch-c.nodes[i].stamp >= staleness {
+		c.evict(i)
 		return false
 	}
-	c.ll.MoveToFront(e)
+	c.touch(i)
 	return true
 }
 
@@ -60,15 +60,40 @@ func (c *Cache) Insert(v int32, batch int) {
 	if c.cap == 0 {
 		return
 	}
-	if e, ok := c.m[v]; ok {
-		e.Value.(*cacheEntry).stamp = batch
-		c.ll.MoveToFront(e)
-		return
+	i, ok := c.m[v]
+	if !ok {
+		if len(c.m) == c.cap {
+			c.evict(c.nodes[0].prev)
+		}
+		if i = c.free; i != 0 {
+			c.free = c.nodes[i].next
+		} else {
+			i = int32(len(c.nodes))
+			c.nodes = append(c.nodes, cacheNode{})
+		}
+		c.nodes[i] = cacheNode{v: v, prev: i, next: i} // unlinking it is a no-op
+		c.m[v] = i
 	}
-	c.m[v] = c.ll.PushFront(&cacheEntry{v: v, stamp: batch})
-	if c.ll.Len() > c.cap {
-		old := c.ll.Back()
-		c.ll.Remove(old)
-		delete(c.m, old.Value.(*cacheEntry).v)
-	}
+	c.nodes[i].stamp = batch
+	c.touch(i)
+}
+
+// touch moves node i to the front of the recency list.
+func (c *Cache) touch(i int32) {
+	c.unlink(i)
+	head := c.nodes[0].next
+	c.nodes[i].prev, c.nodes[i].next = 0, head
+	c.nodes[head].prev, c.nodes[0].next = i, i
+}
+
+// evict drops node i's vertex and frees the node.
+func (c *Cache) evict(i int32) {
+	c.unlink(i)
+	delete(c.m, c.nodes[i].v)
+	c.nodes[i].next, c.free = c.free, i
+}
+
+func (c *Cache) unlink(i int32) {
+	n := c.nodes[i]
+	c.nodes[n.prev].next, c.nodes[n.next].prev = n.next, n.prev
 }

@@ -40,12 +40,8 @@ type DegradedReport struct {
 func (s *Session) ServeDegraded(queries []Query) DegradedReport {
 	var rep DegradedReport
 	for _, q := range queries {
-		if emb, ok := s.answers[q.Vertex]; ok {
-			rep.Answers = append(rep.Answers, DegradedAnswer{
-				Vertex:    q.Vertex,
-				Embedding: append([]float32(nil), emb...),
-				Stale:     true,
-			})
+		if emb := s.Answer(q.Vertex); emb != nil {
+			rep.Answers = append(rep.Answers, DegradedAnswer{Vertex: q.Vertex, Embedding: emb, Stale: true})
 			rep.Served++
 			s.staleServed++
 			continue

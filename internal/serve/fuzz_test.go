@@ -32,3 +32,59 @@ func FuzzTrafficSpec(f *testing.F) {
 		}
 	})
 }
+
+// streamOf decodes a fuzzed stream: one query per byte, the low three
+// bits the vertex, the high five an arrival-gap class — ties, steps
+// around a millisecond deadline, and (class 31) a step backwards.
+func streamOf(data []byte) (qs []Query, decreasing bool) {
+	gaps := []float64{0, 0, 0, 2.5e-4, 5e-4, 1e-3, 2e-3, 3e-3}
+	t := 1.0
+	for i, b := range data {
+		if class := int(b >> 3); class == 31 {
+			t -= 1e-4
+			decreasing = decreasing || i > 0
+		} else {
+			t += gaps[class%len(gaps)]
+		}
+		qs = append(qs, Query{Vertex: int32(b & 7), Arrival: t, User: int64(i)})
+	}
+	return qs, decreasing
+}
+
+// FuzzCoalesce pins single-pass admission to the goroutine queue oracle:
+// the same batches with the same dispatch times, each a capacity-clipped
+// window of the stream, together the stream in order — and a stream
+// whose arrivals decrease is refused outright. Seeds: gencorpus.
+func FuzzCoalesce(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, maxBatch, deadline byte) {
+		mb := 1 + int(maxBatch%16)
+		dl := float64(deadline%4) * 1e-3
+		qs, decreasing := streamOf(data)
+		if decreasing {
+			defer func() {
+				if recover() == nil {
+					t.Fatal("Coalesce accepted a stream whose arrivals decrease")
+				}
+			}()
+			Coalesce(qs, mb, dl)
+			return
+		}
+		got := Coalesce(qs, mb, dl)
+		if want := coalesceQueue(qs, mb, dl); !sameBatches(got, want) {
+			t.Fatalf("maxBatch %d deadline %v: Coalesce\n%+v\nqueue oracle\n%+v", mb, dl, got, want)
+		}
+		at := 0
+		for i, b := range got {
+			if len(b.Queries) == 0 || len(b.Queries) > mb || cap(b.Queries) != len(b.Queries) {
+				t.Fatalf("batch %d holds %d queries (cap %d), maxBatch %d", i, len(b.Queries), cap(b.Queries), mb)
+			}
+			if &b.Queries[0] != &qs[at] {
+				t.Fatalf("batch %d is not the stream's window at %d", i, at)
+			}
+			at += len(b.Queries)
+		}
+		if at != len(qs) {
+			t.Fatalf("batches cover %d of %d queries", at, len(qs))
+		}
+	})
+}

@@ -1,8 +1,9 @@
 package serve
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
@@ -45,27 +46,55 @@ type Report struct {
 	PredTime      float64 `json:"pred_time"`
 }
 
-// percentile returns the q-quantile (0 < q <= 1) of xs by the
-// nearest-rank method on a sorted copy; 0 for an empty slice.
-func percentile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return 0
+// percentiles returns the nearest-rank p50 and p99 of a non-empty xs:
+// the elements a sort would put at those ranks, selected in one scratch
+// copy — the p99 first, then the p50 below it.
+func percentiles(xs []float64) (p50, p99 float64) {
+	s := slices.Clone(xs)
+	rank := func(q float64) int { return max(int(math.Ceil(q*float64(len(s))))-1, 0) }
+	k99 := rank(0.99)
+	p99 = nth(s, k99)
+	return nth(s[:k99+1], rank(0.50)), p99
+}
+
+// nth returns the element a sort of s would put at index k (NaN first,
+// as sort.Float64s orders), leaving nothing greater before it and
+// nothing smaller after it: quickselect with a three-way partition, so
+// runs of equal values cost one pass.
+func nth(s []float64, k int) float64 {
+	for {
+		// s[:lt] < pivot, s[lt:i] == pivot, s[gt:] > pivot.
+		pivot, lt, i, gt := s[len(s)/2], 0, 0, len(s)
+		for i < gt {
+			switch cmp.Compare(s[i], pivot) {
+			case -1:
+				s[lt], s[i] = s[i], s[lt]
+				lt++
+				i++
+			case 1:
+				gt--
+				s[i], s[gt] = s[gt], s[i]
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			s = s[:lt]
+		case k >= gt:
+			s, k = s[gt:], k-gt
+		default:
+			return s[k]
+		}
 	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	i := int(math.Ceil(q*float64(len(s)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return s[i]
 }
 
 // Report summarizes everything served so far.
 func (s *Session) Report() Report {
 	r := Report{
 		P:       s.lastP,
-		Queries: s.queries,
-		Batches: s.batches,
+		Queries: s.hits + s.misses,
+		Batches: s.batchIdx,
 		Hits:    s.hits,
 		Misses:  s.misses,
 
@@ -80,24 +109,23 @@ func (s *Session) Report() Report {
 		TierBytes:      s.metered.Tier,
 		PredTierBytes:  s.predicted.Tier,
 
-		P50Latency: percentile(s.latencies, 0.50),
-		P99Latency: percentile(s.latencies, 0.99),
-		SimTime:    s.simTime,
-		PredTime:   s.predTime,
+		SimTime:  s.simTime,
+		PredTime: s.predTime,
 	}
-	if s.queries > 0 {
-		r.HitRate = float64(s.hits) / float64(s.queries)
-		r.BytesPerQuery = float64(r.BytesTotal) / float64(s.queries)
+	if r.Queries > 0 {
+		r.HitRate = float64(s.hits) / float64(r.Queries)
+		r.BytesPerQuery = float64(r.BytesTotal) / float64(r.Queries)
 	}
-	var sum float64
-	for _, l := range s.latencies {
-		sum += l
-	}
-	if len(s.latencies) > 0 {
-		r.MeanLatency = sum / float64(len(s.latencies))
+	if n := len(s.latencies); n > 0 {
+		var sum float64
+		for _, l := range s.latencies {
+			sum += l
+		}
+		r.MeanLatency = sum / float64(n)
+		r.P50Latency, r.P99Latency = percentiles(s.latencies)
 	}
 	if span := s.prevCompletion - s.firstArrival; span > 0 {
-		r.ThroughputQPS = float64(s.queries) / span
+		r.ThroughputQPS = float64(r.Queries) / span
 	}
 	return r
 }

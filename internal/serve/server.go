@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
@@ -90,6 +91,18 @@ type Meter struct {
 // Total returns the primary-channel byte total.
 func (m Meter) Total() int64 { return m.AllToAll + m.AllGather + m.AllReduce + m.Other }
 
+// add accumulates o into m.
+func (m *Meter) add(o Meter) {
+	m.AllToAll += o.AllToAll
+	m.AllGather += o.AllGather
+	m.AllReduce += o.AllReduce
+	m.Other += o.Other
+	m.Side += o.Side
+	for t := range m.Tier {
+		m.Tier[t] += o.Tier[t]
+	}
+}
+
 // Session is one serving deployment's accumulated state: the answer
 // cache and value store survive across Serve calls — including calls
 // at different world sizes, the elastic re-formation path — while
@@ -98,15 +111,17 @@ type Session struct {
 	prob *core.Problem
 	cfg  Config
 
-	cache   *Cache
-	answers map[int32][]float32
+	cache *Cache
+	// The answer store: one width-float row of slab per distinct vertex
+	// ever gathered, vertex v's at row[v]. A re-gather overwrites the row
+	// in place; readers get copies.
+	slab  []float32
+	row   map[int32]int32
+	width int
 
-	batchIdx  int
-	queries   int
-	batches   int
+	batchIdx  int // microbatches planned so far
 	hits      int
 	misses    int
-	gathered  int64 // rows moved by GatherRows (deduped misses)
 	hitSeq    []byte
 	latencies []float64
 
@@ -139,10 +154,11 @@ func NewSession(prob *core.Problem, cfg Config) *Session {
 			len(cfg.LayerStaleness), cfg.layers()))
 	}
 	return &Session{
-		prob:    prob,
-		cfg:     cfg,
-		cache:   NewCache(cfg.CacheCap),
-		answers: make(map[int32][]float32),
+		prob:  prob,
+		cfg:   cfg,
+		cache: NewCache(cfg.CacheCap),
+		row:   make(map[int32]int32),
+		width: cfg.Dims[cfg.layers()],
 	}
 }
 
@@ -169,24 +185,16 @@ type secSums struct {
 }
 
 func sectionSums(sched *plan.Schedule, c plan.Cost) []secSums {
-	var out []secSums
+	out := make([]secSums, len(sched.Sections))
 	k := 0
 	for i := range sched.Sections {
-		sec := &sched.Sections[i]
-		ss := secSums{phase: sec.Phase, layer: sec.Layer}
-		for range sec.Ops {
-			oc := c.PerOp[k]
-			k++
-			ss.AllToAll += oc.AllToAll
-			ss.AllGather += oc.AllGather
-			ss.AllReduce += oc.AllReduce
-			ss.Side += oc.Side
-			for t := 0; t < topo.NumTiers; t++ {
-				ss.Tier[t] += oc.Tier[t]
-			}
+		sec, ss := &sched.Sections[i], &out[i]
+		ss.phase, ss.layer = sec.Phase, sec.Layer
+		for _, oc := range c.PerOp[k : k+len(sec.Ops)] {
+			ss.add(Meter{AllToAll: oc.AllToAll, AllGather: oc.AllGather, AllReduce: oc.AllReduce, Side: oc.Side, Tier: oc.Tier})
 			ss.time += oc.Time
 		}
-		out = append(out, ss)
+		k += len(sec.Ops)
 	}
 	return out
 }
@@ -194,34 +202,19 @@ func sectionSums(sched *plan.Schedule, c plan.Cost) []secSums {
 // refreshSums totals the sections a refresh from fromLayer executes:
 // the init section when cold, every fwd section with Layer >= max(1,
 // fromLayer) otherwise (a warm refresh never re-runs init).
-func refreshSums(secs []secSums, fromLayer int, cold bool) (Meter, float64) {
-	var m Meter
-	var t float64
+func refreshSums(secs []secSums, fromLayer int, cold bool) (m Meter, t float64) {
 	for _, ss := range secs {
-		run := false
-		switch ss.phase {
-		case "init":
-			run = cold
-		case "fwd":
-			run = ss.layer >= fromLayer
+		if ss.phase == "init" && cold || ss.phase == "fwd" && ss.layer >= fromLayer {
+			m.add(ss.Meter)
+			t += ss.time
 		}
-		if !run {
-			continue
-		}
-		m.AllToAll += ss.AllToAll
-		m.AllGather += ss.AllGather
-		m.AllReduce += ss.AllReduce
-		m.Side += ss.Side
-		for i := 0; i < topo.NumTiers; i++ {
-			m.Tier[i] += ss.Tier[i]
-		}
-		t += ss.time
 	}
 	return m, t
 }
 
 // Serve answers one query stream on a world of p devices. Queries must
-// be in nondecreasing arrival order (TrafficSpec.Generate's are).
+// be in nondecreasing arrival order (TrafficSpec.Generate's are); Serve
+// panics on one whose arrivals decrease, leaving the session unchanged.
 // Calling Serve again — with the same or a different p — continues the
 // session: the cache and value store carry over, engines are rebuilt,
 // and the first miss of the new incarnation pays a cold refresh. The
@@ -235,6 +228,9 @@ func (s *Session) Serve(p int, queries []Query) {
 		return
 	}
 	cfg := s.cfg
+	// Admission first: it rejects a malformed stream before anything
+	// below touches the session.
+	batches := Coalesce(queries, cfg.MaxBatch, cfg.Deadline)
 	s.lastP = p
 	if !s.haveArrival {
 		s.firstArrival = queries[0].Arrival
@@ -248,9 +244,9 @@ func (s *Session) Serve(p int, queries []Query) {
 	}
 	tblCfg := costmodel.ConfigFromID(cfg.ConfigID, L)
 
-	// Host-side plan: admission, then the cache's hit/miss verdict per
-	// query in arrival order and the refresh decision per microbatch.
-	plans := s.planBatches(Coalesce(queries, cfg.MaxBatch, cfg.Deadline), L)
+	// Host-side plan: the cache's hit/miss verdict per query in arrival
+	// order and the refresh decision per microbatch.
+	plans := s.planBatches(batches, L, len(queries))
 
 	// Price the inference schedule once; refreshes and gathers are
 	// summed per batch from the per-section closed forms.
@@ -259,8 +255,9 @@ func (s *Session) Serve(p int, queries []Query) {
 		P: p, RA: ra, SAGE: cfg.SAGE,
 	}).Optimize()
 	secs := sectionSums(sched, sched.PriceOn(s.prob.A.NNZ(), cfg.HW, cfg.Topology))
-	for _, bp := range plans {
-		s.predictBatch(bp, secs, p, fL)
+	owned := make([]int64, p)
+	for i := range plans {
+		s.predictBatch(&plans[i], secs, fL, owned)
 	}
 
 	// One fabric run executes every microbatch SPMD-lockstep.
@@ -271,27 +268,30 @@ func (s *Session) Serve(p int, queries []Query) {
 	if cfg.Tracer != nil {
 		fab.SetTracer(cfg.Tracer, cfg.TraceLabel)
 	}
-	gathered := make([]*tensor.Dense, len(plans))
 	svc := make([]float64, len(plans))
 	fab.Run(func(d *comm.Device) {
 		eng := core.NewInferenceEngine(d, s.prob, core.Options{
 			Dims: cfg.Dims, Config: tblCfg, RA: ra, Seed: cfg.Seed, SAGE: cfg.SAGE,
 		}, cfg.Checkpoint)
 		var logits *dist.Mat
-		for i, bp := range plans {
+		var tile *tensor.Dense // root's gather tile, reused batch after batch
+		for i := range plans {
+			bp := &plans[i]
 			c0 := d.Clock()
 			if bp.fromLayer >= 0 {
 				logits = eng.RunInference(bp.fromLayer)
 			}
-			var out *tensor.Dense
 			if len(bp.missVerts) > 0 {
-				out = logits.GatherRows(0, bp.missVerts)
+				tile = logits.GatherRowsInto(0, bp.missVerts, tile)
 			}
 			if d.Rank == 0 {
 				if bp.hitRows > 0 {
 					d.ChargeMem(4 * int64(fL) * int64(bp.hitRows))
 				}
-				gathered[i] = out
+				// Only root's goroutine writes the store; Serve's waits.
+				for j, v := range bp.missVerts {
+					copy(s.storeRow(v), tile.Row(j))
+				}
 				svc[i] = d.Clock() - c0
 			}
 		}
@@ -299,17 +299,13 @@ func (s *Session) Serve(p int, queries []Query) {
 	s.simTime += fab.MaxClock()
 	s.meterFabric(fab)
 
-	// Store gathered answers and complete the latency bookkeeping on
-	// the arrival timeline: batches are served in order, each starting
-	// at max(dispatch, previous completion).
-	for i, bp := range plans {
-		for j, v := range bp.missVerts {
-			s.answers[v] = append([]float32(nil), gathered[i].Row(j)...)
-		}
-		start := bp.batch.Dispatch
-		if s.prevCompletion > start {
-			start = s.prevCompletion
-		}
+	// Complete the latency bookkeeping on the arrival timeline: batches
+	// are served in order, each starting at max(dispatch, previous
+	// completion).
+	s.latencies = slices.Grow(s.latencies, len(queries))
+	for i := range plans {
+		bp := &plans[i]
+		start := max(bp.batch.Dispatch, s.prevCompletion)
 		completion := start + svc[i]
 		s.prevCompletion = completion
 		for _, q := range bp.batch.Queries {
@@ -327,55 +323,50 @@ func (s *Session) Serve(p int, queries []Query) {
 	}
 }
 
-// planBatches runs the cache over the coalesced batches in arrival
-// order, producing each microbatch's miss list and refresh decision.
-func (s *Session) planBatches(batches []Batch, L int) []*batchPlan {
+// planBatches runs the cache over the coalesced batches of an nq-query
+// stream in arrival order, producing each microbatch's miss list and
+// refresh decision.
+func (s *Session) planBatches(batches []Batch, L, nq int) []batchPlan {
 	cfg := s.cfg
 	warm := false
 	lastRefresh := make([]int, L+1)
-	var plans []*batchPlan
-	for _, b := range batches {
-		bp := &batchPlan{batch: b, fromLayer: -1}
-		seen := make(map[int32]bool, len(b.Queries))
+	plans := make([]batchPlan, len(batches))
+	// Every miss list is a window of one array, which never regrows: a
+	// stream has at most nq misses.
+	misses := make([]int32, 0, nq)
+	seen := make(map[int32]bool) // this batch's misses so far
+	s.hitSeq = slices.Grow(s.hitSeq, nq)
+	for i, b := range batches {
+		bp := &plans[i]
+		*bp = batchPlan{batch: b, fromLayer: -1}
+		clear(seen)
+		lo := len(misses)
 		for _, q := range b.Queries {
 			switch {
-			case seen[q.Vertex]:
-				// Coalesced within the batch: answered by the row the
-				// first occurrence gathers.
-				bp.hitRows++
-				s.hitSeq = append(s.hitSeq, '1')
-			case s.cache.Lookup(q.Vertex, s.batchIdx, cfg.Staleness):
+			// A repeat within the batch is answered by the row its first
+			// occurrence gathers, without asking the cache.
+			case seen[q.Vertex] || s.cache.Lookup(q.Vertex, s.batchIdx, cfg.Staleness):
 				bp.hitRows++
 				s.hitSeq = append(s.hitSeq, '1')
 			default:
 				seen[q.Vertex] = true
-				bp.missVerts = append(bp.missVerts, q.Vertex)
+				misses = append(misses, q.Vertex)
 				s.hitSeq = append(s.hitSeq, '0')
 			}
 		}
-		if len(bp.missVerts) > 0 {
-			switch {
-			case !warm:
+		if hi := len(misses); hi > lo {
+			bp.missVerts = misses[lo:hi:hi]
+			if !warm {
 				bp.fromLayer = 0
-			default:
-				for l := 1; l <= L; l++ {
-					bound := 0
-					if len(cfg.LayerStaleness) != 0 {
-						bound = cfg.LayerStaleness[l-1]
-					}
-					if bound > 0 && s.batchIdx-lastRefresh[l] >= bound {
-						bp.fromLayer = l
-						break
-					}
+			}
+			for l := 1; l <= len(cfg.LayerStaleness) && bp.fromLayer < 0; l++ {
+				if bound := cfg.LayerStaleness[l-1]; bound > 0 && s.batchIdx-lastRefresh[l] >= bound {
+					bp.fromLayer = l
 				}
 			}
 			if bp.fromLayer >= 0 {
 				warm = true
-				from := bp.fromLayer
-				if from < 1 {
-					from = 1
-				}
-				for l := from; l <= L; l++ {
+				for l := max(bp.fromLayer, 1); l <= L; l++ {
 					lastRefresh[l] = s.batchIdx
 				}
 			}
@@ -383,20 +374,17 @@ func (s *Session) planBatches(batches []Batch, L int) []*batchPlan {
 				s.cache.Insert(v, s.batchIdx)
 			}
 		}
-		s.queries += len(b.Queries)
 		s.hits += bp.hitRows
 		s.misses += len(bp.missVerts)
-		s.gathered += int64(len(bp.missVerts))
-		s.batches++
 		s.batchIdx++
-		plans = append(plans, bp)
 	}
 	return plans
 }
 
 // predictBatch adds one microbatch's closed-form price to the
-// session's predicted ledger.
-func (s *Session) predictBatch(bp *batchPlan, secs []secSums, p, fL int) {
+// session's predicted ledger. owned is scratch with one entry per rank.
+func (s *Session) predictBatch(bp *batchPlan, secs []secSums, fL int, owned []int64) {
+	p := len(owned)
 	cfg := s.cfg
 	var refresh Meter
 	var refreshTime float64
@@ -407,25 +395,18 @@ func (s *Session) predictBatch(bp *batchPlan, secs []secSums, p, fL int) {
 	var gatherTier [topo.NumTiers]int64
 	var gatherTime float64
 	if len(bp.missVerts) > 0 {
-		owned := make([]int64, p)
+		clear(owned)
 		for _, v := range bp.missVerts {
 			owned[ownerOf(v, p, s.prob.N())]++
 		}
 		gatherBytes, gatherTier, gatherTime = costmodel.PredictGather(cfg.HW, cfg.Topology, p, 0, fL, owned)
 	}
-	s.predicted.AllToAll += refresh.AllToAll + gatherBytes
-	s.predicted.AllGather += refresh.AllGather
-	s.predicted.AllReduce += refresh.AllReduce
-	s.predicted.Side += refresh.Side
-	if cfg.Topology != nil {
-		for t := 0; t < topo.NumTiers; t++ {
-			s.predicted.Tier[t] += refresh.Tier[t] + gatherTier[t]
-		}
-	} else {
+	if cfg.Topology == nil {
 		// Flat fabric meters everything as intra-tier.
-		s.predicted.Tier[topo.TierIntra] += refresh.AllToAll + refresh.AllGather +
-			refresh.AllReduce + gatherBytes
+		refresh.Tier = [topo.NumTiers]int64{topo.TierIntra: refresh.AllToAll + refresh.AllGather + refresh.AllReduce}
 	}
+	s.predicted.add(refresh)
+	s.predicted.add(Meter{AllToAll: gatherBytes, Tier: gatherTier})
 	s.predTime += costmodel.PredictMicrobatchTime(cfg.HW, refreshTime, gatherTime, bp.hitRows, fL)
 }
 
@@ -442,11 +423,7 @@ func ownerOf(v int32, p, n int) int {
 
 // meterFabric folds one fabric run's meters into the session ledger.
 func (s *Session) meterFabric(fab *comm.Fabric) {
-	kinds := []hw.CollectiveKind{
-		hw.OpBroadcast, hw.OpAllGather, hw.OpAllReduce,
-		hw.OpAllToAll, hw.OpSendRecv, hw.OpReduceScatter,
-	}
-	for _, k := range kinds {
+	for k := hw.CollectiveKind(0); k < hw.NumCollectiveKinds; k++ {
 		v := fab.Volume(k)
 		switch k {
 		case hw.OpAllToAll:
@@ -458,7 +435,7 @@ func (s *Session) meterFabric(fab *comm.Fabric) {
 		default:
 			s.metered.Other += v
 		}
-		for t := 0; t < topo.NumTiers; t++ {
+		for t := range s.metered.Tier {
 			s.metered.Tier[t] += fab.TierVolume(k, t)
 		}
 	}
@@ -474,6 +451,23 @@ func (s *Session) Predicted() Meter { return s.predicted }
 // ('1' hit, '0' miss) — the determinism witness.
 func (s *Session) HitMiss() string { return string(s.hitSeq) }
 
-// Answer returns the served final-layer embedding of v (nil if v was
-// never queried).
-func (s *Session) Answer(v int32) []float32 { return s.answers[v] }
+// Answer returns a copy of the served final-layer embedding of v (nil
+// if v was never queried).
+func (s *Session) Answer(v int32) []float32 {
+	if i, ok := s.row[v]; ok {
+		return slices.Clone(s.slab[int(i)*s.width : int(i+1)*s.width])
+	}
+	return nil
+}
+
+// storeRow returns v's row of the store for overwriting, appending one
+// when v has none yet.
+func (s *Session) storeRow(v int32) []float32 {
+	i, ok := s.row[v]
+	if !ok {
+		i = int32(len(s.row))
+		s.row[v] = i
+		s.slab = append(s.slab, make([]float32, s.width)...)
+	}
+	return s.slab[int(i)*s.width : int(i+1)*s.width]
+}
