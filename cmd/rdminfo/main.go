@@ -7,8 +7,13 @@
 // count, and replication factor, with per-op priced fabric bytes and a
 // totals line reconciled against the Table IV closed-form prediction;
 // adding -overlap appends the schedule's dependency-DAG critical path
-// against the sequential replay and the Table IV argmin under both
-// pricers (which can disagree — see plan.ChooseOrderingOverlap).
+// against the sequential replay and plan.Choose's pick under both
+// pricers (which can disagree). With -pareto it instead prints the
+// closed-form cost model's full ordering design space for a network
+// shape, with the Pareto frontier marked:
+//
+//	rdminfo -pareto -dims 602,128,41 -p 8 -n 1000000 -nnz 20000000
+//
 // With -topo it instead prints an interconnect spec's link-tier
 // structure and the topology-aware cost library's predicted collective
 // times per algorithm (internal/topo).
@@ -43,13 +48,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fs.Int("scale", 128, "dataset scale divisor (1 = the paper's full sizes)")
 	cuts := fs.Bool("cuts", false, "also compute LDG partitioner edge cuts (builds each graph)")
 	planFlag := fs.Bool("plan", false, "print the compiled op schedule with per-op priced bytes")
+	paretoFlag := fs.Bool("pareto", false, "print every ordering's closed-form comm and sparse-op cost with the Pareto frontier marked")
 	cfgID := fs.Int("config", 0, "Table IV ordering ID (with -plan)")
-	devs := fs.Int("p", 4, "device count (with -plan)")
-	ra := fs.Int("ra", 0, "adjacency replication factor, 0 = P (with -plan)")
-	n := fs.Int("n", 64, "vertex count (with -plan)")
-	dimsStr := fs.String("dims", "16,12,8", "comma-separated layer widths f_0..f_L (with -plan)")
-	nnz := fs.Int64("nnz", 0, "stored adjacency entries, 0 = 8n (with -plan)")
-	nomemo := fs.Bool("nomemo", false, "disable forward memoization (with -plan)")
+	devs := fs.Int("p", 4, "device count (with -plan or -pareto)")
+	ra := fs.Int("ra", 0, "adjacency replication factor, 0 = P (with -plan or -pareto)")
+	n := fs.Int("n", 64, "vertex count (with -plan or -pareto)")
+	dimsStr := fs.String("dims", "16,12,8", "comma-separated layer widths f_0..f_L (with -plan or -pareto)")
+	nnz := fs.Int64("nnz", 0, "stored adjacency entries, 0 = 8n (with -plan or -pareto)")
+	nomemo := fs.Bool("nomemo", false, "disable forward memoization (with -plan or -pareto)")
 	density := fs.Float64("density", 1, "live feature-row fraction; <1 compiles the sparsity-aware exchange (with -plan)")
 	overlap := fs.Bool("overlap", false, "also print the dependency-DAG critical path and the overlap-vs-sequential ordering argmins (with -plan)")
 	engine := fs.String("engine", "fabric", "execution backend for -plan: fabric prints the priced schedule only; sim also replays it on the discrete-event engine and reconciles clocks against plan.PriceDAGEpochs")
@@ -62,6 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if *topoFlag {
 		return runTopo(stdout, stderr, *specStr, *topoP, *payload)
+	}
+	if *paretoFlag {
+		return runPareto(stdout, stderr, *devs, *ra, *n, *dimsStr, *nnz, *nomemo)
 	}
 	if *engine != "fabric" && *engine != "sim" {
 		fmt.Fprintf(stderr, "rdminfo: unknown -engine %q (want fabric or sim)\n", *engine)
@@ -102,11 +111,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 // problem shape, printing every op with its fabric byte volumes and a
 // totals line checked byte-for-byte against the closed-form cost model.
 // With overlap it appends the dependency-DAG critical path (flat and on
-// the -spec topology) and the Table IV argmin under both pricers. Exit
+// the -spec topology) and the chosen ordering under both pricers. Exit
 // code 1 signals a planner/model disagreement, or a critical path
 // exceeding the sequential replay.
 func runPlan(stdout, stderr io.Writer, cfgID, p, ra, n int, dimsStr string, nnz int64, density float64, nomemo, overlap bool, specStr, engine string) int {
-	dims, err := parseDims(dimsStr)
+	dims, ra, nnz, err := resolveShape(dimsStr, p, ra, n, nnz)
 	if err != nil {
 		fmt.Fprintf(stderr, "rdminfo: %v\n", err)
 		return 2
@@ -116,16 +125,6 @@ func runPlan(stdout, stderr io.Writer, cfgID, p, ra, n int, dimsStr string, nnz 
 		fmt.Fprintf(stderr, "rdminfo: config %d out of range for %d layers (0..%d)\n",
 			cfgID, layers, costmodel.NumConfigs(layers)-1)
 		return 2
-	}
-	if ra == 0 {
-		ra = p
-	}
-	if p < 1 || ra < 1 || ra > p || p%ra != 0 {
-		fmt.Fprintf(stderr, "rdminfo: RA=%d invalid for P=%d\n", ra, p)
-		return 2
-	}
-	if nnz == 0 {
-		nnz = int64(8 * n)
 	}
 	if density <= 0 || density > 1 {
 		fmt.Fprintf(stderr, "rdminfo: -density %g out of range (0, 1]\n", density)
@@ -270,9 +269,10 @@ func maxf(a, b float64) float64 {
 
 // runPlanOverlap appends the -overlap section: DAG shape, critical path
 // vs sequential replay on the flat fabric and on the -spec topology,
-// and — pricer by pricer — which Table IV row each would pick. The dump
-// is deterministic and doubles as a CI golden (testdata/plan_overlap.txt)
-// pinning a shape where the two argmins disagree.
+// and plan.Choose's pick on the -spec topology under each objective.
+// The dump is deterministic and doubles as a CI golden
+// (testdata/plan_overlap.txt) pinning a shape where the two picks
+// disagree.
 func runPlanOverlap(stdout, stderr io.Writer, sp plan.Spec, sched *plan.Schedule, nnz int64, specStr string) int {
 	ts, err := topo.ParseSpec(specStr)
 	if err != nil {
@@ -309,27 +309,8 @@ func runPlanOverlap(stdout, stderr io.Writer, sp plan.Spec, sched *plan.Schedule
 			return 1
 		}
 	}
-	L := len(sp.Dims) - 1
-	argminSeq, argminOvl := -1, -1
-	var bestSeq, bestOvl float64
-	for id := 0; id < costmodel.NumConfigs(L); id++ {
-		s := sp
-		s.Config = costmodel.ConfigFromID(id, L)
-		cand := plan.Compile(s).Optimize()
-		if t := cand.PriceOn(nnz, h, tp).Time; argminSeq < 0 || t < bestSeq {
-			argminSeq, bestSeq = id, t
-		}
-		d, err := plan.BuildDAG(cand)
-		if err != nil {
-			fmt.Fprintf(stderr, "rdminfo: config %d: %v\n", id, err)
-			return 1
-		}
-		if t := d.PriceDAGOn(cand.ApproxCensus(nnz), h, tp).Makespan; argminOvl < 0 || t < bestOvl {
-			argminOvl, bestOvl = id, t
-		}
-	}
 	fmt.Fprintf(stdout, "overlap argmin (Table IV, %s): sequential=config %d  overlap=config %d\n",
-		specStr, argminSeq, argminOvl)
+		specStr, plan.Choose(sp, nnz, h, tp, false).ID(), plan.Choose(sp, nnz, h, tp, true).ID())
 	return 0
 }
 
@@ -355,6 +336,60 @@ func sparseExchangeTotals(sched *plan.Schedule, p int) (dense, meta, pay int64) 
 		}
 	}
 	return dense, meta, pay
+}
+
+// runPareto prints the closed-form cost model's whole ordering design
+// space (§IV / Table IV) for one network shape: every configuration's
+// communication and sparse-operation cost, with the Pareto-optimal
+// candidates marked.
+func runPareto(stdout, stderr io.Writer, p, ra, n int, dimsStr string, nnz int64, nomemo bool) int {
+	dims, ra, nnz, err := resolveShape(dimsStr, p, ra, n, nnz)
+	if err != nil {
+		fmt.Fprintf(stderr, "rdminfo: %v\n", err)
+		return 2
+	}
+	net := costmodel.Network{Dims: dims, N: int64(n), NNZ: nnz, P: p, RA: ra, NoMemo: nomemo}
+	costs := costmodel.EvaluateAll(net)
+	front := costmodel.Pareto(costs)
+	onFront := map[int]bool{}
+	for _, id := range front {
+		onFront[id] = true
+	}
+	fmt.Fprintf(stdout, "Design space: L=%d layers, dims=%v, P=%d, RA=%d, N=%d, nnz=%d\n",
+		net.Layers(), dims, p, ra, n, nnz)
+	fmt.Fprintf(stdout, "Comm in units of (P-1)/P*N elements; sparse ops in units of nnz FMAs.\n\n")
+	fmt.Fprintf(stdout, "%4s  %-24s %14s %14s %14s %14s  %s\n",
+		"ID", "ordering", "comm(units)", "sparse(units)", "comm(MB)", "sparse(GFMA)", "pareto")
+	for id, c := range costs {
+		mark := ""
+		if onFront[id] {
+			mark = "  *"
+		}
+		fmt.Fprintf(stdout, "%4d  %-24s %14.1f %14.1f %14.1f %14.2f%s\n",
+			id, costmodel.ConfigFromID(id, net.Layers()), c.CommUnits, c.SparseUnits,
+			float64(c.CommVolumeBytes())/(1<<20), c.SparseOps/1e9, mark)
+	}
+	fmt.Fprintf(stdout, "\nPareto-optimal candidates: %v\n", front)
+	return 0
+}
+
+// resolveShape parses -dims and resolves the -ra 0 = P and -nnz 0 = 8n
+// defaults, rejecting a replication factor that does not divide P.
+func resolveShape(dimsStr string, p, ra, n int, nnz int64) ([]int, int, int64, error) {
+	dims, err := parseDims(dimsStr)
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	if ra == 0 {
+		ra = p
+	}
+	if p < 1 || ra < 1 || ra > p || p%ra != 0 {
+		return nil, 0, 0, fmt.Errorf("RA=%d invalid for P=%d", ra, p)
+	}
+	if nnz == 0 {
+		nnz = int64(8 * n)
+	}
+	return dims, ra, nnz, nil
 }
 
 func parseDims(s string) ([]int, error) {

@@ -50,7 +50,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		classes   = fs.Int("classes", 8, "number of classes")
 		features  = fs.Int("features", 64, "input feature width (synthetic features are community-correlated)")
 		hidden    = fs.Int("hidden", 128, "hidden width")
-		layers    = fs.Int("layers", 2, "GCN layers (2 or 3)")
+		layers    = fs.Int("layers", 2, "GCN layers, at least 1 (-config -1 prices all 4^layers orderings)")
 		gpus      = fs.Int("gpus", 8, "simulated device count")
 		epochs    = fs.Int("epochs", 30, "training epochs")
 		lr        = fs.Float64("lr", 0.01, "Adam learning rate")
@@ -72,6 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		memberT   = fs.Float64("member-period", 0, "gossip protocol period in seconds (0 = protocol default)")
 	)
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if msg := checkShape(*layers, *configID, *gpus, *ra); msg != "" {
+		fmt.Fprintln(stderr, "rdmtrain:", msg)
 		return 2
 	}
 
@@ -154,12 +158,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	id := *configID
 	if id < 0 {
-		// Model-driven per-layer selection (§IV-B): the planner prices a
-		// fully compiled schedule per candidate slot, so mixed orderings
-		// no uniform Table IV row expresses fall out naturally.
+		// Model-driven selection (§IV-B): the planner prices the fully
+		// compiled schedule of every ordering and keeps the cheapest.
 		sp := plan.Spec{N: *n, Dims: dims, P: *gpus, RA: raEff, SAGE: *sage, Memoize: true,
 			Live: live, SparseSeed: trainSparseSeed}
-		cfg := plan.ChooseOrdering(sp, prob.A.NNZ(), hw.A6000())
+		cfg := plan.Choose(sp, prob.A.NNZ(), hw.A6000(), nil, false)
 		id = cfg.ID()
 		sp.Config = cfg
 		predicted := plan.Compile(sp).Optimize().PredictTime(prob.A.NNZ(), hw.A6000())
@@ -292,6 +295,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "checkpoint written to %s\n", *save)
 	}
 	return 0
+}
+
+// checkShape validates the flags that fix the network and fabric shape,
+// before anything is built; it returns a one-line complaint, or "".
+func checkShape(layers, configID, gpus, ra int) string {
+	switch {
+	case layers < 1:
+		return fmt.Sprintf("-layers %d: need at least 1", layers)
+	case configID < -1 || configID >= costmodel.NumConfigs(layers):
+		return fmt.Sprintf("-config %d out of range for %d layers (-1..%d)",
+			configID, layers, costmodel.NumConfigs(layers)-1)
+	case gpus < 1:
+		return fmt.Sprintf("-gpus %d: need at least 1", gpus)
+	case ra < 0 || ra > 0 && gpus%ra != 0:
+		return fmt.Sprintf("-ra %d does not divide -gpus %d", ra, gpus)
+	}
+	return ""
 }
 
 // trainSparseSeed is the canonical live-set seed (dist.GenRows

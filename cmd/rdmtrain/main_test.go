@@ -27,6 +27,35 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+// TestShapeFlagValidation: a network or fabric shape the trainer cannot
+// build exits 2 with one line on stderr, before any graph is generated.
+func TestShapeFlagValidation(t *testing.T) {
+	base := []string{"-synthetic", "-n", "64", "-classes", "4", "-features", "8",
+		"-hidden", "8", "-epochs", "1"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-layers", "2", "-config", "16"}, "-config 16 out of range for 2 layers (-1..15)"},
+		{[]string{"-layers", "0", "-config", "3"}, "-layers 0"},
+		{[]string{"-layers", "-2"}, "-layers -2"},
+		{[]string{"-config", "-2"}, "-config -2 out of range"},
+		{[]string{"-gpus", "0"}, "-gpus 0"},
+		{[]string{"-gpus", "3", "-ra", "2"}, "-ra 2 does not divide -gpus 3"},
+		{[]string{"-gpus", "4", "-ra", "-1"}, "-ra -1 does not divide -gpus 4"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append(append([]string{}, base...), tc.args...), &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2 (stderr %q)", tc.args, code, errb.String())
+			continue
+		}
+		if out.Len() != 0 || strings.Count(errb.String(), "\n") != 1 || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stdout %q, stderr %q; want no output and one line containing %q",
+				tc.args, out.String(), errb.String(), tc.want)
+		}
+	}
+}
+
 func TestMissingEdgeFile(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-edges", filepath.Join(t.TempDir(), "nope.txt")}, &out, &errb); code != 1 {

@@ -35,9 +35,9 @@ func mixedConfigIDs() []int {
 func TestMixedOrderingDifferential(t *testing.T) {
 	prob := diffProblem()
 	configs := mixedConfigIDs()
-	chosen := plan.ChooseOrdering(plan.Spec{
+	chosen := plan.Choose(plan.Spec{
 		N: diffN, Dims: mixedDims(), P: 4, RA: 4, Memoize: true, InputGrad: true,
-	}, prob.A.NNZ(), hw.A6000())
+	}, prob.A.NNZ(), hw.A6000(), nil, false)
 	configs = append(configs, chosen.ID())
 	verify.RunDifferential(t, verify.DiffSpec{
 		Problem: prob,
@@ -98,9 +98,10 @@ func TestScheduleMatchesMetersSAGE(t *testing.T) {
 }
 
 // TestScheduleMatchesMetersPlannerChosen builds a network whose
-// asymmetric widths (narrow-wide-narrow) force the cost-driven chooser
-// into a mixed forward ordering no uniform row expresses, then verifies
-// the metered bytes of the chosen schedule equal its own prices exactly.
+// asymmetric widths (narrow-wide-narrow) lead the cost-driven chooser to
+// a mixed forward ordering (row 10, fwd[DS] bwd[SD], at both shapes),
+// then verifies the metered bytes of the chosen schedule equal its own
+// prices exactly.
 func TestScheduleMatchesMetersPlannerChosen(t *testing.T) {
 	const n = 1024
 	dims := []int{16, 256, 16}
@@ -109,7 +110,7 @@ func TestScheduleMatchesMetersPlannerChosen(t *testing.T) {
 		tc := tc
 		t.Run(fmt.Sprintf("P%d/RA%d", tc.p, tc.ra), func(t *testing.T) {
 			sp := plan.Spec{N: n, Dims: dims, P: tc.p, RA: tc.ra, Memoize: true, InputGrad: true}
-			cfg := plan.ChooseOrdering(sp, prob.A.NNZ(), hw.A6000())
+			cfg := plan.Choose(sp, prob.A.NNZ(), hw.A6000(), nil, false)
 			if cfg.Fwd[0] == cfg.Fwd[1] {
 				t.Fatalf("chooser picked a uniform forward ordering %v for dims %v", cfg, dims)
 			}

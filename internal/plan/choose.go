@@ -6,79 +6,34 @@ import (
 	"gnnrdm/internal/topo"
 )
 
-// ChooseOrdering picks a per-layer SpMM/GEMM ordering by greedy
-// coordinate descent over the 2L forward/backward slots, pricing each
-// candidate as a fully compiled and optimized schedule (§IV-B's
-// model-driven selection, lifted from closed-form epoch terms to the op
-// level). Because every slot is chosen independently, mixed orderings
-// that no uniform Table IV row expresses fall out naturally whenever
-// adjacent layers have asymmetric widths. Ties keep SpMM-first, and the
-// sweep order is fixed, so the choice is deterministic.
-func ChooseOrdering(sp Spec, nnz int64, h *hw.Model) costmodel.Config {
-	return ChooseOrderingTopo(sp, nnz, h, nil)
-}
-
-// ChooseOrderingTopo is ChooseOrdering pricing candidates on an
-// interconnect topology (nil = flat, exactly ChooseOrdering): the same
-// greedy descent, but each candidate schedule's collectives are costed
-// by the topology-aware algorithms the fabric would actually run, so
-// the chosen ordering can differ once inter-node links dominate.
-func ChooseOrderingTopo(sp Spec, nnz int64, h *hw.Model, tp *topo.Topology) costmodel.Config {
-	return chooseOrdering(sp, h, tp, func(s Spec) float64 {
-		return Compile(s).Optimize().PriceOn(nnz, h, tp).Time
-	})
-}
-
-// ChooseOrderingOverlap is ChooseOrderingTopo for the overlap executor:
-// candidates are priced by their dependency-DAG critical path
-// (PriceDAGOn's makespan) instead of the sequential replay. The two
-// selectors can disagree — an ordering that serializes more traffic but
-// exposes it earlier can hide the extra bytes behind compute, so its
-// critical path undercuts the sequentially cheaper row
-// (TestChooseOrderingOverlapDisagrees pins one such case).
-func ChooseOrderingOverlap(sp Spec, nnz int64, h *hw.Model, tp *topo.Topology) costmodel.Config {
-	return chooseOrdering(sp, h, tp, func(s Spec) float64 {
-		sched := Compile(s).Optimize()
-		return MustBuildDAG(sched).PriceDAGOn(sched.ApproxCensus(nnz), h, tp).Makespan
-	})
-}
-
-func chooseOrdering(sp Spec, h *hw.Model, tp *topo.Topology, priceSpec func(Spec) float64) costmodel.Config {
-	sp = sp.withDefaults()
+// Choose picks the per-layer SpMM/GEMM ordering (§IV-B's model-driven
+// selection, lifted from closed-form epoch terms to the op level) by
+// compiling, optimizing and pricing every one of the 4^L
+// costmodel.ConfigFromID orderings — each forward and backward slot
+// independently, so mixed orderings are candidates like any other.
+// With overlap == false a candidate costs its sequential replay
+// (PriceOn's Time); with overlap == true, its dependency-DAG critical
+// path (PriceDAGOn's Makespan), which can favour an ordering that moves
+// more bytes but exposes them earlier. tp == nil prices the flat
+// fabric. The first minimum in ascending ID wins, so the pick is
+// deterministic.
+func Choose(sp Spec, nnz int64, h *hw.Model, tp *topo.Topology, overlap bool) costmodel.Config {
 	L := len(sp.Dims) - 1
-	cfg := costmodel.ConfigFromID(0, L) // all SpMM-first
-	price := func(c costmodel.Config) float64 {
+	var best costmodel.Config
+	var bestT float64
+	for id := 0; id < costmodel.NumConfigs(L); id++ {
 		s := sp
-		s.Config = c
-		return priceSpec(s)
-	}
-	best := price(cfg)
-	// A slot flip changes which operands later layers inherit for free,
-	// so re-sweep until the assignment is stable (two extra rounds
-	// suffice in practice; the bound keeps termination obvious).
-	for round := 0; round < 3; round++ {
-		improved := false
-		for i := 0; i < 2*L; i++ {
-			slot := &cfg.Fwd[i%L]
-			if i >= L {
-				slot = &cfg.Bwd[i-L]
-			}
-			prev := *slot
-			alt := costmodel.DenseFirst
-			if prev == costmodel.DenseFirst {
-				alt = costmodel.SparseFirst
-			}
-			*slot = alt
-			if t := price(cfg); t < best {
-				best = t
-				improved = true
-			} else {
-				*slot = prev
-			}
+		s.Config = costmodel.ConfigFromID(id, L)
+		sched := Compile(s).Optimize()
+		var t float64
+		if overlap {
+			t = MustBuildDAG(sched).PriceDAGOn(sched.ApproxCensus(nnz), h, tp).Makespan
+		} else {
+			t = sched.PriceOn(nnz, h, tp).Time
 		}
-		if !improved {
-			break
+		if id == 0 || t < bestT {
+			best, bestT = s.Config, t
 		}
 	}
-	return cfg
+	return best
 }

@@ -190,28 +190,17 @@ func reused(s *Schedule, r Reg) bool {
 }
 
 // TestChooserPicksMixedOrdering: with a wide hidden layer between
-// narrow input and output, each forward slot independently prefers the
-// side touching the narrower matrix — an ordering no uniform Table IV
-// row expresses.
+// narrow input and output, the forward slots split — SpMM first on the
+// narrow input, GEMM first into the narrow output (row 5, fwd[SD]
+// bwd[DS]). TestChooseIsExact covers optimality.
 func TestChooserPicksMixedOrdering(t *testing.T) {
 	sp := Spec{
 		N: 4096, Dims: []int{16, 256, 16},
 		P: 4, RA: 4, Memoize: true, InputGrad: true,
 	}
-	cfg := ChooseOrdering(sp, 8*4096, hw.A6000())
+	cfg := Choose(sp, 8*4096, hw.A6000(), nil, false)
 	if cfg.Fwd[0] != costmodel.SparseFirst || cfg.Fwd[1] != costmodel.DenseFirst {
 		t.Fatalf("expected mixed fwd [S D] for dims 16-256-16, got %v", cfg)
-	}
-	// The chosen config must price no worse than any uniform row.
-	spc := sp
-	spc.Config = cfg
-	chosen := Compile(spc).Optimize().Price(8*4096, hw.A6000()).Time
-	for id := 0; id < costmodel.NumConfigs(2); id++ {
-		spu := sp
-		spu.Config = costmodel.ConfigFromID(id, 2)
-		if u := Compile(spu).Optimize().Price(8*4096, hw.A6000()).Time; u < chosen {
-			t.Fatalf("uniform config %d (%.3gs) beats chosen %v (%.3gs)", id, u, cfg, chosen)
-		}
 	}
 }
 
