@@ -43,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	saintEpochs := fs.Int("saint-epochs", 15, "training epochs for fig13 curves")
 	traceOut := fs.String("trace", "", "write a Chrome trace-event JSON of every run to this file (open in Perfetto or chrome://tracing)")
 	traceSummary := fs.Bool("trace-summary", false, "with -trace, also print per-op counters and sim-time totals")
-	jsonOut := fs.String("json", "", "write machine-readable results of JSON-capable experiments (topo -> BENCH_topo.json, serve -> BENCH_serve.json, overlap -> BENCH_overlap.json, member -> BENCH_member.json, scale -> BENCH_scale.json, sparse -> BENCH_sparse.json) to this file")
+	jsonOut := fs.String("json", "", "write the machine-readable record of the experiment to this file; only topo -> BENCH_topo.json, serve -> BENCH_serve.json, overlap -> BENCH_overlap.json, member -> BENCH_member.json, scale -> BENCH_scale.json and sparse -> BENCH_sparse.json write one")
 	scalePoints := fs.String("scale-points", bench.DefaultScaleSpec, "scale experiment sweep, semicolon-separated P[@topoSpec|@flat] points (bare P sweeps flat plus (P/8)x8:nvlink,ib)")
 	fs.Usage = func() {
 		fmt.Fprintf(stderr, "usage: rdmbench [flags] <experiment>\n\nexperiments:\n")
@@ -107,8 +107,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg.Tracer = trace.NewTracer(0)
 	}
 
+	// The experiments -json can record, each returning its record. -json
+	// names one file, so it takes exactly one of them: with "all" it would
+	// be rewritten per experiment, with any other it would stay unwritten.
+	recorded := map[string]func() (any, error){
+		"topo":    func() (any, error) { return bench.RunTopoComparison(cfg) },
+		"serve":   func() (any, error) { return bench.RunServe(cfg) },
+		"overlap": func() (any, error) { return bench.RunOverlap(cfg) },
+		"member":  func() (any, error) { return bench.RunMember(cfg) },
+		"scale":   func() (any, error) { return bench.RunScale(cfg, *scalePoints) },
+		"sparse":  func() (any, error) { return bench.RunSparse(cfg) },
+	}
+	if _, ok := recorded[experiment]; *jsonOut != "" && !ok {
+		fmt.Fprintf(stderr, "rdmbench: -json records one of topo, serve, overlap, member, scale or sparse, not %s\n", experiment)
+		return 2
+	}
+
 	var runExp func(name string) error
 	runExp = func(name string) error {
+		if run, ok := recorded[name]; ok {
+			res, err := run()
+			if err == nil && *jsonOut != "" {
+				err = writeJSONFile(*jsonOut, res)
+			}
+			return err
+		}
 		var err error
 		switch name {
 		case "fig8":
@@ -139,36 +162,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			_, err = bench.RunRAAblation(cfg)
 		case "volume":
 			_, err = bench.RunVolumeScaling(cfg)
-		case "topo":
-			var res *bench.TopoResult
-			if res, err = bench.RunTopoComparison(cfg); err == nil && *jsonOut != "" {
-				err = writeJSONFile(*jsonOut, res)
-			}
-		case "serve":
-			var res *bench.ServeResult
-			if res, err = bench.RunServe(cfg); err == nil && *jsonOut != "" {
-				err = writeJSONFile(*jsonOut, res)
-			}
-		case "overlap":
-			var res *bench.OverlapResult
-			if res, err = bench.RunOverlap(cfg); err == nil && *jsonOut != "" {
-				err = writeJSONFile(*jsonOut, res)
-			}
-		case "member":
-			var res *bench.MemberResult
-			if res, err = bench.RunMember(cfg); err == nil && *jsonOut != "" {
-				err = writeJSONFile(*jsonOut, res)
-			}
-		case "scale":
-			var res *bench.ScaleResult
-			if res, err = bench.RunScale(cfg, *scalePoints); err == nil && *jsonOut != "" {
-				err = writeJSONFile(*jsonOut, res)
-			}
-		case "sparse":
-			var res *bench.SparseResult
-			if res, err = bench.RunSparse(cfg); err == nil && *jsonOut != "" {
-				err = writeJSONFile(*jsonOut, res)
-			}
 		case "hwablate":
 			_, err = bench.RunHWAblation(cfg)
 		case "predict":

@@ -39,6 +39,29 @@ func TestUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestJSONNeedsOneRecordingExperiment pins -json to a single experiment that
+// writes a record: with "all" the file would be rewritten once per such
+// experiment, with fig8 never written. Both exit 2 with one line on stderr
+// before anything runs, so nothing reaches stdout or the file.
+func TestJSONNeedsOneRecordingExperiment(t *testing.T) {
+	for _, exp := range []string{"all", "fig8"} {
+		path := filepath.Join(t.TempDir(), "out.json")
+		var out, errb bytes.Buffer
+		if code := run([]string{"-scale", "4096", "-json", path, exp}, &out, &errb); code != 2 {
+			t.Fatalf("%s: exit = %d, want 2", exp, code)
+		}
+		if msg := errb.String(); strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "-json") || !strings.Contains(msg, exp) {
+			t.Errorf("%s: stderr = %q, want one line naming -json and the experiment", exp, msg)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%s: something ran: stdout = %q", exp, out.String())
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s: -json file exists (stat error %v)", exp, err)
+		}
+	}
+}
+
 // TestOverlapJSON smoke-tests the overlap experiment end to end at a
 // tiny scale: the JSON must decode into rows that each keep the
 // overlapped epoch at or below the sequential one, with at least one

@@ -152,6 +152,50 @@ func main() {
 	write(fc, "seed-empty-rows", bs([]byte{24, 24, 23, 23, 7}))
 	write(fc, "seed-cancellation", bs([]byte{4, 4, 2, 2, 5, 2, 2, 251}))
 
+	// internal/sparse: SSE2 row kernel against the Go loop. Width, entry
+	// count, rows-1, slice offsets; then (column byte, value) per entry and
+	// the words of the dense operand, row-major.
+	type entry struct {
+		col byte
+		val float32
+	}
+	spmmRow := func(f, rows, offsets byte, entries []entry, in ...float32) string {
+		data := []byte{f, byte(len(entries)), rows - 1, offsets}
+		for _, e := range entries {
+			data = binary.LittleEndian.AppendUint32(append(data, e.col), math.Float32bits(e.val))
+		}
+		for _, v := range in {
+			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
+		}
+		return bs(data)
+	}
+	rows := func(f int, vs ...float32) []float32 {
+		var out []float32
+		for _, v := range vs {
+			for j := 0; j < f; j++ {
+				out = append(out, v)
+			}
+		}
+		return out
+	}
+	sr := "internal/sparse/testdata/fuzz/FuzzSpMMRow"
+	// 55 = 32+16+4+3 floats reach every chunk. The first entry leaves
+	// -(1+2^-11) in each accumulator; (1+2^-12)^2 then rounds to 1+2^-11 and
+	// the unfused sum is 0, where a fused multiply-add would leave 2^-24.
+	write(sr, "seed-fma-witness", spmmRow(55, 2, 0x6, []entry{{0, 1}, {1, 1 + 1.0/4096}},
+		rows(55, -(1+1.0/2048), 1+1.0/4096)...))
+	// Quiet NaNs with distinct payloads: the product's payload must win
+	// each add (input row 2 over row 1 over row 0) and the input's each
+	// multiply (row 2's over the value's).
+	qnan := func(payload uint32) float32 { return math.Float32frombits(0x7fc00000 | payload) }
+	write(sr, "seed-nan-payload-order", spmmRow(55, 3, 0x9,
+		[]entry{{0, 1}, {1, 1}, {2, qnan(4)}}, rows(55, qnan(1), qnan(2), qnan(3))...))
+	write(sr, "seed-width-zero", spmmRow(0, 2, 0x5, []entry{{1, 2}, {0xfa, 3}, {0, -1}}))
+	write(sr, "seed-repeated-column", spmmRow(37, 4, 0x3,
+		[]entry{{2, 0.5}, {2, -1.25}, {1, 0}, {2, 3}, {0, 1e30}, {2, float32(math.Copysign(0, -1))}},
+		rows(37, 1.5, float32(math.Inf(1)), -0.375, 1e-39)...))
+	write(sr, "seed-bad-column", spmmRow(20, 3, 0x0, []entry{{0, 1}, {1, 1}, {0xfa, 1}}, rows(20, 1, 2)...))
+
 	// internal/tensor: packed axpy against the Go loop. Two offset bytes,
 	// then s and (x[j], y[j]) pairs as little-endian float32 bits.
 	axpy := func(xo, yo byte, s float32, xy ...float32) string {

@@ -194,20 +194,19 @@ func (m *CSR) SpMM(in *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// SpMMInto computes out = M * in, overwriting out.
+// SpMMInto computes out = M * in, overwriting out: one spmmRow per row of M.
+// A stored column index outside [0, in.Rows) panics naming the column, unless
+// in has no columns and so nothing is read.
 func (m *CSR) SpMMInto(in, out *tensor.Dense) {
 	if in.Rows != m.Cols || out.Rows != m.Rows || out.Cols != in.Cols {
-		panic("sparse: SpMMInto shape mismatch")
+		panic(fmt.Sprintf("sparse: SpMMInto shape mismatch M=%dx%d in=%dx%d out=%dx%d",
+			m.Rows, m.Cols, in.Rows, in.Cols, out.Rows, out.Cols))
 	}
 	f := in.Cols
 	tensor.ParallelRows(m.Rows, func(r0, r1 int) {
 		for i := r0; i < r1; i++ {
-			oi := out.Data[i*f : (i+1)*f]
-			clear(oi)
-			cols, vals := m.ColIdx[m.RowPtr[i]:m.RowPtr[i+1]], m.Val[m.RowPtr[i]:m.RowPtr[i+1]]
-			for p, c := range cols {
-				tensor.Axpy(vals[p], in.Data[int(c)*f:int(c)*f+f], oi)
-			}
+			lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+			spmmRow(out.Data[i*f:], m.Val[lo:hi], m.ColIdx[lo:hi], in.Data, f)
 		}
 	})
 }

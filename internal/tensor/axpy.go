@@ -3,13 +3,16 @@ package tensor
 // axpyMinWidth is the narrowest row given to the packed routine. Measured on
 // 16-deep products, MatMulTB's row accumulation overtakes its dot product at
 // 12 floats; Axpy shares the constant, since train-redist, the one benchmark
-// workload with narrower rows, reads the same end to end with it at 4 or 12.
+// workload with narrower rows, read the same end to end with it at 4 or 12.
 const axpyMinWidth = 12
 
 // Axpy computes y[j] += s*x[j] for every j < len(x); y must be at least as
-// long as x. It is the one inner loop under Gemm, MatMulTA, MatMulTB and the
-// sparse SpMM kernels: packed SSE2 on amd64 for rows of axpyMinWidth floats
-// or more, axpyLoop for narrower rows, on every other GOARCH and under -race.
+// long as x. It is the inner loop under Gemm, MatMulTA, MatMulTB,
+// sparse.MaskedSpMM and the comm reductions: packed SSE2 on amd64 for rows of
+// axpyMinWidth floats or more, axpyLoop for narrower rows, on every other
+// GOARCH and under -race. sparse.SpMMInto does not call it: its row kernel
+// keeps the output row in registers across a row's entries, with the bits
+// of one Axpy per entry.
 //
 // Each element sees exactly one IEEE-754 single-precision multiply followed
 // by one add, never a fused multiply-add, so the packed routine and the Go
