@@ -152,17 +152,20 @@ func main() {
 	write(fc, "seed-empty-rows", bs([]byte{24, 24, 23, 23, 7}))
 	write(fc, "seed-cancellation", bs([]byte{4, 4, 2, 2, 5, 2, 2, 251}))
 
-	// internal/sparse: SSE2 row kernel against the Go loop. Width, entry
-	// count, rows-1, slice offsets; then (column byte, value) per entry and
-	// the words of the dense operand, row-major.
+	// internal/tensor: SSE2 row kernel against the Go loop. Width, entry
+	// count, rows-1, slice offsets; then (index byte, value) per entry, the
+	// f words of out and the words of the dense operand, row-major.
 	type entry struct {
 		col byte
 		val float32
 	}
-	spmmRow := func(f, rows, offsets byte, entries []entry, in ...float32) string {
+	rowAcc := func(f, rows, offsets byte, entries []entry, out []float32, in ...float32) string {
 		data := []byte{f, byte(len(entries)), rows - 1, offsets}
 		for _, e := range entries {
 			data = binary.LittleEndian.AppendUint32(append(data, e.col), math.Float32bits(e.val))
+		}
+		for _, v := range out {
+			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
 		}
 		for _, v := range in {
 			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
@@ -178,26 +181,41 @@ func main() {
 		}
 		return out
 	}
+	ra := "internal/tensor/testdata/fuzz/FuzzRowAcc"
+	// internal/sparse: one CSR row through SpMMInto, which overwrites out,
+	// so its layout is FuzzRowAcc's without out's words. Every row seed but
+	// seed-nan-out seeds both targets.
 	sr := "internal/sparse/testdata/fuzz/FuzzSpMMRow"
+	both := func(name string, f, rows, offsets byte, entries []entry, out []float32, in ...float32) {
+		write(ra, name, rowAcc(f, rows, offsets, entries, out, in...))
+		write(sr, name, rowAcc(f, rows, offsets, entries, nil, in...))
+	}
 	// 55 = 32+16+4+3 floats reach every chunk. The first entry leaves
 	// -(1+2^-11) in each accumulator; (1+2^-12)^2 then rounds to 1+2^-11 and
 	// the unfused sum is 0, where a fused multiply-add would leave 2^-24.
-	write(sr, "seed-fma-witness", spmmRow(55, 2, 0x6, []entry{{0, 1}, {1, 1 + 1.0/4096}},
-		rows(55, -(1+1.0/2048), 1+1.0/4096)...))
+	both("seed-fma-witness", 55, 2, 0x6, []entry{{0, 1}, {1, 1 + 1.0/4096}},
+		rows(55, 0), rows(55, -(1+1.0/2048), 1+1.0/4096)...)
 	// Quiet NaNs with distinct payloads: the product's payload must win
 	// each add (input row 2 over row 1 over row 0) and the input's each
 	// multiply (row 2's over the value's).
 	qnan := func(payload uint32) float32 { return math.Float32frombits(0x7fc00000 | payload) }
-	write(sr, "seed-nan-payload-order", spmmRow(55, 3, 0x9,
-		[]entry{{0, 1}, {1, 1}, {2, qnan(4)}}, rows(55, qnan(1), qnan(2), qnan(3))...))
-	write(sr, "seed-width-zero", spmmRow(0, 2, 0x5, []entry{{1, 2}, {0xfa, 3}, {0, -1}}))
-	write(sr, "seed-repeated-column", spmmRow(37, 4, 0x3,
+	both("seed-nan-payload-order", 55, 3, 0x9,
+		[]entry{{0, 1}, {1, 1}, {2, qnan(4)}}, rows(55, 0), rows(55, qnan(1), qnan(2), qnan(3))...)
+	// Finite products onto a NaN out: a kernel that started its
+	// accumulators from +0 instead of out would return numbers.
+	write(ra, "seed-nan-out", rowAcc(55, 2, 0x6, []entry{{0, 1}, {1, -2}},
+		rows(55, qnan(5)), rows(55, 1.5, 0.25)...))
+	both("seed-width-zero", 0, 2, 0x5, []entry{{1, 2}, {0xfa, 3}, {0, -1}}, nil)
+	both("seed-repeated-column", 37, 4, 0x3,
 		[]entry{{2, 0.5}, {2, -1.25}, {1, 0}, {2, 3}, {0, 1e30}, {2, float32(math.Copysign(0, -1))}},
-		rows(37, 1.5, float32(math.Inf(1)), -0.375, 1e-39)...))
-	write(sr, "seed-bad-column", spmmRow(20, 3, 0x0, []entry{{0, 1}, {1, 1}, {0xfa, 1}}, rows(20, 1, 2)...))
+		rows(37, 0.75), rows(37, 1.5, float32(math.Inf(1)), -0.375, 1e-39)...)
+	// A bad index after two good ones: nothing may be added to out.
+	both("seed-bad-column", 20, 3, 0x0, []entry{{0, 1}, {1, 1}, {0xfa, 1}},
+		rows(20, 7), rows(20, 1, 2)...)
 
-	// internal/tensor: packed axpy against the Go loop. Two offset bytes,
-	// then s and (x[j], y[j]) pairs as little-endian float32 bits.
+	// internal/tensor: one entry of weight s onto y, as the comm reductions
+	// call the row kernel. Two offset bytes, then s and (x[j], y[j]) pairs
+	// as little-endian float32 bits.
 	axpy := func(xo, yo byte, s float32, xy ...float32) string {
 		data := []byte{xo, yo}
 		for _, v := range append([]float32{s}, xy...) {
@@ -218,7 +236,8 @@ func main() {
 	write(ax, "seed-body-and-both-tails", axpy(1, 3, -1.25, ramp(16+4+3)...))
 	write(ax, "seed-two-bodies-unaligned", axpy(3, 2, 3, ramp(32)...))
 	// (1+2^-12)^2 rounds to 1+2^-11, so the unfused sum is 0 where a fused
-	// multiply-add would leave 2^-24; 23 pairs reach the body and both tails.
+	// multiply-add would leave 2^-24; 23 pairs reach the 16-, 4- and 1-float
+	// chunks.
 	witness := make([]float32, 0, 2*23)
 	for i := 0; i < 23; i++ {
 		witness = append(witness, 1+1.0/4096, -(1 + 1.0/2048))

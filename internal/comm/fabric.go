@@ -1417,10 +1417,9 @@ func (d *Device) allReduceSumInto(group []int, local, dst []float32) error {
 }
 
 // sumSlots sums every deposited []float32 element-wise into the group's
-// reduction scratch (g.red afterwards), in group-position order, through
-// the kernels' packed tensor.Axpy: y += 1·x adds the same bits as y += x.
-// Every deposit must hold n elements; the first that does not fails the
-// round with ErrLengthMismatch.
+// reduction scratch (g.red afterwards), in group-position order. Every
+// deposit must hold n elements; the first that does not fails the round
+// with ErrLengthMismatch.
 func sumSlots(g *groupComm, n int, slots []any) error {
 	sum := g.reduceBuf(n)
 	for i, s := range slots {
@@ -1429,9 +1428,16 @@ func sumSlots(g *groupComm, n int, slots []any) error {
 			return fmt.Errorf("group position 0 has %d elements, position %d has %d: %w",
 				n, i, len(buf), ErrLengthMismatch)
 		}
-		tensor.Axpy(1, buf, sum)
+		addInto(sum, buf)
 	}
 	return nil
+}
+
+// addInto adds x onto sum element-wise (len(sum) >= len(x)) as a one-entry
+// tensor.RowAcc, the kernels' one inner loop: 1·x[j] is x[j] exactly, NaN
+// payloads included, so the bits are those of sum[j] += x[j].
+func addInto(sum, x []float32) {
+	tensor.RowAcc(sum, []float32{1}, []int32{0}, x, len(x))
 }
 
 // TryAllToAll performs personalized exchange: parts[j] is sent to
@@ -1588,7 +1594,7 @@ func (d *Device) TryReduceScatterSum(group []int, local []float32, counts []int)
 						"counts sum to %d but group position %d has %d elements: %w",
 						total, i, len(buf), ErrLengthMismatch)
 				}
-				tensor.Axpy(1, buf, sum)
+				addInto(sum, buf)
 			}
 			cb := make([]int64, len(counts))
 			for i, n := range counts {

@@ -344,7 +344,7 @@ func (e *Engine) extractPanels() {
 // elements (§III-E).
 //
 // The product lands in old's tile when that has the right shape (see
-// dist.TileOf); the sampled-neighbor kernel allocates its own.
+// dist.TileOf).
 func (e *Engine) spmm(dev *comm.Device, m *dist.Mat, forward bool, old *dist.Mat) *dist.Mat {
 	if m.Layout != e.gridL {
 		panic(fmt.Sprintf("core: spmm input layout %v, want %v", m.Layout, e.gridL))
@@ -366,11 +366,10 @@ func (e *Engine) spmm(dev *comm.Device, m *dist.Mat, forward bool, old *dist.Mat
 		full = tensor.FromRowMajor(m.GlobalRows, w, e.gatherBuf)
 		dev.ChargeMem(full.Bytes())
 	}
-	var out *tensor.Dense
+	out := dist.TileOf(old, panel.Rows, w)
 	if e.epochMask != nil {
-		out = panel.MaskedSpMM(full, e.epochMask)
+		panel.MaskedSpMMInto(full, e.epochMask, out)
 	} else {
-		out = dist.TileOf(old, panel.Rows, w)
 		panel.SpMMInto(full, out)
 	}
 	dev.ChargeSpMM(nnz, w)
@@ -390,7 +389,7 @@ func (e *Engine) gemm(dev *comm.Device, m *dist.Mat, w *tensor.Dense, transW boo
 		tensor.MatMulTBInto(m.Local, w, out)
 	} else {
 		out = dist.TileOf(old, m.Local.Rows, w.Cols)
-		tensor.Gemm(1, m.Local, w, 0, out)
+		tensor.MatMulInto(m.Local, w, out)
 	}
 	dev.ChargeGemm(m.Local.Rows, m.Local.Cols, out.Cols)
 	return dist.FromLocal(dev, dist.H, m.GlobalRows, out.Cols, out)

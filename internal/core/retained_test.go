@@ -204,6 +204,35 @@ func TestRetainedRegistersAcrossSetProblem(t *testing.T) {
 	}
 }
 
+// With a MaskProvider every aggregation is a masked SpMM, which writes
+// last epoch's tile like every other producer. Row r keeps the columns c
+// with (r+c+epoch) % 3 != 0, so the mask changes every epoch.
+func TestRetainedRegistersMasked(t *testing.T) {
+	probs := []*Problem{retainedProblem(29, 42)}
+	n := probs[0].N()
+	provider := func(epoch, lo, hi int) [][]int32 {
+		mask := make([][]int32, hi-lo)
+		for r := lo; r < hi; r++ {
+			mask[r-lo] = []int32{}
+			for c := 0; c < n; c++ {
+				if (r+c+epoch)%3 != 0 {
+					mask[r-lo] = append(mask[r-lo], int32(c))
+				}
+			}
+		}
+		return mask
+	}
+	for _, p := range []int{1, 2, 4} {
+		for _, id := range []int{0, 5, 10, 15} {
+			opts := Options{
+				Dims: []int{14, 13, 5}, Config: costmodel.ConfigFromID(id, 2), LR: 0.01, Seed: 7,
+				Memoize: true, ComputeInputGrad: true, PinExecutor: true, MaskProvider: provider,
+			}
+			checkFileModes(t, fmt.Sprintf("P=%d cfg %d masked", p, id), p, probs, -1, opts, 5)
+		}
+	}
+}
+
 func TestRetainedRegistersThreeLayers(t *testing.T) {
 	probs := []*Problem{retainedProblem(29, 42)}
 	for _, p := range []int{2, 3, 8} {

@@ -194,9 +194,10 @@ func (m *CSR) SpMM(in *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// SpMMInto computes out = M * in, overwriting out: one spmmRow per row of M.
-// A stored column index outside [0, in.Rows) panics naming the column, unless
-// in has no columns and so nothing is read.
+// SpMMInto computes out = M * in, overwriting out: each worker clears its
+// rows of out, then makes one tensor.RowAcc per row of M. A stored column
+// index outside [0, in.Rows) panics with a tensor.RowError naming the
+// column, unless in has no columns and so nothing is read.
 func (m *CSR) SpMMInto(in, out *tensor.Dense) {
 	if in.Rows != m.Cols || out.Rows != m.Rows || out.Cols != in.Cols {
 		panic(fmt.Sprintf("sparse: SpMMInto shape mismatch M=%dx%d in=%dx%d out=%dx%d",
@@ -204,38 +205,56 @@ func (m *CSR) SpMMInto(in, out *tensor.Dense) {
 	}
 	f := in.Cols
 	tensor.ParallelRows(m.Rows, func(r0, r1 int) {
+		clear(out.Data[r0*f : r1*f])
 		for i := r0; i < r1; i++ {
 			lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-			spmmRow(out.Data[i*f:], m.Val[lo:hi], m.ColIdx[lo:hi], in.Data, f)
+			tensor.RowAcc(out.Data[i*f:], m.Val[lo:hi], m.ColIdx[lo:hi], in.Data, f)
 		}
 	})
 }
 
-// MaskedSpMM computes Out = (M ⊙ mask) * In where mask selects, per output
-// row, a subset of M's stored columns. mask[i] lists the permitted column
-// indices for row i (sorted ascending); a nil mask row keeps all columns.
-// This realizes sampled aggregation for samplers that do not build explicit
-// subgraphs (§III-F).
+// MaskedSpMM returns (M ⊙ mask) * In; see MaskedSpMMInto.
 func (m *CSR) MaskedSpMM(in *tensor.Dense, mask [][]int32) *tensor.Dense {
-	if in.Rows != m.Cols {
-		panic("sparse: MaskedSpMM inner mismatch")
+	out := tensor.NewDense(m.Rows, in.Cols)
+	m.MaskedSpMMInto(in, mask, out)
+	return out
+}
+
+// maskBlock is the most permitted entries of a row that MaskedSpMMInto
+// gathers on the worker's stack for one tensor.RowAcc call.
+const maskBlock = 128
+
+// MaskedSpMMInto computes out = (M ⊙ mask) * in, overwriting out, where
+// mask selects, per output row, a subset of M's stored columns. mask[i]
+// lists the permitted column indices for row i (sorted ascending); a nil
+// mask, or a nil mask row, keeps all columns. This realizes sampled
+// aggregation for samplers that do not build explicit subgraphs (§III-F).
+// Each row's permitted entries are gathered in column order and added with
+// one tensor.RowAcc per maskBlock of them: the bits of SpMMInto on the
+// masked matrix.
+func (m *CSR) MaskedSpMMInto(in *tensor.Dense, mask [][]int32, out *tensor.Dense) {
+	if in.Rows != m.Cols || out.Rows != m.Rows || out.Cols != in.Cols {
+		panic(fmt.Sprintf("sparse: MaskedSpMMInto shape mismatch M=%dx%d in=%dx%d out=%dx%d",
+			m.Rows, m.Cols, in.Rows, in.Cols, out.Rows, out.Cols))
 	}
 	if mask != nil && len(mask) != m.Rows {
-		panic("sparse: MaskedSpMM mask length mismatch")
+		panic(fmt.Sprintf("sparse: MaskedSpMMInto mask has %d rows, M=%dx%d", len(mask), m.Rows, m.Cols))
 	}
-	out := tensor.NewDense(m.Rows, in.Cols)
 	f := in.Cols
 	tensor.ParallelRows(m.Rows, func(r0, r1 int) {
+		var vals [maskBlock]float32
+		var cols [maskBlock]int32
+		clear(out.Data[r0*f : r1*f])
 		for i := r0; i < r1; i++ {
-			oi := out.Data[i*f : (i+1)*f]
 			var allowed []int32
 			if mask != nil {
 				allowed = mask[i]
 			}
-			k := 0
+			oi := out.Data[i*f:]
+			n, k := 0, 0
 			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 				c := m.ColIdx[p]
-				if mask != nil && allowed != nil {
+				if allowed != nil {
 					for k < len(allowed) && allowed[k] < c {
 						k++
 					}
@@ -243,11 +262,15 @@ func (m *CSR) MaskedSpMM(in *tensor.Dense, mask [][]int32) *tensor.Dense {
 						continue
 					}
 				}
-				tensor.Axpy(m.Val[p], in.Data[int(c)*f:int(c)*f+f], oi)
+				vals[n], cols[n] = m.Val[p], c
+				if n++; n == maskBlock {
+					tensor.RowAcc(oi, vals[:], cols[:], in.Data, f)
+					n = 0
+				}
 			}
+			tensor.RowAcc(oi, vals[:n], cols[:n], in.Data, f)
 		}
 	})
-	return out
 }
 
 // SpMMFLOPs returns the FMA count of M * In with f dense columns.

@@ -10,9 +10,9 @@ import (
 	"gnnrdm/internal/tensor"
 )
 
-// naiveMaskedSpMM is SpMMInto and MaskedSpMM as they stood before
-// tensor.Axpy, one thread, kept as the oracle: per output element one rounded
-// multiply then one rounded add per stored entry, in column order, with no
+// naiveMaskedSpMM is SpMMInto and MaskedSpMM as the textbook loop, one
+// thread, kept as the oracle: per output element one rounded multiply then
+// one rounded add per stored entry, in column order, from +0, with no
 // zero-skip. A nil mask is plain SpMM.
 func naiveMaskedSpMM(m *CSR, in *tensor.Dense, mask [][]int32) *tensor.Dense {
 	f := in.Cols
@@ -50,9 +50,8 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Dense) {
 	}
 }
 
-// kernelWidths sit on and beside every chunk boundary of spmmRowPacked (32,
-// 16, 4 and 1 floats) and tensor.Axpy's packed minimum (12), up to
-// Reddit's 602 input features.
+// kernelWidths sit on and beside every chunk boundary of tensor.RowAcc (32,
+// 16, 4 and 1 floats), up to Reddit's 602 input features.
 var kernelWidths = []int{0, 1, 3, 4, 5, 8, 15, 16, 17, 31, 32, 33, 48, 64, 65, 128, 602}
 
 // TestKernelsMatchNaive pins SpMMInto and MaskedSpMM to the retained naive
@@ -98,6 +97,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 					}
 				}
 				requireSameBits(t, "MaskedSpMM "+shape, m.MaskedSpMM(in, mask), naiveMaskedSpMM(m, in, mask))
+				out.Fill(float32(math.NaN()))
+				m.MaskedSpMMInto(in, mask, out)
+				requireSameBits(t, "MaskedSpMMInto "+shape, out, naiveMaskedSpMM(m, in, mask))
 			}
 		}
 	}
@@ -125,27 +127,54 @@ func TestKernelsMatchNaive(t *testing.T) {
 		m.SpMMInto(in, out)
 		requireSameBits(t, fmt.Sprintf("SpMMInto long and repeated rows f=%d", f), out, naiveMaskedSpMM(m, in, nil))
 	}
+
+	// Masked rows of several gathered blocks: 300 stored columns (sorted, as
+	// CSR rows are), all but every seventh permitted.
+	wide := randomCSR(rng, 2, 300, 1)
+	mask := make([][]int32, wide.Rows)
+	for i := range mask {
+		for c := int32(0); c < 300; c++ {
+			if c%7 != 0 {
+				mask[i] = append(mask[i], c)
+			}
+		}
+	}
+	for _, f := range kernelWidths {
+		in := tensor.NewDense(300, f)
+		in.Randomize(rng, 2)
+		out := tensor.NewDense(wide.Rows, f)
+		out.Fill(float32(math.NaN()))
+		wide.MaskedSpMMInto(in, mask, out)
+		requireSameBits(t, fmt.Sprintf("MaskedSpMMInto long rows f=%d", f), out, naiveMaskedSpMM(wide, in, mask))
+	}
 }
 
 // TestSpMMIntoBadColumnPanics stores, in turn, each column index with no row
 // in the dense operand — one past the last, negative, and far enough out that
-// an unchecked load would fault — and requires SpMMInto to panic naming it.
-// One row keeps the kernel on the test's goroutine, where recover sees it.
+// an unchecked load would fault — and requires SpMMInto, and MaskedSpMM
+// keeping every column, to panic with a tensor.RowError naming it. One row
+// keeps the kernel on the test's goroutine, where recover sees it.
 func TestSpMMIntoBadColumnPanics(t *testing.T) {
 	for _, f := range []int{1, 4, 33} {
 		for _, bad := range []int32{3, -1, 1 << 30} {
 			m := &CSR{Rows: 1, Cols: 3, RowPtr: []int64{0, 3},
 				ColIdx: []int32{0, 2, bad}, Val: []float32{1, 1, 1}}
 			in, out := tensor.NewDense(3, f), tensor.NewDense(1, f)
-			func() {
-				defer func() {
-					err, ok := recover().(error)
-					if want := fmt.Sprintf("column index %d ", bad); !ok || !strings.Contains(err.Error(), want) {
-						t.Errorf("f=%d column %d: recovered %v, want an error containing %q", f, bad, err, want)
-					}
+			for name, product := range map[string]func(){
+				"SpMMInto":       func() { m.SpMMInto(in, out) },
+				"MaskedSpMM":     func() { m.MaskedSpMM(in, nil) },
+				"MaskedSpMMInto": func() { m.MaskedSpMMInto(in, [][]int32{nil}, out) },
+			} {
+				func() {
+					defer func() {
+						err, ok := recover().(tensor.RowError)
+						if want := fmt.Sprintf("index %d ", bad); !ok || int32(err) != bad || !strings.Contains(err.Error(), want) {
+							t.Errorf("%s f=%d column %d: recovered %v, want a tensor.RowError naming it", name, f, bad, err)
+						}
+					}()
+					product()
 				}()
-				m.SpMMInto(in, out)
-			}()
+			}
 		}
 	}
 }
@@ -161,17 +190,41 @@ func TestSpMMIntoShapeMismatchNamesShapes(t *testing.T) {
 	m.SpMMInto(tensor.NewDense(4, 5), tensor.NewDense(2, 5))
 }
 
-// FuzzSpMMRow feeds the row kernel arbitrary bit patterns (NaNs of every
-// payload included), widths 0–67, 0–40 entries, repeated and out-of-range
-// columns and unaligned slices, and requires spmmRowLoop's result, the same
-// bits in out — NaN payloads too, which is what pins the product as the
-// first operand of each add — and nothing written outside out[:f].
+func TestMaskedSpMMIntoMismatchNamesShapes(t *testing.T) {
+	m := NewEmpty(2, 3)
+	for _, c := range []struct {
+		want    string
+		in, out *tensor.Dense
+		mask    [][]int32
+	}{
+		{"M=2x3 in=4x5 out=2x5", tensor.NewDense(4, 5), tensor.NewDense(2, 5), nil},
+		{"M=2x3 in=3x5 out=2x4", tensor.NewDense(3, 5), tensor.NewDense(2, 4), nil},
+		{"mask has 1 rows, M=2x3", tensor.NewDense(3, 5), tensor.NewDense(2, 5), [][]int32{nil}},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("panic %q does not contain %q", msg, c.want)
+				}
+			}()
+			m.MaskedSpMMInto(c.in, c.mask, c.out)
+		}()
+	}
+}
+
+// FuzzSpMMRow feeds SpMMInto one CSR row of arbitrary bit patterns (NaNs of
+// every payload included), widths 0–67, 0–40 entries, repeated and
+// out-of-range columns and unaligned slices, over a stale destination, and
+// requires the naive loop's bits in the row — NaN payloads too — and
+// nothing written outside it. A bad column (with f > 0) must panic with a
+// tensor.RowError naming the first one, leaving the row cleared.
 //
-// Input: f, entry count, rows-1 | extra<<3 (extra floats past the last full
-// row of in), slice offsets (out low two bits, in the next two); then per
-// entry a column byte and a little-endian float32 value; then the words of
-// in, repeated to fill it. Column bytes below 0xf0 pick a row modulo rows,
-// 0xf0–0xf7 one 0–7 rows past the last, 0xf8–0xff a negative or huge index.
+// Input: f, entry count, rows-1 (the high five bits are unused: a Dense
+// holds whole rows), slice offsets (out low two bits, in the next two); then
+// per entry a column byte and a little-endian float32 value; then the words
+// of in, repeated to fill it. Column bytes below 0xf0 pick a row modulo
+// rows, 0xf0–0xf7 one 0–7 rows past the last, 0xf8–0xff a negative or huge
+// index.
 func FuzzSpMMRow(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{5, 2, 1, 0, 0, 0, 0, 0x80, 0x3f, 1, 0, 0, 0, 0xc0, 2, 0, 0, 0x40})
@@ -180,10 +233,6 @@ func FuzzSpMMRow(f *testing.F) {
 			return
 		}
 		width, n, rows := int(data[0])%68, int(data[1])%41, 1+int(data[2]&7)
-		extra := 0
-		if width > 0 {
-			extra = int(data[2]>>3) % width
-		}
 		oo, io := int(data[3]&3), int(data[3]>>2&3)
 		body := data[4:]
 		byteAt := func(i int) byte {
@@ -196,40 +245,62 @@ func FuzzSpMMRow(f *testing.F) {
 			return math.Float32frombits(uint32(byteAt(i)) | uint32(byteAt(i+1))<<8 |
 				uint32(byteAt(i+2))<<16 | uint32(byteAt(i+3))<<24)
 		}
-		cols, vals := make([]int32, n), make([]float32, n)
-		for p := range cols {
+		m := &CSR{Rows: 1, Cols: rows, RowPtr: []int64{0, int64(n)},
+			ColIdx: make([]int32, n), Val: make([]float32, n)}
+		bad, hasBad := int32(0), false
+		for p := range m.ColIdx {
 			switch b := byteAt(5 * p); {
 			case b < 0xf0:
-				cols[p] = int32(int(b) % rows)
+				m.ColIdx[p] = int32(int(b) % rows)
 			case b < 0xf8:
-				cols[p] = int32(rows + int(b&7))
+				m.ColIdx[p] = int32(rows + int(b&7))
 			default:
-				cols[p] = []int32{-1, math.MinInt32, 1 << 30, math.MaxInt32}[b&3]
+				m.ColIdx[p] = []int32{-1, math.MinInt32, 1 << 30, math.MaxInt32}[b&3]
 			}
-			vals[p] = word(5*p + 1)
+			m.Val[p] = word(5*p + 1)
+			if c := m.ColIdx[p]; width > 0 && !hasBad && uint(c) >= uint(rows) {
+				bad, hasBad = c, true
+			}
 		}
-		in := make([]float32, io+rows*width+extra)
+		inData := make([]float32, io+rows*width)
 		if words := (len(body) - 5*n) / 4; words > 0 {
-			for i := range in[io:] {
-				in[io+i] = word(5*n + 4*(i%words))
+			for i := range inData[io:] {
+				inData[io+i] = word(5*n + 4*(i%words))
 			}
 		}
+		in := &tensor.Dense{Rows: rows, Cols: width, Data: inData[io:]}
 		const guard = 5
 		got := make([]float32, oo+width+guard)
 		for i := range got {
 			got[i] = float32(i + 1)
 		}
-		want := append([]float32(nil), got...)
-		gc := spmmRowPacked(got[oo:], vals, cols, in[io:], width)
-		wc := spmmRowLoop(want[oo:], vals, cols, in[io:], width)
-		if gc != wc {
-			t.Fatalf("f=%d cols=%v: kernel reports %d, loop %d", width, cols, gc, wc)
+		stale := append([]float32(nil), got...)
+		out := &tensor.Dense{Rows: 1, Cols: width, Data: got[oo : oo+width]}
+		var recovered any
+		func() {
+			defer func() { recovered = recover() }()
+			m.SpMMInto(in, out)
+		}()
+
+		want := tensor.NewDense(1, width)
+		if hasBad {
+			if err, ok := recovered.(tensor.RowError); !ok || int32(err) != bad {
+				t.Fatalf("f=%d cols=%v: recovered %v, want a tensor.RowError naming column %d", width, m.ColIdx, recovered, bad)
+			}
+		} else {
+			if recovered != nil {
+				t.Fatalf("f=%d cols=%v: SpMMInto panicked: %v", width, m.ColIdx, recovered)
+			}
+			want = naiveMaskedSpMM(m, in, nil)
 		}
-		for j := range want {
-			inRow := j >= oo && j < oo+width
-			if (wc == rowOK || !inRow) && math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-				t.Fatalf("f=%d n=%d oo=%d io=%d: out[%d] = %x, loop says %x", width, n, oo, io,
-					j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
+		for j := range got {
+			w := stale[j]
+			if j >= oo && j < oo+width {
+				w = want.Data[j-oo]
+			}
+			if math.Float32bits(got[j]) != math.Float32bits(w) {
+				t.Fatalf("f=%d n=%d oo=%d io=%d: out[%d] = %x, want %x", width, n, oo, io,
+					j-oo, math.Float32bits(got[j]), math.Float32bits(w))
 			}
 		}
 	})

@@ -194,21 +194,19 @@ func TestMatMulAgainstReference(t *testing.T) {
 	}
 }
 
-func TestGemmAlphaBeta(t *testing.T) {
+func TestMatMulIntoOverwrites(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := NewDense(8, 6)
 	b := NewDense(6, 10)
 	c := NewDense(8, 10)
 	a.Randomize(rng, 1)
 	b.Randomize(rng, 1)
-	c.Randomize(rng, 1)
-	c0 := c.Clone()
-	Gemm(2, a, b, 0.5, c)
+	c.Fill(float32(math.NaN()))
+	MatMulInto(a, b, c)
 	want := refMatMul(a, b)
 	for i := range want.Data {
-		exp := 2*want.Data[i] + 0.5*c0.Data[i]
-		if math.Abs(float64(exp-c.Data[i])) > 1e-4 {
-			t.Fatalf("alpha/beta mismatch at %d: %v vs %v", i, c.Data[i], exp)
+		if !(math.Abs(float64(c.Data[i]-want.Data[i])) <= 1e-4) {
+			t.Fatalf("MatMulInto onto a NaN-filled destination: element %d = %v, want %v", i, c.Data[i], want.Data[i])
 		}
 	}
 }

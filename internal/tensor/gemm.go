@@ -32,50 +32,59 @@ func ParallelRows(rows int, fn func(r0, r1 int)) {
 	wg.Wait()
 }
 
+// The products gather entries into fixed blocks on the worker's stack and
+// hand each block to RowAcc. A partial sum crosses from one block to the
+// next through a float32 store and load, which are exact, so the block
+// sizes change no bits; they were chosen with the kernel micro-benchmarks.
+const (
+	// rowBlock is the most entries one RowAcc call of MatMulInto or
+	// MatMulTBInto takes.
+	rowBlock = 128
+	// panelRows is how many rows of A and B one MatMulTAInto panel spans:
+	// B's panel stays in cache while every output row of the worker walks
+	// it.
+	panelRows = 64
+)
+
 // MatMul returns C = A * B.
 func MatMul(a, b *Dense) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMul inner mismatch %dx%d * %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	c := NewDense(a.Rows, b.Cols)
-	Gemm(1, a, b, 0, c)
+	MatMulInto(a, b, c)
 	return c
 }
 
-// Gemm computes C = alpha*A*B + beta*C in place.
+// MatMulInto computes c = A * B, overwriting c.
 //
-// The kernel iterates i-k-j with the inner j loop, Axpy, over contiguous rows
-// of B and C, which keeps a deterministic summation order. (The Go compiler
-// vectorizes nothing; the packed Axpy is what makes that loop wide.)
-func Gemm(alpha float32, a, b *Dense, beta float32, c *Dense) {
+// A is m x k, B is k x n. Each worker clears its rows of C; then, per row
+// i, it gathers the nonzero A[i,k] with their k, in ascending k, and adds
+// the rows k of B they weight with one RowAcc per rowBlock entries. Zero
+// entries of A are skipped.
+func MatMulInto(a, b, c *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("tensor: Gemm shape mismatch A=%dx%d B=%dx%d C=%dx%d",
+		panic(fmt.Sprintf("tensor: MatMul shape mismatch A=%dx%d B=%dx%d C=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	n := b.Cols
 	ParallelRows(a.Rows, func(r0, r1 int) {
+		var vals [rowBlock]float32
+		var idx [rowBlock]int32
+		clear(c.Data[r0*n : r1*n])
 		for i := r0; i < r1; i++ {
 			ci := c.Data[i*n : (i+1)*n]
-			scaleRow(ci, beta)
+			p := 0
 			for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
-				if av != 0 {
-					Axpy(alpha*av, b.Data[k*n:(k+1)*n], ci)
+				if av == 0 {
+					continue
+				}
+				vals[p], idx[p] = av, int32(k)
+				if p++; p == rowBlock {
+					RowAcc(ci, vals[:], idx[:], b.Data, n)
+					p = 0
 				}
 			}
+			RowAcc(ci, vals[:p], idx[:p], b.Data, n)
 		}
 	})
-}
-
-// scaleRow multiplies ci by beta; beta == 0 clears it, so stale NaNs and
-// infinities do not survive.
-func scaleRow(ci []float32, beta float32) {
-	if beta == 0 {
-		clear(ci)
-	} else if beta != 1 {
-		for j := range ci {
-			ci[j] *= beta
-		}
-	}
 }
 
 // MatMulTA returns C = Aᵀ * B without materializing Aᵀ.
@@ -88,8 +97,11 @@ func MatMulTA(a, b *Dense) *Dense {
 // MatMulTAInto computes c = Aᵀ * B, overwriting c.
 //
 // A is m x k, B is m x n, C is k x n. The parallel split is over rows of C
-// (columns of A); each worker clears its own output rows, then scans A and B
-// once accumulating only into them, so the result is deterministic.
+// (columns of A); each worker clears its own output rows, then walks A and
+// B in panels of panelRows rows: per output row k it gathers the panel's
+// nonzero A[i,k] and adds the panel rows of B they weight with one RowAcc.
+// Every element still takes its products in ascending i, whatever the
+// split, so the result is deterministic.
 func MatMulTAInto(a, b, c *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTA shape mismatch A=%dx%d B=%dx%d C=%dx%d",
@@ -97,13 +109,21 @@ func MatMulTAInto(a, b, c *Dense) {
 	}
 	n := b.Cols
 	ParallelRows(a.Cols, func(k0, k1 int) {
+		var vals [panelRows]float32
+		var idx [panelRows]int32
 		clear(c.Data[k0*n : k1*n])
-		for i := 0; i < a.Rows; i++ {
-			bi := b.Data[i*n : (i+1)*n]
+		for i0 := 0; i0 < a.Rows; i0 += panelRows {
+			i1 := min(i0+panelRows, a.Rows)
+			panel := b.Data[i0*n : i1*n]
 			for k := k0; k < k1; k++ {
-				if av := a.Data[i*a.Cols+k]; av != 0 {
-					Axpy(av, bi, c.Data[k*n:(k+1)*n])
+				p := 0
+				for i := i0; i < i1; i++ {
+					if av := a.Data[i*a.Cols+k]; av != 0 {
+						vals[p], idx[p] = av, int32(i-i0)
+						p++
+					}
 				}
+				RowAcc(c.Data[k*n:(k+1)*n], vals[:p], idx[:p], panel, n)
 			}
 		}
 	})
@@ -118,42 +138,31 @@ func MatMulTB(a, b *Dense) *Dense {
 
 // MatMulTBInto computes c = A * Bᵀ, overwriting c.
 //
-// A is m x k, B is n x k, C is m x n. Narrow outputs take one dot product
-// per element. Wider ones transpose B (the small operand: a weight matrix)
-// and accumulate each cleared output row with Axpy over ascending t, without
-// zero-skip: per element those are the dot product's products added in the
-// dot product's order starting from +0, so the bits are the same.
+// A is m x k, B is n x k, C is m x n. It transposes B (the small operand:
+// a weight matrix) and adds onto each cleared output row the rows t of Bᵀ
+// weighted by all of A's row, in ascending t, rowBlock entries per RowAcc.
+// There is no zero-skip: per element those are the dot product's products
+// added in the dot product's order starting from +0, so the bits are the
+// dot product's, and 0·Inf stays NaN.
 func MatMulTBInto(a, b, c *Dense) {
 	if a.Cols != b.Cols || c.Rows != a.Rows || c.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTB shape mismatch A=%dx%d B=%dx%d C=%dx%d",
 			a.Rows, a.Cols, b.Rows, b.Cols, c.Rows, c.Cols))
 	}
 	k, n := a.Cols, b.Rows
-	if n < axpyMinWidth {
-		ParallelRows(a.Rows, func(r0, r1 int) {
-			for i := r0; i < r1; i++ {
-				ai := a.Data[i*k : (i+1)*k]
-				ci := c.Data[i*n : (i+1)*n]
-				for j := range ci {
-					bj := b.Data[j*k : (j+1)*k]
-					var s float32
-					for t, av := range ai {
-						s += float32(av * bj[t]) // rounded like Axpy's
-					}
-					ci[j] = s
-				}
-			}
-		})
-		return
-	}
 	bt := make([]float32, k*n)
 	b.transposeInto(bt)
 	ParallelRows(a.Rows, func(r0, r1 int) {
+		var seq [rowBlock]int32
+		for t := range seq {
+			seq[t] = int32(t)
+		}
+		clear(c.Data[r0*n : r1*n])
 		for i := r0; i < r1; i++ {
-			ci := c.Data[i*n : (i+1)*n]
-			clear(ci)
-			for t, av := range a.Data[i*k : (i+1)*k] {
-				Axpy(av, bt[t*n:(t+1)*n], ci)
+			ci, ai := c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k]
+			for t0 := 0; t0 < k; t0 += rowBlock {
+				t1 := min(t0+rowBlock, k)
+				RowAcc(ci, ai[t0:t1], seq[:t1-t0], bt[t0*n:], n)
 			}
 		}
 	})

@@ -32,32 +32,40 @@ func fillAwkward(rng *rand.Rand, v []float32) {
 	}
 }
 
-// TestAxpyMatchesLoop pins the packed routine to the Go loop bit for bit over
-// every length that exercises the 16-wide body, the 4-wide tail and the
-// scalar tail, at every alignment of x and y modulo one packed word. Under
-// -race (and off amd64) axpyPacked is the loop itself and the test is vacuous.
-func TestAxpyMatchesLoop(t *testing.T) {
+// TestRowAccMatchesLoop pins the packed kernel to the Go loop bit for bit
+// on every width 0–67 (every mix of its 32-, 16-, 4- and 1-float chunks),
+// with 0, 1 and 3 entries over three rows (so rows repeat), at every
+// alignment of out and in modulo one packed word, with the awkward values
+// in out as well as in the operands, and guard elements past out[:f] that
+// must not change. Under -race (and off amd64) rowAccPacked is the loop
+// itself and the test is vacuous.
+func TestRowAccMatchesLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(18))
-	const guard = 4
-	xbuf := make([]float32, 3+67)
-	for n := 0; n <= 67; n++ {
-		for xo := 0; xo < 4; xo++ {
-			for yo := 0; yo < 4; yo++ {
-				x := xbuf[xo : xo+n]
-				fillAwkward(rng, x)
-				got := make([]float32, yo+n+guard)
-				fillAwkward(rng, got)
-				want := append([]float32(nil), got...)
-				s := awkward[rng.Intn(len(awkward))]
-				if n%2 == 1 {
-					s = float32(rng.NormFloat64())
-				}
-				axpyPacked(s, x, got[yo:yo+n])
-				axpyLoop(s, x, want[yo:yo+n])
-				for j := range want {
-					if !sameBits(got[j], want[j]) {
-						t.Fatalf("n=%d xo=%d yo=%d s=%v: y[%d] = %x, loop says %x", n, xo, yo, s,
-							j-yo, math.Float32bits(got[j]), math.Float32bits(want[j]))
+	const guard, rows = 4, 3
+	for f := 0; f <= 67; f++ {
+		for _, n := range []int{0, 1, 3} {
+			for oo := 0; oo < 4; oo++ {
+				for io := 0; io < 4; io++ {
+					in := make([]float32, io+rows*f)
+					fillAwkward(rng, in)
+					vals, idx := make([]float32, n), make([]int32, n)
+					fillAwkward(rng, vals)
+					for p := range idx {
+						idx[p] = int32(rng.Intn(rows))
+					}
+					got := make([]float32, oo+f+guard)
+					fillAwkward(rng, got)
+					want := append([]float32(nil), got...)
+					gc := rowAccPacked(got[oo:], vals, idx, in[io:], f)
+					wc := rowAccLoop(want[oo:], vals, idx, in[io:], f)
+					if gc != rowOK || wc != rowOK {
+						t.Fatalf("f=%d idx=%v: kernel reports %d, loop %d", f, idx, gc, wc)
+					}
+					for j := range want {
+						if !sameBits(got[j], want[j]) {
+							t.Fatalf("f=%d n=%d oo=%d io=%d: out[%d] = %x, loop says %x", f, n, oo, io,
+								j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
+						}
 					}
 				}
 			}
@@ -65,42 +73,34 @@ func TestAxpyMatchesLoop(t *testing.T) {
 	}
 }
 
-func TestAxpyShortDestinationPanics(t *testing.T) {
+func TestRowAccShortOutPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Axpy wrote to a y shorter than x")
+			t.Fatal("RowAcc wrote to an out shorter than f")
 		}
 	}()
-	Axpy(1, make([]float32, 32), make([]float32, 31))
+	RowAcc(make([]float32, 31), []float32{1}, []int32{0}, make([]float32, 32), 32)
 }
 
-// The three loops below are the kernels as they stood before Axpy, one
-// thread, kept as the oracle: one rounded multiply then one rounded add per
-// element, in this order.
+// The three loops below are the textbook kernels, one thread, kept as the
+// oracle: one rounded multiply then one rounded add per element, in this
+// order, from +0.
 
-func naiveGemm(alpha float32, a, b *Dense, beta float32, c *Dense) {
+func naiveMatMul(a, b *Dense) *Dense {
+	c := NewDense(a.Rows, b.Cols)
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		ci := c.Data[i*n : (i+1)*n]
-		if beta == 0 {
-			for j := range ci {
-				ci[j] = 0
-			}
-		} else if beta != 1 {
-			for j := range ci {
-				ci[j] *= beta
-			}
-		}
 		for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
 			if av == 0 {
 				continue
 			}
-			s := alpha * av
 			for j, bv := range b.Data[k*n : (k+1)*n] {
-				ci[j] += float32(s * bv)
+				ci[j] += float32(av * bv)
 			}
 		}
 	}
+	return c
 }
 
 func naiveMatMulTA(a, b *Dense) *Dense {
@@ -166,63 +166,157 @@ func halfZeros(rng *rand.Rand, r, c int) *Dense {
 	return m
 }
 
-// kernelWidths straddle axpyMinWidth, one packed word and the 16-wide body.
-var kernelWidths = []int{1, 3, 15, 16, 17, 31, 33, 128}
+// Output widths: every MatMulTB width below 12 (the dot product's old
+// territory), then both sides of one packed word and of the 16- and
+// 32-float chunks. Shared dimensions: both sides of rowBlock (the entry
+// blocks of MatMulInto and MatMulTB), of panelRows and of two panels (the
+// panels of MatMulTA, whose shared dimension is A's rows).
+var (
+	kernelWidths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 15, 16, 17, 31, 33, 128}
+	sharedDims   = []int{0, 1, 7, 40, 63, 64, 65, 127, 128, 129, 130, 300}
+)
 
-// TestKernelsMatchNaive pins Gemm, MatMulTA and MatMulTB to the retained
-// naive loops bit for bit. Inf in the right operand makes 0·Inf = NaN, so a
+// TestKernelsMatchNaive pins MatMulInto, MatMulTA and MatMulTB to the
+// retained naive loops bit for bit, into fresh and NaN-filled
+// destinations. An Inf sits in B where A holds a zero: 0·Inf = NaN, so a
 // kernel that skipped a zero the naive loop multiplies (MatMulTB has no
 // zero-skip) or the reverse would show.
 func TestKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, m := range []int{0, 1, 5, 37} {
-		for _, k := range []int{0, 1, 7, 40} {
-			for _, n := range append([]int{0}, kernelWidths...) {
+		for _, k := range sharedDims {
+			for _, n := range kernelWidths {
 				shape := fmt.Sprintf("%dx%d·%dx%d", m, k, k, n)
+				nan := NewDense(m, n)
+
+				// A·B, with A[0,k-1] = 0 against B[k-1,n-1] = Inf.
 				a := halfZeros(rng, m, k)
 				b := NewDense(k, n)
 				b.Randomize(rng, 2)
-				if len(b.Data) > 0 {
-					b.Data[rng.Intn(len(b.Data))] = float32(math.Inf(1))
+				if m > 0 && k > 0 && n > 0 {
+					a.Data[k-1] = 0
+					b.Data[k*n-1] = float32(math.Inf(1))
 				}
-				for _, alpha := range []float32{0, 1, 0.5} {
-					for _, beta := range []float32{0, 1, 0.5} {
-						got := NewDense(m, n)
-						got.Randomize(rng, 2)
-						want := got.Clone()
-						Gemm(alpha, a, b, beta, got)
-						naiveGemm(alpha, a, b, beta, want)
-						requireSameBits(t, fmt.Sprintf("Gemm(%v, %s, %v)", alpha, shape, beta), got, want)
-					}
-				}
+				requireSameBits(t, "MatMul "+shape, MatMul(a, b), naiveMatMul(a, b))
+				nan.Fill(float32(math.NaN()))
+				MatMulInto(a, b, nan)
+				requireSameBits(t, "MatMulInto "+shape, nan, naiveMatMul(a, b))
 
-				// Aᵀ·B: A is k x m here so the shared dimension is k.
+				// Aᵀ·B: A is k x m here, so the shared dimension k is what the
+				// panels split; A[k-1,0] = 0 against B[k-1,n-1] = Inf.
 				at := halfZeros(rng, k, m)
+				if m > 0 && k > 0 && n > 0 {
+					at.Data[(k-1)*m] = 0
+				}
 				requireSameBits(t, "MatMulTA "+shape, MatMulTA(at, b), naiveMatMulTA(at, b))
 				// The Into forms overwrite: a stale destination (the engine's
 				// retained tiles) must not show through.
-				stale := NewDense(m, n)
-				stale.Fill(float32(math.NaN()))
-				MatMulTAInto(at, b, stale)
-				requireSameBits(t, "MatMulTAInto "+shape, stale, naiveMatMulTA(at, b))
+				nan.Fill(float32(math.NaN()))
+				MatMulTAInto(at, b, nan)
+				requireSameBits(t, "MatMulTAInto "+shape, nan, naiveMatMulTA(at, b))
 
-				// A·Bᵀ: B is n x k, output width n.
+				// A·Bᵀ: B is n x k, output width n; A[0,k-1] = 0 against
+				// B[n-1,k-1] = -Inf, which must give NaN.
 				bt := halfZeros(rng, n, k)
-				if len(bt.Data) > 0 {
-					bt.Data[rng.Intn(len(bt.Data))] = float32(math.Inf(-1))
+				if m > 0 && k > 0 && n > 0 {
+					bt.Data[n*k-1] = float32(math.Inf(-1))
 				}
 				requireSameBits(t, "MatMulTB "+shape, MatMulTB(a, bt), naiveMatMulTB(a, bt))
-				stale.Fill(float32(math.NaN()))
-				MatMulTBInto(a, bt, stale)
-				requireSameBits(t, "MatMulTBInto "+shape, stale, naiveMatMulTB(a, bt))
+				nan.Fill(float32(math.NaN()))
+				MatMulTBInto(a, bt, nan)
+				requireSameBits(t, "MatMulTBInto "+shape, nan, naiveMatMulTB(a, bt))
 			}
 		}
 	}
 }
 
-// FuzzAxpy feeds the packed routine arbitrary bit patterns (NaNs of every
-// payload included), lengths and alignments, and requires the Go loop's bits
-// and nothing written outside y[:len(x)].
+// FuzzRowAcc feeds the row kernel arbitrary bit patterns (NaNs of every
+// payload included, in out as well as in the operands, since the kernel
+// loads out), widths 0–67, 0–40 entries, repeated and out-of-range
+// indices and unaligned slices, and requires rowAccLoop's result and the
+// same bits everywhere — NaN payloads too, which is what pins the product
+// as the first operand of each add — so nothing is written outside
+// out[:f], nor anywhere when an index is bad.
+//
+// Input: f, entry count, rows-1 | extra<<3 (extra floats past the last
+// full row of in), slice offsets (out in the low two bits, in in the next
+// two); then per entry an index byte and a little-endian float32 value;
+// then f words of out; then the words of in, repeated to fill it. Index
+// bytes below 0xf0 pick a row modulo rows, 0xf0–0xf7 one 0–7 rows past
+// the last, 0xf8–0xff a negative or huge index.
+func FuzzRowAcc(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{5, 2, 1, 0, 0, 0, 0, 0x80, 0x3f, 1, 0, 0, 0, 0xc0, 2, 0, 0, 0x40})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 4 {
+			return
+		}
+		width, n, rows := int(data[0])%68, int(data[1])%41, 1+int(data[2]&7)
+		extra := 0
+		if width > 0 {
+			extra = int(data[2]>>3) % width
+		}
+		oo, io := int(data[3]&3), int(data[3]>>2&3)
+		body := data[4:]
+		byteAt := func(i int) byte {
+			if i < len(body) {
+				return body[i]
+			}
+			return 0
+		}
+		word := func(i int) float32 {
+			return math.Float32frombits(uint32(byteAt(i)) | uint32(byteAt(i+1))<<8 |
+				uint32(byteAt(i+2))<<16 | uint32(byteAt(i+3))<<24)
+		}
+		idx, vals := make([]int32, n), make([]float32, n)
+		for p := range idx {
+			switch b := byteAt(5 * p); {
+			case b < 0xf0:
+				idx[p] = int32(int(b) % rows)
+			case b < 0xf8:
+				idx[p] = int32(rows + int(b&7))
+			default:
+				idx[p] = []int32{-1, math.MinInt32, 1 << 30, math.MaxInt32}[b&3]
+			}
+			vals[p] = word(5*p + 1)
+		}
+		const guard = 5
+		got := make([]float32, oo+width+guard)
+		for i := range got {
+			got[i] = float32(i + 1)
+		}
+		for j := 0; j < width; j++ {
+			got[oo+j] = word(5*n + 4*j)
+		}
+		want := append([]float32(nil), got...)
+		in := make([]float32, io+rows*width+extra)
+		head := 5*n + 4*width
+		if words := (len(body) - head) / 4; words > 0 {
+			for i := range in[io:] {
+				in[io+i] = word(head + 4*(i%words))
+			}
+		}
+		gc := rowAccPacked(got[oo:], vals, idx, in[io:], width)
+		wc := rowAccLoop(want[oo:], vals, idx, in[io:], width)
+		if gc != wc {
+			t.Fatalf("f=%d idx=%v: kernel reports %d, loop %d", width, idx, gc, wc)
+		}
+		for j := range want {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+				t.Fatalf("f=%d n=%d oo=%d io=%d: out[%d] = %x, loop says %x", width, n, oo, io,
+					j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
+			}
+		}
+	})
+}
+
+// FuzzAxpy feeds the row kernel's one-entry form, y[:n] += s·x[:n] as the
+// comm reductions call it, arbitrary bit patterns (NaNs of every payload
+// included), alignments and lengths past FuzzRowAcc's 67, and requires the
+// Go loop's bits, NaN payloads too, and nothing written outside y[:n].
+//
+// Input: x and y offsets, then s and (x[j], y[j]) pairs as little-endian
+// float32 bits.
 func FuzzAxpy(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 0, 0, 0x80, 0x3f})
@@ -249,10 +343,13 @@ func FuzzAxpy(f *testing.F) {
 		}
 		want := append([]float32(nil), got...)
 		// y longer than x: the extra elements must stay untouched.
-		axpyPacked(s, x[xo:], got[yo:])
-		axpyLoop(s, x[xo:], want[yo:])
+		gc := rowAccPacked(got[yo:], []float32{s}, []int32{0}, x[xo:], n)
+		wc := rowAccLoop(want[yo:], []float32{s}, []int32{0}, x[xo:], n)
+		if gc != rowOK || wc != rowOK {
+			t.Fatalf("n=%d: kernel reports %d, loop %d", n, gc, wc)
+		}
 		for j := range want {
-			if !sameBits(got[j], want[j]) {
+			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
 				t.Fatalf("n=%d xo=%d yo=%d s=%x: y[%d] = %x, loop says %x", n, xo, yo,
 					math.Float32bits(s), j-yo, math.Float32bits(got[j]), math.Float32bits(want[j]))
 			}
@@ -263,10 +360,12 @@ func FuzzAxpy(f *testing.F) {
 // Kernel micro-benchmarks at the per-device shapes of the benchmark's three
 // train workloads (benchmark/README.md), so a kernel change is judged in
 // seconds: go test -run '^$' -bench . -cpu 1,2 ./internal/tensor ./internal/sparse
-var denseShapes = []struct {
+type denseShape struct {
 	name    string
 	m, k, n int
-}{
+}
+
+var denseShapes = []denseShape{
 	{"arxiv_2646x128x128", 2646, 128, 128},
 	{"reddit_910x602x128", 910, 602, 128},
 	{"rmat_24576x16x16", 24576, 16, 16},
@@ -280,14 +379,14 @@ func benchDense(b *testing.B, flops int64, fn func()) {
 	b.ReportMetric(2*float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-func BenchmarkGemm(b *testing.B) {
+func BenchmarkMatMulInto(b *testing.B) {
 	for _, s := range denseShapes {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			x, w, out := NewDense(s.m, s.k), NewDense(s.k, s.n), NewDense(s.m, s.n)
 			x.Randomize(rng, 1)
 			w.Randomize(rng, 1)
-			benchDense(b, GemmFLOPs(s.m, s.k, s.n), func() { Gemm(1, x, w, 0, out) })
+			benchDense(b, GemmFLOPs(s.m, s.k, s.n), func() { MatMulInto(x, w, out) })
 		})
 	}
 }
@@ -305,9 +404,11 @@ func BenchmarkMatMulTA(b *testing.B) {
 	}
 }
 
-// BenchmarkMatMulTB is the input gradient dZ·Wᵀ: (m x n) · (k x n)ᵀ.
+// BenchmarkMatMulTB is the input gradient dZ·Wᵀ: (m x n) · (k x n)ᵀ. The
+// last shape has an 8-float output, where a dot product per element used
+// to run.
 func BenchmarkMatMulTB(b *testing.B) {
-	for _, s := range denseShapes {
+	for _, s := range append(denseShapes[:len(denseShapes):len(denseShapes)], denseShape{"narrow_24576x8x16", 24576, 8, 16}) {
 		b.Run(s.name, func(b *testing.B) {
 			rng := rand.New(rand.NewSource(1))
 			dz, w := NewDense(s.m, s.n), NewDense(s.k, s.n)
