@@ -96,11 +96,35 @@ func BenchmarkGatherRowsInto(b *testing.B) {
 	})
 }
 
+// BenchmarkLockstepAllToAll is a host loop's round: every member's parts
+// handed to the fabric at once, received in place. It reuses the group's
+// scratch and allocates nothing.
+func BenchmarkLockstepAllToAll(b *testing.B) {
+	fab := comm.NewFabric(allocRanks, hw.A6000())
+	parts := make([][][]float32, allocRanks)
+	for i := range parts {
+		parts[i] = make([][]float32, allocRanks)
+		for j := range parts[i] {
+			parts[i][j] = make([]float32, allocElems/allocRanks)
+		}
+	}
+	world := fab.Device(0).World()
+	var got int
+	recv := func(dst, src int, part []float32) { got += len(part) }
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if err := fab.LockstepAllToAll(world, parts, recv); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestHotPathAllocsBounded runs the retained-buffer benchmarks through
 // the framework and asserts the per-round allocated bytes stay under the
 // bookkeeping allowance — the executable form of the "zero payload
 // allocation in steady state" claim. The rooted row gather is held to
-// two objects per device per call as well. Under -race the rounds still
+// two objects per device per call as well, and the lockstep round to
+// none. Under -race the rounds still
 // run, for the data-race coverage, but the byte bound describes the
 // uninstrumented build and is only applied there.
 func TestHotPathAllocsBounded(t *testing.T) {
@@ -110,12 +134,13 @@ func TestHotPathAllocsBounded(t *testing.T) {
 	for _, bench := range []struct {
 		name      string
 		fn        func(*testing.B)
-		maxAllocs int64 // objects per round; 0 leaves them unchecked
+		maxAllocs int64 // objects per round; -1 leaves them unchecked
 	}{
-		{"AllReduceSumInto", BenchmarkAllReduceSumInto, 0},
-		{"AllGatherFlat", BenchmarkAllGatherFlat, 0},
-		{"RedistributeInto", BenchmarkRedistributeInto, 0},
+		{"AllReduceSumInto", BenchmarkAllReduceSumInto, -1},
+		{"AllGatherFlat", BenchmarkAllGatherFlat, -1},
+		{"RedistributeInto", BenchmarkRedistributeInto, -1},
 		{"GatherRowsInto", BenchmarkGatherRowsInto, 2 * allocRanks},
+		{"LockstepAllToAll", BenchmarkLockstepAllToAll, 0},
 	} {
 		res := testing.Benchmark(bench.fn)
 		if res.N == 0 {
@@ -127,7 +152,7 @@ func TestHotPathAllocsBounded(t *testing.T) {
 			t.Fatalf("%s: %d bytes allocated per round, bookkeeping bound is %d — payload buffers are being allocated on the hot path",
 				bench.name, got, allocBytesBound)
 		}
-		if bench.maxAllocs > 0 && objs > bench.maxAllocs {
+		if bench.maxAllocs >= 0 && objs > bench.maxAllocs {
 			t.Fatalf("%s: %d objects allocated per round of %d devices, bound is %d",
 				bench.name, objs, allocRanks, bench.maxAllocs)
 		}

@@ -28,6 +28,15 @@
 // collective failure is unrecoverable. See CollectiveError in errors.go
 // for the cooperative delivery contract that keeps data errors (nil
 // buffers, cross-rank length disagreement) from deadlocking the group.
+//
+// Lockstep rounds: a host loop that drives every member itself can run
+// a collective as one call instead of P goroutines meeting at the
+// rendezvous (Fabric.LockstepAllToAll). The round runs the rendezvous'
+// own finalizer over all contributions and settles every member's
+// clock, comm time and trace event as the rendezvous would, so the two
+// forms are interchangeable bit for bit. Its precondition is the stat
+// readers': no Run may be in flight, because the round writes every
+// member's clock from the calling goroutine.
 package comm
 
 import (
@@ -979,16 +988,7 @@ func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
 		newClock, vol, seq, err := g.exchange(idx, d.clock, in, wrapped, extract, deadCheck)
 		switch {
 		case err == nil:
-			d.clock = newClock
-			d.commTime += newClock - before
-			if tr := f.tracer; tr != nil {
-				tr.Emit(d.Rank, trace.Event{
-					Class: trace.ClassCollective, Op: op,
-					Group: key, Seq: seq, GroupSize: len(group),
-					Bytes: vol.Bytes, Tier1: vol.Tier1,
-					Start: before, End: newClock, Track: d.track,
-				})
-			}
+			d.settle(g, op, seq, vol, before, newClock)
 			return nil
 		case errors.Is(err, ErrPeerDead):
 			// The survivor waits out the deadline before concluding the
@@ -1024,6 +1024,22 @@ func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
 			d.commTime += newClock - before
 			return &CollectiveError{Op: op, Rank: d.Rank, Err: err}
 		}
+	}
+}
+
+// settle completes a round that succeeded on this device: the clock
+// moves from before to end, the difference is charged as comm time, and
+// a traced fabric records the round with its metered volume.
+func (d *Device) settle(g *groupComm, op string, seq uint64, vol Volume, before, end float64) {
+	d.clock = end
+	d.commTime += end - before
+	if tr := d.F.tracer; tr != nil {
+		tr.Emit(d.Rank, trace.Event{
+			Class: trace.ClassCollective, Op: op,
+			Group: g.key, Seq: seq, GroupSize: g.n,
+			Bytes: vol.Bytes, Tier1: vol.Tier1,
+			Start: before, End: end, Track: d.track,
+		})
 	}
 }
 
@@ -1489,39 +1505,109 @@ func (d *Device) TryAllToAllRecv(group []int, parts [][]float32, recv func(i int
 		recv(0, parts[0])
 		return nil
 	}
-	f := d.F
 	var contribution any = parts
 	if parts == nil {
 		contribution = collErr{fmt.Errorf("parts on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
-	return d.collective(op, group, contribution,
-		func(slots []any, clocks []float64) (float64, any, Volume, error) {
-			var maxInject, total int64
-			for i, s := range slots {
-				ps := s.([][]float32)
-				var inject int64
-				for j, pt := range ps {
-					if i == j {
-						continue
-					}
-					inject += int64(len(pt)) * 4
-				}
-				total += inject
-				if inject > maxInject {
-					maxInject = inject
-				}
-			}
-			t, vol := f.MeterFor(group).AllToAll(group, func(i, j int) int64 {
-				return int64(len(slots[i].([][]float32)[j])) * 4
-			}, maxInject, total)
-			f.addVolume(hw.OpAllToAll, vol, d.side)
-			return maxClock(clocks) + t, nil, vol, nil
-		},
+	return d.collective(op, group, contribution, d.allToAllFinalize(group, false),
 		func(slots []any, _ any) {
 			for i, s := range slots {
 				recv(i, s.([][]float32)[myIdx])
 			}
 		})
+}
+
+// allToAllFinalize is the rendezvous finalizer of TryAllToAllRecv and
+// TryAllToAllV: allToAllRound over the deposited parts slices.
+func (d *Device) allToAllFinalize(group []int, census bool) func(slots []any, clocks []float64) (float64, any, Volume, error) {
+	return func(slots []any, clocks []float64) (float64, any, Volume, error) {
+		t, vol := d.F.allToAllRound(group, func(i int) [][]float32 { return slots[i].([][]float32) }, census, d.side)
+		return maxClock(clocks) + t, nil, vol, nil
+	}
+}
+
+// allToAllRound prices and meters one all-to-all round whose group
+// position i sends parts(i)[j] to position j: the injection census
+// (each position's cross-pair bytes, the busiest injector and the
+// total), the meter's price, and the volume accounting. census also adds
+// each member's injected bytes to RankSent, as the V-collectives keep
+// it. The rendezvous finalizer and the lockstep round both call it.
+func (f *Fabric) allToAllRound(group []int, parts func(i int) [][]float32, census, side bool) (float64, Volume) {
+	var maxInject, total int64
+	for i, r := range group {
+		var inject int64
+		for j, pt := range parts(i) {
+			if i != j {
+				inject += int64(len(pt)) * 4
+			}
+		}
+		total += inject
+		maxInject = max(maxInject, inject)
+		if census {
+			f.rankSent[r].Add(inject)
+		}
+	}
+	t, vol := f.MeterFor(group).AllToAll(group, func(i, j int) int64 {
+		return int64(len(parts(i)[j])) * 4
+	}, maxInject, total)
+	f.addVolume(hw.OpAllToAll, vol, side)
+	return t, vol
+}
+
+// LockstepAllToAll runs one all-to-all over group on the calling
+// goroutine, for a host loop that steps every member itself: parts[i] is
+// group[i]'s parts slice, what that member would pass to
+// TryAllToAllRecv. The round is priced by the rendezvous' finalizer and
+// settles every member's clock, comm time and trace event — round
+// number included — exactly as the rendezvous would; a one-member group
+// is a pass-through that touches neither, as there. recv is then called
+// once per (dst, src) pair of group positions, dst-major and both
+// ascending, with the part src addressed to dst; part is valid only
+// during the call. Shape errors are reported before anything moves.
+//
+// No Run may be in flight. Faults stay with the rendezvous: with a fault
+// hook or CRC set the round is refused, before anything moves, with an
+// error wrapping errors.ErrUnsupported.
+func (f *Fabric) LockstepAllToAll(group []int, parts [][][]float32, recv func(dst, src int, part []float32)) error {
+	const op = "alltoall"
+	if f.hook != nil || f.crc {
+		return fmt.Errorf("comm: lockstep %s with a fault hook or CRC attached: %w", op, errors.ErrUnsupported)
+	}
+	if err := validateGroup(group); err != nil {
+		return &CollectiveError{Op: op, Rank: -1, Err: err}
+	}
+	if group[0] < 0 || group[len(group)-1] >= f.P {
+		return &CollectiveError{Op: op, Rank: -1,
+			Err: fmt.Errorf("group %v outside a %d-device fabric: %w", group, f.P, ErrBadGroup)}
+	}
+	if len(parts) != len(group) {
+		return &CollectiveError{Op: op, Rank: -1,
+			Err: fmt.Errorf("%d parts slices for %d-member group: %w", len(parts), len(group), ErrCountMismatch)}
+	}
+	for i, ps := range parts {
+		if len(ps) != len(group) {
+			return &CollectiveError{Op: op, Rank: group[i],
+				Err: fmt.Errorf("%d parts for %d-member group: %w", len(ps), len(group), ErrCountMismatch)}
+		}
+	}
+	if len(group) > 1 {
+		g := f.groupFor(group)
+		for i, r := range group {
+			g.clocks[i] = f.devices[r].clock
+		}
+		t, vol := f.allToAllRound(group, func(i int) [][]float32 { return parts[i] }, false, f.devices[group[0]].side)
+		end := maxClock(g.clocks) + t
+		g.gen++
+		for i, r := range group {
+			f.devices[r].settle(g, op, g.gen, vol, g.clocks[i], end)
+		}
+	}
+	for dst := range group {
+		for src := range group {
+			recv(dst, src, parts[src][dst])
+		}
+	}
+	return nil
 }
 
 // AllToAll is TryAllToAll panicking on failure.

@@ -62,35 +62,11 @@ func (d *Device) TryAllToAllV(group []int, parts [][]float32, counts []int) ([][
 	}
 	out := make([][]float32, len(group))
 	recvCounts := make([]int, len(group))
-	f := d.F
 	var contribution any = parts
 	if parts == nil {
 		contribution = collErr{fmt.Errorf("parts on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
-	cerr := d.collective(op, group, contribution,
-		func(slots []any, clocks []float64) (float64, any, Volume, error) {
-			var maxInject, total int64
-			for i, s := range slots {
-				ps := s.([][]float32)
-				var inject int64
-				for j, pt := range ps {
-					if i == j {
-						continue
-					}
-					inject += int64(len(pt)) * 4
-				}
-				total += inject
-				if inject > maxInject {
-					maxInject = inject
-				}
-				f.rankSent[group[i]].Add(inject)
-			}
-			t, vol := f.MeterFor(group).AllToAll(group, func(i, j int) int64 {
-				return int64(len(slots[i].([][]float32)[j])) * 4
-			}, maxInject, total)
-			f.addVolume(hw.OpAllToAll, vol, d.side)
-			return maxClock(clocks) + t, nil, vol, nil
-		},
+	cerr := d.collective(op, group, contribution, d.allToAllFinalize(group, true),
 		func(slots []any, _ any) {
 			for i, s := range slots {
 				ps := s.([][]float32)

@@ -611,50 +611,6 @@ func (m *Mat) replicate() *Mat {
 	return out
 }
 
-// GatherRoot collects the full matrix onto the root device, which
-// returns it assembled; every other device returns nil. Unlike
-// Redistribute(R) only the tiles actually travel (each non-root device
-// injects exactly its tile, an all-to-all where root is the sole
-// receiver), so the volume is sum(non-root tile bytes) rather than the
-// allgather's (P-1)x blow-up. A Replicated source is free.
-func (m *Mat) GatherRoot(root int) *tensor.Dense {
-	dev := m.Dev
-	p := dev.P()
-	src := m.Layout.normalize(p)
-	if src.Kind == Replicated {
-		if dev.Rank == root {
-			return m.Local.Clone()
-		}
-		return nil
-	}
-	if p == 1 {
-		return m.Local.Clone()
-	}
-	dev.TraceBeginPhase("gather-root")
-	defer dev.TraceEndPhase()
-	parts := make([][]float32, p)
-	parts[root] = m.Local.Data
-	recv := dev.AllToAll(dev.World(), parts)
-	if dev.Rank != root {
-		return nil
-	}
-	out := tensor.NewDense(m.GlobalRows, m.GlobalCols)
-	for s := 0; s < p; s++ {
-		rlo, rhi := RowRange(src, p, s, m.GlobalRows)
-		clo, chi := ColRange(src, p, s, m.GlobalCols)
-		w := chi - clo
-		buf := recv[s]
-		if len(buf) != (rhi-rlo)*w {
-			panic(fmt.Sprintf("dist: GatherRoot got %d elements from %d, want %d", len(buf), s, (rhi-rlo)*w))
-		}
-		for i := rlo; i < rhi; i++ {
-			copy(out.Row(i)[clo:chi], buf[(i-rlo)*w:(i-rlo+1)*w])
-		}
-	}
-	dev.ChargeMem(out.Bytes())
-	return out
-}
-
 // GatherRows collects the given global rows of a vertex-sliced
 // (Horizontal) matrix onto root, assembled in request order; every
 // other device returns nil. This is the serving tier's per-query halo
@@ -664,7 +620,7 @@ func (m *Mat) GatherRoot(root int) *tensor.Dense {
 // holds ride the self-delivery slot for free. Duplicate row requests
 // are sent once per occurrence; callers wanting aggregation-before-
 // communication deduplicate first. Root charges one memory write for
-// the assembled result, mirroring GatherRoot.
+// the assembled result.
 func (m *Mat) GatherRows(root int, rows []int32) *tensor.Dense {
 	return m.GatherRowsInto(root, rows, nil)
 }
@@ -678,64 +634,24 @@ func (m *Mat) GatherRows(root int, rows []int32) *tensor.Dense {
 func (m *Mat) GatherRowsInto(root int, rows []int32, dst *tensor.Dense) *tensor.Dense {
 	dev := m.Dev
 	p := dev.P()
-	src := m.Layout.normalize(p)
-	if src.Kind != Horizontal {
-		panic(fmt.Sprintf("dist: GatherRows needs a vertex-sliced source, have %s", src))
-	}
-	w := m.GlobalCols
-	rlo, rhi := RowRange(src, p, dev.Rank, m.GlobalRows)
-	owned := 0
-	for _, r := range rows {
-		if int(r) < 0 || int(r) >= m.GlobalRows {
-			panic(fmt.Sprintf("dist: GatherRows row %d out of range [0, %d)", r, m.GlobalRows))
-		}
-		if int(r) >= rlo && int(r) < rhi {
-			owned++
-		}
-	}
+	m.checkGatherRows(rows)
 	var out *tensor.Dense
 	if dev.Rank == root {
-		out = reshape(dst, len(rows), w)
+		out = reshape(dst, len(rows), m.GlobalCols)
 	}
 	if p == 1 {
-		for i, r := range rows {
-			copy(out.Row(i), m.Local.Row(int(r)))
-		}
-		dev.ChargeMem(out.Bytes())
-		return out
+		return m.gatherLocal(rows, out)
 	}
 	dev.TraceBeginPhase("gather-rows")
 	defer dev.TraceEndPhase()
-	st := dev.Stage()
-	mine := st.Floats(owned * w)[:0]
-	for _, r := range rows {
-		if int(r) >= rlo && int(r) < rhi {
-			mine = append(mine, m.Local.Row(int(r)-rlo)...)
-		}
-	}
-	parts := st.Parts(p)
-	parts[root] = mine
-	// Assemble in request order while the round holds the owners'
-	// buffers: each owner packed its rows in the order they appear in the
-	// request, so walking the request once per owner reads its buffer
-	// front to back. Only root's callback does anything.
+	parts := dev.Stage().Parts(p)
+	parts[root] = m.packRows(rows)
+	// Assemble while the round holds the owners' buffers. Only root's
+	// callback does anything.
 	short := -1
 	err := dev.TryAllToAllRecv(dev.World(), parts, func(s int, buf []float32) {
-		if out == nil {
-			return
-		}
-		lo, hi := RowRange(src, p, s, m.GlobalRows)
-		at := 0
-		for i, r := range rows {
-			if int(r) < lo || int(r) >= hi {
-				continue
-			}
-			if at+w > len(buf) {
-				short = s // raised below: a callback must not panic
-				return
-			}
-			copy(out.Row(i), buf[at:at+w])
-			at += w
+		if out != nil && short < 0 && !m.placeRows(out, rows, s, buf) {
+			short = s // raised below: a callback must not panic
 		}
 	})
 	if err != nil {
@@ -750,62 +666,114 @@ func (m *Mat) GatherRowsInto(root int, rows []int32, dst *tensor.Dense) *tensor.
 	return out
 }
 
-// ScatterRoot distributes a global matrix held only by root into the
-// target layout: root slices out each device's tile and sends it (an
-// all-to-all where root is the sole injector), so the volume is
-// sum(non-root tile bytes). Non-root devices pass global as nil. rows
-// and cols give the global shape (root's global must match).
-func ScatterRoot(dev *comm.Device, root int, l Layout, rows, cols int, global *tensor.Dense) *Mat {
-	p := dev.P()
-	l = l.normalize(p)
-	if dev.Rank == root {
-		if global == nil {
-			panic("dist: ScatterRoot needs the global matrix on root")
+// GatherRowsLockstep is GatherRowsInto for every rank at once, run from
+// one host goroutine: tiles[r] is rank r's view of the matrix, and the
+// exchange is one comm.Fabric.LockstepAllToAll instead of P devices
+// meeting at the rendezvous. Every rank validates, stages its rows in
+// its own comm.Stage and opens and closes the same "gather-rows" phase,
+// and root makes the same one memory charge, so the bytes, clocks and
+// trace events are GatherRowsInto's. It returns root's result, in dst's
+// storage under GatherRowsInto's rule. No Run may be in flight.
+func GatherRowsLockstep(tiles []*Mat, root int, rows []int32, dst *tensor.Dense) *tensor.Dense {
+	for r, t := range tiles {
+		if t.Dev.Rank != r || t.Dev.P() != len(tiles) {
+			panic(fmt.Sprintf("dist: GatherRowsLockstep tile %d is rank %d of %d", r, t.Dev.Rank, t.Dev.P()))
 		}
-		if global.Rows != rows || global.Cols != cols {
-			panic(fmt.Sprintf("dist: ScatterRoot global %dx%d != declared %dx%d",
-				global.Rows, global.Cols, rows, cols))
+		t.checkGatherRows(rows)
+	}
+	m := tiles[root]
+	out := reshape(dst, len(rows), m.GlobalCols)
+	if len(tiles) == 1 {
+		return m.gatherLocal(rows, out)
+	}
+	var stack [8][][]float32 // every parts slice, on the stack up to P = 8
+	sets := stack[:0]
+	for _, t := range tiles {
+		t.Dev.TraceBeginPhase("gather-rows")
+		parts := t.Dev.Stage().Parts(len(tiles))
+		parts[root] = t.packRows(rows)
+		sets = append(sets, parts)
+	}
+	short := -1
+	err := m.Dev.F.LockstepAllToAll(m.Dev.World(), sets, func(to, from int, buf []float32) {
+		if to == root && short < 0 && !m.placeRows(out, rows, from, buf) {
+			short = from
+		}
+	})
+	if err != nil {
+		panic(err)
+	}
+	if short >= 0 {
+		panic(fmt.Sprintf("dist: GatherRows got fewer rows from %d than it owns of the request", short))
+	}
+	m.Dev.ChargeMem(out.Bytes())
+	for _, t := range tiles {
+		t.Dev.TraceEndPhase()
+	}
+	return out
+}
+
+// checkGatherRows panics unless m is vertex-sliced and every requested
+// row is in range.
+func (m *Mat) checkGatherRows(rows []int32) {
+	if src := m.Layout.normalize(m.Dev.P()); src.Kind != Horizontal {
+		panic(fmt.Sprintf("dist: GatherRows needs a vertex-sliced source, have %s", src))
+	}
+	for _, r := range rows {
+		if int(r) < 0 || int(r) >= m.GlobalRows {
+			panic(fmt.Sprintf("dist: GatherRows row %d out of range [0, %d)", r, m.GlobalRows))
 		}
 	}
-	if p == 1 {
-		return Distribute(dev, l, global)
+}
+
+// gatherLocal is the one-device gather: every row is this device's, so
+// out is filled straight from the tile and charged as one memory write.
+func (m *Mat) gatherLocal(rows []int32, out *tensor.Dense) *tensor.Dense {
+	for i, r := range rows {
+		copy(out.Row(i), m.Local.Row(int(r)))
 	}
-	if l.Kind == Replicated {
-		// Every device needs the whole matrix: a broadcast, not a
-		// personalized exchange.
-		var data []float32
-		if dev.Rank == root {
-			data = global.Data
-		}
-		got := dev.Broadcast(dev.World(), root, data)
-		tile := tensor.NewDense(rows, cols)
-		copy(tile.Data, got)
-		return &Mat{Dev: dev, GlobalRows: rows, GlobalCols: cols, Layout: R, Local: tile}
-	}
-	dev.TraceBeginPhase("scatter-root")
-	defer dev.TraceEndPhase()
-	parts := make([][]float32, p)
-	if dev.Rank == root {
-		for s := 0; s < p; s++ {
-			rlo, rhi := RowRange(l, p, s, rows)
-			clo, chi := ColRange(l, p, s, cols)
-			sub := make([]float32, 0, (rhi-rlo)*(chi-clo))
-			for i := rlo; i < rhi; i++ {
-				sub = append(sub, global.Row(i)[clo:chi]...)
-			}
-			parts[s] = sub
+	m.Dev.ChargeMem(out.Bytes())
+	return out
+}
+
+// packRows stages the requested rows this device owns back to back in its
+// comm.Stage, in the order they appear in the request.
+func (m *Mat) packRows(rows []int32) []float32 {
+	rlo, rhi := RowRange(H, m.Dev.P(), m.Dev.Rank, m.GlobalRows)
+	owned := 0
+	for _, r := range rows {
+		if int(r) >= rlo && int(r) < rhi {
+			owned++
 		}
 	}
-	recv := dev.AllToAll(dev.World(), parts)
-	wr, wc := TileShape(l, p, dev.Rank, rows, cols)
-	tile := tensor.NewDense(wr, wc)
-	buf := recv[root]
-	if len(buf) != wr*wc {
-		panic(fmt.Sprintf("dist: ScatterRoot got %d elements, want %d", len(buf), wr*wc))
+	mine := m.Dev.Stage().Floats(owned * m.GlobalCols)[:0]
+	for _, r := range rows {
+		if int(r) >= rlo && int(r) < rhi {
+			mine = append(mine, m.Local.Row(int(r)-rlo)...)
+		}
 	}
-	copy(tile.Data, buf)
-	dev.ChargeMem(tile.Bytes())
-	return &Mat{Dev: dev, GlobalRows: rows, GlobalCols: cols, Layout: l, Local: tile}
+	return mine
+}
+
+// placeRows copies the rows owner s packed for the request into their
+// request-order places in out: walking the request once reads s's buffer
+// front to back. It reports false when buf holds fewer rows than s owns
+// of the request.
+func (m *Mat) placeRows(out *tensor.Dense, rows []int32, s int, buf []float32) bool {
+	w := m.GlobalCols
+	lo, hi := RowRange(H, m.Dev.P(), s, m.GlobalRows)
+	at := 0
+	for i, r := range rows {
+		if int(r) < lo || int(r) >= hi {
+			continue
+		}
+		if at+w > len(buf) {
+			return false
+		}
+		copy(out.Row(i), buf[at:at+w])
+		at += w
+	}
+	return true
 }
 
 // Assemble reconstructs the global matrix from all devices' Mats without

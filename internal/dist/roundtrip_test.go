@@ -112,6 +112,28 @@ func TestRoundTripRaggedShapes(t *testing.T) {
 	}
 }
 
+// gatherRoot collects the whole matrix onto root from the library's one
+// rooted exchange: the tiles move to the vertex-sliced layout and root
+// gathers every row. Root returns the matrix, every other device nil.
+func gatherRoot(m *dist.Mat, root int) *tensor.Dense {
+	all := make([]int32, m.GlobalRows)
+	for i := range all {
+		all[i] = int32(i)
+	}
+	return m.Redistribute(dist.H).GatherRows(root, all)
+}
+
+// scatterRoot distributes a matrix only root holds (global is nil on the
+// other devices): root broadcasts it and every device slices its tile.
+func scatterRoot(d *comm.Device, root int, l dist.Layout, rows, cols int, global *tensor.Dense) *dist.Mat {
+	var data []float32
+	if d.Rank == root {
+		data = global.Data
+	}
+	got := d.Broadcast(d.World(), root, data)
+	return dist.Distribute(d, l, &tensor.Dense{Rows: rows, Cols: cols, Data: got})
+}
+
 func TestGatherRootRagged(t *testing.T) {
 	const p = 4
 	global := marked(7, 5)
@@ -122,8 +144,7 @@ func TestGatherRootRagged(t *testing.T) {
 				var gotRanks []int
 				var mu sync.Mutex
 				comm.Run(p, hw.A6000(), func(d *comm.Device) {
-					m := dist.Distribute(d, l, global)
-					g := m.GatherRoot(root)
+					g := gatherRoot(dist.Distribute(d, l, global), root)
 					mu.Lock()
 					defer mu.Unlock()
 					if g != nil {
@@ -148,7 +169,7 @@ func TestGatherRootVolume(t *testing.T) {
 	const p, rows, cols = 4, 8, 6
 	global := marked(rows, cols)
 	fab := comm.Run(p, hw.A6000(), func(d *comm.Device) {
-		dist.Distribute(d, dist.H, global).GatherRoot(0)
+		gatherRoot(dist.Distribute(d, dist.H, global), 0)
 	})
 	want := int64((p - 1) * (rows / p) * cols * 4)
 	if got := fab.Volume(hw.OpAllToAll); got != want {
@@ -169,7 +190,7 @@ func TestScatterRootRagged(t *testing.T) {
 					if d.Rank == root {
 						g = global
 					}
-					m := dist.ScatterRoot(d, root, l, global.Rows, global.Cols, g)
+					m := scatterRoot(d, root, l, global.Rows, global.Cols, g)
 					mu.Lock()
 					mats[d.Rank] = m
 					mu.Unlock()
@@ -183,8 +204,8 @@ func TestScatterRootRagged(t *testing.T) {
 }
 
 func TestScatterGatherRoundTrip(t *testing.T) {
-	// ScatterRoot then GatherRoot is identity for every layout, even when
-	// the scatter root and gather root differ.
+	// Scatter then gather is identity for every layout, even when the
+	// scatter root and gather root differ.
 	const p = 3
 	global := marked(7, 5)
 	for _, l := range []dist.Layout{dist.H, dist.V, dist.R} {
@@ -196,8 +217,8 @@ func TestScatterGatherRoundTrip(t *testing.T) {
 				if d.Rank == 0 {
 					g = global
 				}
-				m := dist.ScatterRoot(d, 0, l, global.Rows, global.Cols, g)
-				if out := m.GatherRoot(p - 1); out != nil {
+				m := scatterRoot(d, 0, l, global.Rows, global.Cols, g)
+				if out := gatherRoot(m, p-1); out != nil {
 					mu.Lock()
 					got = out
 					mu.Unlock()

@@ -294,66 +294,6 @@ func (m *Mat) sparseRegrid(dstL Layout, live []int32) *Mat {
 	return out
 }
 
-// GatherRowsSparse is GatherRows with aggregation before
-// communication: duplicate row requests are deduplicated before the
-// exchange, so each owner injects every distinct requested row at most
-// once, and root fans the copies back out locally. The result is still
-// assembled in request order, byte-identical to GatherRows' output.
-func (m *Mat) GatherRowsSparse(root int, rowset []int32) *tensor.Dense {
-	dev := m.Dev
-	p := dev.P()
-	src := m.Layout.normalize(p)
-	if src.Kind != Horizontal {
-		panic(fmt.Sprintf("dist: GatherRowsSparse needs a vertex-sliced source, have %s", src))
-	}
-	distinct := make([]int32, 0, len(rowset))
-	seen := make(map[int32]struct{}, len(rowset))
-	for _, r := range rowset {
-		if int(r) < 0 || int(r) >= m.GlobalRows {
-			panic(fmt.Sprintf("dist: GatherRowsSparse row %d out of range [0, %d)", r, m.GlobalRows))
-		}
-		if _, ok := seen[r]; !ok {
-			seen[r] = struct{}{}
-			distinct = append(distinct, r)
-		}
-	}
-	sort.Slice(distinct, func(a, b int) bool { return distinct[a] < distinct[b] })
-	w := m.GlobalCols
-	var gathered *tensor.Dense
-	if p == 1 {
-		gathered = tensor.NewDense(len(distinct), w)
-		for i, r := range distinct {
-			copy(gathered.Row(i), m.Local.Row(int(r)))
-		}
-	} else {
-		dev.TraceBeginPhase("gather-rows-sparse")
-		defer dev.TraceEndPhase()
-		rlo, rhi := RowRange(src, p, dev.Rank, m.GlobalRows)
-		mine := RowsInRange(distinct, rlo, rhi)
-		buf := make([]float32, 0, len(mine)*w)
-		for _, r := range mine {
-			buf = append(buf, m.Local.Row(int(r)-rlo)...)
-		}
-		parts := make([][]float32, p)
-		parts[root] = buf
-		recv, _ := dev.AllToAllV(dev.World(), parts, nil)
-		if dev.Rank != root {
-			return nil
-		}
-		gathered = tensor.NewDense(len(distinct), w)
-		cursor := make([]int, p)
-		for i, r := range distinct {
-			owner := ownerOf(src, p, m.GlobalRows, int(r))
-			b := recv[owner]
-			copy(gathered.Row(i), b[cursor[owner]*w:(cursor[owner]+1)*w])
-			cursor[owner]++
-		}
-	}
-	out := expandRows(gathered, distinct, rowset)
-	dev.ChargeMem(out.Bytes())
-	return out
-}
-
 // HaloExchange gathers, on every rank, an arbitrary set of global rows
 // of a vertex-sliced matrix — the CSR halo exchange: need lists come
 // from the local adjacency panel's remote column neighbors. Round 1

@@ -275,34 +275,6 @@ func TestGatherRowsDuplicatesAndUnsorted(t *testing.T) {
 	}
 }
 
-func TestGatherRowsSparseDedup(t *testing.T) {
-	// GatherRowsSparse returns GatherRows' exact output while moving
-	// each distinct row once — strictly fewer bytes under duplication.
-	const n, f, p = 20, 6, 4
-	rng := rand.New(rand.NewSource(17))
-	global := globalRand(rng, n, f)
-	rows := []int32{9, 9, 9, 3, 15, 3, 9, 19}
-	dense, dfab := gatherOn(t, p, global, func(m *Mat) *tensor.Dense {
-		return m.GatherRows(0, rows)
-	})
-	sparse, sfab := gatherOn(t, p, global, func(m *Mat) *tensor.Dense {
-		return m.GatherRowsSparse(0, rows)
-	})
-	if tensor.MaxAbsDiff(dense, sparse) != 0 {
-		t.Fatal("sparse gather differs from dense")
-	}
-	sv, dv := sfab.Volume(hw.OpAllToAll), dfab.Volume(hw.OpAllToAll)
-	if sv >= dv || sv == 0 {
-		t.Fatalf("dedup gather volume %d, dense %d", sv, dv)
-	}
-	// Empty set and no-duplicate set are fine too.
-	if got, _ := gatherOn(t, p, global, func(m *Mat) *tensor.Dense {
-		return m.GatherRowsSparse(0, nil)
-	}); got == nil || got.Rows != 0 {
-		t.Fatal("empty sparse gather")
-	}
-}
-
 func TestHaloExchange(t *testing.T) {
 	// Every rank requests an arbitrary (duplicated, unsorted) row set —
 	// including rows it owns — and gets them back in request order.

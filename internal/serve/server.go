@@ -165,8 +165,8 @@ func NewSession(prob *core.Problem, cfg Config) *Session {
 // batchPlan is the host-side decision record for one microbatch: which
 // queries hit, which vertices must be gathered, and whether (and from
 // which layer) the embedding table is refreshed first. It is computed
-// before the fabric runs, so every device executes the same plan in
-// lockstep with zero control-plane communication — the shared-plan
+// before the fabric runs, so one host loop can step every device through
+// the same plan with zero control-plane communication — the shared-plan
 // trick the trainer's shared-seed sampling uses.
 type batchPlan struct {
 	batch     Batch
@@ -213,14 +213,19 @@ func refreshSums(secs []secSums, fromLayer int, cold bool) (m Meter, t float64) 
 }
 
 // Serve answers one query stream on a world of p devices. Queries must
-// be in nondecreasing arrival order (TrafficSpec.Generate's are); Serve
-// panics on one whose arrivals decrease, leaving the session unchanged.
+// be in nondecreasing arrival order (TrafficSpec.Generate's are) and
+// name vertices of the graph; Serve panics on a stream that breaks
+// either rule, leaving the session unchanged.
 // Calling Serve again — with the same or a different p — continues the
 // session: the cache and value store carry over, engines are rebuilt,
 // and the first miss of the new incarnation pays a cold refresh. The
 // hit/miss sequence depends only on the query stream and cache policy,
 // never on p.
-func (s *Session) Serve(p int, queries []Query) {
+func (s *Session) Serve(p int, queries []Query) { s.serve(p, queries, (*Session).runPlans) }
+
+// serve is Serve with the step that executes the planned microbatches on
+// the fabric passed in: run returns each microbatch's service time.
+func (s *Session) serve(p int, queries []Query, run func(*Session, *comm.Fabric, []batchPlan, core.Options) []float64) {
 	if p < 1 {
 		panic("serve: Serve needs p >= 1")
 	}
@@ -228,9 +233,14 @@ func (s *Session) Serve(p int, queries []Query) {
 		return
 	}
 	cfg := s.cfg
-	// Admission first: it rejects a malformed stream before anything
-	// below touches the session.
+	// Admission and the vertex check first: they reject a malformed
+	// stream before anything below touches the session.
 	batches := Coalesce(queries, cfg.MaxBatch, cfg.Deadline)
+	for _, q := range queries {
+		if q.Vertex < 0 || int(q.Vertex) >= s.prob.N() {
+			panic(fmt.Sprintf("serve: vertex %d outside [0, %d)", q.Vertex, s.prob.N()))
+		}
+	}
 	s.lastP = p
 	if !s.haveArrival {
 		s.firstArrival = queries[0].Arrival
@@ -260,7 +270,6 @@ func (s *Session) Serve(p int, queries []Query) {
 		s.predictBatch(&plans[i], secs, fL, owned)
 	}
 
-	// One fabric run executes every microbatch SPMD-lockstep.
 	fab := comm.NewFabric(p, cfg.HW)
 	if cfg.Topology != nil {
 		fab.SetTopology(cfg.Topology)
@@ -268,33 +277,8 @@ func (s *Session) Serve(p int, queries []Query) {
 	if cfg.Tracer != nil {
 		fab.SetTracer(cfg.Tracer, cfg.TraceLabel)
 	}
-	svc := make([]float64, len(plans))
-	fab.Run(func(d *comm.Device) {
-		eng := core.NewInferenceEngine(d, s.prob, core.Options{
-			Dims: cfg.Dims, Config: tblCfg, RA: ra, Seed: cfg.Seed, SAGE: cfg.SAGE,
-		}, cfg.Checkpoint)
-		var logits *dist.Mat
-		var tile *tensor.Dense // root's gather tile, reused batch after batch
-		for i := range plans {
-			bp := &plans[i]
-			c0 := d.Clock()
-			if bp.fromLayer >= 0 {
-				logits = eng.RunInference(bp.fromLayer)
-			}
-			if len(bp.missVerts) > 0 {
-				tile = logits.GatherRowsInto(0, bp.missVerts, tile)
-			}
-			if d.Rank == 0 {
-				if bp.hitRows > 0 {
-					d.ChargeMem(4 * int64(fL) * int64(bp.hitRows))
-				}
-				// Only root's goroutine writes the store; Serve's waits.
-				for j, v := range bp.missVerts {
-					copy(s.storeRow(v), tile.Row(j))
-				}
-				svc[i] = d.Clock() - c0
-			}
-		}
+	svc := run(s, fab, plans, core.Options{
+		Dims: cfg.Dims, Config: tblCfg, RA: ra, Seed: cfg.Seed, SAGE: cfg.SAGE,
 	})
 	s.simTime += fab.MaxClock()
 	s.meterFabric(fab)
@@ -321,6 +305,39 @@ func (s *Session) Serve(p int, queries []Query) {
 			})
 		}
 	}
+}
+
+// runPlans steps every device through the plans from this goroutine: one
+// Run builds the engines and one per refresh runs the forward schedule;
+// between Runs the gathers are lockstep rounds and root's hit charges and
+// store writes plain calls. Service times are read off root's clock.
+func (s *Session) runPlans(fab *comm.Fabric, plans []batchPlan, opts core.Options) []float64 {
+	engs := make([]*core.Engine, fab.P)
+	fab.Run(func(d *comm.Device) {
+		engs[d.Rank] = core.NewInferenceEngine(d, s.prob, opts, s.cfg.Checkpoint)
+	})
+	logits := make([]*dist.Mat, fab.P)
+	var tile *tensor.Dense // root's gather tile, reused batch after batch
+	root := fab.Device(0)
+	svc := make([]float64, len(plans))
+	for i := range plans {
+		bp := &plans[i]
+		c0 := root.Clock()
+		if bp.fromLayer >= 0 {
+			fab.Run(func(d *comm.Device) { logits[d.Rank] = engs[d.Rank].RunInference(bp.fromLayer) })
+		}
+		if len(bp.missVerts) > 0 {
+			tile = dist.GatherRowsLockstep(logits, 0, bp.missVerts, tile)
+		}
+		if bp.hitRows > 0 {
+			root.ChargeMem(4 * int64(s.width) * int64(bp.hitRows))
+		}
+		for j, v := range bp.missVerts {
+			copy(s.storeRow(v), tile.Row(j))
+		}
+		svc[i] = root.Clock() - c0
+	}
+	return svc
 }
 
 // planBatches runs the cache over the coalesced batches of an nq-query
