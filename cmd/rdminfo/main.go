@@ -66,6 +66,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	switch {
+	case *n < 1:
+		fmt.Fprintf(stderr, "rdminfo: -n %d: need at least one vertex\n", *n)
+		return 2
+	case *nnz < 0:
+		fmt.Fprintf(stderr, "rdminfo: -nnz %d: need a count >= 0 (0 = 8n)\n", *nnz)
+		return 2
+	}
 	if *topoFlag {
 		return runTopo(stdout, stderr, *specStr, *topoP, *payload)
 	}

@@ -136,6 +136,54 @@ func TestPlanFlagValidation(t *testing.T) {
 	}
 }
 
+// TestCountFlagValidation: a vertex or stored-entry count no problem
+// can have exits 2 with one stderr line naming the flag, in every mode.
+func TestCountFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-plan", "-n", "0"}, "-n 0"},
+		{[]string{"-plan", "-n", "-4", "-p", "2"}, "-n -4"},
+		{[]string{"-plan", "-nnz", "-5"}, "-nnz -5"},
+		{[]string{"-nnz", "-5"}, "-nnz -5"},
+		{[]string{"-pareto", "-n", "0"}, "-n 0"},
+		{[]string{"-pareto", "-nnz", "-1"}, "-nnz -1"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2 (stderr %q)", tc.args, code, errb.String())
+			continue
+		}
+		if out.Len() != 0 || strings.Count(errb.String(), "\n") != 1 || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stdout %q, stderr %q; want no output and one line containing %q",
+				tc.args, out.String(), errb.String(), tc.want)
+		}
+	}
+}
+
+// TestPlanRaggedShapes: when R_A, n or a width does not split evenly,
+// the priced schedule still reconciles byte-for-byte with the
+// engine-faithful closed form, which counts each redistribution's exact
+// tile overlaps (rdminfo exits 1 on a mismatch).
+func TestPlanRaggedShapes(t *testing.T) {
+	for _, args := range []string{
+		"-p 3", "-p 5", "-p 6", "-p 7", "-p 3 -n 100",
+		"-p 3 -config 15",
+		"-p 6 -ra 3 -config 10",
+		"-p 5 -n 101 -dims 7,5,3",
+		"-p 7 -n 50 -config 7 -nomemo",
+		"-p 9 -ra 3 -n 77 -config 12",
+		"-p 3 -dims 1,3,2 -config 5",
+		"-p 6 -ra 2 -n 63 -dims 5,9,4,3 -config 40",
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append([]string{"-plan"}, strings.Fields(args)...), &out, &errb); code != 0 {
+			t.Errorf("-plan %s: exit = %d, stderr %q", args, code, errb.String())
+		}
+	}
+}
+
 // TestParetoGolden pins the -pareto design-space dump for the
 // OGB-Arxiv-like 602-128-41 network at P=8; it doubles as a CI golden
 // (.github/workflows/ci.yml diffs it).

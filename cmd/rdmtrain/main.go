@@ -74,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if msg := checkShape(*layers, *configID, *gpus, *ra); msg != "" {
+	if msg := checkFlags(*layers, *configID, *gpus, *ra, *n, *classes, *epochs, *synthetic); msg != "" {
 		fmt.Fprintln(stderr, "rdmtrain:", msg)
 		return 2
 	}
@@ -165,7 +165,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cfg := plan.Choose(sp, prob.A.NNZ(), hw.A6000(), nil, false)
 		id = cfg.ID()
 		sp.Config = cfg
-		predicted := plan.Compile(sp).Optimize().PredictTime(prob.A.NNZ(), hw.A6000())
+		predicted := plan.Compile(sp).Optimize().Price(prob.A.NNZ(), hw.A6000()).Time
 		fmt.Fprintf(stdout, "planner-selected ordering: %d (%v), predicted epoch %.3gs\n",
 			id, cfg, predicted)
 	}
@@ -297,9 +297,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// checkShape validates the flags that fix the network and fabric shape,
-// before anything is built; it returns a one-line complaint, or "".
-func checkShape(layers, configID, gpus, ra int) string {
+// checkFlags validates the flags that fix the network, fabric and
+// problem shape and the run length, before anything is built; it
+// returns a one-line complaint, or "".
+func checkFlags(layers, configID, gpus, ra, n, classes, epochs int, synthetic bool) string {
 	switch {
 	case layers < 1:
 		return fmt.Sprintf("-layers %d: need at least 1", layers)
@@ -310,6 +311,14 @@ func checkShape(layers, configID, gpus, ra int) string {
 		return fmt.Sprintf("-gpus %d: need at least 1", gpus)
 	case ra < 0 || ra > 0 && gpus%ra != 0:
 		return fmt.Sprintf("-ra %d does not divide -gpus %d", ra, gpus)
+	case n < 1:
+		return fmt.Sprintf("-n %d: need at least one vertex", n)
+	case classes < 1:
+		return fmt.Sprintf("-classes %d: need at least one class", classes)
+	case synthetic && classes > n:
+		return fmt.Sprintf("-classes %d exceeds -n %d: a synthetic graph needs a vertex per class", classes, n)
+	case epochs < 0:
+		return fmt.Sprintf("-epochs %d: need a count >= 0", epochs)
 	}
 	return ""
 }

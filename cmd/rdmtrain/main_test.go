@@ -56,6 +56,35 @@ func TestShapeFlagValidation(t *testing.T) {
 	}
 }
 
+// TestCountFlagValidation: a vertex, class or epoch count the trainer
+// cannot run exits 2 with one stderr line naming the flag, before any
+// graph is generated.
+func TestCountFlagValidation(t *testing.T) {
+	base := []string{"-synthetic", "-n", "64", "-classes", "4", "-features", "8",
+		"-hidden", "8", "-epochs", "1"}
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-n", "0"}, "-n 0: need at least one vertex"},
+		{[]string{"-n", "-3"}, "-n -3"},
+		{[]string{"-classes", "0"}, "-classes 0: need at least one class"},
+		{[]string{"-classes", "-1"}, "-classes -1"},
+		{[]string{"-n", "3"}, "-classes 4 exceeds -n 3"},
+		{[]string{"-epochs", "-1"}, "-epochs -1"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append(append([]string{}, base...), tc.args...), &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2 (stderr %q)", tc.args, code, errb.String())
+			continue
+		}
+		if out.Len() != 0 || strings.Count(errb.String(), "\n") != 1 || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stdout %q, stderr %q; want no output and one line containing %q",
+				tc.args, out.String(), errb.String(), tc.want)
+		}
+	}
+}
+
 func TestMissingEdgeFile(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"-edges", filepath.Join(t.TempDir(), "nope.txt")}, &out, &errb); code != 1 {

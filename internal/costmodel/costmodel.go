@@ -46,6 +46,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"gnnrdm/internal/dist"
 )
 
 // Order is the execution order of one layer in one pass.
@@ -179,9 +181,11 @@ func Evaluate(n Network, c Config) Cost {
 // by the forward or backward pass (e.g. G^l left feature-sliced by a
 // dense-first backward layer l+1) is not paid again. For a 2-layer
 // network this elides exactly one min(f_0, f_1) redistribution in
-// configs 14 and 15 and changes nothing else — Evaluate remains the
-// literal Table IV model; EvaluateEngine is what the simulator's meters
-// reproduce byte-for-byte (see internal/verify).
+// configs 14 and 15 and changes nothing else. It also counts each
+// redistribution's exact tile overlaps (DenseExchangeBytes), which the
+// (RA-1)/RA·N·f unit matches only for even splits.
+// Evaluate remains the literal Table IV model; EvaluateEngine is what
+// the simulator's meters reproduce byte-for-byte (see internal/verify).
 func EvaluateEngine(n Network, c Config) Cost {
 	return evaluate(n, c, true)
 }
@@ -206,6 +210,11 @@ func evaluate(n Network, c Config, engineExact bool) Cost {
 		commElems += bcastUnit * float64(width)
 	}
 	redist := func(width int) { commElems += redistUnit * float64(width) }
+	if engineExact {
+		redist = func(width int) {
+			commElems += float64(DenseExchangeBytes(n.P, int(n.N), width, dist.H, dist.G(n.RA)) / 4)
+		}
+	}
 
 	f := n.Dims
 	// hHoriz[l] records whether H^l is materialized vertex-sliced at some

@@ -120,4 +120,14 @@ func TestMeterCrossCheck(t *testing.T) {
 			verify.CheckVolumeMatchesModel(t, prob, wide, 4, 4, cfg)
 		})
 	}
+	// Ragged splits: n=100 rows and widths 8, 6, 4 over P=3. The engine
+	// model counts each redistribution's exact tile overlaps, which the
+	// (RA-1)/RA·N·f unit only approximates here.
+	ragged := verify.DefaultProblem(17, 100, 8, 4)
+	for _, tc := range []struct{ ra, cfg int }{{3, 0}, {3, 3}, {3, 10}, {3, 15}, {1, 5}} {
+		tc := tc
+		t.Run(fmt.Sprintf("ragged/P3/RA%d/cfg%02d", tc.ra, tc.cfg), func(t *testing.T) {
+			verify.CheckVolumeMatchesModel(t, ragged, dims, 3, tc.ra, tc.cfg)
+		})
+	}
 }

@@ -14,10 +14,11 @@
 // and byte censuses are asserted exactly equal to
 // costmodel.GossipRoundBytes, with convergence asserted against the
 // closed-form epidemic bound (verify.CheckGossipConvergence). Like
-// plan.PriceOn's virtual path, the protocol state machine is advanced
-// by a discrete-round simulator rather than fabric goroutines, which is
-// what makes membership sweeps at P >= 1024 runnable in CI; the pricing
-// uses the identical alpha-beta model the live fabric charges.
+// plan's replay engine (sim.Run, Schedule.PriceOn), the protocol state
+// machine is advanced by a discrete-round simulator rather than fabric
+// goroutines, which is what makes membership sweeps at P >= 1024
+// runnable in CI; the pricing uses the identical alpha-beta model the
+// live fabric charges.
 //
 // core.TrainElastic consumes this layer through Detect: a crash is
 // noticed by probes, disseminated epidemically, and the survivors

@@ -11,12 +11,13 @@ import (
 // compiling, optimizing and pricing every one of the 4^L
 // costmodel.ConfigFromID orderings — each forward and backward slot
 // independently, so mixed orderings are candidates like any other.
-// With overlap == false a candidate costs its sequential replay
-// (PriceOn's Time); with overlap == true, its dependency-DAG critical
-// path (PriceDAGOn's Makespan), which can favour an ordering that moves
-// more bytes but exposes them earlier. tp == nil prices the flat
-// fabric. The first minimum in ascending ID wins, so the pick is
-// deterministic.
+// Both objectives are read off the replay engine on the candidate's
+// ApproxCensus: with overlap == false a candidate costs its sequential
+// replay epoch (PriceOn's Time, PriceDAGOn's SeqTime); with overlap ==
+// true, its dependency-DAG critical path (PriceDAGOn's Makespan), which
+// can favour an ordering that moves more bytes but exposes them
+// earlier. tp == nil prices the flat fabric. The first minimum in
+// ascending ID wins, so the pick is deterministic.
 func Choose(sp Spec, nnz int64, h *hw.Model, tp *topo.Topology, overlap bool) costmodel.Config {
 	L := len(sp.Dims) - 1
 	var best costmodel.Config

@@ -42,8 +42,6 @@ type DAGNode struct {
 type DAG struct {
 	Sched *Schedule
 	Nodes []DAGNode
-	// byStep maps a step ID to its node index (for String/Parse).
-	byStep map[int]int
 }
 
 // cell identifiers partition mutable state: each fresh register
@@ -86,7 +84,7 @@ func BuildDAG(s *Schedule) (*DAG, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	d := &DAG{Sched: s, byStep: make(map[int]int, s.Ops())}
+	d := &DAG{Sched: s, Nodes: make([]DAGNode, 0, s.Ops())}
 	b := newDagBuilder(s)
 	for i := range s.Sections {
 		sec := &s.Sections[i]
@@ -197,7 +195,6 @@ func BuildDAG(s *Schedule) (*DAG, error) {
 			}
 			sort.Ints(node.Deps)
 			d.Nodes = append(d.Nodes, node)
-			d.byStep[op.Step] = n
 		}
 	}
 	return d, nil
@@ -211,15 +208,6 @@ func MustBuildDAG(s *Schedule) *DAG {
 		panic(err)
 	}
 	return d
-}
-
-// NodeByStep returns the node index of a schedule step ID (-1 when
-// absent).
-func (d *DAG) NodeByStep(step int) int {
-	if n, ok := d.byStep[step]; ok {
-		return n
-	}
-	return -1
 }
 
 // String renders the DAG as the schedule dump followed by an "edges"

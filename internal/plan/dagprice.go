@@ -22,9 +22,8 @@ type Census struct {
 	// no slowdown.
 	Slow []float64
 	// NNZ is the exact global stored-entry count. The KSpMMABC arm
-	// derives its structural census from it on demand (the same O(P)
-	// class form PriceOn builds from its nnz argument, so the two cannot
-	// disagree); schedules without ABC ops ignore it.
+	// derives its structural census from it on demand (an O(P) class
+	// form); schedules without ABC ops ignore it.
 	NNZ int64
 	// ABCPairs and NNZABC, when set, override that estimate with an
 	// explicit structural census: result rows shipped r→q (P×P) and each
@@ -35,19 +34,17 @@ type Census struct {
 
 // ApproxCensus estimates a census from a global stored-entry count by
 // distributing nnz proportionally to each rank's panel rows, rounded
-// up — the same formula the aggregate pricer (PriceOn) uses for its
-// busiest-device panel. Use the engine's real panel counts
-// (core.PanelCensus) when exact clock equality matters.
+// up, alike in both directions (NNZFwd and NNZBwd share one read-only
+// slice). It is the census PriceOn replays. Use the engine's real panel
+// counts (core.PanelCensus) when clock equality with a live run
+// matters.
 func (s *Schedule) ApproxCensus(nnz int64) Census {
-	c := Census{NNZFwd: make([]int64, s.P), NNZBwd: make([]int64, s.P), NNZ: nnz}
-	for r := 0; r < s.P; r++ {
+	panels := make([]int64, s.P)
+	for r := range panels {
 		rlo, rhi := dist.RowRange(s.GridL, s.P, r, s.N)
-		prows := rhi - rlo
-		panel := (nnz*int64(prows) + int64(s.N) - 1) / int64(s.N)
-		c.NNZFwd[r] = panel
-		c.NNZBwd[r] = panel
+		panels[r] = (nnz*int64(rhi-rlo) + int64(s.N) - 1) / int64(s.N)
 	}
-	return c
+	return Census{NNZFwd: panels, NNZBwd: panels, NNZ: nnz}
 }
 
 // DAGCost is the result of pricing a DAG on a topology: per-device
@@ -100,11 +97,11 @@ func (d *DAG) PriceDAGEpochs(cen Census, h *hw.Model, tp *topo.Topology, epochs 
 // engine (replay.go): one engine, run overlapped then sequentially
 // with no epoch barriers, read off its clocks.
 func (d *DAG) PriceDAGEpochsCached(cen Census, h *hw.Model, tp *topo.Topology, epochs int, pc *PriceCache) DAGCost {
-	e := newEngine(d, cen, h, tp, epochs, pc)
-	c := DAGCost{
-		PerDevice:    e.run(true, 0, nil, "").Clocks,
-		PerDeviceSeq: e.run(false, 0, nil, "").Clocks,
-	}
+	e := newEngine(d.Sched, d, cen, h, tp, epochs, pc)
+	e.run(true, 0, nil, "")
+	c := DAGCost{PerDevice: e.clocks()}
+	e.run(false, 0, nil, "")
+	c.PerDeviceSeq = e.clocks()
 	for r := range c.PerDevice {
 		c.Makespan = max(c.Makespan, c.PerDevice[r])
 		c.SeqTime = max(c.SeqTime, c.PerDeviceSeq[r])

@@ -1,19 +1,17 @@
 package plan
 
 import (
-	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/topo"
 )
 
-// This file prices a compiled schedule: exact per-op fabric byte
-// volumes (the planner-side source of truth the verifier reconciles
-// against the simulator's meters byte-for-byte) plus an α–β/roofline
-// time estimate driving the per-layer ordering chooser. The byte
-// formulas reproduce the fabric's metering rules: an all-to-all counts
-// every cross-pair chunk once, an allgather counts the group's total
-// buffer (groupSize-1) times, an allreduce counts 2·bytes·(groupSize-1),
-// and groups of one device short-circuit to zero.
+// This file prices a compiled schedule as a view of the replay engine
+// (replay.go): one sequential epoch on the ApproxCensus of a global
+// stored-entry count, read off op by op. An op's bytes are what it added
+// to the replayed fabric's meters — the same census the live fabric
+// meters, so the verifier reconciles them byte-for-byte — and its time
+// is how far it advanced the latest device clock. The schedule's time
+// is that clock at the end of the epoch, PriceDAGOn's SeqTime.
 
 // OpCost is the priced cost of one schedule step.
 type OpCost struct {
@@ -30,7 +28,7 @@ type OpCost struct {
 	// topology; under flat pricing everything is tier 0.
 	Tier     [topo.NumTiers]int64
 	SideTier [topo.NumTiers]int64
-	// Time estimates the op's duration on the busiest device.
+	// Time is how far the op advanced the latest device clock.
 	Time float64
 }
 
@@ -50,187 +48,63 @@ type Cost struct {
 // Volume(OpAllToAll) + Volume(OpAllGather).
 func (c Cost) RDMBytes() int64 { return c.AllToAll + c.AllGather }
 
-// Price walks the schedule once and prices every op. nnz is the global
+// Price prices the schedule on the flat fabric. nnz is the global
 // stored-entry count of the propagation operator (for SpMM kernel
-// time); h is the hardware model time estimates are drawn from.
+// time); h is the hardware model time is drawn from.
 func (s *Schedule) Price(nnz int64, h *hw.Model) Cost {
 	return s.PriceOn(nnz, h, nil)
 }
 
-// PriceOn prices the schedule on an interconnect topology. With tp ==
-// nil it is exactly Price: the pre-topology flat formulas, bit-for-bit.
-// With a topology, every collective is priced through internal/topo
-// under the fabric's default Auto algorithm selection, so the op byte
-// volumes — split per link tier — and the collective time terms equal
-// the live fabric's meters and clocks for the same topology exactly.
+// PriceOn prices the schedule on an interconnect topology (nil = flat):
+// one sequential replay epoch on ApproxCensus(nnz), so every collective
+// is priced as the live fabric prices it under the default Auto
+// algorithm selection, and the op byte volumes — split per link tier on
+// a topology — equal the fabric's meters for the same schedule exactly.
+// Time is the epoch's latest device clock.
 func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
-	type rinfo struct {
-		layout     dist.Layout
-		rows, cols int
+	e := newEngine(s, nil, s.ApproxCensus(nnz), h, tp, 1, nil)
+	e.perOp = make([]OpCost, 0, s.Ops())
+	e.run(false, 0, nil, "")
+	t := e.meters.since(&Meters{}, tp != nil)
+	return Cost{
+		PerOp: e.perOp, AllToAll: t.AllToAll, AllGather: t.AllGather, AllReduce: t.AllReduce,
+		Side: t.Side, Tier: t.Tier, SideTier: t.SideTier, Time: e.wasClock,
 	}
-	regs := make(map[Reg]rinfo, s.NumRegs)
-	def := func(r Reg, l dist.Layout, rows, cols int) {
-		regs[r] = rinfo{l.Normalize(s.P), rows, cols}
-	}
-	// Every collective is priced through a private PriceCache — flat
-	// closed form or routed, by the code the replay engine prices with —
-	// so a conversion that recurs across layers and directions is
-	// computed once.
-	pc := NewPriceCache()
-	pc.Bind(s.P, h, tp)
-	regrid := func(from, to dist.Layout, rows, cols int, packed bool) *ExchangeCensus {
-		return pc.Exchange(from.Normalize(s.P), to.Normalize(s.P), rows, cols, packed)
-	}
-	// twoRound charges a two-round exchange: each round is its own fused
-	// rendezvous, so pack/collective/merge are charged twice — mirroring
-	// dist.RedistributeSparse's charge sequence.
-	twoRound := func(oc *OpCost, x *SparseExchangeCensus) {
-		oc.Side, oc.SideTier = x.Meta.A2A.Bytes(), x.Meta.A2A.Tier
-		oc.AllToAll, oc.Tier = x.Pay.A2A.Bytes(), x.Pay.A2A.Tier
-		oc.Time += h.MemTime(x.Meta.MaxInj) + x.Meta.A2A.Time + h.MemTime(x.Meta.MaxEj) +
-			h.MemTime(x.Pay.MaxInj) + x.Pay.A2A.Time + h.MemTime(x.Pay.MaxEj)
-	}
-	var c Cost
-	for i := range s.Sections {
-		for j := range s.Sections[i].Ops {
-			op := &s.Sections[i].Ops[j]
-			oc := OpCost{Step: op.Step, Kind: op.Kind}
-			switch op.Kind {
-			case KInput:
-				def(op.Dst, op.Layout, op.Rows, op.Cols)
-			case KRedist:
-				if op.Sparse && s.SparseEligible(op.From, op.To) {
-					// Two-round sparse exchange: metadata adverts on the
-					// side channel, then the variable-volume payload.
-					twoRound(&oc, pc.SparseExchange(s, op.From, op.To, op.Rows, op.Cols))
-				} else {
-					x := regrid(op.From, op.To, op.Rows, op.Cols, false)
-					oc.AllToAll, oc.Tier = x.A2A.Bytes(), x.A2A.Tier
-					oc.Time = h.MemTime(x.MaxInj) + x.A2A.Time + h.MemTime(x.MaxEj)
-				}
-				def(op.Dst, op.To, op.Rows, op.Cols)
-			case KSpMM:
-				group := s.P / s.RA
-				prows, pcols := dist.TileShape(s.GridL, s.P, 0, op.Rows, op.Cols)
-				slice := int64(op.Rows) * int64(pcols) * 4
-				if group > 1 && tp != nil {
-					// R_A concurrent column-group allgathers, one per grid
-					// column; each member contributes its live tile, so the
-					// chunk census matches the fabric's ragged allgather
-					// exactly. The op runs at the slowest group's pace.
-					var worst float64
-					for j := 0; j < s.RA; j++ {
-						grp := make([]int, 0, group)
-						chunks := make([]int64, 0, group)
-						var total int64
-						for r := j; r < s.P; r += s.RA {
-							gr, gc := dist.TileShape(s.GridL, s.P, r, op.Rows, op.Cols)
-							grp = append(grp, r)
-							b := int64(gr) * int64(gc) * 4
-							chunks = append(chunks, b)
-							total += b
-						}
-						_, cst := tp.AllGather(h, topo.Auto, grp, chunks)
-						oc.AllGather += cst.Bytes()
-						for t := range cst.Tier {
-							oc.Tier[t] += cst.Tier[t]
-						}
-						if t := cst.Time + h.MemTime(total); t > worst {
-							worst = t
-						}
-					}
-					oc.Time += worst
-				} else if group > 1 {
-					oc.AllGather = int64(group-1) * int64(op.Rows) * int64(op.Cols) * 4
-					oc.Time += h.CollectiveTime(hw.OpAllGather, group, slice) + h.MemTime(slice)
-				}
-				panelNNZ := (nnz*int64(prows) + int64(op.Rows) - 1) / int64(op.Rows)
-				oc.Time += h.SpMMTime(panelNNZ, pcols)
-				def(op.Dst, s.GridL, op.Rows, op.Cols)
-			case KSpMMABC:
-				// Aggregate-before-communicate: each rank partial-aggregates
-				// its own live rows against its full adjacency replica
-				// (R_A == P), then the ranks run a two-round exchange of the
-				// structurally-touched result rows, summed on arrival. The
-				// structural census is the shared Erdős–Rényi estimate, so
-				// this pricer and the replay engine agree on the same
-				// integers.
-				abc := s.approxABC(nnz, pc.LiveFor(s))
-				var worst float64
-				for r := 0; r < s.P; r++ {
-					if t := h.SpMMTime(abc.nnz[r], op.Cols); t > worst {
-						worst = t
-					}
-				}
-				oc.Time = worst
-				twoRound(&oc, abc.exchange(pc, op.Cols))
-				def(op.Dst, dist.H, op.Rows, op.Cols)
-			case KGEMM:
-				a := regs[op.A]
-				m0, _ := dist.TileShape(dist.H, s.P, 0, op.Rows, op.Cols)
-				oc.Time = h.GemmTime(m0, a.cols, op.Cols)
-				def(op.Dst, dist.H, op.Rows, op.Cols)
-			case KGradGEMM:
-				a := regs[op.A]
-				m0, _ := dist.TileShape(dist.H, s.P, 0, a.rows, a.cols)
-				oc.Time = h.GemmTime(op.Rows, m0, op.Cols)
-				def(op.Dst, dist.R, op.Rows, op.Cols)
-			case KAllReduceGrad:
-				buf := int64(op.Rows) * int64(op.Cols) * 4
-				cst := pc.AllReduceCost(buf)
-				oc.AllReduce, oc.Tier, oc.Time = cst.Bytes(), cst.Tier, cst.Time
-			case KReLU, KAdd:
-				oc.Time = h.MemTime(tileBytes0(op.Layout, s.P, op.Rows, op.Cols))
-			case KReLUGrad:
-				apply := h.MemTime(tileBytes0(op.To, s.P, op.Rows, op.Cols))
-				if op.From.Normalize(s.P) == op.To.Normalize(s.P) {
-					oc.Time = apply
-					break
-				}
-				x := regrid(op.From, op.To, op.Rows, op.Cols, true)
-				mask := h.MemTime(tileBytes0(op.From, s.P, op.Rows, op.Cols))
-				oc.Side, oc.SideTier = x.A2A.Bytes(), x.A2A.Tier
-				oc.Time = mask + h.MemTime(x.MaxInj) + x.A2A.Time + h.MemTime(x.MaxEj) + apply
-			case KMemoize, KReuse:
-				a := regs[op.A]
-				def(op.Dst, a.layout, op.Rows, op.Cols)
-			case KLoss:
-				tile := tileBytes0(dist.H, s.P, op.Rows, op.Cols)
-				cst := pc.AllReduceCost(8)
-				oc.AllReduce, oc.Tier = cst.Bytes(), cst.Tier
-				oc.Time = h.MemTime(2*tile) + cst.Time
-				def(op.Dst, dist.H, op.Rows, op.Cols)
-			case KMemWrite:
-				a := regs[op.A]
-				oc.Time = h.MemTime(tileBytes0(a.layout, s.P, a.rows, a.cols))
-			case KUpdate:
-				oc.Time = h.MemTime(4 * s.weightBytes())
-			}
-			if tp == nil {
-				// Flat pricing meters everything on tier 0 and leaves the
-				// per-tier split unpopulated.
-				oc.Tier, oc.SideTier = [topo.NumTiers]int64{}, [topo.NumTiers]int64{}
-			}
-			c.PerOp = append(c.PerOp, oc)
-			c.AllToAll += oc.AllToAll
-			c.AllGather += oc.AllGather
-			c.AllReduce += oc.AllReduce
-			c.Side += oc.Side
-			for t := range oc.Tier {
-				c.Tier[t] += oc.Tier[t]
-				c.SideTier[t] += oc.SideTier[t]
-			}
-			c.Time += oc.Time
-		}
-	}
-	return c
 }
 
-// PredictTime estimates one epoch's duration under the schedule — the
-// planner-side analogue of costmodel.PredictEpochTime, computed per op
-// rather than per closed-form term.
-func (s *Schedule) PredictTime(nnz int64, h *hw.Model) float64 {
-	return s.Price(nnz, h).Time
+// priceOp appends the op the engine just replayed to its per-op costs.
+func (e *engine) priceOp() {
+	oc := e.meters.since(&e.was, e.tp != nil)
+	oc.Step, oc.Kind = e.op.Step, e.op.Kind
+	clock := e.wasClock
+	for _, c := range e.clk {
+		clock = max(clock, c)
+	}
+	oc.Time = clock - e.wasClock
+	e.was, e.wasClock = e.meters, clock
+	e.perOp = append(e.perOp, oc)
+}
+
+// since returns the bytes the meters gained since was, by collective
+// class and side channel, and by link tier when tiers is set (the flat
+// fabric meters everything on tier 0 and leaves the split unpopulated).
+func (m *Meters) since(was *Meters, tiers bool) OpCost {
+	oc := OpCost{
+		AllToAll:  m.Volume[hw.OpAllToAll] - was.Volume[hw.OpAllToAll],
+		AllGather: m.Volume[hw.OpAllGather] - was.Volume[hw.OpAllGather],
+		AllReduce: m.Volume[hw.OpAllReduce] - was.Volume[hw.OpAllReduce],
+	}
+	for k := range m.SideVolume {
+		oc.Side += m.SideVolume[k] - was.SideVolume[k]
+		if !tiers {
+			continue
+		}
+		for t := range oc.Tier {
+			oc.Tier[t] += m.TierVolume[t][k] - was.TierVolume[t][k]
+			oc.SideTier[t] += m.SideTierVolume[t][k] - was.SideTierVolume[t][k]
+		}
+	}
+	return oc
 }
 
 // weightBytes returns the model's total weight bytes (KUpdate charges
@@ -244,12 +118,4 @@ func (s *Schedule) weightBytes() int64 {
 		b *= 2
 	}
 	return b
-}
-
-// tileBytes0 returns device 0's tile size in bytes under a layout
-// (device 0 always holds a largest tile: ragged splits give the first
-// chunks the extra rows/columns).
-func tileBytes0(l dist.Layout, p, rows, cols int) int64 {
-	r, c := dist.TileShape(l, p, 0, rows, cols)
-	return int64(r) * int64(c) * 4
 }

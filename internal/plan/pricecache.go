@@ -167,7 +167,7 @@ func (c *PriceCache) price(x *ExchangeCensus, pairs []topo.Pair) {
 
 // Exchange returns the memoized census of a from→to regrid of a
 // rows×cols matrix. Layouts must be normalized for the bound P (the
-// replay engine only holds normalized layouts; PriceOn normalizes). With
+// replay engine only holds normalized layouts). With
 // packed=true chunks are byte-packed masks (four elements per
 // transmitted float32).
 func (c *PriceCache) Exchange(from, to dist.Layout, rows, cols int, packed bool) *ExchangeCensus {

@@ -11,9 +11,10 @@ import (
 )
 
 // This file is the one replay of a schedule's per-op charges onto
-// per-device clocks: the discrete-event engine behind both sim.Run
-// (clocks, comm/compute accumulators, the meter census, optional trace)
-// and PriceDAG* (the same clocks, overlapped and sequential). Every
+// per-device clocks: the discrete-event engine behind sim.Run (clocks,
+// comm/compute accumulators, the meter census, optional trace),
+// PriceDAG* (the same clocks, overlapped and sequential) and
+// Schedule.PriceOn (one sequential epoch, read off op by op). Every
 // device gets one occupancy cursor per resource (hw.Occupancy), every
 // op replays the interpreter's charge sequence — core.execOp's kernel
 // charges, in order, with each rank's own tile shapes — and every
@@ -118,20 +119,25 @@ func (r *ReplayResult) MaxClock() float64 {
 // session named label. sim.Run is the validated entry point — Replay
 // trusts its arguments.
 func (d *DAG) Replay(cen Census, h *hw.Model, tp *topo.Topology, epochs int, overlap bool, barriers int, pc *PriceCache, tr *trace.Tracer, label string) *ReplayResult {
-	return newEngine(d, cen, h, tp, epochs, pc).run(overlap, barriers, tr, label)
+	e := newEngine(d.Sched, d, cen, h, tp, epochs, pc)
+	e.keep = true
+	e.run(overlap, barriers, tr, label)
+	return e.result()
 }
 
-// engine is the replay state of one (DAG, census, hardware, topology)
-// context: per-device occupancy cursors, the clock scratch the
-// rendezvous rule operates on, per-resource time accumulators (index 0
-// is the base device; 1 and 2 are the overlap executor's link lanes,
-// folded into the base at each epoch join in the executor's merge
-// order), the byte meters, and per-group round counters for trace
-// attribution. newEngine allocates the scratch once; each run allocates
-// only what its result keeps, and the walk itself allocates nothing —
+// engine is the replay state of one (schedule, census, hardware,
+// topology) context: per-device occupancy cursors, the clock scratch
+// the rendezvous rule operates on, per-resource time accumulators
+// (index 0 is the base device; 1 and 2 are the overlap executor's link
+// lanes, folded into the base at each epoch join in the executor's
+// merge order), the byte meters, and per-group round counters for trace
+// attribution. newEngine allocates the scratch the sequential walk
+// needs; the overlap executor's dependency finishes, link lanes and
+// resource table come with its first run, and the epoch snapshots only
+// when a ReplayResult reports them. The walk itself allocates nothing,
 // so PriceDAG* runs both executors on one engine.
 type engine struct {
-	d   *DAG
+	d   *DAG // dependency edges, read only by the overlap executor
 	s   *Schedule
 	cen Census
 	h   *hw.Model
@@ -145,8 +151,8 @@ type engine struct {
 
 	occ    []hw.Occupancy
 	clk    []float64
-	finish [][]float64 // [node][rank] finish times, rewritten each epoch
-	regs   map[Reg]regShape
+	finish []float64 // overlap executor: [node*p + rank] finish times, rewritten each epoch
+	regs   []regShape
 
 	// comm/compute accumulators per resource lane. Seq mode charges
 	// everything to lane 0; overlap mode charges each op to its
@@ -172,11 +178,25 @@ type engine struct {
 	// index 0 is the world group, 1+j is column group j.
 	gens []uint64
 
+	// The op being replayed and its section; nil outside the op walk
+	// (epoch barriers).
+	sec *Section
+	op  *Op
+
+	// Per-op pricing (PriceOn; nil perOp otherwise): the ops priced so
+	// far, and the meters and latest clock as the last of them left them.
+	perOp    []OpCost
+	was      Meters
+	wasClock float64
+
 	// Trace state (nil tracer disables all of it).
-	tr                               *trace.Tracer
-	cfgStr                           string
-	grpKeys                          []string // group keys by gen index, built only when tracing
-	epoch                            int
+	tr      *trace.Tracer
+	cfgStr  string
+	grpKeys []string // group keys by gen index, built only when tracing
+	epoch   int
+
+	// keep takes the per-epoch snapshots a ReplayResult reports.
+	keep                             bool
 	snapClock, snapComm, snapCompute [][]float64
 	snapBytes                        []int64
 }
@@ -192,8 +212,9 @@ const gidWorld = 0
 
 func gidCol(j int) int { return 1 + j }
 
-func newEngine(d *DAG, cen Census, h *hw.Model, tp *topo.Topology, epochs int, pc *PriceCache) *engine {
-	s := d.Sched
+// newEngine binds an engine to a schedule; d is the schedule's DAG, nil
+// when only the sequential executor runs.
+func newEngine(s *Schedule, d *DAG, cen Census, h *hw.Model, tp *topo.Topology, epochs int, pc *PriceCache) *engine {
 	p := s.P
 	if pc == nil {
 		pc = NewPriceCache()
@@ -203,20 +224,14 @@ func newEngine(d *DAG, cen Census, h *hw.Model, tp *topo.Topology, epochs int, p
 		d: d, s: s, cen: cen, h: h, tp: tp, pc: pc,
 		p: p, epochs: epochs,
 		occ:    make([]hw.Occupancy, p),
-		clk:    make([]float64, p),
-		finish: make([][]float64, len(d.Nodes)),
-		regs:   make(map[Reg]regShape, s.NumRegs),
+		regs:   make([]regShape, s.NumRegs),
 		resCur: make([]hw.Resource, p),
 		world:  pc.world,
 		wBytes: s.weightBytes(),
 	}
-	for i := range e.finish {
-		e.finish[i] = make([]float64, p)
-	}
-	for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
-		e.comm[res] = make([]float64, p)
-		e.compute[res] = make([]float64, p)
-	}
+	// The clock scratch and the base lane's accumulators share one array.
+	f := make([]float64, 3*p)
+	e.clk, e.comm[hw.ResCompute], e.compute[hw.ResCompute] = f[:p:p], f[p:2*p:2*p], f[2*p:]
 	if p/s.RA > 1 {
 		// Only multi-rank column groups ever rendezvous (KSpMM's
 		// allgather); singleton groups need no rank lists, round
@@ -244,30 +259,36 @@ func groupKey(ranks []int) string {
 	return string(b)
 }
 
-// begin resets the engine for one run and allocates what the run's
-// result keeps (the base-lane accumulators and the epoch snapshots).
-// The link-lane accumulators need no reset: every epoch join leaves
-// them zero. Stale finish times and register shapes are overwritten
-// before they are read (dependencies point backwards in node order).
+// begin resets the engine for one run. The link-lane accumulators need
+// no reset: every epoch join leaves them zero. Stale finish times and
+// register shapes are overwritten before they are read (dependencies
+// point backwards in node order).
 func (e *engine) begin(overlap bool, nbarr int, tr *trace.Tracer, label string) {
 	e.overlap, e.nbarr, e.tr = overlap, nbarr, tr
 	clear(e.occ)
 	clear(e.resCur)
 	clear(e.gens)
+	clear(e.comm[hw.ResCompute])
+	clear(e.compute[hw.ResCompute])
 	e.meters = Meters{}
-	e.comm[hw.ResCompute] = make([]float64, e.p)
-	e.compute[hw.ResCompute] = make([]float64, e.p)
 	if overlap && e.resTab == nil {
+		e.finish = make([]float64, len(e.d.Nodes)*e.p)
+		for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
+			e.comm[res] = make([]float64, e.p)
+			e.compute[res] = make([]float64, e.p)
+		}
 		e.resTab = e.d.resources(e.tp)
 	}
-	e.snapClock = make([][]float64, e.epochs)
-	e.snapComm = make([][]float64, e.epochs)
-	e.snapCompute = make([][]float64, e.epochs)
-	e.snapBytes = make([]int64, e.epochs)
-	for ep := range e.snapClock {
-		e.snapClock[ep] = make([]float64, e.p)
-		e.snapComm[ep] = make([]float64, e.p)
-		e.snapCompute[ep] = make([]float64, e.p)
+	if e.keep {
+		e.snapClock = make([][]float64, e.epochs)
+		e.snapComm = make([][]float64, e.epochs)
+		e.snapCompute = make([][]float64, e.epochs)
+		e.snapBytes = make([]int64, e.epochs)
+		for ep := range e.snapClock {
+			e.snapClock[ep] = make([]float64, e.p)
+			e.snapComm[ep] = make([]float64, e.p)
+			e.snapCompute[ep] = make([]float64, e.p)
+		}
 	}
 	if tr != nil {
 		if label == "" {
@@ -283,7 +304,7 @@ func (e *engine) begin(overlap bool, nbarr int, tr *trace.Tracer, label string) 
 	}
 }
 
-func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) *ReplayResult {
+func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) {
 	e.begin(overlap, nbarr, tr, label)
 	for ep := 0; ep < e.epochs; ep++ {
 		e.epoch = ep
@@ -293,22 +314,31 @@ func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) *R
 				e.tr.BeginPhaseAt(r, 0, "epoch", e.occ[r].Makespan())
 			}
 		}
-		for i := range e.d.Nodes {
-			n := &e.d.Nodes[i]
-			e.position(n, i)
-			e.execNode(n)
-			copy(e.finish[i], e.clk)
-			if e.overlap {
-				for r := 0; r < e.p; r++ {
-					e.occ[r].Advance(e.resCur[r], e.clk[r])
+		i := 0 // node index: schedule order
+		for si := range e.s.Sections {
+			e.sec = &e.s.Sections[si]
+			for j := range e.sec.Ops {
+				e.op = &e.sec.Ops[j]
+				e.position(i)
+				e.execOp()
+				if e.overlap {
+					copy(e.finish[i*e.p:(i+1)*e.p], e.clk)
+					for r := 0; r < e.p; r++ {
+						e.occ[r].Advance(e.resCur[r], e.clk[r])
+					}
+				} else {
+					for r := 0; r < e.p; r++ {
+						e.occ[r].Advance(hw.ResCompute, e.clk[r])
+						e.occ[r].Join()
+					}
+					if e.perOp != nil {
+						e.priceOp()
+					}
 				}
-			} else {
-				for r := 0; r < e.p; r++ {
-					e.occ[r].Advance(hw.ResCompute, e.clk[r])
-					e.occ[r].Join()
-				}
+				i++
 			}
 		}
+		e.sec, e.op = nil, nil
 		if e.overlap {
 			// Epoch boundary: the executor merges its lanes back into the
 			// base device (occupancy Join; clock = max over lanes) and
@@ -345,35 +375,44 @@ func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) *R
 			}
 		}
 	}
-	return e.result()
 }
 
-// position places each rank's clock where the op starts on it and
+// position places each rank's clock where node i starts on it and
 // records the op's resource per rank: overlapped ops start at max(their
 // resource's cursor, their DAG dependencies' finishes); sequential ops
 // run back to back on the joined compute timeline.
-func (e *engine) position(n *DAGNode, i int) {
+func (e *engine) position(i int) {
 	if !e.overlap {
 		for r := 0; r < e.p; r++ {
 			e.clk[r] = e.occ[r].Free(hw.ResCompute)
 		}
 		return
 	}
+	deps := e.d.Nodes[i].Deps
 	for r := 0; r < e.p; r++ {
 		res := e.resTab.at(i, r)
 		e.resCur[r] = res
 		start := e.occ[r].Free(res)
-		for _, m := range n.Deps {
-			start = max(start, e.finish[m][r])
+		for _, m := range deps {
+			start = max(start, e.finish[m*e.p+r])
 		}
 		e.clk[r] = start
 	}
 }
 
+// clocks returns each device's clock (its occupancy makespan).
+func (e *engine) clocks() []float64 {
+	c := make([]float64, e.p)
+	for r := range c {
+		c[r] = e.occ[r].Makespan()
+	}
+	return c
+}
+
 func (e *engine) result() *ReplayResult {
-	res := &ReplayResult{
+	return &ReplayResult{
 		P:            e.p,
-		Clocks:       make([]float64, e.p),
+		Clocks:       e.clocks(),
 		CommTime:     e.comm[hw.ResCompute],
 		ComputeTime:  e.compute[hw.ResCompute],
 		Meters:       e.meters,
@@ -382,13 +421,12 @@ func (e *engine) result() *ReplayResult {
 		EpochCompute: e.snapCompute,
 		EpochBytes:   e.snapBytes,
 	}
-	for r := 0; r < e.p; r++ {
-		res.Clocks[r] = e.occ[r].Makespan()
-	}
-	return res
 }
 
 func (e *engine) snapshot(ep int) {
+	if !e.keep {
+		return
+	}
 	for r := 0; r < e.p; r++ {
 		e.snapClock[ep][r] = e.occ[r].Makespan()
 	}
@@ -399,18 +437,18 @@ func (e *engine) snapshot(ep int) {
 
 // setScope stamps the (rank, track) timeline's scope tags the way the
 // live engine's Trace* setters would before this op's events.
-func (e *engine) setScope(r, track int, n *DAGNode) {
+func (e *engine) setScope(r, track int) {
 	layer, step := 0, 0
 	dir := ""
-	if n != nil {
-		step = n.Op.Step
-		switch n.Phase {
+	if e.op != nil {
+		step = e.op.Step
+		switch e.sec.Phase {
 		case "init", "loss":
 			dir = "fwd"
 		case "fwd":
-			dir, layer = "fwd", n.Layer
+			dir, layer = "fwd", e.sec.Layer
 		case "bwd":
-			dir, layer = "bwd", n.Layer
+			dir, layer = "bwd", e.sec.Layer
 		}
 	}
 	e.tr.SetEpochAt(r, track, e.epoch)
@@ -423,7 +461,7 @@ func (e *engine) setScope(r, track int, n *DAGNode) {
 // kernel charges one compute kernel on rank r: clock and the current
 // lane's compute accumulator advance by t (straggler-multiplied),
 // exactly Device.chargeKernel.
-func (e *engine) kernel(n *DAGNode, r int, opName string, t float64, bytes, flops int64) {
+func (e *engine) kernel(r int, opName string, t float64, bytes, flops int64) {
 	if e.cen.Slow != nil && r < len(e.cen.Slow) && e.cen.Slow[r] > 1 {
 		t *= e.cen.Slow[r]
 	}
@@ -432,7 +470,7 @@ func (e *engine) kernel(n *DAGNode, r int, opName string, t float64, bytes, flop
 	res := e.resCur[r]
 	e.compute[res][r] += t
 	if e.tr != nil {
-		e.setScope(r, int(res), n)
+		e.setScope(r, int(res))
 		e.tr.Emit(r, trace.Event{
 			Class: trace.ClassKernel, Op: opName,
 			Bytes: bytes, Flops: flops,
@@ -441,8 +479,8 @@ func (e *engine) kernel(n *DAGNode, r int, opName string, t float64, bytes, flop
 	}
 }
 
-func (e *engine) mem(n *DAGNode, r int, bytes int64) {
-	e.kernel(n, r, "mem", e.h.MemTime(bytes), bytes, 0)
+func (e *engine) mem(r int, bytes int64) {
+	e.kernel(r, "mem", e.h.MemTime(bytes), bytes, 0)
 }
 
 // collective synchronizes the group at max(member clocks) + t — the
@@ -450,7 +488,7 @@ func (e *engine) mem(n *DAGNode, r int, bytes int64) {
 // with its own skew-inclusive delta and metering the round once.
 // Callers guarantee len(group) >= 2 (smaller groups never reach the
 // live fabric either).
-func (e *engine) collective(n *DAGNode, group []int, gid int, opName string, kind hw.CollectiveKind, t float64, vol comm.Volume, metered, side bool) {
+func (e *engine) collective(group []int, gid int, opName string, kind hw.CollectiveKind, t float64, vol comm.Volume, metered, side bool) {
 	var m float64
 	for _, r := range group {
 		m = max(m, e.clk[r])
@@ -463,7 +501,7 @@ func (e *engine) collective(n *DAGNode, group []int, gid int, opName string, kin
 		res := e.resCur[r]
 		e.comm[res][r] += nc - before
 		if e.tr != nil {
-			e.setScope(r, int(res), n)
+			e.setScope(r, int(res))
 			e.tr.Emit(r, trace.Event{
 				Class: trace.ClassCollective, Op: opName,
 				Group: e.grpKeys[gid], Seq: seq, GroupSize: len(group),
@@ -479,9 +517,9 @@ func (e *engine) collective(n *DAGNode, group []int, gid int, opName string, kin
 }
 
 // round replays one metered collective round from its cached price.
-func (e *engine) round(n *DAGNode, group []int, gid int, opName string, kind hw.CollectiveKind, cst topo.Cost, side bool) {
+func (e *engine) round(group []int, gid int, opName string, kind hw.CollectiveKind, cst topo.Cost, side bool) {
 	vol := comm.Volume{Bytes: cst.Bytes(), Tier1: cst.Tier[topo.TierInter]}
-	e.collective(n, group, gid, opName, kind, cst.Time, vol, true, side)
+	e.collective(group, gid, opName, kind, cst.Time, vol, true, side)
 }
 
 // barrier replays one world Barrier on the base timeline: latency-only,
@@ -499,7 +537,7 @@ func (e *engine) barrier() {
 	if e.tp != nil {
 		t = e.tp.Barrier(e.h, e.world)
 	}
-	e.collective(nil, e.world, gidWorld, "barrier", hw.OpSendRecv, t, comm.Volume{}, false, false)
+	e.collective(e.world, gidWorld, "barrier", hw.OpSendRecv, t, comm.Volume{}, false, false)
 	for r := 0; r < e.p; r++ {
 		e.occ[r].Advance(hw.ResCompute, e.clk[r])
 		e.occ[r].Join()
@@ -512,23 +550,23 @@ func (e *engine) barrier() {
 // dist.RedistributeSparse and of the KSpMMABC result exchange. side
 // routes the round to the side-channel meters (byte-packed ReLU masks,
 // sparse metadata adverts).
-func (e *engine) exchange(n *DAGNode, x *ExchangeCensus, side bool) {
+func (e *engine) exchange(x *ExchangeCensus, side bool) {
 	for _, r := range e.world {
-		e.mem(n, r, x.Div[r])
+		e.mem(r, x.Div[r])
 	}
 	if e.p >= 2 {
-		e.round(n, e.world, gidWorld, "alltoall", hw.OpAllToAll, x.A2A, side)
+		e.round(e.world, gidWorld, "alltoall", hw.OpAllToAll, x.A2A, side)
 	}
 	for _, r := range e.world {
-		e.mem(n, r, x.Mer[r])
+		e.mem(r, x.Mer[r])
 	}
 }
 
 // sparseExchange replays a two-round exchange: the metadata advert
 // round on the side channel, then the variable-volume payload round.
-func (e *engine) sparseExchange(n *DAGNode, x *SparseExchangeCensus) {
-	e.exchange(n, &x.Meta, true)
-	e.exchange(n, &x.Pay, false)
+func (e *engine) sparseExchange(x *SparseExchangeCensus) {
+	e.exchange(&x.Meta, true)
+	e.exchange(&x.Pay, false)
 }
 
 // abcExchange returns the KSpMMABC census and its width-column result
@@ -564,9 +602,9 @@ func (e *engine) tile(l dist.Layout, r, rows, cols int) int64 {
 	return int64(tr) * int64(tc) * 4
 }
 
-// execNode replays one op's exact charge sequence on every rank.
-func (e *engine) execNode(n *DAGNode) {
-	op := n.Op
+// execOp replays the current op's exact charge sequence on every rank.
+func (e *engine) execOp() {
+	op := e.op
 	s, p := e.s, e.p
 	switch op.Kind {
 	case KInput:
@@ -581,19 +619,19 @@ func (e *engine) execNode(n *DAGNode) {
 			// replicate: world allgather of ragged source tiles, then
 			// the full-matrix assembly memcpy.
 			if p >= 2 {
-				e.round(n, e.world, gidWorld, "allgather", hw.OpAllGather,
+				e.round(e.world, gidWorld, "allgather", hw.OpAllGather,
 					e.pc.AllGatherCost(from, e.world, -1, a.rows, a.cols), false)
 			}
 			for _, r := range e.world {
-				e.mem(n, r, int64(a.rows)*int64(a.cols)*4)
+				e.mem(r, int64(a.rows)*int64(a.cols)*4)
 			}
 		case from == dist.R:
 			// Distribute from a replicated local copy: free.
 		default:
 			if op.Sparse && s.SparseEligible(from, to) {
-				e.sparseExchange(n, e.pc.SparseExchange(s, from, to, a.rows, a.cols))
+				e.sparseExchange(e.pc.SparseExchange(s, from, to, a.rows, a.cols))
 			} else {
-				e.exchange(n, e.pc.Exchange(from, to, a.rows, a.cols, false), false)
+				e.exchange(e.pc.Exchange(from, to, a.rows, a.cols, false), false)
 			}
 		}
 		e.regs[op.Dst] = regShape{to, op.Rows, op.Cols}
@@ -603,12 +641,12 @@ func (e *engine) execNode(n *DAGNode) {
 			// Each column group allgathers its ragged feature slice
 			// concurrently; rank r participates in its own group only.
 			for j, grp := range e.colGroups {
-				e.round(n, grp, gidCol(j), "allgather", hw.OpAllGather,
+				e.round(grp, gidCol(j), "allgather", hw.OpAllGather,
 					e.pc.AllGatherCost(s.GridL, grp, j, a.rows, a.cols), false)
 			}
 			for r := 0; r < p; r++ {
 				_, pcols := dist.TileShape(s.GridL, p, r, a.rows, a.cols)
-				e.mem(n, r, int64(a.rows)*int64(pcols)*4)
+				e.mem(r, int64(a.rows)*int64(pcols)*4)
 			}
 		}
 		for r := 0; r < p; r++ {
@@ -621,7 +659,7 @@ func (e *engine) execNode(n *DAGNode) {
 			if r < len(src) {
 				nnz = src[r]
 			}
-			e.kernel(n, r, "spmm", e.h.SpMMTime(nnz, pcols), 0, nnz*int64(pcols))
+			e.kernel(r, "spmm", e.h.SpMMTime(nnz, pcols), 0, nnz*int64(pcols))
 		}
 		e.regs[op.Dst] = regShape{s.GridL, op.Rows, op.Cols}
 	case KSpMMABC:
@@ -632,15 +670,15 @@ func (e *engine) execNode(n *DAGNode) {
 			if r < len(abc.nnz) {
 				nnz = abc.nnz[r]
 			}
-			e.kernel(n, r, "spmm", e.h.SpMMTime(nnz, a.cols), 0, nnz*int64(a.cols))
+			e.kernel(r, "spmm", e.h.SpMMTime(nnz, a.cols), 0, nnz*int64(a.cols))
 		}
-		e.sparseExchange(n, x)
+		e.sparseExchange(x)
 		e.regs[op.Dst] = regShape{dist.H, op.Rows, op.Cols}
 	case KGEMM:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
 			arows, _ := dist.TileShape(dist.H, p, r, a.rows, a.cols)
-			e.kernel(n, r, "gemm", e.h.GemmTime(arows, a.cols, op.Cols),
+			e.kernel(r, "gemm", e.h.GemmTime(arows, a.cols, op.Cols),
 				0, int64(arows)*int64(a.cols)*int64(op.Cols))
 		}
 		e.regs[op.Dst] = regShape{dist.H, op.Rows, op.Cols}
@@ -648,55 +686,55 @@ func (e *engine) execNode(n *DAGNode) {
 		a, bb := e.regs[op.A], e.regs[op.B]
 		for r := 0; r < p; r++ {
 			arows, _ := dist.TileShape(dist.H, p, r, a.rows, a.cols)
-			e.kernel(n, r, "gemm", e.h.GemmTime(a.cols, arows, bb.cols),
+			e.kernel(r, "gemm", e.h.GemmTime(a.cols, arows, bb.cols),
 				0, int64(a.cols)*int64(arows)*int64(bb.cols))
 		}
 		e.regs[op.Dst] = regShape{dist.R, op.Rows, op.Cols}
 	case KAllReduceGrad:
 		if p >= 2 {
-			e.round(n, e.world, gidWorld, "allreduce", hw.OpAllReduce,
+			e.round(e.world, gidWorld, "allreduce", hw.OpAllReduce,
 				e.pc.AllReduceCost(int64(op.Rows)*int64(op.Cols)*4), false)
 		}
 	case KReLU:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
-			e.mem(n, r, e.tile(a.layout, r, a.rows, a.cols))
+			e.mem(r, e.tile(a.layout, r, a.rows, a.cols))
 		}
 	case KReLUGrad:
 		u, src := e.regs[op.A], e.regs[op.B]
 		if src.layout != u.layout {
 			for r := 0; r < p; r++ {
-				e.mem(n, r, e.tile(src.layout, r, src.rows, src.cols))
+				e.mem(r, e.tile(src.layout, r, src.rows, src.cols))
 			}
-			e.exchange(n, e.pc.Exchange(src.layout, u.layout, src.rows, src.cols, true), true)
+			e.exchange(e.pc.Exchange(src.layout, u.layout, src.rows, src.cols, true), true)
 		}
 		for r := 0; r < p; r++ {
-			e.mem(n, r, e.tile(u.layout, r, u.rows, u.cols))
+			e.mem(r, e.tile(u.layout, r, u.rows, u.cols))
 		}
 	case KAdd:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
-			e.mem(n, r, e.tile(a.layout, r, a.rows, a.cols))
+			e.mem(r, e.tile(a.layout, r, a.rows, a.cols))
 		}
 	case KMemoize, KReuse:
 		e.regs[op.Dst] = e.regs[op.A]
 	case KLoss:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
-			e.mem(n, r, 2*e.tile(dist.H, r, a.rows, a.cols))
+			e.mem(r, 2*e.tile(dist.H, r, a.rows, a.cols))
 		}
 		if p >= 2 {
-			e.round(n, e.world, gidWorld, "allreduce", hw.OpAllReduce, e.pc.AllReduceCost(8), false)
+			e.round(e.world, gidWorld, "allreduce", hw.OpAllReduce, e.pc.AllReduceCost(8), false)
 		}
 		e.regs[op.Dst] = regShape{dist.H, op.Rows, op.Cols}
 	case KMemWrite:
 		a := e.regs[op.A]
 		for r := 0; r < p; r++ {
-			e.mem(n, r, e.tile(a.layout, r, a.rows, a.cols))
+			e.mem(r, e.tile(a.layout, r, a.rows, a.cols))
 		}
 	case KUpdate:
 		for r := 0; r < p; r++ {
-			e.mem(n, r, 4*e.wBytes)
+			e.mem(r, 4*e.wBytes)
 		}
 	}
 }

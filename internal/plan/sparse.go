@@ -149,8 +149,8 @@ type abcCensus struct {
 // the rows r ships q depend on q only through the height of q's H
 // panel, and balanced panels have two heights, so the estimate is two
 // numbers per sender — O(P) to build, and O(P) to fold (exchange).
-// PriceOn and the replay engine both derive it from the same exact
-// count (Census.NNZ), so they agree on the same integers.
+// The replay engine derives it from the census's exact count
+// (Census.NNZ), so every view of the replay sees the same integers.
 func (s *Schedule) approxABC(nnz int64, live []int32) abcCensus {
 	p := s.P
 	edgeP := float64(nnz) / (float64(s.N) * float64(s.N))

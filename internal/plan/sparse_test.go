@@ -176,10 +176,10 @@ func TestABCRewrite(t *testing.T) {
 	}
 }
 
-// TestABCPriceConsistency pins PriceOn's ABC arm to the P×P table's
-// quadratic census: its analytic exchange totals equal the sums over
-// ApproxABCPairs, and the DAG pricer accepts the same schedule on both
-// interconnects.
+// TestABCPriceConsistency pins PriceOn's ABC bytes (the replay arm's
+// O(P) class census) to the P×P table's quadratic census: its analytic
+// exchange totals equal the sums over ApproxABCPairs, and the DAG
+// pricer accepts the same schedule on both interconnects.
 func TestABCPriceConsistency(t *testing.T) {
 	h := hw.A6000()
 	const n, nnz = 64, 4 * 64

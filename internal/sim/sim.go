@@ -6,8 +6,8 @@
 // time, the full per-kind / per-tier byte census, and optional trace
 // events — without ever materializing a payload buffer. The replay
 // loop itself is plan's (plan/replay.go, the one engine plan.PriceDAG*
-// also reads its clocks from); Run checks and defaults a Config and
-// hands it over.
+// reads its clocks from and Schedule.PriceOn its per-op bytes and
+// time); Run checks and defaults a Config and hands it over.
 //
 // The engine is an extraction, not an approximation: the charge
 // sequence is the interpreter's own (internal/core execOp, charge for

@@ -25,11 +25,11 @@ func sparseSchedFor(n int, dims []int, cfg, p, live int, abc bool) *plan.Schedul
 
 // TestSimMetersEqualPriceOnSparse pins the engine's byte census on
 // sparse schedules (two-round exchanges) and ABC-rewritten ones
-// (KSpMMABC) against the aggregate pricer's byte totals — an
-// independent walk (Schedule.PriceOn) over the same schedule — for
-// both executors, flat and hierarchical. (The clocks have no second
-// pricer to agree with: plan.PriceDAG* reads them off this engine.
-// verify.CheckSimMatchesFabric pins them to the live fabric, and
+// (KSpMMABC) over multi-epoch runs of both executors, flat and
+// hierarchical, to E times the planner's one-epoch price
+// (Schedule.PriceOn, a sequential single-epoch view of the same
+// engine). (Neither view is an independent pricer:
+// verify.CheckSimMatchesFabric pins the engine to the live fabric, and
 // plan's TestReplayABCHandComputed pins the fabric-less KSpMMABC arm.)
 func TestSimMetersEqualPriceOnSparse(t *testing.T) {
 	h := hw.A6000()

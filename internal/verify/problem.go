@@ -12,8 +12,9 @@ import (
 // DefaultProblem builds the standard learnable verification problem: a
 // planted-partition graph with GCN-normalized adjacency and
 // class-correlated synthetic features. n divisible by every fabric size
-// under test keeps Horizontal row blocks uniform, which the byte-exact
-// volume comparisons rely on (§IV's N/P terms assume even splits).
+// under test keeps Horizontal row blocks uniform, as §IV's N/P terms
+// assume; costmodel.EvaluateEngine counts ragged splits' exact tile
+// overlaps, so the byte-exact volume comparisons hold either way.
 func DefaultProblem(seed int64, n, fin, classes int) *core.Problem {
 	prob := RawProblem(seed, n, fin, classes)
 	prob.A = sparse.GCNNormalize(prob.A)
