@@ -74,7 +74,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if msg := checkFlags(*layers, *configID, *gpus, *ra, *n, *classes, *epochs, *synthetic); msg != "" {
+	if msg := checkFlags(shapeFlags{layers: *layers, configID: *configID, gpus: *gpus, ra: *ra, n: *n,
+		classes: *classes, features: *features, hidden: *hidden, fanout: *fanout, epochs: *epochs,
+		density: *density, synthetic: *synthetic}); msg != "" {
 		fmt.Fprintln(stderr, "rdmtrain:", msg)
 		return 2
 	}
@@ -135,9 +137,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// Optional row-sparse features: keep only the canonical live set and
 	// let the planner and executor agree on it by construction (the
 	// executor's value scan recovers exactly these rows).
-	if *density <= 0 || *density > 1 {
-		return fail(fmt.Errorf("-density %g out of range (0, 1]", *density))
-	}
 	live := 0
 	if *density < 1 {
 		live = costmodel.LiveCount(*n, *density)
@@ -297,28 +296,43 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
+// shapeFlags are the flag values checkFlags validates.
+type shapeFlags struct {
+	layers, configID, gpus, ra, n, classes, features, hidden, fanout, epochs int
+	density                                                                  float64
+	synthetic                                                                bool
+}
+
 // checkFlags validates the flags that fix the network, fabric and
-// problem shape and the run length, before anything is built; it
-// returns a one-line complaint, or "".
-func checkFlags(layers, configID, gpus, ra, n, classes, epochs int, synthetic bool) string {
+// problem shape, the sampling and the run length, before anything is
+// built; it returns a one-line complaint, or "".
+func checkFlags(f shapeFlags) string {
 	switch {
-	case layers < 1:
-		return fmt.Sprintf("-layers %d: need at least 1", layers)
-	case configID < -1 || configID >= costmodel.NumConfigs(layers):
+	case f.layers < 1:
+		return fmt.Sprintf("-layers %d: need at least 1", f.layers)
+	case f.configID < -1 || f.configID >= costmodel.NumConfigs(f.layers):
 		return fmt.Sprintf("-config %d out of range for %d layers (-1..%d)",
-			configID, layers, costmodel.NumConfigs(layers)-1)
-	case gpus < 1:
-		return fmt.Sprintf("-gpus %d: need at least 1", gpus)
-	case ra < 0 || ra > 0 && gpus%ra != 0:
-		return fmt.Sprintf("-ra %d does not divide -gpus %d", ra, gpus)
-	case n < 1:
-		return fmt.Sprintf("-n %d: need at least one vertex", n)
-	case classes < 1:
-		return fmt.Sprintf("-classes %d: need at least one class", classes)
-	case synthetic && classes > n:
-		return fmt.Sprintf("-classes %d exceeds -n %d: a synthetic graph needs a vertex per class", classes, n)
-	case epochs < 0:
-		return fmt.Sprintf("-epochs %d: need a count >= 0", epochs)
+			f.configID, f.layers, costmodel.NumConfigs(f.layers)-1)
+	case f.gpus < 1:
+		return fmt.Sprintf("-gpus %d: need at least 1", f.gpus)
+	case f.ra < 0 || f.ra > 0 && f.gpus%f.ra != 0:
+		return fmt.Sprintf("-ra %d does not divide -gpus %d", f.ra, f.gpus)
+	case f.n < 1:
+		return fmt.Sprintf("-n %d: need at least one vertex", f.n)
+	case f.classes < 1:
+		return fmt.Sprintf("-classes %d: need at least one class", f.classes)
+	case f.synthetic && f.classes > f.n:
+		return fmt.Sprintf("-classes %d exceeds -n %d: a synthetic graph needs a vertex per class", f.classes, f.n)
+	case f.features < 1:
+		return fmt.Sprintf("-features %d: need at least one input feature", f.features)
+	case f.layers > 1 && f.hidden < 1:
+		return fmt.Sprintf("-hidden %d: need at least one hidden feature", f.hidden)
+	case f.fanout < 0:
+		return fmt.Sprintf("-fanout %d: need a count >= 0 (0 = full aggregation)", f.fanout)
+	case !(f.density > 0 && f.density <= 1):
+		return fmt.Sprintf("-density %g out of range (0, 1]", f.density)
+	case f.epochs < 0:
+		return fmt.Sprintf("-epochs %d: need a count >= 0", f.epochs)
 	}
 	return ""
 }

@@ -56,9 +56,9 @@ func TestShapeFlagValidation(t *testing.T) {
 	}
 }
 
-// TestCountFlagValidation: a vertex, class or epoch count the trainer
-// cannot run exits 2 with one stderr line naming the flag, before any
-// graph is generated.
+// TestCountFlagValidation: a vertex, class, feature, hidden-width, fanout,
+// density or epoch value the trainer cannot run exits 2 with one stderr
+// line naming the flag, before any graph is generated.
 func TestCountFlagValidation(t *testing.T) {
 	base := []string{"-synthetic", "-n", "64", "-classes", "4", "-features", "8",
 		"-hidden", "8", "-epochs", "1"}
@@ -72,6 +72,15 @@ func TestCountFlagValidation(t *testing.T) {
 		{[]string{"-classes", "-1"}, "-classes -1"},
 		{[]string{"-n", "3"}, "-classes 4 exceeds -n 3"},
 		{[]string{"-epochs", "-1"}, "-epochs -1"},
+		{[]string{"-features", "0"}, "-features 0: need at least one input feature"},
+		{[]string{"-features", "-2"}, "-features -2"},
+		{[]string{"-hidden", "0"}, "-hidden 0: need at least one hidden feature"},
+		{[]string{"-hidden", "-4", "-layers", "3"}, "-hidden -4"},
+		{[]string{"-fanout", "-1"}, "-fanout -1: need a count >= 0"},
+		{[]string{"-density", "0"}, "-density 0 out of range (0, 1]"},
+		{[]string{"-density", "1.5"}, "-density 1.5 out of range"},
+		{[]string{"-density", "-0.25"}, "-density -0.25 out of range"},
+		{[]string{"-density", "NaN"}, "-density NaN out of range"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(append(append([]string{}, base...), tc.args...), &out, &errb); code != 2 {
@@ -82,6 +91,11 @@ func TestCountFlagValidation(t *testing.T) {
 			t.Errorf("%v: stdout %q, stderr %q; want no output and one line containing %q",
 				tc.args, out.String(), errb.String(), tc.want)
 		}
+	}
+	// One layer has no hidden width, so -hidden is not read.
+	var out, errb bytes.Buffer
+	if code := run(append(append([]string{}, base...), "-layers", "1", "-hidden", "0"), &out, &errb); code != 0 {
+		t.Errorf("-layers 1 -hidden 0: exit = %d, want 0 (stderr %q)", code, errb.String())
 	}
 }
 

@@ -159,8 +159,7 @@ func main() {
 		col byte
 		val float32
 	}
-	rowAcc := func(f, rows, offsets byte, entries []entry, out []float32, in ...float32) string {
-		data := []byte{f, byte(len(entries)), rows - 1, offsets}
+	kernelInput := func(data []byte, entries []entry, out, in []float32) string {
 		for _, e := range entries {
 			data = binary.LittleEndian.AppendUint32(append(data, e.col), math.Float32bits(e.val))
 		}
@@ -171,6 +170,9 @@ func main() {
 			data = binary.LittleEndian.AppendUint32(data, math.Float32bits(v))
 		}
 		return bs(data)
+	}
+	rowAcc := func(f, rows, offsets byte, entries []entry, out []float32, in ...float32) string {
+		return kernelInput([]byte{f, byte(len(entries)), rows - 1, offsets}, entries, out, in)
 	}
 	rows := func(f int, vs ...float32) []float32 {
 		var out []float32
@@ -212,6 +214,32 @@ func main() {
 	// A bad index after two good ones: nothing may be added to out.
 	both("seed-bad-column", 20, 3, 0x0, []entry{{0, 1}, {1, 1}, {0xfa, 1}},
 		rows(20, 7), rows(20, 1, 2)...)
+
+	// internal/tensor: runs of rows through the row kernel. FuzzRowAcc's
+	// layout with a run byte (the row count) after the offsets and then ptr
+	// (the first offset, then each row's length); out holds every row's
+	// words.
+	runs := func(f, rows, offsets, first byte, lens []byte, entries []entry, out []float32, in ...float32) string {
+		head := append([]byte{f, byte(len(entries)), rows - 1, offsets, byte(len(lens)), first}, lens...)
+		return kernelInput(head, entries, out, in)
+	}
+	rr := "internal/tensor/testdata/fuzz/FuzzRowAccRuns"
+	// 63 = 32+16+8+4+2+1 floats reach every chunk; two witness rows around
+	// an empty one.
+	witnessRow := []entry{{0, 1}, {1, 1 + 1.0/4096}}
+	write(rr, "seed-fma-witness", runs(63, 2, 0x6, 0, []byte{2, 0, 2}, append(witnessRow, witnessRow...),
+		rows(3*63, 0), rows(63, -(1+1.0/2048), 1+1.0/4096)...))
+	write(rr, "seed-nan-payload-order", runs(63, 3, 0x9, 0, []byte{3, 3},
+		[]entry{{0, 1}, {1, 1}, {2, qnan(4)}, {2, 1}, {0, qnan(6)}, {1, 1}},
+		rows(2*63, 0), rows(63, qnan(1), qnan(2), qnan(3))...))
+	// Empty first, middle and last rows after an unused entry, at 8+2 floats.
+	write(rr, "seed-empty-rows", runs(10, 3, 0x7, 1, []byte{0, 2, 0, 0, 1, 0},
+		[]entry{{2, 9}, {0, 0.5}, {2, -1.25}, {1, 3}},
+		rows(6*10, 0.75), rows(10, 1.5, -0.375, 1e-39)...))
+	// A bad index in the last row: the rows before are done, it is not.
+	write(rr, "seed-bad-last-row", runs(11, 2, 0x2, 0, []byte{2, 1, 2},
+		[]entry{{0, 1}, {1, 2}, {1, -1}, {0, 1}, {0xfa, 1}},
+		rows(3*11, 7), rows(11, 1, 2)...))
 
 	// internal/tensor: one entry of weight s onto y, as the comm reductions
 	// call the row kernel. Two offset bytes, then s and (x[j], y[j]) pairs

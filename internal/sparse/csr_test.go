@@ -146,7 +146,8 @@ func TestMaskedSpMM(t *testing.T) {
 	m := FromCoords(2, 3, []Coord{{0, 0, 1}, {0, 2, 2}, {1, 1, 3}})
 	in := tensor.FromRowMajor(3, 1, []float32{10, 20, 30})
 	// Row 0 keeps only column 2; row 1's empty (non-nil) mask keeps nothing.
-	out := m.MaskedSpMM(in, [][]int32{{2}, {}})
+	out := tensor.NewDense(2, 1)
+	m.MaskedSpMMInto(in, [][]int32{{2}, {}}, out)
 	if out.At(0, 0) != 60 {
 		t.Fatalf("masked row0=%v want 60", out.At(0, 0))
 	}
@@ -154,13 +155,15 @@ func TestMaskedSpMM(t *testing.T) {
 		t.Fatalf("masked row1=%v want 0 (empty mask drops all)", out.At(1, 0))
 	}
 	// nil mask row keeps everything.
-	out2 := m.MaskedSpMM(in, [][]int32{nil, nil})
+	out2 := tensor.NewDense(2, 1)
+	m.MaskedSpMMInto(in, [][]int32{nil, nil}, out2)
 	want := m.SpMM(in)
 	if tensor.MaxAbsDiff(out2, want) != 0 {
 		t.Fatal("nil mask rows must keep all entries")
 	}
 	// nil mask entirely equals plain SpMM.
-	out3 := m.MaskedSpMM(in, nil)
+	out3 := tensor.NewDense(2, 1)
+	m.MaskedSpMMInto(in, nil, out3)
 	if tensor.MaxAbsDiff(out3, want) != 0 {
 		t.Fatal("nil mask must equal SpMM")
 	}
