@@ -23,6 +23,7 @@ import (
 	"os"
 
 	"gnnrdm/internal/bench"
+	"gnnrdm/internal/costmodel"
 	"gnnrdm/internal/serve"
 	"gnnrdm/internal/topo"
 	"gnnrdm/internal/trace"
@@ -63,6 +64,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "rdmserve: unexpected argument %q\n", fs.Arg(0))
 		return 2
 	}
+	if msg := checkFlags(serveFlags{
+		p: *p, scale: *scale, layers: *layers, hidden: *hidden, configID: *configID, ra: *ra,
+		batch: *batch, deadline: *deadline, cache: *cache, staleness: *staleness, topo: *topoSpec,
+	}); msg != "" {
+		fmt.Fprintln(stderr, "rdmserve:", msg)
+		return 2
+	}
 
 	w, err := bench.BuildWorkload(*dataset, *scale)
 	if err != nil {
@@ -77,12 +85,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		CacheCap: *cache, Staleness: *staleness,
 	}
 	if *topoSpec != "" {
-		sp, err := topo.ParseSpec(*topoSpec)
-		if err != nil {
-			fmt.Fprintln(stderr, "rdmserve:", err)
-			return 1
-		}
-		cfg.Topology = sp.MustTopology(*p)
+		cfg.Topology = topo.MustParseSpec(*topoSpec).MustTopology(*p)
 	}
 	var tracer *trace.Tracer
 	if *traceOut != "" {
@@ -134,6 +137,57 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "trace written to %s (open in Perfetto / chrome://tracing)\n", *traceOut)
 	}
 	return 0
+}
+
+// serveFlags carries the flag values checkFlags validates.
+type serveFlags struct {
+	p, ra, scale     int
+	layers, hidden   int
+	configID, batch  int
+	cache, staleness int
+	deadline         float64
+	topo             string
+}
+
+// checkFlags names the first flag the serving tier cannot run as given,
+// or returns "" when all are usable. It runs before any work, so a bad
+// value exits with one line instead of a panic, or a run that quietly
+// serves something other than what was asked.
+func checkFlags(f serveFlags) string {
+	switch {
+	case f.p < 1:
+		return fmt.Sprintf("-p %d: need at least one device", f.p)
+	case f.ra < 0 || f.ra > 0 && f.p%f.ra != 0:
+		return fmt.Sprintf("-ra %d does not divide -p %d", f.ra, f.p)
+	case f.scale < 1:
+		return fmt.Sprintf("-scale %d: need a divisor >= 1", f.scale)
+	case f.layers < 1:
+		return fmt.Sprintf("-layers %d: need at least 1", f.layers)
+	case f.layers > 1 && f.hidden < 1:
+		return fmt.Sprintf("-hidden %d: need at least one hidden feature", f.hidden)
+	case f.configID < 0 || f.configID >= costmodel.NumConfigs(f.layers):
+		return fmt.Sprintf("-config %d out of range for %d layers (0..%d)",
+			f.configID, f.layers, costmodel.NumConfigs(f.layers)-1)
+	case f.batch < 1:
+		return fmt.Sprintf("-batch %d: need at least one query per microbatch", f.batch)
+	case !(f.deadline > 0):
+		return fmt.Sprintf("-deadline %g: need a positive time in seconds", f.deadline)
+	case f.cache < 0:
+		return fmt.Sprintf("-cache %d: need a capacity >= 0 (0 disables)", f.cache)
+	case f.staleness < 0:
+		return fmt.Sprintf("-staleness %d: need a bound >= 0 (0 = never stale)", f.staleness)
+	}
+	if f.topo == "" {
+		return ""
+	}
+	sp, err := topo.ParseSpec(f.topo)
+	if err != nil {
+		return fmt.Sprintf("-topo %q: %v", f.topo, err)
+	}
+	if sp.Devices() < f.p {
+		return fmt.Sprintf("-topo %s has %d devices, -p %d needs more", f.topo, sp.Devices(), f.p)
+	}
+	return ""
 }
 
 func orFlat(s string) string {

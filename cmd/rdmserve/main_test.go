@@ -75,3 +75,43 @@ func TestBadFlags(t *testing.T) {
 		t.Fatalf("unknown dataset: exit = %d, want 1", code)
 	}
 }
+
+// TestFlagValidation: every flag value the serving tier cannot run as
+// given exits 2 before any work, with one stderr line naming the flag —
+// never a panic, and never a run of something other than what was asked.
+func TestFlagValidation(t *testing.T) {
+	for _, c := range []struct {
+		args []string
+		flag string // "" for a valid run
+	}{
+		{[]string{"-p", "0"}, "-p"},
+		{[]string{"-ra", "3"}, "-ra"},
+		{[]string{"-p", "3", "-ra", "2"}, "-ra"},
+		{[]string{"-cache", "-1"}, "-cache"},
+		{[]string{"-deadline", "-1"}, "-deadline"},
+		{[]string{"-deadline", "0"}, "-deadline"},
+		{[]string{"-p", "8", "-topo", "2x2:nvlink,ib"}, "-topo"},
+		{[]string{"-hidden", "0", "-layers", "2"}, "-hidden"},
+		{[]string{"-layers", "0"}, "-layers"},
+		{[]string{"-config", "99"}, "-config"},
+		{[]string{"-batch", "0"}, "-batch"},
+		{[]string{"-scale", "0"}, "-scale"},
+		{[]string{"-staleness", "-1"}, "-staleness"},
+		{[]string{"-p", "2", "-ra", "1", "-layers", "1", "-hidden", "0", "-config", "3"}, ""},
+	} {
+		args := append([]string{"-queries", "16"}, c.args...)
+		var out, errb bytes.Buffer
+		code := run(args, &out, &errb)
+		if c.flag == "" {
+			if code != 0 {
+				t.Errorf("%v: exit = %d, want 0; stderr = %q", c.args, code, errb.String())
+			}
+			continue
+		}
+		msg := errb.String()
+		if code != 2 || out.Len() != 0 || strings.Count(msg, "\n") != 1 || !strings.Contains(msg, c.flag+" ") {
+			t.Errorf("%v: exit = %d, stdout %d bytes, stderr = %q; want exit 2 and one line naming %s",
+				c.args, code, out.Len(), msg, c.flag)
+		}
+	}
+}

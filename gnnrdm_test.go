@@ -28,9 +28,9 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		LR:      0.02,
 		Seed:    7,
 	}, 25)
-	if res.FinalLoss() >= res.Epochs[0].Loss {
+	if res.Epochs[len(res.Epochs)-1].Loss >= res.Epochs[0].Loss {
 		t.Fatalf("public API training did not converge: %v -> %v",
-			res.Epochs[0].Loss, res.FinalLoss())
+			res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss)
 	}
 	if acc := res.Accuracy(prob.Labels, nil); acc < 0.7 {
 		t.Fatalf("accuracy %v", acc)

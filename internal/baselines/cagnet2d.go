@@ -138,24 +138,6 @@ func decodeCSR(buf []float32) *sparse.CSR {
 func intBits(v int) float32 { return math.Float32frombits(uint32(int32(v))) }
 func bitsInt(f float32) int { return int(int32(math.Float32bits(f))) }
 
-// Assemble2D reconstructs the global dense matrix from all devices' 2D
-// blocks (test/collection helper; no fabric use).
-func Assemble2D(blocks []*tensor.Dense, n, f int) *tensor.Dense {
-	p := len(blocks)
-	q := int(math.Round(math.Sqrt(float64(p))))
-	out := tensor.NewDense(n, f)
-	for r := 0; r < p; r++ {
-		i, j := r/q, r%q
-		rlo, _ := dist.PartRange(n, q, i)
-		clo, _ := dist.PartRange(f, q, j)
-		b := blocks[r]
-		for rr := 0; rr < b.Rows; rr++ {
-			copy(out.Row(rlo + rr)[clo:clo+b.Cols], b.Row(rr))
-		}
-	}
-	return out
-}
-
 // Distribute2D slices this device's 2D block out of a global matrix.
 func Distribute2D(dev *comm.Device, global *tensor.Dense) *tensor.Dense {
 	p := dev.P()

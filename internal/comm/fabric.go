@@ -11,12 +11,11 @@
 // communication time. Compute kernels charge their modelled duration to
 // compute time.
 //
-// Stat lifecycle: Fabric.ResetVolumes zeroes the volume/call counters
-// only; Fabric.ResetStats additionally zeroes every device's
-// clock/commTime/computeTime, so warm-up work can be excluded from both
-// volume and time accounting. All stat readers (MaxClock, Volume,
-// Device.Clock/CommTime/ComputeTime) and both resets are only safe when
-// no Run is in flight.
+// Stat lifecycle: the volume/call counters and every device's
+// clock/commTime/computeTime accumulate from fabric creation; a run that
+// must exclude warm-up work measures on a fresh fabric. All stat readers
+// (MaxClock, Volume, Device.Clock/CommTime/ComputeTime) are only safe
+// when no Run is in flight.
 //
 // Tracing: attach an internal/trace Tracer with Fabric.SetTracer before
 // Run and every kernel charge and collective is recorded as a trace
@@ -83,18 +82,11 @@ type Fabric struct {
 	tierVol  [topo.NumTiers][hw.NumCollectiveKinds]atomic.Int64
 	tierSide [topo.NumTiers][hw.NumCollectiveKinds]atomic.Int64
 
-	// rankSent is the per-rank injection census of the variable-volume
-	// collectives (TryAllToAllV / TryAllGatherV): the logical bytes each
-	// rank contributed to V-rounds, independent of how the topology
-	// routed them. Dense collectives do not touch it. See RankSent.
-	rankSent []atomic.Int64
-
 	// topology, when non-nil, switches every collective's time and byte
 	// accounting from the flat linkModel path to the topology-aware
-	// algorithm library (internal/topo); algs holds the per-kind
-	// algorithm selection (default topo.Auto). Set before Run.
+	// algorithm library (internal/topo), priced under topo.Auto. Set
+	// before Run.
 	topology *topo.Topology
-	algs     [hw.NumCollectiveKinds]topo.Algorithm
 
 	// tracer, when non-nil, records every kernel charge and collective
 	// as a trace event. Set before Run via SetTracer; nil keeps tracing
@@ -169,7 +161,6 @@ func NewFabric(p int, model *hw.Model) *Fabric {
 		panic("comm: need at least one device")
 	}
 	f := &Fabric{P: p, HW: model, groups: make(map[string]*groupComm)}
-	f.rankSent = make([]atomic.Int64, p)
 	f.devices = make([]*Device, p)
 	f.world = make([]int, p)
 	for r := 0; r < p; r++ {
@@ -365,8 +356,8 @@ func Run(p int, model *hw.Model, fn func(d *Device)) *Fabric {
 }
 
 // Volume returns the total bytes moved across device boundaries by
-// collectives of the given kind since fabric creation (or the last
-// ResetVolumes), excluding side-channel traffic (see SideVolume).
+// collectives of the given kind since fabric creation, excluding
+// side-channel traffic (see SideVolume).
 func (f *Fabric) Volume(kind hw.CollectiveKind) int64 { return f.volumes[kind].Load() }
 
 // SideVolume returns the bytes moved by collectives of the given kind
@@ -397,15 +388,6 @@ func (f *Fabric) TotalSideVolume() int64 {
 // Calls returns the number of collectives of the given kind executed.
 func (f *Fabric) Calls(kind hw.CollectiveKind) int64 { return f.calls[kind].Load() }
 
-// RankSent returns the bytes rank injected into variable-volume
-// collectives (TryAllToAllV: the rank's cross-pair part bytes;
-// TryAllGatherV: the rank's chunk replicated to each peer). The census
-// is logical — defined by what each rank contributed, not by how a
-// topology routed the bytes — so it is identical under flat and
-// hierarchical pricing, and on a flat fabric the ranks sum to the
-// V-collectives' metered volume (primary plus side channel).
-func (f *Fabric) RankSent(rank int) int64 { return f.rankSent[rank].Load() }
-
 // TierVolume returns the bytes of the given kind that crossed links of
 // the given tier (topo.TierIntra or topo.TierInter), excluding
 // side-channel traffic. Summed over tiers it equals Volume(kind); on a
@@ -419,38 +401,6 @@ func (f *Fabric) SideTierVolume(kind hw.CollectiveKind, tier int) int64 {
 	return f.tierSide[tier][kind].Load()
 }
 
-// ResetVolumes zeroes the volume and call counters (e.g. after warmup).
-// Must not race with in-flight collectives.
-func (f *Fabric) ResetVolumes() {
-	for i := range f.volumes {
-		f.volumes[i].Store(0)
-		f.sideVolumes[i].Store(0)
-		f.calls[i].Store(0)
-		for t := 0; t < topo.NumTiers; t++ {
-			f.tierVol[t][i].Store(0)
-			f.tierSide[t][i].Store(0)
-		}
-	}
-	for i := range f.rankSent {
-		f.rankSent[i].Store(0)
-	}
-}
-
-// ResetStats zeroes every fabric-level counter (volumes and calls, like
-// ResetVolumes) AND every device's clock/commTime/computeTime
-// accumulator, so warm-up epochs can be excluded from both volume and
-// time accounting. It must only be called when no Run is in flight: the
-// per-device stats are written without synchronization by the device
-// goroutines, so resetting mid-run is a data race (the same restriction
-// applies to reading MaxClock, Device.Clock, Device.CommTime, and
-// Device.ComputeTime).
-func (f *Fabric) ResetStats() {
-	f.ResetVolumes()
-	for _, d := range f.devices {
-		d.clock, d.commTime, d.computeTime = 0, 0, 0
-	}
-}
-
 // SetTracer attaches an event tracer and opens one trace session for
 // this fabric, labelled label. Call before Run; passing a nil tracer is
 // a no-op. Each fabric should get exactly one session, so attach a fresh
@@ -462,9 +412,6 @@ func (f *Fabric) SetTracer(t *trace.Tracer, label string) {
 	t.StartSession(label, f.P)
 	f.tracer = t
 }
-
-// Tracer returns the attached tracer (nil when tracing is disabled).
-func (f *Fabric) Tracer() *trace.Tracer { return f.tracer }
 
 // MaxClock returns the maximum simulated clock across devices. Like all
 // stat readers it is only safe when no Run is in flight.
@@ -737,9 +684,6 @@ func (d *Device) AdvanceClock(t float64) {
 	}
 }
 
-// Track returns the trace track this device (or lane) emits on.
-func (d *Device) Track() int { return d.track }
-
 // SetComputeSlowdown makes this device a straggler: subsequent kernel
 // charges take factor× their modelled time. factor <= 1 clears it. Fault
 // injectors set it before Run; mid-run only the owning device goroutine
@@ -792,7 +736,7 @@ func (d *Device) World() []int { return d.F.world }
 // ChargeGemm advances the clock by the modelled time of an m x k x n GEMM.
 func (d *Device) ChargeGemm(m, k, n int) {
 	t := d.F.HW.GemmTime(m, k, n)
-	d.chargeKernel("gemm", t, 0, int64(m)*int64(k)*int64(n))
+	d.chargeKernel("gemm", t, 0, tensor.GemmFLOPs(m, k, n))
 }
 
 // ChargeSpMM advances the clock by the modelled time of an SpMM with the
@@ -1212,9 +1156,6 @@ func (d *Device) TryAllGather(group []int, local []float32) ([][]float32, error)
 		}
 		return [][]float32{local}, nil
 	}
-	if nodes, ok := d.F.stagedHier(hw.OpAllGather, group); ok {
-		return d.hierAllGather(group, local, nodes)
-	}
 	out := make([][]float32, len(group))
 	var contribution any = local
 	if local == nil {
@@ -1273,17 +1214,6 @@ func (d *Device) TryAllGatherFlat(group []int, local, dst []float32) ([]float32,
 				Err: fmt.Errorf("local buffer: %w", ErrNilBuffer)}
 		}
 		return append(dst[:0], local...), nil
-	}
-	if nodes, ok := d.F.stagedHier(hw.OpAllGather, group); ok {
-		parts, err := d.hierAllGather(group, local, nodes)
-		if err != nil {
-			return nil, err
-		}
-		dst = dst[:0]
-		for _, part := range parts {
-			dst = append(dst, part...)
-		}
-		return dst, nil
 	}
 	var contribution any = local
 	if local == nil {
@@ -1347,9 +1277,6 @@ func (d *Device) TryAllReduceSum(group []int, local []float32) ([]float32, error
 		}
 		return append(make([]float32, 0, len(local)), local...), nil
 	}
-	if nodes, ok := d.F.stagedHier(hw.OpAllReduce, group); ok {
-		return d.hierAllReduceSum(group, local, nodes)
-	}
 	out := make([]float32, len(local))
 	if err := d.allReduceSumInto(group, local, out); err != nil {
 		return nil, err
@@ -1387,14 +1314,6 @@ func (d *Device) TryAllReduceSumInto(group []int, local, dst []float32) error {
 				Err: fmt.Errorf("local buffer: %w", ErrNilBuffer)}
 		}
 		copy(dst, local)
-		return nil
-	}
-	if nodes, ok := d.F.stagedHier(hw.OpAllReduce, group); ok {
-		sum, err := d.hierAllReduceSum(group, local, nodes)
-		if err != nil {
-			return err
-		}
-		copy(dst, sum)
 		return nil
 	}
 	return d.allReduceSumInto(group, local, dst)
@@ -1509,7 +1428,7 @@ func (d *Device) TryAllToAllRecv(group []int, parts [][]float32, recv func(i int
 	if parts == nil {
 		contribution = collErr{fmt.Errorf("parts on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
-	return d.collective(op, group, contribution, d.allToAllFinalize(group, false),
+	return d.collective(op, group, contribution, d.allToAllFinalize(group),
 		func(slots []any, _ any) {
 			for i, s := range slots {
 				recv(i, s.([][]float32)[myIdx])
@@ -1519,9 +1438,9 @@ func (d *Device) TryAllToAllRecv(group []int, parts [][]float32, recv func(i int
 
 // allToAllFinalize is the rendezvous finalizer of TryAllToAllRecv and
 // TryAllToAllV: allToAllRound over the deposited parts slices.
-func (d *Device) allToAllFinalize(group []int, census bool) func(slots []any, clocks []float64) (float64, any, Volume, error) {
+func (d *Device) allToAllFinalize(group []int) func(slots []any, clocks []float64) (float64, any, Volume, error) {
 	return func(slots []any, clocks []float64) (float64, any, Volume, error) {
-		t, vol := d.F.allToAllRound(group, func(i int) [][]float32 { return slots[i].([][]float32) }, census, d.side)
+		t, vol := d.F.allToAllRound(group, func(i int) [][]float32 { return slots[i].([][]float32) }, d.side)
 		return maxClock(clocks) + t, nil, vol, nil
 	}
 }
@@ -1529,12 +1448,11 @@ func (d *Device) allToAllFinalize(group []int, census bool) func(slots []any, cl
 // allToAllRound prices and meters one all-to-all round whose group
 // position i sends parts(i)[j] to position j: the injection census
 // (each position's cross-pair bytes, the busiest injector and the
-// total), the meter's price, and the volume accounting. census also adds
-// each member's injected bytes to RankSent, as the V-collectives keep
-// it. The rendezvous finalizer and the lockstep round both call it.
-func (f *Fabric) allToAllRound(group []int, parts func(i int) [][]float32, census, side bool) (float64, Volume) {
+// total), the meter's price, and the volume accounting. The rendezvous
+// finalizer and the lockstep round both call it.
+func (f *Fabric) allToAllRound(group []int, parts func(i int) [][]float32, side bool) (float64, Volume) {
 	var maxInject, total int64
-	for i, r := range group {
+	for i := range group {
 		var inject int64
 		for j, pt := range parts(i) {
 			if i != j {
@@ -1543,9 +1461,6 @@ func (f *Fabric) allToAllRound(group []int, parts func(i int) [][]float32, censu
 		}
 		total += inject
 		maxInject = max(maxInject, inject)
-		if census {
-			f.rankSent[r].Add(inject)
-		}
 	}
 	t, vol := f.MeterFor(group).AllToAll(group, func(i, j int) int64 {
 		return int64(len(parts(i)[j])) * 4
@@ -1595,7 +1510,7 @@ func (f *Fabric) LockstepAllToAll(group []int, parts [][][]float32, recv func(ds
 		for i, r := range group {
 			g.clocks[i] = f.devices[r].clock
 		}
-		t, vol := f.allToAllRound(group, func(i int) [][]float32 { return parts[i] }, false, f.devices[group[0]].side)
+		t, vol := f.allToAllRound(group, func(i int) [][]float32 { return parts[i] }, f.devices[group[0]].side)
 		end := maxClock(g.clocks) + t
 		g.gen++
 		for i, r := range group {

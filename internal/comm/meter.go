@@ -26,9 +26,6 @@ import (
 type Meter struct {
 	HW   *hw.Model
 	Topo *topo.Topology
-	// Algs is the per-kind algorithm selection (zero value = topo.Auto,
-	// the autotuner). Only consulted when Topo is attached.
-	Algs [hw.NumCollectiveKinds]topo.Algorithm
 }
 
 // MeterFor returns the meter a collective over group runs under: the
@@ -38,7 +35,7 @@ type Meter struct {
 // rendezvous finalizer makes, exposed as a value.
 func (f *Fabric) MeterFor(group []int) Meter {
 	if tp := f.topoFor(group); tp != nil {
-		return Meter{HW: f.HW, Topo: tp, Algs: f.algs}
+		return Meter{HW: f.HW, Topo: tp}
 	}
 	return Meter{HW: f.linkModel(group)}
 }
@@ -58,7 +55,7 @@ func (m Meter) Broadcast(group []int, rootIdx int, bytes int64) (float64, Volume
 // group position i) onto every member.
 func (m Meter) AllGather(group []int, chunks []int64) (float64, Volume) {
 	if m.Topo != nil {
-		_, c := m.Topo.AllGather(m.HW, m.Algs[hw.OpAllGather], group, chunks)
+		_, c := m.Topo.AllGather(m.HW, topo.Auto, group, chunks)
 		return c.Time, volumeOf(c)
 	}
 	var total int64
@@ -73,7 +70,7 @@ func (m Meter) AllGather(group []int, chunks []int64) (float64, Volume) {
 // every member.
 func (m Meter) AllReduce(group []int, bytes int64) (float64, Volume) {
 	if m.Topo != nil {
-		_, c := m.Topo.AllReduce(m.HW, m.Algs[hw.OpAllReduce], group, bytes)
+		_, c := m.Topo.AllReduce(m.HW, topo.Auto, group, bytes)
 		return c.Time, volumeOf(c)
 	}
 	t := m.HW.CollectiveTime(hw.OpAllReduce, len(group), bytes)
@@ -87,7 +84,7 @@ func (m Meter) AllReduce(group []int, bytes int64) (float64, Volume) {
 // prices and meters from.
 func (m Meter) AllToAll(group []int, pair func(i, j int) int64, maxInject, total int64) (float64, Volume) {
 	if m.Topo != nil {
-		_, c := m.Topo.AllToAll(m.HW, m.Algs[hw.OpAllToAll], group, pair)
+		_, c := m.Topo.AllToAll(m.HW, topo.Auto, group, pair)
 		return c.Time, volumeOf(c)
 	}
 	t := m.HW.CollectiveTime(hw.OpAllToAll, len(group), maxInject)
@@ -99,7 +96,7 @@ func (m Meter) AllToAll(group []int, pair func(i, j int) int64, maxInject, total
 // chunkBytes).
 func (m Meter) ReduceScatter(group []int, chunkBytes []int64, totalBytes int64) (float64, Volume) {
 	if m.Topo != nil {
-		_, c := m.Topo.ReduceScatter(m.HW, m.Algs[hw.OpReduceScatter], group, chunkBytes)
+		_, c := m.Topo.ReduceScatter(m.HW, topo.Auto, group, chunkBytes)
 		return c.Time, volumeOf(c)
 	}
 	t := m.HW.CollectiveTime(hw.OpReduceScatter, len(group), totalBytes)

@@ -7,41 +7,6 @@ import (
 	"gnnrdm/internal/trace"
 )
 
-func TestResetStats(t *testing.T) {
-	f := Run(2, hw.A6000(), func(d *Device) {
-		d.ChargeGemm(8, 8, 8)
-		d.AllReduceSum(d.World(), []float32{1, 2})
-	})
-	if f.TotalVolume() == 0 || f.Calls(hw.OpAllReduce) != 1 {
-		t.Fatalf("volume/calls not accumulated: vol=%d calls=%d",
-			f.TotalVolume(), f.Calls(hw.OpAllReduce))
-	}
-	d := f.Device(0)
-	if d.Clock() == 0 || d.CommTime() == 0 || d.ComputeTime() == 0 {
-		t.Fatalf("device stats not accumulated: %v %v %v",
-			d.Clock(), d.CommTime(), d.ComputeTime())
-	}
-	f.ResetStats()
-	if f.TotalVolume() != 0 || f.Calls(hw.OpAllReduce) != 0 {
-		t.Errorf("ResetStats left volume=%d calls=%d", f.TotalVolume(), f.Calls(hw.OpAllReduce))
-	}
-	if f.MaxClock() != 0 {
-		t.Errorf("ResetStats left MaxClock=%v", f.MaxClock())
-	}
-	for r := 0; r < 2; r++ {
-		d := f.Device(r)
-		if d.Clock() != 0 || d.CommTime() != 0 || d.ComputeTime() != 0 {
-			t.Errorf("rank %d stats not reset: %v %v %v",
-				r, d.Clock(), d.CommTime(), d.ComputeTime())
-		}
-	}
-	// The fabric stays usable after a reset.
-	f.Run(func(d *Device) { d.Barrier(d.World()) })
-	if f.MaxClock() == 0 {
-		t.Errorf("fabric unusable after ResetStats")
-	}
-}
-
 func TestDisabledTracerZeroAlloc(t *testing.T) {
 	f := NewFabric(1, hw.A6000())
 	d := f.Device(0)

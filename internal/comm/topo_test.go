@@ -1,7 +1,6 @@
 package comm
 
 import (
-	"math"
 	"testing"
 
 	"gnnrdm/internal/hw"
@@ -196,135 +195,6 @@ func TestMeteredTiersMatchModel(t *testing.T) {
 	if f.MaxClock() != clock {
 		t.Errorf("fabric clock %v != summed model time %v (diff %g)",
 			f.MaxClock(), clock, f.MaxClock()-clock)
-	}
-}
-
-// TestStagedHierMatchesVirtual pins the staged-versus-virtual oracle:
-// explicitly routing allreduce/allgather through the real three-stage
-// hierarchical schedule must land every meter and the fabric clock
-// exactly where the fused (virtual) hierarchical accounting puts them.
-func TestStagedHierMatchesVirtual(t *testing.T) {
-	h := hw.A6000()
-	p := 8
-	elems := 257 // deliberately non-divisible by the node size
-
-	tp := spec(t, "4x2:nvlink,ib", p)
-	_, wantAR := tp.AllReduce(h, topo.Hier, world(p), int64(elems)*4)
-	chunks := make([]int64, p)
-	for i := range chunks {
-		chunks[i] = int64(4 * (10 + i))
-	}
-	_, wantAG := tp.AllGather(h, topo.Hier, world(p), chunks)
-
-	staged := NewFabric(p, h)
-	staged.SetTopology(tp)
-	staged.SetAlgorithm(hw.OpAllReduce, topo.Hier)
-	staged.SetAlgorithm(hw.OpAllGather, topo.Hier)
-	results := make([][]float32, p)
-	staged.Run(func(d *Device) {
-		buf := make([]float32, elems)
-		for i := range buf {
-			buf[i] = float32(d.Rank*1000 + i)
-		}
-		results[d.Rank] = d.AllReduceSum(d.World(), buf)
-	})
-	if got := staged.Volume(hw.OpAllReduce); got != wantAR.Bytes() {
-		t.Fatalf("staged hier allreduce metered %d bytes, virtual model %d", got, wantAR.Bytes())
-	}
-	if got := staged.TierVolume(hw.OpAllReduce, topo.TierInter); got != wantAR.Tier[topo.TierInter] {
-		t.Fatalf("staged hier allreduce tier-1 %d, virtual %d", got, wantAR.Tier[topo.TierInter])
-	}
-	if staged.MaxClock() != wantAR.Time {
-		t.Fatalf("staged hier allreduce clock %v != virtual time %v (diff %g)",
-			staged.MaxClock(), wantAR.Time, staged.MaxClock()-wantAR.Time)
-	}
-	// With equal per-node stage-3 costs every device lands on the same
-	// clock — per-device equality, not just the max.
-	for r := 0; r < p; r++ {
-		if c := staged.Device(r).Clock(); c != wantAR.Time {
-			t.Fatalf("rank %d clock %v != virtual %v", r, c, wantAR.Time)
-		}
-	}
-	// Numerics: the staged sum must match the plain sum within float32
-	// association error.
-	for r := 0; r < p; r++ {
-		for i := 0; i < elems; i += 97 {
-			var want float64
-			for rr := 0; rr < p; rr++ {
-				want += float64(rr*1000 + i)
-			}
-			if diff := math.Abs(float64(results[r][i]) - want); diff > 1e-2 {
-				t.Fatalf("rank %d elem %d: staged sum %v, want %v", r, i, results[r][i], want)
-			}
-		}
-	}
-
-	// Allgather with ragged chunks: per-device clocks may differ (node
-	// totals differ), but the max clock and all meters match the virtual
-	// cost exactly.
-	staged2 := NewFabric(p, h)
-	staged2.SetTopology(tp)
-	staged2.SetAlgorithm(hw.OpAllGather, topo.Hier)
-	gathered := make([][][]float32, p)
-	staged2.Run(func(d *Device) {
-		buf := make([]float32, 10+d.Rank)
-		for i := range buf {
-			buf[i] = float32(d.Rank*100 + i)
-		}
-		gathered[d.Rank] = d.AllGather(d.World(), buf)
-	})
-	if got := staged2.Volume(hw.OpAllGather); got != wantAG.Bytes() {
-		t.Fatalf("staged hier allgather metered %d bytes, virtual model %d", got, wantAG.Bytes())
-	}
-	if got := staged2.TierVolume(hw.OpAllGather, topo.TierInter); got != wantAG.Tier[topo.TierInter] {
-		t.Fatalf("staged hier allgather tier-1 %d, virtual %d", got, wantAG.Tier[topo.TierInter])
-	}
-	if staged2.MaxClock() != wantAG.Time {
-		t.Fatalf("staged hier allgather clock %v != virtual time %v (diff %g)",
-			staged2.MaxClock(), wantAG.Time, staged2.MaxClock()-wantAG.Time)
-	}
-	// Every rank must see every chunk, correctly.
-	for r := 0; r < p; r++ {
-		for src := 0; src < p; src++ {
-			part := gathered[r][src]
-			if len(part) != 10+src {
-				t.Fatalf("rank %d: chunk from %d has %d elems, want %d", r, src, len(part), 10+src)
-			}
-			for i, v := range part {
-				if v != float32(src*100+i) {
-					t.Fatalf("rank %d: chunk from %d corrupt at %d: %v", r, src, i, v)
-				}
-			}
-		}
-	}
-}
-
-// TestStagedHierSubgroupFallsBack: a group the hierarchical schedule
-// cannot serve (single node, or ragged node membership) silently uses
-// the fused path even when Hier is pinned.
-func TestStagedHierSubgroupFallsBack(t *testing.T) {
-	h := hw.A6000()
-	tp := spec(t, "4x2:nvlink,ib", 8)
-	f := NewFabric(8, h)
-	f.SetTopology(tp)
-	f.SetAlgorithm(hw.OpAllReduce, topo.Hier)
-	f.Run(func(d *Device) {
-		if d.Rank >= 2 {
-			return
-		}
-		got := d.AllReduceSum([]int{0, 1}, []float32{float32(d.Rank + 1)})
-		if got[0] != 3 {
-			t.Errorf("intra-node hier-pinned allreduce wrong: %v", got)
-		}
-	})
-	// One fused round, ring-priced (Hier falls back to Ring on a
-	// single-node group).
-	if f.Calls(hw.OpAllReduce) != 1 {
-		t.Fatalf("expected 1 fused call, got %d", f.Calls(hw.OpAllReduce))
-	}
-	_, want := tp.AllReduce(h, topo.Hier, []int{0, 1}, 4)
-	if f.MaxClock() != want.Time {
-		t.Fatalf("fallback clock %v != model %v", f.MaxClock(), want.Time)
 	}
 }
 

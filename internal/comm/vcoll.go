@@ -7,12 +7,7 @@
 // the data. Pricing, per-tier metering, α–β clock advancement, and
 // deadline/fault semantics are exactly the dense collectives' — both
 // run through the same Device.collective rendezvous and comm.Meter
-// seam — plus a per-rank injection census (Fabric.RankSent) that dense
-// rounds do not keep.
-//
-// The V-collectives always run the single fused rendezvous (virtual
-// topology routing); the explicitly staged topo.Hier schedules apply
-// to the dense paths only.
+// seam.
 package comm
 
 import (
@@ -27,9 +22,8 @@ import (
 // otherwise, rejected before the rendezvous). counts == nil derives
 // the counts from the buffers. The returned slices hold the buffer and
 // element count received from each group member (own part passed
-// through without copy). Each member's injected cross-pair bytes are
-// added to its Fabric.RankSent census; time, metering, and fault
-// semantics match TryAllToAll.
+// through without copy). Time, metering, and fault semantics match
+// TryAllToAll.
 func (d *Device) TryAllToAllV(group []int, parts [][]float32, counts []int) ([][]float32, []int, error) {
 	const op = "alltoall"
 	myIdx, err := d.groupPos(op, group)
@@ -66,7 +60,7 @@ func (d *Device) TryAllToAllV(group []int, parts [][]float32, counts []int) ([][
 	if parts == nil {
 		contribution = collErr{fmt.Errorf("parts on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
-	cerr := d.collective(op, group, contribution, d.allToAllFinalize(group, true),
+	cerr := d.collective(op, group, contribution, d.allToAllFinalize(group),
 		func(slots []any, _ any) {
 			for i, s := range slots {
 				ps := s.([][]float32)
@@ -98,9 +92,7 @@ func (d *Device) AllToAllV(group []int, parts [][]float32, counts []int) ([][]fl
 // result is indexed by group position, alongside the per-position
 // element counts. count advertises the local buffer's length and must
 // equal len(local) (ErrCountMismatch otherwise); pass count < 0 to
-// derive it. Each member's chunk bytes, replicated to every peer, are
-// added to its Fabric.RankSent census; time, metering, and fault
-// semantics match TryAllGather.
+// derive it. Time, metering, and fault semantics match TryAllGather.
 func (d *Device) TryAllGatherV(group []int, local []float32, count int) ([][]float32, []int, error) {
 	const op = "allgather"
 	myIdx, err := d.groupPos(op, group)
@@ -131,7 +123,6 @@ func (d *Device) TryAllGatherV(group []int, local []float32, count int) ([][]flo
 			chunks := make([]int64, len(slots))
 			for i, s := range slots {
 				chunks[i] = int64(len(s.([]float32))) * 4
-				f.rankSent[group[i]].Add(chunks[i] * int64(len(group)-1))
 			}
 			t, vol := f.MeterFor(group).AllGather(group, chunks)
 			f.addVolume(hw.OpAllGather, vol, d.side)

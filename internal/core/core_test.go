@@ -63,8 +63,8 @@ func TestAllConfigs3LayerSpotCheck(t *testing.T) {
 	ref := ReferenceTrain(prob, testOpts(dims, 0), 2)
 	for _, id := range []int{0, 21, 42, 63, 10, 37} {
 		res := Train(4, hw.A6000(), prob, testOpts(dims, id), 2)
-		if math.Abs(res.FinalLoss()-ref.Losses[1]) > 1e-4 {
-			t.Fatalf("3-layer config %d: loss %v want %v", id, res.FinalLoss(), ref.Losses[1])
+		if math.Abs(res.Epochs[len(res.Epochs)-1].Loss-ref.Losses[1]) > 1e-4 {
+			t.Fatalf("3-layer config %d: loss %v want %v", id, res.Epochs[len(res.Epochs)-1].Loss, ref.Losses[1])
 		}
 	}
 }
@@ -78,9 +78,9 @@ func TestGridReplicationRAMatchesReference(t *testing.T) {
 			opts := testOpts(dims, id)
 			opts.RA = tc.ra
 			res := Train(tc.p, hw.A6000(), prob, opts, 3)
-			if math.Abs(res.FinalLoss()-ref.Losses[2]) > 1e-4 {
+			if math.Abs(res.Epochs[len(res.Epochs)-1].Loss-ref.Losses[2]) > 1e-4 {
 				t.Fatalf("P=%d RA=%d config %d: loss %v want %v",
-					tc.p, tc.ra, id, res.FinalLoss(), ref.Losses[2])
+					tc.p, tc.ra, id, res.Epochs[len(res.Epochs)-1].Loss, ref.Losses[2])
 			}
 		}
 	}
@@ -94,8 +94,8 @@ func TestNoMemoizeStillCorrect(t *testing.T) {
 		opts := testOpts(dims, id)
 		opts.Memoize = false
 		res := Train(4, hw.A6000(), prob, opts, 2)
-		if math.Abs(res.FinalLoss()-ref.Losses[1]) > 1e-4 {
-			t.Fatalf("no-memo config %d: loss %v want %v", id, res.FinalLoss(), ref.Losses[1])
+		if math.Abs(res.Epochs[len(res.Epochs)-1].Loss-ref.Losses[1]) > 1e-4 {
+			t.Fatalf("no-memo config %d: loss %v want %v", id, res.Epochs[len(res.Epochs)-1].Loss, ref.Losses[1])
 		}
 	}
 }
@@ -103,7 +103,7 @@ func TestNoMemoizeStillCorrect(t *testing.T) {
 func TestTrainingConverges(t *testing.T) {
 	prob := testProblem(t, 64, 16, 4)
 	res := Train(4, hw.A6000(), prob, testOpts([]int{16, 16, 4}, 10), 30)
-	first, last := res.Epochs[0].Loss, res.FinalLoss()
+	first, last := res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss
 	if last > first*0.7 {
 		t.Fatalf("loss did not converge: %v -> %v", first, last)
 	}
@@ -121,8 +121,8 @@ func TestTrainMaskRespected(t *testing.T) {
 	}
 	ref := ReferenceTrain(prob, testOpts([]int{12, 8, 4}, 0), 3)
 	res := Train(4, hw.A6000(), prob, testOpts([]int{12, 8, 4}, 0), 3)
-	if math.Abs(res.FinalLoss()-ref.Losses[2]) > 1e-4 {
-		t.Fatalf("masked loss %v want %v", res.FinalLoss(), ref.Losses[2])
+	if math.Abs(res.Epochs[len(res.Epochs)-1].Loss-ref.Losses[2]) > 1e-4 {
+		t.Fatalf("masked loss %v want %v", res.Epochs[len(res.Epochs)-1].Loss, ref.Losses[2])
 	}
 }
 

@@ -256,6 +256,26 @@ type Engine struct {
 // NewEngine builds the device-local state: the adjacency row panel and
 // replicated, identically-initialized weights.
 func NewEngine(dev *comm.Device, prob *Problem, opts Options) *Engine {
+	e := newEngine(dev, prob, opts)
+	opts = e.opts
+	e.adam = nn.NewAdam(opts.LR, e.weights)
+	e.gradBufs = make([][]float32, len(e.weights))
+	e.sched = plan.Compile(plan.Spec{
+		N: prob.N(), Dims: opts.Dims, Config: opts.Config,
+		P: dev.P(), RA: opts.RA, SAGE: opts.SAGE, Memoize: opts.Memoize,
+		InputGrad: opts.ComputeInputGrad,
+		Live:      opts.Live, SparseSeed: opts.SparseSeed,
+	}).Optimize()
+	e.scanLive()
+	return e
+}
+
+// newEngine is the prologue NewEngine and NewInferenceEngine share:
+// defaulted and validated options, the grid layout, this device's column
+// group and row panels, the seeded Glorot weights (identical on all
+// devices; a SAGE layer's self weight follows its neighbour weight), and
+// the configuration tag on the device's trace events.
+func newEngine(dev *comm.Device, prob *Problem, opts Options) *Engine {
 	p := dev.P()
 	opts = opts.withDefaults(p)
 	opts.validate(p, prob)
@@ -281,15 +301,6 @@ func NewEngine(dev *comm.Device, prob *Problem, opts Options) *Engine {
 			e.weights = append(e.weights, ws)
 		}
 	}
-	e.adam = nn.NewAdam(opts.LR, e.weights)
-	e.gradBufs = make([][]float32, len(e.weights))
-	e.sched = plan.Compile(plan.Spec{
-		N: prob.N(), Dims: opts.Dims, Config: opts.Config,
-		P: p, RA: opts.RA, SAGE: opts.SAGE, Memoize: opts.Memoize,
-		InputGrad: opts.ComputeInputGrad,
-		Live:      opts.Live, SparseSeed: opts.SparseSeed,
-	}).Optimize()
-	e.scanLive()
 	dev.TraceSetConfig(opts.Config.String())
 	return e
 }
@@ -316,9 +327,6 @@ func (e *Engine) Weights() []*tensor.Dense { return e.weights }
 // LastLogits returns this device's horizontal logits tile from the most
 // recent epoch.
 func (e *Engine) LastLogits() *dist.Mat { return e.lastLogits }
-
-// LastLoss returns the most recent epoch's training loss.
-func (e *Engine) LastLoss() float64 { return e.lastLoss }
 
 // extractPanels slices this device's row panels out of the problem's
 // operators.
@@ -675,14 +683,4 @@ func (e *Engine) SetProblem(prob *Problem) {
 	e.scanLive()
 	e.lastLogits = nil
 	e.regs, e.grads, e.masks = nil, nil, nil
-}
-
-// Forward runs inference only (no loss/backward) and returns this
-// device's horizontal logits tile. The tile is the caller's to keep, so
-// the pass runs on a register file of its own, not Epoch's retained one.
-func (e *Engine) Forward() *dist.Mat {
-	regs := make([]*dist.Mat, e.sched.NumRegs)
-	grads := make([]*tensor.Dense, len(e.weights))
-	e.runForward(regs, grads)
-	return e.lastLogits
 }

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/dist"
 	"gnnrdm/internal/plan"
-	"gnnrdm/internal/tensor"
 )
 
 // This file is the serving tier's entry into the engine: a read-only
@@ -23,28 +21,7 @@ import (
 // devices). The schedule is the forward-only CompileInference compile;
 // the engine has no Adam state and must not be driven with Epoch.
 func NewInferenceEngine(dev *comm.Device, prob *Problem, opts Options, cp *Checkpoint) *Engine {
-	p := dev.P()
-	opts = opts.withDefaults(p)
-	opts.validate(p, prob)
-	e := &Engine{dev: dev, prob: prob, opts: opts}
-	e.gridL = dist.G(opts.RA).Normalize(p)
-	j := dev.Rank % opts.RA
-	for r := j; r < p; r += opts.RA {
-		e.colGroup = append(e.colGroup, r)
-	}
-	e.extractPanels()
-
-	rng := rand.New(rand.NewSource(opts.Seed))
-	for l := 1; l <= opts.Layers(); l++ {
-		w := tensor.NewDense(opts.Dims[l-1], opts.Dims[l])
-		w.GlorotInit(rng)
-		e.weights = append(e.weights, w)
-		if opts.SAGE {
-			ws := tensor.NewDense(opts.Dims[l-1], opts.Dims[l])
-			ws.GlorotInit(rng)
-			e.weights = append(e.weights, ws)
-		}
-	}
+	e := newEngine(dev, prob, opts)
 	if cp != nil {
 		if len(cp.Weights) != len(e.weights) {
 			panic(fmt.Sprintf("core: checkpoint has %d weights, inference engine needs %d",
@@ -58,11 +35,11 @@ func NewInferenceEngine(dev *comm.Device, prob *Problem, opts Options, cp *Check
 			e.weights[i].CopyFrom(cp.Weights[i])
 		}
 	}
+	opts = e.opts
 	e.sched = plan.CompileInference(plan.Spec{
 		N: prob.N(), Dims: opts.Dims, Config: opts.Config,
-		P: p, RA: opts.RA, SAGE: opts.SAGE,
+		P: dev.P(), RA: opts.RA, SAGE: opts.SAGE,
 	}).Optimize()
-	dev.TraceSetConfig(opts.Config.String())
 	return e
 }
 

@@ -41,10 +41,6 @@ func (e *Engine) dagLazy() *plan.DAG {
 	return e.dag
 }
 
-// DAG exposes the schedule's dependency DAG (built on first use), for
-// pricing and verification.
-func (e *Engine) DAG() *plan.DAG { return e.dagLazy() }
-
 // PanelCensus computes the per-rank adjacency panel stored-entry counts
 // of a problem under (P, RA) partitioning — the exact census the DAG
 // pricer needs to reproduce the engine's SpMM charges (Engine

@@ -134,8 +134,8 @@ func TestZeroEpochRun(t *testing.T) {
 	res := core.Train(2, hw.A6000(), diffProblem(), core.Options{
 		Dims: diffDims(), LR: 0.01, Seed: 7,
 	}, 0)
-	if v := res.FinalLoss(); v != 0 {
-		t.Errorf("FinalLoss() = %v, want 0", v)
+	if len(res.Epochs) != 0 {
+		t.Errorf("%d epochs recorded, want 0", len(res.Epochs))
 	}
 	if v := res.MeanEpochTime(); v != 0 {
 		t.Errorf("MeanEpochTime() = %v, want 0", v)

@@ -50,7 +50,9 @@ func (e *Engine) poisonRetained() {
 	for _, file := range [][]*dist.Mat{e.regs, e.masks} {
 		for _, m := range file {
 			if m != nil && len(m.Local.Data) > 0 && !input[&m.Local.Data[0]] {
-				m.Local.Fill(nan)
+				for i := range m.Local.Data {
+					m.Local.Data[i] = nan
+				}
 			}
 		}
 	}

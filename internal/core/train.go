@@ -36,15 +36,6 @@ type Result struct {
 	Weights []*tensor.Dense
 }
 
-// FinalLoss returns the last epoch's training loss (0 when no epochs
-// were run).
-func (r *Result) FinalLoss() float64 {
-	if len(r.Epochs) == 0 {
-		return 0
-	}
-	return r.Epochs[len(r.Epochs)-1].Loss
-}
-
 // MeanEpochTime returns the arithmetic-mean simulated epoch time,
 // skipping the first epoch if more than one was run (warm-up, matching
 // the paper's throughput methodology).

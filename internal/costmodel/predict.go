@@ -1,9 +1,6 @@
 package costmodel
 
-import (
-	"gnnrdm/internal/hw"
-	"gnnrdm/internal/topo"
-)
+import "gnnrdm/internal/hw"
 
 // PredictEpochTime combines the communication/computation counts of the
 // analytic model with a hardware model into a predicted per-epoch time
@@ -49,91 +46,20 @@ func PredictEpochTime(n Network, c Config, h *hw.Model) float64 {
 		comm += h.CollectiveTime(hw.OpAllReduce, n.P, int64(n.Dims[l-1])*int64(n.Dims[l])*4)
 	}
 
-	return comm + computeTime(n, cost, h)
-}
-
-// computeTime is the computation half of the epoch prediction, shared
-// by the flat and topology-aware predictors (the interconnect does not
-// change kernel time). SparseUnits counts width-weighted nnz passes;
-// convert to time at the mean slice width of this network.
-func computeTime(n Network, cost Cost, h *hw.Model) float64 {
-	var compute float64
+	// SparseUnits counts width-weighted nnz passes; convert to time at
+	// the mean slice width of this network.
 	perDevNNZ := n.NNZ * int64(n.RA) / int64(n.P)
 	meanWidth := averageWidth(n)
 	spmmWidth := meanWidth / n.RA
 	if spmmWidth < 1 {
 		spmmWidth = 1
 	}
-	compute += cost.SparseUnits / float64(meanWidth) * h.SpMMTime(perDevNNZ, spmmWidth)
+	compute := cost.SparseUnits / float64(meanWidth) * h.SpMMTime(perDevNNZ, spmmWidth)
 	rows := int(n.N / int64(n.P))
 	for l := 1; l <= n.Layers(); l++ {
 		compute += 3 * h.GemmTime(rows, n.Dims[l-1], n.Dims[l])
 	}
-	return compute
-}
-
-// PredictEpochTimeOn is PredictEpochTime on an interconnect topology
-// (nil delegates to PredictEpochTime): the same closed-form counts, but
-// every collective term is priced by internal/topo's algorithm library
-// under the fabric's default Auto selection. On a flat topology it
-// reproduces PredictEpochTime exactly (Auto degenerates to ring, which
-// degenerates to hw.CollectiveTime); on a hierarchical one the
-// prediction reflects hierarchical routing, so configuration rankings
-// can change with the interconnect.
-func PredictEpochTimeOn(n Network, c Config, h *hw.Model, tp *topo.Topology) float64 {
-	if tp == nil {
-		return PredictEpochTime(n, c, h)
-	}
-	n.validate()
-	cost := Evaluate(n, c)
-	p := float64(n.P)
-
-	world := make([]int, n.P)
-	for i := range world {
-		world[i] = i
-	}
-	bcastElems := float64(n.P/n.RA-1) * float64(n.N) * cost.SparseUnits
-	redistElems := cost.CommElems - bcastElems
-
-	var comm float64
-	if redistElems > 0 && n.P > 1 {
-		steps := float64(2*n.Layers() + 2)
-		perStepInject := int64(redistElems * 4 / p / steps)
-		// Spread each device's injection evenly over its p-1 peers
-		// (remainder on the first few) so a ring routing reproduces
-		// CollectiveTime(OpAllToAll, P, perStepInject) bit-for-bit.
-		base := perStepInject / int64(n.P-1)
-		rem := perStepInject % int64(n.P-1)
-		pair := func(i, j int) int64 {
-			idx := int64(j)
-			if j > i {
-				idx--
-			}
-			if idx < rem {
-				return base + 1
-			}
-			return base
-		}
-		_, a2a := tp.AllToAll(h, topo.Auto, world, pair)
-		comm += steps * a2a.Time
-	}
-	if n.RA < n.P {
-		group := make([]int, 0, n.P/n.RA)
-		for r := 0; r < n.P; r += n.RA {
-			group = append(group, r)
-		}
-		for l := 1; l <= n.Layers(); l++ {
-			w := float64(minInt(n.Dims[l-1], n.Dims[l])) / float64(n.RA)
-			buf := int64(float64(n.N) * w * 4)
-			_, ag := tp.AllGather(h, topo.Auto, group, topo.EvenChunks(buf, len(group)))
-			comm += 2 * ag.Time
-		}
-	}
-	for l := 1; l <= n.Layers(); l++ {
-		_, ar := tp.AllReduce(h, topo.Auto, world, int64(n.Dims[l-1])*int64(n.Dims[l])*4)
-		comm += ar.Time
-	}
-	return comm + computeTime(n, cost, h)
+	return comm + compute
 }
 
 func averageWidth(n Network) int {

@@ -46,7 +46,9 @@ func FuzzRegrid(f *testing.F) {
 				return m
 			}
 			if old != nil {
-				old.Local.Fill(float32(math.NaN()))
+				for i := range old.Local.Data {
+					old.Local.Data[i] = float32(math.NaN())
+				}
 			}
 			return old
 		}

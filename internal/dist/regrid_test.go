@@ -218,11 +218,15 @@ func observeRegrid(p int, global *tensor.Dense, from, to Layout, packed, oracle 
 			switch mode {
 			case oldDirty:
 				old = NewMat(d, to, global.Rows, global.Cols)
-				old.Local.Fill(nan)
+				for i := range old.Local.Data {
+					old.Local.Data[i] = nan
+				}
 			case oldMisfit:
 				old = &Mat{Dev: d, GlobalRows: global.Rows, GlobalCols: global.Cols, Layout: to,
 					Local: tensor.NewDense(wr+1, wc)}
-				old.Local.Fill(nan)
+				for i := range old.Local.Data {
+					old.Local.Data[i] = nan
+				}
 			case oldAliasing:
 				if len(m.Local.Data) >= wr*wc {
 					old = &Mat{Dev: d, GlobalRows: global.Rows, GlobalCols: global.Cols, Layout: to,
@@ -560,7 +564,9 @@ func TestRegridStageNotReusedWhileRoundCanRead(t *testing.T) {
 
 	const rows, cols, marker = 12, 5, 12345
 	global := tensor.NewDense(rows, cols)
-	global.Fill(marker)
+	for i := range global.Data {
+		global.Data[i] = marker
+	}
 	fab = comm.NewFabric(p, hw.A6000())
 	fab.SetFaultHook(killAtExchange{victim: 1})
 	before := runtime.NumGoroutine()

@@ -267,7 +267,7 @@ func TestGatherRowsDuplicatesAndUnsorted(t *testing.T) {
 		}
 		for i, r := range rows {
 			for j := 0; j < 5; j++ {
-				if got.At(i, j) != global.At(int(r), j) {
+				if got.Row(i)[j] != global.Row(int(r))[j] {
 					t.Fatalf("P=%d: row %d (global %d) wrong at col %d", p, i, r, j)
 				}
 			}
@@ -295,7 +295,7 @@ func TestHaloExchange(t *testing.T) {
 		}
 		for i, row := range need {
 			for j := 0; j < f; j++ {
-				if halos[r].At(i, j) != global.At(int(row), j) {
+				if halos[r].Row(i)[j] != global.Row(int(row))[j] {
 					t.Fatalf("rank %d: need %d (global %d) wrong at col %d", r, i, row, j)
 				}
 			}

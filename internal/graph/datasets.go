@@ -3,7 +3,6 @@ package graph
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Recipe describes a synthetic stand-in for one of the paper's evaluation
@@ -113,14 +112,6 @@ func Names() []string {
 		out[i] = r.Name
 	}
 	return out
-}
-
-// SortedDegrees returns the degree sequence sorted descending (used by
-// tests to sanity-check generator skew).
-func SortedDegrees(adj interface{ RowDegrees() []int64 }) []int64 {
-	d := adj.RowDegrees()
-	sort.Slice(d, func(i, j int) bool { return d[i] > d[j] })
-	return d
 }
 
 func maxInt(a, b int) int {

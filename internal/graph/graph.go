@@ -45,12 +45,6 @@ func (g *Graph) NNZ() int64 { return g.Adj.NNZ() }
 // FeatureDim returns the input feature width f_in.
 func (g *Graph) FeatureDim() int { return g.Features.Cols }
 
-// Normalized returns the GCN propagation matrix D^{-1/2}(A+I)D^{-1/2}.
-func (g *Graph) Normalized() *sparse.CSR { return sparse.GCNNormalize(g.Adj) }
-
-// HasSplits reports whether the graph carries train/val/test masks.
-func (g *Graph) HasSplits() bool { return g.TrainMask != nil }
-
 func (g *Graph) String() string {
 	return fmt.Sprintf("%s: N=%d nnz=%d f=%d labels=%d", g.Name, g.N(), g.NNZ(), g.FeatureDim(), g.NumClasses)
 }

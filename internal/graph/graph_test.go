@@ -23,11 +23,14 @@ func TestRMATShapeAndSymmetry(t *testing.T) {
 func TestRMATSkew(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	adj := RMAT(rng, 4096, 40000, 0.57, 0.19, 0.19)
-	d := SortedDegrees(adj)
 	// Skewed generator: max degree far above mean.
+	var top int64
+	for i := 0; i < adj.Rows; i++ {
+		top = max(top, adj.RowPtr[i+1]-adj.RowPtr[i])
+	}
 	mean := float64(adj.NNZ()) / float64(adj.Rows)
-	if float64(d[0]) < 5*mean {
-		t.Fatalf("R-MAT not skewed: max=%d mean=%.1f", d[0], mean)
+	if float64(top) < 5*mean {
+		t.Fatalf("R-MAT not skewed: max=%d mean=%.1f", top, mean)
 	}
 }
 
@@ -67,14 +70,14 @@ func TestSynthesizeFeaturesSignal(t *testing.T) {
 	f := SynthesizeFeatures(rng, comm, 2, 32, 1.0) // pure signal
 	// Same community -> identical features at signal=1.
 	for j := 0; j < 32; j++ {
-		if f.At(0, j) != f.At(1, j) {
+		if f.Row(0)[j] != f.Row(1)[j] {
 			t.Fatal("signal=1 must give identical same-community features")
 		}
 	}
 	// Different communities -> different centroids (w.h.p.).
 	same := true
 	for j := 0; j < 32; j++ {
-		if f.At(0, j) != f.At(2, j) {
+		if f.Row(0)[j] != f.Row(2)[j] {
 			same = false
 			break
 		}
@@ -174,14 +177,14 @@ func TestBuildScaledGraph(t *testing.T) {
 	if g.FeatureDim() != 128 || g.NumClasses != 40 {
 		t.Fatal("dims wrong")
 	}
-	if !g.HasSplits() {
+	if g.TrainMask == nil {
 		t.Fatal("arxiv recipe must have splits")
 	}
 	if len(g.Labels) != g.N() {
 		t.Fatal("labels length")
 	}
 	checkSymmetricNoSelfLoops(t, g.Adj)
-	norm := g.Normalized()
+	norm := sparse.GCNNormalize(g.Adj)
 	if norm.NNZ() < g.Adj.NNZ() { // adds self loops
 		t.Fatal("normalization should add self loops")
 	}
@@ -190,7 +193,7 @@ func TestBuildScaledGraph(t *testing.T) {
 func TestBuildUnlabelledGraph(t *testing.T) {
 	r, _ := RecipeByName("Web-Google")
 	g := r.Scaled(256).Build()
-	if g.HasSplits() {
+	if g.TrainMask != nil {
 		t.Fatal("web-google must not have splits")
 	}
 	if g.NumClasses != 100 || g.FeatureDim() != 256 {

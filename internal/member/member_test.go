@@ -163,27 +163,31 @@ func TestRefutation(t *testing.T) {
 	const p = 8
 	cfg := Config{Seed: 11, SuspicionPeriods: 4}.WithDefaults()
 	s := NewSim(p, cfg)
-	s.InjectSuspicion(0, 5)
-	if st, _ := s.View(0, 5); st != Suspect {
+	// Plant a false suspicion of rank 5, at its current incarnation, in
+	// observer 0's gossip buffer.
+	n := s.nodes[0]
+	n.applyUpdate(Update{Rank: 5, State: Suspect, Inc: n.view[5].inc}, s)
+	if st := s.nodes[0].view[5].state; st != Suspect {
 		t.Fatalf("injected suspicion did not take: rank 5 is %v at observer 0", st)
 	}
 	bound := costmodel.GossipConvergenceBound(p, cfg.SuspicionPeriods)
 	for r := 0; r < bound && !s.Converged(); r++ {
 		s.Step()
 		for obs := 0; obs < p; obs++ {
-			if st, _ := s.View(obs, 5); st == Dead {
-				t.Fatalf("round %d: observer %d declared the refuting rank 5 dead", s.Round(), obs)
+			if st := s.nodes[obs].view[5].state; st == Dead {
+				t.Fatalf("round %d: observer %d declared the refuting rank 5 dead", s.round, obs)
 			}
 		}
 	}
 	if !s.Converged() {
 		t.Fatalf("world did not reconverge after refutation within %d rounds", bound)
 	}
-	if inc := s.Incarnation(5); inc == 0 {
+	inc := s.nodes[5].inc
+	if inc == 0 {
 		t.Fatal("rank 5 never bumped its incarnation to refute the suspicion")
 	}
-	if st, inc := s.View(0, 5); st != Alive || inc != s.Incarnation(5) {
-		t.Fatalf("observer 0 holds rank 5 %v#%d, want alive#%d", st, inc, s.Incarnation(5))
+	if e := s.nodes[0].view[5]; e.state != Alive || e.inc != inc {
+		t.Fatalf("observer 0 holds rank 5 %v#%d, want alive#%d", e.state, e.inc, inc)
 	}
 }
 

@@ -91,15 +91,6 @@ func NewSim(p int, cfg Config) *Sim {
 	return s
 }
 
-// Config returns the effective (default-completed) configuration.
-func (s *Sim) Config() Config { return s.cfg }
-
-// P returns the member count.
-func (s *Sim) P() int { return s.p }
-
-// Round returns the number of protocol periods stepped so far.
-func (s *Sim) Round() int { return s.round }
-
 // Kill crashes a member (ground truth): it stops sending, receiving,
 // and refuting from the next period on.
 func (s *Sim) Kill(rank int) {
@@ -108,24 +99,6 @@ func (s *Sim) Kill(rank int) {
 	}
 	s.nodes[rank].alive = false
 }
-
-// InjectSuspicion plants a false suspicion of `about` (at its current
-// incarnation in the observer's view) into observer's gossip buffer —
-// the refutation test hook: the suspect, still alive, must bump its
-// incarnation and re-assert itself before the suspicion times out.
-func (s *Sim) InjectSuspicion(observer, about int) {
-	n := s.nodes[observer]
-	n.applyUpdate(Update{Rank: uint16(about), State: Suspect, Inc: n.view[about].inc}, s)
-}
-
-// View returns (state, incarnation) of `about` in observer's view.
-func (s *Sim) View(observer, about int) (State, uint32) {
-	e := s.nodes[observer].view[about]
-	return e.state, e.inc
-}
-
-// Incarnation returns a member's own incarnation number.
-func (s *Sim) Incarnation(rank int) uint32 { return s.nodes[rank].inc }
 
 // Converged reports whether every ground-truth-alive member's view
 // marks exactly the ground-truth-dead members Dead — and no live

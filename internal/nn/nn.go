@@ -53,9 +53,6 @@ func (a *Adam) Step(params, grads []*tensor.Dense) {
 	}
 }
 
-// StepCount returns the number of updates applied so far.
-func (a *Adam) StepCount() int { return a.step }
-
 // Moments exposes the first/second-moment accumulators and step counter
 // for checkpointing. The returned matrices alias internal state.
 func (a *Adam) Moments() (m, v []*tensor.Dense, step int) { return a.m, a.v, a.step }

@@ -184,19 +184,6 @@ func (s *Schedule) Ops() int {
 	return n
 }
 
-// CountKind returns how many ops of the given kind the schedule holds.
-func (s *Schedule) CountKind(k Kind) int {
-	n := 0
-	for i := range s.Sections {
-		for j := range s.Sections[i].Ops {
-			if s.Sections[i].Ops[j].Kind == k {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // assigns reports whether ops of this kind define their Dst register
 // (the rest mutate in place, charge costs, or reduce into weight
 // slots).

@@ -117,16 +117,16 @@ func TestValidateCatchesLayoutViolations(t *testing.T) {
 func TestElideRedistributions(t *testing.T) {
 	for _, tc := range []struct{ p, ra int }{{1, 1}, {4, 1}} {
 		naive := Compile(spec2(64, 0, tc.p, tc.ra, true))
-		if naive.CountKind(KRedist) == 0 {
+		if countKind(naive, KRedist, false) == 0 {
 			t.Fatalf("P=%d RA=%d: naive schedule should carry identity redists", tc.p, tc.ra)
 		}
 		opt := naive.Optimize()
-		if n := opt.CountKind(KRedist); n != 0 {
+		if n := countKind(opt, KRedist, false); n != 0 {
 			t.Fatalf("P=%d RA=%d: %d redists survive elision:\n%s", tc.p, tc.ra, n, opt)
 		}
 	}
 	// With a real grid the cross-layout redistributions must survive.
-	if n := Compile(spec2(64, 0, 4, 4, true)).Optimize().CountKind(KRedist); n == 0 {
+	if n := countKind(Compile(spec2(64, 0, 4, 4, true)).Optimize(), KRedist, false); n == 0 {
 		t.Fatal("P=4 RA=4: elision removed real redistributions")
 	}
 }
@@ -157,12 +157,12 @@ func TestDeadInputGradElimination(t *testing.T) {
 // memoize/reuse ops survive.
 func TestMemoizeReuse(t *testing.T) {
 	with := Compile(spec2(64, 0, 4, 4, true)).Optimize()
-	if with.CountKind(KMemoize) != 2 || with.CountKind(KReuse) != 2 {
+	if countKind(with, KMemoize, false) != 2 || countKind(with, KReuse, false) != 2 {
 		t.Fatalf("cfg0 memoized: want 2 memoize + 2 reuse, got %d + %d\n%s",
-			with.CountKind(KMemoize), with.CountKind(KReuse), with)
+			countKind(with, KMemoize, false), countKind(with, KReuse, false), with)
 	}
 	without := Compile(spec2(64, 0, 4, 4, false)).Optimize()
-	if without.CountKind(KMemoize) != 0 || without.CountKind(KReuse) != 0 {
+	if countKind(without, KMemoize, false) != 0 || countKind(without, KReuse, false) != 0 {
 		t.Fatal("memoization off but memoize/reuse ops present")
 	}
 	// A memoization nothing reads (backward reuses tb instead) is dead.
@@ -213,11 +213,11 @@ func TestSAGESchedule(t *testing.T) {
 	if s.NumWeights != 4 {
 		t.Fatalf("SAGE weights = %d, want 4", s.NumWeights)
 	}
-	if s.CountKind(KAdd) != 4 {
-		t.Fatalf("SAGE adds = %d, want 2 fwd + 2 bwd\n%s", s.CountKind(KAdd), s)
+	if countKind(s, KAdd, false) != 4 {
+		t.Fatalf("SAGE adds = %d, want 2 fwd + 2 bwd\n%s", countKind(s, KAdd, false), s)
 	}
-	if s.CountKind(KAllReduceGrad) != 4 {
-		t.Fatalf("SAGE grad reduces = %d, want 4", s.CountKind(KAllReduceGrad))
+	if countKind(s, KAllReduceGrad, false) != 4 {
+		t.Fatalf("SAGE grad reduces = %d, want 4", countKind(s, KAllReduceGrad, false))
 	}
 }
 

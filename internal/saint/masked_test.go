@@ -113,8 +113,8 @@ func TestMaskedDistributedMatchesMaskedReference(t *testing.T) {
 			A: MaskedAdjacency(norm, fanout, seed, 0), X: prob.X, Labels: prob.Labels,
 		}
 		ref := core.ReferenceTrain(refProb, core.Options{Dims: opts.Dims, LR: 0.01, Seed: 7}, 1)
-		if math.Abs(res.FinalLoss()-ref.Losses[0]) > 1e-5 {
-			t.Fatalf("P=%d: masked loss %v want %v", p, res.FinalLoss(), ref.Losses[0])
+		if math.Abs(res.Epochs[len(res.Epochs)-1].Loss-ref.Losses[0]) > 1e-5 {
+			t.Fatalf("P=%d: masked loss %v want %v", p, res.Epochs[len(res.Epochs)-1].Loss, ref.Losses[0])
 		}
 	}
 }
@@ -136,8 +136,8 @@ func TestMaskedTrainingConverges(t *testing.T) {
 		Seed:         7,
 		MaskProvider: NeighborMaskProvider(norm, 6, 5),
 	}, 30)
-	if res.FinalLoss() > res.Epochs[0].Loss*0.7 {
-		t.Fatalf("masked training should converge: %v -> %v", res.Epochs[0].Loss, res.FinalLoss())
+	if res.Epochs[len(res.Epochs)-1].Loss > res.Epochs[0].Loss*0.7 {
+		t.Fatalf("masked training should converge: %v -> %v", res.Epochs[0].Loss, res.Epochs[len(res.Epochs)-1].Loss)
 	}
 	if acc := res.Accuracy(prob.Labels, nil); acc < 0.7 {
 		t.Fatalf("masked training accuracy %v too low", acc)

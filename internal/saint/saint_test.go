@@ -57,13 +57,13 @@ func TestNodeSamplerDegreeBias(t *testing.T) {
 			counts[v]++
 		}
 	}
-	deg := adj.RowDegrees()
+	deg := func(v int) int64 { return adj.RowPtr[v+1] - adj.RowPtr[v] }
 	maxDegV, minDegV := 0, 0
-	for v := range deg {
-		if deg[v] > deg[maxDegV] {
+	for v := 0; v < adj.Rows; v++ {
+		if deg(v) > deg(maxDegV) {
 			maxDegV = v
 		}
-		if deg[v] < deg[minDegV] {
+		if deg(v) < deg(minDegV) {
 			minDegV = v
 		}
 	}
@@ -105,7 +105,7 @@ func TestSubProblemStructure(t *testing.T) {
 		if sub.Labels[i] != prob.Labels[v] {
 			t.Fatal("labels not remapped")
 		}
-		if sub.X.At(i, 2) != prob.X.At(int(v), 2) {
+		if sub.X.Row(i)[2] != prob.X.Row(int(v))[2] {
 			t.Fatal("features not remapped")
 		}
 		if sub.TrainMask[i] != prob.TrainMask[v] {
@@ -189,12 +189,6 @@ func TestFullBatchCurve(t *testing.T) {
 	}
 	if curve.BestAcc() < 0.8 {
 		t.Fatalf("full-batch best acc %v too low", curve.BestAcc())
-	}
-	if curve.TimeToAcc(0.5) < 0 {
-		t.Fatal("TimeToAcc should find the crossing")
-	}
-	if curve.TimeToAcc(2.0) != -1 {
-		t.Fatal("TimeToAcc must return -1 for unreachable targets")
 	}
 }
 

@@ -99,17 +99,6 @@ func (c *Curve) BestAcc() float64 {
 	return best
 }
 
-// TimeToAcc returns the first simulated time at which the curve reaches
-// the target accuracy, or -1 if it never does.
-func (c *Curve) TimeToAcc(target float64) float64 {
-	for _, p := range c.Points {
-		if p.TestAcc >= target {
-			return p.Time
-		}
-	}
-	return -1
-}
-
 // evalFull computes test accuracy on the full graph with the given
 // weights (instrumentation only: not charged to the simulated clock,
 // matching how the paper evaluates offline).

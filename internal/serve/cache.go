@@ -32,9 +32,6 @@ func NewCache(cap int) *Cache {
 	return &Cache{cap: cap, m: make(map[int32]int32), nodes: make([]cacheNode, 1)}
 }
 
-// Len returns the number of cached vertices.
-func (c *Cache) Len() int { return len(c.m) }
-
 // Lookup reports whether v's answer is cached and fresh at microbatch
 // index batch: with staleness > 0 an entry inserted at stamp is stale
 // once batch-stamp >= staleness and is evicted on sight (the serving

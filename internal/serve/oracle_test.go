@@ -257,8 +257,8 @@ func TestCacheMatchesListOracle(t *testing.T) {
 			if g, w := got.order(), want.order(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("draw %d op %d: recency order %v, oracle %v", draw, op, g, w)
 			}
-			if got.Len() != want.ll.Len() {
-				t.Fatalf("draw %d op %d: Len %d, oracle %d", draw, op, got.Len(), want.ll.Len())
+			if len(got.m) != want.ll.Len() {
+				t.Fatalf("draw %d op %d: Len %d, oracle %d", draw, op, len(got.m), want.ll.Len())
 			}
 			for _, u := range held {
 				if _, ok := want.m[u]; !ok {

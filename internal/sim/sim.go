@@ -79,13 +79,10 @@ type Config struct {
 	Cache *plan.PriceCache
 }
 
-// Meters and Result are the engine's output types; the engine lives in
-// internal/plan (plan/replay.go), below this package, because
-// plan.PriceDAG* is a second view of the same replay.
-type (
-	Meters = plan.Meters
-	Result = plan.ReplayResult
-)
+// Result is the engine's output type; the engine lives in internal/plan
+// (plan/replay.go), below this package, because plan.PriceDAG* is a
+// second view of the same replay.
+type Result = plan.ReplayResult
 
 // Run executes the simulated training run.
 func Run(cfg Config) (*Result, error) {

@@ -264,18 +264,6 @@ func (m *CSR) MaskedSpMMInto(in *tensor.Dense, mask [][]int32, out *tensor.Dense
 	})
 }
 
-// SpMMFLOPs returns the FMA count of M * In with f dense columns.
-func (m *CSR) SpMMFLOPs(f int) int64 { return m.NNZ() * int64(f) }
-
-// RowDegrees returns the stored-entry count of each row.
-func (m *CSR) RowDegrees() []int64 {
-	d := make([]int64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		d[i] = m.RowPtr[i+1] - m.RowPtr[i]
-	}
-	return d
-}
-
 // RowNormalize returns the random-walk propagation matrix D^{-1}(A + I):
 // each row of A plus a self loop divided by its degree. The result is
 // generally asymmetric — pair it with its Transpose via

@@ -82,7 +82,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 					in.Data[rng.Intn(len(in.Data))] = float32(math.Inf(1))
 				}
 				out := tensor.NewDense(rows, f)
-				out.Fill(99)
+				for i := range out.Data {
+					out.Data[i] = 99
+				}
 				m.SpMMInto(in, out)
 				requireSameBits(t, "SpMMInto "+shape, out, naiveMaskedSpMM(m, in, nil))
 
@@ -98,7 +100,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 						}
 					}
 				}
-				out.Fill(float32(math.NaN()))
+				for i := range out.Data {
+					out.Data[i] = float32(math.NaN())
+				}
 				m.MaskedSpMMInto(in, mask, out)
 				requireSameBits(t, "MaskedSpMMInto "+shape, out, naiveMaskedSpMM(m, in, mask))
 			}
@@ -124,7 +128,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 		in := tensor.NewDense(cols, f)
 		in.Randomize(rng, 2)
 		out := tensor.NewDense(m.Rows, f)
-		out.Fill(float32(math.NaN()))
+		for i := range out.Data {
+			out.Data[i] = float32(math.NaN())
+		}
 		m.SpMMInto(in, out)
 		requireSameBits(t, fmt.Sprintf("SpMMInto long and repeated rows f=%d", f), out, naiveMaskedSpMM(m, in, nil))
 	}
@@ -144,7 +150,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 		in := tensor.NewDense(300, f)
 		in.Randomize(rng, 2)
 		out := tensor.NewDense(wide.Rows, f)
-		out.Fill(float32(math.NaN()))
+		for i := range out.Data {
+			out.Data[i] = float32(math.NaN())
+		}
 		wide.MaskedSpMMInto(in, mask, out)
 		requireSameBits(t, fmt.Sprintf("MaskedSpMMInto long rows f=%d", f), out, naiveMaskedSpMM(wide, in, mask))
 	}
@@ -164,7 +172,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 			in := tensor.NewDense(mat.Cols, f)
 			in.Randomize(rng, 2)
 			out := tensor.NewDense(mat.Rows, f)
-			out.Fill(float32(math.NaN()))
+			for i := range out.Data {
+				out.Data[i] = float32(math.NaN())
+			}
 			mat.MaskedSpMMInto(in, mask, out)
 			requireSameBits(t, fmt.Sprintf("MaskedSpMMInto %dx%d f=%d", mat.Rows, mat.Cols, f), out, naiveMaskedSpMM(mat, in, mask))
 		}

@@ -35,9 +35,6 @@ func FromRowMajor(r, c int, data []float32) *Dense {
 	return &Dense{Rows: r, Cols: c, Data: data}
 }
 
-// At returns element (i, j).
-func (m *Dense) At(i, j int) float32 { return m.Data[i*m.Cols+j] }
-
 // Set assigns element (i, j).
 func (m *Dense) Set(i, j int, v float32) { m.Data[i*m.Cols+j] = v }
 
@@ -49,20 +46,6 @@ func (m *Dense) Clone() *Dense {
 	out := NewDense(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
-}
-
-// Zero sets every element to zero.
-func (m *Dense) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
-
-// Fill sets every element to v.
-func (m *Dense) Fill(v float32) {
-	for i := range m.Data {
-		m.Data[i] = v
-	}
 }
 
 // CopyFrom copies src into m; dimensions must match.
@@ -208,26 +191,10 @@ func (m *Dense) Add(other *Dense) {
 	}
 }
 
-// Sub computes m -= other element-wise.
-func (m *Dense) Sub(other *Dense) {
-	checkSameShape("Sub", m, other)
-	for i, v := range other.Data {
-		m.Data[i] -= v
-	}
-}
-
 // Scale multiplies every element by s.
 func (m *Dense) Scale(s float32) {
 	for i := range m.Data {
 		m.Data[i] *= s
-	}
-}
-
-// Hadamard computes m *= other element-wise.
-func (m *Dense) Hadamard(other *Dense) {
-	checkSameShape("Hadamard", m, other)
-	for i, v := range other.Data {
-		m.Data[i] *= v
 	}
 }
 
@@ -241,18 +208,6 @@ func (m *Dense) ReLU() *Dense {
 	return m
 }
 
-// ReLUGrad returns the derivative mask of ReLU evaluated at pre-activation
-// z: 1 where z > 0, else 0.
-func ReLUGrad(z *Dense) *Dense {
-	out := NewDense(z.Rows, z.Cols)
-	for i, v := range z.Data {
-		if v > 0 {
-			out.Data[i] = 1
-		}
-	}
-	return out
-}
-
 // MaxAbsDiff returns the maximum absolute element-wise difference.
 func MaxAbsDiff(a, b *Dense) float64 {
 	checkSameShape("MaxAbsDiff", a, b)
@@ -264,23 +219,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 		}
 	}
 	return maxd
-}
-
-// AlmostEqual reports whether all elements differ by at most tol.
-func AlmostEqual(a, b *Dense, tol float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	return MaxAbsDiff(a, b) <= tol
-}
-
-// FrobeniusNorm returns the Frobenius norm of m.
-func (m *Dense) FrobeniusNorm() float64 {
-	s := 0.0
-	for _, v := range m.Data {
-		s += float64(v) * float64(v)
-	}
-	return math.Sqrt(s)
 }
 
 func (m *Dense) String() string {

@@ -379,7 +379,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 					b.Data[k*n-1] = float32(math.Inf(1))
 				}
 				requireSameBits(t, "MatMul "+shape, MatMul(a, b), naiveMatMul(a, b))
-				nan.Fill(float32(math.NaN()))
+				for i := range nan.Data {
+					nan.Data[i] = float32(math.NaN())
+				}
 				MatMulInto(a, b, nan)
 				requireSameBits(t, "MatMulInto "+shape, nan, naiveMatMul(a, b))
 
@@ -392,7 +394,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 				requireSameBits(t, "MatMulTA "+shape, MatMulTA(at, b), naiveMatMulTA(at, b))
 				// The Into forms overwrite: a stale destination (the engine's
 				// retained tiles) must not show through.
-				nan.Fill(float32(math.NaN()))
+				for i := range nan.Data {
+					nan.Data[i] = float32(math.NaN())
+				}
 				MatMulTAInto(at, b, nan)
 				requireSameBits(t, "MatMulTAInto "+shape, nan, naiveMatMulTA(at, b))
 
@@ -403,7 +407,9 @@ func TestKernelsMatchNaive(t *testing.T) {
 					bt.Data[n*k-1] = float32(math.Inf(-1))
 				}
 				requireSameBits(t, "MatMulTB "+shape, MatMulTB(a, bt), naiveMatMulTB(a, bt))
-				nan.Fill(float32(math.NaN()))
+				for i := range nan.Data {
+					nan.Data[i] = float32(math.NaN())
+				}
 				MatMulTBInto(a, bt, nan)
 				requireSameBits(t, "MatMulTBInto "+shape, nan, naiveMatMulTB(a, bt))
 			}

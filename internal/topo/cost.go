@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"fmt"
 	"math"
 
 	"gnnrdm/internal/hw"
@@ -46,16 +45,6 @@ func (a Algorithm) String() string {
 		return "hier"
 	}
 	return "unknown"
-}
-
-// ParseAlgorithm resolves an algorithm name.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	for _, a := range []Algorithm{Auto, Ring, RHD, Hier} {
-		if a.String() == s {
-			return a, nil
-		}
-	}
-	return Auto, fmt.Errorf("topo: unknown algorithm %q", s)
 }
 
 // Cost prices one collective: the modelled makespan (time until the
@@ -355,11 +344,12 @@ func (t *Topology) bruckAllToAll(h *hw.Model, group []int, pairs []Pair) Cost {
 // Two-level hierarchical algorithms: stage 1 inside each node (tier-0
 // links), stage 2 between peer positions across nodes (tier-1 links),
 // stage 3 inside each node again. Stage times take the max over the
-// concurrent subgroups, matching the staged fabric execution's
-// makespan under synchronized entry; stage byte censuses are the ring
-// censuses of the subgroups. For allreduce and allgather the total
-// bytes equal the flat ring's exactly; hierarchical reduce-scatter and
-// all-to-all trade extra intra-node bytes for fewer inter-node ones.
+// concurrent subgroups, the makespan of running the stages in order
+// from a synchronized entry; stage byte censuses are the ring censuses
+// of the subgroups (TestStageTimeComposition recomputes both). For
+// allreduce and allgather the total bytes equal the flat ring's
+// exactly; hierarchical reduce-scatter and all-to-all trade extra
+// intra-node bytes for fewer inter-node ones.
 
 func (t *Topology) hierAllReduce(h *hw.Model, group []int, bytes int64) Cost {
 	nodes, ok := t.nodeGroups(group)
@@ -708,9 +698,8 @@ func (t *Topology) Broadcast(h *hw.Model, group []int, rootIdx int, bytes int64)
 
 // ---------------------------------------------------------------------
 
-// EvenChunks is the exported form of evenChunks, used by the fabric's
-// staged hierarchical collectives to slice buffers exactly the way the
-// cost model assumes.
+// EvenChunks is the exported form of evenChunks, for callers that price
+// an all-gather of a buffer split the way the cost model assumes.
 func EvenChunks(bytes int64, p int) []int64 { return evenChunks(bytes, p) }
 
 // evenChunks splits a byte count into p chunks the way the fabric

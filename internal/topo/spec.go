@@ -38,9 +38,6 @@ var classes = []Class{
 	{Name: "eth", Alpha: 50e-6, Beta: 1.25e9},   // 10 GbE-class
 }
 
-// Classes returns the built-in link classes in declaration order.
-func Classes() []Class { return append([]Class(nil), classes...) }
-
 // ParseClass resolves a link-class name.
 func ParseClass(name string) (Class, error) {
 	for _, c := range classes {

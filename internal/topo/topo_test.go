@@ -64,7 +64,7 @@ func TestSpecRoundTrip(t *testing.T) {
 }
 
 func TestParseClassAndAlgorithm(t *testing.T) {
-	for _, c := range Classes() {
+	for _, c := range classes {
 		got, err := ParseClass(c.Name)
 		if err != nil || got != c {
 			t.Errorf("ParseClass(%q) = %+v, %v", c.Name, got, err)
@@ -73,14 +73,10 @@ func TestParseClassAndAlgorithm(t *testing.T) {
 	if _, err := ParseClass("carrier-pigeon"); err == nil {
 		t.Error("ParseClass must reject unknown classes")
 	}
-	for _, a := range []Algorithm{Auto, Ring, RHD, Hier} {
-		got, err := ParseAlgorithm(a.String())
-		if err != nil || got != a {
-			t.Errorf("ParseAlgorithm(%q) = %v, %v", a.String(), got, err)
+	for a, want := range []string{"auto", "ring", "rhd", "hier", "unknown"} {
+		if got := Algorithm(a).String(); got != want {
+			t.Errorf("Algorithm(%d).String() = %q, want %q", a, got, want)
 		}
-	}
-	if _, err := ParseAlgorithm("telepathy"); err == nil {
-		t.Error("ParseAlgorithm must reject unknown algorithms")
 	}
 }
 
@@ -530,33 +526,111 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-// TestStageTimeComposition sanity-checks the closed forms against a
-// brute-force recomputation for the 8x4 world: the hier allreduce time
-// is the sum of the worst stage times, and every stage time is itself
-// a ring cost.
+// TestStageTimeComposition recomputes the hierarchical all-reduce and
+// all-gather from their three stages, each priced by the public ring
+// (and broadcast) entry points on its subgroups: Hier's time must be the
+// sum of the worst concurrent stage times, and its per-tier bytes the
+// sum of every stage's census, which for these two kinds also equals
+// the flat ring's total. The shapes include ragged ones: an all-reduce
+// that does not split evenly over a node, and unequal all-gather chunks.
 func TestStageTimeComposition(t *testing.T) {
 	h := hw.A6000()
-	tp := must(t, "8x4:nvlink,ib", 32)
-	g := group(32)
-	B := int64(4 * 4096)
-	_, hier := tp.AllReduce(h, Hier, g, B)
+	ragged := func(p int) []int64 {
+		ch := make([]int64, p)
+		for i := range ch {
+			ch[i] = int64(4 * (10 + i))
+		}
+		return ch
+	}
+	for _, c := range []struct {
+		spec   string
+		p      int
+		bytes  int64   // all-reduce buffer
+		chunks []int64 // all-gather contributions
+	}{
+		{"8x4:nvlink,ib", 32, 4 * 4096, ragged(32)},
+		{"4x2:nvlink,ib", 8, 4 * 257, ragged(8)},
+	} {
+		tp := must(t, c.spec, c.p)
+		g := group(c.p)
+		nodes, ok := tp.nodeGroups(g)
+		if !ok {
+			t.Fatalf("%s: %d ranks must be node-uniform", c.spec, c.p)
+		}
+		per := len(nodes[0])
+		var want Cost
+		stage := func(costs ...Cost) {
+			st := 0.0
+			for _, s := range costs {
+				want.addTier(s.Tier)
+				st = math.Max(st, s.Time)
+			}
+			want.Time += st
+		}
+		check := func(kind string, got, ring Cost) {
+			t.Helper()
+			if got.Time != want.Time {
+				t.Errorf("%s hier %s time %v != stage sum %v", c.spec, kind, got.Time, want.Time)
+			}
+			if got.Tier != want.Tier {
+				t.Errorf("%s hier %s tier bytes %v != stage sum %v", c.spec, kind, got.Tier, want.Tier)
+			}
+			if got.Bytes() != ring.Bytes() {
+				t.Errorf("%s hier %s moves %d bytes, flat ring %d", c.spec, kind, got.Bytes(), ring.Bytes())
+			}
+		}
 
-	nodes, ok := tp.nodeGroups(g)
-	if !ok {
-		t.Fatal("32 ranks on 8x4 must be node-uniform")
-	}
-	ch := evenChunks(B, 4)
-	st1, st2, st3 := 0.0, 0.0, 0.0
-	for _, nd := range nodes {
-		st1 = math.Max(st1, tp.ringReduceScatter(h, nd, ch).Time)
-		st3 = math.Max(st3, tp.ringAllGather(h, nd, ch).Time)
-	}
-	for i := 0; i < 4; i++ {
-		plane := []int{i, 4 + i, 8 + i, 12 + i, 16 + i, 20 + i, 24 + i, 28 + i}
-		st2 = math.Max(st2, tp.ringAllReduce(h, plane, ch[i]).Time)
-	}
-	if want := st1 + st2 + st3; hier.Time != want {
-		t.Fatalf("hier time %v != stage sum %v", hier.Time, want)
+		// All-reduce: intra-node reduce-scatter into even chunks, each
+		// position's plane all-reduces its chunk across nodes, intra-node
+		// all-gather.
+		ch := evenChunks(c.bytes, per)
+		var s1, s2, s3 []Cost
+		for _, nd := range nodes {
+			_, rs := tp.ReduceScatter(h, Ring, nd, ch)
+			_, ag := tp.AllGather(h, Ring, nd, ch)
+			s1, s3 = append(s1, rs), append(s3, ag)
+		}
+		for i := 0; i < per; i++ {
+			plane := make([]int, len(nodes))
+			for j, nd := range nodes {
+				plane[j] = nd[i]
+			}
+			_, ar := tp.AllReduce(h, Ring, plane, ch[i])
+			s2 = append(s2, ar)
+		}
+		want = Cost{}
+		stage(s1...)
+		stage(s2...)
+		stage(s3...)
+		_, hier := tp.AllReduce(h, Hier, g, c.bytes)
+		_, ring := tp.AllReduce(h, Ring, g, c.bytes)
+		check("all-reduce", hier, ring)
+
+		// All-gather: intra-node all-gather of the node's own chunks, the
+		// node leaders all-gather the node totals, then each leader
+		// broadcasts the remote nodes' bytes inside its node.
+		totals := make([]int64, len(nodes))
+		leaders := make([]int, len(nodes))
+		var all int64
+		s1, s3 = nil, nil
+		for j, nd := range nodes {
+			own := c.chunks[j*per : (j+1)*per]
+			_, ag := tp.AllGather(h, Ring, nd, own)
+			s1 = append(s1, ag)
+			totals[j], leaders[j] = sum(own), nd[0]
+			all += totals[j]
+		}
+		_, lead := tp.AllGather(h, Ring, leaders, totals)
+		for j, nd := range nodes {
+			s3 = append(s3, tp.Broadcast(h, nd, 0, all-totals[j]))
+		}
+		want = Cost{}
+		stage(s1...)
+		stage(lead)
+		stage(s3...)
+		_, hier = tp.AllGather(h, Hier, g, c.chunks)
+		_, ring = tp.AllGather(h, Ring, g, c.chunks)
+		check("all-gather", hier, ring)
 	}
 }
 

@@ -176,14 +176,6 @@ func (t *Topology) nodeGroups(group []int) (nodes [][]int, ok bool) {
 	return nodes, true
 }
 
-// NodeGroups partitions a sorted group by node; ok reports whether the
-// group qualifies for the two-level hierarchical algorithms (at least
-// two nodes, all contributing the same member count). The fabric uses
-// it to decide — consistently on every rank, from shared state only —
-// whether an explicitly requested hierarchical collective runs its
-// staged schedule.
-func (t *Topology) NodeGroups(group []int) ([][]int, bool) { return t.nodeGroups(group) }
-
 // Barrier returns the latency-only synchronization cost of a group:
 // the worst participating tier's α, matching the flat fabric's
 // linkModel(group).LinkLatency on single-tier groups.

@@ -175,44 +175,3 @@ func (s *Summary) WriteText(w io.Writer) error {
 	}
 	return nil
 }
-
-// WriteCSV renders per-op rows for every session:
-// session,class,op,count,bytes,flops,sim_time_s,min_s,max_s.
-func (s *Summary) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintln(w, "session,class,op,count,bytes,flops,sim_time_s,min_s,max_s"); err != nil {
-		return err
-	}
-	for _, ss := range s.Sessions {
-		for _, st := range ss.Ops {
-			if _, err := fmt.Fprintf(w, "%s,%s,%s,%d,%d,%d,%.9g,%.9g,%.9g\n",
-				csvEscape(ss.Label), st.Class, st.Op, st.Count, st.Bytes, st.Flops,
-				st.SimTime, st.MinDur, st.MaxDur); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// csvEscape quotes a label containing commas or quotes.
-func csvEscape(s string) string {
-	needsQuote := false
-	for i := 0; i < len(s); i++ {
-		if s[i] == ',' || s[i] == '"' || s[i] == '\n' {
-			needsQuote = true
-			break
-		}
-	}
-	if !needsQuote {
-		return s
-	}
-	out := `"`
-	for i := 0; i < len(s); i++ {
-		if s[i] == '"' {
-			out += `""`
-			continue
-		}
-		out += string(s[i])
-	}
-	return out + `"`
-}

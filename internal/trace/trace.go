@@ -223,9 +223,6 @@ func (t *Tracer) StartVirtualSession(label string, p int) *Session {
 // Sessions returns all recorded sessions in start order.
 func (t *Tracer) Sessions() []*Session { return t.sessions }
 
-// Reset drops all recorded sessions, keeping the configured capacity.
-func (t *Tracer) Reset() { t.sessions = nil }
-
 func (t *Tracer) cur() *Session {
 	if len(t.sessions) == 0 {
 		// Emission before any StartSession: synthesize an anonymous
@@ -281,60 +278,37 @@ func (t *Tracer) Emit(r int, ev Event) {
 	}
 }
 
-// SetEpoch tags subsequent events on rank r's track 0 with the epoch
-// number.
-func (t *Tracer) SetEpoch(r, epoch int) { t.SetEpochAt(r, 0, epoch) }
-
-// SetEpochAt is SetEpoch for one track of rank r.
+// SetEpochAt tags subsequent events on one track of rank r with the
+// epoch number.
 func (t *Tracer) SetEpochAt(r, track, epoch int) { t.state(r, track).scope.epoch = epoch }
 
-// SetLayer tags subsequent events on rank r's track 0 with the layer
-// number (0 = outside any layer).
-func (t *Tracer) SetLayer(r, layer int) { t.SetLayerAt(r, 0, layer) }
-
-// SetLayerAt is SetLayer for one track of rank r.
+// SetLayerAt tags subsequent events on one track of rank r with the
+// layer number (0 = outside any layer).
 func (t *Tracer) SetLayerAt(r, track, layer int) { t.state(r, track).scope.layer = layer }
 
-// SetStep tags subsequent events on rank r's track 0 with a plan-schedule
-// step ID (0 = outside any scheduled op).
-func (t *Tracer) SetStep(r, step int) { t.SetStepAt(r, 0, step) }
-
-// SetStepAt is SetStep for one track of rank r.
+// SetStepAt tags subsequent events on one track of rank r with a
+// plan-schedule step ID (0 = outside any scheduled op).
 func (t *Tracer) SetStepAt(r, track, step int) { t.state(r, track).scope.step = step }
 
-// SetDir tags subsequent events on rank r's track 0 with the pass
+// SetDirAt tags subsequent events on one track of rank r with the pass
 // direction ("fwd", "bwd", or "").
-func (t *Tracer) SetDir(r int, dir string) { t.SetDirAt(r, 0, dir) }
-
-// SetDirAt is SetDir for one track of rank r.
 func (t *Tracer) SetDirAt(r, track int, dir string) { t.state(r, track).scope.dir = dir }
 
-// SetConfig tags subsequent events on rank r's track 0 with the run's
-// ordering configuration string.
-func (t *Tracer) SetConfig(r int, cfg string) { t.SetConfigAt(r, 0, cfg) }
-
-// SetConfigAt is SetConfig for one track of rank r.
+// SetConfigAt tags subsequent events on one track of rank r with the
+// run's ordering configuration string.
 func (t *Tracer) SetConfigAt(r, track int, cfg string) { t.state(r, track).scope.config = cfg }
 
-// BeginPhase opens a named phase on rank r's track 0 at the given
-// simulated time. Phases nest; each BeginPhase must be matched by
-// EndPhase.
-func (t *Tracer) BeginPhase(r int, name string, start float64) {
-	t.BeginPhaseAt(r, 0, name, start)
-}
-
-// BeginPhaseAt is BeginPhase for one track of rank r.
+// BeginPhaseAt opens a named phase on one track of rank r at the given
+// simulated time. Phases nest; each BeginPhaseAt must be matched by
+// EndPhaseAt.
 func (t *Tracer) BeginPhaseAt(r, track int, name string, start float64) {
 	rs := t.state(r, track)
 	rs.stack = append(rs.stack, openPhase{name: name, start: start})
 }
 
-// EndPhase closes the innermost open phase on rank r's track 0, emitting
-// a ClassPhase event spanning [start, end]. Unbalanced EndPhase calls
-// are ignored.
-func (t *Tracer) EndPhase(r int, end float64) { t.EndPhaseAt(r, 0, end) }
-
-// EndPhaseAt is EndPhase for one track of rank r.
+// EndPhaseAt closes the innermost open phase on one track of rank r,
+// emitting a ClassPhase event spanning [start, end]. Unbalanced
+// EndPhaseAt calls are ignored.
 func (t *Tracer) EndPhaseAt(r, track int, end float64) {
 	rs := t.state(r, track)
 	if len(rs.stack) == 0 {
