@@ -86,6 +86,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	switch {
+	case *scale < 1:
+		fmt.Fprintf(stderr, "rdmbench: -scale %d: need a divisor >= 1 (1 = the paper's full sizes)\n", *scale)
+		return 2
+	case *epochs < 1:
+		fmt.Fprintf(stderr, "rdmbench: -epochs %d: need at least one epoch\n", *epochs)
+		return 2
+	case *saintEpochs < 1:
+		fmt.Fprintf(stderr, "rdmbench: -saint-epochs %d: need at least one epoch\n", *saintEpochs)
+		return 2
+	case *traceSummary && *traceOut == "":
+		fmt.Fprintln(stderr, "rdmbench: -trace-summary needs -trace")
+		return 2
+	}
 
 	cfg := bench.Config{
 		Scale:  *scale,

@@ -29,6 +29,33 @@ func TestBadGPUs(t *testing.T) {
 	}
 }
 
+// TestNumericFlagValidation: a numeric flag no experiment can run with
+// exits 2 with one stderr line naming the flag, before anything runs —
+// it neither panics nor silently becomes a default.
+func TestNumericFlagValidation(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-epochs", "-1", "fig12"}, "-epochs -1"},
+		{[]string{"-epochs", "0", "fig12"}, "-epochs 0"},
+		{[]string{"-scale", "0", "fig12"}, "-scale 0"},
+		{[]string{"-scale", "-1", "fig12"}, "-scale -1"},
+		{[]string{"fig13", "-saint-epochs", "0"}, "-saint-epochs 0"},
+		{[]string{"-trace-summary", "fig12"}, "-trace-summary"},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 2 {
+			t.Errorf("%v: exit = %d, want 2 (stderr %q)", tc.args, code, errb.String())
+			continue
+		}
+		if out.Len() != 0 || strings.Count(errb.String(), "\n") != 1 || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("%v: stdout %q, stderr %q; want no output and one line containing %q",
+				tc.args, out.String(), errb.String(), tc.want)
+		}
+	}
+}
+
 func TestUnknownExperiment(t *testing.T) {
 	var out, errb bytes.Buffer
 	if code := run([]string{"fig99"}, &out, &errb); code != 1 {

@@ -67,6 +67,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	switch {
+	case *scale < 1:
+		fmt.Fprintf(stderr, "rdminfo: -scale %d: need a divisor >= 1 (1 = the paper's full sizes)\n", *scale)
+		return 2
 	case *n < 1:
 		fmt.Fprintf(stderr, "rdminfo: -n %d: need at least one vertex\n", *n)
 		return 2

@@ -149,6 +149,8 @@ func TestCountFlagValidation(t *testing.T) {
 		{[]string{"-nnz", "-5"}, "-nnz -5"},
 		{[]string{"-pareto", "-n", "0"}, "-n 0"},
 		{[]string{"-pareto", "-nnz", "-1"}, "-nnz -1"},
+		{[]string{"-scale", "0"}, "-scale 0"},
+		{[]string{"-scale", "-3"}, "-scale -3"},
 	} {
 		var out, errb bytes.Buffer
 		if code := run(tc.args, &out, &errb); code != 2 {

@@ -305,7 +305,7 @@ func runScaleCell(cfg Config, pt ScalePoint, tp *topo.Topology, dims []int, laye
 			}
 			row.CommSec = comm / float64(cfg.Epochs)
 			row.ComputeSec = comp / float64(cfg.Epochs)
-			for k := 0; k < int(hw.NumCollectiveKinds); k++ {
+			for k := range hw.NumCollectiveKinds {
 				row.IntraBytes += sr.Meters.TierVolume[topo.TierIntra][k] + sr.Meters.SideTierVolume[topo.TierIntra][k]
 				row.InterBytes += sr.Meters.TierVolume[topo.TierInter][k] + sr.Meters.SideTierVolume[topo.TierInter][k]
 			}

@@ -284,13 +284,14 @@ func meterSparseCell(cfg Config, prob *core.Problem, sp plan.Spec, c plan.Cost) 
 		eng := core.NewEngine(dev, prob, o)
 		eng.Epoch()
 	})
-	if got := fab.Volume(hw.OpAllToAll) + fab.Volume(hw.OpAllGather); got != c.RDMBytes() {
+	m := fab.Meters()
+	if got := m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather]; got != c.RDMBytes() {
 		return fmt.Errorf("sparse cfg%02d live=%d: metered RDM %d bytes, priced %d", sp.Config.ID(), sp.Live, got, c.RDMBytes())
 	}
-	if got := fab.Volume(hw.OpAllReduce); got != c.AllReduce {
+	if got := m.Volume[hw.OpAllReduce]; got != c.AllReduce {
 		return fmt.Errorf("sparse cfg%02d live=%d: metered all-reduce %d bytes, priced %d", sp.Config.ID(), sp.Live, got, c.AllReduce)
 	}
-	if got := fab.TotalSideVolume(); got != c.Side {
+	if got := m.TotalSideVolume(); got != c.Side {
 		return fmt.Errorf("sparse cfg%02d live=%d: metered side %d bytes, priced %d", sp.Config.ID(), sp.Live, got, c.Side)
 	}
 	return nil

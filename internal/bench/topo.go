@@ -173,15 +173,15 @@ func runTopoTraining(cfg Config, w *Workload, dims []int, p, id int, label strin
 			eng.Epoch()
 		}
 	})
+	m := fab.Meters()
 	row := TopoRow{
 		Topology: label, P: p, Config: id,
 		EpochSec: fab.MaxClock() / float64(cfg.Epochs),
-		RDMBytes: fab.Volume(hw.OpAllToAll) + fab.Volume(hw.OpAllGather),
+		RDMBytes: m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather],
 	}
-	for k := 0; k < 6; k++ {
-		kind := hw.CollectiveKind(k)
-		row.IntraBytes += fab.TierVolume(kind, topo.TierIntra) + fab.SideTierVolume(kind, topo.TierIntra)
-		row.InterBytes += fab.TierVolume(kind, topo.TierInter) + fab.SideTierVolume(kind, topo.TierInter)
+	for k := range hw.NumCollectiveKinds {
+		row.IntraBytes += m.TierVolume[topo.TierIntra][k] + m.SideTierVolume[topo.TierIntra][k]
+		row.InterBytes += m.TierVolume[topo.TierInter][k] + m.SideTierVolume[topo.TierInter][k]
 	}
 	return row, nil
 }

@@ -247,7 +247,7 @@ func TestFabricUsableAfterFailedCollective(t *testing.T) {
 			t.Fatalf("rank %d: sum=%v want 3", r, s)
 		}
 	}
-	if v := f.Volume(hw.OpAllReduce); v != 2*4*1 {
+	if v := f.Meters().Volume[hw.OpAllReduce]; v != 2*4*1 {
 		t.Fatalf("only the successful round should meter volume: got %d want 8", v)
 	}
 	// Failed rounds still synchronize clocks: both devices agree.
@@ -288,16 +288,16 @@ func TestSideChannelVolume(t *testing.T) {
 		d.AllGather(d.World(), make([]float32, 1)) // primary again: 2*4 bytes
 	})
 	const wantPrimary, wantSide = 32 + 8, 16
-	if v := f.Volume(hw.OpAllGather); v != wantPrimary {
+	if v := f.Meters().Volume[hw.OpAllGather]; v != wantPrimary {
 		t.Fatalf("primary volume=%d want %d", v, wantPrimary)
 	}
-	if v := f.SideVolume(hw.OpAllGather); v != wantSide {
+	if v := f.Meters().SideVolume[hw.OpAllGather]; v != wantSide {
 		t.Fatalf("side volume=%d want %d", v, wantSide)
 	}
 	if v := f.TotalVolume(); v != wantPrimary+wantSide {
 		t.Fatalf("total volume=%d want %d", v, wantPrimary+wantSide)
 	}
-	if v := f.TotalSideVolume(); v != wantSide {
+	if v := f.Meters().TotalSideVolume(); v != wantSide {
 		t.Fatalf("total side volume=%d want %d", v, wantSide)
 	}
 	if c := f.Calls(hw.OpAllGather); c != 3 {

@@ -11,10 +11,11 @@
 // communication time. Compute kernels charge their modelled duration to
 // compute time.
 //
-// Stat lifecycle: the volume/call counters and every device's
+// Stat lifecycle: the byte census (Meters) and every device's
 // clock/commTime/computeTime accumulate from fabric creation; a run that
-// must exclude warm-up work measures on a fresh fabric. All stat readers
-// (MaxClock, Volume, Device.Clock/CommTime/ComputeTime) are only safe
+// must exclude warm-up work measures on a fresh fabric. The census is
+// booked under a lock, so Meters may be read at any time; the clock
+// readers (MaxClock, Device.Clock/CommTime/ComputeTime) are only safe
 // when no Run is in flight.
 //
 // Tracing: attach an internal/trace Tracer with Fabric.SetTracer before
@@ -47,7 +48,6 @@ import (
 	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/tensor"
@@ -66,21 +66,10 @@ type Fabric struct {
 	mu     sync.Mutex
 	groups map[string]*groupComm
 
-	volumes [hw.NumCollectiveKinds]atomic.Int64 // bytes moved, indexed by hw.CollectiveKind
-	calls   [hw.NumCollectiveKinds]atomic.Int64
-	// sideVolumes meters collectives issued while a device's side-channel
-	// flag is set (Device.SetSideChannel): mechanical traffic such as
-	// byte-packed ReLU masks that the paper's §IV cost model deliberately
-	// omits. Keeping it out of `volumes` lets model-versus-meter
-	// comparisons stay byte-exact.
-	sideVolumes [hw.NumCollectiveKinds]atomic.Int64
-
-	// tierVol/tierSide split the same bytes by link tier when a topology
-	// is attached (SetTopology): tierVol[topo.TierInter] is the share
-	// that crossed inter-node links. Without a topology everything
-	// meters on tier 0, so tierVol[0] == volumes for every kind.
-	tierVol  [topo.NumTiers][hw.NumCollectiveKinds]atomic.Int64
-	tierSide [topo.NumTiers][hw.NumCollectiveKinds]atomic.Int64
+	// meters is the run's byte census. Finalizers of disjoint groups
+	// book into it concurrently, so metersMu guards it.
+	metersMu sync.Mutex
+	meters   Meters
 
 	// topology, when non-nil, switches every collective's time and byte
 	// accounting from the flat linkModel path to the topology-aware
@@ -355,51 +344,19 @@ func Run(p int, model *hw.Model, fn func(d *Device)) *Fabric {
 	return f
 }
 
-// Volume returns the total bytes moved across device boundaries by
-// collectives of the given kind since fabric creation, excluding
-// side-channel traffic (see SideVolume).
-func (f *Fabric) Volume(kind hw.CollectiveKind) int64 { return f.volumes[kind].Load() }
-
-// SideVolume returns the bytes moved by collectives of the given kind
-// while the issuing devices had their side-channel flag set
-// (Device.SetSideChannel) — e.g. the byte-packed ReLU masks of
-// dist.RedistributeMask.
-func (f *Fabric) SideVolume(kind hw.CollectiveKind) int64 { return f.sideVolumes[kind].Load() }
+// Meters returns a snapshot of the fabric's byte census.
+func (f *Fabric) Meters() Meters {
+	f.metersMu.Lock()
+	defer f.metersMu.Unlock()
+	return f.meters
+}
 
 // TotalVolume returns the total bytes moved across device boundaries by
 // all collectives, including side-channel traffic.
-func (f *Fabric) TotalVolume() int64 {
-	var s int64
-	for i := range f.volumes {
-		s += f.volumes[i].Load() + f.sideVolumes[i].Load()
-	}
-	return s
-}
-
-// TotalSideVolume returns the total side-channel bytes across all kinds.
-func (f *Fabric) TotalSideVolume() int64 {
-	var s int64
-	for i := range f.sideVolumes {
-		s += f.sideVolumes[i].Load()
-	}
-	return s
-}
+func (f *Fabric) TotalVolume() int64 { return f.Meters().TotalVolume() }
 
 // Calls returns the number of collectives of the given kind executed.
-func (f *Fabric) Calls(kind hw.CollectiveKind) int64 { return f.calls[kind].Load() }
-
-// TierVolume returns the bytes of the given kind that crossed links of
-// the given tier (topo.TierIntra or topo.TierInter), excluding
-// side-channel traffic. Summed over tiers it equals Volume(kind); on a
-// fabric without a topology everything lands on tier 0.
-func (f *Fabric) TierVolume(kind hw.CollectiveKind, tier int) int64 {
-	return f.tierVol[tier][kind].Load()
-}
-
-// SideTierVolume is TierVolume for side-channel traffic.
-func (f *Fabric) SideTierVolume(kind hw.CollectiveKind, tier int) int64 {
-	return f.tierSide[tier][kind].Load()
-}
+func (f *Fabric) Calls(kind hw.CollectiveKind) int64 { return f.Meters().Calls[kind] }
 
 // SetTracer attaches an event tracer and opens one trace session for
 // this fabric, labelled label. Call before Run; passing a nil tracer is
@@ -425,17 +382,11 @@ func (f *Fabric) MaxClock() float64 {
 	return m
 }
 
-func (f *Fabric) addVolume(kind hw.CollectiveKind, vol Volume, side bool) {
-	if side {
-		f.sideVolumes[kind].Add(vol.Bytes)
-		f.tierSide[topo.TierIntra][kind].Add(vol.Bytes - vol.Tier1)
-		f.tierSide[topo.TierInter][kind].Add(vol.Tier1)
-	} else {
-		f.volumes[kind].Add(vol.Bytes)
-		f.tierVol[topo.TierIntra][kind].Add(vol.Bytes - vol.Tier1)
-		f.tierVol[topo.TierInter][kind].Add(vol.Tier1)
-	}
-	f.calls[kind].Add(1)
+// book records one metered round in the fabric's census.
+func (f *Fabric) book(kind hw.CollectiveKind, c topo.Cost, side bool) {
+	f.metersMu.Lock()
+	f.meters.Add(kind, c, side)
+	f.metersMu.Unlock()
 }
 
 // groupComm is a reusable two-phase rendezvous for one device group.
@@ -450,9 +401,9 @@ type groupComm struct {
 	slots    []any
 	clocks   []float64
 	newClock float64
-	vol      Volume // round's metered volume, shared with every member
-	aux      any    // round-scoped value passed from finalize to extract
-	err      error  // round's failure, delivered to every member
+	cost     topo.Cost // round's price, shared with every member
+	aux      any       // round-scoped value passed from finalize to extract
+	err      error     // round's failure, delivered to every member
 
 	// red is the group's reduction scratch (see reduceBuf).
 	red []float32
@@ -498,9 +449,9 @@ func (g *groupComm) reduceBuf(n int) []float32 {
 }
 
 // exchange runs one rendezvous round: every group member deposits a
-// contribution; the last arriver runs finalize (which computes the new
-// synchronized clock, does volume accounting, and reports the round's
-// metered volume, or fails the round with an error); every member then
+// contribution; the last arriver runs finalize (which prices and books
+// the round, or fails it with an error) and sets the synchronized clock
+// to max(member clocks) + the price's Time; every member then
 // runs extract over the complete slot array before the slots are
 // recycled. finalize runs under the group lock; extract runs outside
 // it, on all members side by side: slots and aux are frozen from
@@ -509,7 +460,7 @@ func (g *groupComm) reduceBuf(n int) []float32 {
 // write only memory its own caller owns. Neither callback may call
 // back into the fabric, and extract must not panic — its peers would
 // wait forever on a reader that never leaves. The return values are
-// the synchronized clock, the round's metered volume, the round's
+// the synchronized clock, the round's price, the round's
 // sequence number within this group (for trace attribution), and the
 // round's error, identical on every member. extract is skipped on a
 // failed round.
@@ -522,9 +473,9 @@ func (g *groupComm) reduceBuf(n int) []float32 {
 // round that has already finalized is always drained normally — death
 // only aborts rendezvous that can no longer complete.
 func (g *groupComm) exchange(idx int, clock float64, in any,
-	finalize func(slots []any, clocks []float64) (float64, any, Volume, error),
+	finalize func(slots []any) (topo.Cost, any, error),
 	extract func(slots []any, aux any),
-	dead func() error) (float64, Volume, uint64, error) {
+	dead func() error) (float64, topo.Cost, uint64, error) {
 
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -533,14 +484,15 @@ func (g *groupComm) exchange(idx int, clock float64, in any,
 	}
 	if dead != nil {
 		if err := dead(); err != nil {
-			return clock, Volume{}, g.gen, err
+			return clock, topo.Cost{}, g.gen, err
 		}
 	}
 	g.slots[idx] = in
 	g.clocks[idx] = clock
 	g.arrived++
 	if g.arrived == g.n {
-		g.newClock, g.aux, g.vol, g.err = finalize(g.slots, g.clocks)
+		g.cost, g.aux, g.err = finalize(g.slots)
+		g.newClock = maxClock(g.clocks) + g.cost.Time
 		g.arrived = 0
 		g.readers = g.n
 		g.gen++
@@ -553,7 +505,7 @@ func (g *groupComm) exchange(idx int, clock float64, in any,
 				if err := dead(); err != nil {
 					g.slots[idx] = nil
 					g.arrived--
-					return clock, Volume{}, g.gen, err
+					return clock, topo.Cost{}, g.gen, err
 				}
 			}
 		}
@@ -561,8 +513,8 @@ func (g *groupComm) exchange(idx int, clock float64, in any,
 	// Capture the round's results before giving up our reader slot: the
 	// last reader resets aux/err for the next round, and once we start
 	// waiting for the drain a fast next round could overwrite
-	// newClock/vol/gen.
-	clockOut, volOut, genOut, errOut := g.newClock, g.vol, g.gen, g.err
+	// newClock/cost/gen.
+	clockOut, costOut, genOut, errOut := g.newClock, g.cost, g.gen, g.err
 	if extract != nil && errOut == nil {
 		aux := g.aux
 		g.mu.Unlock()
@@ -584,7 +536,7 @@ func (g *groupComm) exchange(idx int, clock float64, in any,
 			g.cond.Wait()
 		}
 	}
-	return clockOut, volOut, genOut, errOut
+	return clockOut, costOut, genOut, errOut
 }
 
 // Device is one simulated GPU: a rank, private simulated clock, and
@@ -705,7 +657,7 @@ func (d *Device) SetFaultEpoch(epoch int) { d.faultEpoch = epoch }
 func (d *Device) FaultEpoch() int { return d.faultEpoch }
 
 // SetSideChannel routes this device's subsequent collective volume into
-// the fabric's side-channel meters (Fabric.SideVolume) instead of the
+// the fabric's side-channel meters (Meters.SideVolume) instead of the
 // primary ones. Used for mechanical traffic — e.g. the byte-packed ReLU
 // masks of dist.RedistributeMask — that the paper's cost model does not
 // count, so the primary meters stay byte-comparable to costmodel
@@ -862,9 +814,10 @@ func (d *Device) groupPos(op string, group []int) (int, error) {
 // collective runs the common rendezvous pattern, charges comm time, and
 // records a trace event carrying the round's metered volume. The caller
 // must already have validated its group membership (groupPos). finalize
-// additionally returns that volume (it still performs its own addVolume
-// accounting, so zero-volume collectives like Barrier can opt out of the
-// call counters) or fails the round. Deposited collErr contributions are
+// prices the round — the members synchronize to max(clocks) + its Time,
+// and its tiers are the traced bytes — and books it (Barrier books
+// nothing, so it stays out of the call counters), or fails the round.
+// Deposited collErr contributions are
 // scanned before finalize runs, so per-rank data errors reach every
 // participant. On a failed round every participant's clock still
 // advances to the synchronized value — the rendezvous happened — but no
@@ -880,7 +833,7 @@ func (d *Device) groupPos(op string, group []int) (int, error) {
 // identical on all participants, so survivors stay in SPMD lockstep —
 // all of them retry, or all of them abort.
 func (d *Device) collective(op string, group []int, in any,
-	finalize func(slots []any, clocks []float64) (float64, any, Volume, error),
+	finalize func(slots []any) (topo.Cost, any, error),
 	extract func(slots []any, aux any)) error {
 	return d.collectiveIn(d.F.groupFor(group), op, group, in, finalize, extract)
 }
@@ -888,7 +841,7 @@ func (d *Device) collective(op string, group []int, in any,
 // collectiveIn is collective on the already resolved rendezvous of group,
 // for callers whose finalizer needs it (reduceBuf).
 func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
-	finalize func(slots []any, clocks []float64) (float64, any, Volume, error),
+	finalize func(slots []any) (topo.Cost, any, error),
 	extract func(slots []any, aux any)) error {
 
 	f := d.F
@@ -898,9 +851,9 @@ func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
 	idx := indexOf(group, d.Rank)
 	key := g.key
 	deadCheck := func() error { return f.deadIn(group) }
-	wrapped := func(slots []any, clocks []float64) (float64, any, Volume, error) {
+	wrapped := func(slots []any) (topo.Cost, any, error) {
 		if err := slotErr(slots); err != nil {
-			return maxClock(clocks), nil, Volume{}, err
+			return topo.Cost{}, nil, err
 		}
 		if h := f.hook; h != nil {
 			var sums []uint32
@@ -910,7 +863,7 @@ func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
 				saved = clonePayloads(slots)
 			}
 			if err := h.OnRound(d, op, group, g.gen, slots); err != nil {
-				return maxClock(clocks), nil, Volume{}, err
+				return topo.Cost{}, nil, err
 			}
 			if sums != nil {
 				if i := crcMismatch(slots, sums); i >= 0 {
@@ -918,21 +871,21 @@ func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
 					// memories: restore the deposited buffers so a retry
 					// retransmits clean data.
 					restorePayloads(slots, saved)
-					return maxClock(clocks), nil, Volume{}, fmt.Errorf(
+					return topo.Cost{}, nil, fmt.Errorf(
 						"checksum mismatch on contribution from group position %d: %w",
 						i, ErrCorrupt)
 				}
 			}
 		}
-		return finalize(slots, clocks)
+		return finalize(slots)
 	}
 	attempt := 0
 	for {
 		before := d.clock
-		newClock, vol, seq, err := g.exchange(idx, d.clock, in, wrapped, extract, deadCheck)
+		newClock, c, seq, err := g.exchange(idx, d.clock, in, wrapped, extract, deadCheck)
 		switch {
 		case err == nil:
-			d.settle(g, op, seq, vol, before, newClock)
+			d.settle(g, op, seq, c, before, newClock)
 			return nil
 		case errors.Is(err, ErrPeerDead):
 			// The survivor waits out the deadline before concluding the
@@ -974,14 +927,14 @@ func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
 // settle completes a round that succeeded on this device: the clock
 // moves from before to end, the difference is charged as comm time, and
 // a traced fabric records the round with its metered volume.
-func (d *Device) settle(g *groupComm, op string, seq uint64, vol Volume, before, end float64) {
+func (d *Device) settle(g *groupComm, op string, seq uint64, c topo.Cost, before, end float64) {
 	d.clock = end
 	d.commTime += end - before
 	if tr := d.F.tracer; tr != nil {
 		tr.Emit(d.Rank, trace.Event{
 			Class: trace.ClassCollective, Op: op,
 			Group: g.key, Seq: seq, GroupSize: g.n,
-			Bytes: vol.Bytes, Tier1: vol.Tier1,
+			Bytes: c.Bytes(), Tier1: c.Tier[topo.TierInter],
 			Start: before, End: end, Track: d.track,
 		})
 	}
@@ -1109,11 +1062,11 @@ func (d *Device) TryBroadcast(group []int, root int, data []float32) ([]float32,
 		}
 	}
 	err := d.collective(op, group, contribution,
-		func(slots []any, clocks []float64) (float64, any, Volume, error) {
+		func(slots []any) (topo.Cost, any, error) {
 			buf := slots[rootIdx].([]float32)
-			t, vol := f.MeterFor(group).Broadcast(group, rootIdx, int64(len(buf))*4)
-			f.addVolume(hw.OpBroadcast, vol, d.side)
-			return maxClock(clocks) + t, nil, vol, nil
+			c := f.MeterFor(group).Broadcast(group, rootIdx, int64(len(buf))*4)
+			f.book(hw.OpBroadcast, c, d.side)
+			return c, nil, nil
 		},
 		func(slots []any, _ any) {
 			if d.Rank == root {
@@ -1179,19 +1132,19 @@ func (d *Device) TryAllGather(group []int, local []float32) ([][]float32, error)
 	return out, nil
 }
 
-// allGatherFinalize is the shared rendezvous finalizer of TryAllGather
-// and TryAllGatherFlat: price + meter the round from the deposited
-// chunk lengths.
-func (d *Device) allGatherFinalize(group []int) func(slots []any, clocks []float64) (float64, any, Volume, error) {
+// allGatherFinalize is the shared rendezvous finalizer of TryAllGather,
+// TryAllGatherFlat and TryAllGatherV: price + book the round from the
+// deposited chunk lengths.
+func (d *Device) allGatherFinalize(group []int) func(slots []any) (topo.Cost, any, error) {
 	f := d.F
-	return func(slots []any, clocks []float64) (float64, any, Volume, error) {
+	return func(slots []any) (topo.Cost, any, error) {
 		chunks := make([]int64, len(slots))
 		for i, s := range slots {
 			chunks[i] = int64(len(s.([]float32))) * 4
 		}
-		t, vol := f.MeterFor(group).AllGather(group, chunks)
-		f.addVolume(hw.OpAllGather, vol, d.side)
-		return maxClock(clocks) + t, nil, vol, nil
+		c := f.MeterFor(group).AllGather(group, chunks)
+		f.book(hw.OpAllGather, c, d.side)
+		return c, nil, nil
 	}
 }
 
@@ -1339,14 +1292,14 @@ func (d *Device) allReduceSumInto(group []int, local, dst []float32) error {
 		contribution = collErr{fmt.Errorf("local buffer on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
 	return d.collectiveIn(g, op, group, contribution,
-		func(slots []any, clocks []float64) (float64, any, Volume, error) {
+		func(slots []any) (topo.Cost, any, error) {
 			n := len(slots[0].([]float32))
 			if err := sumSlots(g, n, slots); err != nil {
-				return maxClock(clocks), nil, Volume{}, err
+				return topo.Cost{}, nil, err
 			}
-			t, vol := f.MeterFor(group).AllReduce(group, int64(n)*4)
-			f.addVolume(hw.OpAllReduce, vol, d.side)
-			return maxClock(clocks) + t, nil, vol, nil
+			c := f.MeterFor(group).AllReduce(group, int64(n)*4)
+			f.book(hw.OpAllReduce, c, d.side)
+			return c, nil, nil
 		},
 		func([]any, any) { copy(dst, g.red) })
 }
@@ -1438,19 +1391,18 @@ func (d *Device) TryAllToAllRecv(group []int, parts [][]float32, recv func(i int
 
 // allToAllFinalize is the rendezvous finalizer of TryAllToAllRecv and
 // TryAllToAllV: allToAllRound over the deposited parts slices.
-func (d *Device) allToAllFinalize(group []int) func(slots []any, clocks []float64) (float64, any, Volume, error) {
-	return func(slots []any, clocks []float64) (float64, any, Volume, error) {
-		t, vol := d.F.allToAllRound(group, func(i int) [][]float32 { return slots[i].([][]float32) }, d.side)
-		return maxClock(clocks) + t, nil, vol, nil
+func (d *Device) allToAllFinalize(group []int) func(slots []any) (topo.Cost, any, error) {
+	return func(slots []any) (topo.Cost, any, error) {
+		return d.F.allToAllRound(group, func(i int) [][]float32 { return slots[i].([][]float32) }, d.side), nil, nil
 	}
 }
 
 // allToAllRound prices and meters one all-to-all round whose group
 // position i sends parts(i)[j] to position j: the injection census
 // (each position's cross-pair bytes, the busiest injector and the
-// total), the meter's price, and the volume accounting. The rendezvous
-// finalizer and the lockstep round both call it.
-func (f *Fabric) allToAllRound(group []int, parts func(i int) [][]float32, side bool) (float64, Volume) {
+// total), the meter's price, and its booking. The rendezvous finalizer
+// and the lockstep round both call it.
+func (f *Fabric) allToAllRound(group []int, parts func(i int) [][]float32, side bool) topo.Cost {
 	var maxInject, total int64
 	for i := range group {
 		var inject int64
@@ -1462,11 +1414,11 @@ func (f *Fabric) allToAllRound(group []int, parts func(i int) [][]float32, side 
 		total += inject
 		maxInject = max(maxInject, inject)
 	}
-	t, vol := f.MeterFor(group).AllToAll(group, func(i, j int) int64 {
+	c := f.MeterFor(group).AllToAll(group, func(i, j int) int64 {
 		return int64(len(parts(i)[j])) * 4
 	}, maxInject, total)
-	f.addVolume(hw.OpAllToAll, vol, side)
-	return t, vol
+	f.book(hw.OpAllToAll, c, side)
+	return c
 }
 
 // LockstepAllToAll runs one all-to-all over group on the calling
@@ -1510,11 +1462,11 @@ func (f *Fabric) LockstepAllToAll(group []int, parts [][][]float32, recv func(ds
 		for i, r := range group {
 			g.clocks[i] = f.devices[r].clock
 		}
-		t, vol := f.allToAllRound(group, func(i int) [][]float32 { return parts[i] }, f.devices[group[0]].side)
-		end := maxClock(g.clocks) + t
+		c := f.allToAllRound(group, func(i int) [][]float32 { return parts[i] }, f.devices[group[0]].side)
+		end := maxClock(g.clocks) + c.Time
 		g.gen++
 		for i, r := range group {
-			f.devices[r].settle(g, op, g.gen, vol, g.clocks[i], end)
+			f.devices[r].settle(g, op, g.gen, c, g.clocks[i], end)
 		}
 	}
 	for dst := range group {
@@ -1586,12 +1538,12 @@ func (d *Device) TryReduceScatterSum(group []int, local []float32, counts []int)
 		contribution = collErr{fmt.Errorf("local buffer on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
 	cerr := d.collectiveIn(g, op, group, contribution,
-		func(slots []any, clocks []float64) (float64, any, Volume, error) {
+		func(slots []any) (topo.Cost, any, error) {
 			sum := g.reduceBuf(total)
 			for i, s := range slots {
 				buf := s.([]float32)
 				if len(buf) != total {
-					return maxClock(clocks), nil, Volume{}, fmt.Errorf(
+					return topo.Cost{}, nil, fmt.Errorf(
 						"counts sum to %d but group position %d has %d elements: %w",
 						total, i, len(buf), ErrLengthMismatch)
 				}
@@ -1601,9 +1553,9 @@ func (d *Device) TryReduceScatterSum(group []int, local []float32, counts []int)
 			for i, n := range counts {
 				cb[i] = int64(n) * 4
 			}
-			t, vol := f.MeterFor(group).ReduceScatter(group, cb, int64(total)*4)
-			f.addVolume(hw.OpReduceScatter, vol, d.side)
-			return maxClock(clocks) + t, nil, vol, nil
+			c := f.MeterFor(group).ReduceScatter(group, cb, int64(total)*4)
+			f.book(hw.OpReduceScatter, c, d.side)
+			return c, nil, nil
 		},
 		func([]any, any) {
 			copy(out, g.red[offset:offset+counts[myIdx]])
@@ -1634,8 +1586,8 @@ func (d *Device) TryBarrier(group []int) error {
 	}
 	f := d.F
 	return d.collective(op, group, nil,
-		func(slots []any, clocks []float64) (float64, any, Volume, error) {
-			return maxClock(clocks) + f.MeterFor(group).Barrier(group), nil, Volume{}, nil
+		func([]any) (topo.Cost, any, error) {
+			return topo.Cost{Time: f.MeterFor(group).Barrier(group)}, nil, nil
 		}, nil)
 }
 

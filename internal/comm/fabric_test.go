@@ -32,7 +32,7 @@ func TestBroadcast(t *testing.T) {
 		}
 	})
 	// Volume: 3 floats to 3 receivers = 36 bytes.
-	if v := f.Volume(hw.OpBroadcast); v != 36 {
+	if v := f.Meters().Volume[hw.OpBroadcast]; v != 36 {
 		t.Fatalf("broadcast volume=%d want 36", v)
 	}
 	if f.Calls(hw.OpBroadcast) != 1 {
@@ -68,7 +68,7 @@ func TestAllGather(t *testing.T) {
 		}
 	})
 	// total buffer = 3*2*4 = 24 bytes; volume = 24 * (3-1) = 48.
-	if v := f.Volume(hw.OpAllGather); v != 48 {
+	if v := f.Meters().Volume[hw.OpAllGather]; v != 48 {
 		t.Fatalf("allgather volume=%d want 48", v)
 	}
 }
@@ -105,7 +105,7 @@ func TestAllToAll(t *testing.T) {
 		}
 	})
 	// Each device sends 2 off-device floats: total = 3*2*4 = 24 bytes.
-	if v := f.Volume(hw.OpAllToAll); v != 24 {
+	if v := f.Meters().Volume[hw.OpAllToAll]; v != 24 {
 		t.Fatalf("alltoall volume=%d want 24", v)
 	}
 }
@@ -220,7 +220,7 @@ func TestVolumeScalingWithP(t *testing.T) {
 			}
 			d.AllToAll(d.World(), parts)
 		})
-		return f.Volume(hw.OpAllToAll)
+		return f.Meters().Volume[hw.OpAllToAll]
 	}
 	bcastVolume := func(p int) int64 {
 		f := Run(p, hw.A6000(), func(d *Device) {
@@ -232,7 +232,7 @@ func TestVolumeScalingWithP(t *testing.T) {
 				d.Broadcast(d.World(), r, data)
 			}
 		})
-		return f.Volume(hw.OpBroadcast)
+		return f.Meters().Volume[hw.OpBroadcast]
 	}
 	r2, r8 := redistVolume(2), redistVolume(8)
 	b2, b8 := bcastVolume(2), bcastVolume(8)
@@ -325,7 +325,7 @@ func TestReduceScatterSum(t *testing.T) {
 		}
 	})
 	// Ring reduce-scatter volume: (n-1)*B = 2*16 bytes.
-	if v := f.Volume(hw.OpReduceScatter); v != 32 {
+	if v := f.Meters().Volume[hw.OpReduceScatter]; v != 32 {
 		t.Fatalf("reducescatter volume=%d want 32", v)
 	}
 }

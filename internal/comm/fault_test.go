@@ -188,7 +188,7 @@ func TestTransientRoundIsRetriedWithSimulatedBackoff(t *testing.T) {
 		t.Fatalf("faulty clock %g, want %g (clean %g + 150us backoff)", got, want, cleanClock)
 	}
 	// The volume must be metered exactly once despite three rounds.
-	if got, want := f.Volume(hw.OpAllReduce), clean.Volume(hw.OpAllReduce); got != want {
+	if got, want := f.Meters().Volume[hw.OpAllReduce], clean.Meters().Volume[hw.OpAllReduce]; got != want {
 		t.Fatalf("faulty run metered %d allreduce bytes, clean %d", got, want)
 	}
 }
@@ -305,7 +305,7 @@ func TestLinkFaultDegradesGroupCollectives(t *testing.T) {
 		t.Fatal("link fault did not slow the collective down")
 	}
 	// Degradation changes time, never bytes.
-	if got, want := slow.Volume(hw.OpAllGather), clean.Volume(hw.OpAllGather); got != want {
+	if got, want := slow.Meters().Volume[hw.OpAllGather], clean.Meters().Volume[hw.OpAllGather]; got != want {
 		t.Fatalf("degraded run metered %d bytes, clean %d", got, want)
 	}
 }

@@ -204,16 +204,7 @@ func sameFabrics(t *testing.T, a, b *comm.Fabric) {
 			t.Fatalf("rank %d: clock %v / comm %v, oracle %v / %v", r, da.Clock(), da.CommTime(), db.Clock(), db.CommTime())
 		}
 	}
-	for k := hw.CollectiveKind(0); k < hw.NumCollectiveKinds; k++ {
-		if a.Volume(k) != b.Volume(k) || a.SideVolume(k) != b.SideVolume(k) || a.Calls(k) != b.Calls(k) {
-			t.Fatalf("%v: volume %d side %d calls %d, oracle %d %d %d",
-				k, a.Volume(k), a.SideVolume(k), a.Calls(k), b.Volume(k), b.SideVolume(k), b.Calls(k))
-		}
-		for tier := 0; tier < topo.NumTiers; tier++ {
-			if a.TierVolume(k, tier) != b.TierVolume(k, tier) || a.SideTierVolume(k, tier) != b.SideTierVolume(k, tier) {
-				t.Fatalf("%v tier %d: %d / side %d, oracle %d / %d", k, tier,
-					a.TierVolume(k, tier), a.SideTierVolume(k, tier), b.TierVolume(k, tier), b.SideTierVolume(k, tier))
-			}
-		}
+	if am, bm := a.Meters(), b.Meters(); am != bm {
+		t.Fatalf("meters %+v, oracle %+v", am, bm)
 	}
 }

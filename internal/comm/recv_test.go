@@ -266,7 +266,7 @@ func TestAllToAllCopiesStayPrivate(t *testing.T) {
 			}
 		}
 	}
-	if got := f.Volume(hw.OpAllToAll); got != wantBytes || f.Calls(hw.OpAllToAll) != 1 {
+	if got := f.Meters().Volume[hw.OpAllToAll]; got != wantBytes || f.Calls(hw.OpAllToAll) != 1 {
 		t.Fatalf("metered %d bytes in %d calls, want %d in 1", got, f.Calls(hw.OpAllToAll), wantBytes)
 	}
 }

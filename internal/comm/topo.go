@@ -13,18 +13,6 @@ import (
 	"gnnrdm/internal/topo"
 )
 
-// Volume is one collective round's metered traffic: total bytes moved
-// across device boundaries, and the share that crossed inter-node
-// (tier-1) links — zero on fabrics without a topology.
-type Volume struct {
-	Bytes int64
-	Tier1 int64
-}
-
-func volumeOf(c topo.Cost) Volume {
-	return Volume{Bytes: c.Bytes(), Tier1: c.Tier[topo.TierInter]}
-}
-
 // SetTopology attaches an interconnect topology: subsequent collectives
 // price and meter through internal/topo's algorithm library, splitting
 // bytes by link tier. The topology must cover every rank (t.P >= P).

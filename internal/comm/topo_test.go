@@ -57,10 +57,6 @@ func runMixed(p int, model *hw.Model, tp *topo.Topology) *Fabric {
 // bit-identical to the legacy (nil-topology) path, with all traffic on
 // tier 0.
 func TestFlatTopologyBitIdentical(t *testing.T) {
-	kinds := []hw.CollectiveKind{
-		hw.OpBroadcast, hw.OpAllGather, hw.OpAllReduce,
-		hw.OpAllToAll, hw.OpReduceScatter,
-	}
 	for _, p := range []int{1, 2, 3, 4, 8} {
 		legacy := runMixed(p, hw.A6000(), nil)
 		flat := runMixed(p, hw.A6000(), topo.Flat(p, hw.A6000()))
@@ -68,19 +64,10 @@ func TestFlatTopologyBitIdentical(t *testing.T) {
 			t.Fatalf("p=%d: flat topology clock %v != legacy %v (diff %g)",
 				p, flat.MaxClock(), legacy.MaxClock(), flat.MaxClock()-legacy.MaxClock())
 		}
-		for _, k := range kinds {
-			if legacy.Volume(k) != flat.Volume(k) || legacy.Calls(k) != flat.Calls(k) {
-				t.Fatalf("p=%d %v: volume/calls diverge: legacy (%d,%d) vs flat (%d,%d)",
-					p, k, legacy.Volume(k), legacy.Calls(k), flat.Volume(k), flat.Calls(k))
-			}
-			if flat.TierVolume(k, topo.TierInter) != 0 {
-				t.Fatalf("p=%d %v: flat topology leaked %d bytes onto tier 1",
-					p, k, flat.TierVolume(k, topo.TierInter))
-			}
-			if flat.TierVolume(k, topo.TierIntra) != flat.Volume(k) {
-				t.Fatalf("p=%d %v: tier-0 meter %d != volume %d",
-					p, k, flat.TierVolume(k, topo.TierIntra), flat.Volume(k))
-			}
+		// The legacy fabric books every byte on tier 0, so equal censuses
+		// also pin the flat topology's tier split.
+		if lm, fm := legacy.Meters(), flat.Meters(); lm != fm {
+			t.Fatalf("p=%d: flat topology census %+v != legacy %+v", p, fm, lm)
 		}
 		for r := 0; r < p; r++ {
 			lc, fc := legacy.Device(r).Clock(), flat.Device(r).Clock()
@@ -182,13 +169,13 @@ func TestMeteredTiersMatchModel(t *testing.T) {
 	clock := 0.0
 	for _, pr := range preds {
 		clock += pr.cost.Time
-		if got := f.Volume(pr.kind); got != pr.cost.Bytes() {
+		if got := f.Meters().Volume[pr.kind]; got != pr.cost.Bytes() {
 			t.Errorf("%v: metered %d bytes, model predicts %d", pr.kind, got, pr.cost.Bytes())
 		}
-		if got := f.TierVolume(pr.kind, topo.TierInter); got != pr.cost.Tier[topo.TierInter] {
+		if got := f.Meters().TierVolume[topo.TierInter][pr.kind]; got != pr.cost.Tier[topo.TierInter] {
 			t.Errorf("%v: tier-1 meter %d, model predicts %d", pr.kind, got, pr.cost.Tier[topo.TierInter])
 		}
-		if got := f.TierVolume(pr.kind, topo.TierIntra); got != pr.cost.Tier[topo.TierIntra] {
+		if got := f.Meters().TierVolume[topo.TierIntra][pr.kind]; got != pr.cost.Tier[topo.TierIntra] {
 			t.Errorf("%v: tier-0 meter %d, model predicts %d", pr.kind, got, pr.cost.Tier[topo.TierIntra])
 		}
 	}

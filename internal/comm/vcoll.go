@@ -10,11 +10,7 @@
 // seam.
 package comm
 
-import (
-	"fmt"
-
-	"gnnrdm/internal/hw"
-)
+import "fmt"
 
 // TryAllToAllV performs a personalized variable-volume exchange:
 // parts[j] is sent to group[j], and counts[j] — the advertised element
@@ -113,21 +109,12 @@ func (d *Device) TryAllGatherV(group []int, local []float32, count int) ([][]flo
 	}
 	out := make([][]float32, len(group))
 	recvCounts := make([]int, len(group))
-	f := d.F
 	var contribution any = local
 	if local == nil {
 		contribution = collErr{fmt.Errorf("local buffer on rank %d: %w", d.Rank, ErrNilBuffer)}
 	}
 	cerr := d.collective(op, group, contribution,
-		func(slots []any, clocks []float64) (float64, any, Volume, error) {
-			chunks := make([]int64, len(slots))
-			for i, s := range slots {
-				chunks[i] = int64(len(s.([]float32))) * 4
-			}
-			t, vol := f.MeterFor(group).AllGather(group, chunks)
-			f.addVolume(hw.OpAllGather, vol, d.side)
-			return maxClock(clocks) + t, nil, vol, nil
-		},
+		d.allGatherFinalize(group),
 		func(slots []any, _ any) {
 			for i, s := range slots {
 				src := s.([]float32)

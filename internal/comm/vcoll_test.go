@@ -59,7 +59,7 @@ func TestAllToAllVDataAndCounts(t *testing.T) {
 			}
 		}
 	}
-	if got := f.Volume(hw.OpAllToAll); got != sum {
+	if got := f.Meters().Volume[hw.OpAllToAll]; got != sum {
 		t.Fatalf("metered alltoall volume %d, rank census sums to %d", got, sum)
 	}
 }
@@ -95,7 +95,7 @@ func TestAllGatherVDataCountsAndCensus(t *testing.T) {
 	for r := 0; r < p; r++ {
 		want += int64(r+1) * 4 * int64(p-1)
 	}
-	if got := f.Volume(hw.OpAllGather); got != want {
+	if got := f.Meters().Volume[hw.OpAllGather]; got != want {
 		t.Fatalf("metered allgather volume %d, want %d", got, want)
 	}
 }
@@ -127,11 +127,8 @@ func TestVCollectivesMatchDenseMeters(t *testing.T) {
 	if cv != cd {
 		t.Fatalf("V clock %v != dense clock %v", cv, cd)
 	}
-	for _, k := range []hw.CollectiveKind{hw.OpAllToAll, hw.OpAllGather} {
-		if fv.Volume(k) != fd.Volume(k) || fv.Calls(k) != fd.Calls(k) {
-			t.Fatalf("kind %v: V volume/calls %d/%d != dense %d/%d",
-				k, fv.Volume(k), fv.Calls(k), fd.Volume(k), fd.Calls(k))
-		}
+	if mv, md := fv.Meters(), fd.Meters(); mv != md {
+		t.Fatalf("V census %+v != dense %+v", mv, md)
 	}
 }
 
@@ -149,12 +146,13 @@ func TestVCollectivesTopoTiers(t *testing.T) {
 		parts, counts := raggedParts(d.Rank, p)
 		d.AllToAllV(d.World(), parts, counts)
 	})
-	if fh.TierVolume(hw.OpAllToAll, topo.TierInter) == 0 {
+	m := fh.Meters()
+	if m.TierVolume[topo.TierInter][hw.OpAllToAll] == 0 {
 		t.Fatal("hierarchical alltoallv moved no inter-node bytes")
 	}
-	sum := fh.TierVolume(hw.OpAllToAll, topo.TierIntra) + fh.TierVolume(hw.OpAllToAll, topo.TierInter)
-	if sum != fh.Volume(hw.OpAllToAll) {
-		t.Fatalf("tier split %d != volume %d", sum, fh.Volume(hw.OpAllToAll))
+	sum := m.TierVolume[topo.TierIntra][hw.OpAllToAll] + m.TierVolume[topo.TierInter][hw.OpAllToAll]
+	if sum != m.Volume[hw.OpAllToAll] {
+		t.Fatalf("tier split %d != volume %d", sum, m.Volume[hw.OpAllToAll])
 	}
 }
 

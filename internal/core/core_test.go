@@ -155,7 +155,7 @@ func TestVolumeMatchesCostModel(t *testing.T) {
 
 func measureRedistVolume(p, ra int, prob *Problem, opts Options) int64 {
 	fabric := trainOnFabric(p, prob, opts, 1)
-	return fabric.Volume(hw.OpAllToAll) + fabric.Volume(hw.OpAllGather)
+	return fabric.Meters().Volume[hw.OpAllToAll] + fabric.Meters().Volume[hw.OpAllGather]
 }
 
 // trainOnFabric runs epochs on a fresh fabric and returns it for metric

@@ -146,7 +146,7 @@ func TestRedistributionVolumeHV(t *testing.T) {
 	global := globalRand(rng, n, fdim)
 	_, fab := runDist(t, p, global, H, func(m *Mat) *Mat { return m.Redistribute(V) })
 	wantBytes := int64((p - 1) * n * fdim / p * 4)
-	if got := fab.Volume(hw.OpAllToAll); got != wantBytes {
+	if got := fab.Meters().Volume[hw.OpAllToAll]; got != wantBytes {
 		t.Fatalf("H->V volume=%d want %d", got, wantBytes)
 	}
 }
@@ -160,7 +160,7 @@ func TestRedistributionVolumeConstantInP(t *testing.T) {
 	var prev int64
 	for _, p := range []int{2, 4, 8} {
 		_, fab := runDist(t, p, global, H, func(m *Mat) *Mat { return m.Redistribute(V) })
-		v := fab.Volume(hw.OpAllToAll)
+		v := fab.Meters().Volume[hw.OpAllToAll]
 		want := int64((p - 1) * n * fdim / p * 4)
 		if v != want {
 			t.Fatalf("P=%d: volume %d want %d", p, v, want)
@@ -183,7 +183,7 @@ func TestGridToHVolumeRowGroupLocal(t *testing.T) {
 	global := globalRand(rng, n, fdim)
 	_, fab := runDist(t, p, global, G(ra), func(m *Mat) *Mat { return m.Redistribute(H) })
 	want := int64((ra - 1) * n * fdim / ra * 4)
-	if got := fab.Volume(hw.OpAllToAll); got != want {
+	if got := fab.Meters().Volume[hw.OpAllToAll]; got != want {
 		t.Fatalf("G%d->H volume=%d want %d", ra, got, want)
 	}
 }
@@ -194,7 +194,7 @@ func TestHToGridVolume(t *testing.T) {
 	global := globalRand(rng, n, fdim)
 	_, fab := runDist(t, p, global, H, func(m *Mat) *Mat { return m.Redistribute(G(ra)) })
 	want := int64((ra - 1) * n * fdim / ra * 4)
-	if got := fab.Volume(hw.OpAllToAll); got != want {
+	if got := fab.Meters().Volume[hw.OpAllToAll]; got != want {
 		t.Fatalf("H->G%d volume=%d want %d", ra, got, want)
 	}
 }
@@ -212,7 +212,7 @@ func TestReplicateAndBack(t *testing.T) {
 	if tensor.MaxAbsDiff(got, global) != 0 {
 		t.Fatal("replicate round trip corrupted values")
 	}
-	if fab.Volume(hw.OpAllGather) == 0 {
+	if fab.Meters().Volume[hw.OpAllGather] == 0 {
 		t.Fatal("replicate must use allgather")
 	}
 }
@@ -282,7 +282,7 @@ func TestRedistributeMask(t *testing.T) {
 	fabFull := comm.Run(p, hw.A6000(), func(d *comm.Device) {
 		outs[d.Rank] = Distribute(d, H, global).Redistribute(V)
 	})
-	mv, fv := fabMask.Volume(hw.OpAllToAll), fabFull.Volume(hw.OpAllToAll)
+	mv, fv := fabMask.Meters().Volume[hw.OpAllToAll], fabFull.Meters().Volume[hw.OpAllToAll]
 	if mv*3 > fv {
 		t.Fatalf("packed mask volume %d should be ~1/4 of %d", mv, fv)
 	}

@@ -68,7 +68,7 @@ func FuzzRegrid(f *testing.F) {
 			t.Fatalf("P=%d %v->%v->%v on %dx%d, old %d: %v", p, src, dst, src, rows, cols, oldSel%4, err)
 		}
 		bound := int64(2 * rows * cols * 4)
-		if v := fab.Volume(hw.OpAllToAll); v > bound {
+		if v := fab.Meters().Volume[hw.OpAllToAll]; v > bound {
 			t.Fatalf("P=%d %v<->%v moved %d bytes, bound %d", p, src, dst, v, bound)
 		}
 		if p == 1 && fab.TotalVolume() != 0 {

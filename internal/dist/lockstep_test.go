@@ -82,10 +82,8 @@ func TestGatherRowsLockstepMatchesGatherRowsInto(t *testing.T) {
 						t.Fatalf("rank %d trace:\nlockstep %+v\noracle   %+v", r, le, re)
 					}
 				}
-				for k := hw.CollectiveKind(0); k < hw.NumCollectiveKinds; k++ {
-					if lfab.Volume(k) != rfab.Volume(k) || lfab.Calls(k) != rfab.Calls(k) || lfab.TierVolume(k, 0) != rfab.TierVolume(k, 0) {
-						t.Fatalf("%v: %d bytes over %d calls, oracle %d over %d", k, lfab.Volume(k), lfab.Calls(k), rfab.Volume(k), rfab.Calls(k))
-					}
+				if lm, rm := lfab.Meters(), rfab.Meters(); lm != rm {
+					t.Fatalf("meters %+v, oracle %+v", lm, rm)
 				}
 			})
 		}

@@ -254,9 +254,9 @@ func observeRegrid(p int, global *tensor.Dense, from, to Layout, packed, oracle 
 		ob.events[r] = tr.Sessions()[0].Events(r)
 	}
 	ob.wire = tap.sums
-	ob.a2a, ob.side = fab.Volume(hw.OpAllToAll), fab.SideVolume(hw.OpAllToAll)
+	ob.a2a, ob.side = fab.Meters().Volume[hw.OpAllToAll], fab.Meters().SideVolume[hw.OpAllToAll]
 	ob.total, ob.calls = fab.TotalVolume(), fab.Calls(hw.OpAllToAll)
-	ob.tier0, ob.sideTier0 = fab.TierVolume(hw.OpAllToAll, 0), fab.SideTierVolume(hw.OpAllToAll, 0)
+	ob.tier0, ob.sideTier0 = fab.Meters().TierVolume[0][hw.OpAllToAll], fab.Meters().SideTierVolume[0][hw.OpAllToAll]
 	return ob
 }
 

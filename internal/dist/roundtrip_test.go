@@ -172,7 +172,7 @@ func TestGatherRootVolume(t *testing.T) {
 		gatherRoot(dist.Distribute(d, dist.H, global), 0)
 	})
 	want := int64((p - 1) * (rows / p) * cols * 4)
-	if got := fab.Volume(hw.OpAllToAll); got != want {
+	if got := fab.Meters().Volume[hw.OpAllToAll]; got != want {
 		t.Fatalf("gather volume=%d want %d", got, want)
 	}
 }
@@ -255,10 +255,10 @@ func TestMaskRoundTripRaggedIsSideChannel(t *testing.T) {
 	if err := sameDense(global, dist.Assemble(mats)); err != nil {
 		t.Fatal(err)
 	}
-	if v := fab.Volume(hw.OpAllToAll); v != 0 {
+	if v := fab.Meters().Volume[hw.OpAllToAll]; v != 0 {
 		t.Fatalf("mask traffic leaked into primary meters: %d bytes", v)
 	}
-	if v := fab.SideVolume(hw.OpAllToAll); v == 0 {
+	if v := fab.Meters().SideVolume[hw.OpAllToAll]; v == 0 {
 		t.Fatal("mask traffic missing from side-channel meters")
 	}
 }

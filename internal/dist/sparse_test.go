@@ -160,17 +160,17 @@ func TestRedistributeSparseVolume(t *testing.T) {
 			return m.RedistributeSparse(to, live)
 		})
 		wantMeta, wantPay := sparsePairBytes(from, to, p, n, f, live)
-		if got := fab.Volume(hw.OpAllToAll); got != wantPay {
+		if got := fab.Meters().Volume[hw.OpAllToAll]; got != wantPay {
 			t.Fatalf("%v->%v payload volume %d, closed form %d", from, to, got, wantPay)
 		}
-		if got := fab.SideVolume(hw.OpAllToAll); got != wantMeta {
+		if got := fab.Meters().SideVolume[hw.OpAllToAll]; got != wantMeta {
 			t.Fatalf("%v->%v metadata volume %d, closed form %d", from, to, got, wantMeta)
 		}
 		// The point of the subsystem: fewer primary bytes than dense.
 		_, dfab := runDist(t, p, global, from, func(m *Mat) *Mat {
 			return m.Redistribute(to)
 		})
-		if dense := dfab.Volume(hw.OpAllToAll); wantPay >= dense {
+		if dense := dfab.Meters().Volume[hw.OpAllToAll]; wantPay >= dense {
 			t.Fatalf("%v->%v sparse payload %d not below dense %d", from, to, wantPay, dense)
 		}
 	}
@@ -192,10 +192,10 @@ func TestRedistributeSparseFullLiveMatchesDense(t *testing.T) {
 	if tensor.MaxAbsDiff(gotS, gotD) != 0 {
 		t.Fatal("full-live sparse result differs from dense")
 	}
-	if sv, dv := sfab.Volume(hw.OpAllToAll), dfab.Volume(hw.OpAllToAll); sv != dv {
+	if sv, dv := sfab.Meters().Volume[hw.OpAllToAll], dfab.Meters().Volume[hw.OpAllToAll]; sv != dv {
 		t.Fatalf("full-live sparse payload %d != dense %d", sv, dv)
 	}
-	if sfab.SideVolume(hw.OpAllToAll) == 0 {
+	if sfab.Meters().SideVolume[hw.OpAllToAll] == 0 {
 		t.Fatal("metadata round metered nothing")
 	}
 }
@@ -219,7 +219,7 @@ func TestRedistributeSparseFallbacks(t *testing.T) {
 		if tensor.MaxAbsDiff(got, global) != 0 {
 			t.Fatalf("P=%d %v->%v: values corrupted", tc.p, tc.from, tc.to)
 		}
-		if fab.SideVolume(hw.OpAllToAll) != 0 {
+		if fab.Meters().SideVolume[hw.OpAllToAll] != 0 {
 			t.Fatalf("P=%d %v->%v: fallback ran the metadata round", tc.p, tc.from, tc.to)
 		}
 	}
@@ -301,10 +301,10 @@ func TestHaloExchange(t *testing.T) {
 			}
 		}
 	}
-	if fab.SideVolume(hw.OpAllGather) == 0 {
+	if fab.Meters().SideVolume[hw.OpAllGather] == 0 {
 		t.Fatal("halo advert round metered nothing")
 	}
-	if fab.Volume(hw.OpAllToAll) == 0 {
+	if fab.Meters().Volume[hw.OpAllToAll] == 0 {
 		t.Fatal("halo payload round metered nothing")
 	}
 }

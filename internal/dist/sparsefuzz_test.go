@@ -100,7 +100,7 @@ func FuzzSparseExchange(f *testing.F) {
 		if err := sameDense(global, dist.Assemble(dmats)); err != nil {
 			t.Fatalf("P=%d %v->%v %dx%d: dense exchange: %v", p, src, dst, rows, cols, err)
 		}
-		sp, dp := sfab.TotalVolume()-sfab.TotalSideVolume(), dfab.TotalVolume()-dfab.TotalSideVolume()
+		sp, dp := sfab.TotalVolume()-sfab.Meters().TotalSideVolume(), dfab.TotalVolume()-dfab.Meters().TotalSideVolume()
 		if sp > dp {
 			t.Fatalf("P=%d %v->%v %dx%d live=%d: sparse primary %d bytes > dense %d", p, src, dst, rows, cols, liveCount, sp, dp)
 		}

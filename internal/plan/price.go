@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"gnnrdm/internal/comm"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/topo"
 )
@@ -13,12 +14,11 @@ import (
 // is how far it advanced the latest device clock. The schedule's time
 // is that clock at the end of the epoch, PriceDAGOn's SeqTime.
 
-// OpCost is the priced cost of one schedule step.
-type OpCost struct {
-	Step int
-	Kind Kind
-	// AllToAll, AllGather and AllReduce are the op's fabric byte volumes
-	// by collective class, matching the simulator's meters exactly.
+// Traffic is the byte half of a priced op or schedule: what it added to
+// the replayed fabric's meters.
+type Traffic struct {
+	// AllToAll, AllGather and AllReduce are the fabric byte volumes by
+	// collective class, matching the simulator's meters exactly.
 	AllToAll, AllGather, AllReduce int64
 	// Side is byte-packed mask traffic on the fabric's side channel
 	// (excluded from the primary meters, as the paper's model omits it).
@@ -28,24 +28,28 @@ type OpCost struct {
 	// topology; under flat pricing everything is tier 0.
 	Tier     [topo.NumTiers]int64
 	SideTier [topo.NumTiers]int64
+}
+
+// OpCost is the priced cost of one schedule step.
+type OpCost struct {
+	Step int
+	Kind Kind
+	Traffic
 	// Time is how far the op advanced the latest device clock.
 	Time float64
 }
 
 // Cost is a priced schedule: the per-op breakdown plus totals.
 type Cost struct {
-	PerOp                          []OpCost
-	AllToAll, AllGather, AllReduce int64
-	Side                           int64
-	Tier                           [topo.NumTiers]int64
-	SideTier                       [topo.NumTiers]int64
-	Time                           float64
+	PerOp []OpCost
+	Traffic
+	Time float64
 }
 
 // RDMBytes returns the volume the §IV cost model counts — all-to-all
 // redistributions plus column-group allgathers — directly comparable to
 // costmodel.EvaluateEngine's CommVolumeBytes and to the fabric's
-// Volume(OpAllToAll) + Volume(OpAllGather).
+// Meters.Volume[OpAllToAll] + Volume[OpAllGather].
 func (c Cost) RDMBytes() int64 { return c.AllToAll + c.AllGather }
 
 // Price prices the schedule on the flat fabric. nnz is the global
@@ -65,46 +69,43 @@ func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
 	e := newEngine(s, nil, s.ApproxCensus(nnz), h, tp, 1, nil)
 	e.perOp = make([]OpCost, 0, s.Ops())
 	e.run(false, 0, nil, "")
-	t := e.meters.since(&Meters{}, tp != nil)
-	return Cost{
-		PerOp: e.perOp, AllToAll: t.AllToAll, AllGather: t.AllGather, AllReduce: t.AllReduce,
-		Side: t.Side, Tier: t.Tier, SideTier: t.SideTier, Time: e.wasClock,
-	}
+	return Cost{PerOp: e.perOp, Traffic: since(&e.meters, &comm.Meters{}, tp != nil), Time: e.wasClock}
 }
 
 // priceOp appends the op the engine just replayed to its per-op costs.
 func (e *engine) priceOp() {
-	oc := e.meters.since(&e.was, e.tp != nil)
-	oc.Step, oc.Kind = e.op.Step, e.op.Kind
 	clock := e.wasClock
 	for _, c := range e.clk {
 		clock = max(clock, c)
 	}
-	oc.Time = clock - e.wasClock
+	e.perOp = append(e.perOp, OpCost{
+		Step: e.op.Step, Kind: e.op.Kind,
+		Traffic: since(&e.meters, &e.was, e.tp != nil),
+		Time:    clock - e.wasClock,
+	})
 	e.was, e.wasClock = e.meters, clock
-	e.perOp = append(e.perOp, oc)
 }
 
-// since returns the bytes the meters gained since was, by collective
+// since returns the bytes the meters m gained since was, by collective
 // class and side channel, and by link tier when tiers is set (the flat
 // fabric meters everything on tier 0 and leaves the split unpopulated).
-func (m *Meters) since(was *Meters, tiers bool) OpCost {
-	oc := OpCost{
+func since(m, was *comm.Meters, tiers bool) Traffic {
+	tr := Traffic{
 		AllToAll:  m.Volume[hw.OpAllToAll] - was.Volume[hw.OpAllToAll],
 		AllGather: m.Volume[hw.OpAllGather] - was.Volume[hw.OpAllGather],
 		AllReduce: m.Volume[hw.OpAllReduce] - was.Volume[hw.OpAllReduce],
 	}
 	for k := range m.SideVolume {
-		oc.Side += m.SideVolume[k] - was.SideVolume[k]
+		tr.Side += m.SideVolume[k] - was.SideVolume[k]
 		if !tiers {
 			continue
 		}
-		for t := range oc.Tier {
-			oc.Tier[t] += m.TierVolume[t][k] - was.TierVolume[t][k]
-			oc.SideTier[t] += m.SideTierVolume[t][k] - was.SideTierVolume[t][k]
+		for t := range tr.Tier {
+			tr.Tier[t] += m.TierVolume[t][k] - was.TierVolume[t][k]
+			tr.SideTier[t] += m.SideTierVolume[t][k] - was.SideTierVolume[t][k]
 		}
 	}
-	return oc
+	return tr
 }
 
 // weightBytes returns the model's total weight bytes (KUpdate charges

@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 
+	"gnnrdm/internal/comm"
 	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/topo"
@@ -25,13 +26,13 @@ import (
 //
 // A cache binds to one (P, hardware model, topology) context on first
 // use and panics if reused under a different one — memoized costs are
-// only valid within the context they were computed in. Every price is a
-// topo.Cost either way: routed under topo.Auto when a topology is
-// bound, else the flat closed form with every byte on tier 0.
+// only valid within the context they were computed in. Every price is
+// the live fabric's: comm.Meter's topo.Cost, routed under topo.Auto
+// when a topology is bound, else the flat closed form with every byte
+// on tier 0.
 type PriceCache struct {
 	p     int
-	h     *hw.Model
-	tp    *topo.Topology
+	meter comm.Meter // the bound hardware model and topology
 	bound bool
 	world []int
 
@@ -92,16 +93,16 @@ type gatherKey struct {
 // and sim.Run bind automatically.
 func (c *PriceCache) Bind(p int, h *hw.Model, tp *topo.Topology) {
 	if !c.bound {
-		c.p, c.h, c.tp, c.bound = p, h, tp, true
+		c.p, c.meter, c.bound = p, comm.Meter{HW: h, Topo: tp}, true
 		c.world = make([]int, p)
 		for i := range c.world {
 			c.world[i] = i
 		}
 		return
 	}
-	if c.p != p || c.h != h || c.tp != tp {
+	if c.p != p || c.meter.HW != h || c.meter.Topo != tp {
 		panic(fmt.Sprintf("plan: PriceCache bound to (P=%d, hw=%p, topo=%p) reused with (P=%d, hw=%p, topo=%p)",
-			c.p, c.h, c.tp, p, h, tp))
+			c.p, c.meter.HW, c.meter.Topo, p, h, tp))
 	}
 }
 
@@ -109,12 +110,6 @@ func (c *PriceCache) mustBind() {
 	if !c.bound {
 		panic("plan: PriceCache used before Bind")
 	}
-}
-
-// flat is the pre-topology closed form of an n-member collective:
-// hw.CollectiveTime over timeBytes, vol bytes metered on tier 0.
-func (c *PriceCache) flat(kind hw.CollectiveKind, n int, timeBytes, vol int64) topo.Cost {
-	return topo.Cost{Time: c.h.CollectiveTime(kind, n, timeBytes), Tier: [topo.NumTiers]int64{topo.TierIntra: vol}}
 }
 
 func (c *PriceCache) newCensus() ExchangeCensus {
@@ -130,7 +125,7 @@ func (c *PriceCache) add(x *ExchangeCensus, pairs []topo.Pair, src, dst int, b i
 	}
 	x.Div[src] += b
 	x.Mer[dst] += b
-	if c.tp != nil {
+	if c.meter.Topo != nil {
 		pairs = append(pairs, topo.Pair{Src: int32(src), Dst: int32(dst), Bytes: b})
 	}
 	return pairs
@@ -141,7 +136,7 @@ func (c *PriceCache) add(x *ExchangeCensus, pairs []topo.Pair, src, dst int, b i
 // counting pass is cheap beside the costers' log P passes over the
 // list, and spares a multi-million-entry list its growth copies.
 func (c *PriceCache) pairBuf(from, to dist.Layout, rows, cols int) []topo.Pair {
-	if c.tp == nil {
+	if c.meter.Topo == nil {
 		return nil
 	}
 	n := 0
@@ -150,18 +145,19 @@ func (c *PriceCache) pairBuf(from, to dist.Layout, rows, cols int) []topo.Pair {
 }
 
 // price completes a round's census from its per-rank sums: the maxima,
-// the total, and the all-to-all price (routed over pairs under a
-// topology).
+// the total, and the all-to-all price. A topology routes the round over
+// the census's own pair list; the fabric's Meter would walk all P²
+// pairs through a callback instead.
 func (c *PriceCache) price(x *ExchangeCensus, pairs []topo.Pair) {
 	for r := range x.Div {
 		x.MaxInj = max(x.MaxInj, x.Div[r])
 		x.MaxEj = max(x.MaxEj, x.Mer[r])
 		x.Total += x.Div[r]
 	}
-	if c.tp != nil {
-		_, x.A2A = c.tp.AllToAllPairs(c.h, topo.Auto, c.world, pairs)
+	if tp := c.meter.Topo; tp != nil {
+		_, x.A2A = tp.AllToAllPairs(c.meter.HW, topo.Auto, c.world, pairs)
 	} else {
-		x.A2A = c.flat(hw.OpAllToAll, c.p, x.MaxInj, x.Total)
+		x.A2A = c.meter.AllToAll(c.world, nil, x.MaxInj, x.Total)
 	}
 }
 
@@ -196,11 +192,7 @@ func (c *PriceCache) AllReduceCost(bytes int64) topo.Cost {
 	c.mustBind()
 	cst, ok := c.reduce[bytes]
 	if !ok {
-		if c.tp != nil {
-			_, cst = c.tp.AllReduce(c.h, topo.Auto, c.world, bytes)
-		} else {
-			cst = c.flat(hw.OpAllReduce, c.p, bytes, 2*bytes*int64(c.p-1))
-		}
+		cst = c.meter.AllReduce(c.world, bytes)
 		c.reduce[bytes] = cst
 	}
 	return cst
@@ -215,17 +207,11 @@ func (c *PriceCache) AllGatherCost(l dist.Layout, group []int, j, rows, cols int
 	cst, ok := c.gather[k]
 	if !ok {
 		chunks := make([]int64, len(group))
-		var total int64
 		for i, r := range group {
 			tr, tc := dist.TileShape(l, c.p, r, rows, cols)
 			chunks[i] = int64(tr) * int64(tc) * 4
-			total += chunks[i]
 		}
-		if c.tp != nil {
-			_, cst = c.tp.AllGather(c.h, topo.Auto, group, chunks)
-		} else {
-			cst = c.flat(hw.OpAllGather, len(group), total, total*int64(len(group)-1))
-		}
+		cst = c.meter.AllGather(group, chunks)
 		c.gather[k] = cst
 	}
 	return cst

@@ -12,7 +12,7 @@ import (
 
 // This file is the one replay of a schedule's per-op charges onto
 // per-device clocks: the discrete-event engine behind sim.Run (clocks,
-// comm/compute accumulators, the meter census, optional trace),
+// comm/compute accumulators, the byte census, optional trace),
 // PriceDAG* (the same clocks, overlapped and sequential) and
 // Schedule.PriceOn (one sequential epoch, read off op by op). Every
 // device gets one occupancy cursor per resource (hw.Occupancy), every
@@ -20,59 +20,14 @@ import (
 // charges, in order, with each rank's own tile shapes — and every
 // collective synchronizes its group to max(member deposits) + the price
 // comm.Meter computes on the live fabric for the same group and byte
-// census (PriceCache evaluates the same topo costers and flat closed
-// forms, once per distinct round).
+// census (PriceCache asks the same Meter, once per distinct round) and
+// books that price into a comm.Meters, the live fabric's census type.
 // Because the charges and the rendezvous rule are the executor's own,
-// the clocks equal the live fabric's device clocks exactly: overlapped
+// the clocks equal the live fabric's device clocks, and the two
+// censuses compare with ==: overlapped
 // when each op starts at max(resource free, dependency finishes),
 // sequential when ops run back to back on one joined timeline
 // (verify.CheckSimMatchesFabric, CheckOverlapEquivalence).
-
-// Meters is the replayed fabric's byte census, field-for-field the
-// live fabric's accounting (comm.Fabric addVolume): primary and
-// side-channel volume, call counts, and per-link-tier splits, all by
-// collective kind.
-type Meters struct {
-	Volume         [hw.NumCollectiveKinds]int64
-	SideVolume     [hw.NumCollectiveKinds]int64
-	Calls          [hw.NumCollectiveKinds]int64
-	TierVolume     [topo.NumTiers][hw.NumCollectiveKinds]int64
-	SideTierVolume [topo.NumTiers][hw.NumCollectiveKinds]int64
-}
-
-// add replicates Fabric.addVolume: primary or side routing, intra/inter
-// tier split, and the per-kind call counter.
-func (m *Meters) add(kind hw.CollectiveKind, vol comm.Volume, side bool) {
-	if side {
-		m.SideVolume[kind] += vol.Bytes
-		m.SideTierVolume[topo.TierIntra][kind] += vol.Bytes - vol.Tier1
-		m.SideTierVolume[topo.TierInter][kind] += vol.Tier1
-	} else {
-		m.Volume[kind] += vol.Bytes
-		m.TierVolume[topo.TierIntra][kind] += vol.Bytes - vol.Tier1
-		m.TierVolume[topo.TierInter][kind] += vol.Tier1
-	}
-	m.Calls[kind]++
-}
-
-// TotalVolume returns all bytes moved including side-channel traffic,
-// matching Fabric.TotalVolume.
-func (m *Meters) TotalVolume() int64 {
-	var s int64
-	for k := range m.Volume {
-		s += m.Volume[k] + m.SideVolume[k]
-	}
-	return s
-}
-
-// TotalSideVolume returns the side-channel bytes across all kinds.
-func (m *Meters) TotalSideVolume() int64 {
-	var s int64
-	for k := range m.SideVolume {
-		s += m.SideVolume[k]
-	}
-	return s
-}
 
 // ReplayResult is everything one replayed run measured.
 type ReplayResult struct {
@@ -86,7 +41,7 @@ type ReplayResult struct {
 	CommTime    []float64
 	ComputeTime []float64
 	// Meters is the final byte census.
-	Meters Meters
+	Meters comm.Meters
 	// EpochClock/EpochComm/EpochCompute are cumulative per-rank
 	// snapshots at each epoch's snapshot point ([epoch][rank]);
 	// EpochBytes is the cumulative total metered volume (including
@@ -163,7 +118,7 @@ type engine struct {
 	resCur  []hw.Resource // current op's resource per rank (ResCompute in seq mode)
 	resTab  *resourceTable
 
-	meters Meters
+	meters comm.Meters
 
 	world     []int
 	colGroups [][]int // nil when every column group is a single rank
@@ -186,7 +141,7 @@ type engine struct {
 	// Per-op pricing (PriceOn; nil perOp otherwise): the ops priced so
 	// far, and the meters and latest clock as the last of them left them.
 	perOp    []OpCost
-	was      Meters
+	was      comm.Meters
 	wasClock float64
 
 	// Trace state (nil tracer disables all of it).
@@ -270,7 +225,7 @@ func (e *engine) begin(overlap bool, nbarr int, tr *trace.Tracer, label string) 
 	clear(e.gens)
 	clear(e.comm[hw.ResCompute])
 	clear(e.compute[hw.ResCompute])
-	e.meters = Meters{}
+	e.meters = comm.Meters{}
 	if overlap && e.resTab == nil {
 		e.finish = make([]float64, len(e.d.Nodes)*e.p)
 		for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
@@ -483,17 +438,16 @@ func (e *engine) mem(r int, bytes int64) {
 	e.kernel(r, "mem", e.h.MemTime(bytes), bytes, 0)
 }
 
-// collective synchronizes the group at max(member clocks) + t — the
-// fabric's rendezvous rule — charging each member's comm accumulator
-// with its own skew-inclusive delta and metering the round once.
-// Callers guarantee len(group) >= 2 (smaller groups never reach the
-// live fabric either).
-func (e *engine) collective(group []int, gid int, opName string, kind hw.CollectiveKind, t float64, vol comm.Volume, metered, side bool) {
+// collective synchronizes the group at max(member clocks) + c.Time —
+// the fabric's rendezvous rule — charging each member's comm
+// accumulator with its own skew-inclusive delta. Callers guarantee
+// len(group) >= 2 (smaller groups never reach the live fabric either).
+func (e *engine) collective(group []int, gid int, opName string, c topo.Cost) {
 	var m float64
 	for _, r := range group {
 		m = max(m, e.clk[r])
 	}
-	nc := m + t
+	nc := m + c.Time
 	e.gens[gid]++
 	seq := e.gens[gid]
 	for _, r := range group {
@@ -505,21 +459,19 @@ func (e *engine) collective(group []int, gid int, opName string, kind hw.Collect
 			e.tr.Emit(r, trace.Event{
 				Class: trace.ClassCollective, Op: opName,
 				Group: e.grpKeys[gid], Seq: seq, GroupSize: len(group),
-				Bytes: vol.Bytes, Tier1: vol.Tier1,
+				Bytes: c.Bytes(), Tier1: c.Tier[topo.TierInter],
 				Start: before, End: nc, Track: int(res),
 			})
 		}
 		e.clk[r] = nc
 	}
-	if metered {
-		e.meters.add(kind, vol, side)
-	}
 }
 
-// round replays one metered collective round from its cached price.
-func (e *engine) round(group []int, gid int, opName string, kind hw.CollectiveKind, cst topo.Cost, side bool) {
-	vol := comm.Volume{Bytes: cst.Bytes(), Tier1: cst.Tier[topo.TierInter]}
-	e.collective(group, gid, opName, kind, cst.Time, vol, true, side)
+// round replays one metered collective round from its cached price and
+// books it once.
+func (e *engine) round(group []int, gid int, opName string, kind hw.CollectiveKind, c topo.Cost, side bool) {
+	e.collective(group, gid, opName, c)
+	e.meters.Add(kind, c, side)
 }
 
 // barrier replays one world Barrier on the base timeline: latency-only,
@@ -533,11 +485,7 @@ func (e *engine) barrier() {
 		e.clk[r] = e.occ[r].Free(hw.ResCompute)
 		e.resCur[r] = hw.ResCompute
 	}
-	t := e.h.LinkLatency
-	if e.tp != nil {
-		t = e.tp.Barrier(e.h, e.world)
-	}
-	e.collective(e.world, gidWorld, "barrier", hw.OpSendRecv, t, comm.Volume{}, false, false)
+	e.collective(e.world, gidWorld, "barrier", topo.Cost{Time: e.pc.meter.Barrier(e.world)})
 	for r := 0; r < e.p; r++ {
 		e.occ[r].Advance(hw.ResCompute, e.clk[r])
 		e.occ[r].Join()

@@ -208,7 +208,7 @@ func (a abcCensus) exchange(c *PriceCache, width int) *SparseExchangeCensus {
 		}
 	}
 	var meta, pay []topo.Pair
-	for r := 0; c.tp != nil && r < c.p; r++ {
+	for r := 0; c.meter.Topo != nil && r < c.p; r++ {
 		for q := 0; q < c.p; q++ {
 			m, b := bytes(a.at(r, q))
 			if q != r && m > 0 {

@@ -440,9 +440,9 @@ func ownerOf(v int32, p, n int) int {
 
 // meterFabric folds one fabric run's meters into the session ledger.
 func (s *Session) meterFabric(fab *comm.Fabric) {
-	for k := hw.CollectiveKind(0); k < hw.NumCollectiveKinds; k++ {
-		v := fab.Volume(k)
-		switch k {
+	m := fab.Meters()
+	for k, v := range m.Volume {
+		switch hw.CollectiveKind(k) {
 		case hw.OpAllToAll:
 			s.metered.AllToAll += v
 		case hw.OpAllGather:
@@ -453,10 +453,10 @@ func (s *Session) meterFabric(fab *comm.Fabric) {
 			s.metered.Other += v
 		}
 		for t := range s.metered.Tier {
-			s.metered.Tier[t] += fab.TierVolume(k, t)
+			s.metered.Tier[t] += m.TierVolume[t][k]
 		}
 	}
-	s.metered.Side += fab.TotalSideVolume()
+	s.metered.Side += m.TotalSideVolume()
 }
 
 // Metered and Predicted expose the session's byte ledgers for

@@ -13,13 +13,14 @@
 // sequence is the interpreter's own (internal/core execOp, charge for
 // charge, in order), the rendezvous rule is the fabric's (all member
 // clocks synchronize to max(deposits) + the price comm.Meter computes
-// for the same group and byte census, memoized by plan.PriceCache), and
-// the overlap
-// lane model is the DAG executor's (ops start at max(resource free,
-// dependency finishes), advance only their resource, and rejoin at
-// epoch boundaries in the same merge order). verify.CheckSimMatchesFabric
-// pins clocks, time accumulators, and all meters bit-identical to live
-// fabric runs for both executors.
+// for the same group and byte census, memoized by plan.PriceCache), the
+// byte census is the fabric's own type (comm.Meters, booked round by
+// round), and the overlap lane model is the DAG executor's (ops start
+// at max(resource free, dependency finishes), advance only their
+// resource, and rejoin at epoch boundaries in the same merge order).
+// verify.CheckSimMatchesFabric pins clocks and time accumulators
+// bit-identical to live fabric runs for both executors, and the two
+// censuses with one ==.
 //
 // Because no payloads move, a run costs O(ops × P) float arithmetic
 // plus memoized O(P + intersecting tile pairs) redistribution censuses

@@ -95,7 +95,7 @@ type Event struct {
 	// GroupSize is the participant count of a collective.
 	GroupSize int
 	// Bytes is the metered volume: for collectives the exact bytes moved
-	// across device boundaries (matching Fabric.Volume accounting), for
+	// across device boundaries (matching the fabric's Meters), for
 	// mem kernels the bytes touched.
 	Bytes int64
 	// Tier1 is the share of Bytes that crossed inter-node (tier-1)

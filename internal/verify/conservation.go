@@ -120,7 +120,7 @@ func checkSession(fab *comm.Fabric, s *trace.Session) error {
 	if fab == nil {
 		return nil
 	}
-	var vol, tier1, calls [6]int64
+	var vol, tier1, calls [hw.NumCollectiveKinds]int64
 	for _, ri := range rounds {
 		if ri.op == "barrier" {
 			continue // latency-only; not metered or counted
@@ -133,19 +133,20 @@ func checkSession(fab *comm.Fabric, s *trace.Session) error {
 		tier1[kind] += ri.tier1
 		calls[kind]++
 	}
+	m := fab.Meters()
 	for i := range vol {
 		kind := hw.CollectiveKind(i)
-		if metered := fab.Volume(kind) + fab.SideVolume(kind); vol[i] != metered {
+		if metered := m.Volume[i] + m.SideVolume[i]; vol[i] != metered {
 			return fmt.Errorf("%s: traced rounds sum to %d bytes, fabric metered %d", kind, vol[i], metered)
 		}
-		if metered := fab.TierVolume(kind, topo.TierInter) + fab.SideTierVolume(kind, topo.TierInter); tier1[i] != metered {
+		if metered := m.TierVolume[topo.TierInter][i] + m.SideTierVolume[topo.TierInter][i]; tier1[i] != metered {
 			return fmt.Errorf("%s: traced rounds sum to %d tier-1 bytes, fabric metered %d", kind, tier1[i], metered)
 		}
 		intra := vol[i] - tier1[i]
-		if metered := fab.TierVolume(kind, topo.TierIntra) + fab.SideTierVolume(kind, topo.TierIntra); intra != metered {
+		if metered := m.TierVolume[topo.TierIntra][i] + m.SideTierVolume[topo.TierIntra][i]; intra != metered {
 			return fmt.Errorf("%s: traced rounds sum to %d tier-0 bytes, fabric metered %d", kind, intra, metered)
 		}
-		if c := fab.Calls(kind); calls[i] != c {
+		if c := m.Calls[i]; calls[i] != c {
 			return fmt.Errorf("%s: %d traced rounds, fabric counted %d calls", kind, calls[i], c)
 		}
 	}
@@ -153,8 +154,8 @@ func checkSession(fab *comm.Fabric, s *trace.Session) error {
 }
 
 func kindForOp(op string) (hw.CollectiveKind, bool) {
-	for i := 0; i < 6; i++ {
-		if k := hw.CollectiveKind(i); k.String() == op {
+	for k := range hw.NumCollectiveKinds {
+		if k.String() == op {
 			return k, true
 		}
 	}

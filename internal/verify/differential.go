@@ -169,7 +169,8 @@ func CheckVolumeMatchesModel(t testing.TB, prob *core.Problem, dims []int, p, ra
 	o := DiffSpec{Dims: dims}.opts(cfg)
 	o.RA = ra
 	fab := TrainFabric(p, prob, o, 1)
-	got := fab.Volume(hw.OpAllToAll) + fab.Volume(hw.OpAllGather)
+	m := fab.Meters()
+	got := m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather]
 	net := costmodel.Network{Dims: dims, N: int64(prob.N()), NNZ: prob.A.NNZ(), P: p, RA: ra}
 	want := costmodel.EvaluateEngine(net, costmodel.ConfigFromID(cfg, len(dims)-1)).CommVolumeBytes()
 	if got != want {
@@ -183,7 +184,7 @@ func CheckVolumeMatchesModel(t testing.TB, prob *core.Problem, dims []int, p, ra
 		t.Fatalf("P=%d RA=%d cfg=%d: schedule prices %d RDM bytes, model predicts %d (Δ=%d)",
 			p, ra, cfg, planned, want, planned-want)
 	}
-	return fab.TotalSideVolume()
+	return m.TotalSideVolume()
 }
 
 // scheduleFor compiles the optimized op schedule NewEngine would build
@@ -219,15 +220,16 @@ func CheckScheduleMatchesMeters(t testing.TB, prob *core.Problem, p int, o core.
 	}
 	fab := TrainFabric(p, prob, o, 1)
 	c := scheduleFor(prob, p, o).Price(prob.A.NNZ(), hw.A6000())
-	if got := fab.Volume(hw.OpAllToAll) + fab.Volume(hw.OpAllGather); got != c.RDMBytes() {
+	m := fab.Meters()
+	if got := m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather]; got != c.RDMBytes() {
 		t.Fatalf("P=%d: metered RDM volume %d bytes, schedule prices %d (Δ=%d)",
 			p, got, c.RDMBytes(), got-c.RDMBytes())
 	}
-	if got := fab.Volume(hw.OpAllReduce); got != c.AllReduce {
+	if got := m.Volume[hw.OpAllReduce]; got != c.AllReduce {
 		t.Fatalf("P=%d: metered all-reduce volume %d bytes, schedule prices %d (Δ=%d)",
 			p, got, c.AllReduce, got-c.AllReduce)
 	}
-	if got := fab.TotalSideVolume(); got != c.Side {
+	if got := m.TotalSideVolume(); got != c.Side {
 		t.Fatalf("P=%d: metered side-channel volume %d bytes, schedule prices %d (Δ=%d)",
 			p, got, c.Side, got-c.Side)
 	}

@@ -28,12 +28,6 @@ import (
 //     sequential clocks equal its sequential replay, exactly; overlap
 //     never exceeds sequential.
 
-// collectiveKinds enumerates every metered collective kind.
-var collectiveKinds = []hw.CollectiveKind{
-	hw.OpBroadcast, hw.OpAllGather, hw.OpAllReduce,
-	hw.OpAllToAll, hw.OpSendRecv, hw.OpReduceScatter,
-}
-
 // overlapRun captures one training run's observables: per-rank epoch
 // losses, final logits tiles and weights, device clocks, and the fabric
 // with its meters.
@@ -134,24 +128,8 @@ func CheckOverlapEquivalence(t testing.TB, prob *core.Problem, p, epochs int, o 
 		}
 	}
 
-	for _, k := range collectiveKinds {
-		if g, w := ovl.fab.Volume(k), seq.fab.Volume(k); g != w {
-			t.Fatalf("%v volume: overlap %d bytes != sequential %d", k, g, w)
-		}
-		if g, w := ovl.fab.SideVolume(k), seq.fab.SideVolume(k); g != w {
-			t.Fatalf("%v side volume: overlap %d bytes != sequential %d", k, g, w)
-		}
-		if g, w := ovl.fab.Calls(k), seq.fab.Calls(k); g != w {
-			t.Fatalf("%v calls: overlap %d != sequential %d", k, g, w)
-		}
-		for tier := 0; tier < 2; tier++ {
-			if g, w := ovl.fab.TierVolume(k, tier), seq.fab.TierVolume(k, tier); g != w {
-				t.Fatalf("%v tier %d volume: overlap %d bytes != sequential %d", k, tier, g, w)
-			}
-			if g, w := ovl.fab.SideTierVolume(k, tier), seq.fab.SideTierVolume(k, tier); g != w {
-				t.Fatalf("%v tier %d side volume: overlap %d bytes != sequential %d", k, tier, g, w)
-			}
-		}
+	if d := meterDiff(ovl.fab.Meters(), seq.fab.Meters()); d != "" {
+		t.Fatalf("overlap census differs from sequential at %s", d)
 	}
 
 	dag := plan.MustBuildDAG(scheduleFor(prob, p, o))

@@ -1,12 +1,15 @@
 package verify
 
 import (
+	"fmt"
 	"testing"
 
+	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/sim"
+	"gnnrdm/internal/topo"
 )
 
 // CheckSimMatchesFabric is the discrete-event backend's differential
@@ -57,24 +60,37 @@ func CheckSimMatchesFabric(t testing.TB, prob *core.Problem, p, epochs int, o co
 					mode, r, res.ComputeTime[r], live.compT[r], res.ComputeTime[r]-live.compT[r])
 			}
 		}
-		for _, k := range collectiveKinds {
-			if g, w := res.Meters.Volume[k], live.fab.Volume(k); g != w {
-				t.Fatalf("%s %v volume: sim %d bytes != live %d", mode, k, g, w)
-			}
-			if g, w := res.Meters.SideVolume[k], live.fab.SideVolume(k); g != w {
-				t.Fatalf("%s %v side volume: sim %d bytes != live %d", mode, k, g, w)
-			}
-			if g, w := res.Meters.Calls[k], live.fab.Calls(k); g != w {
-				t.Fatalf("%s %v calls: sim %d != live %d", mode, k, g, w)
-			}
-			for tier := 0; tier < 2; tier++ {
-				if g, w := res.Meters.TierVolume[tier][k], live.fab.TierVolume(k, tier); g != w {
-					t.Fatalf("%s %v tier %d volume: sim %d bytes != live %d", mode, k, tier, g, w)
-				}
-				if g, w := res.Meters.SideTierVolume[tier][k], live.fab.SideTierVolume(k, tier); g != w {
-					t.Fatalf("%s %v tier %d side volume: sim %d bytes != live %d", mode, k, tier, g, w)
-				}
+		if d := meterDiff(res.Meters, live.fab.Meters()); d != "" {
+			t.Fatalf("%s: sim census differs from live at %s", mode, d)
+		}
+	}
+}
+
+// meterDiff names the first field where two byte censuses differ, with
+// both values ("SideTierVolume[inter][alltoall] (12 vs 16)"), or
+// returns "" when they are equal.
+func meterDiff(a, b comm.Meters) string {
+	if a == b {
+		return ""
+	}
+	const intra, inter = topo.TierIntra, topo.TierInter
+	for k := range hw.NumCollectiveKinds {
+		for _, f := range []struct {
+			name string
+			a, b int64
+		}{
+			{"Volume", a.Volume[k], b.Volume[k]},
+			{"SideVolume", a.SideVolume[k], b.SideVolume[k]},
+			{"Calls", a.Calls[k], b.Calls[k]},
+			{"TierVolume[intra]", a.TierVolume[intra][k], b.TierVolume[intra][k]},
+			{"TierVolume[inter]", a.TierVolume[inter][k], b.TierVolume[inter][k]},
+			{"SideTierVolume[intra]", a.SideTierVolume[intra][k], b.SideTierVolume[intra][k]},
+			{"SideTierVolume[inter]", a.SideTierVolume[inter][k], b.SideTierVolume[inter][k]},
+		} {
+			if f.a != f.b {
+				return fmt.Sprintf("%s[%s] (%d vs %d)", f.name, k, f.a, f.b)
 			}
 		}
 	}
+	return ""
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
 	"gnnrdm/internal/costmodel"
 	"gnnrdm/internal/fault"
@@ -267,6 +268,37 @@ func TestSimEpochStatsMatchTrain(t *testing.T) {
 			copy(prevC, sr.EpochComm[ep])
 			copy(prevK, sr.EpochCompute[ep])
 			prevB = sr.EpochBytes[ep]
+		}
+	}
+}
+
+// TestMeterDiffNamesField: the census diff behind every meters-equal
+// check reports the one field that differs by its name, kind and tier,
+// and nothing for equal censuses.
+func TestMeterDiffNamesField(t *testing.T) {
+	var base comm.Meters
+	base.Add(hw.OpAllToAll, topo.Cost{Tier: [topo.NumTiers]int64{96, 32}}, false)
+	base.Add(hw.OpAllToAll, topo.Cost{Tier: [topo.NumTiers]int64{8, 4}}, true)
+	base.Add(hw.OpAllReduce, topo.Cost{Tier: [topo.NumTiers]int64{64, 0}}, false)
+	if d := meterDiff(base, base); d != "" {
+		t.Fatalf("equal censuses reported as %q", d)
+	}
+	for _, tc := range []struct {
+		want string
+		bump func(m *comm.Meters)
+	}{
+		{"SideTierVolume[inter][alltoall] (5 vs 4)", func(m *comm.Meters) { m.SideTierVolume[topo.TierInter][hw.OpAllToAll]++ }},
+		{"SideTierVolume[intra][alltoall] (9 vs 8)", func(m *comm.Meters) { m.SideTierVolume[topo.TierIntra][hw.OpAllToAll]++ }},
+		{"TierVolume[inter][allreduce] (1 vs 0)", func(m *comm.Meters) { m.TierVolume[topo.TierInter][hw.OpAllReduce]++ }},
+		{"TierVolume[intra][alltoall] (97 vs 96)", func(m *comm.Meters) { m.TierVolume[topo.TierIntra][hw.OpAllToAll]++ }},
+		{"SideVolume[alltoall] (13 vs 12)", func(m *comm.Meters) { m.SideVolume[hw.OpAllToAll]++ }},
+		{"Volume[allgather] (1 vs 0)", func(m *comm.Meters) { m.Volume[hw.OpAllGather]++ }},
+		{"Calls[allreduce] (2 vs 1)", func(m *comm.Meters) { m.Calls[hw.OpAllReduce]++ }},
+	} {
+		m := base
+		tc.bump(&m)
+		if d := meterDiff(m, base); d != tc.want {
+			t.Errorf("meterDiff = %q, want %q", d, tc.want)
 		}
 	}
 }

@@ -101,7 +101,7 @@ func TestSparseNumericsMatchDense(t *testing.T) {
 			// Numerics are pinned by RunDifferential-style invariants
 			// elsewhere; here assert the sparse run moved strictly fewer
 			// primary bytes.
-			dv, sv := dense.TotalVolume()-dense.TotalSideVolume(), sparse.TotalVolume()-sparse.TotalSideVolume()
+			dv, sv := dense.TotalVolume()-dense.Meters().TotalSideVolume(), sparse.TotalVolume()-sparse.Meters().TotalSideVolume()
 			if sv >= dv {
 				t.Fatalf("cfg=%d P=%d: sparse primary volume %d >= dense %d", cfg, p, sv, dv)
 			}

@@ -79,15 +79,16 @@ func CheckSparseMatchesModel(t testing.TB, prob *core.Problem, dims []int, p, ra
 	fab := TrainFabric(p, prob, o, 1)
 	sched := scheduleFor(prob, p, o)
 	c := sched.PriceOn(prob.A.NNZ(), hw.A6000(), tp)
-	if got := fab.Volume(hw.OpAllToAll) + fab.Volume(hw.OpAllGather); got != c.RDMBytes() {
+	m := fab.Meters()
+	if got := m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather]; got != c.RDMBytes() {
 		t.Fatalf("P=%d RA=%d cfg=%d live=%d: metered RDM volume %d bytes, planner prices %d (Δ=%d)",
 			p, ra, cfg, liveCount, got, c.RDMBytes(), got-c.RDMBytes())
 	}
-	if got := fab.Volume(hw.OpAllReduce); got != c.AllReduce {
+	if got := m.Volume[hw.OpAllReduce]; got != c.AllReduce {
 		t.Fatalf("P=%d RA=%d cfg=%d live=%d: metered all-reduce %d bytes, planner prices %d",
 			p, ra, cfg, liveCount, got, c.AllReduce)
 	}
-	if got := fab.TotalSideVolume(); got != c.Side {
+	if got := m.TotalSideVolume(); got != c.Side {
 		t.Fatalf("P=%d RA=%d cfg=%d live=%d: metered side-channel %d bytes, planner prices %d (Δ=%d)",
 			p, ra, cfg, liveCount, got, c.Side, got-c.Side)
 	}

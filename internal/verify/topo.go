@@ -31,23 +31,24 @@ func CheckTopoScheduleMatchesMeters(t testing.TB, prob *core.Problem, p int, o c
 	}
 	fab := TrainFabric(p, prob, o, 1)
 	c := scheduleFor(prob, p, o).PriceOn(prob.A.NNZ(), hw.A6000(), o.Topology)
-	if got := fab.Volume(hw.OpAllToAll) + fab.Volume(hw.OpAllGather); got != c.RDMBytes() {
+	m := fab.Meters()
+	if got := m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather]; got != c.RDMBytes() {
 		t.Fatalf("P=%d on %s: metered RDM volume %d bytes, schedule prices %d (Δ=%d)",
 			p, o.Topology.Name, got, c.RDMBytes(), got-c.RDMBytes())
 	}
-	if got := fab.Volume(hw.OpAllReduce); got != c.AllReduce {
+	if got := m.Volume[hw.OpAllReduce]; got != c.AllReduce {
 		t.Fatalf("P=%d on %s: metered all-reduce volume %d bytes, schedule prices %d (Δ=%d)",
 			p, o.Topology.Name, got, c.AllReduce, got-c.AllReduce)
 	}
-	if got := fab.TotalSideVolume(); got != c.Side {
+	if got := m.TotalSideVolume(); got != c.Side {
 		t.Fatalf("P=%d on %s: metered side-channel volume %d bytes, schedule prices %d (Δ=%d)",
 			p, o.Topology.Name, got, c.Side, got-c.Side)
 	}
-	for tier := 0; tier < topo.NumTiers; tier++ {
+	for tier := range topo.NumTiers {
 		var prim, side int64
-		for k := 0; k < 6; k++ {
-			prim += fab.TierVolume(hw.CollectiveKind(k), tier)
-			side += fab.SideTierVolume(hw.CollectiveKind(k), tier)
+		for k := range hw.NumCollectiveKinds {
+			prim += m.TierVolume[tier][k]
+			side += m.SideTierVolume[tier][k]
 		}
 		if prim != c.Tier[tier] {
 			t.Fatalf("P=%d on %s: metered tier-%d volume %d bytes, schedule prices %d (Δ=%d)",
@@ -63,9 +64,10 @@ func CheckTopoScheduleMatchesMeters(t testing.TB, prob *core.Problem, p int, o c
 // CheckFlatTopologyBitIdentical trains the same epoch twice — once on
 // the legacy flat fabric, once with an explicit Flat topology attached —
 // and asserts the runs are bit-for-bit indistinguishable: identical
-// makespan, identical per-kind volumes, side volumes and call counts,
-// and every metered byte on tier 0. This is the backward-compatibility
-// contract: attaching a single-tier topology must not change anything.
+// makespan and identical byte census — the flat fabric books every byte
+// on tier 0, so the Flat topology must too. This is the
+// backward-compatibility contract: attaching a single-tier topology must
+// not change anything.
 func CheckFlatTopologyBitIdentical(t testing.TB, prob *core.Problem, p int, o core.Options) {
 	t.Helper()
 	flat := TrainFabric(p, prob, o, 1)
@@ -74,22 +76,7 @@ func CheckFlatTopologyBitIdentical(t testing.TB, prob *core.Problem, p int, o co
 	if a, b := flat.MaxClock(), topod.MaxClock(); a != b {
 		t.Fatalf("P=%d: flat makespan %v, Flat-topology makespan %v — not bit-identical", p, a, b)
 	}
-	for k := 0; k < 6; k++ {
-		kind := hw.CollectiveKind(k)
-		if a, b := flat.Volume(kind), topod.Volume(kind); a != b {
-			t.Fatalf("P=%d %s: flat volume %d, Flat-topology volume %d", p, kind, a, b)
-		}
-		if a, b := flat.SideVolume(kind), topod.SideVolume(kind); a != b {
-			t.Fatalf("P=%d %s: flat side volume %d, Flat-topology side volume %d", p, kind, a, b)
-		}
-		if a, b := flat.Calls(kind), topod.Calls(kind); a != b {
-			t.Fatalf("P=%d %s: flat calls %d, Flat-topology calls %d", p, kind, a, b)
-		}
-		if v := topod.TierVolume(kind, topo.TierInter) + topod.SideTierVolume(kind, topo.TierInter); v != 0 {
-			t.Fatalf("P=%d %s: %d bytes metered on the inter-node tier of a flat topology", p, kind, v)
-		}
-		if a, b := topod.TierVolume(kind, topo.TierIntra), topod.Volume(kind); a != b {
-			t.Fatalf("P=%d %s: tier-0 meter %d != volume %d on a flat topology", p, kind, a, b)
-		}
+	if d := meterDiff(topod.Meters(), flat.Meters()); d != "" {
+		t.Fatalf("P=%d: Flat-topology census differs from the flat fabric's at %s", p, d)
 	}
 }
