@@ -23,11 +23,12 @@ import (
 // and the DAG's write-after-read edges serialize every in-place mutation.
 //
 // Lane order is deadlock-free by construction: a collective's resource
-// is a function of its group (plan.OpResource), so all members enter it
-// from the same lane index, and every lane executes its ops in global
-// schedule order — per-group rendezvous order is therefore identical on
-// all ranks. Under injected faults the first panic (the fault.Killed on
-// the crashed rank, a *comm.FaultError on survivors) re-raises on the
+// is a function of its group (plan.DAG.OpResource, the table the replay
+// classifies from), so all members enter it from the same lane index,
+// and every lane executes its ops in global schedule order — per-group
+// rendezvous order is therefore identical on all ranks. Under injected
+// faults the first panic (the fault.Killed on the crashed rank, a
+// *comm.FaultError on survivors) re-raises on the
 // device goroutine immediately, without waiting for blocked sibling
 // lanes: those are woken by the fabric's markDead broadcast, observe
 // ErrPeerDead, and self-terminate, so the run degrades exactly like the
@@ -54,9 +55,9 @@ func PanelCensus(prob *Problem, p, ra int) plan.Census {
 	cen := plan.Census{NNZFwd: make([]int64, p), NNZBwd: make([]int64, p), NNZ: prob.A.NNZ()}
 	for r := 0; r < p; r++ {
 		rlo, rhi := dist.RowRange(gridL, p, r, prob.N())
-		cen.NNZBwd[r] = prob.A.RowPanel(rlo, rhi).NNZ()
-		if prob.ATranspose != nil {
-			cen.NNZFwd[r] = prob.ATranspose.RowPanel(rlo, rhi).NNZ()
+		cen.NNZBwd[r] = prob.A.RowPtr[rhi] - prob.A.RowPtr[rlo]
+		if at := prob.ATranspose; at != nil {
+			cen.NNZFwd[r] = at.RowPtr[rhi] - at.RowPtr[rlo]
 		} else {
 			cen.NNZFwd[r] = cen.NNZBwd[r]
 		}
@@ -74,7 +75,7 @@ func (e *Engine) runOverlap(regs []*dist.Mat, grads []*tensor.Dense) {
 	// list stays in ascending node-index (schedule) order.
 	var perRes [hw.NumResources][]int
 	for i := range nodes {
-		res := e.sched.OpResource(nodes[i].Op, e.dev.Rank, e.opts.Topology)
+		res := d.OpResource(i, e.dev.Rank, e.opts.Topology)
 		perRes[res] = append(perRes[res], i)
 	}
 	// Lanes: compute ops run on the base device itself; link ops on

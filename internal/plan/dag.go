@@ -42,6 +42,8 @@ type DAGNode struct {
 type DAG struct {
 	Sched *Schedule
 	Nodes []DAGNode
+
+	res *resourceTable // the last topology's resource table (resources.go)
 }
 
 // cell identifiers partition mutable state: each fresh register
@@ -268,38 +270,46 @@ func (s *Schedule) colGroup(rank int) []int {
 	return g
 }
 
-func (s *Schedule) world() []int {
-	w := make([]int, s.P)
-	for i := range w {
-		w[i] = i
-	}
-	return w
-}
-
-// linkRes maps a collective's group to the device resource its op
-// occupies: the link engine of the slowest tier any two members
-// communicate over (every member of one group agrees on it, which is
-// what keeps per-lane rendezvous order rank-consistent in the overlap
-// executor). Groups of one device never reach the fabric — compute.
-func (s *Schedule) linkRes(group []int, tp *topo.Topology) hw.Resource {
-	if len(group) < 2 {
+// linkRes maps a collective over a sorted group from rank first to rank
+// last, n members, to the device resource its op occupies: the link
+// engine of the slowest tier any two members communicate over — a
+// sorted group spans nodes iff its ends do, so topo.WorstTier reads
+// them alone, and every member of one group agrees on it, which is what
+// keeps per-lane rendezvous order rank-consistent in the overlap
+// executor. Groups of one device never reach the fabric — compute.
+func linkRes(tp *topo.Topology, first, last, n int) hw.Resource {
+	if n < 2 {
 		return hw.ResCompute
 	}
-	if tp != nil && tp.WorstTier(group) == topo.TierInter {
+	if tp != nil && tp.WorstTier([]int{first, last}) == topo.TierInter {
 		return hw.ResLinkInter
 	}
 	return hw.ResLinkIntra
 }
 
-// OpResource classifies which of rank's device resources the op
+// colLinkRes is linkRes for rank's column group (colGroup): j, j+RA, …
+// below P.
+func (s *Schedule) colLinkRes(rank int, tp *topo.Topology) hw.Resource {
+	if s.P/s.RA < 2 {
+		// Singleton column groups: no allgather.
+		return hw.ResCompute
+	}
+	j := rank % s.RA
+	n := (s.P-1-j)/s.RA + 1
+	return linkRes(tp, j, j+(n-1)*s.RA, n)
+}
+
+// opResource classifies which of rank's device resources the op
 // occupies under the overlap executor: ops that reach the fabric bind
 // to the link engine of their collective's tier (the whole op,
 // including its local pack/unpack kernels, runs on that lane so its
 // charge order stays exactly the sequential interpreter's); everything
 // else is compute. The classification depends on the rank only through
 // its column group (KSpMM), and all members of any one collective's
-// group always agree on the resource.
-func (s *Schedule) OpResource(op *Op, rank int, tp *topo.Topology) hw.Resource {
+// group always agree on the resource. It allocates nothing: a group is
+// classified by its ends.
+func (s *Schedule) opResource(op *Op, rank int, tp *topo.Topology) hw.Resource {
+	world := linkRes(tp, 0, s.P-1, s.P)
 	switch op.Kind {
 	case KRedist:
 		from, to := op.From.Normalize(s.P), op.To.Normalize(s.P)
@@ -308,21 +318,17 @@ func (s *Schedule) OpResource(op *Op, rank int, tp *topo.Topology) hw.Resource {
 			return hw.ResCompute
 		}
 		// Regrid all-to-all, or replicate's world allgather.
-		return s.linkRes(s.world(), tp)
+		return world
 	case KSpMM:
-		if s.P/s.RA < 2 {
-			// Singleton column group: no allgather, no group to build.
-			return hw.ResCompute
-		}
-		return s.linkRes(s.colGroup(rank), tp)
+		return s.colLinkRes(rank, tp)
 	case KSpMMABC:
 		// The structural exchange is a world all-to-all (two rounds).
-		return s.linkRes(s.world(), tp)
+		return world
 	case KAllReduceGrad, KLoss:
-		return s.linkRes(s.world(), tp)
+		return world
 	case KReLUGrad:
 		if op.From.Normalize(s.P) != op.To.Normalize(s.P) {
-			return s.linkRes(s.world(), tp)
+			return world
 		}
 	}
 	return hw.ResCompute

@@ -223,6 +223,8 @@ func TestParseDAGRoundTrip(t *testing.T) {
 // deadlock-freedom precondition: for every collective-bearing op, all
 // members of the op's group on any topology agree on the resource the
 // op occupies (the resource is a function of the group, not the rank).
+// The DAG's resource table, which the replay and the live overlap
+// executor both read, must hold exactly that classification.
 func TestOpResourceGroupConsistency(t *testing.T) {
 	spec8x4 := topo.MustParseSpec("8x4:nvlink,ib")
 	for si, s := range dagCorpus() {
@@ -231,7 +233,19 @@ func TestOpResourceGroupConsistency(t *testing.T) {
 		if s.P <= 32 {
 			tps = append(tps, spec8x4.MustTopology(s.P))
 		}
+		d := MustBuildDAG(s)
+		world := make([]int, s.P)
+		for r := range world {
+			world[r] = r
+		}
 		for _, tp := range tps {
+			for i := range d.Nodes {
+				for r := 0; r < s.P; r++ {
+					if got, want := d.OpResource(i, r, tp), s.opResource(d.Nodes[i].Op, r, tp); got != want {
+						t.Fatalf("schedule %d node %d rank %d: table %v, opResource %v", si, i, r, got, want)
+					}
+				}
+			}
 			for i := range s.Sections {
 				for j := range s.Sections[i].Ops {
 					op := &s.Sections[i].Ops[j]
@@ -240,9 +254,9 @@ func TestOpResourceGroupConsistency(t *testing.T) {
 					case KSpMM:
 						// Per-rank groups: members must agree pairwise.
 						for r := 0; r < s.P; r++ {
-							res := s.OpResource(op, r, tp)
+							res := s.opResource(op, r, tp)
 							for _, q := range s.colGroup(r) {
-								if got := s.OpResource(op, q, tp); got != res {
+								if got := s.opResource(op, q, tp); got != res {
 									t.Fatalf("schedule %d s%d: rank %d resource %v, group member %d %v",
 										si, op.Step, r, res, q, got)
 								}
@@ -250,11 +264,11 @@ func TestOpResourceGroupConsistency(t *testing.T) {
 						}
 						continue
 					default:
-						group = s.world()
+						group = world
 					}
-					res := s.OpResource(op, group[0], tp)
+					res := s.opResource(op, group[0], tp)
 					for _, r := range group[1:] {
-						if got := s.OpResource(op, r, tp); got != res {
+						if got := s.opResource(op, r, tp); got != res {
 							t.Fatalf("schedule %d s%d (%v): rank %d resource %v, rank %d %v",
 								si, op.Step, op.Kind, group[0], res, r, got)
 						}

@@ -66,7 +66,13 @@ func (s *Schedule) Price(nnz int64, h *hw.Model) Cost {
 // a topology — equal the fabric's meters for the same schedule exactly.
 // Time is the epoch's latest device clock.
 func (s *Schedule) PriceOn(nnz int64, h *hw.Model, tp *topo.Topology) Cost {
-	e := newEngine(s, nil, s.ApproxCensus(nnz), h, tp, 1, nil)
+	return s.priceOn(nnz, h, tp, nil)
+}
+
+// priceOn is PriceOn on a shared PriceCache (nil prices on a private
+// one).
+func (s *Schedule) priceOn(nnz int64, h *hw.Model, tp *topo.Topology, pc *PriceCache) Cost {
+	e := newEngine(s, nil, s.ApproxCensus(nnz), h, tp, 1, pc)
 	e.perOp = make([]OpCost, 0, s.Ops())
 	e.run(false, 0, nil, "")
 	return Cost{PerOp: e.perOp, Traffic: since(&e.meters, &comm.Meters{}, tp != nil), Time: e.wasClock}

@@ -22,7 +22,8 @@ import (
 // — dist.TileOverlap's integers — into the per-rank sums, and under a
 // topology the same visits emit the (src, dst, bytes) list the routed
 // costers consume in O(pairs · log P). The list lives only until the
-// round is priced; the cache keeps the O(P) census and the price.
+// round is priced, in one buffer the cache keeps and only grows; the
+// cache keeps the O(P) census and the price.
 //
 // A cache binds to one (P, hardware model, topology) context on first
 // use and panics if reused under a different one — memoized costs are
@@ -30,11 +31,19 @@ import (
 // the live fabric's: comm.Meter's topo.Cost, routed under topo.Auto
 // when a topology is bound, else the flat closed form with every byte
 // on tier 0.
+//
+// The cache also owns the replay engine's scratch (replay.go): every
+// replay priced on it resets one engine instead of building one. A
+// cache therefore serves one goroutine at a time, as its maps already
+// require.
 type PriceCache struct {
 	p     int
 	meter comm.Meter // the bound hardware model and topology
 	bound bool
 	world []int
+
+	eng   engine      // the replay engine every newEngine on this cache resets
+	pairs []topo.Pair // the routed rounds' pair buffer (pairBuf)
 
 	exch   map[exchKey]*ExchangeCensus
 	reduce map[int64]topo.Cost
@@ -131,17 +140,28 @@ func (c *PriceCache) add(x *ExchangeCensus, pairs []topo.Pair, src, dst int, b i
 	return pairs
 }
 
-// pairBuf returns an empty pair list sized for a from→to regrid's
-// intersecting pairs, nil when no topology will route the round. The
-// counting pass is cheap beside the costers' log P passes over the
-// list, and spares a multi-million-entry list its growth copies.
-func (c *PriceCache) pairBuf(from, to dist.Layout, rows, cols int) []topo.Pair {
+// pairCount returns how many pairs of a from→to regrid's tiles
+// intersect, 0 when no topology will route the round. The counting pass
+// is cheap beside the costers' log P passes over the list, and sizes
+// the pair buffer once.
+func (c *PriceCache) pairCount(from, to dist.Layout, rows, cols int) int {
 	if c.meter.Topo == nil {
-		return nil
+		return 0
 	}
 	n := 0
 	dist.OverlapPairs(from, to, c.p, rows, cols, func(_, _, _, _, _, _ int) { n++ })
-	return make([]topo.Pair, 0, n)
+	return n
+}
+
+// pairBuf returns the cache's pair buffer, empty, with room for n
+// pairs: one buffer that only grows serves every round the cache
+// prices. It is valid until the next pairBuf call; a caller that builds
+// two lists at once carves both from one call.
+func (c *PriceCache) pairBuf(n int) []topo.Pair {
+	if cap(c.pairs) < n {
+		c.pairs = make([]topo.Pair, n)
+	}
+	return c.pairs[:0]
 }
 
 // price completes a round's census from its per-rank sums: the maxima,
@@ -173,7 +193,7 @@ func (c *PriceCache) Exchange(from, to dist.Layout, rows, cols int, packed bool)
 		return x
 	}
 	x := c.newCensus()
-	pairs := c.pairBuf(from, to, rows, cols)
+	pairs := c.pairBuf(c.pairCount(from, to, rows, cols))
 	dist.OverlapPairs(from, to, c.p, rows, cols, func(src, dst, rlo, rhi, clo, chi int) {
 		n := (rhi - rlo) * (chi - clo)
 		if packed {

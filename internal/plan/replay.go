@@ -86,11 +86,13 @@ func (d *DAG) Replay(cen Census, h *hw.Model, tp *topo.Topology, epochs int, ove
 // (index 0 is the base device; 1 and 2 are the overlap executor's link
 // lanes, folded into the base at each epoch join in the executor's
 // merge order), the byte meters, and per-group round counters for trace
-// attribution. newEngine allocates the scratch the sequential walk
-// needs; the overlap executor's dependency finishes, link lanes and
-// resource table come with its first run, and the epoch snapshots only
-// when a ReplayResult reports them. The walk itself allocates nothing,
-// so PriceDAG* runs both executors on one engine.
+// attribution. Every PriceCache owns one engine, and newEngine resets
+// it rather than building one: the scratch keeps its storage and only
+// grows (the overlap executor's dependency finishes and link lanes come
+// with the first overlapped run), so a sweep that prices many
+// schedules on one cache allocates only the results it returns. The
+// walk itself allocates nothing, so PriceDAG* runs both executors on
+// one engine.
 type engine struct {
 	d   *DAG // dependency edges, read only by the overlap executor
 	s   *Schedule
@@ -167,37 +169,67 @@ const gidWorld = 0
 
 func gidCol(j int) int { return 1 + j }
 
-// newEngine binds an engine to a schedule; d is the schedule's DAG, nil
-// when only the sequential executor runs.
+// newEngine binds the cache's engine to a schedule and resets it; d is
+// the schedule's DAG, nil when only the sequential executor runs. A nil
+// cache prices on a private one. Everything that depends on the
+// schedule, DAG, census or epoch count is reset here or in begin;
+// nothing the engine holds outlives the next newEngine on the cache,
+// so results copy what they report (result, clocks).
 func newEngine(s *Schedule, d *DAG, cen Census, h *hw.Model, tp *topo.Topology, epochs int, pc *PriceCache) *engine {
 	p := s.P
 	if pc == nil {
 		pc = NewPriceCache()
 	}
 	pc.Bind(p, h, tp)
-	e := &engine{
-		d: d, s: s, cen: cen, h: h, tp: tp, pc: pc,
-		p: p, epochs: epochs,
-		occ:    make([]hw.Occupancy, p),
-		regs:   make([]regShape, s.NumRegs),
-		resCur: make([]hw.Resource, p),
-		world:  pc.world,
-		wBytes: s.weightBytes(),
+	e := &pc.eng
+	if e.clk == nil {
+		// The cache fixes P, so the per-rank scratch is sized once. The
+		// clock scratch and the base lane's accumulators share one array.
+		f := make([]float64, 3*p)
+		e.clk, e.comm[hw.ResCompute], e.compute[hw.ResCompute] = f[:p:p], f[p:2*p:2*p], f[2*p:]
+		e.occ = make([]hw.Occupancy, p)
+		e.resCur = make([]hw.Resource, p)
 	}
-	// The clock scratch and the base lane's accumulators share one array.
-	f := make([]float64, 3*p)
-	e.clk, e.comm[hw.ResCompute], e.compute[hw.ResCompute] = f[:p:p], f[p:2*p:2*p], f[2*p:]
-	if p/s.RA > 1 {
+	cols := e.colGroups
+	if p/s.RA < 2 {
 		// Only multi-rank column groups ever rendezvous (KSpMM's
 		// allgather); singleton groups need no rank lists, round
 		// counters or trace keys.
-		e.colGroups = make([][]int, s.RA)
-		for j := range e.colGroups {
-			e.colGroups[j] = s.colGroup(j)
+		cols = nil
+	} else if len(cols) != s.RA {
+		cols = make([][]int, s.RA)
+		for j := range cols {
+			cols[j] = s.colGroup(j)
 		}
 	}
-	e.gens = make([]uint64, 1+len(e.colGroups))
+	if e.abcX != nil {
+		clear(e.abcX)
+	}
+	*e = engine{
+		d: d, s: s, cen: cen, h: h, tp: tp, pc: pc,
+		p: p, epochs: epochs,
+		occ: e.occ, clk: e.clk, finish: e.finish,
+		regs:    resize(e.regs, s.NumRegs),
+		comm:    e.comm,
+		compute: e.compute,
+		resCur:  e.resCur,
+
+		world:     pc.world,
+		colGroups: cols,
+		wBytes:    s.weightBytes(),
+		abcX:      e.abcX,
+		gens:      resize(e.gens, 1+len(cols)),
+	}
 	return e
+}
+
+// resize returns s with length n, keeping its storage when it is long
+// enough. The contents are stale.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // groupKey renders a sorted rank list the way the fabric names its
@@ -214,10 +246,9 @@ func groupKey(ranks []int) string {
 	return string(b)
 }
 
-// begin resets the engine for one run. The link-lane accumulators need
-// no reset: every epoch join leaves them zero. Stale finish times and
-// register shapes are overwritten before they are read (dependencies
-// point backwards in node order).
+// begin resets the engine for one run. Stale finish times and register
+// shapes are overwritten before they are read (dependencies point
+// backwards in node order).
 func (e *engine) begin(overlap bool, nbarr int, tr *trace.Tracer, label string) {
 	e.overlap, e.nbarr, e.tr = overlap, nbarr, tr
 	clear(e.occ)
@@ -226,24 +257,22 @@ func (e *engine) begin(overlap bool, nbarr int, tr *trace.Tracer, label string) 
 	clear(e.comm[hw.ResCompute])
 	clear(e.compute[hw.ResCompute])
 	e.meters = comm.Meters{}
-	if overlap && e.resTab == nil {
-		e.finish = make([]float64, len(e.d.Nodes)*e.p)
+	if overlap {
+		e.finish = resize(e.finish, len(e.d.Nodes)*e.p)
 		for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
-			e.comm[res] = make([]float64, e.p)
-			e.compute[res] = make([]float64, e.p)
+			e.comm[res] = resize(e.comm[res], e.p)
+			e.compute[res] = resize(e.compute[res], e.p)
+			clear(e.comm[res])
+			clear(e.compute[res])
 		}
 		e.resTab = e.d.resources(e.tp)
 	}
 	if e.keep {
-		e.snapClock = make([][]float64, e.epochs)
-		e.snapComm = make([][]float64, e.epochs)
-		e.snapCompute = make([][]float64, e.epochs)
+		// The snapshots are the result's: fresh storage every run.
+		e.snapClock = e.snapRows()
+		e.snapComm = e.snapRows()
+		e.snapCompute = e.snapRows()
 		e.snapBytes = make([]int64, e.epochs)
-		for ep := range e.snapClock {
-			e.snapClock[ep] = make([]float64, e.p)
-			e.snapComm[ep] = make([]float64, e.p)
-			e.snapCompute[ep] = make([]float64, e.p)
-		}
 	}
 	if tr != nil {
 		if label == "" {
@@ -355,7 +384,18 @@ func (e *engine) position(i int) {
 	}
 }
 
-// clocks returns each device's clock (its occupancy makespan).
+// snapRows returns epochs zeroed per-rank rows over one array.
+func (e *engine) snapRows() [][]float64 {
+	buf := make([]float64, e.epochs*e.p)
+	rows := make([][]float64, e.epochs)
+	for ep := range rows {
+		rows[ep] = buf[ep*e.p : (ep+1)*e.p : (ep+1)*e.p]
+	}
+	return rows
+}
+
+// clocks returns each device's clock (its occupancy makespan) in fresh
+// storage.
 func (e *engine) clocks() []float64 {
 	c := make([]float64, e.p)
 	for r := range c {
@@ -364,18 +404,25 @@ func (e *engine) clocks() []float64 {
 	return c
 }
 
+// result reports the run. The accumulators are the cache's scratch, so
+// the result gets copies: it must read the same after the next replay
+// on the cache.
 func (e *engine) result() *ReplayResult {
-	return &ReplayResult{
+	f := make([]float64, 2*e.p)
+	r := &ReplayResult{
 		P:            e.p,
 		Clocks:       e.clocks(),
-		CommTime:     e.comm[hw.ResCompute],
-		ComputeTime:  e.compute[hw.ResCompute],
+		CommTime:     f[:e.p:e.p],
+		ComputeTime:  f[e.p:],
 		Meters:       e.meters,
 		EpochClock:   e.snapClock,
 		EpochComm:    e.snapComm,
 		EpochCompute: e.snapCompute,
 		EpochBytes:   e.snapBytes,
 	}
+	copy(r.CommTime, e.comm[hw.ResCompute])
+	copy(r.ComputeTime, e.compute[hw.ResCompute])
+	return r
 }
 
 func (e *engine) snapshot(ep int) {
@@ -533,7 +580,10 @@ func (e *engine) abcExchange(width int) (*abcCensus, *SparseExchangeCensus) {
 		} else {
 			a = e.s.approxABC(e.cen.NNZ, e.pc.LiveFor(e.s))
 		}
-		e.abc, e.abcX = &a, make(map[int]*SparseExchangeCensus)
+		e.abc = &a
+		if e.abcX == nil {
+			e.abcX = make(map[int]*SparseExchangeCensus)
+		}
 	}
 	x, ok := e.abcX[width]
 	if !ok {

@@ -94,8 +94,9 @@ func (c *PriceCache) SparseExchange(s *Schedule, from, to dist.Layout, rows, col
 	}
 	live := c.LiveFor(s)
 	x := &SparseExchangeCensus{Meta: c.newCensus(), Pay: c.newCensus()}
-	meta := c.pairBuf(from, to, rows, cols)
-	pay := make([]topo.Pair, 0, cap(meta))
+	n := c.pairCount(from, to, rows, cols)
+	buf := c.pairBuf(2 * n)
+	meta, pay := buf[:0:n], buf[n:n:2*n]
 	dist.OverlapPairs(from, to, c.p, rows, cols, func(src, dst, rlo, rhi, clo, chi int) {
 		n := int64(dist.CountInRange(live, rlo, rhi))
 		meta = c.add(&x.Meta, meta, src, dst, 4*(2+n))
@@ -207,8 +208,23 @@ func (a abcCensus) exchange(c *PriceCache, width int) *SparseExchangeCensus {
 			x.Meta.Mer[q], x.Pay.Mer[q] = metaIn-m, payIn-b
 		}
 	}
-	var meta, pay []topo.Pair
+	// Only a topology needs the pairs spelled out: count them, then list
+	// them in the cache's pair buffer.
+	var nm, nb int
 	for r := 0; c.meter.Topo != nil && r < c.p; r++ {
+		for q := 0; q < c.p; q++ {
+			m, b := bytes(a.at(r, q))
+			if q != r && m > 0 {
+				nm++
+			}
+			if q != r && b > 0 {
+				nb++
+			}
+		}
+	}
+	buf := c.pairBuf(nm + nb)
+	meta, pay := buf[:0:nm], buf[nm:nm:nm+nb]
+	for r := 0; nm+nb > 0 && r < c.p; r++ {
 		for q := 0; q < c.p; q++ {
 			m, b := bytes(a.at(r, q))
 			if q != r && m > 0 {

@@ -277,6 +277,7 @@ func (s *Session) serve(p int, queries []Query, run func(*Session, *comm.Fabric,
 	if cfg.Tracer != nil {
 		fab.SetTracer(cfg.Tracer, cfg.TraceLabel)
 	}
+	s.reserveRows(plans)
 	svc := run(s, fab, plans, core.Options{
 		Dims: cfg.Dims, Config: tblCfg, RA: ra, Seed: cfg.Seed, SAGE: cfg.SAGE,
 	})
@@ -477,14 +478,30 @@ func (s *Session) Answer(v int32) []float32 {
 	return nil
 }
 
-// storeRow returns v's row of the store for overwriting, appending one
-// when v has none yet.
+// reserveRows gives every vertex the plans will gather for the first
+// time its row of the store, in gather order, and grows the slab once
+// to exactly the rows it then holds.
+func (s *Session) reserveRows(plans []batchPlan) {
+	for i := range plans {
+		for _, v := range plans[i].missVerts {
+			if _, ok := s.row[v]; !ok {
+				s.row[v] = int32(len(s.row))
+			}
+		}
+	}
+	if n := len(s.row) * s.width; n > len(s.slab) {
+		slab := make([]float32, n)
+		copy(slab, s.slab)
+		s.slab = slab
+	}
+}
+
+// storeRow returns v's row of the store for overwriting; reserveRows
+// gave it one before the plans ran.
 func (s *Session) storeRow(v int32) []float32 {
 	i, ok := s.row[v]
 	if !ok {
-		i = int32(len(s.row))
-		s.row[v] = i
-		s.slab = append(s.slab, make([]float32, s.width)...)
+		panic(fmt.Sprintf("serve: vertex %d gathered without a reserved store row", v))
 	}
 	return s.slab[int(i)*s.width : int(i+1)*s.width]
 }

@@ -85,6 +85,19 @@ func TestStoreRegatherOverwritesRow(t *testing.T) {
 	}
 }
 
+// The store grows once per Serve, to exactly the rows it holds: no
+// append-growth slack is left behind.
+func TestStoreGrowsToExactRows(t *testing.T) {
+	s := NewSession(storeProblem(), storeConfig())
+	for i, vs := range [][]int32{{3, 7, 3, 9, 11, 12, 13}, {3, 20, 21, 22}} {
+		s.Serve(2, stream(float64(i), vs...))
+		if want := len(s.row) * s.width; len(s.slab) != want || cap(s.slab) != want {
+			t.Fatalf("serve %d: slab len %d cap %d, want both %d (%d rows of %d)",
+				i, len(s.slab), cap(s.slab), want, len(s.row), s.width)
+		}
+	}
+}
+
 func TestAnswersDoNotAliasTheStore(t *testing.T) {
 	prob := storeProblem()
 	s := NewSession(prob, storeConfig())

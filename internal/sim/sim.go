@@ -74,9 +74,10 @@ type Config struct {
 	// keeps the run allocation-free on the hot path.
 	Tracer     *trace.Tracer
 	TraceLabel string
-	// Cache shares redistribution censuses and topology-routed
-	// all-to-all costs across runs of one (P, HW, Topology) context —
-	// pass one cache to every run of a sweep. Nil uses a private cache.
+	// Cache shares redistribution censuses, topology-routed all-to-all
+	// costs and the replay engine's scratch across runs of one (P, HW,
+	// Topology) context — pass one cache to every run of a sweep, from
+	// one goroutine. Nil uses a private cache.
 	Cache *plan.PriceCache
 }
 

@@ -127,15 +127,22 @@ func (m *CSR) Transpose() *CSR {
 	return t
 }
 
-// RowPanel returns a copy of rows [r0, r1) as an (r1-r0) x Cols CSR.
+// RowPanel returns rows [r0, r1) as an (r1-r0) x Cols CSR that views
+// m's storage: ColIdx and Val are capacity-clipped subslices, so an
+// append copies rather than writing into m, and RowPtr is m's own when
+// r0 == 0 and a rebased copy otherwise. Writing into a panel writes
+// into m.
 func (m *CSR) RowPanel(r0, r1 int) *CSR {
 	if r0 < 0 || r1 > m.Rows || r0 > r1 {
 		panic(fmt.Sprintf("sparse: RowPanel [%d,%d) outside %d rows", r0, r1, m.Rows))
 	}
-	out := NewEmpty(r1-r0, m.Cols)
 	lo, hi := m.RowPtr[r0], m.RowPtr[r1]
-	out.ColIdx = append([]int32(nil), m.ColIdx[lo:hi]...)
-	out.Val = append([]float32(nil), m.Val[lo:hi]...)
+	out := &CSR{Rows: r1 - r0, Cols: m.Cols, ColIdx: m.ColIdx[lo:hi:hi], Val: m.Val[lo:hi:hi]}
+	if r0 == 0 {
+		out.RowPtr = m.RowPtr[: r1+1 : r1+1]
+		return out
+	}
+	out.RowPtr = make([]int64, r1-r0+1)
 	for i := r0; i <= r1; i++ {
 		out.RowPtr[i-r0] = m.RowPtr[i] - lo
 	}

@@ -80,24 +80,59 @@ func TestTranspose(t *testing.T) {
 	}
 }
 
+// TestRowPanel checks a panel's entries in both RowPanel cases: a panel
+// from row 0 shares m's RowPtr, any other a rebased copy of it.
 func TestRowPanel(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	m := randomCSR(rng, 30, 10, 0.2)
-	p := m.RowPanel(10, 25)
-	if p.Rows != 15 || p.Cols != 10 {
-		t.Fatal("bad panel shape")
-	}
-	pd, md := p.ToDense(), m.ToDense()
-	for i := 0; i < 15; i++ {
-		for j := 0; j < 10; j++ {
-			if pd.Row(i)[j] != md.Row(i + 10)[j] {
-				t.Fatalf("panel mismatch at (%d,%d)", i, j)
+	md := m.ToDense()
+	for _, c := range []struct {
+		r0, r1 int
+		shared bool
+	}{{10, 25, false}, {0, 12, true}, {0, 30, true}} {
+		p := m.RowPanel(c.r0, c.r1)
+		if p.Rows != c.r1-c.r0 || p.Cols != 10 {
+			t.Fatalf("[%d,%d): bad panel shape %dx%d", c.r0, c.r1, p.Rows, p.Cols)
+		}
+		if p.NNZ() != m.RowPtr[c.r1]-m.RowPtr[c.r0] || p.RowPtr[0] != 0 {
+			t.Fatalf("[%d,%d): NNZ %d from RowPtr[0] %d", c.r0, c.r1, p.NNZ(), p.RowPtr[0])
+		}
+		if shared := &p.RowPtr[0] == &m.RowPtr[c.r0]; shared != c.shared {
+			t.Fatalf("[%d,%d): RowPtr shared %v, want %v", c.r0, c.r1, shared, c.shared)
+		}
+		pd := p.ToDense()
+		for i := 0; i < p.Rows; i++ {
+			for j := 0; j < 10; j++ {
+				if pd.Row(i)[j] != md.Row(i + c.r0)[j] {
+					t.Fatalf("[%d,%d): panel mismatch at (%d,%d)", c.r0, c.r1, i, j)
+				}
 			}
 		}
 	}
 	empty := m.RowPanel(5, 5)
 	if empty.Rows != 0 || empty.NNZ() != 0 {
 		t.Fatal("empty panel not empty")
+	}
+}
+
+// TestRowPanelAppendLeavesParent: a panel views its parent's storage,
+// capacity-clipped, so appending to a panel's arrays copies them and the
+// parent's next row is left intact.
+func TestRowPanelAppendLeavesParent(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	m := randomCSR(rng, 30, 10, 0.3)
+	want := m.ToDense()
+	for _, r := range [][2]int{{0, 12}, {12, 20}} {
+		p := m.RowPanel(r[0], r[1])
+		p.ColIdx = append(p.ColIdx, 9)
+		p.Val = append(p.Val, 42)
+		p.RowPtr = append(p.RowPtr, p.RowPtr[p.Rows]+1)
+		p.Rows++
+		for i, v := range m.ToDense().Data {
+			if math.Float32bits(v) != math.Float32bits(want.Data[i]) {
+				t.Fatalf("appending to panel [%d,%d) changed its parent at element %d", r[0], r[1], i)
+			}
+		}
 	}
 }
 
