@@ -3,12 +3,52 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 )
+
+var updateGolden = flag.Bool("update", false, "rewrite the golden stdout dumps")
+
+// TestRunGoldens pins rdmtrain's stdout, byte for byte, on each of its
+// three train paths: the fault-free fabric run (here with -ra 2), the
+// elastic run under a fault schedule, and the discrete-event engine.
+// CI diffs the same dumps from `go run`.
+func TestRunGoldens(t *testing.T) {
+	base := []string{"-synthetic", "-n", "128", "-classes", "4", "-features", "8",
+		"-hidden", "16", "-gpus", "4", "-epochs", "6"}
+	for _, tc := range []struct {
+		name string
+		args []string
+	}{
+		{"train_ra2.txt", []string{"-ra", "2"}},
+		{"train_faults.txt", []string{"-faults", "crash@rank2:epoch2,slow@rank1:1.5x", "-fault-seed", "7"}},
+		{"train_sim.txt", []string{"-engine", "sim"}},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(append(append([]string{}, base...), tc.args...), &out, &errb); code != 0 {
+			t.Fatalf("%s: exit = %d, stderr = %q", tc.name, code, errb.String())
+		}
+		path := filepath.Join("testdata", tc.name)
+		if *updateGolden {
+			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := out.String(); got != string(want) {
+			t.Errorf("stdout differs from %s; rerun with -update if intended\n--- got\n%s--- want\n%s",
+				path, got, want)
+		}
+	}
+}
 
 func TestNeedsInput(t *testing.T) {
 	var out, errb bytes.Buffer

@@ -27,13 +27,16 @@ func TestElasticNoFaultsMatchesTrain(t *testing.T) {
 	if len(el.Recoveries) != 0 || el.FinalP != 4 {
 		t.Fatalf("fault-free elastic run recovered: %+v", el.Recoveries)
 	}
-	for ep := range plain.Epochs {
-		if plain.Epochs[ep].Loss != el.Epochs[ep].Loss {
-			t.Fatalf("epoch %d: elastic loss %v != plain %v", ep, el.Epochs[ep].Loss, plain.Epochs[ep].Loss)
-		}
+	if !reflect.DeepEqual(plain.Epochs, el.Epochs) {
+		t.Fatalf("fault-free elastic epochs differ from Train:\n%+v\n%+v", el.Epochs, plain.Epochs)
 	}
 	if tensor.MaxAbsDiff(plain.Logits, el.Logits) != 0 {
 		t.Fatal("fault-free elastic logits differ from Train")
+	}
+	for i := range plain.Weights {
+		if !reflect.DeepEqual(plain.Weights[i].Data, el.Weights[i].Data) {
+			t.Fatalf("fault-free elastic weight %d differs from Train", i)
+		}
 	}
 }
 
