@@ -195,7 +195,7 @@ func runPlan(stdout, stderr io.Writer, cfgID, p, ra, n int, dimsStr string, nnz 
 	if sched.Live > 0 {
 		// The Table IV closed form prices dense tiles; swap the
 		// sparse-eligible exchange legs for their data-dependent forms.
-		exd, _, exp := sparseExchangeTotals(sched, p)
+		exd, _, exp := sched.SparseExchangeClosedForm(p, nil)
 		want += exp - exd
 		fmt.Fprintf(stdout, "model:  rdm=%dB (Table IV closed form, sparse exchange legs: dense %dB -> payload %dB)\n",
 			want, exd, exp)
@@ -328,26 +328,6 @@ func runPlanOverlap(stdout, stderr io.Writer, sp plan.Spec, sched *plan.Schedule
 // sparseSeed is the canonical live-set seed the CLI compiles with,
 // matching the planner test suite's convention (dist.GenRows identity).
 const sparseSeed = 3
-
-// sparseExchangeTotals sums the closed-form dense, metadata, and payload
-// bytes of the schedule's sparse-eligible redistributions.
-func sparseExchangeTotals(sched *plan.Schedule, p int) (dense, meta, pay int64) {
-	live := sched.LiveSet()
-	for i := range sched.Sections {
-		for j := range sched.Sections[i].Ops {
-			op := &sched.Sections[i].Ops[j]
-			if op.Kind != plan.KRedist || !op.Sparse ||
-				!costmodel.SparseExchangeEligible(p, op.From, op.To) {
-				continue
-			}
-			dense += costmodel.DenseExchangeBytes(p, op.Rows, op.Cols, op.From, op.To)
-			m, pl := costmodel.SparseExchangeBytes(p, op.Rows, op.Cols, op.From, op.To, live)
-			meta += m
-			pay += pl
-		}
-	}
-	return dense, meta, pay
-}
 
 // runPareto prints the closed-form cost model's whole ordering design
 // space (§IV / Table IV) for one network shape: every configuration's

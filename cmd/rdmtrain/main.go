@@ -195,7 +195,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	if ex.Name() == "sim" {
+	var finalCP *core.Checkpoint
+	switch {
+	case ex.Name() == "sim":
 		switch {
 		case *faults != "":
 			return fail(fmt.Errorf("-engine sim prices the fault-free schedule; drop -faults"))
@@ -205,95 +207,83 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return fail(fmt.Errorf("-engine sim cannot apply sampled masks; drop -fanout"))
 		}
 		res := ex.Train(*gpus, hw.A6000(), prob, opts, *epochs)
-		for i, ep := range res.Epochs {
-			if i%5 == 0 || i == len(res.Epochs)-1 {
-				fmt.Fprintf(stdout, "epoch %3d  sim %.3fms  comm %.3fms  %.2fMB\n",
-					i, ep.Time*1e3, ep.CommTime*1e3, float64(ep.CommBytes)/(1<<20))
-			}
-		}
+		printEpochs(stdout, res.Epochs, false)
 		fmt.Fprintf(stdout, "discrete-event engine: mean epoch %.3fms  throughput %.1f epochs/s (simulated %d GPUs, timing only)\n",
 			res.MeanEpochTime()*1e3, res.EpochsPerSecond(), *gpus)
-		if *traceOut != "" {
-			f, err := os.Create(*traceOut)
-			if err != nil {
-				return fail(err)
-			}
-			if err := trace.WriteChrome(f, opts.Tracer); err != nil {
-				f.Close()
-				return fail(err)
-			}
-			if err := f.Close(); err != nil {
-				return fail(err)
-			}
-			fmt.Fprintf(stdout, "trace written to %s (open in Perfetto / chrome://tracing)\n", *traceOut)
-		}
-		return 0
-	}
-	if *faults != "" {
+	case *faults != "":
 		ff := faultFlags{
 			faults: *faults, seed: *faultSeed, every: *ckEvery,
 			gpus: *gpus, epochs: *epochs, ra: *ra,
-			resume: *resume, save: *save, traceOut: *traceOut,
+			resume: *resume, save: *save,
 		}
 		if *memberOn {
 			ff.member = &member.Config{Seed: *faultSeed, Period: *memberT}
 		}
-		return runElastic(stdout, fail, prob, opts, ff)
-	}
-	var cp *core.Checkpoint
-	if *resume != "" {
-		f, err := os.Open(*resume)
-		if err != nil {
+		if err := runElastic(stdout, prob, opts, ff); err != nil {
 			return fail(err)
 		}
-		cp, err = core.ReadCheckpoint(f)
-		f.Close()
-		if err != nil {
-			return fail(err)
+	default:
+		var cp *core.Checkpoint
+		if *resume != "" {
+			f, err := os.Open(*resume)
+			if err != nil {
+				return fail(err)
+			}
+			cp, err = core.ReadCheckpoint(f)
+			f.Close()
+			if err != nil {
+				return fail(err)
+			}
+			fmt.Fprintf(stdout, "resumed from %s (step %d)\n", *resume, cp.Step)
 		}
-		fmt.Fprintf(stdout, "resumed from %s (step %d)\n", *resume, cp.Step)
+		var res *core.Result
+		res, finalCP = core.TrainResumable(*gpus, hw.A6000(), prob, opts, *epochs, cp)
+		printEpochs(stdout, res.Epochs, true)
+		fmt.Fprintf(stdout, "train accuracy: %.4f   throughput: %.1f epochs/s (simulated %d GPUs)\n",
+			res.Accuracy(prob.Labels, nil), res.EpochsPerSecond(), *gpus)
 	}
-	res, finalCP := core.TrainResumable(*gpus, hw.A6000(), prob, opts, *epochs, cp)
-
-	for i, ep := range res.Epochs {
-		if i%5 == 0 || i == len(res.Epochs)-1 {
-			fmt.Fprintf(stdout, "epoch %3d  loss %.4f  sim %.3fms  comm %.3fms  %.2fMB\n",
-				i, ep.Loss, ep.Time*1e3, ep.CommTime*1e3, float64(ep.CommBytes)/(1<<20))
-		}
-	}
-	fmt.Fprintf(stdout, "train accuracy: %.4f   throughput: %.1f epochs/s (simulated %d GPUs)\n",
-		res.Accuracy(prob.Labels, nil), res.EpochsPerSecond(), *gpus)
 
 	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := trace.WriteChrome(f, opts.Tracer); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*traceOut, func(w io.Writer) error { return trace.WriteChrome(w, opts.Tracer) }); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "trace written to %s (open in Perfetto / chrome://tracing)\n", *traceOut)
 	}
-
 	if *save != "" {
-		f, err := os.Create(*save)
-		if err != nil {
-			return fail(err)
-		}
-		if err := finalCP.Write(f); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
+		if err := writeFile(*save, finalCP.Write); err != nil {
 			return fail(err)
 		}
 		fmt.Fprintf(stdout, "checkpoint written to %s\n", *save)
 	}
 	return 0
+}
+
+// printEpochs prints every fifth epoch and the last; the sim engine
+// carries no loss.
+func printEpochs(w io.Writer, epochs []core.EpochStats, withLoss bool) {
+	for i, ep := range epochs {
+		if i%5 == 0 || i == len(epochs)-1 {
+			loss := ""
+			if withLoss {
+				loss = fmt.Sprintf("  loss %.4f", ep.Loss)
+			}
+			fmt.Fprintf(w, "epoch %3d%s  sim %.3fms  comm %.3fms  %.2fMB\n",
+				i, loss, ep.Time*1e3, ep.CommTime*1e3, float64(ep.CommBytes)/(1<<20))
+		}
+	}
+}
+
+// writeFile creates path and fills it with write.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 // shapeFlags are the flag values checkFlags validates.
@@ -372,26 +362,25 @@ type faultFlags struct {
 	every            int
 	gpus, epochs, ra int
 	resume, save     string
-	traceOut         string
 	member           *member.Config
 }
 
 // runElastic trains under an injected fault schedule with elastic
 // recovery, printing a per-recovery summary alongside the usual epoch
 // report. See RESILIENCE.md for the schedule grammar and fault model.
-func runElastic(stdout io.Writer, fail func(error) int, prob *core.Problem, opts core.Options, ff faultFlags) int {
+func runElastic(stdout io.Writer, prob *core.Problem, opts core.Options, ff faultFlags) error {
 	if ff.resume != "" || ff.save != "" {
-		return fail(fmt.Errorf("-faults runs checkpoint internally for recovery; drop -resume/-save"))
+		return fmt.Errorf("-faults runs checkpoint internally for recovery; drop -resume/-save")
 	}
 	if ff.ra > 1 {
-		return fail(fmt.Errorf("-faults needs -ra 0 or 1: a fixed replication factor cannot divide every shrunken world"))
+		return fmt.Errorf("-faults needs -ra 0 or 1: a fixed replication factor cannot divide every shrunken world")
 	}
 	sched, err := fault.ParseSchedule(ff.faults)
 	if err != nil {
-		return fail(err)
+		return err
 	}
 	if err := sched.Validate(ff.gpus); err != nil {
-		return fail(err)
+		return err
 	}
 
 	el := core.TrainElastic(ff.gpus, hw.A6000(), prob, opts, ff.epochs, core.ElasticOptions{
@@ -401,12 +390,7 @@ func runElastic(stdout io.Writer, fail func(error) int, prob *core.Problem, opts
 		Membership:      ff.member,
 	})
 
-	for i, ep := range el.Epochs {
-		if i%5 == 0 || i == len(el.Epochs)-1 {
-			fmt.Fprintf(stdout, "epoch %3d  loss %.4f  sim %.3fms  comm %.3fms  %.2fMB\n",
-				i, ep.Loss, ep.Time*1e3, ep.CommTime*1e3, float64(ep.CommBytes)/(1<<20))
-		}
-	}
+	printEpochs(stdout, el.Epochs, true)
 	for i, rec := range el.Recoveries {
 		fmt.Fprintf(stdout, "recovery %d: epoch %d fault (failed ranks %v) -> rollback to epoch %d, world %d->%d, reshard %.3fMB (model %.3fMB) at sim %.3fms\n",
 			i, rec.AbortEpoch, rec.Failed, rec.ResumeEpoch, rec.OldP, rec.NewP,
@@ -418,20 +402,5 @@ func runElastic(stdout io.Writer, fail func(error) int, prob *core.Problem, opts
 	}
 	fmt.Fprintf(stdout, "finished on %d/%d devices (survivors %v)  train accuracy: %.4f\n",
 		el.FinalP, ff.gpus, el.FinalSurvivors, el.Accuracy(prob.Labels, nil))
-
-	if ff.traceOut != "" {
-		f, err := os.Create(ff.traceOut)
-		if err != nil {
-			return fail(err)
-		}
-		if err := trace.WriteChrome(f, opts.Tracer); err != nil {
-			f.Close()
-			return fail(err)
-		}
-		if err := f.Close(); err != nil {
-			return fail(err)
-		}
-		fmt.Fprintf(stdout, "trace written to %s (open in Perfetto / chrome://tracing)\n", ff.traceOut)
-	}
-	return 0
+	return nil
 }

@@ -20,7 +20,6 @@
 package baselines
 
 import (
-	"math"
 	"math/rand"
 
 	"gnnrdm/internal/comm"
@@ -182,9 +181,9 @@ func (vt *vertexTrainer) epoch() float64 {
 	return vt.lastLoss
 }
 
-// runHarness executes the shared epoch loop with the same metric
-// collection as core.Train, for any per-device trainer factory. ranges
-// gives each device's owned global vertex range for logit assembly.
+// runHarness trains one per-device trainer on every device through
+// core.RunEpochs, so each epoch is measured as core.Train measures it.
+// Logits assemble from each device's owned global vertex range.
 func runHarness(p int, model *hw.Model, epochs int, n, fL int,
 	tracer *trace.Tracer, traceLabel string,
 	mk func(dev *comm.Device) *vertexTrainer) *core.Result {
@@ -192,43 +191,12 @@ func runHarness(p int, model *hw.Model, epochs int, n, fL int,
 	fabric := comm.NewFabric(p, model)
 	fabric.SetTracer(tracer, traceLabel)
 	trainers := make([]*vertexTrainer, p)
-	stats := make([][]core.EpochStats, p)
-	volumes := make([]int64, epochs)
-
-	fabric.Run(func(d *comm.Device) {
+	res := &core.Result{Epochs: core.RunEpochs(fabric, epochs, func(d *comm.Device) func(int) (float64, float64) {
 		vt := mk(d)
 		trainers[d.Rank] = vt
-		var prevClock, prevComm, prevComp float64
-		for ep := 0; ep < epochs; ep++ {
-			loss := vt.epoch()
-			d.Barrier(d.World())
-			if d.Rank == 0 {
-				volumes[ep] = fabric.TotalVolume()
-			}
-			stats[d.Rank] = append(stats[d.Rank], core.EpochStats{
-				Loss:        loss,
-				Time:        d.Clock() - prevClock,
-				CommTime:    d.CommTime() - prevComm,
-				ComputeTime: d.ComputeTime() - prevComp,
-			})
-			prevClock, prevComm, prevComp = d.Clock(), d.CommTime(), d.ComputeTime()
-			d.Barrier(d.World())
-		}
-	})
-
-	res := &core.Result{Weights: trainers[0].weights}
-	var prevVol int64
-	for ep := 0; ep < epochs; ep++ {
-		es := core.EpochStats{Loss: stats[0][ep].Loss, CommBytes: volumes[ep] - prevVol}
-		prevVol = volumes[ep]
-		for r := 0; r < p; r++ {
-			s := stats[r][ep]
-			es.Time = math.Max(es.Time, s.Time)
-			es.CommTime = math.Max(es.CommTime, s.CommTime)
-			es.ComputeTime = math.Max(es.ComputeTime, s.ComputeTime)
-		}
-		res.Epochs = append(res.Epochs, es)
-	}
+		return func(int) (float64, float64) { return vt.epoch(), 0 }
+	})}
+	res.Weights = trainers[0].weights
 	res.Logits = tensor.NewDense(n, fL)
 	for r := 0; r < p; r++ {
 		lo, _ := trainers[r].agg.OwnRange()

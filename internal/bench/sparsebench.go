@@ -20,10 +20,10 @@ import (
 	"gnnrdm/internal/costmodel"
 	"gnnrdm/internal/dist"
 	"gnnrdm/internal/graph"
-	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/sparse"
 	"gnnrdm/internal/tensor"
+	"gnnrdm/internal/verify"
 )
 
 // SparseDensities is the density sweep rdmbench sparse runs.
@@ -131,28 +131,6 @@ func sparseSpec(n int, dims []int, id, p, live int, sseed int64) plan.Spec {
 	}
 }
 
-// exchangeLegBytes sums, over the schedule's sparse-eligible
-// redistributions, the §IV dense tile bytes those ops would ship under
-// the dense protocol and the closed-form metadata/payload bytes the
-// two-round sparse protocol ships instead.
-func exchangeLegBytes(s *plan.Schedule, p int) (dense, meta, pay int64) {
-	live := s.LiveSet()
-	for i := range s.Sections {
-		for j := range s.Sections[i].Ops {
-			op := &s.Sections[i].Ops[j]
-			if op.Kind != plan.KRedist || !op.Sparse ||
-				!costmodel.SparseExchangeEligible(p, op.From, op.To) {
-				continue
-			}
-			dense += costmodel.DenseExchangeBytes(p, op.Rows, op.Cols, op.From, op.To)
-			m, pl := costmodel.SparseExchangeBytes(p, op.Rows, op.Cols, op.From, op.To, live)
-			meta += m
-			pay += pl
-		}
-	}
-	return dense, meta, pay
-}
-
 // RunSparse sweeps feature density on a row-sparsified dataset, pricing
 // all orderings and live-training the probe subset with meter==model
 // enforcement, then prices the headline argmin-shift shape. See the
@@ -213,7 +191,7 @@ func RunSparse(cfg Config) (*SparseResult, error) {
 			sched := plan.Compile(sparseSpec(n, dims, id, p, live, sseed)).Optimize()
 			c := sched.Price(nnz, cfg.HW)
 			abc := sched.ABC().Price(nnz, cfg.HW)
-			exd, exm, exp := exchangeLegBytes(sched, p)
+			exd, exm, exp := sched.SparseExchangeClosedForm(p, nil)
 			row := SparseRow{
 				Density: d, Live: live, Config: id,
 				TimeSec: c.Time, RDMBytes: c.RDMBytes(), SideBytes: c.Side,
@@ -284,15 +262,8 @@ func meterSparseCell(cfg Config, prob *core.Problem, sp plan.Spec, c plan.Cost) 
 		eng := core.NewEngine(dev, prob, o)
 		eng.Epoch()
 	})
-	m := fab.Meters()
-	if got := m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather]; got != c.RDMBytes() {
-		return fmt.Errorf("sparse cfg%02d live=%d: metered RDM %d bytes, priced %d", sp.Config.ID(), sp.Live, got, c.RDMBytes())
-	}
-	if got := m.Volume[hw.OpAllReduce]; got != c.AllReduce {
-		return fmt.Errorf("sparse cfg%02d live=%d: metered all-reduce %d bytes, priced %d", sp.Config.ID(), sp.Live, got, c.AllReduce)
-	}
-	if got := m.TotalSideVolume(); got != c.Side {
-		return fmt.Errorf("sparse cfg%02d live=%d: metered side %d bytes, priced %d", sp.Config.ID(), sp.Live, got, c.Side)
+	if err := verify.MetersMatchPrice(fab.Meters(), c, false); err != nil {
+		return fmt.Errorf("sparse cfg%02d live=%d: %w", sp.Config.ID(), sp.Live, err)
 	}
 	return nil
 }

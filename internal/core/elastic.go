@@ -18,8 +18,9 @@ import (
 )
 
 // ElasticOptions configures fault injection and recovery for
-// TrainElastic. The zero value trains with no schedule, CRC armed, the
-// default retry policy, and a checkpoint after every epoch.
+// TrainElastic. The zero value trains with no schedule, which is Train.
+// Under a schedule the defaults are CRC armed, the default retry policy,
+// and a checkpoint after every epoch.
 type ElasticOptions struct {
 	// Schedule is the fault schedule to inject (nil = none). Ranks
 	// address the ORIGINAL P-rank world.
@@ -110,11 +111,6 @@ type ElasticResult struct {
 	FinalSurvivors []int
 }
 
-// deviceEpoch is one device's contribution to an epoch's makespan.
-type deviceEpoch struct {
-	time, comm, comp float64
-}
-
 // TrainElastic runs distributed RDM training under an injected fault
 // schedule with elastic recovery: when a rank crashes, the survivors
 // observe typed fault errors (never a deadlock), cooperatively abandon
@@ -123,27 +119,41 @@ type deviceEpoch struct {
 // feature tiles over the fabric (metered and traced, rows of dead ranks
 // re-read from storage), and continue training. Non-fatal faults
 // (transient drops, CRC-caught bit flips) are absorbed by the fabric's
-// retry path without re-formation.
+// retry path without re-formation. With no schedule it is Train.
 //
 // Determinism: with a fixed schedule, seed, and options, two runs
-// produce identical losses, metered bytes, and traces. opts.RA must be
-// 0 (full replication, re-derived per world) or 1, since a fixed
-// replication factor cannot divide every shrunken world size.
+// produce identical losses, metered bytes, and traces. When the
+// schedule crashes a rank, opts.RA must be 0 (full replication,
+// re-derived per world) or 1, since a fixed replication factor cannot
+// divide every shrunken world size.
 func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs int, eo ElasticOptions) *ElasticResult {
 	if epochs < 1 {
 		panic("core: TrainElastic needs at least one epoch")
 	}
-	if opts.RA > 1 {
-		panic(fmt.Sprintf("core: TrainElastic requires RA 0 or 1, got %d", opts.RA))
-	}
-	opts.withDefaults(p).validate(p, prob)
+	res, _ := train(p, model, prob, opts, epochs, eo, nil)
+	return res
+}
+
+// train is the one training driver: every world it forms runs the
+// epoch loop (epochLog.run) on a fresh fabric. Every device of the first
+// world restores from, when non-nil, before its first epoch; a world
+// formed after a rollback restores the last durable checkpoint. It
+// returns the result and the final world's rank-0 engine. With no
+// schedule events nothing can fail, so the injector, the per-epoch
+// checkpoints and the world-numbered trace sessions are skipped.
+func train(p int, model *hw.Model, prob *Problem, opts Options, epochs int, eo ElasticOptions, from *Checkpoint) (*ElasticResult, *Engine) {
 	sched := eo.Schedule
 	if sched == nil {
 		sched = &fault.Schedule{}
 	}
+	if opts.RA > 1 && len(sched.Crashes()) > 0 {
+		panic(fmt.Sprintf("core: TrainElastic requires RA 0 or 1, got %d", opts.RA))
+	}
+	opts.withDefaults(p).validate(p, prob) // fail on the caller's goroutine, not a device's
 	if err := sched.Validate(p); err != nil {
 		panic(err)
 	}
+	faulty := len(sched.Events) > 0
 	inj := fault.NewInjector(sched, eo.FaultSeed, p)
 	ckEvery := eo.CheckpointEvery
 	if ckEvery < 1 {
@@ -159,22 +169,21 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 	}
 	label := opts.TraceLabel
 	if label == "" {
-		label = "rdm-elastic"
+		label = "rdm"
+		if faulty {
+			label = "rdm-elastic"
+		}
 	}
 
 	n, f0 := prob.N(), prob.X.Cols
-	rowNNZ := make([]int, n)
-	for r := 0; r < n; r++ {
-		rowNNZ[r] = int(prob.A.RowPtr[r+1] - prob.A.RowPtr[r])
-	}
-
 	orig := make([]int, p) // orig[fabricRank] = original rank
 	for i := range orig {
 		orig[i] = i
 	}
 	clocks := make([]float64, p)
 	var ckBytes []byte // last durable checkpoint, wire format
-	ckEpoch := 0       // epochs it captures (0 = fresh init)
+	ckEpoch := 0       // epochs it captures (0 = the starting state)
+	resume := from
 
 	res := &ElasticResult{}
 	epochStats := make([]EpochStats, epochs)
@@ -190,7 +199,11 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 			fabric.SetTopology(opts.Topology)
 		}
 		if opts.Tracer != nil {
-			fabric.SetTracer(opts.Tracer, fmt.Sprintf("%s/w%d", label, world))
+			session := label
+			if faulty {
+				session = fmt.Sprintf("%s/w%d", label, world)
+			}
+			fabric.SetTracer(opts.Tracer, session)
 		}
 		fabric.SeedClocks(clocks)
 		fabric.SetRetryPolicy(retry)
@@ -198,10 +211,11 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 		if eo.CollectiveDeadline > 0 {
 			fabric.SetCollectiveDeadline(eo.CollectiveDeadline)
 		}
-		inj.Remap(orig)
-		inj.Arm(fabric)
+		if faulty {
+			inj.Remap(orig)
+			inj.Arm(fabric)
+		}
 
-		var resume *Checkpoint
 		if ckBytes != nil {
 			cp, err := ReadCheckpoint(bytes.NewReader(ckBytes))
 			if err != nil {
@@ -221,7 +235,7 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 		engines := make([]*Engine, curP)
 		crashed := make([]bool, curP)
 		aborted := make([]error, curP)
-		perEpoch := make([][]deviceEpoch, curP)
+		log := newEpochLog(curP, startEpoch)
 		ckCandidate := make(map[int][]byte) // completed-epoch count -> snapshot bytes
 
 		fabric.Run(func(d *comm.Device) {
@@ -241,7 +255,7 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 						return
 					}
 				}
-				panic(r) // genuine bug: let the fabric re-raise it
+				panic(r) // genuine bug (or a bad resume checkpoint): let the fabric re-raise it
 			}()
 
 			eng := NewEngine(d, prob, opts)
@@ -252,7 +266,6 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 				}
 			}
 
-			var reshardVol int64
 			if pendingShrink != nil {
 				// Recovery traffic: move the surviving H row panels of A
 				// and tiles of X onto the new partition. Injected round
@@ -274,61 +287,39 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 				d.Barrier(d.World())
 				if d.Rank == 0 {
 					// Peers are parked at the barrier; snapshot is race-free.
-					reshardVol = fabric.TotalVolume()
-					rec.ReshardBytes = reshardVol
+					rec.ReshardBytes = fabric.TotalVolume()
 				}
 			}
 
-			prevClock, prevComm, prevComp := d.Clock(), d.CommTime(), d.ComputeTime()
-			prevVol := reshardVol
-			for ep := startEpoch; ep < epochs; ep++ {
-				d.SetFaultEpoch(ep)
-				inj.AtEpochStart(d, ep) // may panic Killed
+			log.run(d, readClocks(d), epochs, func(ep int) (float64, float64) {
+				if faulty {
+					d.SetFaultEpoch(ep)
+					inj.AtEpochStart(d, ep) // may panic Killed
+				}
 				loss := eng.Epoch()
 				acc := 0.0
 				if opts.EvalMask != nil {
 					acc = eng.EvalAccuracy(opts.EvalMask)
 				}
-				d.Barrier(d.World())
-				if d.Rank == 0 {
-					vol := fabric.TotalVolume()
-					epochStats[ep] = EpochStats{Loss: loss, EvalAcc: acc, CommBytes: vol - prevVol}
-					prevVol = vol
-				}
-				perEpoch[d.Rank] = append(perEpoch[d.Rank], deviceEpoch{
-					time: d.Clock() - prevClock,
-					comm: d.CommTime() - prevComm,
-					comp: d.ComputeTime() - prevComp,
-				})
-				prevClock, prevComm, prevComp = d.Clock(), d.CommTime(), d.ComputeTime()
-				if d.Rank == 0 && (ep+1-startEpoch)%ckEvery == 0 {
+				if faulty && d.Rank == 0 && (ep+1-startEpoch)%ckEvery == 0 {
+					// Kept only if every device completes the epoch.
 					var buf bytes.Buffer
 					if err := eng.Snapshot().Write(&buf); err != nil {
 						panic(err)
 					}
 					ckCandidate[ep+1] = buf.Bytes()
 				}
-				d.Barrier(d.World())
-			}
+				return loss, acc
+			})
 		})
 
 		// An epoch's numbers are trustworthy once every device completed
-		// it; fold per-device maxima into the shared stats (replayed
-		// epochs overwrite, so the final timeline wins).
-		completed := epochs - startEpoch
-		for _, pe := range perEpoch {
-			completed = min(completed, len(pe))
+		// it (replayed epochs overwrite, so the final timeline wins).
+		var base int64
+		if pendingShrink != nil {
+			base = rec.ReshardBytes
 		}
-		for k := 0; k < completed; k++ {
-			ep := startEpoch + k
-			var t, cm, cp float64
-			for r := 0; r < curP; r++ {
-				t = math.Max(t, perEpoch[r][k].time)
-				cm = math.Max(cm, perEpoch[r][k].comm)
-				cp = math.Max(cp, perEpoch[r][k].comp)
-			}
-			epochStats[ep].Time, epochStats[ep].CommTime, epochStats[ep].ComputeTime = t, cm, cp
-		}
+		completed := log.fold(epochStats, base)
 
 		// Durable checkpoints: every checkpoint rank 0 cut at a completed
 		// epoch boundary made it to storage, crash or not.
@@ -355,14 +346,19 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 			// Clean finish: assemble the final result from this world.
 			res.Epochs = epochStats
 			res.Weights = engines[0].Weights()
-			tiles := make([]*dist.Mat, curP)
-			for r := 0; r < curP; r++ {
-				tiles[r] = engines[r].LastLogits()
+			if epochs > 0 {
+				tiles := make([]*dist.Mat, curP)
+				for r := 0; r < curP; r++ {
+					tiles[r] = engines[r].LastLogits()
+				}
+				res.Logits = dist.Assemble(tiles)
+			} else {
+				// Zero-epoch run: no forward pass produced logits.
+				res.Logits = tensor.NewDense(0, 0)
 			}
-			res.Logits = dist.Assemble(tiles)
 			res.FinalP = curP
 			res.FinalSurvivors = orig
-			return res
+			return res, engines[0]
 		}
 
 		if len(res.Recoveries) >= maxRec {
@@ -442,6 +438,10 @@ func TrainElastic(p int, model *hw.Model, prob *Problem, opts Options, epochs in
 			}
 		}
 		if len(failed) > 0 {
+			rowNNZ := make([]int, n)
+			for r := range rowNNZ {
+				rowNNZ[r] = int(prob.A.RowPtr[r+1] - prob.A.RowPtr[r])
+			}
 			recNew.PredictedReshardBytes = costmodel.ShrinkTrafficDense(n, f0, curP, survFab) +
 				costmodel.ShrinkTrafficCSR(n, curP, survFab, rowNNZ)
 			pendingShrink = &dist.ShrinkSpec{OldP: curP, Survivors: survFab}

@@ -15,9 +15,9 @@ import (
 // discrete-event backend (internal/sim) prices the identical run —
 // same clocks, same comm/compute time, same metered bytes, pinned
 // bit-exact by verify.CheckSimMatchesFabric — without moving a byte of
-// payload, which is what makes P=4096 sweeps interactive. Performance
-// studies (rdmbench) choose by name via ExecutorFor; numerics
-// consumers stay on the fabric.
+// payload, which is what makes P=4096 sweeps interactive. The rdmtrain
+// CLI chooses by name (-engine) via ExecutorFor; numerics consumers
+// stay on the fabric.
 type Executor interface {
 	// Name is the stable CLI name ("fabric", "sim").
 	Name() string
@@ -40,9 +40,9 @@ func (FabricExecutor) Train(p int, model *hw.Model, prob *Problem, opts Options,
 
 // SimExecutor executes on the discrete-event engine. It compiles the
 // exact schedule NewEngine would run, prices it with the engine's real
-// panel census, and replays TrainResumable's barrier/snapshot protocol,
-// so every timing and traffic field of the Result is bit-identical to
-// the fabric executor's.
+// panel census, and replays the training driver's barrier/snapshot
+// protocol (epochLog.run), so every timing and traffic field of the
+// Result is bit-identical to the fabric executor's.
 type SimExecutor struct {
 	// Cache, when non-nil, shares redistribution censuses across runs
 	// of one (P, model, topology) context — a sweep passes one cache
@@ -75,29 +75,24 @@ func (x SimExecutor) Train(p int, model *hw.Model, prob *Problem, opts Options, 
 		Census: PanelCensus(prob, p, opts.RA),
 		HW:     model, Topology: opts.Topology,
 		Epochs: epochs, Overlap: opts.Overlap,
-		EpochBarriers: 2, // TrainResumable's protocol
+		EpochBarriers: 2, // epochLog.run's protocol
 		Tracer:        opts.Tracer, TraceLabel: opts.TraceLabel,
 		Cache: x.Cache,
 	})
-	res := &Result{}
-	prevT := make([]float64, p)
-	prevC := make([]float64, p)
-	prevK := make([]float64, p)
-	var prevB int64
-	for ep := 0; ep < epochs; ep++ {
-		var es EpochStats
-		for r := 0; r < p; r++ {
-			es.Time = max(es.Time, sr.EpochClock[ep][r]-prevT[r])
-			es.CommTime = max(es.CommTime, sr.EpochComm[ep][r]-prevC[r])
-			es.ComputeTime = max(es.ComputeTime, sr.EpochCompute[ep][r]-prevK[r])
+	// The replay's per-epoch clocks are the ones the fabric's devices
+	// book at each epoch's end; fold them the one way.
+	l := newEpochLog(p, 0)
+	for r := range l.marks {
+		l.marks[r] = append(l.marks[r], devClocks{})
+		for ep := 0; ep < epochs; ep++ {
+			l.marks[r] = append(l.marks[r], devClocks{sr.EpochClock[ep][r], sr.EpochComm[ep][r], sr.EpochCompute[ep][r]})
 		}
-		es.CommBytes = sr.EpochBytes[ep] - prevB
-		prevB = sr.EpochBytes[ep]
-		copy(prevT, sr.EpochClock[ep])
-		copy(prevC, sr.EpochComm[ep])
-		copy(prevK, sr.EpochCompute[ep])
-		res.Epochs = append(res.Epochs, es)
 	}
+	for _, b := range sr.EpochBytes {
+		l.rank0 = append(l.rank0, EpochStats{CommBytes: b})
+	}
+	res := &Result{Epochs: make([]EpochStats, epochs)}
+	l.fold(res.Epochs, 0)
 	res.Logits = tensor.NewDense(0, 0)
 	return res
 }

@@ -5,7 +5,6 @@ import (
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/costmodel"
-	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/nn"
 	"gnnrdm/internal/tensor"
@@ -89,90 +88,87 @@ func Train(p int, model *hw.Model, prob *Problem, opts Options, epochs int) *Res
 
 // TrainResumable is Train with checkpointing: when resume is non-nil,
 // every device restores it before the first epoch; the final model state
-// is returned as a new checkpoint alongside the result.
+// is returned as a new checkpoint alongside the result. It is the
+// elastic driver (TrainElastic) with no fault schedule.
 func TrainResumable(p int, model *hw.Model, prob *Problem, opts Options, epochs int, resume *Checkpoint) (*Result, *Checkpoint) {
-	opts = opts.withDefaults(p)
-	opts.validate(p, prob) // fail on the caller's goroutine, not a device's
-	fabric := comm.NewFabric(p, model)
-	if opts.Topology != nil {
-		fabric.SetTopology(opts.Topology)
-	}
-	if opts.Tracer != nil {
-		label := opts.TraceLabel
-		if label == "" {
-			label = "rdm"
-		}
-		fabric.SetTracer(opts.Tracer, label)
-	}
-	engines := make([]*Engine, p)
-	stats := make([][]EpochStats, p)
-	volumes := make([]int64, epochs)
-	restoreErrs := make([]error, p)
+	res, eng := train(p, model, prob, opts, epochs, ElasticOptions{}, resume)
+	return &res.Result, eng.Snapshot()
+}
 
-	fabric.Run(func(d *comm.Device) {
-		eng := NewEngine(d, prob, opts)
-		engines[d.Rank] = eng
-		if resume != nil {
-			if err := eng.Restore(resume); err != nil {
-				restoreErrs[d.Rank] = err
-				return
-			}
-		}
-		var prevClock, prevComm, prevComp float64
-		for ep := 0; ep < epochs; ep++ {
-			loss := eng.Epoch()
-			acc := 0.0
-			if opts.EvalMask != nil {
-				acc = eng.EvalAccuracy(opts.EvalMask)
-			}
-			d.Barrier(d.World())
-			if d.Rank == 0 {
-				// All devices are parked at the barrier above and cannot
-				// issue collectives until rank 0 reaches the next one, so
-				// the volume snapshot is race-free.
-				volumes[ep] = fabric.TotalVolume()
-			}
-			stats[d.Rank] = append(stats[d.Rank], EpochStats{
-				Loss:        loss,
-				EvalAcc:     acc,
-				Time:        d.Clock() - prevClock,
-				CommTime:    d.CommTime() - prevComm,
-				ComputeTime: d.ComputeTime() - prevComp,
-			})
-			prevClock, prevComm, prevComp = d.Clock(), d.CommTime(), d.ComputeTime()
-			d.Barrier(d.World())
-		}
-	})
+// devClocks is one device's cumulative clock, communication and compute
+// time.
+type devClocks struct{ clock, comm, comp float64 }
 
-	if restoreErrs[0] != nil {
-		// Restore is deterministic across devices: either all failed
-		// (before any collective) or none did.
-		panic(restoreErrs[0])
-	}
-	res := &Result{Weights: engines[0].Weights()}
-	var prevVol int64
-	for ep := 0; ep < epochs; ep++ {
-		es := EpochStats{Loss: stats[0][ep].Loss, EvalAcc: stats[0][ep].EvalAcc, CommBytes: volumes[ep] - prevVol}
-		prevVol = volumes[ep]
-		for r := 0; r < p; r++ {
-			s := stats[r][ep]
-			es.Time = math.Max(es.Time, s.Time)
-			es.CommTime = math.Max(es.CommTime, s.CommTime)
-			es.ComputeTime = math.Max(es.ComputeTime, s.ComputeTime)
+func readClocks(d *comm.Device) devClocks { return devClocks{d.Clock(), d.CommTime(), d.ComputeTime()} }
+
+// epochLog books the epochs one world runs from epoch first on: rank
+// 0's loss, accuracy and cumulative fabric volume (in CommBytes) at each
+// epoch's end, and every device's clocks before its first epoch and at
+// each epoch's end. Each rank appends only to its own entries.
+type epochLog struct {
+	first int
+	rank0 []EpochStats
+	marks [][]devClocks // [rank][k]: k = 0 before the first epoch, k+1 after epoch first+k
+}
+
+func newEpochLog(p, first int) *epochLog {
+	return &epochLog{first: first, marks: make([][]devClocks, p)}
+}
+
+// run is the epoch loop every trainer's devices execute, with from as
+// device d's clocks before its first epoch: step runs epoch ep and
+// returns its loss and accuracy; the world then meets at a barrier,
+// rank 0 books the fabric volume while its peers are parked there (so
+// the read is race-free), every device books its clocks, and a second
+// barrier releases the next epoch.
+func (l *epochLog) run(d *comm.Device, from devClocks, end int, step func(ep int) (loss, acc float64)) {
+	l.marks[d.Rank] = append(l.marks[d.Rank], from)
+	for ep := l.first; ep < end; ep++ {
+		loss, acc := step(ep)
+		d.Barrier(d.World())
+		if d.Rank == 0 {
+			l.rank0 = append(l.rank0, EpochStats{Loss: loss, EvalAcc: acc, CommBytes: d.F.TotalVolume()})
 		}
-		res.Epochs = append(res.Epochs, es)
+		l.marks[d.Rank] = append(l.marks[d.Rank], readClocks(d))
+		d.Barrier(d.World())
 	}
-	if engines[0].LastLogits() != nil {
-		tiles := make([]*dist.Mat, p)
-		for r := 0; r < p; r++ {
-			tiles[r] = engines[r].LastLogits()
+}
+
+// fold writes each epoch every device completed into out[first+k]: the
+// makespan, comm and compute times are maxima over devices of that
+// epoch's deltas; loss, accuracy and bytes are rank 0's. base is the
+// fabric volume before the first epoch. It returns the number of
+// completed epochs.
+func (l *epochLog) fold(out []EpochStats, base int64) int {
+	done := len(l.rank0)
+	for _, m := range l.marks {
+		done = min(done, max(len(m)-1, 0))
+	}
+	prev := base
+	for k := 0; k < done; k++ {
+		es := l.rank0[k]
+		es.CommBytes, prev = es.CommBytes-prev, es.CommBytes
+		for _, m := range l.marks {
+			es.Time = math.Max(es.Time, m[k+1].clock-m[k].clock)
+			es.CommTime = math.Max(es.CommTime, m[k+1].comm-m[k].comm)
+			es.ComputeTime = math.Max(es.ComputeTime, m[k+1].comp-m[k].comp)
 		}
-		res.Logits = dist.Assemble(tiles)
-	} else {
-		// Zero-epoch run: no forward pass produced logits.
-		res.Logits = tensor.NewDense(0, 0)
+		out[l.first+k] = es
 	}
-	return res, engines[0].Snapshot()
+	return done
+}
+
+// RunEpochs runs epochs 0..epochs-1 of a trainer on every device of a
+// fresh fabric and measures each the way Train does. start builds device
+// d's trainer and returns its step, which runs epoch ep and returns the
+// loss and evaluation accuracy. Whatever clock time start takes counts
+// toward epoch 0.
+func RunEpochs(fabric *comm.Fabric, epochs int, start func(d *comm.Device) func(ep int) (loss, acc float64)) []EpochStats {
+	l := newEpochLog(fabric.P, 0)
+	fabric.Run(func(d *comm.Device) { l.run(d, devClocks{}, epochs, start(d)) })
+	out := make([]EpochStats, epochs)
+	l.fold(out, 0)
+	return out
 }
 
 // Evaluate runs a forward pass with the given weights already embedded in

@@ -68,8 +68,8 @@ func (r *ReplayResult) MaxClock() float64 {
 // schedule with per-device clocks carried across epoch boundaries,
 // under the overlap executor's lane model or the sequential
 // interpreter's single timeline, with barriers world barriers after
-// each epoch (0 = a bare Engine.Epoch loop, 2 = core.TrainResumable's
-// barrier/snapshot protocol). A nil cache prices with a private one; a
+// each epoch (0 = a bare Engine.Epoch loop, 2 = the barrier/snapshot
+// protocol of core's one training driver, under Train and TrainElastic). A nil cache prices with a private one; a
 // non-nil tracer records the synthesized timeline into a virtual
 // session named label. sim.Run is the validated entry point — Replay
 // trusts its arguments.
@@ -341,7 +341,7 @@ func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) {
 				}
 			}
 		}
-		// TrainResumable's protocol: barrier, stats snapshot, barrier.
+		// The training driver's protocol: barrier, stats snapshot, barrier.
 		// With no barriers (a bare Epoch loop) the snapshot lands at the
 		// epoch join.
 		if e.nbarr == 0 {

@@ -20,6 +20,7 @@ package plan
 import (
 	"math"
 
+	"gnnrdm/internal/costmodel"
 	"gnnrdm/internal/dist"
 	"gnnrdm/internal/topo"
 )
@@ -31,6 +32,38 @@ func (s *Schedule) LiveSet() []int32 {
 		return nil
 	}
 	return dist.GenRows(s.SparseSeed, s.N, s.Live)
+}
+
+// SparseExchangeClosedForm sums, over the schedule's redistributions
+// that run the two-round sparse exchange at P=p, the dense tile bytes
+// those ops would ship under the dense protocol
+// (costmodel.DenseExchangeBytes) and the metadata and payload bytes they
+// ship instead (costmodel.SparseExchangeBytes). The formulas never
+// consult the replay, so they are an accounting of the exchange
+// independent of the pricer's. each, when non-nil, also receives every
+// such op with its index in section walk order (its Cost.PerOp index)
+// and its metadata and payload bytes.
+func (s *Schedule) SparseExchangeClosedForm(p int, each func(i int, op *Op, meta, pay int64)) (dense, meta, pay int64) {
+	live := s.LiveSet()
+	i := -1
+	for si := range s.Sections {
+		for j := range s.Sections[si].Ops {
+			i++
+			op := &s.Sections[si].Ops[j]
+			if op.Kind != KRedist || !op.Sparse ||
+				!costmodel.SparseExchangeEligible(p, op.From, op.To) {
+				continue
+			}
+			dense += costmodel.DenseExchangeBytes(p, op.Rows, op.Cols, op.From, op.To)
+			m, pl := costmodel.SparseExchangeBytes(p, op.Rows, op.Cols, op.From, op.To, live)
+			meta += m
+			pay += pl
+			if each != nil {
+				each(i, op, m, pl)
+			}
+		}
+	}
+	return dense, meta, pay
 }
 
 // SparseEligible reports whether a from→to conversion runs the

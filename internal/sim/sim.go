@@ -64,10 +64,10 @@ type Config struct {
 	Overlap bool
 	// EpochBarriers is the number of world barriers after each epoch: 0
 	// reproduces a bare Engine.Epoch loop (verify's differential
-	// harnesses), 2 reproduces core.TrainResumable's barrier/snapshot
-	// protocol. Per-epoch snapshots are taken after the first barrier
-	// (or at the epoch join when 0), matching where TrainResumable
-	// reads its stats.
+	// harnesses), 2 reproduces the barrier/snapshot protocol of core's
+	// one training driver (under Train and TrainElastic). Per-epoch
+	// snapshots are taken after the first barrier (or at the epoch join
+	// when 0), matching where that driver reads its stats.
 	EpochBarriers int
 	// Tracer, when non-nil, records the synthesized timeline into a
 	// virtual session labelled TraceLabel (default "sim"). Tracing off

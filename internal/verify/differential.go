@@ -209,9 +209,11 @@ func scheduleFor(prob *core.Problem, p int, o core.Options) *plan.Schedule {
 // CheckScheduleMatchesMeters trains one epoch under arbitrary options —
 // including mixed per-layer orderings and GraphSAGE, which the closed-form
 // §IV model does not cover — and reconciles the fabric's meters against
-// the compiled schedule's per-op prices exactly: RDM volume (all-to-all +
-// allgather), gradient/loss all-reduce volume, and side-channel mask
-// bytes. Options must not request per-epoch accuracy evaluation
+// the compiled schedule's per-op prices exactly (MetersMatchPrice): RDM
+// volume (all-to-all + allgather), gradient/loss all-reduce volume,
+// side-channel mask bytes and, when o.Topology is set, the per-link-tier
+// split of the primary and side volumes against the topology-aware
+// prices. Options must not request per-epoch accuracy evaluation
 // (EvalMask), whose all-reduce is outside the epoch schedule.
 func CheckScheduleMatchesMeters(t testing.TB, prob *core.Problem, p int, o core.Options) {
 	t.Helper()
@@ -219,18 +221,47 @@ func CheckScheduleMatchesMeters(t testing.TB, prob *core.Problem, p int, o core.
 		panic("verify: CheckScheduleMatchesMeters with EvalMask")
 	}
 	fab := TrainFabric(p, prob, o, 1)
-	c := scheduleFor(prob, p, o).Price(prob.A.NNZ(), hw.A6000())
-	m := fab.Meters()
-	if got := m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather]; got != c.RDMBytes() {
-		t.Fatalf("P=%d: metered RDM volume %d bytes, schedule prices %d (Δ=%d)",
-			p, got, c.RDMBytes(), got-c.RDMBytes())
+	c := scheduleFor(prob, p, o).PriceOn(prob.A.NNZ(), hw.A6000(), o.Topology)
+	where := fmt.Sprintf("P=%d", p)
+	if o.Topology != nil {
+		where += " on " + o.Topology.Name
 	}
-	if got := m.Volume[hw.OpAllReduce]; got != c.AllReduce {
-		t.Fatalf("P=%d: metered all-reduce volume %d bytes, schedule prices %d (Δ=%d)",
-			p, got, c.AllReduce, got-c.AllReduce)
+	if err := MetersMatchPrice(fab.Meters(), c, o.Topology != nil); err != nil {
+		t.Fatalf("%s: %v", where, err)
 	}
-	if got := m.TotalSideVolume(); got != c.Side {
-		t.Fatalf("P=%d: metered side-channel volume %d bytes, schedule prices %d (Δ=%d)",
-			p, got, c.Side, got-c.Side)
+}
+
+// MetersMatchPrice reconciles one epoch's fabric meters against the
+// schedule's prices exactly: RDM volume (all-to-all + allgather),
+// all-reduce volume, side-channel bytes and, with tiers, the
+// per-link-tier split of the primary and side volumes. It returns the
+// first mismatch.
+func MetersMatchPrice(m comm.Meters, c plan.Cost, tiers bool) error {
+	type check struct {
+		what      string
+		got, want int64
 	}
+	checks := []check{
+		{"RDM volume", m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather], c.RDMBytes()},
+		{"all-reduce volume", m.Volume[hw.OpAllReduce], c.AllReduce},
+		{"side-channel volume", m.TotalSideVolume(), c.Side},
+	}
+	if tiers {
+		for tier := range topo.NumTiers {
+			var prim, side int64
+			for k := range hw.NumCollectiveKinds {
+				prim += m.TierVolume[tier][k]
+				side += m.SideTierVolume[tier][k]
+			}
+			checks = append(checks,
+				check{fmt.Sprintf("tier-%d volume", tier), prim, c.Tier[tier]},
+				check{fmt.Sprintf("tier-%d side volume", tier), side, c.SideTier[tier]})
+		}
+	}
+	for _, ck := range checks {
+		if ck.got != ck.want {
+			return fmt.Errorf("metered %s %d bytes, schedule prices %d (Δ=%d)", ck.what, ck.got, ck.want, ck.got-ck.want)
+		}
+	}
+	return nil
 }

@@ -46,11 +46,12 @@ func SparseProblem(seed int64, n, fin, classes, live int, sseed int64) *core.Pro
 // tolerance anywhere:
 //
 //   - the fabric's primary meters (all-to-all + allgather), all-reduce
-//     meters, and side-channel meters equal the planner's per-op prices
-//     (Schedule.PriceOn) byte-for-byte;
+//     meters, and side-channel meters — per link tier too on a topology —
+//     equal the planner's per-op prices (Schedule.PriceOn) byte-for-byte
+//     (MetersMatchPrice);
 //   - on the flat interconnect, every sparse redistribution's priced
 //     metadata and payload bytes equal the §IV-style closed forms
-//     (costmodel.SparseExchangeBytes) — the third, schedule-free
+//     (Schedule.SparseExchangeClosedForm) — the third, schedule-free
 //     accounting of the same exchange;
 //   - the discrete-event engine replays both executors (sequential and
 //     overlap) to bit-identical clocks, time accumulators, and the
@@ -79,42 +80,19 @@ func CheckSparseMatchesModel(t testing.TB, prob *core.Problem, dims []int, p, ra
 	fab := TrainFabric(p, prob, o, 1)
 	sched := scheduleFor(prob, p, o)
 	c := sched.PriceOn(prob.A.NNZ(), hw.A6000(), tp)
-	m := fab.Meters()
-	if got := m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather]; got != c.RDMBytes() {
-		t.Fatalf("P=%d RA=%d cfg=%d live=%d: metered RDM volume %d bytes, planner prices %d (Δ=%d)",
-			p, ra, cfg, liveCount, got, c.RDMBytes(), got-c.RDMBytes())
-	}
-	if got := m.Volume[hw.OpAllReduce]; got != c.AllReduce {
-		t.Fatalf("P=%d RA=%d cfg=%d live=%d: metered all-reduce %d bytes, planner prices %d",
-			p, ra, cfg, liveCount, got, c.AllReduce)
-	}
-	if got := m.TotalSideVolume(); got != c.Side {
-		t.Fatalf("P=%d RA=%d cfg=%d live=%d: metered side-channel %d bytes, planner prices %d (Δ=%d)",
-			p, ra, cfg, liveCount, got, c.Side, got-c.Side)
+	if err := MetersMatchPrice(fab.Meters(), c, tp != nil); err != nil {
+		t.Fatalf("P=%d RA=%d cfg=%d live=%d topo=%q: %v", p, ra, cfg, liveCount, tspec, err)
 	}
 
 	if tp == nil {
 		// Closed-form leg: reconcile every sparse redistribution's priced
-		// bytes against costmodel's schedule-free formulas. PerOp entries
-		// are appended in section walk order, so the two walks align.
-		live := sched.LiveSet()
-		idx := 0
-		for i := range sched.Sections {
-			for j := range sched.Sections[i].Ops {
-				op := &sched.Sections[i].Ops[j]
-				oc := c.PerOp[idx]
-				idx++
-				if op.Kind != plan.KRedist || !op.Sparse ||
-					!costmodel.SparseExchangeEligible(p, op.From, op.To) {
-					continue
-				}
-				meta, pay := costmodel.SparseExchangeBytes(p, op.Rows, op.Cols, op.From, op.To, live)
-				if oc.Side != meta || oc.AllToAll != pay {
-					t.Fatalf("step %d (%v): planner prices meta=%d pay=%d bytes, closed form says meta=%d pay=%d",
-						op.Step, op.Kind, oc.Side, oc.AllToAll, meta, pay)
-				}
+		// bytes against costmodel's schedule-free formulas.
+		sched.SparseExchangeClosedForm(p, func(i int, op *plan.Op, meta, pay int64) {
+			if oc := c.PerOp[i]; oc.Side != meta || oc.AllToAll != pay {
+				t.Fatalf("step %d (%v): planner prices meta=%d pay=%d bytes, closed form says meta=%d pay=%d",
+					op.Step, op.Kind, oc.Side, oc.AllToAll, meta, pay)
 			}
-		}
+		})
 	}
 
 	// Both executors, replayed on the discrete-event engine: clocks,

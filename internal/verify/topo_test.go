@@ -64,7 +64,7 @@ func TestTopoScheduleMatchesMeters(t *testing.T) {
 				o := DiffSpec{Dims: dims}.opts(cfg)
 				o.RA = pr.ra
 				o.Topology = sp.MustTopology(pr.p)
-				CheckTopoScheduleMatchesMeters(t, prob, pr.p, o)
+				CheckScheduleMatchesMeters(t, prob, pr.p, o)
 			})
 		}
 	}
