@@ -12,14 +12,9 @@ import (
 // yield a well-formed, deterministic DAG whose dump survives its own
 // String/ParseDAG round trip.
 func FuzzPlanString(f *testing.F) {
-	f.Add("schedule p=1 ra=1 n=4 dims=3,2 config=0 sage=0 memoize=0 inputgrad=0 regs=0 weights=1\n")
-	f.Add(Compile(spec2(64, 0, 4, 4, true)).Optimize().String())
-	f.Add(Compile(spec2(64, 15, 8, 2, false)).Optimize().String())
-	f.Add(Compile(Spec{N: 7, Dims: []int{5, 4, 3, 2}, P: 2, RA: 2, SAGE: true, Memoize: true}).String())
-	f.Add(Compile(spec2(48, 6, 8, 2, true)).Optimize().String())
-	f.Add(Compile(Spec{N: 32, Dims: []int{8, 6, 4}, Config: spec2(32, 9, 4, 4, false).Config,
-		P: 4, RA: 2, SAGE: true, Memoize: true, InputGrad: true}).Optimize().String())
-	f.Add(MustBuildDAG(Compile(spec2(64, 10, 4, 4, true)).Optimize()).String())
+	for _, seed := range fuzzSeeds() {
+		f.Add(seed)
+	}
 	f.Fuzz(func(t *testing.T, text string) {
 		if d, err := ParseDAG(text); err == nil {
 			// Any DAG dump ParseDAG accepts must be a String fixed point:
@@ -70,4 +65,20 @@ func FuzzPlanString(f *testing.F) {
 			t.Fatalf("DAG dump not a fixed point:\n--- first\n%s--- second\n%s", dd1, dd2)
 		}
 	})
+}
+
+// fuzzSeeds are FuzzPlanString's in-code seeds: a bare header, dense
+// training schedules (naive and optimized, SAGE, reduced replication,
+// three layers) and one DAG dump.
+func fuzzSeeds() []string {
+	return []string{
+		"schedule p=1 ra=1 n=4 dims=3,2 config=0 sage=0 memoize=0 inputgrad=0 regs=0 weights=1\n",
+		Compile(spec2(64, 0, 4, 4, true)).Optimize().String(),
+		Compile(spec2(64, 15, 8, 2, false)).Optimize().String(),
+		Compile(Spec{N: 7, Dims: []int{5, 4, 3, 2}, P: 2, RA: 2, SAGE: true, Memoize: true}).String(),
+		Compile(spec2(48, 6, 8, 2, true)).Optimize().String(),
+		Compile(Spec{N: 32, Dims: []int{8, 6, 4}, Config: spec2(32, 9, 4, 4, false).Config,
+			P: 4, RA: 2, SAGE: true, Memoize: true, InputGrad: true}).Optimize().String(),
+		MustBuildDAG(Compile(spec2(64, 10, 4, 4, true)).Optimize()).String(),
+	}
 }
