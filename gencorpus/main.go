@@ -13,6 +13,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"gnnrdm/internal/core"
 	"gnnrdm/internal/costmodel"
@@ -314,6 +315,23 @@ func main() {
 		P: 4, RA: 4, Memoize: true, InputGrad: true,
 	}).Optimize()).String()
 	write(pl, "seed-dag-dump", fmt.Sprintf("string(%q)", dagDump))
+	// Seeds reaching the sparse header and every op-table row: a sparse
+	// schedule (redist.sp), its ABC rewrite (spmm.abc), an inference
+	// schedule, and an empty DAG dump whose header carries trailing
+	// tokens (once a ParseDAG slice-bounds panic).
+	sparseSched := plan.Compile(plan.Spec{
+		N: 64, Dims: []int{16, 8}, Config: costmodel.ConfigFromID(1, 1),
+		P: 4, RA: 4, Memoize: true, InputGrad: true, Live: 4, SparseSeed: 3,
+	}).Optimize()
+	write(pl, "seed-sparse", fmt.Sprintf("string(%q)", sparseSched.String()))
+	write(pl, "seed-abc", fmt.Sprintf("string(%q)", sparseSched.ABC().String()))
+	write(pl, "seed-inference", fmt.Sprintf("string(%q)", plan.CompileInference(plan.Spec{
+		N: 32, Dims: []int{8, 6, 4}, Config: costmodel.ConfigFromID(9, 2),
+		P: 4, RA: 2, SAGE: true,
+	}).Optimize().String()))
+	write(pl, "seed-header-trailing", fmt.Sprintf("string(%q)",
+		"schedule p=1 ra=1 n=4 dims=3,2 config=0 sage=0 memoize=0 inputgrad=0 regs=0 weights=1"+
+			strings.Repeat(" x", 50)+"\nedges\n"))
 
 	// internal/dist: divide/exchange/merge redistribution.
 	rg := "internal/dist/testdata/fuzz/FuzzRegrid"

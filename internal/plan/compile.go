@@ -124,7 +124,7 @@ func Compile(sp Spec) *Schedule {
 	c.section("loss", 0)
 	logits := c.get(h[L], dist.H)
 	gl := c.fresh()
-	c.emit(Op{Kind: KLoss, Dst: gl, A: logits, Rows: sp.N, Cols: sp.Dims[L], Layout: dist.H})
+	c.emit(Op{Kind: KLoss, Dst: gl, A: logits, Rows: sp.N, Cols: sp.Dims[L]})
 	g := c.newVal(sp.N, sp.Dims[L])
 	c.cache(g, dist.H, gl)
 
@@ -201,15 +201,14 @@ func (c *compiler) emit(op Op) {
 	op.Step = c.step
 	// Canonicalize unused operand fields so passes can treat Dst/A/B
 	// uniformly (a zero Reg is a real register).
-	if !op.Kind.assigns() {
+	f := &opTable[op.Kind]
+	if f.dst == dstNone {
 		op.Dst = None
 	}
-	if op.Kind == KInput || op.Kind == KUpdate {
+	if f.regs < 1 {
 		op.A = None
 	}
-	switch op.Kind {
-	case KGradGEMM, KReLUGrad, KAdd:
-	default:
+	if f.regs < 2 {
 		op.B = None
 	}
 	sec := &c.s.Sections[len(c.s.Sections)-1]
@@ -260,8 +259,7 @@ func (c *compiler) get(v *val, l dist.Layout) Reg {
 func (c *compiler) redist(a Reg, from, to dist.Layout, rows, cols int) Reg {
 	dst := c.fresh()
 	c.emit(Op{Kind: KRedist, Dst: dst, A: a, Sparse: c.sparse[a],
-		From: from.Normalize(c.sp.P), To: to.Normalize(c.sp.P), Layout: to.Normalize(c.sp.P),
-		Rows: rows, Cols: cols})
+		From: from.Normalize(c.sp.P), To: to.Normalize(c.sp.P), Rows: rows, Cols: cols})
 	c.markSparse(dst, c.sparse[a])
 	return dst
 }
@@ -280,8 +278,7 @@ func (c *compiler) spmm(a Reg, forward bool, rows, cols int) Reg {
 
 func (c *compiler) gemm(a Reg, weight int, transW bool, rows, cols int) Reg {
 	dst := c.fresh()
-	c.emit(Op{Kind: KGEMM, Dst: dst, A: a, Weight: weight, TransW: transW,
-		Layout: dist.H, Rows: rows, Cols: cols})
+	c.emit(Op{Kind: KGEMM, Dst: dst, A: a, Weight: weight, TransW: transW, Rows: rows, Cols: cols})
 	// A GEMM is row-local: zero rows of A yield zero rows of A·W, so the
 	// product inherits the operand's row sparsity.
 	c.markSparse(dst, c.sparse[a])
@@ -292,8 +289,7 @@ func (c *compiler) gemm(a Reg, weight int, transW bool, rows, cols int) Reg {
 // weight-gradient slot.
 func (c *compiler) gradGEMM(a, b Reg, weight, in, out int) {
 	dst := c.fresh()
-	c.emit(Op{Kind: KGradGEMM, Dst: dst, A: a, B: b, Weight: weight,
-		Layout: dist.R, Rows: in, Cols: out})
+	c.emit(Op{Kind: KGradGEMM, Dst: dst, A: a, B: b, Weight: weight, Rows: in, Cols: out})
 	c.emit(Op{Kind: KAllReduceGrad, A: dst, Weight: weight, Rows: in, Cols: out})
 }
 
@@ -309,7 +305,7 @@ func (c *compiler) weightGrad(l int, hPrev, g *val, tb, tf Reg) {
 	// rewrite that replaces engine-internal memo state.
 	reuse := func() Reg {
 		dst := c.fresh()
-		c.emit(Op{Kind: KReuse, Dst: dst, A: tf, Rows: c.sp.N, Cols: in, Layout: dist.H})
+		c.emit(Op{Kind: KReuse, Dst: dst, A: tf, Rows: c.sp.N, Cols: in})
 		return dst
 	}
 	_, gHasH := g.regs[dist.H]
@@ -358,9 +354,9 @@ func (c *compiler) selfGrad(l int, hPrev, g *val) {
 func (c *compiler) reluGrad(u Reg, uLayout dist.Layout, rows, cols int, hPrev *val) {
 	uLayout = uLayout.Normalize(c.sp.P)
 	if r, ok := hPrev.regs[uLayout]; ok {
-		c.emit(Op{Kind: KReLUGrad, A: u, B: r, From: uLayout, To: uLayout, Layout: uLayout, Rows: rows, Cols: cols})
+		c.emit(Op{Kind: KReLUGrad, A: u, B: r, From: uLayout, To: uLayout, Rows: rows, Cols: cols})
 		return
 	}
 	from := preferLayout(hPrev.regs)
-	c.emit(Op{Kind: KReLUGrad, A: u, B: hPrev.regs[from], From: from, To: uLayout, Layout: uLayout, Rows: rows, Cols: cols})
+	c.emit(Op{Kind: KReLUGrad, A: u, B: hPrev.regs[from], From: from, To: uLayout, Rows: rows, Cols: cols})
 }

@@ -46,7 +46,7 @@ func (c *compiler) forwardPass() (h []*val, memo []Reg) {
 			c.emit(Op{Kind: KMemWrite, A: t, Rows: sp.N, Cols: in})
 			if sp.Memoize {
 				memo[l] = c.fresh()
-				c.emit(Op{Kind: KMemoize, Dst: memo[l], A: t, Rows: sp.N, Cols: in, Layout: dist.H})
+				c.emit(Op{Kind: KMemoize, Dst: memo[l], A: t, Rows: sp.N, Cols: in})
 			}
 			z = c.gemm(t, c.wn(l), false, sp.N, out)
 			zLayout = dist.H

@@ -80,45 +80,53 @@ func (s *Schedule) EliminateDead() {
 	for _, r := range s.Outputs {
 		live[r] = true
 	}
-	// Backward liveness scan, marking kept ops.
-	type pos struct{ sec, op int }
-	var order []pos
+	// Backward liveness scan, marking dead ops.
+	ops := s.opRefs()
+	drop := make([]bool, len(ops))
+	for i := len(ops) - 1; i >= 0; i-- {
+		op := ops[i]
+		f := &opTable[op.Kind]
+		out := op.Dst
+		if f.inPlace {
+			out = op.A
+		}
+		if !f.root && !live[out] {
+			drop[i] = true
+			continue
+		}
+		if op.A != None {
+			live[op.A] = true
+		}
+		if op.B != None {
+			live[op.B] = true
+		}
+	}
+	s.removeOps(drop)
+}
+
+// opRefs returns every op of the schedule, in schedule order.
+func (s *Schedule) opRefs() []*Op {
+	ops := make([]*Op, 0, s.Ops())
 	for i := range s.Sections {
 		for j := range s.Sections[i].Ops {
-			order = append(order, pos{i, j})
+			ops = append(ops, &s.Sections[i].Ops[j])
 		}
 	}
-	kept := make(map[pos]bool, len(order))
-	for i := len(order) - 1; i >= 0; i-- {
-		at := order[i]
-		op := &s.Sections[at.sec].Ops[at.op]
-		keep := false
-		switch op.Kind {
-		case KLoss, KAllReduceGrad, KUpdate, KMemWrite:
-			keep = true
-		case KReLU, KReLUGrad, KAdd:
-			keep = live[op.A]
-		default:
-			keep = live[op.Dst]
-		}
-		if keep {
-			kept[at] = true
-			if op.A != None {
-				live[op.A] = true
-			}
-			if op.B != None {
-				live[op.B] = true
-			}
-		}
-	}
+	return ops
+}
+
+// removeOps deletes the ops drop marks, indexed in schedule order.
+func (s *Schedule) removeOps(drop []bool) {
+	k := 0
 	for i := range s.Sections {
-		out := s.Sections[i].Ops[:0]
-		for j, op := range s.Sections[i].Ops {
-			if kept[pos{i, j}] {
-				out = append(out, op)
+		kept := s.Sections[i].Ops[:0]
+		for _, op := range s.Sections[i].Ops {
+			if !drop[k] {
+				kept = append(kept, op)
 			}
+			k++
 		}
-		s.Sections[i].Ops = out
+		s.Sections[i].Ops = kept
 	}
 }
 
@@ -143,7 +151,7 @@ func (s *Schedule) finalize() {
 					op.B = r
 				}
 			}
-			if op.Kind.assigns() {
+			if opTable[op.Kind].dst != dstNone {
 				remap[op.Dst] = next
 				op.Dst = next
 				next++

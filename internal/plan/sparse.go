@@ -294,17 +294,9 @@ func (s *Schedule) ABC() *Schedule {
 	if t.RA != t.P || t.Live <= 0 {
 		return t
 	}
-	type pos struct{ sec, op int }
-	var order []pos
-	for i := range t.Sections {
-		for j := range t.Sections[i].Ops {
-			order = append(order, pos{i, j})
-		}
-	}
-	at := func(i int) *Op { return &t.Sections[order[i].sec].Ops[order[i].op] }
+	ops := t.opRefs()
 	uses := make(map[Reg]int)
-	for i := range order {
-		op := at(i)
+	for _, op := range ops {
 		if op.A != None {
 			uses[op.A]++
 		}
@@ -315,28 +307,28 @@ func (s *Schedule) ABC() *Schedule {
 	for _, r := range t.Outputs {
 		uses[r]++
 	}
-	drop := make(map[pos]bool)
+	drop := make([]bool, len(ops))
 	rewrote := false
-	for i := 0; i+2 < len(order); i++ {
-		d1 := at(i)
+	for i := 0; i+2 < len(ops); i++ {
+		d1 := ops[i]
 		if d1.Kind != KRedist || !d1.Sparse ||
 			d1.From.Normalize(t.P) != dist.H || d1.To.Normalize(t.P) != t.GridL {
 			continue
 		}
-		d2 := at(i + 1)
+		d2 := ops[i+1]
 		if d2.Kind != KSpMM || !d2.Forward || d2.A != d1.Dst {
 			continue
 		}
 		k := i + 2
 		var relu *Op
-		if at(k).Kind == KReLU && at(k).A == d2.Dst {
-			relu = at(k)
+		if ops[k].Kind == KReLU && ops[k].A == d2.Dst {
+			relu = ops[k]
 			k++
 		}
-		if k >= len(order) {
+		if k >= len(ops) {
 			continue
 		}
-		d4 := at(k)
+		d4 := ops[k]
 		if d4.Kind != KRedist || d4.Sparse || d4.A != d2.Dst ||
 			d4.From.Normalize(t.P) != t.GridL || d4.To.Normalize(t.P) != dist.H {
 			continue
@@ -357,22 +349,14 @@ func (s *Schedule) ABC() *Schedule {
 			*relu = Op{Kind: KReLU, Step: relu.Step, Dst: None, A: d4.Dst, B: None,
 				Layout: dist.H, Rows: relu.Rows, Cols: relu.Cols}
 		}
-		drop[order[i+1]] = true
-		drop[order[k]] = true
+		drop[i+1] = true
+		drop[k] = true
 		rewrote = true
 	}
 	if !rewrote {
 		return t
 	}
-	for i := range t.Sections {
-		kept := t.Sections[i].Ops[:0]
-		for j, op := range t.Sections[i].Ops {
-			if !drop[pos{i, j}] {
-				kept = append(kept, op)
-			}
-		}
-		t.Sections[i].Ops = kept
-	}
+	t.removeOps(drop)
 	t.finalize()
 	if err := t.Validate(); err != nil {
 		panic("plan: ABC-rewritten schedule invalid: " + err.Error())
