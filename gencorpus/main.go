@@ -153,7 +153,7 @@ func main() {
 	write(fc, "seed-empty-rows", bs([]byte{24, 24, 23, 23, 7}))
 	write(fc, "seed-cancellation", bs([]byte{4, 4, 2, 2, 5, 2, 2, 251}))
 
-	// internal/tensor: SSE2 row kernel against the Go loop. Width, entry
+	// internal/tensor: the row kernel against the Go loop. Width, entry
 	// count, rows-1, slice offsets; then (index byte, value) per entry, the
 	// f words of out and the words of the dense operand, row-major.
 	type entry struct {
@@ -215,6 +215,16 @@ func main() {
 	// A bad index after two good ones: nothing may be added to out.
 	both("seed-bad-column", 20, 3, 0x0, []entry{{0, 1}, {1, 1}, {0xfa, 1}},
 		rows(20, 7), rows(20, 1, 2)...)
+	// 127 = 64+32+16+8+4+2+1 floats: on an AVX host the 64- and 32-float
+	// VEX chunks and every SSE2 tail in one row, so the witnesses above
+	// reach the widest chunk too.
+	write(ra, "seed-fma-witness-wide", rowAcc(127, 2, 0x6, []entry{{0, 1}, {1, 1 + 1.0/4096}},
+		rows(127, 0), rows(127, -(1+1.0/2048), 1+1.0/4096)...))
+	write(ra, "seed-nan-payload-order-wide", rowAcc(127, 3, 0x9,
+		[]entry{{0, 1}, {1, 1}, {2, qnan(4)}}, rows(127, 0), rows(127, qnan(1), qnan(2), qnan(3))...))
+	// A bad index met in the 64-float chunk's pass: nothing added.
+	write(ra, "seed-bad-column-wide", rowAcc(100, 3, 0x0, []entry{{0, 1}, {1, 1}, {0xfa, 1}},
+		rows(100, 7), rows(100, 1, 2)...))
 
 	// internal/tensor: runs of rows through the row kernel. FuzzRowAcc's
 	// layout with a run byte (the row count) after the offsets and then ptr
@@ -241,6 +251,15 @@ func main() {
 	write(rr, "seed-bad-last-row", runs(11, 2, 0x2, 0, []byte{2, 1, 2},
 		[]entry{{0, 1}, {1, 2}, {1, -1}, {0, 1}, {0xfa, 1}},
 		rows(3*11, 7), rows(11, 1, 2)...))
+	// The same at 127 floats, every VEX and SSE2 chunk.
+	write(rr, "seed-fma-witness-wide", runs(127, 2, 0x6, 0, []byte{2, 0, 2}, append(witnessRow, witnessRow...),
+		rows(3*127, 0), rows(127, -(1+1.0/2048), 1+1.0/4096)...))
+	write(rr, "seed-nan-payload-order-wide", runs(127, 3, 0x9, 0, []byte{3, 3},
+		[]entry{{0, 1}, {1, 1}, {2, qnan(4)}, {2, 1}, {0, qnan(6)}, {1, 1}},
+		rows(2*127, 0), rows(127, qnan(1), qnan(2), qnan(3))...))
+	write(rr, "seed-bad-last-row-wide", runs(100, 2, 0x2, 0, []byte{2, 1, 2},
+		[]entry{{0, 1}, {1, 2}, {1, -1}, {0, 1}, {0xfa, 1}},
+		rows(3*100, 7), rows(100, 1, 2)...))
 
 	// internal/tensor: one entry of weight s onto y, as the comm reductions
 	// call the row kernel. Two offset bytes, then s and (x[j], y[j]) pairs

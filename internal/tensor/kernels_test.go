@@ -32,17 +32,42 @@ func fillAwkward(rng *rand.Rand, v []float32) {
 	}
 }
 
-// TestRowAccMatchesLoop pins the packed kernel to the Go loop bit for bit
-// on every width 0–67 (every mix of its 32-, 16-, 8-, 4-, 2- and 1-float
+// onEachPath calls fn once per rowAccPacked path this executable can run,
+// with that path selected and named, and logs the paths that ran. The
+// probe's choice is back in place when it returns, or when fn fails.
+func onEachPath(t testing.TB, fn func(path string)) {
+	t.Helper()
+	paths := rowAccPaths()
+	for _, p := range paths {
+		func() {
+			defer usePath(p)()
+			fn(p)
+		}()
+	}
+	t.Logf("rowAccPacked paths run: %v", paths)
+}
+
+// kernelMaxWidth is the widest row the kernel tests and fuzz targets
+// build: two 64-float chunks and a tail; below it 127 = 64+32+16+8+4+2+1
+// meets a 64-float chunk, a 32-float chunk and every SSE2 tail in one row.
+const kernelMaxWidth = 131
+
+// TestRowAccMatchesLoop pins the packed kernel, on each of its paths, to
+// the Go loop bit for bit on every width 0–131 (every mix of its 64- and
+// 32-float VEX chunks and its 32-, 16-, 8-, 4-, 2- and 1-float SSE2
 // chunks), with 0, 1 and 3 entries over three rows (so rows repeat), at
 // every alignment of out and in modulo one packed word, with the awkward
 // values in out as well as in the operands, and guard elements past
 // out[:f] that must not change. Under -race (and off amd64) rowAccPacked is the loop
 // itself and the test is vacuous.
 func TestRowAccMatchesLoop(t *testing.T) {
+	onEachPath(t, func(path string) { rowAccMatchesLoop(t, path) })
+}
+
+func rowAccMatchesLoop(t *testing.T, path string) {
 	rng := rand.New(rand.NewSource(18))
 	const guard, rows = 4, 3
-	for f := 0; f <= 67; f++ {
+	for f := 0; f <= kernelMaxWidth; f++ {
 		for _, n := range []int{0, 1, 3} {
 			for oo := 0; oo < 4; oo++ {
 				for io := 0; io < 4; io++ {
@@ -59,11 +84,11 @@ func TestRowAccMatchesLoop(t *testing.T) {
 					gc := rowAccPacked(got[oo:], vals, idx, nil, in[io:], f)
 					wc := rowAccLoop(want[oo:], vals, idx, nil, in[io:], f)
 					if gc != rowOK || wc != rowOK {
-						t.Fatalf("f=%d idx=%v: kernel reports %d, loop %d", f, idx, gc, wc)
+						t.Fatalf("%s f=%d idx=%v: kernel reports %d, loop %d", path, f, idx, gc, wc)
 					}
 					for j := range want {
 						if !sameBits(got[j], want[j]) {
-							t.Fatalf("f=%d n=%d oo=%d io=%d: out[%d] = %x, loop says %x", f, n, oo, io,
+							t.Fatalf("%s f=%d n=%d oo=%d io=%d: out[%d] = %x, loop says %x", path, f, n, oo, io,
 								j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
 						}
 					}
@@ -100,16 +125,20 @@ var runShapes = [][]int{
 	{1, 1, 1, 1, 1, 1, 1, 1},
 }
 
-// TestRowAccRunsMatchesLoop pins the packed kernel over runs of rows to the
-// Go loop, exact bits (NaN payloads too), on every width 0–67 (every mix of
-// its 32-, 16-, 8-, 4-, 2- and 1-float chunks) and each of runShapes, with
-// unused entries before the run, at every alignment of out and in modulo
-// one packed word, onto a NaN-filled or awkward out, with guard elements
-// past the run's rows that must not change.
+// TestRowAccRunsMatchesLoop pins the packed kernel over runs of rows, on
+// each of its paths, to the Go loop, exact bits (NaN payloads too), on
+// every width 0–131 (every mix of its VEX and SSE2 chunks) and each of
+// runShapes, with unused entries before the run, at every alignment of out
+// and in modulo one packed word, onto a NaN-filled or awkward out, with
+// guard elements past the run's rows that must not change.
 func TestRowAccRunsMatchesLoop(t *testing.T) {
+	onEachPath(t, func(path string) { rowAccRunsMatchesLoop(t, path) })
+}
+
+func rowAccRunsMatchesLoop(t *testing.T, path string) {
 	rng := rand.New(rand.NewSource(33))
 	const guard, rows = 4, 5
-	for f := 0; f <= 67; f++ {
+	for f := 0; f <= kernelMaxWidth; f++ {
 		for si, lens := range runShapes {
 			for oo := 0; oo < 4; oo++ {
 				io := (oo + si) % 4
@@ -135,11 +164,11 @@ func TestRowAccRunsMatchesLoop(t *testing.T) {
 				gc := rowAccPacked(got[oo:], vals, idx, ptr, in[io:], f)
 				wc := rowAccLoop(want[oo:], vals, idx, ptr, in[io:], f)
 				if gc != rowOK || wc != rowOK {
-					t.Fatalf("f=%d ptr=%v: kernel reports %d, loop %d", f, ptr, gc, wc)
+					t.Fatalf("%s f=%d ptr=%v: kernel reports %d, loop %d", path, f, ptr, gc, wc)
 				}
 				for j := range want {
 					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-						t.Fatalf("f=%d ptr=%v oo=%d io=%d: out[%d] = %x, loop says %x", f, ptr, oo, io,
+						t.Fatalf("%s f=%d ptr=%v oo=%d io=%d: out[%d] = %x, loop says %x", path, f, ptr, oo, io,
 							j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
 					}
 				}
@@ -150,14 +179,19 @@ func TestRowAccRunsMatchesLoop(t *testing.T) {
 
 // TestRowAccRunsBadIndexStopsAtItsRow puts bad indices (one past the last
 // row, negative, huge) into row k of a run, a second bad one later in row
-// order, and requires RowAccRuns to panic with a RowError naming the first,
-// with the rows before k done (the loop's bits), row k and every row after
-// it unchanged.
+// order, and requires RowAccRuns, on each of the kernel's paths, to panic
+// with a RowError naming the first, with the rows before k done (the
+// loop's bits), row k and every row after it unchanged. The widths start
+// in each chunk, 64- and 32-float VEX chunks included.
 func TestRowAccRunsBadIndexStopsAtItsRow(t *testing.T) {
+	onEachPath(t, func(path string) { rowAccRunsBadIndexStopsAtItsRow(t, path) })
+}
+
+func rowAccRunsBadIndexStopsAtItsRow(t *testing.T, path string) {
 	rng := rand.New(rand.NewSource(34))
 	const rows = 3
 	lens := []int{2, 0, 3, 1, 300}
-	for _, f := range []int{1, 2, 3, 8, 11, 33, 67} {
+	for _, f := range []int{1, 2, 3, 8, 11, 33, 67, 96, 127} {
 		for k, l := range lens {
 			if l == 0 {
 				continue
@@ -190,14 +224,14 @@ func TestRowAccRunsBadIndexStopsAtItsRow(t *testing.T) {
 				func() {
 					defer func() {
 						if err, ok := recover().(RowError); !ok || int32(err) != bad {
-							t.Fatalf("f=%d row %d index %d: recovered %v, want a RowError naming it", f, k, bad, err)
+							t.Fatalf("%s f=%d row %d index %d: recovered %v, want a RowError naming it", path, f, k, bad, err)
 						}
 					}()
 					RowAccRuns(got, vals, idx, ptr, in, f)
 				}()
 				for j := range want {
 					if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-						t.Fatalf("f=%d bad index in row %d: out[%d] (row %d) = %x, want %x", f, k, j, j/f,
+						t.Fatalf("%s f=%d bad index in row %d: out[%d] (row %d) = %x, want %x", path, f, k, j, j/f,
 							math.Float32bits(got[j]), math.Float32bits(want[j]))
 					}
 				}
@@ -417,13 +451,13 @@ func TestKernelsMatchNaive(t *testing.T) {
 	}
 }
 
-// FuzzRowAcc feeds the row kernel arbitrary bit patterns (NaNs of every
-// payload included, in out as well as in the operands, since the kernel
-// loads out), widths 0–67, 0–40 entries, repeated and out-of-range
-// indices and unaligned slices, and requires rowAccLoop's result and the
-// same bits everywhere — NaN payloads too, which is what pins the product
-// as the first operand of each add — so nothing is written outside
-// out[:f], nor anywhere when an index is bad.
+// FuzzRowAcc feeds the row kernel, on each of its paths, arbitrary bit
+// patterns (NaNs of every payload included, in out as well as in the
+// operands, since the kernel loads out), widths 0–131, 0–40 entries,
+// repeated and out-of-range indices and unaligned slices, and requires
+// rowAccLoop's result and the same bits everywhere — NaN payloads too,
+// which is what pins the product as the first operand of each add — so
+// nothing is written outside out[:f], nor anywhere when an index is bad.
 //
 // Input: f, entry count, rows-1 | extra<<3 (extra floats past the last
 // full row of in), slice offsets (out in the low two bits, in in the next
@@ -438,7 +472,7 @@ func FuzzRowAcc(f *testing.F) {
 		if len(data) < 4 {
 			return
 		}
-		width, n, rows := int(data[0])%68, int(data[1])%41, 1+int(data[2]&7)
+		width, n, rows := int(data[0])%(kernelMaxWidth+1), int(data[1])%41, 1+int(data[2]&7)
 		extra := 0
 		if width > 0 {
 			extra = int(data[2]>>3) % width
@@ -468,14 +502,14 @@ func FuzzRowAcc(f *testing.F) {
 			vals[p] = word(5*p + 1)
 		}
 		const guard = 5
-		got := make([]float32, oo+width+guard)
-		for i := range got {
-			got[i] = float32(i + 1)
+		start := make([]float32, oo+width+guard)
+		for i := range start {
+			start[i] = float32(i + 1)
 		}
 		for j := 0; j < width; j++ {
-			got[oo+j] = word(5*n + 4*j)
+			start[oo+j] = word(5*n + 4*j)
 		}
-		want := append([]float32(nil), got...)
+		want := append([]float32(nil), start...)
 		in := make([]float32, io+rows*width+extra)
 		head := 5*n + 4*width
 		if words := (len(body) - head) / 4; words > 0 {
@@ -483,28 +517,30 @@ func FuzzRowAcc(f *testing.F) {
 				in[io+i] = word(head + 4*(i%words))
 			}
 		}
-		gc := rowAccPacked(got[oo:], vals, idx, nil, in[io:], width)
 		wc := rowAccLoop(want[oo:], vals, idx, nil, in[io:], width)
-		if gc != wc {
-			t.Fatalf("f=%d idx=%v: kernel reports %d, loop %d", width, idx, gc, wc)
-		}
-		for j := range want {
-			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-				t.Fatalf("f=%d n=%d oo=%d io=%d: out[%d] = %x, loop says %x", width, n, oo, io,
-					j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
+		onEachPath(t, func(path string) {
+			got := append([]float32(nil), start...)
+			if gc := rowAccPacked(got[oo:], vals, idx, nil, in[io:], width); gc != wc {
+				t.Fatalf("%s f=%d idx=%v: kernel reports %d, loop %d", path, width, idx, gc, wc)
 			}
-		}
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("%s f=%d n=%d oo=%d io=%d: out[%d] = %x, loop says %x", path, width, n, oo, io,
+						j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
+				}
+			}
+		})
 	})
 }
 
-// FuzzRowAccRuns feeds the row kernel runs of rows: arbitrary bit patterns
-// (NaNs of every payload included, in out as well as in the operands),
-// widths 0–67, 0–40 entries, 0–7 rows of any lengths, well-formed or not
-// (decreasing, past the entries, vals or out one short), repeated and
-// out-of-range indices and unaligned slices. It requires rowAccLoop's
-// result and the same bits everywhere, NaN payloads too: a malformed run
-// writes nothing, a bad index leaves its row and the rows after it as
-// they were.
+// FuzzRowAccRuns feeds the row kernel, on each of its paths, runs of rows:
+// arbitrary bit patterns (NaNs of every payload included, in out as well
+// as in the operands), widths 0–131, 0–40 entries, 0–7 rows of any
+// lengths, well-formed or not (decreasing, past the entries, vals or out
+// one short), repeated and out-of-range indices and unaligned slices. It
+// requires rowAccLoop's result and the same bits everywhere, NaN payloads
+// too: a malformed run writes nothing, a bad index leaves its row and the
+// rows after it as they were.
 //
 // Input: f, entry count, in's rows-1 | extra<<3 (extra floats past the
 // last full row of in), slice offsets (out in the low two bits, in in the
@@ -521,7 +557,7 @@ func FuzzRowAccRuns(f *testing.F) {
 		if len(data) < 5 {
 			return
 		}
-		width, n, rows := int(data[0])%68, int(data[1])%41, 1+int(data[2]&7)
+		width, n, rows := int(data[0])%(kernelMaxWidth+1), int(data[1])%41, 1+int(data[2]&7)
 		extra := 0
 		if width > 0 {
 			extra = int(data[2]>>3) % width
@@ -572,14 +608,14 @@ func FuzzRowAccRuns(f *testing.F) {
 		if shortOut && outLen > 0 {
 			outLen--
 		}
-		got := make([]float32, oo+outLen+guard)
-		for i := range got {
-			got[i] = float32(i + 1)
+		start := make([]float32, oo+outLen+guard)
+		for i := range start {
+			start[i] = float32(i + 1)
 		}
 		for j := 0; j < outLen; j++ {
-			got[oo+j] = word(5*n + 4*j)
+			start[oo+j] = word(5*n + 4*j)
 		}
-		want := append([]float32(nil), got...)
+		want := append([]float32(nil), start...)
 		in := make([]float32, io+rows*width+extra)
 		head := 5*n + 4*outLen
 		if words := (len(body) - head) / 4; words > 0 {
@@ -587,23 +623,25 @@ func FuzzRowAccRuns(f *testing.F) {
 				in[io+i] = word(head + 4*(i%words))
 			}
 		}
-		gc := rowAccPacked(got[oo:oo+outLen], vals, idx, ptr, in[io:], width)
 		wc := rowAccLoop(want[oo:oo+outLen], vals, idx, ptr, in[io:], width)
-		if gc != wc {
-			t.Fatalf("f=%d ptr=%v idx=%v: kernel reports %d, loop %d", width, ptr, idx, gc, wc)
-		}
-		for j := range want {
-			if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
-				t.Fatalf("f=%d ptr=%v oo=%d io=%d: out[%d] = %x, loop says %x", width, ptr, oo, io,
-					j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
+		onEachPath(t, func(path string) {
+			got := append([]float32(nil), start...)
+			if gc := rowAccPacked(got[oo:oo+outLen], vals, idx, ptr, in[io:], width); gc != wc {
+				t.Fatalf("%s f=%d ptr=%v idx=%v: kernel reports %d, loop %d", path, width, ptr, idx, gc, wc)
 			}
-		}
+			for j := range want {
+				if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+					t.Fatalf("%s f=%d ptr=%v oo=%d io=%d: out[%d] = %x, loop says %x", path, width, ptr, oo, io,
+						j-oo, math.Float32bits(got[j]), math.Float32bits(want[j]))
+				}
+			}
+		})
 	})
 }
 
 // FuzzAxpy feeds the row kernel's one-entry form, y[:n] += s·x[:n] as the
 // comm reductions call it, arbitrary bit patterns (NaNs of every payload
-// included), alignments and lengths past FuzzRowAcc's 67, and requires the
+// included), alignments and lengths past FuzzRowAcc's 131, and requires the
 // Go loop's bits, NaN payloads too, and nothing written outside y[:n].
 //
 // Input: x and y offsets, then s and (x[j], y[j]) pairs as little-endian
@@ -670,42 +708,60 @@ func benchDense(b *testing.B, flops int64, fn func()) {
 	b.ReportMetric(2*float64(flops)*float64(b.N)/b.Elapsed().Seconds()/1e9, "GFLOP/s")
 }
 
-func BenchmarkMatMulInto(b *testing.B) {
-	for _, s := range denseShapes {
-		b.Run(s.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x, w, out := NewDense(s.m, s.k), NewDense(s.k, s.n), NewDense(s.m, s.n)
-			x.Randomize(rng, 1)
-			w.Randomize(rng, 1)
-			benchDense(b, GemmFLOPs(s.m, s.k, s.n), func() { MatMulInto(x, w, out) })
+// benchPaths runs bench once per rowAccPacked path this host can execute,
+// as a sub-benchmark named after it (vex, sse2; go off amd64 and under
+// -race), so both paths' GFLOP/s per shape read side by side.
+func benchPaths(b *testing.B, bench func(b *testing.B)) {
+	for _, p := range rowAccPaths() {
+		b.Run(p, func(b *testing.B) {
+			defer usePath(p)()
+			bench(b)
 		})
 	}
 }
 
+func BenchmarkMatMulInto(b *testing.B) {
+	benchPaths(b, func(b *testing.B) {
+		for _, s := range denseShapes {
+			b.Run(s.name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				x, w, out := NewDense(s.m, s.k), NewDense(s.k, s.n), NewDense(s.m, s.n)
+				x.Randomize(rng, 1)
+				w.Randomize(rng, 1)
+				benchDense(b, GemmFLOPs(s.m, s.k, s.n), func() { MatMulInto(x, w, out) })
+			})
+		}
+	})
+}
+
 // BenchmarkMatMulTA is the weight gradient Xᵀ·dZ: (m x k)ᵀ · (m x n).
 func BenchmarkMatMulTA(b *testing.B) {
-	for _, s := range denseShapes {
-		b.Run(s.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			x, dz := NewDense(s.m, s.k), NewDense(s.m, s.n)
-			x.Randomize(rng, 1)
-			dz.Randomize(rng, 1)
-			benchDense(b, GemmFLOPs(s.k, s.m, s.n), func() { MatMulTA(x, dz) })
-		})
-	}
+	benchPaths(b, func(b *testing.B) {
+		for _, s := range denseShapes {
+			b.Run(s.name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				x, dz := NewDense(s.m, s.k), NewDense(s.m, s.n)
+				x.Randomize(rng, 1)
+				dz.Randomize(rng, 1)
+				benchDense(b, GemmFLOPs(s.k, s.m, s.n), func() { MatMulTA(x, dz) })
+			})
+		}
+	})
 }
 
 // BenchmarkMatMulTB is the input gradient dZ·Wᵀ: (m x n) · (k x n)ᵀ. The
 // last shape has an 8-float output, where a dot product per element used
 // to run.
 func BenchmarkMatMulTB(b *testing.B) {
-	for _, s := range append(denseShapes[:len(denseShapes):len(denseShapes)], denseShape{"narrow_24576x8x16", 24576, 8, 16}) {
-		b.Run(s.name, func(b *testing.B) {
-			rng := rand.New(rand.NewSource(1))
-			dz, w := NewDense(s.m, s.n), NewDense(s.k, s.n)
-			dz.Randomize(rng, 1)
-			w.Randomize(rng, 1)
-			benchDense(b, GemmFLOPs(s.m, s.n, s.k), func() { MatMulTB(dz, w) })
-		})
-	}
+	benchPaths(b, func(b *testing.B) {
+		for _, s := range append(denseShapes[:len(denseShapes):len(denseShapes)], denseShape{"narrow_24576x8x16", 24576, 8, 16}) {
+			b.Run(s.name, func(b *testing.B) {
+				rng := rand.New(rand.NewSource(1))
+				dz, w := NewDense(s.m, s.n), NewDense(s.k, s.n)
+				dz.Randomize(rng, 1)
+				w.Randomize(rng, 1)
+				benchDense(b, GemmFLOPs(s.m, s.n, s.k), func() { MatMulTB(dz, w) })
+			})
+		}
+	})
 }

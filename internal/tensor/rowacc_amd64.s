@@ -13,6 +13,15 @@
 	ADDPS  acc, X8     \
 	MOVAPS X8, acc
 
+// VACC is ACC eight floats wide in VEX form (AVX, no FMA): the input
+// chunk into Y8, VMULPS with the input element as the first source, then
+// VADDPS with the product as the first source. Three operands need no
+// copy, and the roundings and operand order are ACC's.
+#define VACC(off, acc) \
+	VMOVUPS off(AX), Y8 \
+	VMULPS  Y15, Y8, Y8 \
+	VADDPS  acc, Y8, acc
+
 // ROW leaves in AX the address of the current chunk of entry BX's input
 // row, in SI + idx[BX]·4f, and in X15 vals[BX] in every lane; or, if
 // idx[BX] has no row in in (unsigned against CX, so a negative index is
@@ -26,6 +35,39 @@
 	MOVSS   (R9)(BX*4), X15 \
 	SHUFPS  $0, X15, X15
 
+// VROW is ROW for the VEX chunks: vals[BX] broadcast into all of Y15, and
+// a bad index leaves through badvex, which clears the upper halves.
+#define VROW \
+	MOVLQSX      (R10)(BX*4), AX \
+	CMPQ         AX, CX          \
+	JAE          badvex          \
+	IMULQ        R13, AX         \
+	ADDQ         SI, AX          \
+	VBROADCASTSS (R9)(BX*4), Y15
+
+// func hasAVX() bool
+//
+// Reports whether the CPU has AVX (CPUID.1:ECX bit 28) and the OS saves
+// YMM state: OSXSAVE (bit 27) set and XCR0's SSE and AVX bits (XGETBV(0)
+// & 6) both on.
+TEXT ·hasAVX(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $(3<<27), CX
+	CMPL CX, $(3<<27)
+	JNE  noavx
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX
+	CMPL AX, $6
+	JNE  noavx
+	MOVB $1, ret+0(FP)
+
+noavx:
+	RET
+
 // func rowAccPacked(out, vals []float32, idx []int32, ptr []int64, in []float32, f int) int64
 //
 // For each row r < len(ptr)-1 (one row of every entry if ptr is empty),
@@ -38,10 +80,14 @@
 // entries are walked once per column chunk of its output — 32, 16, 8, 4,
 // 2 and 1 floats wide, the widest that fits first — with the chunk loaded
 // into the accumulators X0–X7, carried across all entries and stored
-// once. Per element that is one MULPS (MULSS) then one ADDPS (ADDSS) per
-// entry, in entry order: the bits of rowAccLoop. The 2-float chunk loads
-// and stores with MOVSD; its lanes 2–3 are never stored. Unaligned loads
-// and stores throughout; slices start anywhere.
+// once. When useVEX is set (the CPU has AVX and the OS saves YMM state),
+// rows of 32 floats or more take 64- and 32-float chunks in Y0–Y7 instead
+// of the 32-float one, with VZEROUPPER before the SSE2 chunks and on
+// every exit from the VEX ones. Per element that is one MULPS (VMULPS, MULSS) then one
+// ADDPS (VADDPS, ADDSS) per entry, in entry order, with the same operands
+// first: the bits of rowAccLoop. The 2-float chunk loads and stores with
+// MOVSD; its lanes 2–3 are never stored. Unaligned loads and stores
+// throughout; slices start anywhere.
 //
 // Every index is checked, unsigned, against len(in)/f (one DIVQ per
 // call) before its input row is loaded. The first chunk's pass over a
@@ -134,6 +180,13 @@ row:
 	MOVQ  DX, DI
 	MOVQ  in_base+96(FP), SI
 	MOVQ  f+120(FP), R12
+
+	// Rows of 32 floats or more take the VEX chunks when the probe found
+	// AVX; narrower rows never look.
+	CMPQ R12, $32
+	JLT  chunk16
+	CMPB ·useVEX(SB), $0
+	JNE  chunk64v
 
 chunk32:
 	CMPQ   R12, $32
@@ -291,6 +344,87 @@ nextrow:
 	LEAQ (R10)(R11*4), R10
 	ADDQ R13, DX
 	JMP  row
+
+	// The VEX chunks: 64 floats in Y0–Y7 as often as they fit, then 32 in
+	// Y0–Y3 at most once, then the SSE2 chunks from 16 down, after
+	// VZEROUPPER (legacy SSE after dirty upper halves stalls).
+chunk64v:
+	CMPQ    R12, $64
+	JLT     chunk32v
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	VMOVUPS 128(DI), Y4
+	VMOVUPS 160(DI), Y5
+	VMOVUPS 192(DI), Y6
+	VMOVUPS 224(DI), Y7
+	XORL    BX, BX
+
+	PCALIGN $32
+loop64v:
+	VROW
+	VACC(0, Y0)
+	VACC(32, Y1)
+	VACC(64, Y2)
+	VACC(96, Y3)
+	VACC(128, Y4)
+	VACC(160, Y5)
+	VACC(192, Y6)
+	VACC(224, Y7)
+	INCQ BX
+	CMPQ BX, R11
+	JLT  loop64v
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	VMOVUPS Y4, 128(DI)
+	VMOVUPS Y5, 160(DI)
+	VMOVUPS Y6, 192(DI)
+	VMOVUPS Y7, 224(DI)
+	ADDQ    $256, DI
+	ADDQ    $256, SI
+	SUBQ    $64, R12
+	JMP     chunk64v
+
+chunk32v:
+	CMPQ    R12, $32
+	JLT     vexdone
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y1
+	VMOVUPS 64(DI), Y2
+	VMOVUPS 96(DI), Y3
+	XORL    BX, BX
+
+	PCALIGN $32
+loop32v:
+	VROW
+	VACC(0, Y0)
+	VACC(32, Y1)
+	VACC(64, Y2)
+	VACC(96, Y3)
+	INCQ BX
+	CMPQ BX, R11
+	JLT  loop32v
+
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, SI
+	SUBQ    $32, R12
+
+vexdone:
+	VZEROUPPER
+	JMP chunk16
+
+badvex:
+	VZEROUPPER
+	MOVQ AX, ret+128(FP)
+	RET
 
 badrun:
 	MOVQ $0x200000000, AX // rowBadRun
