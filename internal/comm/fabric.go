@@ -153,7 +153,7 @@ func NewFabric(p int, model *hw.Model) *Fabric {
 	f.devices = make([]*Device, p)
 	f.world = make([]int, p)
 	for r := 0; r < p; r++ {
-		f.devices[r] = &Device{Rank: r, F: f, stages: new([hw.NumResources]Stage)}
+		f.devices[r] = &Device{Rank: r, F: f, stage: new(Stage)}
 		f.world[r] = r
 	}
 	return f
@@ -554,27 +554,25 @@ type Device struct {
 	faultEpoch int     // driver-maintained global epoch tag (SetFaultEpoch)
 	track      int     // trace track (hw.Resource index); 0 on base devices
 
-	// stages is the base device's staging memory, one Stage per track;
-	// its lanes share the pointer and each uses its own track's entry.
-	stages *[hw.NumResources]Stage
+	// stage is the device's staging memory; its lanes share the pointer.
+	stage *Stage
 }
 
 // Stage is host memory a device lends to the code staging its collective
 // contributions — packed parts, and the parts slice pointing into them —
-// so that a steady-state caller allocates neither. Each track has its
-// own Stage, and a lane borrows its base device's for its track, so
-// lanes forked afresh every epoch keep the memory. Only the goroutine
-// driving the device or lane may use it. What it stages stays valid until
-// that goroutine next asks for the same buffer, which is safe across a
-// collective: no member returns from a round until every member has
-// finished reading it.
+// so that a steady-state caller allocates neither. A device and its
+// lanes share one Stage, so lanes forked every epoch keep the memory.
+// Only the device's goroutine may use it. What it stages stays valid
+// until that goroutine next asks for the same buffer, which is safe
+// across a collective: no member returns from a round until every member
+// has finished reading it.
 type Stage struct {
 	buf   []float32
 	parts [][]float32
 }
 
-// Stage returns the staging memory of this device's track.
-func (d *Device) Stage() *Stage { return &d.stages[d.track] }
+// Stage returns the device's staging memory.
+func (d *Device) Stage() *Stage { return d.stage }
 
 // Floats returns a length-n buffer with unspecified contents.
 func (s *Stage) Floats(n int) []float32 {
@@ -601,9 +599,8 @@ func (s *Stage) Parts(n int) [][]float32 {
 // clocks; charges and collectives on a lane work exactly as on the base
 // device but emit trace events on the lane's track. A lane starts at the
 // base device's current clock with zeroed time accumulators — merge it
-// back with MergeLane at a synchronization point. Only one goroutine may
-// drive a given lane, and only one lane per rank may enter any given
-// collective round.
+// back with MergeLane at a synchronization point. The device's goroutine
+// drives its lanes too: a lane is another clock, not another thread.
 func (d *Device) Lane(track int) *Device {
 	return &Device{
 		Rank: d.Rank, F: d.F,
@@ -612,7 +609,7 @@ func (d *Device) Lane(track int) *Device {
 		slow:       d.slow,
 		faultEpoch: d.faultEpoch,
 		track:      track,
-		stages:     d.stages,
+		stage:      d.stage,
 	}
 }
 

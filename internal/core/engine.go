@@ -23,6 +23,7 @@ import (
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/costmodel"
 	"gnnrdm/internal/dist"
+	"gnnrdm/internal/hw"
 	"gnnrdm/internal/nn"
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/sparse"
@@ -113,10 +114,11 @@ type Options struct {
 	// TraceLabel names the trace session (default "rdm").
 	TraceLabel string
 	// Overlap switches Epoch to the dependency-DAG executor
-	// (overlap.go): ready ops dispatch concurrently over per-resource
-	// device lanes, so a GEMM can run while the NIC drains an
-	// all-reduce. Numerics, byte meters, and trace-event inventories are
-	// identical to the sequential interpreter — only clocks change
+	// (overlap.go): ops run on per-resource device lanes, each starting
+	// when its lane is free and its DAG dependencies have finished, so
+	// a GEMM's clock runs while the NIC drains an all-reduce. Numerics,
+	// byte meters, and trace-event inventories are identical to the
+	// sequential interpreter — only clocks change
 	// (verify.CheckOverlapEquivalence pins all three). Forward-only
 	// paths (Forward, RunInference) always run sequentially. The
 	// GNNRDM_OVERLAP=1 environment variable forces this on, for CI.
@@ -203,10 +205,8 @@ type Engine struct {
 	// feature gather (AllGatherFlat) and gradBufs the per-weight
 	// destinations of the gradient all-reduces (AllReduceSumInto):
 	// steady-state epochs reuse them, so the hot comm path allocates
-	// nothing per round. Safe without locks — every op touching a
-	// buffer classifies to the same overlap lane (KSpMM to the column
-	// group's link resource, KAllReduceGrad to the world's), so uses
-	// are serialized even under the concurrent executor.
+	// nothing per round. Both executors run every op on the device
+	// goroutine, so uses are serialized without locks.
 	gatherBuf []float32
 	gradBufs  [][]float32
 
@@ -228,9 +228,18 @@ type Engine struct {
 	// schedule are advisory — the executor reads live matrix shapes, so a
 	// SetProblem swap (GraphSAINT subgraphs) reuses the same schedule.
 	sched *plan.Schedule
-	// dag is sched's dependency DAG, built on first overlap epoch
-	// (overlap.go).
-	dag *plan.DAG
+	// dag is sched's dependency DAG, built on the first overlap epoch
+	// (overlap.go) together with lanes, the device's resource lanes
+	// indexed by hw.Resource (the device itself for compute, nil for a
+	// link no op of this rank occupies), and finish, each node's finish
+	// time on its lane in the current epoch. Link lanes are forked in
+	// place every epoch, so a steady-state epoch allocates none.
+	dag    *plan.DAG
+	lanes  [hw.NumResources]*comm.Device
+	finish []float64
+	// cfgTag is the ordering's trace tag, set on the device and on each
+	// link lane.
+	cfgTag string
 
 	// live is the sorted live row set of X (value scan), consumed by the
 	// schedule's sparse redistributions; nil for a dense schedule.
@@ -301,7 +310,8 @@ func newEngine(dev *comm.Device, prob *Problem, opts Options) *Engine {
 			e.weights = append(e.weights, ws)
 		}
 	}
-	dev.TraceSetConfig(opts.Config.String())
+	e.cfgTag = opts.Config.String()
+	dev.TraceSetConfig(e.cfgTag)
 	return e
 }
 

@@ -98,7 +98,10 @@ func TestTrainGolden(t *testing.T) {
 	}
 	tp := sp.MustTopology(4)
 	var b strings.Builder
+	// Every leg pins its executor, so GNNRDM_OVERLAP=1 cannot turn the
+	// sequential legs into overlapped ones.
 	run := func(name string, o Options, epochs int) {
+		o.PinExecutor = true
 		res, cp := TrainResumable(4, hw.A6000(), prob, o, epochs, nil)
 		goldenRun(t, &b, name, res, cp, o.Tracer)
 	}
@@ -134,6 +137,7 @@ func TestTrainGolden(t *testing.T) {
 	run("cfg10 zero-epochs", testOpts(dims, 10), 0)
 
 	o = testOpts(dims, 10)
+	o.PinExecutor = true
 	first, cp := TrainResumable(4, hw.A6000(), prob, o, 3, nil)
 	goldenRun(t, &b, "cfg10 resumable first-3", first, cp, nil)
 	second, cp2 := TrainResumable(4, hw.A6000(), prob, o, 3, cp)

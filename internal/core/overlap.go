@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
@@ -10,37 +8,24 @@ import (
 	"gnnrdm/internal/tensor"
 )
 
-// This file is the dependency-DAG executor behind Options.Overlap: the
-// epoch's ops dispatch over per-resource device lanes (compute, intra
-// link, inter link — hw.Resource) instead of one serial loop, so a GEMM
-// can run while the NIC drains an all-reduce bucket. One goroutine per
-// lane walks that lane's ops in schedule order, waiting on each op's
-// DAG dependencies and advancing the lane clock to the dependencies'
-// finish times before executing — exactly the occupancy model
-// PriceDAGOn simulates, which is why the live clocks equal the priced
-// critical path. Numerics are untouched: each op runs the very same
-// execOp code, collectives keep their group-position reduction order,
-// and the DAG's write-after-read edges serialize every in-place mutation.
+// This file is the overlap executor behind Options.Overlap: the epoch's
+// ops run on per-resource device lanes (compute, intra link, inter link
+// — hw.Resource) instead of the device's one timeline, so a GEMM's clock
+// runs while the NIC drains an all-reduce bucket. The executor is a
+// walk: one loop on the device goroutine visits the DAG's nodes in
+// schedule order, advances the node's lane to its dependencies' finish
+// times and runs execOp there. That is the occupancy model of the replay
+// engine (plan/replay.go), which is why the live clocks equal the priced
+// critical path: a lane's clocks depend only on its op order and its
+// dependencies' finish times, never on which host thread runs it.
+// Numerics are untouched: every op runs the same execOp code in the
+// sequential interpreter's order, and collectives keep their
+// group-position reduction order.
 //
-// Lane order is deadlock-free by construction: a collective's resource
-// is a function of its group (plan.DAG.OpResource, the table the replay
-// classifies from), so all members enter it from the same lane index,
-// and every lane executes its ops in global schedule order — per-group
-// rendezvous order is therefore identical on all ranks. Under injected
-// faults the first panic (the fault.Killed on the crashed rank, a
-// *comm.FaultError on survivors) re-raises on the
-// device goroutine immediately, without waiting for blocked sibling
-// lanes: those are woken by the fabric's markDead broadcast, observe
-// ErrPeerDead, and self-terminate, so the run degrades exactly like the
-// sequential interpreter (typed error, no deadlock, no goroutine leak).
-
-// dag returns the schedule's dependency DAG, built once.
-func (e *Engine) dagLazy() *plan.DAG {
-	if e.dag == nil {
-		e.dag = plan.MustBuildDAG(e.sched)
-	}
-	return e.dag
-}
+// Deadlock freedom and fault handling are the sequential interpreter's:
+// every rank enters its collectives in schedule order, whatever lanes
+// they land on, and a crash (fault.Killed) or a survivor's
+// *comm.FaultError panics on the device goroutine itself.
 
 // PanelCensus computes the per-rank adjacency panel stored-entry counts
 // of a problem under (P, RA) partitioning — the exact census the DAG
@@ -65,115 +50,50 @@ func PanelCensus(prob *Problem, p, ra int) plan.Census {
 	return cen
 }
 
-// runOverlap executes one epoch's schedule as a dependency DAG over the
-// device's resource lanes. regs and grads are the epoch's register file
-// and gradient slots, same as the sequential path.
+// runOverlap executes one epoch's schedule over the device's resource
+// lanes. regs and grads are the epoch's register file and gradient
+// slots, same as the sequential path.
 func (e *Engine) runOverlap(regs []*dist.Mat, grads []*tensor.Dense) {
-	d := e.dagLazy()
-	nodes := d.Nodes
-	// Partition nodes by the resource they occupy on this rank. Each
-	// list stays in ascending node-index (schedule) order.
-	var perRes [hw.NumResources][]int
-	for i := range nodes {
-		res := d.OpResource(i, e.dev.Rank, e.opts.Topology)
-		perRes[res] = append(perRes[res], i)
+	d, rank, tp := e.dag, e.dev.Rank, e.opts.Topology
+	if d == nil {
+		// First overlapped epoch: build the DAG, and a lane for each
+		// resource this rank's ops occupy. Compute ops run on the device
+		// itself.
+		d = plan.MustBuildDAG(e.sched)
+		e.dag, e.finish = d, make([]float64, len(d.Nodes))
+		e.lanes[hw.ResCompute] = e.dev
+		for i := range d.Nodes {
+			if res := d.OpResource(i, rank, tp); e.lanes[res] == nil {
+				e.lanes[res] = new(comm.Device)
+			}
+		}
 	}
-	// Lanes: compute ops run on the base device itself; link ops on
-	// forked lanes starting at the base clock with their own trace
-	// track. Scope tags must be set here, before the workers fork, so
-	// the tracer materializes each track from a single goroutine.
-	cfg := e.opts.Config.String()
+	// Fork each link lane in place at the base clock, with the run's
+	// scope tags on its trace track.
 	epoch := e.epoch - 1 // Epoch() tagged the base with its pre-increment value
-	var lanes [hw.NumResources]*comm.Device
-	lanes[hw.ResCompute] = e.dev
 	for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
-		if len(perRes[res]) == 0 {
-			continue
-		}
-		l := e.dev.Lane(int(res))
-		l.TraceSetConfig(cfg)
-		l.TraceSetEpoch(epoch)
-		lanes[res] = l
-	}
-
-	done := make([]chan struct{}, len(nodes))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	finish := make([]float64, len(nodes)) // written before close(done[i])
-	abort := make(chan struct{})
-	failed := make(chan struct{})
-	var failMu sync.Mutex
-	var firstPanic any
-	var abortOnce sync.Once
-	var wg sync.WaitGroup
-
-	worker := func(lane *comm.Device, list []int) {
-		defer wg.Done()
-		defer func() {
-			if p := recover(); p != nil {
-				failMu.Lock()
-				if firstPanic == nil {
-					firstPanic = p
-					close(failed)
-				}
-				failMu.Unlock()
-				abortOnce.Do(func() { close(abort) })
-			}
-		}()
-		for _, i := range list {
-			n := &nodes[i]
-			for _, dep := range n.Deps {
-				select {
-				case <-done[dep]:
-				case <-abort:
-					return
-				}
-			}
-			select {
-			case <-abort:
-				return
-			default:
-			}
-			for _, dep := range n.Deps {
-				lane.AdvanceClock(finish[dep])
-			}
-			lane.TraceSetStep(n.Op.Step)
-			e.execOp(lane, n.Op, regs, grads)
-			lane.TraceSetStep(0)
-			finish[i] = lane.Clock()
-			close(done[i])
+		if l := e.lanes[res]; l != nil {
+			*l = *e.dev.Lane(int(res))
+			l.TraceSetConfig(e.cfgTag)
+			l.TraceSetEpoch(epoch)
 		}
 	}
-	for res := hw.Resource(0); res < hw.NumResources; res++ {
-		if lanes[res] == nil || len(perRes[res]) == 0 {
-			continue
+	for i := range d.Nodes {
+		n := &d.Nodes[i]
+		lane := e.lanes[d.OpResource(i, rank, tp)]
+		for _, dep := range n.Deps {
+			lane.AdvanceClock(e.finish[dep])
 		}
-		wg.Add(1)
-		go worker(lanes[res], perRes[res])
+		lane.TraceSetStep(n.Op.Step)
+		e.execOp(lane, n.Op, regs, grads)
+		lane.TraceSetStep(0)
+		e.finish[i] = lane.Clock()
 	}
-	allDone := make(chan struct{})
-	go func() { wg.Wait(); close(allDone) }()
-
-	select {
-	case <-allDone:
-		// Clean epoch: rejoin the link lanes into the base timeline
-		// (clock = max, meters summed) — the occupancy Join of the
-		// pricer's epoch boundary.
-		for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
-			if lanes[res] != nil {
-				e.dev.MergeLane(lanes[res])
-			}
+	// Rejoin the link lanes into the base timeline (clock = max, meters
+	// summed): the occupancy join of the pricer's epoch boundary.
+	for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
+		if l := e.lanes[res]; l != nil {
+			e.dev.MergeLane(l)
 		}
-	case <-failed:
-		// Re-raise the first worker panic on the device goroutine NOW —
-		// waiting for the full wg would deadlock: sibling lanes blocked
-		// inside a dead rank's collective round only wake once the
-		// fabric marks this rank dead, which needs this goroutine to
-		// exit. The stragglers then observe ErrPeerDead and return.
-		failMu.Lock()
-		p := firstPanic
-		failMu.Unlock()
-		panic(p)
 	}
 }

@@ -1,10 +1,11 @@
-// Package internal holds no code of its own; its one test keeps the
-// library's exported surface honest. Every exported function, method and
-// type under internal/ must be referenced from a non-test .go file
-// somewhere in the module tree (the root package, cmd/, examples/,
-// gencorpus/, benchmark/ and internal/ itself), or sit on surfaceAllow
-// with a one-line reason. The allowlist may only shrink: an entry whose
-// name gained a caller, or names nothing, fails the test too.
+// Package internal holds no code of its own; its tests keep the
+// library's shape honest. Every exported function, method and type under
+// internal/ must be referenced from a non-test .go file somewhere in the
+// module tree (the root package, cmd/, examples/, gencorpus/, benchmark/
+// and internal/ itself), or sit on surfaceAllow with a one-line reason.
+// The allowlist may only shrink: an entry whose name gained a caller, or
+// names nothing, fails the test too. Likewise every go statement in
+// non-test code under internal/ must sit in a function on goSites.
 package internal
 
 import (
@@ -55,6 +56,17 @@ var surfaceAllow = map[string]string{
 	"serve.Session.DeferredQueries": "documented degraded-window API",
 }
 
+// goSites names the only functions under internal/ whose non-test code
+// may contain a go statement, keyed like surfaceAllow, each with its
+// reason. Everything else runs on its caller's goroutine: a new site
+// needs a reason as strong as these, and an entry whose function no
+// longer starts a goroutine fails the test.
+var goSites = map[string]string{
+	"comm.Fabric.Run":     "one goroutine per device: each rank runs its SPMD program on its own",
+	"tensor.ParallelRows": "the row split: one kernel's rows in contiguous chunks across GOMAXPROCS",
+	"verify.noDeadlock":   "the deadlock watchdog: the guarded function runs beside the timer that reports it stuck",
+}
+
 // module is the import path of the tree's root; benchmark/ is a module
 // of its own whose path keeps this prefix, so one rule maps every
 // directory to its import path.
@@ -78,9 +90,12 @@ type surface struct {
 	fields   map[string]bool            // struct field names
 	iface    map[string]bool            // interface method names
 	imports  map[string]map[string]bool // package -> direct imports
+	goStmts  map[string][]token.Pos     // enclosing function -> go statements, internal/ only
 }
 
-func TestExportedSurfaceHasCallers(t *testing.T) {
+// walk parses every non-test .go file in the module tree into a surface.
+func walk(t *testing.T) (*surface, *token.FileSet) {
+	t.Helper()
 	root, err := filepath.Abs("..")
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +105,7 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 		decls: map[declKey]token.Pos{}, refs: map[declKey]bool{},
 		called: map[string]map[string]bool{}, selected: map[string]map[string]bool{},
 		fields: map[string]bool{}, iface: map[string]bool{},
-		imports: map[string]map[string]bool{},
+		imports: map[string]map[string]bool{}, goStmts: map[string][]token.Pos{},
 	}
 	err = filepath.WalkDir(root, func(path string, de fs.DirEntry, err error) error {
 		if err != nil {
@@ -124,7 +139,11 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, fset
+}
 
+func TestExportedSurfaceHasCallers(t *testing.T) {
+	s, fset := walk(t)
 	prefix := module + "/internal/"
 	var missing []string
 	seen := map[string]bool{}
@@ -153,6 +172,30 @@ func TestExportedSurfaceHasCallers(t *testing.T) {
 	for k := range surfaceAllow {
 		if !seen[k] {
 			t.Errorf("surfaceAllow entry %q names no exported declaration; delete it", k)
+		}
+	}
+}
+
+// TestGoStatementSites fails on a go statement outside goSites, so the
+// library's concurrency stays the three sites that need it.
+func TestGoStatementSites(t *testing.T) {
+	s, fset := walk(t)
+	var stray []string
+	for fn, sites := range s.goStmts {
+		if _, ok := goSites[fn]; ok {
+			continue
+		}
+		for _, pos := range sites {
+			stray = append(stray, fset.Position(pos).String()+": go statement in "+fn)
+		}
+	}
+	sort.Strings(stray)
+	for _, m := range stray {
+		t.Errorf("%s: run it on the caller's goroutine, or give it a goSites entry", m)
+	}
+	for fn := range goSites {
+		if len(s.goStmts[fn]) == 0 {
+			t.Errorf("goSites entry %q names no function with a go statement; delete it", fn)
 		}
 	}
 }
@@ -204,17 +247,16 @@ func (s *surface) file(f *ast.File, pkg string) {
 	internal := strings.HasPrefix(pkg, module+"/internal/")
 	skip := map[*ast.Ident]bool{} // declaring identifiers and selected names
 	for _, d := range f.Decls {
+		if internal {
+			s.recordGo(d, strings.TrimPrefix(pkg, module+"/internal/"))
+		}
 		switch d := d.(type) {
 		case *ast.FuncDecl:
 			skip[d.Name] = true
 			if !internal || !d.Name.IsExported() {
 				continue
 			}
-			if d.Recv == nil {
-				s.decls[declKey{pkg, d.Name.Name}] = d.Name.Pos()
-			} else if recv := recvType(d.Recv.List[0].Type); recv != "" {
-				s.decls[declKey{pkg, recv + "." + d.Name.Name}] = d.Name.Pos()
-			}
+			s.decls[declKey{pkg, funcName(d)}] = d.Name.Pos()
 		case *ast.GenDecl:
 			for _, spec := range d.Specs {
 				if ts, ok := spec.(*ast.TypeSpec); ok {
@@ -282,6 +324,30 @@ func (s *surface) file(f *ast.File, pkg string) {
 		}
 		return true
 	})
+}
+
+// recordGo notes every go statement in d under its enclosing function,
+// "pkg.Func" or "pkg.Type.Method" (package-level variables count as
+// "pkg.var").
+func (s *surface) recordGo(d ast.Decl, pkg string) {
+	fn := pkg + ".var"
+	if fd, ok := d.(*ast.FuncDecl); ok {
+		fn = pkg + "." + funcName(fd)
+	}
+	ast.Inspect(d, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			s.goStmts[fn] = append(s.goStmts[fn], g.Pos())
+		}
+		return true
+	})
+}
+
+// funcName is a function declaration's key: Name, or Type.Method.
+func funcName(d *ast.FuncDecl) string {
+	if d.Recv == nil {
+		return d.Name.Name
+	}
+	return recvType(d.Recv.List[0].Type) + "." + d.Name.Name
 }
 
 func add(m map[string]map[string]bool, name, pkg string) {

@@ -170,8 +170,8 @@ type Session struct {
 
 // rankState is one device's recording state: one trackState per resource
 // timeline. Track 0 always exists; extra tracks materialize lazily when
-// the overlap executor emits on them. Each track is written only by the
-// single goroutine owning that (rank, track) lane.
+// the overlap executor emits on them. All of a rank's tracks are written
+// only by that rank's device goroutine, which also drives its lanes.
 type rankState struct {
 	tracks []*trackState
 }
@@ -245,10 +245,8 @@ func (t *Tracer) rank(r int) *rankState {
 }
 
 // state returns the (rank, track) timeline, creating intermediate tracks
-// as needed. New tracks must materialize before concurrent emission on
-// the rank begins: the fabric sets scope tags on each lane from the
-// owning device goroutine before forking lane workers, which creates the
-// track states with a happens-before edge to every later emission.
+// as needed. A rank's tracks are created and written by its one device
+// goroutine, so they need no lock.
 func (t *Tracer) state(r, track int) *trackState {
 	rs := t.rank(r)
 	for len(rs.tracks) <= track {
@@ -259,8 +257,8 @@ func (t *Tracer) state(r, track int) *trackState {
 
 // Emit records one event on rank r's timeline — on the track the event
 // carries (ev.Track) — stamping it with that track's current scope tags.
-// Callers must hold the "one writer per (rank, track)" invariant;
-// internal/comm guarantees it by construction.
+// Callers must hold the "one writer per rank" invariant; internal/comm
+// guarantees it by construction.
 func (t *Tracer) Emit(r int, ev Event) {
 	rs := t.state(r, ev.Track)
 	ev.Epoch, ev.Layer, ev.Step = rs.scope.epoch, rs.scope.layer, rs.scope.step

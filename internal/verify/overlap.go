@@ -17,8 +17,8 @@ import (
 //
 //  1. Numerics — bit-identical: every epoch's loss, every rank's final
 //     logits tile, and every weight matrix compare with float32 ==, no
-//     tolerance. The DAG's write-after-read edges plus the fabric's
-//     group-position reduction order make concurrent dispatch
+//     tolerance. The lane walk runs every op in the sequential order,
+//     and the fabric reduces in group-position order, so lanes are
 //     arithmetically invisible.
 //  2. Meters — exactly equal: per-kind collective volumes, call counts,
 //     side-channel bytes, and per-tier splits. Overlap reorders time,
@@ -167,11 +167,12 @@ type OverlapChaosResult struct {
 }
 
 // RunOverlapChaos trains with the overlap executor under a fault
-// schedule and returns each rank's outcome. Crashed ranks' Killed
-// panics are contained by the fabric (their workers' sibling lanes are
-// woken by the death broadcast and drain); survivor ranks surface a
-// typed *comm.FaultError, which this harness records instead of
-// re-panicking — anything that is not fault-class re-raises.
+// schedule and returns each rank's outcome. The executor walks its lanes
+// on the device goroutine, so a fault surfaces there as it does under
+// the sequential interpreter: crashed ranks' Killed panics are contained
+// by the fabric, and survivor ranks surface a typed *comm.FaultError,
+// which this harness records instead of re-panicking — anything that is
+// not fault-class re-raises.
 func RunOverlapChaos(p int, prob *core.Problem, o core.Options, epochs int, sched *fault.Schedule, seed int64) []OverlapChaosResult {
 	o.Overlap = true
 	res := make([]OverlapChaosResult, p)

@@ -61,11 +61,11 @@ func TestOverlapEquivalenceSAGE(t *testing.T) {
 	CheckOverlapEquivalence(t, prob, 4, 2, o)
 }
 
-// TestOverlapRace drives the overlap executor's concurrent dispatcher
-// through a chaos matrix under the race detector: explicit crash and
-// straggler schedules plus the CI seed set. Crashes during overlapped
-// collectives must surface a typed *comm.FaultError on every survivor
-// — never a deadlock, never a goroutine leak.
+// TestOverlapRace drives the overlap executor's lane walk through a chaos
+// matrix under the race detector: explicit crash and straggler schedules
+// plus the CI seed set. Crashes during overlapped collectives must
+// surface a typed *comm.FaultError on every survivor — never a deadlock,
+// never a goroutine leak.
 func TestOverlapRace(t *testing.T) {
 	prob := DefaultProblem(3, 64, 16, 4)
 	dims := []int{16, 12, 8}
@@ -198,10 +198,10 @@ func TestOverlapConservation(t *testing.T) {
 }
 
 // TestOverlapTraceDeterministic runs the same overlap training twice
-// with tracing on and asserts byte-identical Chrome exports: concurrent
-// lane dispatch must not leak scheduler nondeterminism into the
-// recorded timeline (per-track event order is deterministic because
-// each lane's ops execute in schedule order at simulated clocks).
+// with tracing on and asserts byte-identical Chrome exports: the device
+// goroutines' interleaving must not leak into the recorded timeline
+// (per-track event order is deterministic because each lane's ops
+// execute in schedule order at simulated clocks).
 func TestOverlapTraceDeterministic(t *testing.T) {
 	prob := DefaultProblem(3, 64, 16, 4)
 	o := DiffSpec{Dims: []int{16, 12, 8}}.opts(10)
