@@ -49,26 +49,6 @@ func (g *Graph) String() string {
 	return fmt.Sprintf("%s: N=%d nnz=%d f=%d labels=%d", g.Name, g.N(), g.NNZ(), g.FeatureDim(), g.NumClasses)
 }
 
-// symmetrize turns an arbitrary coordinate list into a clean undirected
-// edge set: both directions present, self loops removed, duplicates
-// merged with value 1.
-func symmetrize(n int, coords []sparse.Coord) *sparse.CSR {
-	sym := make([]sparse.Coord, 0, 2*len(coords))
-	for _, e := range coords {
-		if e.Row == e.Col {
-			continue
-		}
-		sym = append(sym, sparse.Coord{Row: e.Row, Col: e.Col, Val: 1})
-		sym = append(sym, sparse.Coord{Row: e.Col, Col: e.Row, Val: 1})
-	}
-	m := sparse.FromCoords(n, n, sym)
-	// Clamp merged duplicates back to unit weight.
-	for i := range m.Val {
-		m.Val[i] = 1
-	}
-	return m
-}
-
 // RMAT generates an R-MAT graph with n vertices (rounded up to a power of
 // two internally, then truncated) and approximately the requested number
 // of undirected edges, using the classic (a,b,c,d) quadrant recursion.
@@ -101,9 +81,9 @@ func RMAT(rng *rand.Rand, n int, edges int64, a, b, c float64) *sparse.CSR {
 		if u >= n || v >= n || u == v {
 			continue
 		}
-		coords = append(coords, sparse.Coord{Row: int32(u), Col: int32(v), Val: 1})
+		coords = append(coords, sparse.Coord{Row: int32(u), Col: int32(v)})
 	}
-	return symmetrize(n, coords)
+	return sparse.Symmetric(n, coords)
 }
 
 // ErdosRenyi generates a G(n, m) uniform random graph with about m
@@ -115,9 +95,9 @@ func ErdosRenyi(rng *rand.Rand, n int, m int64) *sparse.CSR {
 		if u == v {
 			continue
 		}
-		coords = append(coords, sparse.Coord{Row: int32(u), Col: int32(v), Val: 1})
+		coords = append(coords, sparse.Coord{Row: int32(u), Col: int32(v)})
 	}
-	return symmetrize(n, coords)
+	return sparse.Symmetric(n, coords)
 }
 
 // PlantedPartition generates a stochastic-block-model graph: n vertices in
@@ -151,9 +131,9 @@ func PlantedPartition(rng *rand.Rand, n int, edges int64, k int, pIn float64) (*
 		if u == v {
 			continue
 		}
-		coords = append(coords, sparse.Coord{Row: int32(u), Col: int32(v), Val: 1})
+		coords = append(coords, sparse.Coord{Row: int32(u), Col: int32(v)})
 	}
-	return symmetrize(n, coords), comm
+	return sparse.Symmetric(n, coords), comm
 }
 
 // SynthesizeFeatures builds an n x f feature matrix where each node's
