@@ -52,13 +52,21 @@ func FuzzReadCSR(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Accepted matrices must satisfy CSR invariants.
+		// Accepted matrices must satisfy the sparse.CSR invariant.
 		if m.RowPtr[0] != 0 || m.RowPtr[m.Rows] != m.NNZ() {
 			t.Fatal("invalid row pointers accepted")
 		}
-		for _, c := range m.ColIdx {
-			if c < 0 || int(c) >= m.Cols {
-				t.Fatal("invalid column accepted")
+		for i := 0; i < m.Rows; i++ {
+			if m.RowPtr[i] > m.RowPtr[i+1] {
+				t.Fatalf("falling row pointers accepted at row %d", i)
+			}
+			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
+				if c := m.ColIdx[p]; c < 0 || int(c) >= m.Cols {
+					t.Fatalf("column %d accepted in row %d", c, i)
+				}
+				if p > m.RowPtr[i] && m.ColIdx[p] <= m.ColIdx[p-1] {
+					t.Fatalf("row %d accepted with columns not strictly ascending", i)
+				}
 			}
 		}
 	})

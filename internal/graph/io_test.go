@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -115,6 +116,27 @@ func TestReadCSRRejectsCorruption(t *testing.T) {
 	bad[off+3] = 0x7F
 	if _, err := ReadCSR(bytes.NewReader(bad)); err == nil {
 		t.Fatal("out-of-range column accepted")
+	}
+	// A row whose columns are swapped, then one that repeats a column:
+	// both break the ascending order CSR.At's binary search relies on.
+	row := 0
+	for adj.RowPtr[row+1]-adj.RowPtr[row] < 2 {
+		row++
+	}
+	p := off + 4*int(adj.RowPtr[row])
+	for name, edit := range map[string]func(b []byte){
+		"unsorted":  func(b []byte) { copy(b[p:p+4], good[p+4:p+8]); copy(b[p+4:p+8], good[p:p+4]) },
+		"duplicate": func(b []byte) { copy(b[p+4:p+8], good[p:p+4]) },
+	} {
+		bad = append([]byte(nil), good...)
+		edit(bad)
+		_, err := ReadCSR(bytes.NewReader(bad))
+		if err == nil {
+			t.Fatalf("%s row accepted", name)
+		}
+		if want := fmt.Sprintf("row %d:", row); !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s row: error %q does not name %q", name, err, want)
+		}
 	}
 }
 
