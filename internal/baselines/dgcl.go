@@ -1,6 +1,7 @@
 package baselines
 
 import (
+	"slices"
 	"sort"
 
 	"gnnrdm/internal/comm"
@@ -175,7 +176,7 @@ func newDGCLAgg(dev *comm.Device, a *sparse.CSR, bounds []int) *dgclAgg {
 		for v := range needSet[s] {
 			ids = append(ids, v)
 		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		slices.Sort(ids)
 		ag.needFrom[s] = ids
 		for _, v := range ids {
 			extIdx[v] = next

@@ -23,6 +23,7 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gnnrdm/internal/tensor"
@@ -57,7 +58,7 @@ func GenRows(seed int64, n, count int) []int32 {
 		idx[i], idx[j] = idx[j], idx[i]
 	}
 	out := idx[:count]
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 
@@ -322,7 +323,7 @@ func HaloExchange(m *Mat, need []int32) *tensor.Dense {
 			distinct = append(distinct, r)
 		}
 	}
-	sort.Slice(distinct, func(a, b int) bool { return distinct[a] < distinct[b] })
+	slices.Sort(distinct)
 	if p == 1 {
 		return expandRows(m.Local, nil, need)
 	}

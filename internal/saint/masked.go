@@ -2,7 +2,7 @@ package saint
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 
 	"gnnrdm/internal/sparse"
 )
@@ -40,7 +40,7 @@ func NeighborMaskProvider(adj *sparse.CSR, fanout int, seed int64) func(epoch, r
 				idx[i], idx[j] = idx[j], idx[i]
 				picked[i] = adj.ColIdx[lo+int64(idx[i])]
 			}
-			sort.Slice(picked, func(a, b int) bool { return picked[a] < picked[b] })
+			slices.Sort(picked)
 			masks[r-rowLo] = picked
 		}
 		return masks

@@ -12,6 +12,7 @@ package saint
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"gnnrdm/internal/core"
@@ -127,7 +128,7 @@ func (s *Sampler) Sample(rng *rand.Rand) []int32 {
 	for v := range set {
 		out = append(out, v)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	if len(out) > s.Budget {
 		out = out[:s.Budget]
 	}
