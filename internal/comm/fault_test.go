@@ -10,12 +10,14 @@ package comm_test
 import (
 	"errors"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/hw"
+	"gnnrdm/internal/trace"
 )
 
 // runBounded fails the test if fabric.Run(fn) does not complete within
@@ -190,6 +192,50 @@ func TestTransientRoundIsRetriedWithSimulatedBackoff(t *testing.T) {
 	// The volume must be metered exactly once despite three rounds.
 	if got, want := f.Meters().Volume[hw.OpAllReduce], clean.Meters().Volume[hw.OpAllReduce]; got != want {
 		t.Fatalf("faulty run metered %d allreduce bytes, clean %d", got, want)
+	}
+}
+
+// TestRetryMultiplierBelowOneReadsAsOne pins RetryPolicy's rule that a
+// Multiplier below 1 reads as 1: three failed rounds cost the same
+// clocks and record the same fault events as under Multiplier 1, where
+// a growing or shrinking backoff would move both.
+func TestRetryMultiplierBelowOneReadsAsOne(t *testing.T) {
+	run := func(mult float64) (clocks []float64, faults []trace.Event) {
+		tr := trace.NewTracer(0)
+		f := comm.NewFabric(2, hw.A6000())
+		f.SetTracer(tr, "retry")
+		f.SetFaultHook(&flakyHook{match: "allreduce", fail: 3})
+		f.SetRetryPolicy(comm.RetryPolicy{Max: 3, Backoff: 50e-6, Multiplier: mult})
+		runBounded(t, f, func(d *comm.Device) {
+			if _, err := d.TryAllReduceSum(d.World(), []float32{1, 2}); err != nil {
+				t.Errorf("multiplier %v, rank %d: %v", mult, d.Rank, err)
+			}
+		})
+		for r := 0; r < 2; r++ {
+			clocks = append(clocks, f.Device(r).Clock())
+			for _, ev := range tr.Sessions()[0].Events(r) {
+				if ev.Class == trace.ClassFault {
+					faults = append(faults, ev)
+				}
+			}
+		}
+		return clocks, faults
+	}
+	wantClocks, wantFaults := run(1)
+	if len(wantFaults) != 2*3 {
+		t.Fatalf("multiplier 1: %d fault events, want 3 retries on each of 2 ranks", len(wantFaults))
+	}
+	if growing, _ := run(2); slices.Equal(growing, wantClocks) {
+		t.Fatal("multiplier 2 left the clocks of multiplier 1: the backoff does not reach the clock")
+	}
+	for _, mult := range []float64{0.5, 0, -1} {
+		clocks, faults := run(mult)
+		if !slices.Equal(clocks, wantClocks) {
+			t.Errorf("multiplier %v: clocks %v, want multiplier 1's %v", mult, clocks, wantClocks)
+		}
+		if !slices.Equal(faults, wantFaults) {
+			t.Errorf("multiplier %v: fault events %v, want multiplier 1's %v", mult, faults, wantFaults)
+		}
 	}
 }
 
