@@ -160,11 +160,7 @@ func (vt *vertexTrainer) epoch() float64 {
 		if l > 1 {
 			g = tensor.MatMulTB(tb, vt.weights[l-1])
 			dev.ChargeGemm(tb.Rows, tb.Cols, vt.weights[l-1].Rows)
-			for i, v := range hs[l-1].Data {
-				if v <= 0 {
-					g.Data[i] = 0
-				}
-			}
+			g.ReLUGrad(hs[l-1])
 			dev.ChargeMem(g.Bytes())
 		}
 		dev.TraceEndPhase()

@@ -16,6 +16,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sync"
@@ -589,22 +590,20 @@ func (e *Engine) applyReLUMask(dev *comm.Device, op *plan.Op, u, src *dist.Mat) 
 		from := src
 		slot := e.masks[2*op.Step : 2*op.Step+2]
 		mask := dist.TileOf(slot[0], from.Local.Rows, from.Local.Cols)
+		one := math.Float32bits(1)
 		for i, v := range from.Local.Data {
-			mask.Data[i] = 0
+			b := uint32(0)
 			if v > 0 {
-				mask.Data[i] = 1
+				b = one
 			}
+			mask.Data[i] = math.Float32frombits(b)
 		}
 		dev.ChargeMem(mask.Bytes())
 		slot[0] = dist.FromLocal(dev, from.Layout, from.GlobalRows, from.GlobalCols, mask)
 		slot[1] = slot[0].RedistributeMaskInto(u.Layout, slot[1])
 		src = slot[1]
 	}
-	for i, v := range src.Local.Data {
-		if v <= 0 {
-			u.Local.Data[i] = 0
-		}
-	}
+	u.Local.ReLUGrad(src.Local)
 	dev.ChargeMem(u.Local.Bytes())
 }
 

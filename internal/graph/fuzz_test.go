@@ -2,12 +2,16 @@ package graph
 
 import (
 	"bytes"
+	"math"
+	"strconv"
 	"strings"
 	"testing"
 )
 
-// FuzzReadEdgeList checks the parser never panics and that anything it
-// accepts is a valid symmetric loop-free adjacency.
+// FuzzReadEdgeList checks the parser never panics, that every data line of
+// an input it accepts has 2 or 3 fields, two vertex IDs and a finite
+// positive weight, and that what it returns is a valid symmetric loop-free
+// adjacency.
 func FuzzReadEdgeList(f *testing.F) {
 	f.Add("0 1\n1 2\n", 8)
 	f.Add("# c\n3 3\n0 7\n", 8)
@@ -20,6 +24,27 @@ func FuzzReadEdgeList(f *testing.F) {
 		adj, err := ReadEdgeList(strings.NewReader(in), n)
 		if err != nil {
 			return
+		}
+		for _, line := range strings.Split(in, "\n") {
+			text := strings.TrimSpace(line)
+			if text == "" || strings.HasPrefix(text, "#") || strings.HasPrefix(text, "%") {
+				continue
+			}
+			fields := strings.Fields(text)
+			if len(fields) < 2 || len(fields) > 3 {
+				t.Fatalf("accepted %d fields in %q", len(fields), text)
+			}
+			for _, f := range fields[:2] {
+				if _, err := strconv.Atoi(f); err != nil {
+					t.Fatalf("accepted vertex %q in %q", f, text)
+				}
+			}
+			if len(fields) == 3 {
+				w, err := strconv.ParseFloat(fields[2], 32)
+				if err != nil || !(w > 0) || math.IsInf(w, 1) {
+					t.Fatalf("accepted weight %q in %q", fields[2], text)
+				}
+			}
 		}
 		if adj.Rows != n || adj.Cols != n {
 			t.Fatalf("bad shape %dx%d", adj.Rows, adj.Cols)

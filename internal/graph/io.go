@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -14,9 +15,11 @@ import (
 // ReadEdgeList parses a whitespace-separated edge list ("u v" per line,
 // optionally "u v w"; '#' and '%' lines are comments) into a symmetric
 // unit-weight adjacency matrix over n vertices. Vertex IDs must lie in
-// [0, n); self loops and duplicate edges are dropped/merged. This is the
-// SNAP/OGB-style interchange format, so users can run the system on real
-// datasets.
+// [0, n); a weight w must be a finite positive number, and it is checked
+// but not kept: the adjacency is unit-weight whatever w says. A line with
+// a fourth field is an error. Self loops and duplicate edges are
+// dropped/merged. This is the SNAP/OGB-style interchange format, so users
+// can run the system on real datasets.
 func ReadEdgeList(r io.Reader, n int) (*sparse.CSR, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
@@ -29,8 +32,8 @@ func ReadEdgeList(r io.Reader, n int) (*sparse.CSR, error) {
 			continue
 		}
 		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: want at least 2 fields, got %q", line, text)
+		if len(fields) < 2 || len(fields) > 3 {
+			return nil, fmt.Errorf("graph: line %d: want 2 or 3 fields, got %q", line, text)
 		}
 		u, err := strconv.Atoi(fields[0])
 		if err != nil {
@@ -42,6 +45,12 @@ func ReadEdgeList(r io.Reader, n int) (*sparse.CSR, error) {
 		}
 		if u < 0 || u >= n || v < 0 || v >= n {
 			return nil, fmt.Errorf("graph: line %d: vertex out of range [0,%d)", line, n)
+		}
+		if len(fields) == 3 {
+			w, err := strconv.ParseFloat(fields[2], 32)
+			if err != nil || !(w > 0) || math.IsInf(w, 1) {
+				return nil, fmt.Errorf("graph: line %d: weight %q is not a finite positive number", line, fields[2])
+			}
 		}
 		coords = append(coords, sparse.Coord{Row: int32(u), Col: int32(v)})
 	}

@@ -31,6 +31,15 @@ func TestReadEdgeList(t *testing.T) {
 	if adj.At(0, 1) != 1 || adj.At(1, 0) != 1 || adj.At(3, 3) != 0 {
 		t.Fatal("bad entries")
 	}
+
+	// A weight column is checked and dropped: the adjacency is the same.
+	weighted, err := ReadEdgeList(strings.NewReader("0 1 0.25\n1 2 4\n2 0 1e-3\n3 3 2\n0 1 7\n"), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tensor.MaxAbsDiff(weighted.ToDense(), adj.ToDense()) != 0 {
+		t.Fatal("weight column changed the adjacency")
+	}
 }
 
 func TestReadEdgeListErrors(t *testing.T) {
@@ -40,10 +49,22 @@ func TestReadEdgeListErrors(t *testing.T) {
 		"bad second":   "1 y\n",
 		"out of range": "0 9\n",
 		"negative":     "-1 0\n",
+		"bad weight":   "0 1 xyz\n",
+		"neg weight":   "1 2 -5\n",
+		"zero weight":  "0 1 0\n",
+		"underflow":    "0 1 1e-50\n",
+		"inf weight":   "0 1 +Inf\n",
+		"huge weight":  "0 1 1e39\n",
+		"nan weight":   "0 1 NaN\n",
+		"fourth field": "0 1 0.5 7\n",
 	}
 	for name, in := range cases {
-		if _, err := ReadEdgeList(strings.NewReader(in), 4); err == nil {
+		_, err := ReadEdgeList(strings.NewReader("2 3\n"+in), 4)
+		if err == nil {
 			t.Fatalf("%s: expected error", name)
+		}
+		if !strings.Contains(err.Error(), "line 2:") {
+			t.Fatalf("%s: error %q does not name line 2", name, err)
 		}
 	}
 }

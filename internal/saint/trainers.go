@@ -279,11 +279,7 @@ func localStep(d *comm.Device, sub *core.Problem, weights []*tensor.Dense) (floa
 		if l > 1 {
 			g = tensor.MatMulTB(t, weights[l-1])
 			d.ChargeGemm(t.Rows, t.Cols, weights[l-1].Rows)
-			for i, v := range hs[l-1].Data {
-				if v <= 0 {
-					g.Data[i] = 0
-				}
-			}
+			g.ReLUGrad(hs[l-1])
 			d.ChargeMem(g.Bytes())
 		}
 	}

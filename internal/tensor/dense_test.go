@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -130,11 +131,103 @@ func TestElementwiseOps(t *testing.T) {
 	}
 }
 
-func TestReLUAndGrad(t *testing.T) {
-	z := FromRowMajor(1, 4, []float32{-1, 0, 2, -3})
-	z.ReLU()
-	if z.Data[0] != 0 || z.Data[2] != 2 {
-		t.Fatalf("ReLU wrong: %v", z.Data)
+// reluBranch and reluGradBranch are the branching loops ReLU and ReLUGrad
+// replaced, kept as their oracle: they store only the elements they zero.
+func reluBranch(d []float32) {
+	for i, v := range d {
+		if v < 0 {
+			d[i] = 0
+		}
+	}
+}
+
+func reluGradBranch(g, h []float32) {
+	for i, v := range h {
+		if v <= 0 {
+			g[i] = 0
+		}
+	}
+}
+
+// activationBits are the values whose bits a select could get wrong: ±0,
+// ±the smallest denormal, ±Inf, quiet and signalling NaNs of both signs with
+// distinct payloads, and ±1.
+var activationBits = []uint32{
+	0x00000000, 0x80000000, 0x00000001, 0x80000001, 0x7f800000, 0xff800000,
+	0x7fc00000, 0xffc00123, 0x7f800001, 0xff812345, 0x3f800000, 0xbf800000,
+}
+
+// activationLengths are the element counts the select tests run: every
+// length up to 9 and one past two 64-float chunks.
+var activationLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 131}
+
+// fillBits sets v[i] to activationBits[(i+off) mod len].
+func fillBits(v []float32, off int) {
+	for i := range v {
+		v[i] = math.Float32frombits(activationBits[(i+off)%len(activationBits)])
+	}
+}
+
+// requireRawBits compares raw bits, NaN payloads and signs included, which
+// sameBits does not.
+func requireRawBits(t *testing.T, what string, got, want []float32) {
+	t.Helper()
+	for i := range want {
+		if g, w := math.Float32bits(got[i]), math.Float32bits(want[i]); g != w {
+			t.Fatalf("%s: element %d = %#08x, branching loop says %#08x", what, i, g, w)
+		}
+	}
+}
+
+// TestReLUBits pins ReLU to the branching loop bit for bit: −0, NaNs of
+// either sign and their payloads survive, −denormals and −Inf become +0.
+func TestReLUBits(t *testing.T) {
+	for _, n := range activationLengths {
+		for off := range activationBits {
+			m := NewDense(1, n)
+			fillBits(m.Data, off)
+			want := append([]float32(nil), m.Data...)
+			reluBranch(want)
+			if m.ReLU() != m {
+				t.Fatal("ReLU does not return its receiver")
+			}
+			requireRawBits(t, fmt.Sprintf("ReLU n=%d off=%d", n, off), m.Data, want)
+		}
+	}
+}
+
+// TestReLUGradBits pins ReLUGrad to the branching loop bit for bit on every
+// pair of activationBits (gradient, activation) at every position: m keeps
+// its bits where h > 0 or h is NaN, and becomes +0 where h ≤ 0. A shape
+// mismatch panics, also at an equal element count.
+func TestReLUGradBits(t *testing.T) {
+	for _, n := range activationLengths {
+		for gOff := range activationBits {
+			for hOff := range activationBits {
+				m, h := NewDense(1, n), NewDense(1, n)
+				fillBits(m.Data, gOff)
+				fillBits(h.Data, hOff)
+				hWas := append([]float32(nil), h.Data...)
+				want := append([]float32(nil), m.Data...)
+				reluGradBranch(want, h.Data)
+				if m.ReLUGrad(h) != m {
+					t.Fatal("ReLUGrad does not return its receiver")
+				}
+				what := fmt.Sprintf("ReLUGrad n=%d offsets %d,%d", n, gOff, hOff)
+				requireRawBits(t, what, m.Data, want)
+				requireRawBits(t, what+" (h)", h.Data, hWas)
+			}
+		}
+	}
+	for _, shapes := range [][4]int{{2, 3, 3, 2}, {1, 3, 1, 4}, {4, 1, 3, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("ReLUGrad %dx%d by %dx%d did not panic", shapes[0], shapes[1], shapes[2], shapes[3])
+				}
+			}()
+			NewDense(shapes[0], shapes[1]).ReLUGrad(NewDense(shapes[2], shapes[3]))
+		}()
 	}
 }
 

@@ -58,7 +58,9 @@ func MatMul(a, b *Dense) *Dense {
 // A is m x k, B is k x n. Each worker clears its rows of C; then, per row
 // i, it gathers the nonzero A[i,k] with their k, in ascending k, and adds
 // the rows k of B they weight with one RowAcc per rowBlock entries. Zero
-// entries of A are skipped.
+// entries of A are skipped: the gather stores every entry and advances
+// only past a nonzero one, so it selects where a branch would mispredict
+// on about half of a post-ReLU row.
 func MatMulInto(a, b, c *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch A=%dx%d B=%dx%d C=%dx%d",
@@ -73,11 +75,11 @@ func MatMulInto(a, b, c *Dense) {
 			ci := c.Data[i*n : (i+1)*n]
 			p := 0
 			for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
-				if av == 0 {
-					continue
-				}
 				vals[p], idx[p] = av, int32(k)
-				if p++; p == rowBlock {
+				if av != 0 {
+					p++
+				}
+				if p == rowBlock {
 					RowAcc(ci, vals[:], idx[:], b.Data, n)
 					p = 0
 				}
@@ -116,17 +118,35 @@ func MatMulTAInto(a, b, c *Dense) {
 			i1 := min(i0+panelRows, a.Rows)
 			panel := b.Data[i0*n : i1*n]
 			for k := k0; k < k1; k++ {
-				p := 0
-				for i := i0; i < i1; i++ {
-					if av := a.Data[i*a.Cols+k]; av != 0 {
-						vals[p], idx[p] = av, int32(i-i0)
-						p++
-					}
-				}
+				p := gatherColumn(&vals, &idx, a.Data[i0*a.Cols+k:], a.Cols, i1-i0)
 				RowAcc(c.Data[k*n:(k+1)*n], vals[:p], idx[:p], panel, n)
 			}
 		}
 	})
+}
+
+// gatherColumn stores the nonzero entries among col[0], col[stride], …,
+// col[(count-1)·stride] in vals, in order, with their positions 0…count-1
+// in idx, and returns how many it stored. It keeps what the branch
+// `if v != 0` keeps — NaN kept, ±0 skipped — but stores every entry and
+// advances only past a nonzero one, a conditional move in place of a
+// branch that would mispredict on about half of a post-ReLU column.
+//
+// It is a function of its own, not inlined, so that the count stays in a
+// register: inside MatMulTAInto's worker the compiler spilled it to the
+// stack on every entry.
+//
+//go:noinline
+func gatherColumn(vals *[panelRows]float32, idx *[panelRows]int32, col []float32, stride, count int) int {
+	p := 0
+	for i, at := 0, 0; i < count; i, at = i+1, at+stride {
+		v := col[at]
+		vals[p], idx[p] = v, int32(i)
+		if v != 0 {
+			p++
+		}
+	}
+	return p
 }
 
 // MatMulTB returns C = A * Bᵀ.

@@ -391,11 +391,19 @@ var (
 	sharedDims   = []int{0, 1, 7, 40, 63, 64, 65, 127, 128, 129, 130, 300}
 )
 
+// nanBits are NaNs of both signs with distinct payloads, quiet and
+// signalling.
+var nanBits = []uint32{0x7fc00000, 0xffc00123, 0x7f800001, 0xff812345}
+
 // TestKernelsMatchNaive pins MatMulInto, MatMulTA and MatMulTB to the
 // retained naive loops bit for bit, into fresh and NaN-filled
 // destinations. An Inf sits in B where A holds a zero: 0·Inf = NaN, so a
 // kernel that skipped a zero the naive loop multiplies (MatMulTB has no
-// zero-skip) or the reverse would show.
+// zero-skip) or the reverse would show. NaNs sit in the last output row's
+// entries of A, which the zero-skip must keep; the other rows stay finite.
+// Where the shared dimension passes rowBlock, A's first row holds exactly
+// rowBlock nonzeros and then zeros, so MatMulInto flushes a full block and
+// ends on an empty one.
 func TestKernelsMatchNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for _, m := range []int{0, 1, 5, 37} {
@@ -412,6 +420,20 @@ func TestKernelsMatchNaive(t *testing.T) {
 					a.Data[k-1] = 0
 					b.Data[k*n-1] = float32(math.Inf(1))
 				}
+				if m > 0 && k > rowBlock {
+					for j := range a.Data[:k] {
+						if j >= rowBlock {
+							a.Data[j] = 0
+						} else if a.Data[j] == 0 {
+							a.Data[j] = 1
+						}
+					}
+				}
+				if m > 1 {
+					for j := 0; j < k; j += 3 {
+						a.Data[(m-1)*k+j] = math.Float32frombits(nanBits[j%len(nanBits)])
+					}
+				}
 				requireSameBits(t, "MatMul "+shape, MatMul(a, b), naiveMatMul(a, b))
 				for i := range nan.Data {
 					nan.Data[i] = float32(math.NaN())
@@ -424,6 +446,11 @@ func TestKernelsMatchNaive(t *testing.T) {
 				at := halfZeros(rng, k, m)
 				if m > 0 && k > 0 && n > 0 {
 					at.Data[(k-1)*m] = 0
+				}
+				if m > 1 {
+					for i := 0; i < k; i += 3 {
+						at.Data[i*m+m-1] = math.Float32frombits(nanBits[i%len(nanBits)])
+					}
 				}
 				requireSameBits(t, "MatMulTA "+shape, MatMulTA(at, b), naiveMatMulTA(at, b))
 				// The Into forms overwrite: a stale destination (the engine's
@@ -720,6 +747,9 @@ func benchPaths(b *testing.B, bench func(b *testing.B)) {
 	}
 }
 
+// BenchmarkMatMulInto is the combination X·W. X, like BenchmarkMatMulTA's,
+// is an activation: Randomize then ReLU, so about half its entries are
+// zeros the zero-skip meets.
 func BenchmarkMatMulInto(b *testing.B) {
 	benchPaths(b, func(b *testing.B) {
 		for _, s := range denseShapes {
@@ -727,6 +757,7 @@ func BenchmarkMatMulInto(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				x, w, out := NewDense(s.m, s.k), NewDense(s.k, s.n), NewDense(s.m, s.n)
 				x.Randomize(rng, 1)
+				x.ReLU()
 				w.Randomize(rng, 1)
 				benchDense(b, GemmFLOPs(s.m, s.k, s.n), func() { MatMulInto(x, w, out) })
 			})
@@ -742,6 +773,7 @@ func BenchmarkMatMulTA(b *testing.B) {
 				rng := rand.New(rand.NewSource(1))
 				x, dz := NewDense(s.m, s.k), NewDense(s.m, s.n)
 				x.Randomize(rng, 1)
+				x.ReLU()
 				dz.Randomize(rng, 1)
 				benchDense(b, GemmFLOPs(s.k, s.m, s.n), func() { MatMulTA(x, dz) })
 			})
@@ -764,4 +796,35 @@ func BenchmarkMatMulTB(b *testing.B) {
 			})
 		}
 	})
+}
+
+// BenchmarkReLU and BenchmarkReLUGrad run the activation and its backward
+// mask on OGB-Arxiv's 2646x128 tile, uniform on [−1, 1] and so half
+// negative: the data a branch on the sign would mispredict half the time.
+// Bytes are those read and written.
+func BenchmarkReLU(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	z, work := NewDense(2646, 128), NewDense(2646, 128)
+	z.Randomize(rng, 1)
+	b.SetBytes(2 * z.Bytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		work.CopyFrom(z)
+		b.StartTimer()
+		work.ReLU()
+	}
+}
+
+func BenchmarkReLUGrad(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	g, h := NewDense(2646, 128), NewDense(2646, 128)
+	g.Randomize(rng, 1)
+	h.Randomize(rng, 1)
+	h.ReLU()
+	b.SetBytes(3 * g.Bytes())
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g.ReLUGrad(h)
+	}
 }
