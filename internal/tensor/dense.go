@@ -8,6 +8,7 @@ package tensor
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -19,20 +20,31 @@ type Dense struct {
 	Data []float32
 }
 
-// NewDense allocates a zeroed r x c matrix.
+// NewDense allocates a zeroed r x c matrix. It panics, naming the shape,
+// on a shape no matrix has (see validShape).
 func NewDense(r, c int) *Dense {
-	if r < 0 || c < 0 {
-		panic(fmt.Sprintf("tensor: negative dimension %dx%d", r, c))
+	if !validShape(r, c) {
+		panic(fmt.Sprintf("tensor: impossible shape %dx%d", r, c))
 	}
 	return &Dense{Rows: r, Cols: c, Data: make([]float32, r*c)}
 }
 
-// FromRowMajor wraps existing row-major data (not copied) as a Dense.
+// FromRowMajor wraps existing row-major data (not copied) as a Dense. It
+// panics, naming the shape, on one NewDense refuses or on data that does
+// not hold exactly r*c elements.
 func FromRowMajor(r, c int, data []float32) *Dense {
-	if len(data) != r*c {
-		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), r, c))
+	if !validShape(r, c) || len(data) != r*c {
+		panic(fmt.Sprintf("tensor: data length %d does not fit shape %dx%d", len(data), r, c))
 	}
 	return &Dense{Rows: r, Cols: c, Data: data}
+}
+
+// validShape reports whether r x c is a shape a matrix can have: neither
+// dimension negative and r*c within an int, which it would otherwise wrap
+// (to 0 for 2^32 x 2^32).
+func validShape(r, c int) bool {
+	hi, lo := bits.Mul(uint(r), uint(c))
+	return r >= 0 && c >= 0 && hi == 0 && lo <= math.MaxInt
 }
 
 // Set assigns element (i, j).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -421,6 +422,34 @@ func TestNewDenseNegativePanics(t *testing.T) {
 		}
 	}()
 	NewDense(-1, 2)
+}
+
+// TestImpossibleShapesPanic gives both constructors shapes no matrix has —
+// negative dimensions, whose product is positive and can match the data,
+// and 2^32 x 2^32, whose product wraps to 0 and matches empty data — and
+// requires a panic that names the shape.
+func TestImpossibleShapesPanic(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		make func()
+		want string
+	}{
+		{"FromRowMajor -1x-2", func() { FromRowMajor(-1, -2, make([]float32, 2)) }, "-1x-2"},
+		{"FromRowMajor 0x-1", func() { FromRowMajor(0, -1, nil) }, "0x-1"},
+		{"NewDense 2^32x2^32", func() { NewDense(1<<32, 1<<32) }, "4294967296x4294967296"},
+		{"FromRowMajor 2^32x2^32", func() { FromRowMajor(1<<32, 1<<32, nil) }, "4294967296x4294967296"},
+		{"NewDense 2^62x2", func() { NewDense(1<<62, 2) }, "4611686018427387904x2"},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, c.want) {
+					t.Errorf("%s: recovered %q, want a panic naming %s", c.name, msg, c.want)
+				}
+			}()
+			c.make()
+		}()
+	}
 }
 
 func TestParallelRowsCoverage(t *testing.T) {
