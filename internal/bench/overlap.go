@@ -1,7 +1,7 @@
 package bench
 
 // This file is the comm/compute overlap experiment: train the same RDM
-// workload twice per cell — sequential interpreter and dependency-DAG
+// workload twice per cell — sequential executor and dependency-DAG
 // overlap executor — and meter both epoch times, cross-checking every
 // live device clock against plan.PriceDAGEpochs's closed form. Overlap
 // efficiency is 1 − critical-path/sequential (DAGCost.Efficiency). The

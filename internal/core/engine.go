@@ -114,14 +114,14 @@ type Options struct {
 	Tracer *trace.Tracer
 	// TraceLabel names the trace session (default "rdm").
 	TraceLabel string
-	// Overlap switches Epoch to the dependency-DAG executor
-	// (overlap.go): ops run on per-resource device lanes, each starting
+	// Overlap switches Epoch's walk to the dependency-DAG executor's
+	// lane map: ops run on per-resource device lanes, each starting
 	// when its lane is free and its DAG dependencies have finished, so
 	// a GEMM's clock runs while the NIC drains an all-reduce. Numerics,
 	// byte meters, and trace-event inventories are identical to the
-	// sequential interpreter — only clocks change
-	// (verify.CheckOverlapEquivalence pins all three). Forward-only
-	// paths (Forward, RunInference) always run sequentially. The
+	// sequential executor's — only clocks and tracks change
+	// (verify.CheckOverlapEquivalence pins all three). The forward-only
+	// path (RunInference) always runs on the device alone. The
 	// GNNRDM_OVERLAP=1 environment variable forces this on, for CI.
 	Overlap bool
 	// PinExecutor makes Overlap authoritative, ignoring the
@@ -206,7 +206,7 @@ type Engine struct {
 	// feature gather (AllGatherFlat) and gradBufs the per-weight
 	// destinations of the gradient all-reduces (AllReduceSumInto):
 	// steady-state epochs reuse them, so the hot comm path allocates
-	// nothing per round. Both executors run every op on the device
+	// nothing per round. The walk runs every op on the device
 	// goroutine, so uses are serialized without locks.
 	gatherBuf []float32
 	gradBufs  [][]float32
@@ -229,14 +229,16 @@ type Engine struct {
 	// schedule are advisory — the executor reads live matrix shapes, so a
 	// SetProblem swap (GraphSAINT subgraphs) reuses the same schedule.
 	sched *plan.Schedule
-	// dag is sched's dependency DAG, built on the first overlap epoch
-	// (overlap.go) together with lanes, the device's resource lanes
-	// indexed by hw.Resource (the device itself for compute, nil for a
-	// link no op of this rank occupies), and finish, each node's finish
-	// time on its lane in the current epoch. Link lanes are forked in
-	// place every epoch, so a steady-state epoch allocates none.
+	// dag is sched's dependency DAG, built on the first epoch (walk)
+	// together with lanes, the device's resource lanes indexed by
+	// hw.Resource (the device itself for compute, nil for a link no op
+	// of this rank occupies), laneOf, each node's lane, and finish, each
+	// node's finish time on its lane in the current epoch. Link lanes
+	// are forked in place every epoch, so a steady-state epoch allocates
+	// none.
 	dag    *plan.DAG
 	lanes  [hw.NumResources]*comm.Device
+	laneOf []*comm.Device
 	finish []float64
 	// cfgTag is the ordering's trace tag, set on the device and on each
 	// link lane.
@@ -414,72 +416,11 @@ func (e *Engine) gemm(dev *comm.Device, m *dist.Mat, w *tensor.Dense, transW boo
 	return dist.FromLocal(dev, dist.H, m.GlobalRows, out.Cols, out)
 }
 
-// runOps interprets one schedule section's ops in order, tagging trace
-// events with each op's plan step ID.
-func (e *Engine) runOps(sec *plan.Section, regs []*dist.Mat, grads []*tensor.Dense) {
-	for i := range sec.Ops {
-		op := &sec.Ops[i]
-		e.dev.TraceSetStep(op.Step)
-		e.execOp(e.dev, op, regs, grads)
-	}
-	e.dev.TraceSetStep(0)
-}
-
-// runForward interprets the init, per-layer forward, and loss sections,
-// reproducing the phase/layer trace structure of the historical
-// hand-written forward pass.
-func (e *Engine) runForward(regs []*dist.Mat, grads []*tensor.Dense) {
-	e.dev.TraceSetDir("fwd")
-	e.dev.TraceBeginPhase("forward")
-	for i := range e.sched.Sections {
-		sec := &e.sched.Sections[i]
-		switch sec.Phase {
-		case "init":
-			// H^0 is free in whatever layouts the schedule asks for: the
-			// initial distribution is a data-loading choice (§IV-A1).
-			e.runOps(sec, regs, grads)
-		case "fwd":
-			e.dev.TraceSetLayer(sec.Layer)
-			e.dev.TraceBeginPhase("layer")
-			e.runOps(sec, regs, grads)
-			e.dev.TraceEndPhase()
-		case "loss":
-			// Loss: vertex-complete logits required, so a vertical final
-			// layer pays one last redistribution (§IV-A1).
-			e.dev.TraceSetLayer(0)
-			e.dev.TraceBeginPhase("loss")
-			e.runOps(sec, regs, grads)
-			e.dev.TraceEndPhase()
-		}
-	}
-	e.dev.TraceEndPhase()
-	e.dev.TraceSetDir("")
-}
-
-// runBackward interprets the per-layer backward sections (compiled in
-// layer order L..1).
-func (e *Engine) runBackward(regs []*dist.Mat, grads []*tensor.Dense) {
-	e.dev.TraceSetDir("bwd")
-	e.dev.TraceBeginPhase("backward")
-	for i := range e.sched.Sections {
-		sec := &e.sched.Sections[i]
-		if sec.Phase != "bwd" {
-			continue
-		}
-		e.dev.TraceSetLayer(sec.Layer)
-		e.dev.TraceBeginPhase("layer")
-		e.runOps(sec, regs, grads)
-		e.dev.TraceEndPhase()
-	}
-	e.dev.TraceSetLayer(0)
-	e.dev.TraceEndPhase()
-	e.dev.TraceSetDir("")
-}
-
-// execOp interprets one schedule op on dev — the engine's own device in
-// sequential mode, one of its resource lanes under the overlap executor
-// (charges and collectives then land on that lane's clock and trace
-// track). Global shapes come from the live matrices (not the schedule's
+// execOp interprets one schedule op on dev, the lane the op runs on
+// (the engine's own device, or one of its link lanes under the overlap
+// executor: charges and collectives then land on that lane's clock and
+// trace track), tagging its trace events with the op's plan step ID.
+// Global shapes come from the live matrices (not the schedule's
 // compile-time fields), so the same schedule drives problems of any
 // vertex count; only weight shapes — fixed by Dims — are read from the
 // op.
@@ -488,6 +429,7 @@ func (e *Engine) runBackward(regs []*dist.Mat, grads []*tensor.Dense) {
 // RunInference's): a producer reads its own destination register only to
 // recycle the tile (dist.TileOf, RedistributeInto), never the value.
 func (e *Engine) execOp(dev *comm.Device, op *plan.Op, regs []*dist.Mat, grads []*tensor.Dense) {
+	dev.TraceSetStep(op.Step)
 	switch op.Kind {
 	case plan.KInput:
 		// Sliced once per register file: no op writes an input register
@@ -576,6 +518,7 @@ func (e *Engine) execOp(dev *comm.Device, op *plan.Op, regs []*dist.Mat, grads [
 	default:
 		panic(fmt.Sprintf("core: unknown schedule op kind %v", op.Kind))
 	}
+	dev.TraceSetStep(0)
 }
 
 // applyReLUMask multiplies u element-wise by σ'(Z^{l-1}) = [H^{l-1} > 0],
@@ -623,21 +566,119 @@ func (e *Engine) Epoch() float64 {
 		e.grads = make([]*tensor.Dense, len(e.weights))
 		e.masks = make([]*dist.Mat, 2*(e.sched.Ops()+1))
 	}
-	regs, grads := e.regs, e.grads
-	if e.opts.Overlap {
-		e.runOverlap(regs, grads)
-		return e.lastLoss
-	}
-	e.runForward(regs, grads)
-	e.runBackward(regs, grads)
-	e.dev.TraceBeginPhase("update")
-	for i := range e.sched.Sections {
-		if sec := &e.sched.Sections[i]; sec.Phase == "update" {
-			e.runOps(sec, regs, grads)
+	e.walk()
+	return e.lastLoss
+}
+
+// walk runs one epoch: the schedule's DAG nodes in schedule order, each
+// op on its lane, first advanced to its dependencies' finish times. The
+// overlap executor (Options.Overlap) puts an op on the device resource
+// DAG.OpResource names (compute, intra link, inter link — hw.Resource),
+// so a GEMM's clock runs while the NIC drains an all-reduce bucket; the
+// sequential executor puts every op on the device itself, where a
+// dependency's finish never moves the clock (AdvanceClock is a max).
+// That is the replay engine's occupancy model (plan/replay.go), which
+// is why live clocks equal priced ones. Numerics are the same on either
+// lane map: every op runs execOp in schedule order, and collectives
+// keep their group-position reduction order. Every rank enters its
+// collectives in schedule order, so the walk cannot deadlock, and a
+// crash (fault.Killed) or a survivor's *comm.FaultError panics on the
+// device goroutine itself. Trace brackets open and close on the device
+// at section boundaries — forward (init, each layer, loss), backward
+// (each layer), update — and every lane's direction and layer tags
+// follow the section.
+func (e *Engine) walk() {
+	if e.dag == nil {
+		// First epoch: build the DAG and each node's lane; a link lane
+		// exists only for a resource one of this rank's ops occupies.
+		d := plan.MustBuildDAG(e.sched)
+		e.dag, e.finish, e.laneOf = d, make([]float64, len(d.Nodes)), make([]*comm.Device, len(d.Nodes))
+		e.lanes[hw.ResCompute] = e.dev
+		for i := range d.Nodes {
+			res := hw.ResCompute
+			if e.opts.Overlap {
+				res = d.OpResource(i, e.dev.Rank, e.opts.Topology)
+			}
+			if e.lanes[res] == nil {
+				e.lanes[res] = new(comm.Device)
+			}
+			e.laneOf[i] = e.lanes[res]
 		}
 	}
-	e.dev.TraceEndPhase()
-	return e.lastLoss
+	// Fork each link lane in place at the base clock, with the run's
+	// scope tags on its trace track.
+	epoch := e.epoch - 1 // Epoch() tagged the base with its pre-increment value
+	for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
+		if l := e.lanes[res]; l != nil {
+			*l = *e.dev.Lane(int(res))
+			l.TraceSetConfig(e.cfgTag)
+			l.TraceSetEpoch(epoch)
+		}
+	}
+	open, openDir, node := "", "", 0
+	for i := range e.sched.Sections {
+		sec := &e.sched.Sections[i]
+		dir, outer, inner := "fwd", "forward", sec.Phase
+		switch sec.Phase {
+		case "init":
+			inner = ""
+		case "fwd":
+			inner = "layer"
+		case "bwd":
+			dir, outer, inner = "bwd", "backward", "layer"
+		case "update":
+			dir, outer, inner = "", "update", ""
+		}
+		if outer != open {
+			e.closeBracket(open, openDir)
+			e.dev.TraceBeginPhase(outer)
+			open, openDir = outer, dir
+		}
+		e.tag(dir, sec.Layer)
+		if inner != "" {
+			e.dev.TraceBeginPhase(inner)
+		}
+		for j := range sec.Ops {
+			lane := e.laneOf[node]
+			for _, dep := range e.dag.Nodes[node].Deps {
+				lane.AdvanceClock(e.finish[dep])
+			}
+			e.execOp(lane, &sec.Ops[j], e.regs, e.grads)
+			e.finish[node] = lane.Clock()
+			node++
+		}
+		if inner != "" {
+			e.dev.TraceEndPhase()
+		}
+	}
+	e.closeBracket(open, openDir)
+	e.tag("", 0)
+	// Rejoin the link lanes into the base timeline (clock = max, meters
+	// summed): the occupancy join of the pricer's epoch boundary.
+	for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
+		if l := e.lanes[res]; l != nil {
+			e.dev.MergeLane(l)
+		}
+	}
+}
+
+// closeBracket closes the walk's open outer bracket, if any, outside
+// any layer.
+func (e *Engine) closeBracket(open, dir string) {
+	if open != "" {
+		e.tag(dir, 0)
+		e.dev.TraceEndPhase()
+	}
+}
+
+// tag sets the pass direction and layer on every lane's trace scope.
+func (e *Engine) tag(dir string, layer int) {
+	for _, l := range e.lanes {
+		if l != nil {
+			l.TraceSetDir(dir)
+			l.TraceSetLayer(layer)
+		}
+	}
 }
 
 // EvalAccuracy computes accuracy over the masked vertices using the most

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/sim"
@@ -95,6 +96,29 @@ func (x SimExecutor) Train(p int, model *hw.Model, prob *Problem, opts Options, 
 	l.fold(res.Epochs, 0)
 	res.Logits = tensor.NewDense(0, 0)
 	return res
+}
+
+// PanelCensus computes the per-rank adjacency panel stored-entry counts
+// of a problem under (P, RA) partitioning — the exact census the DAG
+// pricer needs to reproduce the engine's SpMM charges (Engine
+// extractPanels slices the same panels). ra = 0 means full replication
+// (RA = P), mirroring Options.
+func PanelCensus(prob *Problem, p, ra int) plan.Census {
+	if ra == 0 {
+		ra = p
+	}
+	gridL := dist.G(ra).Normalize(p)
+	cen := plan.Census{NNZFwd: make([]int64, p), NNZBwd: make([]int64, p), NNZ: prob.A.NNZ()}
+	for r := 0; r < p; r++ {
+		rlo, rhi := dist.RowRange(gridL, p, r, prob.N())
+		cen.NNZBwd[r] = prob.A.RowPtr[rhi] - prob.A.RowPtr[rlo]
+		if at := prob.ATranspose; at != nil {
+			cen.NNZFwd[r] = at.RowPtr[rhi] - at.RowPtr[rlo]
+		} else {
+			cen.NNZFwd[r] = cen.NNZBwd[r]
+		}
+	}
+	return cen
 }
 
 // ExecutorFor resolves a CLI -engine name. Empty selects the fabric.

@@ -65,18 +65,18 @@ func (e *Engine) RunInference(fromLayer int) *dist.Mat {
 	e.dev.TraceBeginPhase("inference")
 	for i := range e.sched.Sections {
 		sec := &e.sched.Sections[i]
-		switch sec.Phase {
-		case "init":
-			if !e.infInit {
-				e.runOps(sec, e.infRegs, nil)
-			}
-		case "fwd":
-			if sec.Layer < fromLayer {
-				continue
-			}
+		fwd := sec.Phase == "fwd"
+		if fwd && sec.Layer < fromLayer || !fwd && e.infInit {
+			continue
+		}
+		if fwd {
 			e.dev.TraceSetLayer(sec.Layer)
 			e.dev.TraceBeginPhase("layer")
-			e.runOps(sec, e.infRegs, nil)
+		}
+		for j := range sec.Ops {
+			e.execOp(e.dev, &sec.Ops[j], e.infRegs, nil)
+		}
+		if fwd {
 			e.dev.TraceEndPhase()
 		}
 	}

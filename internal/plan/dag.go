@@ -275,7 +275,7 @@ func (s *Schedule) colLinkRes(rank int, tp *topo.Topology) hw.Resource {
 // occupies under the overlap executor: ops that reach the fabric bind
 // to the link engine of their collective's tier (the whole op,
 // including its local pack/unpack kernels, runs on that lane so its
-// charge order stays exactly the sequential interpreter's); everything
+// charge order stays exactly the sequential executor's); everything
 // else is compute. The classification depends on the rank only through
 // its column group (KSpMM), and all members of any one collective's
 // group always agree on the resource. It allocates nothing: a group is

@@ -22,11 +22,14 @@ import (
 // comm.Meter computes on the live fabric for the same group and byte
 // census (PriceCache asks the same Meter, once per distinct round) and
 // books that price into a comm.Meters, the live fabric's census type.
-// Because the charges and the rendezvous rule are the executor's own,
-// the clocks equal the live fabric's device clocks, and the two
-// censuses compare with ==: overlapped
-// when each op starts at max(resource free, dependency finishes),
-// sequential when ops run back to back on one joined timeline
+// The walk is core's: each op starts at max(its lane's cursor, its
+// dependencies' finishes), advances only its lane, and the lanes rejoin
+// at each epoch boundary. The two executors differ only in the lane
+// map: overlapped, each (node, rank) runs on DAG.OpResource's lane;
+// sequential, every op runs on the compute lane, where no dependency
+// edge could move a clock. Because the charges, the rendezvous rule
+// and the walk are the executor's own, the clocks equal the live
+// fabric's device clocks, and the two censuses compare with ==
 // (verify.CheckSimMatchesFabric, CheckOverlapEquivalence).
 
 // ReplayResult is everything one replayed run measured.
@@ -66,13 +69,13 @@ func (r *ReplayResult) MaxClock() float64 {
 
 // Replay runs the engine once over the DAG: epochs replays of the
 // schedule with per-device clocks carried across epoch boundaries,
-// under the overlap executor's lane model or the sequential
-// interpreter's single timeline, with barriers world barriers after
-// each epoch (0 = a bare Engine.Epoch loop, 2 = the barrier/snapshot
-// protocol of core's one training driver, under Train and TrainElastic). A nil cache prices with a private one; a
-// non-nil tracer records the synthesized timeline into a virtual
-// session named label. sim.Run is the validated entry point — Replay
-// trusts its arguments.
+// under the overlap executor's lane map or the sequential executor's
+// (overlap selects), with barriers world barriers after each epoch
+// (0 = a bare Engine.Epoch loop, 2 = the barrier/snapshot protocol of
+// core's one training driver, under Train and TrainElastic). A nil
+// cache prices with a private one; a non-nil tracer records the
+// synthesized timeline into a virtual session named label. sim.Run is
+// the validated entry point — Replay trusts its arguments.
 func (d *DAG) Replay(cen Census, h *hw.Model, tp *topo.Topology, epochs int, overlap bool, barriers int, pc *PriceCache, tr *trace.Tracer, label string) *ReplayResult {
 	e := newEngine(d.Sched, d, cen, h, tp, epochs, pc)
 	e.keep = true
@@ -88,37 +91,40 @@ func (d *DAG) Replay(cen Census, h *hw.Model, tp *topo.Topology, epochs int, ove
 // merge order), the byte meters, and per-group round counters for trace
 // attribution. Every PriceCache owns one engine, and newEngine resets
 // it rather than building one: the scratch keeps its storage and only
-// grows (the overlap executor's dependency finishes and link lanes come
-// with the first overlapped run), so a sweep that prices many
-// schedules on one cache allocates only the results it returns. The
-// walk itself allocates nothing, so PriceDAG* runs both executors on
-// one engine.
+// grows, so a sweep that prices many schedules on one cache allocates
+// only the results it returns. The walk itself allocates nothing, so
+// PriceDAG* runs both executors on one engine.
 type engine struct {
-	d   *DAG // dependency edges, read only by the overlap executor
+	d   *DAG // the schedule's DAG; nil when only the sequential executor runs
 	s   *Schedule
 	cen Census
 	h   *hw.Model
 	tp  *topo.Topology
 	pc  *PriceCache
 
-	p       int
-	epochs  int
-	overlap bool
-	nbarr   int
+	p      int
+	epochs int
+	nbarr  int
 
 	occ    []hw.Occupancy
 	clk    []float64
-	finish []float64 // overlap executor: [node*p + rank] finish times, rewritten each epoch
+	finish []float64 // [node*p + rank] finish times, rewritten each epoch
 	regs   []regShape
 
-	// comm/compute accumulators per resource lane. Seq mode charges
-	// everything to lane 0; overlap mode charges each op to its
-	// resource's lane and folds lanes 1..N-1 into 0 at the epoch join,
+	// The run's lane map: each (node, rank)'s resource and the
+	// dependency edges the walk honours. Overlapped, the DAG's resource
+	// table and nodes; sequential, seqTab (every node on compute) and
+	// no edges.
+	resTab *resourceTable
+	deps   []DAGNode
+	seqTab resourceTable
+
+	// comm/compute accumulators per resource lane: each op charges its
+	// resource's lane, and lanes 1..N-1 fold into 0 at the epoch join,
 	// replicating Device.MergeLane's accumulation order bit-for-bit.
 	comm    [hw.NumResources][]float64
 	compute [hw.NumResources][]float64
-	resCur  []hw.Resource // current op's resource per rank (ResCompute in seq mode)
-	resTab  *resourceTable
+	resCur  []hw.Resource // current op's resource per rank
 
 	meters comm.Meters
 
@@ -184,9 +190,12 @@ func newEngine(s *Schedule, d *DAG, cen Census, h *hw.Model, tp *topo.Topology, 
 	e := &pc.eng
 	if e.clk == nil {
 		// The cache fixes P, so the per-rank scratch is sized once. The
-		// clock scratch and the base lane's accumulators share one array.
-		f := make([]float64, 3*p)
-		e.clk, e.comm[hw.ResCompute], e.compute[hw.ResCompute] = f[:p:p], f[p:2*p:2*p], f[2*p:]
+		// clock scratch and every lane's accumulators share one array.
+		f := make([]float64, (1+2*int(hw.NumResources))*p)
+		e.clk, f = f[:p:p], f[p:]
+		for res := range hw.NumResources {
+			e.comm[res], e.compute[res], f = f[:p:p], f[p:2*p:2*p], f[2*p:]
+		}
 		e.occ = make([]hw.Occupancy, p)
 		e.resCur = make([]hw.Resource, p)
 	}
@@ -205,11 +214,16 @@ func newEngine(s *Schedule, d *DAG, cen Census, h *hw.Model, tp *topo.Topology, 
 	if e.abcX != nil {
 		clear(e.abcX)
 	}
+	nodes := s.Ops()
+	seq := resize(e.seqTab.node, nodes)
+	clear(seq)
 	*e = engine{
 		d: d, s: s, cen: cen, h: h, tp: tp, pc: pc,
 		p: p, epochs: epochs,
-		occ: e.occ, clk: e.clk, finish: e.finish,
+		occ: e.occ, clk: e.clk,
+		finish:  resize(e.finish, nodes*p),
 		regs:    resize(e.regs, s.NumRegs),
+		seqTab:  resourceTable{node: seq},
 		comm:    e.comm,
 		compute: e.compute,
 		resCur:  e.resCur,
@@ -246,27 +260,23 @@ func groupKey(ranks []int) string {
 	return string(b)
 }
 
-// begin resets the engine for one run. Stale finish times and register
-// shapes are overwritten before they are read (dependencies point
-// backwards in node order).
+// begin resets the engine for one run under the lane map overlap
+// selects. Stale finish times and register shapes are overwritten
+// before they are read (dependencies point backwards in node order).
 func (e *engine) begin(overlap bool, nbarr int, tr *trace.Tracer, label string) {
-	e.overlap, e.nbarr, e.tr = overlap, nbarr, tr
+	e.nbarr, e.tr = nbarr, tr
+	e.resTab, e.deps = &e.seqTab, nil
+	if overlap {
+		e.resTab, e.deps = e.d.resources(e.tp), e.d.Nodes
+	}
 	clear(e.occ)
 	clear(e.resCur)
 	clear(e.gens)
-	clear(e.comm[hw.ResCompute])
-	clear(e.compute[hw.ResCompute])
-	e.meters = comm.Meters{}
-	if overlap {
-		e.finish = resize(e.finish, len(e.d.Nodes)*e.p)
-		for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
-			e.comm[res] = resize(e.comm[res], e.p)
-			e.compute[res] = resize(e.compute[res], e.p)
-			clear(e.comm[res])
-			clear(e.compute[res])
-		}
-		e.resTab = e.d.resources(e.tp)
+	for res := range hw.NumResources {
+		clear(e.comm[res])
+		clear(e.compute[res])
 	}
+	e.meters = comm.Meters{}
 	if e.keep {
 		// The snapshots are the result's: fresh storage every run.
 		e.snapClock = e.snapRows()
@@ -305,40 +315,31 @@ func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) {
 				e.op = &e.sec.Ops[j]
 				e.position(i)
 				e.execOp()
-				if e.overlap {
-					copy(e.finish[i*e.p:(i+1)*e.p], e.clk)
-					for r := 0; r < e.p; r++ {
-						e.occ[r].Advance(e.resCur[r], e.clk[r])
-					}
-				} else {
-					for r := 0; r < e.p; r++ {
-						e.occ[r].Advance(hw.ResCompute, e.clk[r])
-						e.occ[r].Join()
-					}
-					if e.perOp != nil {
-						e.priceOp()
-					}
+				copy(e.finish[i*e.p:(i+1)*e.p], e.clk)
+				for r := 0; r < e.p; r++ {
+					e.occ[r].Advance(e.resCur[r], e.clk[r])
+				}
+				if e.perOp != nil {
+					e.priceOp()
 				}
 				i++
 			}
 		}
 		e.sec, e.op = nil, nil
-		if e.overlap {
-			// Epoch boundary: the executor merges its lanes back into the
-			// base device (occupancy Join; clock = max over lanes) and
-			// adds each lane's accumulated comm/compute time onto the
-			// base's, link lanes in resource order.
+		// Epoch boundary: the executor merges its lanes back into the
+		// base device (occupancy Join; clock = max over lanes) and adds
+		// each lane's accumulated comm/compute time onto the base's,
+		// link lanes in resource order. A lane no op ran on adds +0.
+		for r := 0; r < e.p; r++ {
+			e.occ[r].Join()
+		}
+		for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
+			bc, bk := e.comm[hw.ResCompute], e.compute[hw.ResCompute]
+			lc, lk := e.comm[res], e.compute[res]
 			for r := 0; r < e.p; r++ {
-				e.occ[r].Join()
-			}
-			for res := hw.ResCompute + 1; res < hw.NumResources; res++ {
-				bc, bk := e.comm[hw.ResCompute], e.compute[hw.ResCompute]
-				lc, lk := e.comm[res], e.compute[res]
-				for r := 0; r < e.p; r++ {
-					bc[r] += lc[r]
-					bk[r] += lk[r]
-					lc[r], lk[r] = 0, 0
-				}
+				bc[r] += lc[r]
+				bk[r] += lk[r]
+				lc[r], lk[r] = 0, 0
 			}
 		}
 		// The training driver's protocol: barrier, stats snapshot, barrier.
@@ -361,18 +362,14 @@ func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) {
 	}
 }
 
-// position places each rank's clock where node i starts on it and
-// records the op's resource per rank: overlapped ops start at max(their
-// resource's cursor, their DAG dependencies' finishes); sequential ops
-// run back to back on the joined compute timeline.
+// position places each rank's clock where node i starts on it — at
+// max(its lane's cursor, its dependencies' finishes) — and records the
+// op's lane per rank.
 func (e *engine) position(i int) {
-	if !e.overlap {
-		for r := 0; r < e.p; r++ {
-			e.clk[r] = e.occ[r].Free(hw.ResCompute)
-		}
-		return
+	var deps []int
+	if e.deps != nil {
+		deps = e.deps[i].Deps
 	}
-	deps := e.d.Nodes[i].Deps
 	for r := 0; r < e.p; r++ {
 		res := e.resTab.at(i, r)
 		e.resCur[r] = res

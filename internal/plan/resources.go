@@ -7,8 +7,8 @@ import (
 
 // resourceTable is a DAG's per-(node, rank) overlap-resource
 // classification under one topology, built once and kept on the DAG,
-// so every overlapped replay of the DAG and the live overlap executor
-// (core's runOverlap, through DAG.OpResource) read one table.
+// so every overlapped replay of the DAG and the live overlap executor's
+// lane map (core's walk, through DAG.OpResource) read one table.
 // opResource depends on the rank only for KSpMM, and there only through
 // the rank's grid column (its column group's allgather) and not the op:
 // the table stores one resource per node, and one per grid column that

@@ -59,8 +59,9 @@ type Config struct {
 	// Epochs is the number of epochs to replay (default 1). Per-device
 	// clocks carry across epoch boundaries exactly as live.
 	Epochs int
-	// Overlap selects the DAG executor's lane model; false replays the
-	// sequential interpreter.
+	// Overlap selects the overlap executor's lane map (each op on its
+	// DAG.OpResource lane); false puts every op on the compute lane,
+	// the sequential executor. The walk is the same either way.
 	Overlap bool
 	// EpochBarriers is the number of world barriers after each epoch: 0
 	// reproduces a bare Engine.Epoch loop (verify's differential

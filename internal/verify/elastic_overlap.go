@@ -11,7 +11,7 @@ import (
 )
 
 // CheckElasticOverlapEquivalence runs the same elastic training twice —
-// sequential interpreter and overlap DAG executor, both pinned — under
+// sequential executor and overlap DAG executor, both pinned — under
 // one fault schedule, and asserts the recovery path is executor-
 // independent: identical world evolution (recovery count, survivors,
 // rollback points), exactly equal reshard meters and per-epoch comm

@@ -10,10 +10,12 @@ import (
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/tensor"
+	"gnnrdm/internal/trace"
 )
 
 // This file pins the overlap executor (core.Options.Overlap) against
-// the sequential interpreter it forked from, on three axes at once:
+// the sequential executor — the same walk on one lane — on four axes
+// at once:
 //
 //  1. Numerics — bit-identical: every epoch's loss, every rank's final
 //     logits tile, and every weight matrix compare with float32 ==, no
@@ -27,6 +29,9 @@ import (
 //     closed-form critical path (plan.PriceDAGEpochs) and the live
 //     sequential clocks equal its sequential replay, exactly; overlap
 //     never exceeds sequential.
+//  4. Trace events — per rank, both executors emit the same kernels and
+//     collectives with the same tags and bytes; only times and tracks
+//     differ.
 
 // overlapRun captures one training run's observables: per-rank epoch
 // losses, final logits tiles and weights, device clocks, and the fabric
@@ -93,20 +98,42 @@ func equalDense(a, b *tensor.Dense) bool {
 	return true
 }
 
+// eventInventory counts rank r's non-phase trace events over all its
+// tracks by every field but Start, End and Track: what the rank did,
+// not when or on which lane.
+func eventInventory(s *trace.Session, r int) map[trace.Event]int {
+	inv := map[trace.Event]int{}
+	for track := range s.Tracks(r) {
+		for _, ev := range s.TrackEvents(r, track) {
+			if ev.Class != trace.ClassPhase {
+				ev.Start, ev.End, ev.Track = 0, 0, 0
+				inv[ev]++
+			}
+		}
+	}
+	return inv
+}
+
 // CheckOverlapEquivalence trains the same problem twice — sequential
-// interpreter and overlap DAG executor — and asserts bit-identical
-// numerics, exactly equal meters, and live clocks equal to the DAG
-// pricer's closed-form values on both paths, with overlap never slower
-// than sequential. Returns the priced cost for callers that want the
-// efficiency. Options must not set Overlap (both modes are run) or
-// EvalMask (its all-reduce is outside the epoch schedule).
+// and overlap DAG executor — and asserts bit-identical numerics,
+// exactly equal meters, equal per-rank trace-event inventories
+// (eventInventory), and live clocks equal to the DAG pricer's
+// closed-form values on both paths, with overlap never slower than
+// sequential. Returns the priced cost for callers that want the
+// efficiency. Options must not set Overlap (both modes are run),
+// Tracer (each mode gets its own) or EvalMask (its all-reduce is
+// outside the epoch schedule).
 func CheckOverlapEquivalence(t testing.TB, prob *core.Problem, p, epochs int, o core.Options) plan.DAGCost {
 	t.Helper()
 	if o.EvalMask != nil {
 		panic("verify: CheckOverlapEquivalence with EvalMask")
 	}
+	o.Tracer = trace.NewTracer(0)
 	seq := trainOverlapMode(p, prob, o, epochs, false)
+	seqTrace := o.Tracer.Sessions()[0]
+	o.Tracer = trace.NewTracer(0)
 	ovl := trainOverlapMode(p, prob, o, epochs, true)
+	ovlTrace := o.Tracer.Sessions()[0]
 
 	for r := 0; r < p; r++ {
 		for ep := range seq.losses[r] {
@@ -130,6 +157,17 @@ func CheckOverlapEquivalence(t testing.TB, prob *core.Problem, p, epochs int, o 
 
 	if d := meterDiff(ovl.fab.Meters(), seq.fab.Meters()); d != "" {
 		t.Fatalf("overlap census differs from sequential at %s", d)
+	}
+	for r := 0; r < p; r++ {
+		si, oi := eventInventory(seqTrace, r), eventInventory(ovlTrace, r)
+		for ev, n := range si {
+			if oi[ev] != n {
+				t.Fatalf("rank %d: sequential emits %d of %+v, overlap %d", r, n, ev, oi[ev])
+			}
+		}
+		if len(oi) != len(si) {
+			t.Fatalf("rank %d: overlap emits %d distinct events, sequential %d", r, len(oi), len(si))
+		}
 	}
 
 	dag := plan.MustBuildDAG(scheduleFor(prob, p, o))
@@ -169,7 +207,7 @@ type OverlapChaosResult struct {
 // RunOverlapChaos trains with the overlap executor under a fault
 // schedule and returns each rank's outcome. The executor walks its lanes
 // on the device goroutine, so a fault surfaces there as it does under
-// the sequential interpreter: crashed ranks' Killed panics are contained
+// the sequential executor: crashed ranks' Killed panics are contained
 // by the fabric, and survivor ranks surface a typed *comm.FaultError,
 // which this harness records instead of re-panicking — anything that is
 // not fault-class re-raises.

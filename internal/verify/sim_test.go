@@ -81,6 +81,34 @@ func TestSimMatchesFabricSAGE(t *testing.T) {
 	CheckSimMatchesFabric(t, prob, 4, 2, o)
 }
 
+// TestSimMatchesFabricTwoLinkLanes pins the overlap executor's lane join
+// where a rank runs ops on both link lanes: on a 2x3 machine holding
+// P=4 ranks with R_A=2, rank 0's column group {0, 2} stays in node 0
+// (intra link) while the world spans both nodes (inter link), so the
+// epoch join folds two link lanes into the device, and their order
+// shows in the last bits of the comm-time accumulator.
+func TestSimMatchesFabricTwoLinkLanes(t *testing.T) {
+	prob := DefaultProblem(3, 64, 16, 4)
+	ts, err := topo.ParseSpec("2x3:nvlink,ib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const p = 4
+	for _, cfg := range []int{0, 5, 10, 15} {
+		o := DiffSpec{Dims: []int{16, 12, 8}}.opts(cfg)
+		o.RA, o.Topology = 2, ts.MustTopology(p)
+		dag := plan.MustBuildDAG(scheduleFor(prob, p, o))
+		var used [hw.NumResources]bool
+		for i := range dag.Nodes {
+			used[dag.OpResource(i, 0, o.Topology)] = true
+		}
+		if !used[hw.ResLinkIntra] || !used[hw.ResLinkInter] {
+			t.Fatalf("cfg %d: rank 0 occupies %v, want both link lanes", cfg, used)
+		}
+		CheckSimMatchesFabric(t, prob, p, 3, o)
+	}
+}
+
 // TestSimMatchesFabricRecovered pins the sim backend on the worlds
 // elastic recovery actually produces: a crash shrinks P=4 to the odd
 // world P'=3 (a shape the power-of-two sweep never visits), once
@@ -176,6 +204,60 @@ func TestSimTraceDeterminism(t *testing.T) {
 			}
 			t.Fatalf("overlap=%v: identical sim runs produced different traces (%d vs %d bytes, divergence at %d: %s)",
 				overlap, len(a), len(b), i, contextAround(a, b, i))
+		}
+	}
+}
+
+// TestSimTraceMatchesFabric pins the sim backend's synthesized timeline
+// against the live fabric's, event by event: for both executors, four
+// orderings, flat and hierarchical, every non-phase event of core.Train
+// on each (rank, track) equals SimExecutor's field for field, times and
+// scope tags included. Phase brackets are the live engine's alone.
+func TestSimTraceMatchesFabric(t *testing.T) {
+	prob := DefaultProblem(3, 64, 16, 4)
+	const p, epochs = 4, 2
+	sp, err := topo.ParseSpec("2x2:nvlink,ib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	session := func(x core.Executor, o core.Options) *trace.Session {
+		o.Tracer = trace.NewTracer(0)
+		x.Train(p, hw.A6000(), prob, o, epochs)
+		if n := len(o.Tracer.Sessions()); n != 1 {
+			t.Fatalf("%s: want one trace session, got %d", x.Name(), n)
+		}
+		return o.Tracer.Sessions()[0]
+	}
+	nonPhase := func(s *trace.Session, r, track int) []trace.Event {
+		var out []trace.Event
+		for _, ev := range s.TrackEvents(r, track) {
+			if ev.Class != trace.ClassPhase {
+				out = append(out, ev)
+			}
+		}
+		return out
+	}
+	for _, cfg := range []int{0, 5, 10, 15} {
+		for _, tp := range []*topo.Topology{nil, sp.MustTopology(p)} {
+			for _, overlap := range []bool{false, true} {
+				o := DiffSpec{Dims: []int{16, 12, 8}}.opts(cfg)
+				o.Topology, o.Overlap, o.PinExecutor = tp, overlap, true
+				live, virt := session(core.FabricExecutor{}, o), session(core.SimExecutor{}, o)
+				name := fmt.Sprintf("cfg%02d topo=%v overlap=%v", cfg, tp != nil, overlap)
+				for r := 0; r < p; r++ {
+					for track := range max(live.Tracks(r), virt.Tracks(r)) {
+						lv, sv := nonPhase(live, r, track), nonPhase(virt, r, track)
+						if len(lv) != len(sv) {
+							t.Fatalf("%s rank %d track %d: live %d events, sim %d", name, r, track, len(lv), len(sv))
+						}
+						for i := range lv {
+							if lv[i] != sv[i] {
+								t.Fatalf("%s rank %d track %d event %d:\nlive %+v\nsim  %+v", name, r, track, i, lv[i], sv[i])
+							}
+						}
+					}
+				}
+			}
 		}
 	}
 }
