@@ -117,7 +117,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "model   alltoall %d  allgather %d  tier intra/inter %d/%d  meter==model %v\n",
 		r.PredAllToAll, r.PredAllGather,
 		r.PredTierBytes[topo.TierIntra], r.PredTierBytes[topo.TierInter],
-		m.AllToAll == pred.AllToAll && m.AllGather == pred.AllGather && m.Tier == pred.Tier)
+		m == pred)
 	fmt.Fprintf(stdout, "latency p50 %.3fms  p99 %.3fms  mean %.3fms\n",
 		1e3*r.P50Latency, 1e3*r.P99Latency, 1e3*r.MeanLatency)
 	fmt.Fprintf(stdout, "throughput %.1f qps  sim %.6fs  model %.6fs\n",

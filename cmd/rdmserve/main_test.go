@@ -10,30 +10,39 @@ import (
 	"testing"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite the summary golden dump")
+var updateGolden = flag.Bool("update", false, "rewrite the summary golden dumps")
 
-// TestSummaryGolden locks the default serve summary byte for byte: the
-// whole tier is seeded, so any drift in admission, caching, metering or
-// the closed-form prices shows up as a reviewable diff (CI diffs this
-// golden too).
+// TestSummaryGolden locks the default serve summary byte for byte, on
+// the flat fabric and on a two-node topology (whose inter-tier bytes
+// are nonzero): the whole tier is seeded, so any drift in admission,
+// caching, metering or the closed-form prices shows up as a reviewable
+// diff (CI diffs both goldens too).
 func TestSummaryGolden(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run(nil, &out, &errb); code != 0 {
-		t.Fatalf("exit = %d, stderr = %q", code, errb.String())
-	}
-	path := filepath.Join("testdata", "serve_summary.golden")
-	if *updateGolden {
-		if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
+	for _, tc := range []struct {
+		golden string
+		args   []string
+	}{
+		{"serve_summary.golden", nil},
+		{"serve_summary_2x2.golden", []string{"-topo", "2x2:nvlink,ib"}},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(tc.args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit = %d, stderr = %q", tc.args, code, errb.String())
 		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("%v (run `go test ./cmd/rdmserve -update` to create it)", err)
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Fatalf("summary drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", path, out.String(), want)
+		path := filepath.Join("testdata", tc.golden)
+		if *updateGolden {
+			if err := os.WriteFile(path, out.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (run `go test ./cmd/rdmserve -update` to create it)", err)
+		}
+		if !bytes.Equal(out.Bytes(), want) {
+			t.Fatalf("summary drifted from golden %s:\n--- got ---\n%s--- want ---\n%s", path, out.String(), want)
+		}
 	}
 }
 

@@ -29,7 +29,6 @@ import (
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/saint"
 	"gnnrdm/internal/sparse"
-	"gnnrdm/internal/tensor"
 	"gnnrdm/internal/trace"
 )
 
@@ -140,7 +139,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	live := 0
 	if *density < 1 {
 		live = costmodel.LiveCount(*n, *density)
-		sparsifyFeatures(prob, live, trainSparseSeed)
+		prob.X = dist.KeepRows(prob.X, dist.GenRows(trainSparseSeed, *n, live))
 		fmt.Fprintf(stdout, "sparse features: density %g -> %d/%d live rows (two-round exchange enabled)\n",
 			*density, live, *n)
 	}
@@ -330,30 +329,6 @@ func checkFlags(f shapeFlags) string {
 // trainSparseSeed is the canonical live-set seed (dist.GenRows
 // identity), matching the rdminfo CLI and the planner test suite.
 const trainSparseSeed = 3
-
-// sparsifyFeatures zeroes every feature row outside the canonical live
-// set and guarantees each live row at least one nonzero, so the
-// executor's value scan (dist.LiveRows) recovers exactly the planner's
-// assumed set.
-func sparsifyFeatures(prob *core.Problem, live int, sseed int64) {
-	n, f := prob.X.Rows, prob.X.Cols
-	x := tensor.NewDense(n, f)
-	for _, r := range dist.GenRows(sseed, n, live) {
-		row := x.Row(int(r))
-		copy(row, prob.X.Row(int(r)))
-		nonzero := false
-		for _, v := range row {
-			if v != 0 {
-				nonzero = true
-				break
-			}
-		}
-		if !nonzero {
-			row[0] = 0.5
-		}
-	}
-	prob.X = x
-}
 
 // faultFlags carries the flag values the elastic training path needs.
 type faultFlags struct {

@@ -22,7 +22,6 @@ import (
 	"gnnrdm/internal/graph"
 	"gnnrdm/internal/plan"
 	"gnnrdm/internal/sparse"
-	"gnnrdm/internal/tensor"
 	"gnnrdm/internal/verify"
 )
 
@@ -96,32 +95,6 @@ type SparseResult struct {
 	Argmin       []SparseArgmin `json:"argmin"`
 }
 
-// sparsifyRows returns a copy of prob whose feature rows outside the
-// canonical live set dist.GenRows(sseed, n, live) are zeroed, with
-// every live row forced nonzero — so the engines' value scan recovers
-// exactly the planner's assumed set and meter==model is exact.
-func sparsifyRows(prob *core.Problem, live int, sseed int64) *core.Problem {
-	n, fin := prob.X.Rows, prob.X.Cols
-	x := tensor.NewDense(n, fin)
-	for _, r := range dist.GenRows(sseed, n, live) {
-		row := x.Row(int(r))
-		copy(row, prob.X.Row(int(r)))
-		nonzero := false
-		for _, v := range row {
-			if v != 0 {
-				nonzero = true
-				break
-			}
-		}
-		if !nonzero {
-			row[0] = 0.5
-		}
-	}
-	p := *prob
-	p.X = x
-	return &p
-}
-
 // sparseSpec builds the training spec for one (config, live) cell.
 func sparseSpec(n int, dims []int, id, p, live int, sseed int64) plan.Spec {
 	return plan.Spec{
@@ -185,7 +158,11 @@ func RunSparse(cfg Config) (*SparseResult, error) {
 		}
 		prob := base
 		if live > 0 {
-			prob = sparsifyRows(base, live, sseed)
+			// Keep only the canonical live set, so the engines' value scan
+			// recovers exactly the planner's assumed set.
+			sp := *base
+			sp.X = dist.KeepRows(base.X, dist.GenRows(sseed, n, live))
+			prob = &sp
 		}
 		for id := 0; id < nc; id++ {
 			sched := plan.Compile(sparseSpec(n, dims, id, p, live, sseed)).Optimize()
@@ -262,7 +239,7 @@ func meterSparseCell(cfg Config, prob *core.Problem, sp plan.Spec, c plan.Cost) 
 		eng := core.NewEngine(dev, prob, o)
 		eng.Epoch()
 	})
-	if err := verify.MetersMatchPrice(fab.Meters(), c, false); err != nil {
+	if err := verify.MetersMatchPrice(fab.Meters(), c); err != nil {
 		return fmt.Errorf("sparse cfg%02d live=%d: %w", sp.Config.ID(), sp.Live, err)
 	}
 	return nil

@@ -12,7 +12,7 @@ import (
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
 	"gnnrdm/internal/costmodel"
-	"gnnrdm/internal/hw"
+	"gnnrdm/internal/plan"
 	"gnnrdm/internal/topo"
 )
 
@@ -173,15 +173,12 @@ func runTopoTraining(cfg Config, w *Workload, dims []int, p, id int, label strin
 			eng.Epoch()
 		}
 	})
-	m := fab.Meters()
-	row := TopoRow{
+	m := plan.TrafficOf(fab.Meters())
+	return TopoRow{
 		Topology: label, P: p, Config: id,
-		EpochSec: fab.MaxClock() / float64(cfg.Epochs),
-		RDMBytes: m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather],
-	}
-	for k := range hw.NumCollectiveKinds {
-		row.IntraBytes += m.TierVolume[topo.TierIntra][k] + m.SideTierVolume[topo.TierIntra][k]
-		row.InterBytes += m.TierVolume[topo.TierInter][k] + m.SideTierVolume[topo.TierInter][k]
-	}
-	return row, nil
+		EpochSec:   fab.MaxClock() / float64(cfg.Epochs),
+		RDMBytes:   m.AllToAll + m.AllGather,
+		IntraBytes: m.Tier[topo.TierIntra] + m.SideTier[topo.TierIntra],
+		InterBytes: m.Tier[topo.TierInter] + m.SideTier[topo.TierInter],
+	}, nil
 }

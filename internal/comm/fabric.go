@@ -88,10 +88,9 @@ type Fabric struct {
 	deadMu sync.Mutex
 	dead   map[int]string // rank -> cause, for crashed or exited devices
 
-	hook     FaultHook
-	retry    RetryPolicy
-	crc      bool
-	deadline float64 // simulated seconds charged per abandoned collective
+	hook  FaultHook
+	retry RetryPolicy
+	crc   bool
 	// linkAlpha/linkBeta hold per-rank link degradation multipliers
 	// (nil = clean fabric); a collective runs at the worst multipliers
 	// among its participants.
@@ -139,8 +138,7 @@ func DefaultRetryPolicy() RetryPolicy {
 }
 
 // DefaultCollectiveDeadline is the simulated time a survivor waits
-// before abandoning a rendezvous with a dead peer when no explicit
-// deadline is configured (SetCollectiveDeadline): one simulated
+// before abandoning a rendezvous with a dead peer: one simulated
 // millisecond, far beyond any clean collective in the modelled regime.
 const DefaultCollectiveDeadline = 1e-3
 
@@ -266,18 +264,6 @@ func (f *Fabric) SetRetryPolicy(rp RetryPolicy) { f.retry = rp }
 // extra metered bytes; with no hook attached the channel costs nothing.
 // Disabled by default.
 func (f *Fabric) EnableCRC(on bool) { f.crc = on }
-
-// SetCollectiveDeadline sets the simulated-time deadline a survivor is
-// charged when abandoning a rendezvous with a dead peer; seconds <= 0
-// restores DefaultCollectiveDeadline.
-func (f *Fabric) SetCollectiveDeadline(seconds float64) { f.deadline = seconds }
-
-func (f *Fabric) collectiveDeadline() float64 {
-	if f.deadline > 0 {
-		return f.deadline
-	}
-	return DefaultCollectiveDeadline
-}
 
 // SetLinkFault degrades one device's link: subsequent collectives
 // involving rank pay alphaMul× the latency and 1/betaMul× the bandwidth
@@ -822,7 +808,7 @@ func (d *Device) groupPos(op string, group []int) (int, error) {
 // ranks, wrapped per-rank in a CollectiveError.
 //
 // Fault handling (see RESILIENCE.md): a dead peer abandons the
-// rendezvous, charges the fabric's collective deadline, and returns a
+// rendezvous, charges DefaultCollectiveDeadline, and returns a
 // *FaultError wrapping ErrPeerDead. A transient or corrupt round is
 // retried under the RetryPolicy with exponential backoff charged to the
 // simulated clock; exhausted budgets surface as a *FaultError too. Every
@@ -888,7 +874,7 @@ func (d *Device) collectiveIn(g *groupComm, op string, group []int, in any,
 			// The survivor waits out the deadline before concluding the
 			// peer is gone; the charge lands on comm time like the skew
 			// wait of a live collective would.
-			end := before + f.collectiveDeadline()
+			end := before + DefaultCollectiveDeadline
 			d.clock = end
 			d.commTime += end - before
 			d.emitFault("timeout:"+op, key, len(group), before, end)

@@ -39,7 +39,6 @@ func runBounded(t *testing.T, f *comm.Fabric, fn func(d *comm.Device)) {
 
 func TestKilledRankFailsPeersWithPeerDead(t *testing.T) {
 	f := comm.NewFabric(3, hw.A6000())
-	f.SetCollectiveDeadline(2e-3)
 	var mu sync.Mutex
 	errs := make(map[int]error)
 	runBounded(t, f, func(d *comm.Device) {
@@ -63,8 +62,8 @@ func TestKilledRankFailsPeersWithPeerDead(t *testing.T) {
 		if !errors.Is(err, comm.ErrPeerDead) {
 			t.Fatalf("rank %d: error %v does not wrap ErrPeerDead", r, err)
 		}
-		if got := f.Device(r).Clock(); got != 2e-3 {
-			t.Fatalf("rank %d: clock %g, want the 2e-3 deadline charge", r, got)
+		if got := f.Device(r).Clock(); got != comm.DefaultCollectiveDeadline {
+			t.Fatalf("rank %d: clock %g, want the %g deadline charge", r, got, comm.DefaultCollectiveDeadline)
 		}
 	}
 	if vol := f.TotalVolume(); vol != 0 {

@@ -19,8 +19,9 @@ import (
 
 // ElasticOptions configures fault injection and recovery for
 // TrainElastic. The zero value trains with no schedule, which is Train.
-// Under a schedule the defaults are CRC armed, the default retry policy,
-// and a checkpoint after every epoch.
+// Every world runs with CRC armed, the default retry policy and the
+// fabric's default collective deadline, and TrainElastic gives up after
+// the scheduled crashes + 2 world re-formations.
 type ElasticOptions struct {
 	// Schedule is the fault schedule to inject (nil = none). Ranks
 	// address the ORIGINAL P-rank world.
@@ -32,17 +33,6 @@ type ElasticOptions struct {
 	// checkpoints (default 1). Checkpoints pass through the v2 wire
 	// format, so recovery exercises the CRC-verified read path.
 	CheckpointEvery int
-	// Retry overrides the fabric retry policy (nil = DefaultRetryPolicy).
-	Retry *comm.RetryPolicy
-	// DisableCRC turns off the collective CRC side-channel, letting
-	// injected bit flips propagate silently (the ablation).
-	DisableCRC bool
-	// CollectiveDeadline overrides the simulated-time charge for
-	// abandoning a rendezvous with a dead peer (0 = fabric default).
-	CollectiveDeadline float64
-	// MaxRecoveries bounds world re-formations before the driver gives
-	// up (default: scheduled crashes + 2).
-	MaxRecoveries int
 	// Membership switches crash detection from the coordinator-driven
 	// path (survivors learn the dead set instantly from the fabric) to
 	// the decentralized gossip control plane (internal/member): each
@@ -159,14 +149,8 @@ func train(p int, model *hw.Model, prob *Problem, opts Options, epochs int, eo E
 	if ckEvery < 1 {
 		ckEvery = 1
 	}
-	retry := comm.DefaultRetryPolicy()
-	if eo.Retry != nil {
-		retry = *eo.Retry
-	}
-	maxRec := eo.MaxRecoveries
-	if maxRec < 1 {
-		maxRec = len(sched.Crashes()) + 2
-	}
+	// World re-formations before TrainElastic gives up.
+	maxRec := len(sched.Crashes()) + 2
 	label := opts.TraceLabel
 	if label == "" {
 		label = "rdm"
@@ -206,11 +190,8 @@ func train(p int, model *hw.Model, prob *Problem, opts Options, epochs int, eo E
 			fabric.SetTracer(opts.Tracer, session)
 		}
 		fabric.SeedClocks(clocks)
-		fabric.SetRetryPolicy(retry)
-		fabric.EnableCRC(!eo.DisableCRC)
-		if eo.CollectiveDeadline > 0 {
-			fabric.SetCollectiveDeadline(eo.CollectiveDeadline)
-		}
+		fabric.SetRetryPolicy(comm.DefaultRetryPolicy())
+		fabric.EnableCRC(true)
 		if faulty {
 			inj.Remap(orig)
 			inj.Arm(fabric)

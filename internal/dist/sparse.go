@@ -81,6 +81,23 @@ func LiveRows(x *tensor.Dense) []int32 {
 	return out
 }
 
+// KeepRows returns a copy of x with every row outside rows zeroed and
+// every row in rows nonzero: a kept row that is all zero in x gets 0.5
+// in column 0. LiveRows of the result is therefore exactly the sorted
+// set rows, which is how a row-sparse input is made to match the live
+// set the schedule pricer assumes (GenRows).
+func KeepRows(x *tensor.Dense, rows []int32) *tensor.Dense {
+	out := tensor.NewDense(x.Rows, x.Cols)
+	for _, r := range rows {
+		row := out.Row(int(r))
+		copy(row, x.Row(int(r)))
+		if !slices.ContainsFunc(row, func(v float32) bool { return v != 0 }) {
+			row[0] = 0.5
+		}
+	}
+	return out
+}
+
 // CountInRange returns how many of the sorted live row indices fall in
 // the half-open global row range [lo, hi) — the per-pair row census
 // both the exchange below and the schedule pricer (internal/plan)

@@ -2,6 +2,7 @@ package dist
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"gnnrdm/internal/comm"
@@ -47,6 +48,38 @@ func TestLiveRowsScan(t *testing.T) {
 	}
 	if got := LiveRows(tensor.NewDense(3, 2)); len(got) != 0 {
 		t.Fatalf("all-zero matrix has live rows %v", got)
+	}
+}
+
+// TestKeepRowsIsLiveRows pins the contract the sparse benchmarks and
+// checks rely on: the value scan of KeepRows(x, rows) is rows exactly,
+// whatever x holds — including a kept row that is all zero in x (it
+// gets 0.5 in column 0) and dropped rows that are nonzero in x. Kept
+// rows that are nonzero in x keep their values.
+func TestKeepRowsIsLiveRows(t *testing.T) {
+	x := tensor.NewDense(40, 3)
+	rng := rand.New(rand.NewSource(5))
+	for i := range x.Data {
+		x.Data[i] = rng.Float32() + 0.25
+	}
+	rows := GenRows(9, 40, 12)
+	zero := rows[3]
+	clear(x.Row(int(zero)))
+	x.Set(int(rows[5]), 0, 0) // nonzero elsewhere in the row: kept as is
+	got := KeepRows(x, rows)
+	if live := LiveRows(got); !slices.Equal(live, rows) {
+		t.Fatalf("LiveRows(KeepRows(x, rows)) = %v, want %v", live, rows)
+	}
+	if want := []float32{0.5, 0, 0}; !slices.Equal(got.Row(int(zero)), want) {
+		t.Fatalf("all-zero kept row %d = %v, want %v", zero, got.Row(int(zero)), want)
+	}
+	for _, r := range rows {
+		if r != zero && !slices.Equal(got.Row(int(r)), x.Row(int(r))) {
+			t.Fatalf("kept row %d = %v, want x's %v", r, got.Row(int(r)), x.Row(int(r)))
+		}
+	}
+	if live := LiveRows(KeepRows(x, nil)); len(live) != 0 {
+		t.Fatalf("KeepRows with no rows leaves live rows %v", live)
 	}
 }
 

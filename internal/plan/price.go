@@ -14,20 +14,40 @@ import (
 // is how far it advanced the latest device clock. The schedule's time
 // is that clock at the end of the epoch, PriceDAGOn's SeqTime.
 
-// Traffic is the byte half of a priced op or schedule: what it added to
-// the replayed fabric's meters.
+// Traffic is a byte ledger: what a priced op or schedule added to the
+// replayed fabric's meters, or what a live fabric metered (TrafficOf).
 type Traffic struct {
 	// AllToAll, AllGather and AllReduce are the fabric byte volumes by
-	// collective class, matching the simulator's meters exactly.
-	AllToAll, AllGather, AllReduce int64
+	// collective class, matching the simulator's meters exactly. Other
+	// is the primary volume of every other kind; a replay books none.
+	AllToAll, AllGather, AllReduce, Other int64
 	// Side is byte-packed mask traffic on the fabric's side channel
 	// (excluded from the primary meters, as the paper's model omits it).
 	Side int64
 	// Tier and SideTier split the primary and side volumes by link tier
-	// (intra-node, inter-node). Only populated by PriceOn with a
-	// topology; under flat pricing everything is tier 0.
+	// (intra-node, inter-node); the flat fabric books everything on
+	// tier 0.
 	Tier     [topo.NumTiers]int64
 	SideTier [topo.NumTiers]int64
+}
+
+// TrafficOf projects a fabric's meters onto the ledger.
+func TrafficOf(m comm.Meters) Traffic { return since(&m, &comm.Meters{}) }
+
+// Total returns the primary-channel byte total.
+func (t Traffic) Total() int64 { return t.AllToAll + t.AllGather + t.AllReduce + t.Other }
+
+// Add accumulates o into t.
+func (t *Traffic) Add(o Traffic) {
+	t.AllToAll += o.AllToAll
+	t.AllGather += o.AllGather
+	t.AllReduce += o.AllReduce
+	t.Other += o.Other
+	t.Side += o.Side
+	for i := range t.Tier {
+		t.Tier[i] += o.Tier[i]
+		t.SideTier[i] += o.SideTier[i]
+	}
 }
 
 // OpCost is the priced cost of one schedule step.
@@ -75,7 +95,7 @@ func (s *Schedule) priceOn(nnz int64, h *hw.Model, tp *topo.Topology, pc *PriceC
 	e := newEngine(s, nil, s.ApproxCensus(nnz), h, tp, 1, pc)
 	e.perOp = make([]OpCost, 0, s.Ops())
 	e.run(false, 0, nil, "")
-	return Cost{PerOp: e.perOp, Traffic: since(&e.meters, &comm.Meters{}, tp != nil), Time: e.wasClock}
+	return Cost{PerOp: e.perOp, Traffic: TrafficOf(e.meters), Time: e.wasClock}
 }
 
 // priceOp appends the op the engine just replayed to its per-op costs.
@@ -86,26 +106,29 @@ func (e *engine) priceOp() {
 	}
 	e.perOp = append(e.perOp, OpCost{
 		Step: e.op.Step, Kind: e.op.Kind,
-		Traffic: since(&e.meters, &e.was, e.tp != nil),
+		Traffic: since(&e.meters, &e.was),
 		Time:    clock - e.wasClock,
 	})
 	e.was, e.wasClock = e.meters, clock
 }
 
 // since returns the bytes the meters m gained since was, by collective
-// class and side channel, and by link tier when tiers is set (the flat
-// fabric meters everything on tier 0 and leaves the split unpopulated).
-func since(m, was *comm.Meters, tiers bool) Traffic {
-	tr := Traffic{
-		AllToAll:  m.Volume[hw.OpAllToAll] - was.Volume[hw.OpAllToAll],
-		AllGather: m.Volume[hw.OpAllGather] - was.Volume[hw.OpAllGather],
-		AllReduce: m.Volume[hw.OpAllReduce] - was.Volume[hw.OpAllReduce],
-	}
-	for k := range m.SideVolume {
-		tr.Side += m.SideVolume[k] - was.SideVolume[k]
-		if !tiers {
-			continue
+// class, side channel and link tier.
+func since(m, was *comm.Meters) Traffic {
+	var tr Traffic
+	for k := range m.Volume {
+		v := m.Volume[k] - was.Volume[k]
+		switch hw.CollectiveKind(k) {
+		case hw.OpAllToAll:
+			tr.AllToAll += v
+		case hw.OpAllGather:
+			tr.AllGather += v
+		case hw.OpAllReduce:
+			tr.AllReduce += v
+		default:
+			tr.Other += v
 		}
+		tr.Side += m.SideVolume[k] - was.SideVolume[k]
 		for t := range tr.Tier {
 			tr.Tier[t] += m.TierVolume[t][k] - was.TierVolume[t][k]
 			tr.SideTier[t] += m.SideTierVolume[t][k] - was.SideTierVolume[t][k]

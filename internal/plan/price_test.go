@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"gnnrdm/internal/comm"
 	"gnnrdm/internal/costmodel"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/topo"
@@ -89,7 +90,8 @@ func TestPriceIsSequentialReplay(t *testing.T) {
 			{"all-to-all", c.AllToAll, m.Volume[hw.OpAllToAll]},
 			{"all-gather", c.AllGather, m.Volume[hw.OpAllGather]},
 			{"all-reduce", c.AllReduce, m.Volume[hw.OpAllReduce]},
-			{"primary", c.AllToAll + c.AllGather + c.AllReduce, m.TotalVolume() - m.TotalSideVolume()},
+			{"other", c.Other, 0},
+			{"primary", c.Total(), m.TotalVolume() - m.TotalSideVolume()},
 			{"side", c.Side, m.TotalSideVolume()},
 		} {
 			if f.got != f.want {
@@ -98,11 +100,9 @@ func TestPriceIsSequentialReplay(t *testing.T) {
 		}
 		for tier := range c.Tier {
 			var want, wantSide int64
-			if tp != nil {
-				for k := range m.TierVolume[tier] {
-					want += m.TierVolume[tier][k]
-					wantSide += m.SideTierVolume[tier][k]
-				}
+			for k := range m.TierVolume[tier] {
+				want += m.TierVolume[tier][k]
+				wantSide += m.SideTierVolume[tier][k]
 			}
 			if c.Tier[tier] != want || c.SideTier[tier] != wantSide {
 				t.Fatalf("%s: PriceOn tier %d bytes %d side %d, replay meters %d side %d",
@@ -119,14 +119,7 @@ func TestPriceIsSequentialReplay(t *testing.T) {
 					t.Fatalf("%s: PerOp[%d] = step %d %v time %g, want step %d %v and time >= 0",
 						name, i, oc.Step, oc.Kind, oc.Time, op.Step, op.Kind)
 				}
-				sum.AllToAll += oc.AllToAll
-				sum.AllGather += oc.AllGather
-				sum.AllReduce += oc.AllReduce
-				sum.Side += oc.Side
-				for tier := range oc.Tier {
-					sum.Tier[tier] += oc.Tier[tier]
-					sum.SideTier[tier] += oc.SideTier[tier]
-				}
+				sum.Add(oc.Traffic)
 				sum.Time += oc.Time
 				i++
 			}
@@ -141,5 +134,51 @@ func TestPriceIsSequentialReplay(t *testing.T) {
 		if fmt.Sprint(sum) != fmt.Sprint(c) {
 			t.Fatalf("%s: PerOp sums %+v, totals %+v", name, sum, c)
 		}
+	}
+}
+
+// TestTrafficOfAndAdd pins the ledger's two operations by hand on a
+// census with bytes on every kind, channel and tier: TrafficOf books
+// all-to-all, allgather and all-reduce in their own fields and every
+// other kind in Other, sums the side channel over all kinds and splits
+// both channels by tier; Add accumulates every field.
+func TestTrafficOfAndAdd(t *testing.T) {
+	var m comm.Meters
+	for k := range hw.NumCollectiveKinds {
+		m.Volume[k] = 1 << (4 * k)
+		m.SideVolume[k] = 3 << (4 * k)
+		m.TierVolume[topo.TierIntra][k] = 1 << (4 * k)
+		m.SideTierVolume[topo.TierInter][k] = 3 << (4 * k)
+	}
+	other := m.Volume[hw.OpBroadcast] + m.Volume[hw.OpSendRecv] + m.Volume[hw.OpReduceScatter]
+	want := Traffic{
+		AllToAll: 1 << (4 * hw.OpAllToAll), AllGather: 1 << (4 * hw.OpAllGather),
+		AllReduce: 1 << (4 * hw.OpAllReduce), Other: other,
+		Side:     3 * 0x111111,
+		Tier:     [topo.NumTiers]int64{topo.TierIntra: 0x111111},
+		SideTier: [topo.NumTiers]int64{topo.TierInter: 3 * 0x111111},
+	}
+	got := TrafficOf(m)
+	if got != want {
+		t.Fatalf("TrafficOf = %+v, want %+v", got, want)
+	}
+	if got.Total() != 0x111111 {
+		t.Fatalf("Total = %#x, want %#x", got.Total(), 0x111111)
+	}
+	var sum Traffic
+	sum.Add(want)
+	sum.Add(Traffic{AllToAll: 1, AllGather: 1, AllReduce: 1, Other: 1, Side: 1,
+		Tier: [topo.NumTiers]int64{1, 1}, SideTier: [topo.NumTiers]int64{1, 1}})
+	want.AllToAll++
+	want.AllGather++
+	want.AllReduce++
+	want.Other++
+	want.Side++
+	for i := range want.Tier {
+		want.Tier[i]++
+		want.SideTier[i]++
+	}
+	if sum != want {
+		t.Fatalf("Add = %+v, want %+v", sum, want)
 	}
 }

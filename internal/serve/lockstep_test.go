@@ -9,6 +9,7 @@ import (
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
 	"gnnrdm/internal/dist"
+	"gnnrdm/internal/plan"
 	"gnnrdm/internal/tensor"
 	"gnnrdm/internal/topo"
 	"gnnrdm/internal/trace"
@@ -53,7 +54,7 @@ func (s *Session) runPlansSPMD(fab *comm.Fabric, plans []batchPlan, opts core.Op
 
 // served is everything a session shows of the streams it served.
 type served struct {
-	metered, predicted Meter
+	metered, predicted plan.Traffic
 	report             Report
 	hitMiss            string
 	answers            map[int32][]float32

@@ -77,32 +77,6 @@ func (c Config) withDefaults() Config {
 
 func (c Config) layers() int { return len(c.Dims) - 1 }
 
-// Meter is a byte ledger: fabric-metered or model-predicted volumes by
-// collective kind, with the per-tier split.
-type Meter struct {
-	AllToAll  int64
-	AllGather int64
-	AllReduce int64
-	Other     int64
-	Side      int64
-	Tier      [topo.NumTiers]int64
-}
-
-// Total returns the primary-channel byte total.
-func (m Meter) Total() int64 { return m.AllToAll + m.AllGather + m.AllReduce + m.Other }
-
-// add accumulates o into m.
-func (m *Meter) add(o Meter) {
-	m.AllToAll += o.AllToAll
-	m.AllGather += o.AllGather
-	m.AllReduce += o.AllReduce
-	m.Other += o.Other
-	m.Side += o.Side
-	for t := range m.Tier {
-		m.Tier[t] += o.Tier[t]
-	}
-}
-
 // Session is one serving deployment's accumulated state: the answer
 // cache and value store survive across Serve calls — including calls
 // at different world sizes, the elastic re-formation path — while
@@ -132,8 +106,8 @@ type Session struct {
 	predTime       float64
 	lastP          int
 
-	metered   Meter
-	predicted Meter
+	metered   plan.Traffic
+	predicted plan.Traffic
 
 	// Degraded-window counters (see degraded.go): queries answered
 	// stale from the store and queries deferred for resubmission. The
@@ -180,7 +154,7 @@ type batchPlan struct {
 type secSums struct {
 	phase string
 	layer int
-	Meter
+	plan.Traffic
 	time float64
 }
 
@@ -191,7 +165,7 @@ func sectionSums(sched *plan.Schedule, c plan.Cost) []secSums {
 		sec, ss := &sched.Sections[i], &out[i]
 		ss.phase, ss.layer = sec.Phase, sec.Layer
 		for _, oc := range c.PerOp[k : k+len(sec.Ops)] {
-			ss.add(Meter{AllToAll: oc.AllToAll, AllGather: oc.AllGather, AllReduce: oc.AllReduce, Side: oc.Side, Tier: oc.Tier})
+			ss.Add(oc.Traffic)
 			ss.time += oc.Time
 		}
 		k += len(sec.Ops)
@@ -202,10 +176,10 @@ func sectionSums(sched *plan.Schedule, c plan.Cost) []secSums {
 // refreshSums totals the sections a refresh from fromLayer executes:
 // the init section when cold, every fwd section with Layer >= max(1,
 // fromLayer) otherwise (a warm refresh never re-runs init).
-func refreshSums(secs []secSums, fromLayer int, cold bool) (m Meter, t float64) {
+func refreshSums(secs []secSums, fromLayer int, cold bool) (m plan.Traffic, t float64) {
 	for _, ss := range secs {
 		if ss.phase == "init" && cold || ss.phase == "fwd" && ss.layer >= fromLayer {
-			m.add(ss.Meter)
+			m.Add(ss.Traffic)
 			t += ss.time
 		}
 	}
@@ -282,7 +256,7 @@ func (s *Session) serve(p int, queries []Query, run func(*Session, *comm.Fabric,
 		Dims: cfg.Dims, Config: tblCfg, RA: ra, Seed: cfg.Seed, SAGE: cfg.SAGE,
 	})
 	s.simTime += fab.MaxClock()
-	s.meterFabric(fab)
+	s.metered.Add(plan.TrafficOf(fab.Meters()))
 
 	// Complete the latency bookkeeping on the arrival timeline: batches
 	// are served in order, each starting at max(dispatch, previous
@@ -404,7 +378,7 @@ func (s *Session) planBatches(batches []Batch, L, nq int) []batchPlan {
 func (s *Session) predictBatch(bp *batchPlan, secs []secSums, fL int, owned []int64) {
 	p := len(owned)
 	cfg := s.cfg
-	var refresh Meter
+	var refresh plan.Traffic
 	var refreshTime float64
 	if bp.fromLayer >= 0 {
 		refresh, refreshTime = refreshSums(secs, bp.fromLayer, bp.fromLayer == 0)
@@ -419,12 +393,8 @@ func (s *Session) predictBatch(bp *batchPlan, secs []secSums, fL int, owned []in
 		}
 		gatherBytes, gatherTier, gatherTime = costmodel.PredictGather(cfg.HW, cfg.Topology, p, 0, fL, owned)
 	}
-	if cfg.Topology == nil {
-		// Flat fabric meters everything as intra-tier.
-		refresh.Tier = [topo.NumTiers]int64{topo.TierIntra: refresh.AllToAll + refresh.AllGather + refresh.AllReduce}
-	}
-	s.predicted.add(refresh)
-	s.predicted.add(Meter{AllToAll: gatherBytes, Tier: gatherTier})
+	s.predicted.Add(refresh)
+	s.predicted.Add(plan.Traffic{AllToAll: gatherBytes, Tier: gatherTier})
 	s.predTime += costmodel.PredictMicrobatchTime(cfg.HW, refreshTime, gatherTime, bp.hitRows, fL)
 }
 
@@ -439,31 +409,10 @@ func ownerOf(v int32, p, n int) int {
 	panic(fmt.Sprintf("serve: vertex %d outside [0, %d)", v, n))
 }
 
-// meterFabric folds one fabric run's meters into the session ledger.
-func (s *Session) meterFabric(fab *comm.Fabric) {
-	m := fab.Meters()
-	for k, v := range m.Volume {
-		switch hw.CollectiveKind(k) {
-		case hw.OpAllToAll:
-			s.metered.AllToAll += v
-		case hw.OpAllGather:
-			s.metered.AllGather += v
-		case hw.OpAllReduce:
-			s.metered.AllReduce += v
-		default:
-			s.metered.Other += v
-		}
-		for t := range s.metered.Tier {
-			s.metered.Tier[t] += m.TierVolume[t][k]
-		}
-	}
-	s.metered.Side += m.TotalSideVolume()
-}
-
 // Metered and Predicted expose the session's byte ledgers for
 // verification (see verify.CheckServeMatchesModel).
-func (s *Session) Metered() Meter   { return s.metered }
-func (s *Session) Predicted() Meter { return s.predicted }
+func (s *Session) Metered() plan.Traffic   { return s.metered }
+func (s *Session) Predicted() plan.Traffic { return s.predicted }
 
 // HitMiss returns the per-query hit/miss sequence in arrival order
 // ('1' hit, '0' miss) — the determinism witness.

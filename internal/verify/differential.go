@@ -211,10 +211,10 @@ func scheduleFor(prob *core.Problem, p int, o core.Options) *plan.Schedule {
 // §IV model does not cover — and reconciles the fabric's meters against
 // the compiled schedule's per-op prices exactly (MetersMatchPrice): RDM
 // volume (all-to-all + allgather), gradient/loss all-reduce volume,
-// side-channel mask bytes and, when o.Topology is set, the per-link-tier
-// split of the primary and side volumes against the topology-aware
-// prices. Options must not request per-epoch accuracy evaluation
-// (EvalMask), whose all-reduce is outside the epoch schedule.
+// side-channel mask bytes and the per-link-tier split of the primary
+// and side volumes, on the flat fabric (tier 0) as on o.Topology.
+// Options must not request per-epoch accuracy evaluation (EvalMask),
+// whose all-reduce is outside the epoch schedule.
 func CheckScheduleMatchesMeters(t testing.TB, prob *core.Problem, p int, o core.Options) {
 	t.Helper()
 	if o.EvalMask != nil {
@@ -226,42 +226,24 @@ func CheckScheduleMatchesMeters(t testing.TB, prob *core.Problem, p int, o core.
 	if o.Topology != nil {
 		where += " on " + o.Topology.Name
 	}
-	if err := MetersMatchPrice(fab.Meters(), c, o.Topology != nil); err != nil {
+	if err := MetersMatchPrice(fab.Meters(), c); err != nil {
 		t.Fatalf("%s: %v", where, err)
 	}
 }
 
 // MetersMatchPrice reconciles one epoch's fabric meters against the
-// schedule's prices exactly: RDM volume (all-to-all + allgather),
-// all-reduce volume, side-channel bytes and, with tiers, the
-// per-link-tier split of the primary and side volumes. It returns the
-// first mismatch.
-func MetersMatchPrice(m comm.Meters, c plan.Cost, tiers bool) error {
-	type check struct {
-		what      string
-		got, want int64
-	}
-	checks := []check{
-		{"RDM volume", m.Volume[hw.OpAllToAll] + m.Volume[hw.OpAllGather], c.RDMBytes()},
-		{"all-reduce volume", m.Volume[hw.OpAllReduce], c.AllReduce},
-		{"side-channel volume", m.TotalSideVolume(), c.Side},
-	}
-	if tiers {
-		for tier := range topo.NumTiers {
-			var prim, side int64
-			for k := range hw.NumCollectiveKinds {
-				prim += m.TierVolume[tier][k]
-				side += m.SideTierVolume[tier][k]
-			}
-			checks = append(checks,
-				check{fmt.Sprintf("tier-%d volume", tier), prim, c.Tier[tier]},
-				check{fmt.Sprintf("tier-%d side volume", tier), side, c.SideTier[tier]})
-		}
-	}
-	for _, ck := range checks {
-		if ck.got != ck.want {
-			return fmt.Errorf("metered %s %d bytes, schedule prices %d (Δ=%d)", ck.what, ck.got, ck.want, ck.got-ck.want)
-		}
+// schedule's prices exactly: the whole ledger — volume by collective
+// class, side-channel bytes and the per-link-tier split of both (the
+// flat fabric books everything on tier 0).
+func MetersMatchPrice(m comm.Meters, c plan.Cost) error {
+	return ledgersMatch(plan.TrafficOf(m), c.Traffic)
+}
+
+// ledgersMatch compares a metered byte ledger with a predicted one,
+// every field at once.
+func ledgersMatch(metered, predicted plan.Traffic) error {
+	if metered != predicted {
+		return fmt.Errorf("metered %+v, predicted %+v", metered, predicted)
 	}
 	return nil
 }

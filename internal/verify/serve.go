@@ -13,8 +13,8 @@ import (
 //
 //  1. Every byte the serving path moved — staleness refreshes through
 //     the compiled inference schedule plus per-microbatch row gathers —
-//     equals the closed-form prediction, per collective kind and (when
-//     a topology is set) per link tier, to the byte. Nothing but
+//     equals the closed-form prediction, per collective kind and per
+//     link tier (tier 0 on the flat fabric), to the byte. Nothing but
 //     all-to-all and allgather traffic may appear: serving never
 //     all-reduces, and the side channel stays silent.
 //  2. Every served answer matches the single-device uncached reference
@@ -33,25 +33,12 @@ func CheckServeMatchesModel(t testing.TB, prob *core.Problem, cfg serve.Config, 
 	r := s.Report()
 
 	m, pr := s.Metered(), s.Predicted()
-	if m.AllToAll != pr.AllToAll {
-		t.Fatalf("serve: metered %d all-to-all bytes, model predicts %d", m.AllToAll, pr.AllToAll)
+	if err := ledgersMatch(m, pr); err != nil {
+		t.Fatalf("serve: %v", err)
 	}
-	if m.AllGather != pr.AllGather {
-		t.Fatalf("serve: metered %d allgather bytes, model predicts %d", m.AllGather, pr.AllGather)
-	}
-	if m.AllReduce != 0 || pr.AllReduce != 0 {
-		t.Fatalf("serve: inference must not all-reduce (metered %d, predicted %d)", m.AllReduce, pr.AllReduce)
-	}
-	if m.Other != 0 {
-		t.Fatalf("serve: unexpected %d bytes outside all-to-all/allgather", m.Other)
-	}
-	if m.Side != 0 || pr.Side != 0 {
-		t.Fatalf("serve: side channel must stay silent (metered %d, predicted %d)", m.Side, pr.Side)
-	}
-	for tier := range m.Tier {
-		if m.Tier[tier] != pr.Tier[tier] {
-			t.Fatalf("serve: tier %d metered %d bytes, model predicts %d", tier, m.Tier[tier], pr.Tier[tier])
-		}
+	if m.AllReduce != 0 || m.Other != 0 || m.Side != 0 {
+		t.Fatalf("serve: inference moves only all-to-all and allgather bytes (all-reduce %d, other %d, side %d)",
+			m.AllReduce, m.Other, m.Side)
 	}
 
 	ref := serve.Reference(prob, cfg, distinctVertices(queries))

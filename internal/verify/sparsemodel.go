@@ -8,7 +8,6 @@ import (
 	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
-	"gnnrdm/internal/tensor"
 	"gnnrdm/internal/topo"
 )
 
@@ -21,22 +20,7 @@ import (
 // byte- and clock-exact rather than approximate.
 func SparseProblem(seed int64, n, fin, classes, live int, sseed int64) *core.Problem {
 	prob := DefaultProblem(seed, n, fin, classes)
-	x := tensor.NewDense(n, fin)
-	for _, r := range dist.GenRows(sseed, n, live) {
-		row := x.Row(int(r))
-		copy(row, prob.X.Row(int(r)))
-		nonzero := false
-		for _, v := range row {
-			if v != 0 {
-				nonzero = true
-				break
-			}
-		}
-		if !nonzero {
-			row[0] = 0.5
-		}
-	}
-	prob.X = x
+	prob.X = dist.KeepRows(prob.X, dist.GenRows(sseed, n, live))
 	return prob
 }
 
@@ -80,7 +64,7 @@ func CheckSparseMatchesModel(t testing.TB, prob *core.Problem, dims []int, p, ra
 	fab := TrainFabric(p, prob, o, 1)
 	sched := scheduleFor(prob, p, o)
 	c := sched.PriceOn(prob.A.NNZ(), hw.A6000(), tp)
-	if err := MetersMatchPrice(fab.Meters(), c, tp != nil); err != nil {
+	if err := MetersMatchPrice(fab.Meters(), c); err != nil {
 		t.Fatalf("P=%d RA=%d cfg=%d live=%d topo=%q: %v", p, ra, cfg, liveCount, tspec, err)
 	}
 

@@ -11,6 +11,7 @@ import (
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/hw"
+	"gnnrdm/internal/topo"
 	"gnnrdm/internal/trace"
 )
 
@@ -218,5 +219,41 @@ func TestScaleFeaturesExact(t *testing.T) {
 	}
 	if scaled.A != prob.A {
 		t.Fatal("ScaleFeatures must share the adjacency")
+	}
+}
+
+// TestMetersMatchPriceSeesEveryCell pins the ledger check against a
+// blind spot: on a real epoch over two link tiers (so both tiers and
+// the side channel carry bytes) the meters match the price, and a few
+// extra bytes in any single census cell — any kind's primary or side
+// volume, or its share of either tier — fail the match.
+func TestMetersMatchPriceSeesEveryCell(t *testing.T) {
+	prob := DefaultProblem(7, 64, 10, 4)
+	o := DiffSpec{Dims: []int{10, 8, 4}}.opts(2) // redistributes a ReLU mask
+	o.Topology = topo.MustParseSpec("2x2:nvlink,ib").MustTopology(4)
+	m := TrainFabric(4, prob, o, 1).Meters()
+	c := scheduleFor(prob, 4, o).PriceOn(prob.A.NNZ(), hw.A6000(), o.Topology)
+	if err := MetersMatchPrice(m, c); err != nil {
+		t.Fatalf("real epoch rejected: %v", err)
+	}
+	if c.Side == 0 || c.Tier[topo.TierIntra] == 0 || c.Tier[topo.TierInter] == 0 {
+		t.Fatalf("fixture must move side and both-tier bytes, priced %+v", c.Traffic)
+	}
+	cells := func(m *comm.Meters) []*int64 {
+		var out []*int64
+		for k := range hw.NumCollectiveKinds {
+			out = append(out, &m.Volume[k], &m.SideVolume[k])
+			for tier := range topo.NumTiers {
+				out = append(out, &m.TierVolume[tier][k], &m.SideTierVolume[tier][k])
+			}
+		}
+		return out
+	}
+	for i := range cells(&m) {
+		bad := m
+		*cells(&bad)[i] += 4
+		if MetersMatchPrice(bad, c) == nil {
+			t.Fatalf("census cell %d off by 4 bytes still matches the price", i)
+		}
 	}
 }

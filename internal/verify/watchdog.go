@@ -13,10 +13,10 @@ import (
 //
 // This is a wall-clock backstop for tests only. On the production path
 // the fabric itself prevents rendezvous hangs: every collective carries
-// a simulated-time deadline (comm.DefaultCollectiveDeadline, overridable
-// via Fabric.SetCollectiveDeadline), so a dead peer surfaces as a typed
-// *comm.FaultError on all survivors instead of a deadlock — the
-// mechanism elastic recovery (core.TrainElastic) is built on.
+// a simulated-time deadline (comm.DefaultCollectiveDeadline), so a
+// dead peer surfaces as a typed *comm.FaultError on all survivors
+// instead of a deadlock — the mechanism elastic recovery
+// (core.TrainElastic) is built on.
 //
 // On timeout the worker goroutine is leaked (there is no way to cancel a
 // goroutine parked on a rendezvous), so a failing test may report
