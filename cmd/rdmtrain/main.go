@@ -107,7 +107,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			if err != nil {
 				return fail(err)
 			}
-			labels, err = graph.ReadLabels(lf, *n)
+			labels, err = graph.ReadLabels(lf, *n, *classes)
 			lf.Close()
 			if err != nil {
 				return fail(err)

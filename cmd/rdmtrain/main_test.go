@@ -146,6 +146,40 @@ func TestMissingEdgeFile(t *testing.T) {
 	}
 }
 
+// labelRun trains on a 4-vertex edge list with the given label file
+// contents at -classes 2.
+func labelRun(t *testing.T, labels string) (code int, stderr string) {
+	dir := t.TempDir()
+	edges, lab := filepath.Join(dir, "edges.txt"), filepath.Join(dir, "labels.txt")
+	if err := os.WriteFile(edges, []byte("0 1\n1 2\n2 3\n3 0\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(lab, []byte(labels), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errb bytes.Buffer
+	code = run([]string{"-edges", edges, "-labels", lab, "-n", "4", "-classes", "2",
+		"-features", "4", "-hidden", "4", "-gpus", "2", "-epochs", "1"}, &out, &errb)
+	return code, errb.String()
+}
+
+// TestLabelsUnlabeledLine: a -1 line marks an unlabeled vertex, which
+// trains like any other label file.
+func TestLabelsUnlabeledLine(t *testing.T) {
+	if code, errb := labelRun(t, "0\n-1\n1\n0\n"); code != 0 {
+		t.Fatalf("exit = %d, stderr = %q", code, errb)
+	}
+}
+
+// TestLabelsOutOfRange: a label at or above -classes exits 1 naming its
+// line, before any training.
+func TestLabelsOutOfRange(t *testing.T) {
+	code, errb := labelRun(t, "0\n1\n7\n0\n")
+	if code != 1 || !strings.Contains(errb, "line 3:") {
+		t.Fatalf("exit = %d, stderr = %q; want 1 naming line 3", code, errb)
+	}
+}
+
 func TestSyntheticTrainWithTrace(t *testing.T) {
 	dir := t.TempDir()
 	tracePath := filepath.Join(dir, "train.json")

@@ -55,6 +55,13 @@ func main() {
 	write(el, "seed-comments", `string("# planted\n% matrix\n3 3\n0 2\n\n2 1\n")`, "int(6)")
 	write(el, "seed-dense-pair", `string("7 0\n0 7\n7 0\n")`, "int(9)")
 
+	// internal/graph: label-file parser.
+	lb := "internal/graph/testdata/fuzz/FuzzReadLabels"
+	write(lb, "seed-unlabeled", `string("1\n# c\n0\n-1\n2\n")`, "int(4)", "int(3)")
+	write(lb, "seed-too-large", `string("0\n7\n")`, "int(2)", "int(2)")
+	write(lb, "seed-wraps-int32", `string("4294967297\n")`, "int(1)", "int(2)")
+	write(lb, "seed-negative", `string("-2\n0\n")`, "int(2)", "int(2)")
+
 	// internal/graph: binary CSR reader.
 	adj := sparse.FromCoords(6, 6, []sparse.Coord{
 		{Row: 0, Col: 1, Val: 1}, {Row: 1, Col: 0, Val: 1},

@@ -23,7 +23,7 @@ func TestMixedCollectivesConserve(t *testing.T) {
 	fab.Run(func(d *comm.Device) {
 		world := d.World()
 		d.Broadcast(world, 0, []float32{1, 2, 3})
-		d.AllGather(world, []float32{float32(d.Rank)})
+		d.AllGatherFlat(world, []float32{float32(d.Rank)}, nil)
 		d.AllReduceSum(world, []float32{1})
 		// Disjoint pair groups run concurrently.
 		group := []int{0, 1}
@@ -55,7 +55,7 @@ func TestErrorPathsGuarded(t *testing.T) {
 			if d.Rank != 2 {
 				buf = []float32{1}
 			}
-			_, errs[d.Rank] = d.TryAllGather(d.World(), buf)
+			_, errs[d.Rank] = d.TryAllGatherFlat(d.World(), buf, nil)
 			sums[d.Rank] = d.AllReduceSum(d.World(), []float32{float32(d.Rank)})
 		})
 		for r, err := range errs {

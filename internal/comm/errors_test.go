@@ -92,7 +92,7 @@ func TestNilBufferCooperative(t *testing.T) {
 			if d.Rank == 1 {
 				local = nil
 			}
-			_, err := d.TryAllGather(d.World(), local)
+			_, err := d.TryAllGatherFlat(d.World(), local, nil)
 			return err
 		}},
 		{"allreduce", func(d *comm.Device) error {
@@ -201,7 +201,7 @@ func TestSingleRankGroupErrors(t *testing.T) {
 	if _, err := d.TryBroadcast([]int{0}, 0, nil); !errors.Is(err, comm.ErrNilBuffer) {
 		t.Fatalf("broadcast: %v", err)
 	}
-	if _, err := d.TryAllGather([]int{0}, nil); !errors.Is(err, comm.ErrNilBuffer) {
+	if _, err := d.TryAllGatherFlat([]int{0}, nil, nil); !errors.Is(err, comm.ErrNilBuffer) {
 		t.Fatalf("allgather: %v", err)
 	}
 	if _, err := d.TryAllReduceSum([]int{0}, nil); !errors.Is(err, comm.ErrNilBuffer) {
@@ -281,11 +281,11 @@ func TestCollectiveErrorFormat(t *testing.T) {
 
 func TestSideChannelVolume(t *testing.T) {
 	f := runGuarded(t, 2, func(d *comm.Device) {
-		d.AllGather(d.World(), make([]float32, 4)) // primary: 2*16 bytes moved
+		d.AllGatherFlat(d.World(), make([]float32, 4), nil) // primary: 2*16 bytes moved
 		d.SetSideChannel(true)
-		d.AllGather(d.World(), make([]float32, 2)) // side: 2*8 bytes moved
+		d.AllGatherFlat(d.World(), make([]float32, 2), nil) // side: 2*8 bytes moved
 		d.SetSideChannel(false)
-		d.AllGather(d.World(), make([]float32, 1)) // primary again: 2*4 bytes
+		d.AllGatherFlat(d.World(), make([]float32, 1), nil) // primary again: 2*4 bytes
 	})
 	const wantPrimary, wantSide = 32 + 8, 16
 	if v := f.Meters().Volume[hw.OpAllGather]; v != wantPrimary {

@@ -1075,49 +1075,8 @@ func (d *Device) Broadcast(group []int, root int, data []float32) []float32 {
 	return out
 }
 
-// TryAllGather exchanges every member's buffer; the result is indexed by
-// group position. Entries for other ranks are private copies. A nil
-// local buffer (zero-length non-nil is valid) is reported cooperatively
-// to every member as ErrNilBuffer.
-func (d *Device) TryAllGather(group []int, local []float32) ([][]float32, error) {
-	const op = "allgather"
-	myIdx, err := d.groupPos(op, group)
-	if err != nil {
-		return nil, err
-	}
-	if len(group) == 1 {
-		if local == nil {
-			return nil, &CollectiveError{Op: op, Rank: d.Rank,
-				Err: fmt.Errorf("local buffer: %w", ErrNilBuffer)}
-		}
-		return [][]float32{local}, nil
-	}
-	out := make([][]float32, len(group))
-	var contribution any = local
-	if local == nil {
-		contribution = collErr{fmt.Errorf("local buffer on rank %d: %w", d.Rank, ErrNilBuffer)}
-	}
-	cerr := d.collective(op, group, contribution,
-		d.allGatherFinalize(group),
-		func(slots []any, _ any) {
-			for i, s := range slots {
-				src := s.([]float32)
-				if i == myIdx {
-					out[i] = local
-					continue
-				}
-				out[i] = append(make([]float32, 0, len(src)), src...)
-			}
-		})
-	if cerr != nil {
-		return nil, cerr
-	}
-	return out, nil
-}
-
-// allGatherFinalize is the shared rendezvous finalizer of TryAllGather,
-// TryAllGatherFlat and TryAllGatherV: price + book the round from the
-// deposited chunk lengths.
+// allGatherFinalize is TryAllGatherFlat's rendezvous finalizer: price +
+// book the round from the deposited chunk lengths.
 func (d *Device) allGatherFinalize(group []int) func(slots []any) (topo.Cost, any, error) {
 	f := d.F
 	return func(slots []any) (topo.Cost, any, error) {
@@ -1134,11 +1093,11 @@ func (d *Device) allGatherFinalize(group []int) func(slots []any) (topo.Cost, an
 // TryAllGatherFlat gathers every member's buffer concatenated in group
 // order into dst (grown as needed, so steady-state callers re-use one
 // buffer and the gather allocates nothing), returning dst[:total].
-// This is the copy-eliminating fast path of the engine's column-group
-// feature gather: the per-member private copies TryAllGather hands out
-// are skipped entirely — each member's bytes are written once, at
-// their final offset. Time, metering and error behavior are identical
-// to TryAllGather.
+// Buffers may differ in length (a ragged gather): a caller that needs
+// the per-member split carries it in the data or knows it from the
+// layout. Each member's bytes are written once, at their final offset.
+// A nil local buffer (zero-length non-nil is valid) is reported
+// cooperatively to every member as ErrNilBuffer.
 func (d *Device) TryAllGatherFlat(group []int, local, dst []float32) ([]float32, error) {
 	const op = "allgather"
 	if _, err := d.groupPos(op, group); err != nil {
@@ -1182,15 +1141,6 @@ func (d *Device) TryAllGatherFlat(group []int, local, dst []float32) ([]float32,
 // AllGatherFlat is TryAllGatherFlat panicking on failure.
 func (d *Device) AllGatherFlat(group []int, local, dst []float32) []float32 {
 	out, err := d.TryAllGatherFlat(group, local, dst)
-	if err != nil {
-		panic(err)
-	}
-	return out
-}
-
-// AllGather is TryAllGather panicking on failure.
-func (d *Device) AllGather(group []int, local []float32) [][]float32 {
-	out, err := d.TryAllGather(group, local)
 	if err != nil {
 		panic(err)
 	}
@@ -1372,8 +1322,8 @@ func (d *Device) TryAllToAllRecv(group []int, parts [][]float32, recv func(i int
 		})
 }
 
-// allToAllFinalize is the rendezvous finalizer of TryAllToAllRecv and
-// TryAllToAllV: allToAllRound over the deposited parts slices.
+// allToAllFinalize is TryAllToAllRecv's rendezvous finalizer:
+// allToAllRound over the deposited parts slices.
 func (d *Device) allToAllFinalize(group []int) func(slots []any) (topo.Cost, any, error) {
 	return func(slots []any) (topo.Cost, any, error) {
 		return d.F.allToAllRound(group, func(i int) [][]float32 { return slots[i].([][]float32) }, d.side), nil, nil

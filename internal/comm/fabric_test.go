@@ -60,10 +60,14 @@ func TestBroadcastCopySemantics(t *testing.T) {
 func TestAllGather(t *testing.T) {
 	f := Run(3, hw.A6000(), func(d *Device) {
 		local := []float32{float32(d.Rank), float32(d.Rank * 10)}
-		got := d.AllGather(d.World(), local)
+		got := d.AllGatherFlat(d.World(), local, nil)
+		if len(got) != 6 {
+			t.Errorf("rank %d gathered %d elements, want 6", d.Rank, len(got))
+			return
+		}
 		for i := 0; i < 3; i++ {
-			if got[i][0] != float32(i) || got[i][1] != float32(i*10) {
-				t.Errorf("rank %d slot %d = %v", d.Rank, i, got[i])
+			if got[2*i] != float32(i) || got[2*i+1] != float32(i*10) {
+				t.Errorf("rank %d slot %d = %v", d.Rank, i, got[2*i:2*i+2])
 			}
 		}
 	})
@@ -187,8 +191,8 @@ func TestSingletonGroupShortcuts(t *testing.T) {
 		if b[0] != 1 {
 			t.Error("singleton broadcast")
 		}
-		g := d.AllGather([]int{0}, []float32{2})
-		if g[0][0] != 2 {
+		g := d.AllGatherFlat([]int{0}, []float32{2}, nil)
+		if len(g) != 1 || g[0] != 2 {
 			t.Error("singleton allgather")
 		}
 		r := d.AllReduceSum([]int{0}, []float32{3})

@@ -124,7 +124,7 @@ func TestNonKilledPanicIsReRaised(t *testing.T) {
 		// re-raise in favour of the genuine bug on rank 1... except Run
 		// re-raises the lowest-rank panic that is not Killed, so guard
 		// rank 0 explicitly to keep the assertion on rank 1's value.
-		if _, err := d.TryAllGather(d.World(), []float32{1}); !errors.Is(err, comm.ErrPeerDead) {
+		if _, err := d.TryAllGatherFlat(d.World(), []float32{1}, nil); !errors.Is(err, comm.ErrPeerDead) {
 			t.Errorf("rank 0: got %v, want ErrPeerDead", err)
 		}
 	})
@@ -243,7 +243,7 @@ func TestTransientWithoutRetryBudgetIsFaultError(t *testing.T) {
 	f.SetFaultHook(&flakyHook{match: "allgather", fail: 1 << 30})
 	f.SetRetryPolicy(comm.RetryPolicy{Max: 2, Backoff: 10e-6, Multiplier: 2})
 	runBounded(t, f, func(d *comm.Device) {
-		_, err := d.TryAllGather(d.World(), []float32{1})
+		_, err := d.TryAllGatherFlat(d.World(), []float32{1}, nil)
 		var fe *comm.FaultError
 		if !errors.As(err, &fe) || !errors.Is(err, comm.ErrTransient) {
 			t.Errorf("rank %d: got %v, want FaultError wrapping ErrTransient", d.Rank, err)
@@ -335,12 +335,12 @@ func TestLinkFaultDegradesGroupCollectives(t *testing.T) {
 	model := hw.A6000()
 	clean := comm.NewFabric(2, model)
 	clean.Run(func(d *comm.Device) {
-		d.AllGather(d.World(), make([]float32, 1024))
+		d.AllGatherFlat(d.World(), make([]float32, 1024), nil)
 	})
 	slow := comm.NewFabric(2, model)
 	slow.SetLinkFault(1, 3, 2) // 3x latency, half bandwidth on rank 1's link
 	slow.Run(func(d *comm.Device) {
-		d.AllGather(d.World(), make([]float32, 1024))
+		d.AllGatherFlat(d.World(), make([]float32, 1024), nil)
 	})
 	want := model.Degraded(3, 2).CollectiveTime(hw.OpAllGather, 2, 2*1024*4)
 	if got := slow.MaxClock(); !close64(got, want) {

@@ -35,9 +35,9 @@ func TestCollectiveEventsMatchDeviceCounters(t *testing.T) {
 		d.ChargeMem(1 << 12)
 		d.AllReduceSum(d.World(), make([]float32, 64))
 		if d.Rank < 2 {
-			d.AllGather([]int{0, 1}, make([]float32, 32))
+			d.AllGatherFlat([]int{0, 1}, make([]float32, 32), nil)
 		} else {
-			d.AllGather([]int{2, 3}, make([]float32, 32))
+			d.AllGatherFlat([]int{2, 3}, make([]float32, 32), nil)
 		}
 		parts := make([][]float32, d.P())
 		for q := range parts {

@@ -28,7 +28,7 @@ func runMixed(p int, model *hw.Model, tp *topo.Topology) *Fabric {
 			buf[i] = float32(d.Rank + i)
 		}
 		d.AllReduceSum(w, buf)
-		d.AllGather(w, buf[:16+d.Rank]) // ragged chunks
+		d.AllGatherFlat(w, buf[:16+d.Rank], nil) // ragged chunks
 		var root []float32
 		if d.Rank == 0 {
 			root = buf[:32]
@@ -88,7 +88,7 @@ func TestFlatTopologyBitIdenticalDegraded(t *testing.T) {
 		f.SetLinkFault(2, 3.5, 1.75)
 		f.Run(func(d *Device) {
 			d.AllReduceSum(d.World(), make([]float32, 256))
-			d.AllGather(d.World(), make([]float32, 64))
+			d.AllGatherFlat(d.World(), make([]float32, 64), nil)
 			d.Barrier(d.World())
 		})
 		return f
@@ -152,7 +152,7 @@ func TestMeteredTiersMatchModel(t *testing.T) {
 	f.SetTopology(tp)
 	f.Run(func(d *Device) {
 		d.AllReduceSum(d.World(), make([]float32, elems))
-		d.AllGather(d.World(), make([]float32, 16+d.Rank))
+		d.AllGatherFlat(d.World(), make([]float32, 16+d.Rank), nil)
 		var root []float32
 		if d.Rank == 1 {
 			root = make([]float32, 128)

@@ -596,15 +596,14 @@ func (m *Mat) replicate() *Mat {
 	defer dev.TraceEndPhase()
 	p := dev.P()
 	src := m.Layout.normalize(p)
-	bufs := dev.AllGather(dev.World(), m.Local.Data)
+	buf := dev.AllGatherFlat(dev.World(), m.Local.Data, nil)
 	out := NewMat(dev, R, m.GlobalRows, m.GlobalCols)
+	at := 0 // sender s's tile follows senders 0..s-1's in buf
 	for s := 0; s < p; s++ {
 		rlo, rhi := RowRange(src, p, s, m.GlobalRows)
 		clo, chi := ColRange(src, p, s, m.GlobalCols)
-		w := chi - clo
-		buf := bufs[s]
 		for i := rlo; i < rhi; i++ {
-			copy(out.Local.Row(i)[clo:chi], buf[(i-rlo)*w:(i-rlo)*w+w])
+			at += copy(out.Local.Row(i)[clo:chi], buf[at:])
 		}
 	}
 	dev.ChargeMem(out.Local.Bytes())

@@ -7,9 +7,10 @@
 // destination, which live rows the payload will carry (a fixed-shape
 // header plus the row-index census, on the fabric's side channel), and
 // a variable-volume payload round then moves only those rows through
-// comm.TryAllToAllV. Receivers assemble from the *decoded* metadata,
-// never from their own knowledge of the live set, so the wire format
-// is load-bearing and fuzzed (FuzzSparseExchange).
+// the fabric's all-to-all, whose parts may differ in length. Receivers
+// assemble from the *decoded* metadata, never from their own knowledge
+// of the live set, so the wire format is load-bearing and fuzzed
+// (FuzzSparseExchange).
 //
 // Rows absent from the live set are dropped on the wire and
 // reconstructed as exact zeros (NewMat tiles are zero-filled), so a
@@ -236,7 +237,7 @@ func (m *Mat) sparseRegrid(dstL Layout, live []int32) *Mat {
 	}
 	dev.SetSideChannel(true)
 	dev.ChargeMem(metaDiv)
-	metaRecv, _ := dev.AllToAllV(world, metaParts, nil)
+	metaRecv := dev.AllToAll(world, metaParts)
 	var metaMer int64
 	for s := 0; s < p; s++ {
 		if s != dev.Rank {
@@ -265,7 +266,7 @@ func (m *Mat) sparseRegrid(dstL Layout, live []int32) *Mat {
 		}
 	}
 	dev.ChargeMem(payDiv)
-	recv, _ := dev.AllToAllV(world, parts, nil)
+	recv := dev.AllToAll(world, parts)
 
 	// Merge: place the advertised rows using the decoded metadata. Rows
 	// never advertised stay the zeros NewMat allocated.
@@ -315,10 +316,10 @@ func (m *Mat) sparseRegrid(dstL Layout, live []int32) *Mat {
 // HaloExchange gathers, on every rank, an arbitrary set of global rows
 // of a vertex-sliced matrix — the CSR halo exchange: need lists come
 // from the local adjacency panel's remote column neighbors. Round 1
-// advertises every rank's need list with a variable-volume allgather
+// advertises every rank's need list with a ragged allgather
 // (EncodeRowSet wire format, side channel); round 2 has each owner
 // send every requester its needed rows, deduplicated per requester,
-// through the variable-volume all-to-all. The result holds the needed
+// through a ragged all-to-all. The result holds the needed
 // rows in need order (duplicates resolved locally).
 func HaloExchange(m *Mat, need []int32) *tensor.Dense {
 	dev := m.Dev
@@ -349,14 +350,24 @@ func HaloExchange(m *Mat, need []int32) *tensor.Dense {
 
 	// Round 1: advertise my deduplicated need list to everyone.
 	dev.SetSideChannel(true)
-	adverts, _ := dev.AllGatherV(dev.World(), EncodeRowSet(distinct, w), -1)
+	adverts := dev.AllGatherFlat(dev.World(), EncodeRowSet(distinct, w), nil)
 	dev.SetSideChannel(false)
 
 	// Round 2: serve every requester the rows I own from its advert.
+	// The adverts arrive concatenated in rank order, each 2 + count
+	// words; a count that overruns the buffer fails DecodeRowSet.
 	parts := make([][]float32, p)
 	var packBytes int64
+	at := 0
 	for s := 0; s < p; s++ {
-		ids, aw, err := DecodeRowSet(adverts[s])
+		end := len(adverts)
+		if at+2 <= end {
+			if c, ok := exactNonNeg(adverts[at]); ok && at+2+c < end {
+				end = at + 2 + c
+			}
+		}
+		ids, aw, err := DecodeRowSet(adverts[at:end])
+		at = end
 		if err != nil {
 			panic(fmt.Sprintf("dist: halo advert from %d: %v", s, err))
 		}
@@ -374,7 +385,7 @@ func HaloExchange(m *Mat, need []int32) *tensor.Dense {
 		}
 	}
 	dev.ChargeMem(packBytes)
-	recv, _ := dev.AllToAllV(dev.World(), parts, nil)
+	recv := dev.AllToAll(dev.World(), parts)
 
 	// Assemble: my distinct rows arrive owner-sorted; each owner packed
 	// exactly RowsInRange(my distinct list, its range) in order.

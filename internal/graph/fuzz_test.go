@@ -63,6 +63,31 @@ func FuzzReadEdgeList(f *testing.F) {
 	})
 }
 
+// FuzzReadLabels checks the label parser never panics and that every
+// label it accepts is a class in [0, classes) or -1 (unlabeled).
+func FuzzReadLabels(f *testing.F) {
+	f.Add("1\n# c\n0\n-1\n", 3, 3)
+	f.Add("7\n", 1, 2)
+	f.Add("4294967297\n", 1, 2)
+	f.Fuzz(func(t *testing.T, in string, n, classes int) {
+		if n < 0 || n > 256 {
+			return
+		}
+		labels, err := ReadLabels(strings.NewReader(in), n, classes)
+		if err != nil {
+			return
+		}
+		if len(labels) != n {
+			t.Fatalf("accepted %d labels for %d vertices", len(labels), n)
+		}
+		for i, l := range labels {
+			if l < -1 || int(l) >= classes {
+				t.Fatalf("label %d of vertex %d outside [-1, %d)", l, i, classes)
+			}
+		}
+	})
+}
+
 // FuzzReadCSR checks the binary reader rejects or safely parses
 // arbitrary input without panicking or over-allocating.
 func FuzzReadCSR(f *testing.F) {

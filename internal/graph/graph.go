@@ -139,13 +139,20 @@ func PlantedPartition(rng *rand.Rand, n int, edges int64, k int, pIn float64) (*
 // SynthesizeFeatures builds an n x f feature matrix where each node's
 // features are a noisy copy of its community centroid (signal strength in
 // [0,1]; 0 = pure noise). Community centroids are random unit-ish vectors.
+// A node in community -1 (unlabeled) gets the noise alone; every row draws
+// the same f random numbers, so the other rows do not depend on which
+// nodes are unlabeled.
 func SynthesizeFeatures(rng *rand.Rand, comm []int32, k, f int, signal float64) *tensor.Dense {
 	centroids := tensor.NewDense(k, f)
 	centroids.Randomize(rng, 1)
+	none := make([]float32, f)
 	out := tensor.NewDense(len(comm), f)
 	for i, c := range comm {
 		row := out.Row(i)
-		cen := centroids.Row(int(c))
+		cen := none
+		if c >= 0 {
+			cen = centroids.Row(int(c))
+		}
 		for j := range row {
 			row[j] = float32(signal)*cen[j] + float32(1-signal)*float32(rng.NormFloat64()*0.5)
 		}

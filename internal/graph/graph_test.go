@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -84,6 +85,29 @@ func TestSynthesizeFeaturesSignal(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different communities should differ")
+	}
+}
+
+// TestSynthesizeFeaturesUnlabeled: an unlabeled (-1) vertex gets a
+// noise-only row, and every labelled row keeps the bits it has when that
+// vertex is labelled, because each row draws the same random numbers.
+func TestSynthesizeFeaturesUnlabeled(t *testing.T) {
+	const f = 16
+	got := SynthesizeFeatures(rand.New(rand.NewSource(5)), []int32{0, -1, 1, 0}, 2, f, 0.8)
+	want := SynthesizeFeatures(rand.New(rand.NewSource(5)), []int32{0, 1, 1, 0}, 2, f, 0.8)
+	for _, i := range []int{0, 2, 3} {
+		for j := 0; j < f; j++ {
+			if math.Float32bits(got.Row(i)[j]) != math.Float32bits(want.Row(i)[j]) {
+				t.Fatalf("labelled row %d moved at column %d: %v, want %v", i, j, got.Row(i)[j], want.Row(i)[j])
+			}
+		}
+	}
+	// At signal 1 the noise has weight 0, so the unlabeled row is zero.
+	pure := SynthesizeFeatures(rand.New(rand.NewSource(5)), []int32{0, -1}, 2, f, 1)
+	for j, v := range pure.Row(1) {
+		if v != 0 {
+			t.Fatalf("unlabeled row at signal 1: column %d = %v, want 0", j, v)
+		}
 	}
 }
 

@@ -163,18 +163,25 @@ func ReadCSR(r io.Reader) (*sparse.CSR, error) {
 	return m, nil
 }
 
-// ReadLabels parses one integer label per line (-1 = unlabeled).
-func ReadLabels(r io.Reader, n int) ([]int32, error) {
+// ReadLabels parses one integer label per line: a class in
+// [0, classes), or -1 for an unlabeled vertex. Any other value is an
+// error naming its line.
+func ReadLabels(r io.Reader, n, classes int) ([]int32, error) {
 	sc := bufio.NewScanner(r)
 	labels := make([]int32, 0, n)
+	line := 0
 	for sc.Scan() {
+		line++
 		text := strings.TrimSpace(sc.Text())
 		if text == "" || strings.HasPrefix(text, "#") {
 			continue
 		}
 		v, err := strconv.Atoi(text)
 		if err != nil {
-			return nil, fmt.Errorf("graph: bad label %q", text)
+			return nil, fmt.Errorf("graph: line %d: bad label %q", line, text)
+		}
+		if v < -1 || v >= classes {
+			return nil, fmt.Errorf("graph: line %d: label %d outside [-1, %d)", line, v, classes)
 		}
 		labels = append(labels, int32(v))
 	}

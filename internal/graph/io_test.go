@@ -162,17 +162,23 @@ func TestReadCSRRejectsCorruption(t *testing.T) {
 }
 
 func TestReadLabels(t *testing.T) {
-	labels, err := ReadLabels(strings.NewReader("1\n# c\n0\n-1\n2\n"), 4)
+	labels, err := ReadLabels(strings.NewReader("1\n# c\n0\n-1\n2\n"), 4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if labels[0] != 1 || labels[2] != -1 || labels[3] != 2 {
 		t.Fatalf("labels=%v", labels)
 	}
-	if _, err := ReadLabels(strings.NewReader("1\n2\n"), 4); err == nil {
+	if _, err := ReadLabels(strings.NewReader("1\n2\n"), 4, 3); err == nil {
 		t.Fatal("length mismatch accepted")
 	}
-	if _, err := ReadLabels(strings.NewReader("x\n"), 1); err == nil {
+	if _, err := ReadLabels(strings.NewReader("x\n"), 1, 3); err == nil {
 		t.Fatal("bad label accepted")
+	}
+	for _, bad := range []string{"3", "-2", "4294967297"} {
+		_, err := ReadLabels(strings.NewReader("0\n# c\n"+bad+"\n"), 2, 3)
+		if err == nil || !strings.Contains(err.Error(), "line 3:") {
+			t.Fatalf("label %s: error %v, want one naming line 3", bad, err)
+		}
 	}
 }

@@ -537,116 +537,71 @@ func (t *Topology) hierAllToAll(h *hw.Model, group []int, pairs []Pair) Cost {
 }
 
 // ---------------------------------------------------------------------
-// Entry points. Each resolves the requested algorithm (falling back to
-// Ring when the requested one does not apply to the group) or, for
-// Auto, picks the cheapest applicable algorithm — except that groups
-// confined to one node always resolve to Ring, which pins the flat
-// topology to the pre-topology fabric's exact behaviour.
+// Entry points, each one call to pick. Auto resolves groups confined to
+// one node to Ring, which pins the flat topology to the pre-topology
+// fabric's exact behaviour.
 
-// AllReduce prices an allreduce of a bytes-sized buffer.
-func (t *Topology) AllReduce(h *hw.Model, alg Algorithm, group []int, bytes int64) (Algorithm, Cost) {
-	p := len(group)
+// pick resolves alg over one collective's three schedules priced on
+// payload x, falling back to Ring when the requested one does not
+// apply: RHD applies when rhdOK, Hier when the group is node-uniform
+// across nodes. Auto tries Ring, RHD, Hier in that order
+// and keeps a later schedule only if strictly faster, so ties go to
+// Ring, then RHD. The schedules are method expressions: no closure is
+// allocated per call.
+func pick[X any](t *Topology, h *hw.Model, alg Algorithm, group []int, x X, rhdOK bool,
+	ring, rhd, hier func(*Topology, *hw.Model, []int, X) Cost) (Algorithm, Cost) {
 	switch alg {
 	case Ring:
-		return Ring, t.ringAllReduce(h, group, bytes)
+		return Ring, ring(t, h, group, x)
 	case RHD:
-		if isPow2(p) && p > 1 {
-			return RHD, t.rhdAllReduce(h, group, bytes)
+		if rhdOK {
+			return RHD, rhd(t, h, group, x)
 		}
-		return Ring, t.ringAllReduce(h, group, bytes)
+		return Ring, ring(t, h, group, x)
 	case Hier:
 		if _, ok := t.nodeGroups(group); ok {
-			return Hier, t.hierAllReduce(h, group, bytes)
+			return Hier, hier(t, h, group, x)
 		}
-		return Ring, t.ringAllReduce(h, group, bytes)
+		return Ring, ring(t, h, group, x)
 	}
-	best := t.ringAllReduce(h, group, bytes)
+	best := ring(t, h, group, x)
 	bestAlg := Ring
 	if t.worstTier(group) == TierIntra {
 		return bestAlg, best
 	}
-	if isPow2(p) {
-		if c := t.rhdAllReduce(h, group, bytes); c.Time < best.Time {
+	if rhdOK {
+		if c := rhd(t, h, group, x); c.Time < best.Time {
 			best, bestAlg = c, RHD
 		}
 	}
 	if _, ok := t.nodeGroups(group); ok {
-		if c := t.hierAllReduce(h, group, bytes); c.Time < best.Time {
+		if c := hier(t, h, group, x); c.Time < best.Time {
 			best, bestAlg = c, Hier
 		}
 	}
 	return bestAlg, best
 }
 
+// AllReduce prices an allreduce of a bytes-sized buffer.
+func (t *Topology) AllReduce(h *hw.Model, alg Algorithm, group []int, bytes int64) (Algorithm, Cost) {
+	p := len(group)
+	return pick(t, h, alg, group, bytes, isPow2(p) && p > 1,
+		(*Topology).ringAllReduce, (*Topology).rhdAllReduce, (*Topology).hierAllReduce)
+}
+
 // AllGather prices an allgather of per-position chunks (bytes).
 func (t *Topology) AllGather(h *hw.Model, alg Algorithm, group []int, chunks []int64) (Algorithm, Cost) {
 	p := len(group)
-	switch alg {
-	case Ring:
-		return Ring, t.ringAllGather(h, group, chunks)
-	case RHD:
-		if isPow2(p) && p > 1 {
-			return RHD, t.rhdAllGather(h, group, chunks)
-		}
-		return Ring, t.ringAllGather(h, group, chunks)
-	case Hier:
-		if _, ok := t.nodeGroups(group); ok {
-			return Hier, t.hierAllGather(h, group, chunks)
-		}
-		return Ring, t.ringAllGather(h, group, chunks)
-	}
-	best := t.ringAllGather(h, group, chunks)
-	bestAlg := Ring
-	if t.worstTier(group) == TierIntra {
-		return bestAlg, best
-	}
-	if isPow2(p) {
-		if c := t.rhdAllGather(h, group, chunks); c.Time < best.Time {
-			best, bestAlg = c, RHD
-		}
-	}
-	if _, ok := t.nodeGroups(group); ok {
-		if c := t.hierAllGather(h, group, chunks); c.Time < best.Time {
-			best, bestAlg = c, Hier
-		}
-	}
-	return bestAlg, best
+	return pick(t, h, alg, group, chunks, isPow2(p) && p > 1,
+		(*Topology).ringAllGather, (*Topology).rhdAllGather, (*Topology).hierAllGather)
 }
 
 // ReduceScatter prices a reduce-scatter into per-position counts
 // (bytes).
 func (t *Topology) ReduceScatter(h *hw.Model, alg Algorithm, group []int, counts []int64) (Algorithm, Cost) {
 	p := len(group)
-	switch alg {
-	case Ring:
-		return Ring, t.ringReduceScatter(h, group, counts)
-	case RHD:
-		if isPow2(p) && p > 1 {
-			return RHD, t.rhdReduceScatter(h, group, counts)
-		}
-		return Ring, t.ringReduceScatter(h, group, counts)
-	case Hier:
-		if _, ok := t.nodeGroups(group); ok {
-			return Hier, t.hierReduceScatter(h, group, counts)
-		}
-		return Ring, t.ringReduceScatter(h, group, counts)
-	}
-	best := t.ringReduceScatter(h, group, counts)
-	bestAlg := Ring
-	if t.worstTier(group) == TierIntra {
-		return bestAlg, best
-	}
-	if isPow2(p) {
-		if c := t.rhdReduceScatter(h, group, counts); c.Time < best.Time {
-			best, bestAlg = c, RHD
-		}
-	}
-	if _, ok := t.nodeGroups(group); ok {
-		if c := t.hierReduceScatter(h, group, counts); c.Time < best.Time {
-			best, bestAlg = c, Hier
-		}
-	}
-	return bestAlg, best
+	return pick(t, h, alg, group, counts, isPow2(p) && p > 1,
+		(*Topology).ringReduceScatter, (*Topology).rhdReduceScatter, (*Topology).hierReduceScatter)
 }
 
 // AllToAll prices a personalized exchange given as a dense per-pair
@@ -658,36 +613,11 @@ func (t *Topology) AllToAll(h *hw.Model, alg Algorithm, group []int, pair func(i
 }
 
 // AllToAllPairs prices a personalized exchange from its pair list in
-// O(len(group) + len(pairs)·log len(group)).
+// O(len(group) + len(pairs)·log len(group)). Bruck (the RHD schedule)
+// applies to every group of two or more.
 func (t *Topology) AllToAllPairs(h *hw.Model, alg Algorithm, group []int, pairs []Pair) (Algorithm, Cost) {
-	switch alg {
-	case Ring:
-		return Ring, t.ringAllToAll(h, group, pairs)
-	case RHD:
-		if len(group) > 1 {
-			return RHD, t.bruckAllToAll(h, group, pairs)
-		}
-		return Ring, t.ringAllToAll(h, group, pairs)
-	case Hier:
-		if _, ok := t.nodeGroups(group); ok {
-			return Hier, t.hierAllToAll(h, group, pairs)
-		}
-		return Ring, t.ringAllToAll(h, group, pairs)
-	}
-	best := t.ringAllToAll(h, group, pairs)
-	bestAlg := Ring
-	if t.worstTier(group) == TierIntra {
-		return bestAlg, best
-	}
-	if c := t.bruckAllToAll(h, group, pairs); c.Time < best.Time {
-		best, bestAlg = c, RHD
-	}
-	if _, ok := t.nodeGroups(group); ok {
-		if c := t.hierAllToAll(h, group, pairs); c.Time < best.Time {
-			best, bestAlg = c, Hier
-		}
-	}
-	return bestAlg, best
+	return pick(t, h, alg, group, pairs, len(group) > 1,
+		(*Topology).ringAllToAll, (*Topology).bruckAllToAll, (*Topology).hierAllToAll)
 }
 
 // Broadcast prices a broadcast from the given root position (ring/tree

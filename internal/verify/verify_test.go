@@ -134,7 +134,7 @@ func TestCheckSessionRealFabric(t *testing.T) {
 		fab := comm.NewFabric(2, hw.A6000())
 		fab.SetTracer(tr, "self")
 		fab.Run(func(d *comm.Device) {
-			d.AllGather(d.World(), []float32{float32(d.Rank)})
+			d.AllGatherFlat(d.World(), []float32{float32(d.Rank)}, nil)
 			d.AllReduceSum(d.World(), []float32{1, 2})
 			d.Barrier(d.World())
 			d.SetSideChannel(true)
