@@ -18,6 +18,7 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"slices"
 
 	"gnnrdm/internal/core"
 	"gnnrdm/internal/costmodel"
@@ -111,6 +112,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 			lf.Close()
 			if err != nil {
 				return fail(err)
+			}
+			if !slices.ContainsFunc(labels, func(l int32) bool { return l >= 0 }) {
+				return fail(fmt.Errorf("-labels %s labels no vertex: every line is -1", *labelsF))
 			}
 		} else {
 			labels = make([]int32, *n)

@@ -164,10 +164,12 @@ func labelRun(t *testing.T, labels string) (code int, stderr string) {
 }
 
 // TestLabelsUnlabeledLine: a -1 line marks an unlabeled vertex, which
-// trains like any other label file.
+// trains like any other label file, down to one vertex labelled 0.
 func TestLabelsUnlabeledLine(t *testing.T) {
-	if code, errb := labelRun(t, "0\n-1\n1\n0\n"); code != 0 {
-		t.Fatalf("exit = %d, stderr = %q", code, errb)
+	for _, labels := range []string{"0\n-1\n1\n0\n", "-1\n0\n-1\n-1\n"} {
+		if code, errb := labelRun(t, labels); code != 0 {
+			t.Fatalf("labels %q: exit = %d, stderr = %q", labels, code, errb)
+		}
 	}
 }
 
@@ -177,6 +179,16 @@ func TestLabelsOutOfRange(t *testing.T) {
 	code, errb := labelRun(t, "0\n1\n7\n0\n")
 	if code != 1 || !strings.Contains(errb, "line 3:") {
 		t.Fatalf("exit = %d, stderr = %q; want 1 naming line 3", code, errb)
+	}
+}
+
+// TestLabelsNoneLabeled: a file that labels no vertex leaves the loss
+// and accuracy undefined, so it exits 1 naming -labels before any
+// training.
+func TestLabelsNoneLabeled(t *testing.T) {
+	code, errb := labelRun(t, "-1\n-1\n-1\n-1\n")
+	if code != 1 || !strings.Contains(errb, "-labels") || strings.Count(errb, "\n") != 1 {
+		t.Fatalf("exit = %d, stderr = %q; want 1 with one line naming -labels", code, errb)
 	}
 }
 

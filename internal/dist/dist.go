@@ -188,37 +188,71 @@ func partOf(n, parts, x int) int {
 	return rem + (x-rem*(base+1))/base
 }
 
+// overlapWalk is the per-axis part structure of a from→to regrid of a
+// rows x cols matrix on p devices: both layouts' tile grids.
+type overlapWalk struct {
+	rows, cols         int
+	fnr, fnc, tnr, tnc int
+	frepl, trepl       bool
+}
+
+func newOverlapWalk(from, to Layout, p, rows, cols int) overlapWalk {
+	w := overlapWalk{rows: rows, cols: cols}
+	w.fnr, w.fnc, w.frepl = tiling(from, p)
+	w.tnr, w.tnc, w.trepl = tiling(to, p)
+	return w
+}
+
+// senderSpan is one sender's tile, rows [rlo, rhi) by columns [clo,
+// chi), and the receiver parts it meets on each axis: row parts tiLo..
+// tiHi and column parts tjLo..tjHi. Tile overlap is separable, so the
+// receivers it meets are exactly that rectangle of parts (every rank,
+// per part, when the target is replicated).
+type senderSpan struct {
+	rlo, rhi, clo, chi     int
+	tiLo, tiHi, tjLo, tjHi int
+}
+
+// sender returns src's span by inverting PartRange per axis; ok is
+// false when src's tile is empty.
+func (w *overlapWalk) sender(src int) (s senderSpan, ok bool) {
+	fi, fj := src/w.fnc, src%w.fnc
+	if w.frepl {
+		fi, fj = 0, 0
+	}
+	s.rlo, s.rhi = PartRange(w.rows, w.fnr, fi)
+	s.clo, s.chi = PartRange(w.cols, w.fnc, fj)
+	if s.rlo >= s.rhi || s.clo >= s.chi {
+		return s, false
+	}
+	s.tiLo, s.tiHi = partOf(w.rows, w.tnr, s.rlo), partOf(w.rows, w.tnr, s.rhi-1)
+	s.tjLo, s.tjHi = partOf(w.cols, w.tnc, s.clo), partOf(w.cols, w.tnc, s.chi-1)
+	return s, true
+}
+
 // OverlapPairs visits every (sender, receiver) pair, self pairs
 // included, whose tiles intersect — sender src's tile under from,
 // receiver dst's under to, for a global rows x cols matrix on p
 // devices — with the intersection's row and column ranges; the pair's
-// TileOverlap is (rhi-rlo)*(chi-clo). Tile overlap is separable, so
-// each sender inverts PartRange per axis to reach only the receivers
-// it overlaps: O(p + pairs visited) where calling TileOverlap for
-// every pair is p². Visits run in ascending (src, dst) order.
+// TileOverlap is (rhi-rlo)*(chi-clo). Each sender reaches only the
+// receivers its span meets: O(p + pairs visited) where calling
+// TileOverlap for every pair is p². Visits run in ascending (src, dst)
+// order.
 func OverlapPairs(from, to Layout, p, rows, cols int, visit func(src, dst, rlo, rhi, clo, chi int)) {
-	fnr, fnc, frepl := tiling(from, p)
-	tnr, tnc, trepl := tiling(to, p)
+	w := newOverlapWalk(from, to, p, rows, cols)
 	for src := 0; src < p; src++ {
-		fi, fj := src/fnc, src%fnc
-		if frepl {
-			fi, fj = 0, 0
-		}
-		arlo, arhi := PartRange(rows, fnr, fi)
-		aclo, achi := PartRange(cols, fnc, fj)
-		if arlo >= arhi || aclo >= achi {
+		a, ok := w.sender(src)
+		if !ok {
 			continue
 		}
-		tiHi := partOf(rows, tnr, arhi-1)
-		tjLo, tjHi := partOf(cols, tnc, aclo), partOf(cols, tnc, achi-1)
-		for ti := partOf(rows, tnr, arlo); ti <= tiHi; ti++ {
-			brlo, brhi := PartRange(rows, tnr, ti)
-			rlo, rhi := max(arlo, brlo), min(arhi, brhi)
-			for tj := tjLo; tj <= tjHi; tj++ {
-				bclo, bchi := PartRange(cols, tnc, tj)
-				clo, chi := max(aclo, bclo), min(achi, bchi)
-				if !trepl {
-					visit(src, ti*tnc+tj, rlo, rhi, clo, chi)
+		for ti := a.tiLo; ti <= a.tiHi; ti++ {
+			brlo, brhi := PartRange(rows, w.tnr, ti)
+			rlo, rhi := max(a.rlo, brlo), min(a.rhi, brhi)
+			for tj := a.tjLo; tj <= a.tjHi; tj++ {
+				bclo, bchi := PartRange(cols, w.tnc, tj)
+				clo, chi := max(a.clo, bclo), min(a.chi, bchi)
+				if !w.trepl {
+					visit(src, ti*w.tnc+tj, rlo, rhi, clo, chi)
 					continue
 				}
 				for dst := 0; dst < p; dst++ {
@@ -227,6 +261,23 @@ func OverlapPairs(from, to Layout, p, rows, cols int, visit func(src, dst, rlo, 
 			}
 		}
 	}
+}
+
+// OverlapCount returns how many pairs OverlapPairs visits, in O(p):
+// each sender meets its span's rectangle of receiver parts, p ranks
+// per part when the target is replicated.
+func OverlapCount(from, to Layout, p, rows, cols int) int {
+	w := newOverlapWalk(from, to, p, rows, cols)
+	n := 0
+	for src := 0; src < p; src++ {
+		if a, ok := w.sender(src); ok {
+			n += (a.tiHi - a.tiLo + 1) * (a.tjHi - a.tjLo + 1)
+		}
+	}
+	if w.trepl {
+		n *= p
+	}
+	return n
 }
 
 // ColRange returns the global column range of a device's tile.

@@ -296,3 +296,32 @@ func TestRedistributeMask(t *testing.T) {
 	}()
 	m.RedistributeMask(H)
 }
+
+// TestOverlapCountMatchesVisits checks the O(p) pair count against the
+// enumerator it sizes buffers for, over every layout pair of small
+// shapes: empty tiles (rows or cols below the part count), uneven
+// parts and replicated sides included.
+func TestOverlapCountMatchesVisits(t *testing.T) {
+	for p := 1; p <= 12; p++ {
+		layouts := []Layout{H, V, R}
+		for pj := 2; pj < p; pj++ {
+			if p%pj == 0 {
+				layouts = append(layouts, G(pj))
+			}
+		}
+		for _, from := range layouts {
+			for _, to := range layouts {
+				for rows := 1; rows <= 14; rows++ {
+					for cols := 1; cols <= 9; cols++ {
+						visits := 0
+						OverlapPairs(from, to, p, rows, cols, func(_, _, _, _, _, _ int) { visits++ })
+						if n := OverlapCount(from, to, p, rows, cols); n != visits {
+							t.Fatalf("P=%d %v->%v on %dx%d: OverlapCount %d, OverlapPairs visited %d",
+								p, from, to, rows, cols, n, visits)
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -82,7 +82,7 @@ func FuzzRegrid(f *testing.F) {
 // sizes and layout pairs, and checks it against the quadratic oracle:
 // it visits exactly the pairs whose TileOverlap is non-zero, once each,
 // in ascending (src, dst) order, with ranges multiplying to that
-// overlap.
+// overlap, and OverlapCount counts those visits.
 func FuzzOverlapPairs(f *testing.F) {
 	f.Add(uint8(7), uint8(5), uint8(2), uint8(0), uint8(1))
 	f.Add(uint8(1), uint8(1), uint8(0), uint8(0), uint8(0))
@@ -125,6 +125,9 @@ func FuzzOverlapPairs(f *testing.F) {
 		}
 		if visited != nonEmpty {
 			t.Fatalf("P=%d %v->%v on %dx%d: visited %d pairs, %d have a non-zero TileOverlap", p, from, to, rows, cols, visited, nonEmpty)
+		}
+		if n := dist.OverlapCount(from, to, p, rows, cols); n != visited {
+			t.Fatalf("P=%d %v->%v on %dx%d: OverlapCount %d, OverlapPairs visited %d", p, from, to, rows, cols, n, visited)
 		}
 	})
 }

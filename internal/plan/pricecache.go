@@ -21,9 +21,11 @@ import (
 // (P·min(cols, P) for an H↔V regrid), each visit folds the pair's bytes
 // — dist.TileOverlap's integers — into the per-rank sums, and under a
 // topology the same visits emit the (src, dst, bytes) list the routed
-// costers consume in O(pairs · log P). The list lives only until the
-// round is priced, in one buffer the cache keeps and only grows; the
-// cache keeps the O(P) census and the price.
+// costers consume: Bruck in log P passes over the list plus O(P) per
+// round, ring and hier in one pass. The list lives only until the round
+// is priced, in one buffer the cache keeps and only grows, sized in O(P)
+// before the visits (pairCount); the cache keeps the O(P) census and
+// the price.
 //
 // A cache binds to one (P, hardware model, topology) context on first
 // use and panics if reused under a different one — memoized costs are
@@ -141,16 +143,15 @@ func (c *PriceCache) add(x *ExchangeCensus, pairs []topo.Pair, src, dst int, b i
 }
 
 // pairCount returns how many pairs of a from→to regrid's tiles
-// intersect, 0 when no topology will route the round. The counting pass
-// is cheap beside the costers' log P passes over the list, and sizes
-// the pair buffer once.
+// intersect, 0 when no topology will route the round. It is the number
+// of tile pairs Exchange visits, self pairs included, so it bounds the
+// list built from them; dist.OverlapCount reads it off each sender's
+// span in O(P), and the pair buffer is sized once.
 func (c *PriceCache) pairCount(from, to dist.Layout, rows, cols int) int {
 	if c.meter.Topo == nil {
 		return 0
 	}
-	n := 0
-	dist.OverlapPairs(from, to, c.p, rows, cols, func(_, _, _, _, _, _ int) { n++ })
-	return n
+	return dist.OverlapCount(from, to, c.p, rows, cols)
 }
 
 // pairBuf returns the cache's pair buffer, empty, with room for n

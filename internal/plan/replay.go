@@ -364,20 +364,22 @@ func (e *engine) run(overlap bool, nbarr int, tr *trace.Tracer, label string) {
 
 // position places each rank's clock where node i starts on it — at
 // max(its lane's cursor, its dependencies' finishes) — and records the
-// op's lane per rank.
+// op's lane per rank. The dependencies fold in one contiguous finish
+// row at a time, each rank taking them in dependency order.
 func (e *engine) position(i int) {
-	var deps []int
-	if e.deps != nil {
-		deps = e.deps[i].Deps
-	}
-	for r := 0; r < e.p; r++ {
+	clk := e.clk
+	for r := range clk {
 		res := e.resTab.at(i, r)
 		e.resCur[r] = res
-		start := e.occ[r].Free(res)
-		for _, m := range deps {
-			start = max(start, e.finish[m*e.p+r])
+		clk[r] = e.occ[r].Free(res)
+	}
+	if e.deps == nil {
+		return
+	}
+	for _, m := range e.deps[i].Deps {
+		for r, f := range e.finish[m*e.p : (m+1)*e.p] {
+			clk[r] = max(clk[r], f)
 		}
-		e.clk[r] = start
 	}
 }
 

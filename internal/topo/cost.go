@@ -295,7 +295,11 @@ func (t *Topology) rhdReduceScatter(h *hw.Model, group []int, counts []int64) Co
 // bruckAllToAll prices the Bruck log-round all-to-all (any group
 // size): the block for offset o = (dst−src) mod p hops at every set
 // bit of o, so total volume exceeds direct exchange by the popcount —
-// the classic latency-for-bandwidth trade.
+// the classic latency-for-bandwidth trade. Round d moves each block
+// with bit d set one hop v → v+d mod p, so a round is a pass over the
+// pairs that sums each hop's bytes into inj[v], then a pass over the
+// p senders that reads each hop's tier once. Pairs carry Bytes > 0,
+// so the senders with inj[v] > 0 are exactly the hops a block crosses.
 func (t *Topology) bruckAllToAll(h *hw.Model, group []int, pairs []Pair) Cost {
 	p := len(group)
 	var c Cost
@@ -303,11 +307,9 @@ func (t *Topology) bruckAllToAll(h *hw.Model, group []int, pairs []Pair) Cost {
 	inj := make([]int64, p)
 	for d := 1; d < p; d *= 2 {
 		clear(inj)
-		var tb [NumTiers]int64
-		wt := TierIntra
 		for _, pr := range pairs {
-			// o = (dst−src) mod p and the hop v → v+d mod p, by
-			// conditional subtraction: every operand is below 2p.
+			// o = (dst−src) mod p and the hop's sender v = src + (o mod d)
+			// mod p, by conditional subtraction: every operand is below 2p.
 			s := int(pr.Src)
 			o := int(pr.Dst) - s
 			if o < 0 {
@@ -320,17 +322,26 @@ func (t *Topology) bruckAllToAll(h *hw.Model, group []int, pairs []Pair) Cost {
 			if v >= p {
 				v -= p
 			}
+			inj[v] += pr.Bytes
+		}
+		var tb [NumTiers]int64
+		var maxSend int64
+		wt := TierIntra
+		for v, b := range inj {
+			if b == 0 {
+				continue
+			}
 			w := v + d
 			if w >= p {
 				w -= p
 			}
 			tier := t.Tier(group[v], group[w])
-			tb[tier] += pr.Bytes
+			tb[tier] += b
 			wt = max(wt, tier)
-			inj[v] += pr.Bytes
+			maxSend = max(maxSend, b)
 		}
 		link := t.model(h, wt)
-		c.Time += link.LinkLatency + float64(maxOf(inj))/link.LinkBandwidth
+		c.Time += link.LinkLatency + float64(maxSend)/link.LinkBandwidth
 		c.addTier(tb)
 		any = any || tb[TierIntra]+tb[TierInter] > 0
 	}
@@ -613,7 +624,7 @@ func (t *Topology) AllToAll(h *hw.Model, alg Algorithm, group []int, pair func(i
 }
 
 // AllToAllPairs prices a personalized exchange from its pair list in
-// O(len(group) + len(pairs)·log len(group)). Bruck (the RHD schedule)
+// O((len(group) + len(pairs))·log len(group)). Bruck (the RHD schedule)
 // applies to every group of two or more.
 func (t *Topology) AllToAllPairs(h *hw.Model, alg Algorithm, group []int, pairs []Pair) (Algorithm, Cost) {
 	return pick(t, h, alg, group, pairs, len(group) > 1,

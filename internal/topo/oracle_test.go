@@ -240,8 +240,12 @@ func regridTable(p, fromPJ, toPJ, rows, cols int, packed bool) [][]int64 {
 // largest proper grids} × P ∈ [1, 64] (primes included) × shapes with
 // rows, cols not divisible by P and cols < P × packed × {Ring, RHD,
 // Hier, Auto}, on node-uniform, ragged and one-rank-per-node machines,
-// over the world and over a strided subgroup.
+// over the world and over a strided subgroup. Without -short it also
+// prices the planner sweep's own shape (allToAllAtSweepScale).
 func TestAllToAllPairListMatchesClosure(t *testing.T) {
+	if !testing.Short() {
+		allToAllAtSweepScale(t)
+	}
 	h := hw.A6000()
 	shapes := [][2]int{{131, 37}, {67, 5}}
 	for p := 1; p <= 64; p++ {
@@ -286,6 +290,41 @@ func TestAllToAllPairListMatchesClosure(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// allToAllAtSweepScale is the oracle on the shape the planner sweep
+// prices: the hidden layer's H→V and V→H regrids of a 2^18×128 matrix,
+// packed and unpacked, at P=1024 on 128 nodes of 8, over the world,
+// under Bruck alone and the Auto resolver. Every sender meets 128 of
+// the 1024 receivers (cols < P), so the pair list is an eighth of the
+// dense table. The four censuses run as parallel subtests: the dense
+// Bruck oracle is O(P² log P) per call.
+func allToAllAtSweepScale(t *testing.T) {
+	const p, rows, cols = 1024, 1 << 18, 128
+	h := hw.A6000()
+	tp := must(t, "128x8:nvlink,ib", p)
+	world := group(p)
+	for _, rg := range []struct {
+		name         string
+		fromPJ, toPJ int
+	}{{"H->V", 1, p}, {"V->H", p, 1}} {
+		for _, packed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("P=%d_%s_packed=%v", p, rg.name, packed), func(t *testing.T) {
+				t.Parallel()
+				tab := regridTable(p, rg.fromPJ, rg.toPJ, rows, cols, packed)
+				pair := func(i, j int) int64 { return tab[i][j] }
+				pairs := PairList(p, pair)
+				for _, alg := range []Algorithm{RHD, Auto} {
+					wantAlg, want := tp.allToAllDense(h, alg, world, pair)
+					gotAlg, got := tp.AllToAllPairs(h, alg, world, pairs)
+					if gotAlg != wantAlg || got != want {
+						t.Fatalf("%s %dx%d alg=%v: pair list %v %+v, closure %v %+v",
+							tp.Name, rows, cols, alg, gotAlg, got, wantAlg, want)
+					}
+				}
+			})
 		}
 	}
 }
