@@ -109,12 +109,6 @@ type Session struct {
 	metered   plan.Traffic
 	predicted plan.Traffic
 
-	// The inference schedule's per-section prices at world size infP:
-	// the schedule depends only on the config, the graph and p, so
-	// consecutive Serve calls at one p price it once.
-	infP    int
-	infSecs []secSums
-
 	// Degraded-window counters (see degraded.go): queries answered
 	// stale from the store and queries deferred for resubmission. The
 	// degraded path never touches the meters above.
@@ -153,22 +147,6 @@ type batchPlan struct {
 	missVerts []int32 // deduped, first-occurrence order
 	hitRows   int     // hit queries (cache hits + batch-coalesced duplicates)
 	fromLayer int     // -1 = no refresh
-}
-
-// inferenceAt returns the per-section prices of the optimized inference
-// schedule at world size p. It compiles, optimizes and prices the
-// schedule only when p differs from the previous call's.
-func (s *Session) inferenceAt(p, ra int, tblCfg costmodel.Config) []secSums {
-	if s.infSecs != nil && s.infP == p {
-		return s.infSecs
-	}
-	cfg := s.cfg
-	sched := plan.CompileInference(plan.Spec{
-		N: s.prob.N(), Dims: cfg.Dims, Config: tblCfg,
-		P: p, RA: ra, SAGE: cfg.SAGE,
-	}).Optimize()
-	s.infP, s.infSecs = p, sectionSums(sched, sched.PriceOn(s.prob.A.NNZ(), cfg.HW, cfg.Topology))
-	return s.infSecs
 }
 
 // secSums aggregates a priced schedule per section, aligned with
@@ -254,9 +232,13 @@ func (s *Session) serve(p int, queries []Query, run func(*Session, *comm.Fabric,
 	// order and the refresh decision per microbatch.
 	plans := s.planBatches(batches, L, len(queries))
 
-	// The inference schedule is priced only when p changes; refreshes
-	// and gathers are summed per batch from the per-section closed forms.
-	secs := s.inferenceAt(p, ra, tblCfg)
+	// Price the inference schedule once; refreshes and gathers are
+	// summed per batch from the per-section closed forms.
+	sched := plan.CompileInference(plan.Spec{
+		N: s.prob.N(), Dims: cfg.Dims, Config: tblCfg,
+		P: p, RA: ra, SAGE: cfg.SAGE,
+	}).Optimize()
+	secs := sectionSums(sched, sched.PriceOn(s.prob.A.NNZ(), cfg.HW, cfg.Topology))
 	owned := make([]int64, p)
 	for i := range plans {
 		s.predictBatch(&plans[i], secs, fL, owned)

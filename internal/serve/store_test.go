@@ -3,7 +3,6 @@ package serve
 import (
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -144,46 +143,5 @@ func TestServeRejectsDecreasingArrivalsUnchanged(t *testing.T) {
 	}()
 	if s.Report() != before || s.HitMiss() != witness || !slices.Equal(s.cache.order(), cached) || !sameRow(s.Answer(7), answer) {
 		t.Fatal("a rejected stream changed the session")
-	}
-}
-
-// TestServeReusesInferenceSchedule: consecutive Serve calls at one
-// world size price the inference schedule once. Two streams at p=4 and
-// then one at p=2 reuse the p=4 prices, then price p=2's, and book the
-// same ledgers, report and hit/miss sequence as a session that reprices
-// on every call.
-func TestServeReusesInferenceSchedule(t *testing.T) {
-	calls := []serveCall{
-		{4, stream(0, 3, 7, 3, 9, 60, 61)},
-		{4, stream(1, 7, 3, 9, 44, 3, 95, 0)},
-		{2, stream(2, 5, 7, 81, 3, 12)},
-	}
-	cached, fresh := NewSession(storeProblem(), storeConfig()), NewSession(storeProblem(), storeConfig())
-	var secs [][]secSums
-	for _, c := range calls {
-		cached.Serve(c.p, c.queries)
-		secs = append(secs, cached.infSecs)
-		fresh.infSecs = nil
-		fresh.Serve(c.p, c.queries)
-	}
-	if &secs[1][0] != &secs[0][0] || &secs[2][0] == &secs[1][0] || cached.infP != 2 {
-		t.Fatalf("section prices at %p, %p, %p over p=4, 4, 2 (last p %d): want the first reused once, then p=2's",
-			&secs[0][0], &secs[1][0], &secs[2][0], cached.infP)
-	}
-	for _, f := range []struct {
-		name      string
-		got, want any
-	}{
-		{"Metered", cached.Metered(), fresh.Metered()},
-		{"Predicted", cached.Predicted(), fresh.Predicted()},
-		{"Report", cached.Report(), fresh.Report()},
-		{"HitMiss", cached.HitMiss(), fresh.HitMiss()},
-	} {
-		if !reflect.DeepEqual(f.got, f.want) {
-			t.Fatalf("%s: %+v, repricing every call %+v", f.name, f.got, f.want)
-		}
-	}
-	if cached.Report().Misses == 0 {
-		t.Fatal("the streams served nothing")
 	}
 }
