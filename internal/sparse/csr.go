@@ -290,11 +290,13 @@ func (m *CSR) SpMM(in *tensor.Dense) *tensor.Dense {
 	return out
 }
 
-// SpMMInto computes out = M * in, overwriting out: each worker clears its
-// rows of out, then hands them to one tensor.RowAccRuns with its slice of
-// RowPtr as it stands. A stored column index outside [0, in.Rows) panics
-// with a tensor.RowError naming the column, unless in has no columns and
-// so nothing is read.
+// SpMMInto computes out = M * in, overwriting out: each worker hands its
+// rows of out to one tensor.RowSetRuns with its slice of RowPtr as it
+// stands, which sets every row (an empty one to +0) without reading it. A
+// stored column index outside [0, in.Rows) panics with a tensor.RowError
+// naming the column, unless in has no columns and so nothing is read; the
+// worker's rows before the bad one's are then set, that row and the rest
+// of the worker's rows +0.
 func (m *CSR) SpMMInto(in, out *tensor.Dense) {
 	if in.Rows != m.Cols || out.Rows != m.Rows || out.Cols != in.Cols {
 		panic(fmt.Sprintf("sparse: SpMMInto shape mismatch M=%dx%d in=%dx%d out=%dx%d",
@@ -302,8 +304,7 @@ func (m *CSR) SpMMInto(in, out *tensor.Dense) {
 	}
 	f := in.Cols
 	tensor.ParallelRows(m.Rows, func(r0, r1 int) {
-		clear(out.Data[r0*f : r1*f])
-		tensor.RowAccRuns(out.Data[r0*f:], m.Val, m.ColIdx, m.RowPtr[r0:r1+1], in.Data, f)
+		tensor.RowSetRuns(out.Data[r0*f:], m.Val, m.ColIdx, m.RowPtr[r0:r1+1], in.Data, f)
 	})
 }
 
@@ -316,9 +317,13 @@ const maskBlock = 128
 // lists the permitted column indices for row i (sorted ascending); a nil
 // mask, or a nil mask row, keeps all columns. This realizes sampled
 // aggregation for samplers that do not build explicit subgraphs (§III-F).
-// Each row's permitted entries are gathered in column order and added with
-// one tensor.RowAcc per maskBlock of them: the bits of SpMMInto on the
-// masked matrix.
+// Each row's permitted entries are gathered in column order and summed
+// maskBlock at a time, tensor.RowSet for the first block (a row with none
+// sets +0) and tensor.RowAcc for the rest: the bits of SpMMInto on the
+// masked matrix. A permitted column with no row in in panics with a
+// tensor.RowError naming it, as in SpMMInto; the worker's rows from that
+// row on are then not specified (unlike SpMMInto's, they are not set to
+// +0).
 func (m *CSR) MaskedSpMMInto(in *tensor.Dense, mask [][]int32, out *tensor.Dense) {
 	if in.Rows != m.Cols || out.Rows != m.Rows || out.Cols != in.Cols {
 		panic(fmt.Sprintf("sparse: MaskedSpMMInto shape mismatch M=%dx%d in=%dx%d out=%dx%d",
@@ -331,14 +336,13 @@ func (m *CSR) MaskedSpMMInto(in *tensor.Dense, mask [][]int32, out *tensor.Dense
 	tensor.ParallelRows(m.Rows, func(r0, r1 int) {
 		var vals [maskBlock]float32
 		var cols [maskBlock]int32
-		clear(out.Data[r0*f : r1*f])
 		for i := r0; i < r1; i++ {
 			var allowed []int32
 			if mask != nil {
 				allowed = mask[i]
 			}
 			oi := out.Data[i*f:]
-			n, k := 0, 0
+			n, k, set := 0, 0, true
 			for p := m.RowPtr[i]; p < m.RowPtr[i+1]; p++ {
 				c := m.ColIdx[p]
 				if allowed != nil {
@@ -351,11 +355,19 @@ func (m *CSR) MaskedSpMMInto(in *tensor.Dense, mask [][]int32, out *tensor.Dense
 				}
 				vals[n], cols[n] = m.Val[p], c
 				if n++; n == maskBlock {
-					tensor.RowAcc(oi, vals[:], cols[:], in.Data, f)
-					n = 0
+					if set {
+						tensor.RowSet(oi, vals[:], cols[:], in.Data, f)
+					} else {
+						tensor.RowAcc(oi, vals[:], cols[:], in.Data, f)
+					}
+					n, set = 0, false
 				}
 			}
-			tensor.RowAcc(oi, vals[:n], cols[:n], in.Data, f)
+			if set {
+				tensor.RowSet(oi, vals[:n], cols[:n], in.Data, f)
+			} else {
+				tensor.RowAcc(oi, vals[:n], cols[:n], in.Data, f)
+			}
 		}
 	})
 }

@@ -50,8 +50,9 @@ func requireSameBits(t *testing.T, what string, got, want *tensor.Dense) {
 	}
 }
 
-// kernelWidths sit on and beside every chunk boundary of tensor.RowAccRuns
-// (32, 16, 8, 4, 2 and 1 floats), up to Reddit's 602 input features.
+// kernelWidths sit on and beside every chunk boundary of the row kernel
+// (32, 16, 8, 4, 2 and 1 floats, and the set form's masked passes at 3–4,
+// 5–8, 9–15, 16, 17–32 and 33–48), up to Reddit's 602 input features.
 var kernelWidths = []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 10, 15, 16, 17, 31, 32, 33, 40, 48, 64, 65, 128, 602}
 
 // TestKernelsMatchNaive pins SpMMInto and MaskedSpMMInto to the retained

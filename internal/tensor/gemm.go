@@ -33,9 +33,11 @@ func ParallelRows(rows int, fn func(r0, r1 int)) {
 }
 
 // The products gather entries into fixed blocks on the worker's stack and
-// hand each block to RowAcc. A partial sum crosses from one block to the
-// next through a float32 store and load, which are exact, so the block
-// sizes change no bits; they were chosen with the kernel micro-benchmarks.
+// hand each output row's first block to RowSet and every later one to
+// RowAcc, so no output is cleared before it is written. A partial sum
+// crosses from one block to the next through a float32 store and load,
+// which are exact, so the block sizes change no bits; they were chosen with
+// the kernel micro-benchmarks.
 const (
 	// rowBlock is the most entries one RowAcc call of MatMulInto or
 	// MatMulTBInto takes.
@@ -55,12 +57,13 @@ func MatMul(a, b *Dense) *Dense {
 
 // MatMulInto computes c = A * B, overwriting c.
 //
-// A is m x k, B is k x n. Each worker clears its rows of C; then, per row
-// i, it gathers the nonzero A[i,k] with their k, in ascending k, and adds
-// the rows k of B they weight with one RowAcc per rowBlock entries. Zero
-// entries of A are skipped: the gather stores every entry and advances
-// only past a nonzero one, so it selects where a branch would mispredict
-// on about half of a post-ReLU row.
+// A is m x k, B is k x n. Per row i of C, each worker gathers the nonzero
+// A[i,k] with their k, in ascending k, and sums the rows k of B they
+// weight, rowBlock entries per call: RowSet for the first block (an empty
+// row sets +0), RowAcc for the rest. Zero entries of A are skipped: the
+// gather stores every entry and advances only past a nonzero one, so it
+// selects where a branch would mispredict on about half of a post-ReLU
+// row.
 func MatMulInto(a, b, c *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch A=%dx%d B=%dx%d C=%dx%d",
@@ -70,21 +73,28 @@ func MatMulInto(a, b, c *Dense) {
 	ParallelRows(a.Rows, func(r0, r1 int) {
 		var vals [rowBlock]float32
 		var idx [rowBlock]int32
-		clear(c.Data[r0*n : r1*n])
 		for i := r0; i < r1; i++ {
 			ci := c.Data[i*n : (i+1)*n]
-			p := 0
+			p, set := 0, true
 			for k, av := range a.Data[i*a.Cols : (i+1)*a.Cols] {
 				vals[p], idx[p] = av, int32(k)
 				if av != 0 {
 					p++
 				}
 				if p == rowBlock {
-					RowAcc(ci, vals[:], idx[:], b.Data, n)
-					p = 0
+					if set {
+						RowSet(ci, vals[:], idx[:], b.Data, n)
+					} else {
+						RowAcc(ci, vals[:], idx[:], b.Data, n)
+					}
+					p, set = 0, false
 				}
 			}
-			RowAcc(ci, vals[:p], idx[:p], b.Data, n)
+			if set {
+				RowSet(ci, vals[:p], idx[:p], b.Data, n)
+			} else {
+				RowAcc(ci, vals[:p], idx[:p], b.Data, n)
+			}
 		}
 	})
 }
@@ -99,10 +109,11 @@ func MatMulTA(a, b *Dense) *Dense {
 // MatMulTAInto computes c = Aᵀ * B, overwriting c.
 //
 // A is m x k, B is m x n, C is k x n. The parallel split is over rows of C
-// (columns of A); each worker clears its own output rows, then walks A and
-// B in panels of panelRows rows: per output row k it gathers the panel's
-// nonzero A[i,k] and adds the panel rows of B they weight with one RowAcc.
-// Every element still takes its products in ascending i, whatever the
+// (columns of A); each worker walks A and B in panels of panelRows rows:
+// per output row k it gathers the panel's nonzero A[i,k] and sums the panel
+// rows of B they weight with one call, RowSet in the first panel and RowAcc
+// in the rest (with no rows in A, one RowSet of no entries sets the row to
+// +0). Every element still takes its products in ascending i, whatever the
 // split, so the result is deterministic.
 func MatMulTAInto(a, b, c *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
@@ -113,13 +124,21 @@ func MatMulTAInto(a, b, c *Dense) {
 	ParallelRows(a.Cols, func(k0, k1 int) {
 		var vals [panelRows]float32
 		var idx [panelRows]int32
-		clear(c.Data[k0*n : k1*n])
+		if a.Rows == 0 {
+			for k := k0; k < k1; k++ {
+				RowSet(c.Data[k*n:(k+1)*n], nil, nil, nil, n)
+			}
+		}
 		for i0 := 0; i0 < a.Rows; i0 += panelRows {
 			i1 := min(i0+panelRows, a.Rows)
 			panel := b.Data[i0*n : i1*n]
 			for k := k0; k < k1; k++ {
 				p := gatherColumn(&vals, &idx, a.Data[i0*a.Cols+k:], a.Cols, i1-i0)
-				RowAcc(c.Data[k*n:(k+1)*n], vals[:p], idx[:p], panel, n)
+				if i0 == 0 {
+					RowSet(c.Data[k*n:(k+1)*n], vals[:p], idx[:p], panel, n)
+				} else {
+					RowAcc(c.Data[k*n:(k+1)*n], vals[:p], idx[:p], panel, n)
+				}
 			}
 		}
 	})
@@ -159,8 +178,9 @@ func MatMulTB(a, b *Dense) *Dense {
 // MatMulTBInto computes c = A * Bᵀ, overwriting c.
 //
 // A is m x k, B is n x k, C is m x n. It transposes B (the small operand:
-// a weight matrix) and adds onto each cleared output row the rows t of Bᵀ
-// weighted by all of A's row, in ascending t, rowBlock entries per RowAcc.
+// a weight matrix) and sums into each output row the rows t of Bᵀ weighted
+// by all of A's row, in ascending t, rowBlock entries per call: RowSet for
+// the first block (with k = 0, of no entries: +0), RowAcc for the rest.
 // There is no zero-skip: per element those are the dot product's products
 // added in the dot product's order starting from +0, so the bits are the
 // dot product's, and 0·Inf stays NaN.
@@ -177,10 +197,11 @@ func MatMulTBInto(a, b, c *Dense) {
 		for t := range seq {
 			seq[t] = int32(t)
 		}
-		clear(c.Data[r0*n : r1*n])
 		for i := r0; i < r1; i++ {
 			ci, ai := c.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k]
-			for t0 := 0; t0 < k; t0 += rowBlock {
+			t1 := min(rowBlock, k)
+			RowSet(ci, ai[:t1], seq[:t1], bt, n)
+			for t0 := t1; t0 < k; t0 += rowBlock {
 				t1 := min(t0+rowBlock, k)
 				RowAcc(ci, ai[t0:t1], seq[:t1-t0], bt[t0*n:], n)
 			}

@@ -10,7 +10,7 @@ import (
 )
 
 // hostPaths names the rowAccPacked paths this host can execute, widest
-// first: the EVEX chunks only where the probe finds AVX-512F, the VEX
+// first: the EVEX chunks only where the probe finds AVX-512F and VL, the VEX
 // chunks only where it finds AVX, the SSE2 routine everywhere.
 var hostPaths = func() []string {
 	var paths []string
@@ -35,11 +35,11 @@ func usePath(path string) (restore func()) {
 	return func() { useEVEX, useVEX = wasEVEX, wasVEX }
 }
 
-// TestProbesMatchCPUInfo checks the two probes against the avx and avx512f
-// flags the Linux kernel reports (it clears them where it does not save
-// the state) and logs which tiers this host runs, so a CI log shows
-// whether the EVEX chunks were exercised. It skips off Linux or when
-// /proc/cpuinfo cannot be read.
+// TestProbesMatchCPUInfo checks the two probes against the avx, avx512f
+// and avx512vl flags the Linux kernel reports (it clears them where it
+// does not save the state) and logs which tiers this host runs, so a CI
+// log shows whether the EVEX chunks were exercised. It skips off Linux or
+// when /proc/cpuinfo cannot be read.
 func TestProbesMatchCPUInfo(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("no /proc/cpuinfo off Linux")
@@ -63,8 +63,9 @@ func TestProbesMatchCPUInfo(t *testing.T) {
 	if got, want := hasAVX(), flags["avx"]; got != want {
 		t.Errorf("hasAVX() = %v, /proc/cpuinfo avx flag %v", got, want)
 	}
-	if got, want := hasAVX512(), flags["avx512f"]; got != want {
-		t.Errorf("hasAVX512() = %v, /proc/cpuinfo avx512f flag %v", got, want)
+	if got, want := hasAVX512(), flags["avx512f"] && flags["avx512vl"]; got != want {
+		t.Errorf("hasAVX512() = %v, /proc/cpuinfo avx512f and avx512vl flags %v", got, want)
 	}
-	t.Logf("avx %v, avx512f %v: rowAccPacked paths %v, the probes pick %v", flags["avx"], flags["avx512f"], rowAccPaths(), rowAccPaths()[0])
+	t.Logf("avx %v, avx512f %v, avx512vl %v: rowAccPacked paths %v, the probes pick %v",
+		flags["avx"], flags["avx512f"], flags["avx512vl"], rowAccPaths(), rowAccPaths()[0])
 }

@@ -29,6 +29,12 @@ type Topology struct {
 	Tiers   int // 1 = flat, 2 = hierarchical
 	Links   [NumTiers]Link
 	Name    string // spec string, or "flat" for Flat topologies
+
+	// node is NodeOf(r) for every rank r < P, built once by Spec.Topology
+	// for a two-tier topology so that pricing a pair list reads each
+	// pair's nodes instead of dividing; nil on one tier, where every rank
+	// is on node 0.
+	node []int32
 }
 
 // Flat returns the single-tier topology whose one link carries the
@@ -57,18 +63,23 @@ func (s Spec) Topology(p int) (*Topology, error) {
 	if p > s.Devices() {
 		return nil, fmt.Errorf("topo: %d devices exceed spec %s (%d devices)", p, s, s.Devices())
 	}
-	tiers := 2
-	if s.Nodes == 1 {
-		tiers = 1
-	}
-	return &Topology{
-		P: p, PerNode: s.PerNode, Tiers: tiers,
+	t := &Topology{
+		P: p, PerNode: s.PerNode, Tiers: 2,
 		Links: [NumTiers]Link{
 			{Alpha: s.Intra.Alpha, Beta: s.Intra.Beta},
 			{Alpha: s.Inter.Alpha, Beta: s.Inter.Beta},
 		},
 		Name: s.String(),
-	}, nil
+	}
+	if s.Nodes == 1 {
+		t.Tiers = 1
+	} else {
+		t.node = make([]int32, p)
+		for r := range t.node {
+			t.node[r] = int32(r / s.PerNode)
+		}
+	}
+	return t, nil
 }
 
 // MustTopology is Spec.Topology panicking on error, for tests and
