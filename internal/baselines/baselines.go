@@ -24,7 +24,6 @@ import (
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
-	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/nn"
 	"gnnrdm/internal/tensor"
@@ -58,9 +57,11 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// aggregator abstracts the one operation the two baselines implement
-// differently: the distributed SpMM T = A·X over vertex-sliced X.
-type aggregator interface {
+// Aggregator abstracts the one operation the two baselines implement
+// differently: the distributed SpMM T = A·X over vertex-sliced X. The
+// bench harness drives CAGNET's (NewAggregator) for kernel-level
+// comparisons.
+type Aggregator interface {
 	// Aggregate computes this device's rows of A·x, where x holds this
 	// device's owned rows of the global dense operand.
 	Aggregate(x *tensor.Dense) *tensor.Dense
@@ -75,7 +76,7 @@ type vertexTrainer struct {
 	dev     *comm.Device
 	prob    *core.Problem
 	opts    Options
-	agg     aggregator
+	agg     Aggregator
 	weights []*tensor.Dense
 	adam    *nn.Adam
 	ep      int
@@ -84,7 +85,7 @@ type vertexTrainer struct {
 	lastLoss   float64
 }
 
-func newVertexTrainer(dev *comm.Device, prob *core.Problem, opts Options, agg aggregator) *vertexTrainer {
+func newVertexTrainer(dev *comm.Device, prob *core.Problem, opts Options, agg Aggregator) *vertexTrainer {
 	opts = opts.withDefaults()
 	rng := rand.New(rand.NewSource(opts.Seed))
 	vt := &vertexTrainer{dev: dev, prob: prob, opts: opts, agg: agg}
@@ -200,7 +201,3 @@ func runHarness(p int, model *hw.Model, epochs int, n, fL int,
 	}
 	return res
 }
-
-// partRange re-exports the balanced partition arithmetic used for
-// CAGNET's vertex slicing.
-func partRange(n, parts, i int) (int, int) { return dist.PartRange(n, parts, i) }

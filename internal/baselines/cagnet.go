@@ -5,6 +5,7 @@ import (
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
+	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/sparse"
 	"gnnrdm/internal/tensor"
@@ -44,16 +45,16 @@ func newCAGNETAgg(dev *comm.Device, a *sparse.CSR, c int) *cagnetAgg {
 	}
 	n := a.Rows
 	ag := &cagnetAgg{dev: dev, n: n, c: c}
-	ag.lo, ag.hi = partRange(n, p, dev.Rank)
+	ag.lo, ag.hi = dist.PartRange(n, p, dev.Rank)
 	g := dev.Rank / c
 	j := dev.Rank % c
-	ag.klo, ag.khi = partRange(n, c, j)
-	panelLo, _ := partRange(n, p, g*c)
-	_, panelHi := partRange(n, p, (g+1)*c-1)
+	ag.klo, ag.khi = dist.PartRange(n, c, j)
+	panelLo, _ := dist.PartRange(n, p, g*c)
+	_, panelHi := dist.PartRange(n, p, (g+1)*c-1)
 	ag.panelLo, ag.panelRows = panelLo, panelHi-panelLo
 	ag.part = a.RowPanel(panelLo, panelHi).ColPanel(ag.klo, ag.khi)
 	for m := 0; m < c; m++ {
-		mlo, mhi := partRange(n, p, g*c+m)
+		mlo, mhi := dist.PartRange(n, p, g*c+m)
 		ag.grp = append(ag.grp, g*c+m)
 		ag.grpCounts = append(ag.grpCounts, mhi-mlo)
 	}
@@ -71,7 +72,7 @@ func (ag *cagnetAgg) Aggregate(x *tensor.Dense) *tensor.Dense {
 	// K_{j(s)}; send it the intersection with my owned rows.
 	parts := make([][]float32, p)
 	for s := 0; s < p; s++ {
-		sklo, skhi := partRange(ag.n, ag.c, s%ag.c)
+		sklo, skhi := dist.PartRange(ag.n, ag.c, s%ag.c)
 		rlo, rhi := max(sklo, ag.lo), min(skhi, ag.hi)
 		if rlo >= rhi {
 			continue
@@ -88,7 +89,7 @@ func (ag *cagnetAgg) Aggregate(x *tensor.Dense) *tensor.Dense {
 		if len(recv[s]) == 0 {
 			continue
 		}
-		slo, shi := partRange(ag.n, p, s)
+		slo, shi := dist.PartRange(ag.n, p, s)
 		rlo := max(ag.klo, slo)
 		rhi := min(ag.khi, shi)
 		if (rhi-rlo)*f != len(recv[s]) {
@@ -111,15 +112,6 @@ func (ag *cagnetAgg) Aggregate(x *tensor.Dense) *tensor.Dense {
 	out := tensor.FromRowMajor(ag.hi-ag.lo, f, own)
 	dev.ChargeMem(out.Bytes())
 	return out
-}
-
-// Aggregator is the distributed-SpMM interface the baselines implement,
-// exported so the bench harness can drive kernel-level comparisons.
-type Aggregator interface {
-	// Aggregate computes this device's rows of A·x.
-	Aggregate(x *tensor.Dense) *tensor.Dense
-	// OwnRange is this device's global vertex range [lo, hi).
-	OwnRange() (lo, hi int)
 }
 
 // NewAggregator builds CAGNET's distributed SpMM aggregator with

@@ -90,46 +90,22 @@ func EdgeCut(adj *sparse.CSR, assign []int32) int64 {
 // permuted problem, the per-part boundaries (len p+1), and perm with
 // perm[new] = old.
 func PermuteProblem(prob *core.Problem, assign []int32, p int) (*core.Problem, []int, []int32) {
-	n := prob.N()
-	perm := make([]int32, 0, n)
 	bounds := make([]int, p+1)
-	for q := 0; q < p; q++ {
-		for v := 0; v < n; v++ {
-			if assign[v] == int32(q) {
-				perm = append(perm, int32(v))
-			}
-		}
-		bounds[q+1] = len(perm)
+	for _, q := range assign {
+		bounds[q+1]++
 	}
-	inv := make([]int32, n)
-	for newID, old := range perm {
-		inv[old] = int32(newID)
+	for q := range p {
+		bounds[q+1] += bounds[q]
 	}
-	// Permute adjacency.
-	coords := make([]sparse.Coord, 0, prob.A.NNZ())
-	for i := 0; i < n; i++ {
-		for e := prob.A.RowPtr[i]; e < prob.A.RowPtr[i+1]; e++ {
-			coords = append(coords, sparse.Coord{
-				Row: inv[i], Col: inv[prob.A.ColIdx[e]], Val: prob.A.Val[e],
-			})
-		}
+	next := slices.Clone(bounds[:p])
+	perm := make([]int32, len(assign))
+	inv := make([]int, len(assign))
+	for v, q := range assign {
+		inv[v] = next[q]
+		perm[next[q]] = int32(v)
+		next[q]++
 	}
-	out := &core.Problem{
-		A:      sparse.FromCoords(n, n, coords),
-		X:      tensor.NewDense(n, prob.X.Cols),
-		Labels: make([]int32, n),
-	}
-	if prob.TrainMask != nil {
-		out.TrainMask = make([]bool, n)
-	}
-	for newID, old := range perm {
-		copy(out.X.Row(newID), prob.X.Row(int(old)))
-		out.Labels[newID] = prob.Labels[old]
-		if prob.TrainMask != nil {
-			out.TrainMask[newID] = prob.TrainMask[old]
-		}
-	}
-	return out, bounds, perm
+	return prob.Permute(inv), bounds, perm
 }
 
 // dgclAgg implements partition-based aggregation: each SpMM exchanges

@@ -110,7 +110,6 @@ func runOverlapCell(cfg Config, w *Workload, dims []int, p, id int, label string
 	train := func(overlap bool) (*comm.Fabric, error) {
 		oo := o
 		oo.Overlap = overlap
-		oo.PinExecutor = true // the sequential leg must survive GNNRDM_OVERLAP=1
 		fab := comm.NewFabric(p, cfg.HW)
 		if tp != nil {
 			fab.SetTopology(tp)

@@ -63,7 +63,7 @@ func RunSpMMKernels(cfg Config) ([]SpMMKernelRow, error) {
 					continue
 				}
 				fab := comm.Run(p, cfg.HW, func(d *comm.Device) {
-					ag := newCAGNETAggForBench(d, w, c)
+					ag := baselines.NewAggregator(d, a, c)
 					lo, hi := ag.OwnRange()
 					ag.Aggregate(global.RowSlice(lo, hi))
 				})
@@ -92,10 +92,4 @@ func RunSpMMKernels(cfg Config) ([]SpMMKernelRow, error) {
 		}
 	}
 	return rows, nil
-}
-
-// newCAGNETAggForBench exposes the training aggregator for kernel
-// benchmarking.
-func newCAGNETAggForBench(d *comm.Device, w *Workload, c int) baselines.Aggregator {
-	return baselines.NewAggregator(d, w.Prob.A, c)
 }

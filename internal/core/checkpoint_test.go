@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"testing"
 
@@ -14,56 +15,61 @@ import (
 func TestCheckpointRoundTripResume(t *testing.T) {
 	prob := testProblem(t, 48, 12, 6)
 	dims := []int{12, 10, 6}
-	opts := testOpts(dims, 10)
+	for _, overlap := range []bool{false, true} {
+		t.Run(fmt.Sprintf("overlap=%v", overlap), func(t *testing.T) {
+			opts := testOpts(dims, 10)
+			opts.Overlap = overlap
 
-	// Train 6 epochs straight through.
-	straight := Train(2, hw.A6000(), prob, opts, 6)
+			// Train 6 epochs straight through.
+			straight := Train(2, hw.A6000(), prob, opts, 6)
 
-	// Train 3 epochs, checkpoint through the wire format, resume 3 more.
-	var buf bytes.Buffer
-	fab := comm.NewFabric(2, hw.A6000())
-	fab.Run(func(d *comm.Device) {
-		eng := NewEngine(d, prob, opts)
-		for i := 0; i < 3; i++ {
-			eng.Epoch()
-		}
-		if d.Rank == 0 {
-			if err := eng.Snapshot().Write(&buf); err != nil {
-				t.Error(err)
+			// Train 3 epochs, checkpoint through the wire format, resume 3 more.
+			var buf bytes.Buffer
+			fab := comm.NewFabric(2, hw.A6000())
+			fab.Run(func(d *comm.Device) {
+				eng := NewEngine(d, prob, opts)
+				for i := 0; i < 3; i++ {
+					eng.Epoch()
+				}
+				if d.Rank == 0 {
+					if err := eng.Snapshot().Write(&buf); err != nil {
+						t.Error(err)
+					}
+				}
+			})
+			cp, err := ReadCheckpoint(&buf)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-	})
-	cp, err := ReadCheckpoint(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.Step != 3 || !equalIntsCP(cp.Dims, dims) {
-		t.Fatalf("checkpoint metadata: step=%d dims=%v", cp.Step, cp.Dims)
-	}
+			if cp.Step != 3 || !equalIntsCP(cp.Dims, dims) {
+				t.Fatalf("checkpoint metadata: step=%d dims=%v", cp.Step, cp.Dims)
+			}
 
-	var resumedLoss float64
-	var resumedW *tensor.Dense
-	fab2 := comm.NewFabric(2, hw.A6000())
-	fab2.Run(func(d *comm.Device) {
-		eng := NewEngine(d, prob, opts)
-		if err := eng.Restore(cp); err != nil {
-			t.Error(err)
-			return
-		}
-		var loss float64
-		for i := 0; i < 3; i++ {
-			loss = eng.Epoch()
-		}
-		if d.Rank == 0 {
-			resumedLoss = loss
-			resumedW = eng.Weights()[0]
-		}
-	})
-	if math.Abs(resumedLoss-straight.Epochs[len(straight.Epochs)-1].Loss) > 1e-6 {
-		t.Fatalf("resumed loss %v != straight %v", resumedLoss, straight.Epochs[len(straight.Epochs)-1].Loss)
-	}
-	if d := tensor.MaxAbsDiff(resumedW, straight.Weights[0]); d > 1e-6 {
-		t.Fatalf("resumed weights diff %v", d)
+			var resumedLoss float64
+			var resumedW *tensor.Dense
+			fab2 := comm.NewFabric(2, hw.A6000())
+			fab2.Run(func(d *comm.Device) {
+				eng := NewEngine(d, prob, opts)
+				if err := eng.Restore(cp); err != nil {
+					t.Error(err)
+					return
+				}
+				var loss float64
+				for i := 0; i < 3; i++ {
+					loss = eng.Epoch()
+				}
+				if d.Rank == 0 {
+					resumedLoss = loss
+					resumedW = eng.Weights()[0]
+				}
+			})
+			if math.Abs(resumedLoss-straight.Epochs[len(straight.Epochs)-1].Loss) > 1e-6 {
+				t.Fatalf("resumed loss %v != straight %v", resumedLoss, straight.Epochs[len(straight.Epochs)-1].Loss)
+			}
+			if d := tensor.MaxAbsDiff(resumedW, straight.Weights[0]); d > 1e-6 {
+				t.Fatalf("resumed weights diff %v", d)
+			}
+		})
 	}
 }
 

@@ -18,8 +18,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
-	"sync"
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/costmodel"
@@ -64,6 +62,63 @@ func (p *Problem) fwdOperator() *sparse.CSR {
 
 // N returns the vertex count.
 func (p *Problem) N() int { return p.A.Rows }
+
+// Permute relabels the problem's vertices, vertex i becoming perm[i]:
+// the operators become PAPᵀ, and features, labels, masks and loss
+// weights are row-permuted. Entry values are moved bitwise (no
+// arithmetic), so the permuted problem is the same computation up to
+// reduction order.
+func (p *Problem) Permute(perm []int) *Problem {
+	out := &Problem{
+		A:           permuteCSR(p.A, perm),
+		X:           PermuteRows(p.X, perm),
+		Labels:      permuteSlice(p.Labels, perm),
+		TrainMask:   permuteSlice(p.TrainMask, perm),
+		LossWeights: permuteSlice(p.LossWeights, perm),
+	}
+	if p.ATranspose != nil {
+		out.ATranspose = permuteCSR(p.ATranspose, perm)
+	}
+	return out
+}
+
+// PermuteRows returns a copy of m with row i moved to row perm[i].
+func PermuteRows(m *tensor.Dense, perm []int) *tensor.Dense {
+	out := tensor.NewDense(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		copy(out.Row(perm[i]), m.Row(i))
+	}
+	return out
+}
+
+// permuteSlice returns a copy of s with element i moved to perm[i]; nil
+// stays nil.
+func permuteSlice[T any](s []T, perm []int) []T {
+	if s == nil {
+		return nil
+	}
+	out := make([]T, len(s))
+	for i, v := range s {
+		out[perm[i]] = v
+	}
+	return out
+}
+
+// permuteCSR returns PAPᵀ for the permutation matrix P defined by perm.
+// Values travel untouched; only coordinates change.
+func permuteCSR(a *sparse.CSR, perm []int) *sparse.CSR {
+	coords := make([]sparse.Coord, 0, a.NNZ())
+	for i := 0; i < a.Rows; i++ {
+		for e := a.RowPtr[i]; e < a.RowPtr[i+1]; e++ {
+			coords = append(coords, sparse.Coord{
+				Row: int32(perm[i]),
+				Col: int32(perm[a.ColIdx[e]]),
+				Val: a.Val[e],
+			})
+		}
+	}
+	return sparse.FromCoords(a.Rows, a.Cols, coords)
+}
 
 // Options configures an RDM training run.
 type Options struct {
@@ -121,14 +176,8 @@ type Options struct {
 	// byte meters, and trace-event inventories are identical to the
 	// sequential executor's — only clocks and tracks change
 	// (verify.CheckOverlapEquivalence pins all three). The forward-only
-	// path (RunInference) always runs on the device alone. The
-	// GNNRDM_OVERLAP=1 environment variable forces this on, for CI.
+	// path (RunInference) always runs on the device alone.
 	Overlap bool
-	// PinExecutor makes Overlap authoritative, ignoring the
-	// GNNRDM_OVERLAP override. Differential harnesses set it so their
-	// sequential reference leg stays sequential even when CI forces the
-	// overlap executor on everywhere else.
-	PinExecutor bool
 	// Live declares the feature matrix row-sparse with this many live
 	// (nonzero) rows: the compiler marks the redistributions whose
 	// operands inherit X's row support, and the executor runs them
@@ -142,9 +191,6 @@ type Options struct {
 	SparseSeed int64
 }
 
-// overlapEnv reads the GNNRDM_OVERLAP force flag once per process.
-var overlapEnv = sync.OnceValue(func() bool { return os.Getenv("GNNRDM_OVERLAP") == "1" })
-
 // Layers returns L.
 func (o Options) Layers() int { return len(o.Dims) - 1 }
 
@@ -157,9 +203,6 @@ func (o Options) withDefaults(p int) Options {
 	}
 	if o.LR == 0 {
 		o.LR = 0.01
-	}
-	if overlapEnv() && !o.PinExecutor {
-		o.Overlap = true
 	}
 	return o
 }
@@ -293,13 +336,8 @@ func newEngine(dev *comm.Device, prob *Problem, opts Options) *Engine {
 	opts.validate(p, prob)
 	e := &Engine{dev: dev, prob: prob, opts: opts}
 	e.gridL = dist.G(opts.RA).Normalize(p)
-	// Column group: ranks sharing my grid column index (same feature
-	// slice), holding between them every row panel. Ascending rank order
-	// equals ascending panel order.
-	j := dev.Rank % opts.RA
-	for r := j; r < p; r += opts.RA {
-		e.colGroup = append(e.colGroup, r)
-	}
+	// Column group: ranks sharing my grid column (same feature slice).
+	e.colGroup = dist.ColGroup(p, opts.RA, dev.Rank)
 	e.extractPanels()
 
 	rng := rand.New(rand.NewSource(opts.Seed))

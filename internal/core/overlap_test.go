@@ -23,7 +23,7 @@ func TestOverlapEpochAllocs(t *testing.T) {
 		// the allocations of one more epoch across all p ranks.
 		epochAllocs := func(overlap bool) (float64, *plan.Schedule) {
 			o := testOpts(dims, id)
-			o.Overlap, o.PinExecutor = overlap, true
+			o.Overlap = overlap
 			fab := comm.NewFabric(p, hw.A6000())
 			engs := make([]*Engine, p)
 			fab.Run(func(d *comm.Device) {

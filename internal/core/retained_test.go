@@ -172,7 +172,7 @@ func TestRetainedRegistersMatchFresh(t *testing.T) {
 						opts := Options{
 							Dims: dims, Config: costmodel.ConfigFromID(id, 2), RA: ra, LR: 0.01, Seed: 7,
 							SAGE: flags&1 != 0, Memoize: flags&2 != 0, ComputeInputGrad: flags&4 != 0,
-							Overlap: flags&8 != 0, PinExecutor: true,
+							Overlap: flags&8 != 0,
 						}
 						name := fmt.Sprintf("cfg %d RA=%d sage=%v memoize=%v inputgrad=%v overlap=%v",
 							id, ra, opts.SAGE, opts.Memoize, opts.ComputeInputGrad, opts.Overlap)
@@ -194,7 +194,7 @@ func TestRetainedRegistersAcrossSetProblem(t *testing.T) {
 			for _, overlap := range []bool{false, true} {
 				opts := Options{
 					Dims: []int{14, 13, 5}, Config: costmodel.ConfigFromID(id, 2), LR: 0.01, Seed: 7,
-					Memoize: true, ComputeInputGrad: true, Overlap: overlap, PinExecutor: true,
+					Memoize: true, ComputeInputGrad: true, Overlap: overlap,
 				}
 				name := fmt.Sprintf("P=%d cfg %d overlap=%v", p, id, overlap)
 				checkFileModes(t, name+" swap", p, probs, 2, opts, 5)
@@ -226,11 +226,13 @@ func TestRetainedRegistersMasked(t *testing.T) {
 	}
 	for _, p := range []int{1, 2, 4} {
 		for _, id := range []int{0, 5, 10, 15} {
-			opts := Options{
-				Dims: []int{14, 13, 5}, Config: costmodel.ConfigFromID(id, 2), LR: 0.01, Seed: 7,
-				Memoize: true, ComputeInputGrad: true, PinExecutor: true, MaskProvider: provider,
+			for _, overlap := range []bool{false, true} {
+				opts := Options{
+					Dims: []int{14, 13, 5}, Config: costmodel.ConfigFromID(id, 2), LR: 0.01, Seed: 7,
+					Memoize: true, ComputeInputGrad: true, Overlap: overlap, MaskProvider: provider,
+				}
+				checkFileModes(t, fmt.Sprintf("P=%d cfg %d masked overlap=%v", p, id, overlap), p, probs, -1, opts, 5)
 			}
-			checkFileModes(t, fmt.Sprintf("P=%d cfg %d masked", p, id), p, probs, -1, opts, 5)
 		}
 	}
 }
@@ -242,7 +244,7 @@ func TestRetainedRegistersThreeLayers(t *testing.T) {
 			for _, overlap := range []bool{false, true} {
 				opts := Options{
 					Dims: []int{14, 6, 13, 5}, Config: costmodel.ConfigFromID(id, 3), LR: 0.01, Seed: 7,
-					Memoize: true, ComputeInputGrad: true, SAGE: id%2 == 1, Overlap: overlap, PinExecutor: true,
+					Memoize: true, ComputeInputGrad: true, SAGE: id%2 == 1, Overlap: overlap,
 				}
 				checkFileModes(t, fmt.Sprintf("P=%d cfg %d overlap=%v", p, id, overlap), p, probs, -1, opts, 5)
 			}

@@ -103,6 +103,29 @@ func PartRange(n, parts, i int) (lo, hi int) {
 	return lo, hi
 }
 
+// PartOf inverts PartRange: the part holding item x of n items split
+// into parts balanced chunks. It is the row owner under a Horizontal
+// layout: PartOf(rows, p, row).
+func PartOf(n, parts, x int) int {
+	base, rem := n/parts, n%parts
+	if x < rem*(base+1) {
+		return x / (base + 1)
+	}
+	return rem + (x-rem*(base+1))/base
+}
+
+// ColGroup returns the ranks in rank's column of G(ra)'s (p/ra) x ra
+// grid, ascending: rank%ra, rank%ra+ra, … below p. Between them they
+// hold every row panel, and ascending rank order is ascending panel
+// order.
+func ColGroup(p, ra, rank int) []int {
+	g := make([]int, 0, p/ra)
+	for r := rank % ra; r < p; r += ra {
+		g = append(g, r)
+	}
+	return g
+}
+
 // Mat is one device's view of a distributed GlobalRows x GlobalCols dense
 // matrix.
 type Mat struct {
@@ -178,16 +201,6 @@ func tiling(l Layout, p int) (nr, nc int, repl bool) {
 	return p / pj, pj, false
 }
 
-// partOf inverts PartRange: the part holding item x of n items split
-// into parts balanced chunks.
-func partOf(n, parts, x int) int {
-	base, rem := n/parts, n%parts
-	if x < rem*(base+1) {
-		return x / (base + 1)
-	}
-	return rem + (x-rem*(base+1))/base
-}
-
 // overlapWalk is the per-axis part structure of a from→to regrid of a
 // rows x cols matrix on p devices: both layouts' tile grids.
 type overlapWalk struct {
@@ -225,8 +238,8 @@ func (w *overlapWalk) sender(src int) (s senderSpan, ok bool) {
 	if s.rlo >= s.rhi || s.clo >= s.chi {
 		return s, false
 	}
-	s.tiLo, s.tiHi = partOf(w.rows, w.tnr, s.rlo), partOf(w.rows, w.tnr, s.rhi-1)
-	s.tjLo, s.tjHi = partOf(w.cols, w.tnc, s.clo), partOf(w.cols, w.tnc, s.chi-1)
+	s.tiLo, s.tiHi = PartOf(w.rows, w.tnr, s.rlo), PartOf(w.rows, w.tnr, s.rhi-1)
+	s.tjLo, s.tjHi = PartOf(w.cols, w.tnc, s.clo), PartOf(w.cols, w.tnc, s.chi-1)
 	return s, true
 }
 

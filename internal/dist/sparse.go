@@ -393,7 +393,7 @@ func HaloExchange(m *Mat, need []int32) *tensor.Dense {
 	var mergeBytes int64
 	cursor := make([]int, p)
 	for i, r := range distinct {
-		owner := ownerOf(src, p, m.GlobalRows, int(r))
+		owner := PartOf(m.GlobalRows, p, int(r))
 		buf := recv[owner]
 		copy(halo.Row(i), buf[cursor[owner]*w:(cursor[owner]+1)*w])
 		cursor[owner]++
@@ -418,15 +418,4 @@ func expandRows(src *tensor.Dense, distinct, need []int32) *tensor.Dense {
 		copy(out.Row(i), src.Row(j))
 	}
 	return out
-}
-
-// ownerOf returns the rank whose Horizontal tile holds the global row.
-func ownerOf(l Layout, p, rows, row int) int {
-	for s := 0; s < p; s++ {
-		lo, hi := RowRange(l, p, s, rows)
-		if row >= lo && row < hi {
-			return s
-		}
-	}
-	panic("dist: row owner not found")
 }

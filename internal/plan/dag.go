@@ -231,17 +231,6 @@ func ParseDAG(text string) (*DAG, error) {
 	return d, nil
 }
 
-// colGroup returns the ranks sharing rank's grid column (ascending),
-// matching the engine's column-group construction.
-func (s *Schedule) colGroup(rank int) []int {
-	j := rank % s.RA
-	g := make([]int, 0, s.P/s.RA)
-	for r := j; r < s.P; r += s.RA {
-		g = append(g, r)
-	}
-	return g
-}
-
 // linkRes maps a collective over a sorted group from rank first to rank
 // last, n members, to the device resource its op occupies: the link
 // engine of the slowest tier any two members communicate over — a
@@ -259,16 +248,14 @@ func linkRes(tp *topo.Topology, first, last, n int) hw.Resource {
 	return hw.ResLinkIntra
 }
 
-// colLinkRes is linkRes for rank's column group (colGroup): j, j+RA, …
-// below P.
+// colLinkRes is linkRes for rank's column group (dist.ColGroup).
 func (s *Schedule) colLinkRes(rank int, tp *topo.Topology) hw.Resource {
 	if s.P/s.RA < 2 {
 		// Singleton column groups: no allgather.
 		return hw.ResCompute
 	}
-	j := rank % s.RA
-	n := (s.P-1-j)/s.RA + 1
-	return linkRes(tp, j, j+(n-1)*s.RA, n)
+	g := dist.ColGroup(s.P, s.RA, rank)
+	return linkRes(tp, g[0], g[len(g)-1], len(g))
 }
 
 // opResource classifies which of rank's device resources the op
@@ -278,8 +265,8 @@ func (s *Schedule) colLinkRes(rank int, tp *topo.Topology) hw.Resource {
 // charge order stays exactly the sequential executor's); everything
 // else is compute. The classification depends on the rank only through
 // its column group (KSpMM), and all members of any one collective's
-// group always agree on the resource. It allocates nothing: a group is
-// classified by its ends.
+// group always agree on the resource. A group is classified by its
+// ends; only a KSpMM over multi-rank column groups allocates.
 func (s *Schedule) opResource(op *Op, rank int, tp *topo.Topology) hw.Resource {
 	world := linkRes(tp, 0, s.P-1, s.P)
 	switch op.Kind {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"gnnrdm/internal/costmodel"
+	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/topo"
 )
@@ -255,7 +256,7 @@ func TestOpResourceGroupConsistency(t *testing.T) {
 						// Per-rank groups: members must agree pairwise.
 						for r := 0; r < s.P; r++ {
 							res := s.opResource(op, r, tp)
-							for _, q := range s.colGroup(r) {
+							for _, q := range dist.ColGroup(s.P, s.RA, r) {
 								if got := s.opResource(op, q, tp); got != res {
 									t.Fatalf("schedule %d s%d: rank %d resource %v, group member %d %v",
 										si, op.Step, r, res, q, got)

@@ -12,15 +12,11 @@ import (
 
 // Census carries the per-rank quantities pricing cannot derive from
 // the schedule alone: the adjacency row-panel stored-entry counts the
-// engine charges its SpMMs with, and optional straggler multipliers.
+// engine charges its SpMMs with.
 type Census struct {
 	// NNZFwd and NNZBwd are each rank's forward (Aᵀ) and backward (A)
 	// panel NNZ. Length P.
 	NNZFwd, NNZBwd []int64
-	// Slow optionally multiplies rank r's kernel charges (straggler
-	// model, comm.Device.SetComputeSlowdown); nil or values <= 1 mean
-	// no slowdown.
-	Slow []float64
 	// NNZ is the exact global stored-entry count. The KSpMMABC arm
 	// derives its structural census from it on demand (an O(P) class
 	// form); schedules without ABC ops ignore it.

@@ -208,7 +208,7 @@ func newEngine(s *Schedule, d *DAG, cen Census, h *hw.Model, tp *topo.Topology, 
 	} else if len(cols) != s.RA {
 		cols = make([][]int, s.RA)
 		for j := range cols {
-			cols[j] = s.colGroup(j)
+			cols[j] = dist.ColGroup(s.P, s.RA, j)
 		}
 	}
 	if e.abcX != nil {
@@ -460,12 +460,8 @@ func (e *engine) setScope(r, track int) {
 }
 
 // kernel charges one compute kernel on rank r: clock and the current
-// lane's compute accumulator advance by t (straggler-multiplied),
-// exactly Device.chargeKernel.
+// lane's compute accumulator advance by t, exactly Device.chargeKernel.
 func (e *engine) kernel(r int, opName string, t float64, bytes, flops int64) {
-	if e.cen.Slow != nil && r < len(e.cen.Slow) && e.cen.Slow[r] > 1 {
-		t *= e.cen.Slow[r]
-	}
 	start := e.clk[r]
 	e.clk[r] += t
 	res := e.resCur[r]

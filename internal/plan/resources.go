@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"gnnrdm/internal/dist"
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/topo"
 )
@@ -10,17 +11,16 @@ import (
 // so every overlapped replay of the DAG and the live overlap executor's
 // lane map (core's walk, through DAG.OpResource) read one table.
 // opResource depends on the rank only for KSpMM, and there only through
-// the rank's grid column (its column group's allgather) and not the op:
-// the table stores one resource per node, and one per grid column that
-// every such KSpMM node shares.
+// the rank's column group (its allgather) and not the op: the table
+// stores one resource per node, and one per rank that every such KSpMM
+// node shares.
 type resourceTable struct {
 	tp   *topo.Topology
-	ra   int
-	node []hw.Resource // colRes: the rank's grid column's resource
-	col  []hw.Resource // per grid column; nil when P/RA < 2
+	node []hw.Resource // colRes: the rank's column group's resource
+	col  []hw.Resource // per rank; nil when P/RA < 2
 }
 
-// colRes marks a node whose resource is its rank's grid column's.
+// colRes marks a node whose resource is its rank's column group's.
 const colRes = hw.NumResources
 
 // resources returns the DAG's resource table under a topology (nil =
@@ -30,11 +30,14 @@ func (d *DAG) resources(tp *topo.Topology) *resourceTable {
 		return t
 	}
 	s := d.Sched
-	t := &resourceTable{tp: tp, ra: s.RA, node: make([]hw.Resource, len(d.Nodes))}
+	t := &resourceTable{tp: tp, node: make([]hw.Resource, len(d.Nodes))}
 	if s.P/s.RA > 1 {
-		t.col = make([]hw.Resource, s.RA)
-		for j := range t.col {
-			t.col[j] = s.colLinkRes(j, tp)
+		t.col = make([]hw.Resource, s.P)
+		for j := range s.RA {
+			res := s.colLinkRes(j, tp)
+			for _, r := range dist.ColGroup(s.P, s.RA, j) {
+				t.col[r] = res
+			}
 		}
 	}
 	for i := range d.Nodes {
@@ -54,7 +57,7 @@ func (t *resourceTable) at(node, rank int) hw.Resource {
 	if res := t.node[node]; res != colRes {
 		return res
 	}
-	return t.col[rank%t.ra]
+	return t.col[rank]
 }
 
 // OpResource returns the device resource node i occupies on rank under

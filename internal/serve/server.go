@@ -389,24 +389,13 @@ func (s *Session) predictBatch(bp *batchPlan, secs []secSums, fL int, owned []in
 	if len(bp.missVerts) > 0 {
 		clear(owned)
 		for _, v := range bp.missVerts {
-			owned[ownerOf(v, p, s.prob.N())]++
+			owned[dist.PartOf(s.prob.N(), p, int(v))]++
 		}
 		gatherBytes, gatherTier, gatherTime = costmodel.PredictGather(cfg.HW, cfg.Topology, p, 0, fL, owned)
 	}
 	s.predicted.Add(refresh)
 	s.predicted.Add(plan.Traffic{AllToAll: gatherBytes, Tier: gatherTier})
 	s.predTime += costmodel.PredictMicrobatchTime(cfg.HW, refreshTime, gatherTime, bp.hitRows, fL)
-}
-
-// ownerOf returns the rank owning global row v under the vertex-sliced
-// (Horizontal) layout over n rows.
-func ownerOf(v int32, p, n int) int {
-	for r := 0; r < p; r++ {
-		if lo, hi := dist.RowRange(dist.H, p, r, n); int(v) >= lo && int(v) < hi {
-			return r
-		}
-	}
-	panic(fmt.Sprintf("serve: vertex %d outside [0, %d)", v, n))
 }
 
 // Metered and Predicted expose the session's byte ledgers for

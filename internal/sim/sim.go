@@ -45,9 +45,8 @@ type Config struct {
 	Sched *plan.Schedule
 	// DAG is Sched's dependency DAG; built on demand when nil.
 	DAG *plan.DAG
-	// Census carries the per-rank adjacency panel NNZ counts (and
-	// optional straggler multipliers) the SpMM charges need. Use
-	// core.PanelCensus for exact fabric equality, or
+	// Census carries the per-rank adjacency panel NNZ counts the SpMM
+	// charges need. Use core.PanelCensus for exact fabric equality, or
 	// Schedule.ApproxCensus for synthetic sweeps.
 	Census plan.Census
 	// HW is the device model (required).

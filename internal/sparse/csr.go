@@ -319,11 +319,11 @@ const maskBlock = 128
 // aggregation for samplers that do not build explicit subgraphs (§III-F).
 // Each row's permitted entries are gathered in column order and summed
 // maskBlock at a time, tensor.RowSet for the first block (a row with none
-// sets +0) and tensor.RowAcc for the rest: the bits of SpMMInto on the
-// masked matrix. A permitted column with no row in in panics with a
-// tensor.RowError naming it, as in SpMMInto; the worker's rows from that
-// row on are then not specified (unlike SpMMInto's, they are not set to
-// +0).
+// sets +0) and tensor.RowAcc for each later non-empty one: the bits of
+// SpMMInto on the masked matrix. A permitted column with no row in in
+// panics with a tensor.RowError naming it, as in SpMMInto; the worker's
+// rows from that row on are then not specified (unlike SpMMInto's, they
+// are not set to +0).
 func (m *CSR) MaskedSpMMInto(in *tensor.Dense, mask [][]int32, out *tensor.Dense) {
 	if in.Rows != m.Cols || out.Rows != m.Rows || out.Cols != in.Cols {
 		panic(fmt.Sprintf("sparse: MaskedSpMMInto shape mismatch M=%dx%d in=%dx%d out=%dx%d",
@@ -365,7 +365,7 @@ func (m *CSR) MaskedSpMMInto(in *tensor.Dense, mask [][]int32, out *tensor.Dense
 			}
 			if set {
 				tensor.RowSet(oi, vals[:n], cols[:n], in.Data, f)
-			} else {
+			} else if n > 0 {
 				tensor.RowAcc(oi, vals[:n], cols[:n], in.Data, f)
 			}
 		}

@@ -137,14 +137,22 @@ func TestKernelsMatchNaive(t *testing.T) {
 	}
 
 	// Masked rows of several gathered blocks: 300 stored columns (sorted, as
-	// CSR rows are), all but every seventh permitted.
-	wide := randomCSR(rng, 2, 300, 1)
+	// CSR rows are). Rows 0 and 1 permit all but every seventh; rows 2 and 3
+	// exactly fill one and two blocks (the even columns below 256, columns
+	// 20 to 275), so the last block is handed over inside the loop and the
+	// row ends with nothing left to add.
+	wide := randomCSR(rng, 4, 300, 1)
 	mask := make([][]int32, wide.Rows)
-	for i := range mask {
-		for c := int32(0); c < 300; c++ {
-			if c%7 != 0 {
-				mask[i] = append(mask[i], c)
-			}
+	for c := int32(0); c < 300; c++ {
+		if c%7 != 0 {
+			mask[0] = append(mask[0], c)
+			mask[1] = append(mask[1], c)
+		}
+		if c < 256 && c%2 == 0 {
+			mask[2] = append(mask[2], c)
+		}
+		if c >= 20 && c < 276 {
+			mask[3] = append(mask[3], c)
 		}
 	}
 	for _, f := range kernelWidths {

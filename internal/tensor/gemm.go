@@ -60,10 +60,10 @@ func MatMul(a, b *Dense) *Dense {
 // A is m x k, B is k x n. Per row i of C, each worker gathers the nonzero
 // A[i,k] with their k, in ascending k, and sums the rows k of B they
 // weight, rowBlock entries per call: RowSet for the first block (an empty
-// row sets +0), RowAcc for the rest. Zero entries of A are skipped: the
-// gather stores every entry and advances only past a nonzero one, so it
-// selects where a branch would mispredict on about half of a post-ReLU
-// row.
+// row sets +0), RowAcc for each later non-empty one. Zero entries of A are
+// skipped: the gather stores every entry and advances only past a nonzero
+// one, so it selects where a branch would mispredict on about half of a
+// post-ReLU row.
 func MatMulInto(a, b, c *Dense) {
 	if a.Cols != b.Rows || c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch A=%dx%d B=%dx%d C=%dx%d",
@@ -92,7 +92,7 @@ func MatMulInto(a, b, c *Dense) {
 			}
 			if set {
 				RowSet(ci, vals[:p], idx[:p], b.Data, n)
-			} else {
+			} else if p > 0 {
 				RowAcc(ci, vals[:p], idx[:p], b.Data, n)
 			}
 		}
@@ -112,8 +112,8 @@ func MatMulTA(a, b *Dense) *Dense {
 // (columns of A); each worker walks A and B in panels of panelRows rows:
 // per output row k it gathers the panel's nonzero A[i,k] and sums the panel
 // rows of B they weight with one call, RowSet in the first panel and RowAcc
-// in the rest (with no rows in A, one RowSet of no entries sets the row to
-// +0). Every element still takes its products in ascending i, whatever the
+// in each later panel with a nonzero (with no rows in A, one RowSet of no
+// entries sets the row to +0). Every element still takes its products in ascending i, whatever the
 // split, so the result is deterministic.
 func MatMulTAInto(a, b, c *Dense) {
 	if a.Rows != b.Rows || c.Rows != a.Cols || c.Cols != b.Cols {
@@ -136,7 +136,7 @@ func MatMulTAInto(a, b, c *Dense) {
 				p := gatherColumn(&vals, &idx, a.Data[i0*a.Cols+k:], a.Cols, i1-i0)
 				if i0 == 0 {
 					RowSet(c.Data[k*n:(k+1)*n], vals[:p], idx[:p], panel, n)
-				} else {
+				} else if p > 0 {
 					RowAcc(c.Data[k*n:(k+1)*n], vals[:p], idx[:p], panel, n)
 				}
 			}

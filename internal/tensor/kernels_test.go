@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -1017,6 +1018,41 @@ func BenchmarkRowAccWidths(b *testing.B) {
 							row = RowSet
 						}
 						benchDense(b, entries*int64(f), func() { row(out, vals, idx, in.Data, f) })
+					})
+				}
+			})
+		}
+	})
+}
+
+// BenchmarkRowRunsWidths is the row kernel at the throughput the products
+// run it: one call over a run of 2646 rows of 15 entries each, sorted
+// uniform random columns of a 21167-row input (train-gemm's aggregation
+// panel, OGB-Arxiv/8 at P=8), per path, in the add form (rowRuns) and the
+// set form (RowSetRuns), at 1–128 floats: the set form's masked passes
+// (3–48) and the chunks on either side. BenchmarkRowAccWidths's single
+// row of 64 entries is one dependency chain per accumulator and ranks the
+// paths by latency instead.
+func BenchmarkRowRunsWidths(b *testing.B) {
+	const rows, deg, inRows = 2646, 15, 21167
+	rng := rand.New(rand.NewSource(1))
+	ptr := make([]int64, rows+1)
+	vals, idx := make([]float32, rows*deg), make([]int32, rows*deg)
+	for i := range rows {
+		ptr[i+1] = int64((i + 1) * deg)
+		for p := i * deg; p < (i+1)*deg; p++ {
+			vals[p], idx[p] = rng.Float32(), int32(rng.Intn(inRows))
+		}
+		slices.Sort(idx[i*deg : (i+1)*deg])
+	}
+	benchPaths(b, func(b *testing.B) {
+		for _, set := range []bool{false, true} {
+			b.Run(form(set), func(b *testing.B) {
+				for _, f := range []int{1, 2, 4, 5, 8, 12, 16, 32, 48, 64, 128} {
+					b.Run(fmt.Sprintf("f%d", f), func(b *testing.B) {
+						in, out := NewDense(inRows, f), make([]float32, rows*f)
+						in.Randomize(rng, 1)
+						benchDense(b, rows*deg*int64(f), func() { rowRuns(out, vals, idx, ptr, in.Data, f, set) })
 					})
 				}
 			})

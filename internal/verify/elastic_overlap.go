@@ -34,7 +34,6 @@ func CheckElasticOverlapEquivalence(t testing.TB, p int, prob *core.Problem, dim
 	run := func(overlap bool) *core.ElasticResult {
 		opts := DiffSpec{Dims: dims}.opts(0)
 		opts.Overlap = overlap
-		opts.PinExecutor = true
 		var el *core.ElasticResult
 		NoGoroutineLeak(t, func() {
 			el = core.TrainElastic(p, hw.A6000(), prob, opts, epochs, eo)

@@ -13,7 +13,7 @@ import (
 )
 
 // CheckVertexPermutation asserts training commutes with vertex
-// relabelling: running on PermuteProblem(prob, perm) must produce the
+// relabelling: running on prob.Permute(perm) must produce the
 // same per-epoch losses and (row-permuted) logits as running on prob.
 // Permutation moves every value bitwise but reorders the float32
 // reductions inside SpMM and the weight-gradient sums, so the comparison
@@ -21,7 +21,7 @@ import (
 func CheckVertexPermutation(t testing.TB, prob *core.Problem, dims []int, epochs, p, cfg int, permSeed int64) {
 	t.Helper()
 	perm := RandomPerm(permSeed, prob.N())
-	twin := PermuteProblem(prob, perm)
+	twin := prob.Permute(perm)
 	o := DiffSpec{Dims: dims}.opts(cfg)
 	a := core.Train(p, hw.A6000(), prob, o, epochs)
 	b := core.Train(p, hw.A6000(), twin, o, epochs)
@@ -31,7 +31,7 @@ func CheckVertexPermutation(t testing.TB, prob *core.Problem, dims []int, epochs
 				ep, b.Epochs[ep].Loss, a.Epochs[ep].Loss, d, PermLossTol)
 		}
 	}
-	if d := tensor.MaxAbsDiff(PermuteRows(a.Logits, perm), b.Logits); d > PermLogitsTol {
+	if d := tensor.MaxAbsDiff(core.PermuteRows(a.Logits, perm), b.Logits); d > PermLogitsTol {
 		t.Fatalf("permuted logits diverge from permuted original logits: max|Δ|=%.3g > %g", d, PermLogitsTol)
 	}
 }

@@ -50,7 +50,6 @@ type overlapRun struct {
 // executor mode and captures the observables.
 func trainOverlapMode(p int, prob *core.Problem, o core.Options, epochs int, overlap bool) overlapRun {
 	o.Overlap = overlap
-	o.PinExecutor = true // the sequential leg must survive GNNRDM_OVERLAP=1
 	run := overlapRun{
 		losses:  make([][]float64, p),
 		logits:  make([]*tensor.Dense, p),

@@ -14,30 +14,25 @@ import (
 )
 
 // TestOverlapEquivalenceSweep is the overlap differential suite: all 16
-// Table IV orderings × P ∈ {1,2,4,8} × {flat, 8x4:nvlink,ib}, each
+// Table IV orderings × P ∈ {1,2,4,8} × {flat, hierarchical}, each
 // pinned for bit-identical numerics, exactly equal meters, and live
-// clocks equal to the DAG pricer on both executor paths.
+// clocks equal to the DAG pricer on both executor paths. The
+// hierarchical leg runs on topoSpecUnderTest (TOPO_SPEC, else
+// 8x4:nvlink,ib).
 func TestOverlapEquivalenceSweep(t *testing.T) {
 	prob := DefaultProblem(3, 64, 16, 4)
 	dims := []int{16, 12, 8}
-	for _, spec := range []string{"", "8x4:nvlink,ib"} {
-		var ts topo.Spec
-		if spec != "" {
-			var err error
-			if ts, err = topo.ParseSpec(spec); err != nil {
-				t.Fatal(err)
-			}
+	hier := topoSpecUnderTest(t)
+	for _, ts := range []*topo.Spec{nil, &hier} {
+		spec := "flat"
+		if ts != nil {
+			spec = ts.String()
 		}
 		for cfg := 0; cfg < costmodel.NumConfigs(len(dims)-1); cfg++ {
 			for _, p := range []int{1, 2, 4, 8} {
-				name := fmt.Sprintf("flat/cfg%02d/P%d", cfg, p)
-				if spec != "" {
-					name = fmt.Sprintf("%s/cfg%02d/P%d", spec, cfg, p)
-				}
-				cfg, p := cfg, p
-				t.Run(name, func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/cfg%02d/P%d", spec, cfg, p), func(t *testing.T) {
 					o := DiffSpec{Dims: dims}.opts(cfg)
-					if spec != "" {
+					if ts != nil {
 						o.Topology = ts.MustTopology(p)
 					}
 					cost := CheckOverlapEquivalence(t, prob, p, 2, o)

@@ -241,7 +241,7 @@ func TestSimTraceMatchesFabric(t *testing.T) {
 		for _, tp := range []*topo.Topology{nil, sp.MustTopology(p)} {
 			for _, overlap := range []bool{false, true} {
 				o := DiffSpec{Dims: []int{16, 12, 8}}.opts(cfg)
-				o.Topology, o.Overlap, o.PinExecutor = tp, overlap, true
+				o.Topology, o.Overlap = tp, overlap
 				live, virt := session(core.FabricExecutor{}, o), session(core.SimExecutor{}, o)
 				name := fmt.Sprintf("cfg%02d topo=%v overlap=%v", cfg, tp != nil, overlap)
 				for r := 0; r < p; r++ {
@@ -283,7 +283,6 @@ func TestExecutorSeam(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
 		o := DiffSpec{Dims: []int{16, 12, 8}}.opts(9)
 		o.Overlap = overlap
-		o.PinExecutor = true
 		const p, epochs = 4, 3
 		live := fabric.Train(p, hw.A6000(), prob, o, epochs)
 		fast := simx.Train(p, hw.A6000(), prob, o, epochs)
@@ -316,7 +315,6 @@ func TestSimEpochStatsMatchTrain(t *testing.T) {
 	for _, overlap := range []bool{false, true} {
 		o := DiffSpec{Dims: []int{16, 12, 8}}.opts(7)
 		o.Overlap = overlap
-		o.PinExecutor = true
 		const p, epochs = 4, 3
 		res := core.Train(p, hw.A6000(), prob, o, epochs)
 

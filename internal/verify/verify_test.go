@@ -179,7 +179,7 @@ func TestNoDeadlock(t *testing.T) {
 func TestPermuteProblemMovesEntries(t *testing.T) {
 	prob := DefaultProblem(3, 16, 4, 2)
 	perm := RandomPerm(9, prob.N())
-	twin := PermuteProblem(prob, perm)
+	twin := prob.Permute(perm)
 	if twin.A.NNZ() != prob.A.NNZ() {
 		t.Fatalf("permutation changed NNZ: %d -> %d", prob.A.NNZ(), twin.A.NNZ())
 	}
