@@ -170,7 +170,7 @@ type ScaleResult struct {
 // of all 16 configs under both executors. It grows linearly in P, so
 // the budget sequence over any ascending sweep is monotone by
 // construction; the runner fails the experiment if a cell exceeds it.
-func scaleBudget(p int) float64 { return 20 + float64(p)/64 }
+func scaleBudget(p int) float64 { return 20 + float64(float64(p)/64) }
 
 // scaleShape is the synthetic paper-scale problem the sweep prices:
 // big enough that every rank owns rows at P=65536, fixed so the sweep

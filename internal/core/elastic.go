@@ -387,7 +387,7 @@ func train(p int, model *hw.Model, prob *Problem, opts Options, epochs int, eo E
 				// serve's request spans: control-plane time reads alongside
 				// — but never interleaves with — device timelines.
 				for _, rc := range det.PerRound {
-					start := maxClock + float64(rc.Round)*cfg.Period
+					start := maxClock + float64(float64(rc.Round)*cfg.Period)
 					opts.Tracer.Emit(curP, trace.Event{
 						Class:     trace.ClassGossip,
 						Op:        "gossip-round",

@@ -207,9 +207,9 @@ func evaluate(n Network, c Config, engineExact bool) Cost {
 	var commElems, sparseUnits float64
 	spmm := func(width int) {
 		sparseUnits += float64(width)
-		commElems += bcastUnit * float64(width)
+		commElems += float64(bcastUnit * float64(width))
 	}
-	redist := func(width int) { commElems += redistUnit * float64(width) }
+	redist := func(width int) { commElems += float64(redistUnit * float64(width)) }
 	if engineExact {
 		redist = func(width int) {
 			commElems += float64(DenseExchangeBytes(n.P, int(n.N), width, dist.H, dist.G(n.RA)) / 4)

@@ -23,14 +23,14 @@ func PredictEpochTime(n Network, c Config, h *hw.Model) float64 {
 
 	// Split the modelled elements into redistribution and broadcast
 	// shares: the broadcast share is (P/RA - 1)·N per sparse unit.
-	bcastElems := float64(n.P/n.RA-1) * float64(n.N) * cost.SparseUnits
+	bcastElems := float64(float64(n.P/n.RA-1) * float64(n.N) * cost.SparseUnits)
 	redistElems := cost.CommElems - bcastElems
 
 	var comm float64
 	if redistElems > 0 {
 		steps := float64(2*n.Layers() + 2)
 		perStepInject := int64(redistElems * 4 / p / steps)
-		comm += steps * h.CollectiveTime(hw.OpAllToAll, n.P, perStepInject)
+		comm += float64(steps * h.CollectiveTime(hw.OpAllToAll, n.P, perStepInject))
 	}
 	if n.RA < n.P {
 		// One allgather per SpMM within a column group of size P/RA,
@@ -57,7 +57,7 @@ func PredictEpochTime(n Network, c Config, h *hw.Model) float64 {
 	compute := cost.SparseUnits / float64(meanWidth) * h.SpMMTime(perDevNNZ, spmmWidth)
 	rows := int(n.N / int64(n.P))
 	for l := 1; l <= n.Layers(); l++ {
-		compute += 3 * h.GemmTime(rows, n.Dims[l-1], n.Dims[l])
+		compute += float64(3 * h.GemmTime(rows, n.Dims[l-1], n.Dims[l]))
 	}
 	return comm + compute
 }

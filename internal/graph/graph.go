@@ -154,7 +154,7 @@ func SynthesizeFeatures(rng *rand.Rand, comm []int32, k, f int, signal float64) 
 			cen = centroids.Row(int(c))
 		}
 		for j := range row {
-			row[j] = float32(signal)*cen[j] + float32(1-signal)*float32(rng.NormFloat64()*0.5)
+			row[j] = float32(float32(signal)*cen[j]) + float32(float32(1-signal)*float32(rng.NormFloat64()*0.5))
 		}
 	}
 	return out

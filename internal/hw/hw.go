@@ -175,17 +175,17 @@ func (h *Model) CollectiveTime(kind CollectiveKind, p int, bytes int64) float64 
 	pf := float64(p)
 	switch kind {
 	case OpBroadcast:
-		return h.LinkLatency*math.Ceil(math.Log2(pf)) + b*(pf-1)/(pf*h.LinkBandwidth)
+		return float64(h.LinkLatency*math.Ceil(math.Log2(pf))) + b*(pf-1)/(pf*h.LinkBandwidth)
 	case OpAllGather:
-		return h.LinkLatency*(pf-1) + b*(pf-1)/(pf*h.LinkBandwidth)
+		return float64(h.LinkLatency*(pf-1)) + b*(pf-1)/(pf*h.LinkBandwidth)
 	case OpAllReduce, OpReduceScatter:
 		mult := 2.0
 		if kind == OpReduceScatter {
 			mult = 1.0
 		}
-		return mult * (h.LinkLatency*(pf-1) + b*(pf-1)/(pf*h.LinkBandwidth))
+		return mult * (float64(h.LinkLatency*(pf-1)) + b*(pf-1)/(pf*h.LinkBandwidth))
 	case OpAllToAll:
-		return h.LinkLatency*(pf-1) + b/h.LinkBandwidth
+		return float64(h.LinkLatency*(pf-1)) + b/h.LinkBandwidth
 	case OpSendRecv:
 		return h.LinkLatency + b/h.LinkBandwidth
 	}

@@ -44,8 +44,8 @@ func (a *Adam) Step(params, grads []*tensor.Dense) {
 		m, v := a.m[i], a.v[i]
 		for j := range p.Data {
 			gj := float64(g.Data[j])
-			mj := a.Beta1*float64(m.Data[j]) + (1-a.Beta1)*gj
-			vj := a.Beta2*float64(v.Data[j]) + (1-a.Beta2)*gj*gj
+			mj := float64(a.Beta1*float64(m.Data[j])) + float64((1-a.Beta1)*gj)
+			vj := float64(a.Beta2*float64(v.Data[j])) + float64((1-a.Beta2)*gj*gj)
 			m.Data[j] = float32(mj)
 			v.Data[j] = float32(vj)
 			p.Data[j] -= float32(a.LR * (mj / b1c) / (math.Sqrt(vj/b2c) + a.Eps))
@@ -154,7 +154,7 @@ func WeightedSoftmaxCrossEntropySumInto(logits *tensor.Dense, labels []int32, ma
 		}
 		logSum := math.Log(sum)
 		y := labels[i]
-		loss += inv * (logSum - float64(row[y]-maxv))
+		loss += float64(inv * (logSum - float64(row[y]-maxv)))
 		for j := range row {
 			p := exps[j] / sum
 			grow[j] = float32(p * inv)

@@ -227,22 +227,35 @@ func TestCoalesceRejectsDecreasingArrivals(t *testing.T) {
 	}
 }
 
+// Odd draws name vertices spread over [0, 1<<16) instead of [0, verts),
+// so the cache's vertex table grows while it evicts and re-inserts.
 func TestCacheMatchesListOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	reinserted := 0 // inserts of a vertex the cache had evicted
+	grown := 0      // inserts that grew the vertex table
+	regrown := 0    // re-inserts of an evicted vertex after the table grew
 	for draw := 0; draw < 300; draw++ {
 		capacity := []int{0, 1, 2, 5, 16}[rng.Intn(5)]
 		staleness := []int{0, 1, 3}[rng.Intn(3)]
 		verts := 1 + rng.Intn(12)
+		ids := make([]int32, verts)
+		spread := rand.New(rand.NewSource(int64(draw)))
+		for i := range ids {
+			ids[i] = int32(i)
+			if draw%2 == 1 {
+				ids[i] = int32(spread.Intn(1 << 16))
+			}
+		}
 		got, want := NewCache(capacity), newListCache(capacity)
 		batch := 0
 		evicted := map[int32]bool{}
+		grew := false
 		for op := 0; op < 200; op++ {
 			if rng.Intn(4) == 0 {
 				batch++
 			}
 			held := want.order()
-			v := int32(rng.Intn(verts))
+			v := ids[rng.Intn(verts)]
 			if rng.Intn(2) == 0 {
 				if g, w := got.Lookup(v, batch, staleness), want.Lookup(v, batch, staleness); g != w {
 					t.Fatalf("draw %d op %d: Lookup(%d, %d, %d) = %v, oracle %v", draw, op, v, batch, staleness, g, w)
@@ -250,15 +263,23 @@ func TestCacheMatchesListOracle(t *testing.T) {
 			} else {
 				if evicted[v] {
 					reinserted++
+					if grew {
+						regrown++
+					}
 				}
+				n := len(got.idx)
 				got.Insert(v, batch)
 				want.Insert(v, batch)
+				if len(got.idx) > n && n > 0 {
+					grown++
+					grew = true
+				}
 			}
 			if g, w := got.order(), want.order(); !reflect.DeepEqual(g, w) {
 				t.Fatalf("draw %d op %d: recency order %v, oracle %v", draw, op, g, w)
 			}
-			if len(got.m) != want.ll.Len() {
-				t.Fatalf("draw %d op %d: Len %d, oracle %d", draw, op, len(got.m), want.ll.Len())
+			if got.held != want.ll.Len() {
+				t.Fatalf("draw %d op %d: Len %d, oracle %d", draw, op, got.held, want.ll.Len())
 			}
 			for _, u := range held {
 				if _, ok := want.m[u]; !ok {
@@ -267,8 +288,10 @@ func TestCacheMatchesListOracle(t *testing.T) {
 			}
 		}
 	}
-	if reinserted == 0 {
-		t.Fatal("no draw re-inserted an evicted vertex")
+	t.Logf("%d re-inserts after eviction, %d growths, %d re-inserts after growth", reinserted, grown, regrown)
+	if reinserted == 0 || grown == 0 || regrown == 0 {
+		t.Fatalf("%d re-inserts of an evicted vertex, %d growths of a non-empty table, %d re-inserts after growth; want each > 0",
+			reinserted, grown, regrown)
 	}
 }
 

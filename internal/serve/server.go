@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"gnnrdm/internal/comm"
@@ -87,13 +88,18 @@ type Session struct {
 
 	cache *Cache
 	// The answer store: one width-float row of slab per distinct vertex
-	// ever gathered, vertex v's at row[v]. A re-gather overwrites the row
-	// in place; readers get copies.
+	// ever gathered, vertex v's at row[v]-1 (0: none yet), rows of them.
+	// A re-gather overwrites the row in place; readers get copies.
 	slab  []float32
-	row   map[int32]int32
+	row   []int32
+	rows  int
 	width int
 
-	batchIdx  int // microbatches planned so far
+	batchIdx int // microbatches planned so far
+	// seen[v] is the microbatch index + 1 of the last batch in which v
+	// missed, so planBatches tells a batch's repeats apart without
+	// clearing anything between batches or Serve calls.
+	seen      []int32
 	hits      int
 	misses    int
 	hitSeq    []byte
@@ -127,13 +133,16 @@ func NewSession(prob *core.Problem, cfg Config) *Session {
 		panic(fmt.Sprintf("serve: LayerStaleness has %d entries, model has %d layers",
 			len(cfg.LayerStaleness), cfg.layers()))
 	}
-	return &Session{
+	s := &Session{
 		prob:  prob,
 		cfg:   cfg,
 		cache: NewCache(cfg.CacheCap),
-		row:   make(map[int32]int32),
+		row:   make([]int32, prob.N()),
+		seen:  make([]int32, prob.N()),
 		width: cfg.Dims[cfg.layers()],
 	}
+	s.cache.reserve(prob.N())
+	return s
 }
 
 // batchPlan is the host-side decision record for one microbatch: which
@@ -326,22 +335,27 @@ func (s *Session) planBatches(batches []Batch, L, nq int) []batchPlan {
 	// Every miss list is a window of one array, which never regrows: a
 	// stream has at most nq misses.
 	misses := make([]int32, 0, nq)
-	seen := make(map[int32]bool) // this batch's misses so far
 	s.hitSeq = slices.Grow(s.hitSeq, nq)
 	for i, b := range batches {
 		bp := &plans[i]
 		*bp = batchPlan{batch: b, fromLayer: -1}
-		clear(seen)
+		// This batch's stamp in s.seen. Stamps wrap only after 2^31-1
+		// batches; the table is cleared then (and on a new session's
+		// first batch, where it is already zero).
+		mark := int32(s.batchIdx%math.MaxInt32) + 1
+		if mark == 1 {
+			clear(s.seen)
+		}
 		lo := len(misses)
 		for _, q := range b.Queries {
 			switch {
 			// A repeat within the batch is answered by the row its first
 			// occurrence gathers, without asking the cache.
-			case seen[q.Vertex] || s.cache.Lookup(q.Vertex, s.batchIdx, cfg.Staleness):
+			case s.seen[q.Vertex] == mark || s.cache.Lookup(q.Vertex, s.batchIdx, cfg.Staleness):
 				bp.hitRows++
 				s.hitSeq = append(s.hitSeq, '1')
 			default:
-				seen[q.Vertex] = true
+				s.seen[q.Vertex] = mark
 				misses = append(misses, q.Vertex)
 				s.hitSeq = append(s.hitSeq, '0')
 			}
@@ -408,12 +422,13 @@ func (s *Session) Predicted() plan.Traffic { return s.predicted }
 func (s *Session) HitMiss() string { return string(s.hitSeq) }
 
 // Answer returns a copy of the served final-layer embedding of v (nil
-// if v was never queried).
+// if v was never queried, or names no vertex of the graph).
 func (s *Session) Answer(v int32) []float32 {
-	if i, ok := s.row[v]; ok {
-		return slices.Clone(s.slab[int(i)*s.width : int(i+1)*s.width])
+	if uint(v) >= uint(len(s.row)) || s.row[v] == 0 { // negative ids wrap past the end
+		return nil
 	}
-	return nil
+	i := int(s.row[v]) - 1
+	return slices.Clone(s.slab[i*s.width : (i+1)*s.width])
 }
 
 // reserveRows gives every vertex the plans will gather for the first
@@ -422,12 +437,13 @@ func (s *Session) Answer(v int32) []float32 {
 func (s *Session) reserveRows(plans []batchPlan) {
 	for i := range plans {
 		for _, v := range plans[i].missVerts {
-			if _, ok := s.row[v]; !ok {
-				s.row[v] = int32(len(s.row))
+			if s.row[v] == 0 {
+				s.rows++
+				s.row[v] = int32(s.rows)
 			}
 		}
 	}
-	if n := len(s.row) * s.width; n > len(s.slab) {
+	if n := s.rows * s.width; n > len(s.slab) {
 		slab := make([]float32, n)
 		copy(slab, s.slab)
 		s.slab = slab
@@ -437,9 +453,9 @@ func (s *Session) reserveRows(plans []batchPlan) {
 // storeRow returns v's row of the store for overwriting; reserveRows
 // gave it one before the plans ran.
 func (s *Session) storeRow(v int32) []float32 {
-	i, ok := s.row[v]
-	if !ok {
+	i := int(s.row[v]) - 1
+	if i < 0 {
 		panic(fmt.Sprintf("serve: vertex %d gathered without a reserved store row", v))
 	}
-	return s.slab[int(i)*s.width : int(i+1)*s.width]
+	return s.slab[i*s.width : (i+1)*s.width]
 }

@@ -62,21 +62,21 @@ func TestStoreRegatherOverwritesRow(t *testing.T) {
 	if got := s.HitMiss(); got != "0000" {
 		t.Fatalf("hit/miss %q, want every query a miss", got)
 	}
-	if len(s.row) != 3 || len(s.slab) != 3*4 {
-		t.Fatalf("%d rows over %d floats for 3 distinct vertices of width 4", len(s.row), len(s.slab))
+	if s.rows != 3 || len(s.slab) != 3*4 {
+		t.Fatalf("%d rows over %d floats for 3 distinct vertices of width 4", s.rows, len(s.slab))
 	}
 
 	// Poison 3's row, then gather it once more in a new world: the row must
 	// be overwritten where it is, with what a fresh session serves.
-	at := s.row[3]
+	at := int(s.row[3]) - 1
 	nan := float32(math.NaN())
-	for i := range s.slab[int(at)*4 : int(at)*4+4] {
-		s.slab[int(at)*4+i] = nan
+	for i := range s.slab[at*4 : at*4+4] {
+		s.slab[at*4+i] = nan
 	}
 	s.Serve(4, stream(1, 3))
-	if s.row[3] != at || len(s.row) != 3 || len(s.slab) != 3*4 {
+	if int(s.row[3])-1 != at || s.rows != 3 || len(s.slab) != 3*4 {
 		t.Fatalf("re-gather moved or added a row: vertex 3 at row %d (was %d), %d rows, %d floats",
-			s.row[3], at, len(s.row), len(s.slab))
+			s.row[3]-1, at, s.rows, len(s.slab))
 	}
 	fresh := NewSession(prob, storeConfig())
 	fresh.Serve(4, stream(1, 3))
@@ -91,9 +91,9 @@ func TestStoreGrowsToExactRows(t *testing.T) {
 	s := NewSession(storeProblem(), storeConfig())
 	for i, vs := range [][]int32{{3, 7, 3, 9, 11, 12, 13}, {3, 20, 21, 22}} {
 		s.Serve(2, stream(float64(i), vs...))
-		if want := len(s.row) * s.width; len(s.slab) != want || cap(s.slab) != want {
+		if want := s.rows * s.width; len(s.slab) != want || cap(s.slab) != want {
 			t.Fatalf("serve %d: slab len %d cap %d, want both %d (%d rows of %d)",
-				i, len(s.slab), cap(s.slab), want, len(s.row), s.width)
+				i, len(s.slab), cap(s.slab), want, s.rows, s.width)
 		}
 	}
 }

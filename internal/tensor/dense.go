@@ -74,7 +74,7 @@ func (m *Dense) Bytes() int64 { return int64(len(m.Data)) * 4 }
 // Randomize fills m with uniform values in [-scale, scale) drawn from rng.
 func (m *Dense) Randomize(rng *rand.Rand, scale float64) {
 	for i := range m.Data {
-		m.Data[i] = float32((rng.Float64()*2 - 1) * scale)
+		m.Data[i] = float32((float64(rng.Float64())*2 - 1) * scale)
 	}
 }
 

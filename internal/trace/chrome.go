@@ -124,7 +124,7 @@ func WriteChrome(w io.Writer, t *Tracer) error {
 				})
 			}
 			for _, ev := range sess.Events(r) {
-				dur := usec(ev.End) - usec(ev.Start)
+				dur := float64(usec(ev.End)) - float64(usec(ev.Start))
 				ce := chromeEvent{
 					Name: ev.Op, Cat: ev.Class.String(), Ph: "X",
 					Ts: usec(ev.Start), Dur: &dur, Pid: pid, Tid: ev.Track*rankCount + r,
