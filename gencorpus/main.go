@@ -460,6 +460,28 @@ func main() {
 	write(ac, "seed-empty", append([]string{bs(nil)}, bytesArgs(7, 1)...)...)
 	write(ac, "seed-decreasing", append([]string{bs([]byte{0, 40, 255, 3})}, bytesArgs(3, 1)...)...)
 
+	// internal/serve: Report's radix selection against the sort oracle.
+	// A latency log is 8 bytes per float64, little-endian.
+	f64s := func(xs ...float64) string {
+		var data []byte
+		for _, x := range xs {
+			data = binary.LittleEndian.AppendUint64(data, math.Float64bits(x))
+		}
+		return bs(data)
+	}
+	var clustered []float64 // serve-like: 2e-3 plus a few steps, with ties
+	for i := 0; i < 40; i++ {
+		clustered = append(clustered, 2e-3+float64(float64(i%7)*1.25e-4)+float64(float64(i%3)*1e-9))
+	}
+	pc := "internal/serve/testdata/fuzz/FuzzPercentiles"
+	write(pc, "seed-clustered", f64s(clustered...))
+	write(pc, "seed-specials", f64s(math.NaN(), 1, math.Inf(-1), math.Copysign(0, -1), 0, math.Inf(1),
+		5e-324, -5e-324, math.Float64frombits(0x7ff0000000000001), -2.5e6, 3))
+	write(pc, "seed-zeros", f64s(0, math.Copysign(0, -1), 0, math.Copysign(0, -1), 1, -1))
+	write(pc, "seed-one", f64s(2.5e-3))
+	write(pc, "seed-equal", f64s(1e-3, 1e-3, 1e-3, 1e-3, 1e-3))
+	write(pc, "seed-wide", f64s(1e-300, 1e300, -1e300, 7e-3, 2e-3, 1e-3, 9e-3, 4e-3))
+
 	// internal/bench: the rdmbench scale sweep grammar
 	// (P[@topoSpec|@flat], ";"-separated).
 	sc := "internal/bench/testdata/fuzz/FuzzScaleSpec"

@@ -66,7 +66,7 @@ func synthFeatures(rng *rand.Rand, labels []int32, k, f int) *Dense {
 	x := &Dense{Rows: len(labels), Cols: f, Data: make([]float32, len(labels)*f)}
 	for i, c := range labels {
 		for j := 0; j < f; j++ {
-			x.Data[i*f+j] = centroids[c][j] + float32(rng.NormFloat64())*0.2
+			x.Data[i*f+j] = centroids[c][j] + float32(float32(rng.NormFloat64())*0.2)
 		}
 	}
 	return x

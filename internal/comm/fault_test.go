@@ -363,12 +363,12 @@ func TestComputeSlowdownStretchesKernels(t *testing.T) {
 	base := d.Clock()
 	d.SetComputeSlowdown(2.5)
 	d.ChargeGemm(64, 64, 64)
-	if got, want := d.Clock()-base, 2.5*base; !close64(got, want) {
+	if got, want := d.Clock()-base, float64(2.5*base); !close64(got, want) {
 		t.Fatalf("straggler gemm took %g, want %g", got, want)
 	}
 	d.SetComputeSlowdown(1) // clears
 	d.ChargeGemm(64, 64, 64)
-	if got := d.Clock() - base - 2.5*base; !close64(got, base) {
+	if got := d.Clock() - base - float64(2.5*base); !close64(got, base) {
 		t.Fatalf("cleared straggler gemm took %g, want %g", got, base)
 	}
 }

@@ -213,11 +213,11 @@ func TestRAReplicationCost(t *testing.T) {
 	full := Evaluate(base, cfg)
 	repl := Evaluate(half, cfg)
 	// ID 10 comm = 4 redistributions of f_h and 4 SpMMs of width f_h.
-	wantFull := 4.0 * 128 * float64(base.N) * 7 / 8
+	wantFull := float64(4.0 * 128 * float64(base.N) * 7 / 8)
 	if math.Abs(full.CommElems-wantFull) > 1e-6 {
 		t.Fatalf("full replication comm %v want %v", full.CommElems, wantFull)
 	}
-	wantRepl := 4.0*128*float64(base.N)*3/4 + 4.0*128*float64(base.N)*1
+	wantRepl := float64(4.0*128*float64(base.N)*3/4) + float64(4.0*128*float64(base.N)*1)
 	if math.Abs(repl.CommElems-wantRepl) > 1e-6 {
 		t.Fatalf("RA=4 comm %v want %v", repl.CommElems, wantRepl)
 	}

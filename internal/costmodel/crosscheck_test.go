@@ -41,7 +41,7 @@ func TestEngineModelElisionFunnel(t *testing.T) {
 		fin := fh + 1 + rng.Intn(200)
 		ras := []int{1, 2, 4, 8}
 		n := costmodel.Network{Dims: []int{fin, fh, fout}, N: 4096, NNZ: 50000, P: 8, RA: ras[rng.Intn(len(ras))]}
-		redistUnit := float64(n.RA-1) / float64(n.RA) * float64(n.N)
+		redistUnit := float64(float64(n.RA-1) / float64(n.RA) * float64(n.N))
 		for id := 0; id < costmodel.NumConfigs(2); id++ {
 			c := costmodel.ConfigFromID(id, 2)
 			paper := costmodel.Evaluate(n, c)
@@ -70,7 +70,7 @@ func TestEngineModelElisionBounds(t *testing.T) {
 	for trial := 0; trial < 40; trial++ {
 		dims := []int{1 + rng.Intn(500), 1 + rng.Intn(500), 1 + rng.Intn(500)}
 		n := costmodel.Network{Dims: dims, N: 4096, NNZ: 50000, P: 8, RA: 4}
-		redistUnit := float64(n.RA-1) / float64(n.RA) * float64(n.N)
+		redistUnit := float64(float64(n.RA-1) / float64(n.RA) * float64(n.N))
 		for id := 0; id < costmodel.NumConfigs(2); id++ {
 			c := costmodel.ConfigFromID(id, 2)
 			paper := costmodel.Evaluate(n, c)

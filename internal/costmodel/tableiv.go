@@ -31,7 +31,9 @@ type TableIVRow struct {
 var KnownTableIVErrata = []int{13, 15}
 
 // TableIV returns the 16 literal rows of the paper's Table IV (IDs 0-15),
-// as printed — including the two errata rows, unmodified.
+// as printed — including the two errata rows, unmodified. Each product
+// that feeds a sum is rounded on its own (float64(…)) so that no
+// architecture fuses it; a doubling compiles to an add and needs none.
 func TableIV() []TableIVRow {
 	mn := func(a, b float64) float64 {
 		if a < b {
@@ -41,32 +43,32 @@ func TableIV() []TableIVRow {
 	}
 	return []TableIVRow{
 		{0,
-			func(a, b, c float64) float64 { return a + 4*b + 2*c },
+			func(a, b, c float64) float64 { return a + float64(4*b) + 2*c },
 			func(a, b, c float64) float64 { return a + 2*b + c }},
 		{1,
-			func(a, b, c float64) float64 { return a + 2*b + 4*c },
+			func(a, b, c float64) float64 { return a + 2*b + float64(4*c) },
 			func(a, b, c float64) float64 { return a + b + 2*c }},
 		{2,
-			func(a, b, c float64) float64 { return 4*b + 2*c },
-			func(a, b, c float64) float64 { return 3*b + c }},
+			func(a, b, c float64) float64 { return float64(4*b) + 2*c },
+			func(a, b, c float64) float64 { return float64(3*b) + c }},
 		{3,
-			func(a, b, c float64) float64 { return 4*b + 4*c },
+			func(a, b, c float64) float64 { return float64(4*b) + float64(4*c) },
 			func(a, b, c float64) float64 { return 2*b + 2*c }},
 		{4,
 			func(a, b, c float64) float64 { return 2*a + 2*b + 2*c },
 			func(a, b, c float64) float64 { return 2*a + b + c }},
 		{5,
-			func(a, b, c float64) float64 { return 2*a + 4*c },
+			func(a, b, c float64) float64 { return 2*a + float64(4*c) },
 			func(a, b, c float64) float64 { return 2*a + 2*c }},
 		{6,
 			func(a, b, c float64) float64 { return a + 2*b + 2*c + 2*mn(a, b) },
 			func(a, b, c float64) float64 { return a + 2*b + c + mn(a, b) }},
 		{7,
-			func(a, b, c float64) float64 { return a + 2*b + 4*c + 2*mn(a, b) },
+			func(a, b, c float64) float64 { return a + 2*b + float64(4*c) + 2*mn(a, b) },
 			func(a, b, c float64) float64 { return a + b + 2*c + mn(a, b) }},
 		{8,
-			func(a, b, c float64) float64 { return a + 4*b },
-			func(a, b, c float64) float64 { return a + 3*b }},
+			func(a, b, c float64) float64 { return a + float64(4*b) },
+			func(a, b, c float64) float64 { return a + float64(3*b) }},
 		{9,
 			func(a, b, c float64) float64 { return a + 2*b + 2*c + 2*mn(b, c) },
 			func(a, b, c float64) float64 { return a + 2*b + c + mn(b, c) }},
@@ -74,19 +76,19 @@ func TableIV() []TableIVRow {
 			func(a, b, c float64) float64 { return 4 * b },
 			func(a, b, c float64) float64 { return 4 * b }},
 		{11,
-			func(a, b, c float64) float64 { return 4*b + 2*c + 2*mn(b, c) },
-			func(a, b, c float64) float64 { return 3*b + c + mn(b, c) }},
+			func(a, b, c float64) float64 { return float64(4*b) + 2*c + 2*mn(b, c) },
+			func(a, b, c float64) float64 { return float64(3*b) + c + mn(b, c) }},
 		{12,
-			func(a, b, c float64) float64 { return 2*a + 4*b },
+			func(a, b, c float64) float64 { return 2*a + float64(4*b) },
 			func(a, b, c float64) float64 { return 2*a + 2*b }},
 		{13, // erratum: printed comm duplicates ID 9's
 			func(a, b, c float64) float64 { return a + 2*b + 2*c + 2*mn(b, c) },
 			func(a, b, c float64) float64 { return 2*a + b + c + mn(b, c) }},
 		{14,
-			func(a, b, c float64) float64 { return a + 4*b + 2*mn(a, b) },
-			func(a, b, c float64) float64 { return a + 3*b + mn(a, b) }},
+			func(a, b, c float64) float64 { return a + float64(4*b) + 2*mn(a, b) },
+			func(a, b, c float64) float64 { return a + float64(3*b) + mn(a, b) }},
 		{15, // erratum: inconsistent with sibling all-dense rows
-			func(a, b, c float64) float64 { return a + 4*b + 3*c + 2*mn(b, c) + 2*mn(a, b) },
-			func(a, b, c float64) float64 { return 4*b + 3*c + mn(b, c) + mn(a, b) }},
+			func(a, b, c float64) float64 { return a + float64(4*b) + float64(3*c) + 2*mn(b, c) + 2*mn(a, b) },
+			func(a, b, c float64) float64 { return float64(4*b) + float64(3*c) + mn(b, c) + mn(a, b) }},
 	}
 }

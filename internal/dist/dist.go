@@ -431,12 +431,17 @@ func gridPJ(l Layout, p int) int {
 }
 
 // narrowRow is the row width, in floats, below which copyBlock moves a
-// strided row element by element: a memmove call per 4–8 bytes is what
-// held regrid under 1 GB/s. Picked with BenchmarkRegrid (-cpu 1,2, into a
-// retained tile): on train-redist's rows of 2 and 1 floats the loop takes
-// 5.3 and 2.9 ms per call where copy-per-row takes 7.9 and 6.2; on
-// train-gemm's rows of 16 it takes 4.1 ms where copy takes 2.1. Timed
-// alone at widths 1–32 the two tie at 4 floats and copy wins from 6.
+// strided row by a fixed-width form of its own (a memmove call per 4–12
+// bytes is what held regrid under 1 GB/s): each form reslices both rows
+// to their exact width, so no element is bounds-checked. Timed with
+// BenchmarkRegrid (-cpu 1, into a retained tile), train-redist's calls
+// at rows of 2 floats take 2.71 ms H->V and 3.14 ms V->H, and at rows
+// of 1 float 1.39 and 1.44 ms, where an element loop with two checks
+// per float took 3.80, 3.59, 2.11 and 2.05. Timed alone over 196608
+// rows from stride 16 into packed rows, the forms take 0.10, 0.41 and
+// 0.43 ms at widths 1, 2 and 3, that loop 0.20, 0.46 and 0.51, copy per
+// row 0.46, 0.59 and 0.62; at 4 floats copy per row is ahead of the
+// loop, and further ahead from there.
 const narrowRow = 4
 
 // copyBlock copies an h x w block between row-major buffers: row i
@@ -445,16 +450,23 @@ func copyBlock(dst []float32, ds int, src []float32, ss int, h, w int) {
 	switch {
 	case ds == w && ss == w:
 		copy(dst[:h*w], src[:h*w])
-	case w < narrowRow:
-		for i := 0; i < h; i++ {
-			d, s := i*ds, i*ss
-			for j := 0; j < w; j++ {
-				dst[d+j] = src[s+j]
-			}
-		}
-	default:
+	case w >= narrowRow:
 		for i := 0; i < h; i++ {
 			copy(dst[i*ds:i*ds+w], src[i*ss:i*ss+w])
+		}
+	case w == 3:
+		for i := 0; i < h; i++ {
+			d, s := dst[i*ds:i*ds+3:i*ds+3], src[i*ss:i*ss+3:i*ss+3]
+			d[0], d[1], d[2] = s[0], s[1], s[2]
+		}
+	case w == 2:
+		for i := 0; i < h; i++ {
+			d, s := dst[i*ds:i*ds+2:i*ds+2], src[i*ss:i*ss+2:i*ss+2]
+			d[0], d[1] = s[0], s[1]
+		}
+	case w == 1:
+		for i := 0; i < h; i++ {
+			dst[i*ds] = src[i*ss]
 		}
 	}
 }

@@ -355,30 +355,37 @@ func compareObserved(t *testing.T, name string, p int, mode oldMode, want, got o
 	}
 }
 
-// The strided block copy at every width either side of narrowRow, with
-// both strides offset from the width, against the obvious double loop;
-// the bytes around the block must not move.
+// The strided block copy at every width either side of narrowRow (its
+// fixed-width forms and copy per row), h = 0 included, with both strides
+// offset from the width, against the obvious double loop, in raw bits:
+// NaN payloads (quiet and signalling, either sign), -0 and ±Inf must
+// arrive unchanged, and the words around the block must not move.
 func TestCopyBlockWidths(t *testing.T) {
+	pattern := []uint32{
+		0x7fc00001, 0xffa00003, 0x7f800001, 0x80000000, 0x7f800000, 0xff800000,
+		0x00000001, 0x3f800000, 0xc0490fdb, 0x00000000,
+	}
+	const untouched = 0x7fbadbad // a signalling NaN no source word holds
 	for w := 1; w <= 9; w++ {
-		for _, h := range []int{1, 2, 5} {
+		for _, h := range []int{0, 1, 2, 5} {
 			for _, strides := range [][2]int{{w, w}, {w, w + 3}, {w + 2, w}, {w + 1, w + 4}} {
 				ds, ss := strides[0], strides[1]
 				src := make([]float32, h*ss+2)
 				for i := range src {
-					src[i] = float32(i + 1)
+					src[i] = math.Float32frombits(pattern[i%len(pattern)])
 				}
 				dst := make([]float32, h*ds+2)
 				for i := range dst {
-					dst[i] = -1
+					dst[i] = math.Float32frombits(untouched)
 				}
 				copyBlock(dst[1:], ds, src[1:], ss, h, w)
 				for i := range dst {
-					want := float32(-1)
+					want := uint32(untouched)
 					if at := i - 1; at >= 0 && at/ds < h && at%ds < w {
-						want = src[1+(at/ds)*ss+at%ds]
+						want = math.Float32bits(src[1+(at/ds)*ss+at%ds])
 					}
-					if dst[i] != want {
-						t.Fatalf("w=%d h=%d ds=%d ss=%d: dst[%d] = %v, want %v", w, h, ds, ss, i, dst[i], want)
+					if got := math.Float32bits(dst[i]); got != want {
+						t.Fatalf("w=%d h=%d ds=%d ss=%d: dst[%d] = %08x, want %08x", w, h, ds, ss, i, got, want)
 					}
 				}
 			}

@@ -241,11 +241,11 @@ func RandomSchedule(seed int64, p, epochs int) *Schedule {
 	victim := func() int { return perm[nCrash+rng.Intn(p-nCrash)] }
 	if rng.Intn(2) == 0 {
 		s.Events = append(s.Events, Event{Kind: Slow, Rank: victim(), Epoch: -1,
-			Factor: 1.25 + rng.Float64()})
+			Factor: 1.25 + float64(rng.Float64())})
 	}
 	if rng.Intn(2) == 0 {
 		s.Events = append(s.Events, Event{Kind: Degrade, Rank: victim(), Epoch: -1,
-			Alpha: 1 + rng.Float64()*3, Beta: 1 + rng.Float64()*3})
+			Alpha: 1 + float64(rng.Float64()*3), Beta: 1 + float64(rng.Float64()*3)})
 	}
 	if rng.Intn(2) == 0 {
 		s.Events = append(s.Events, Event{Kind: Flip, Rank: victim(), Epoch: rng.Intn(epochs)})

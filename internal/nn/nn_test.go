@@ -177,7 +177,7 @@ func TestTrainingLoopDecreasesLoss(t *testing.T) {
 			if j%k == int(labels[i]) {
 				base = 2
 			}
-			x.Set(i, j, base+float32(rng.NormFloat64())*0.3)
+			x.Set(i, j, base+float32(float32(rng.NormFloat64())*0.3))
 		}
 	}
 	w := tensor.NewDense(f, k)
@@ -248,7 +248,7 @@ func TestWeightedLossMatchesManualScaling(t *testing.T) {
 	var manual float64
 	for i := range labels {
 		s, g, _ := SoftmaxCrossEntropySum(logits.RowSlice(i, i+1), labels[i:i+1], nil)
-		manual += s * float64(weights[i])
+		manual += float64(s * float64(weights[i]))
 		_ = g
 	}
 	if math.Abs(sum-manual) > 1e-6 {
@@ -312,7 +312,7 @@ func TestSoftmaxCrossEntropyMatchesTwoExpForm(t *testing.T) {
 			for _, v := range row {
 				sum += math.Exp(float64(v - maxv))
 			}
-			wantLoss += inv * (math.Log(sum) - float64(row[labels[i]]-maxv))
+			wantLoss += float64(inv * (math.Log(sum) - float64(row[labels[i]]-maxv)))
 			for j := range row {
 				wantGrad.Row(i)[j] = float32(math.Exp(float64(row[j]-maxv)) / sum * inv)
 			}

@@ -1,6 +1,10 @@
 package serve
 
-import "testing"
+import (
+	"encoding/binary"
+	"math"
+	"testing"
+)
 
 // FuzzTrafficSpec drives the traffic grammar's Parse/String fixed
 // point: any spec Parse accepts must re-render to a string Parse
@@ -86,5 +90,30 @@ func FuzzCoalesce(f *testing.F) {
 		if at != len(qs) {
 			t.Fatalf("batches cover %d of %d queries", at, len(qs))
 		}
+	})
+}
+
+// latenciesOf decodes a fuzzed latency log: each 8 bytes are one
+// float64's bits, little-endian; a trailing partial word is dropped.
+func latenciesOf(data []byte) []float64 {
+	xs := make([]float64, len(data)/8)
+	for i := range xs {
+		xs[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+	}
+	return xs
+}
+
+// FuzzPercentiles pins Report's radix selection to the sort oracle on
+// arbitrary bit patterns: the left-to-right mean bit for bit, the
+// nearest-rank p50 and p99 by value (or both NaN), the log unreordered.
+// Seeds (gencorpus): clustered serve-like latencies with ties, ±0,
+// NaNs, ±Inf and subnormals, one value, all values equal.
+func FuzzPercentiles(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		xs := latenciesOf(data)
+		if len(xs) == 0 {
+			return
+		}
+		checkSummary(t, new(selector), xs)
 	})
 }

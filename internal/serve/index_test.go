@@ -124,7 +124,7 @@ func TestServeDuplicatesWithinAndAcrossBatches(t *testing.T) {
 			// it coalesces no repeat.
 			for _, call := range calls {
 				for i, q := range call.queries {
-					ref.Serve(call.p, at(call.queries[0].Arrival+float64(i+1)*0.1, q.Vertex))
+					ref.Serve(call.p, at(call.queries[0].Arrival+float64(float64(i+1)*0.1), q.Vertex))
 				}
 			}
 			for _, call := range calls {

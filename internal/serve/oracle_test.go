@@ -295,31 +295,94 @@ func TestCacheMatchesListOracle(t *testing.T) {
 	}
 }
 
+// checkSummary compares summarize on xs with the sort oracle: the mean
+// bit for bit with a left-to-right sum, p50 and p99 by value (so -0 and
+// +0, which a sort leaves in either order, match; equal non-zero floats
+// have equal bits), any of them NaN where the oracle's is (a NaN's
+// payload follows operand order, which the compiler picks) — and xs
+// must come back unreordered.
+func checkSummary(t *testing.T, sel *selector, xs []float64) {
+	t.Helper()
+	before := append([]float64(nil), xs...)
+	mean, p50, p99 := sel.summarize(xs)
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	if want := sum / float64(len(xs)); math.Float64bits(mean) != math.Float64bits(want) && !(math.IsNaN(mean) && math.IsNaN(want)) {
+		t.Fatalf("n=%d: mean %v (%016x), left-to-right sum gives %v (%016x)",
+			len(xs), mean, math.Float64bits(mean), want, math.Float64bits(want))
+	}
+	for _, c := range []struct {
+		q        float64
+		got, ref float64
+	}{{0.50, p50, percentile(xs, 0.50)}, {0.99, p99, percentile(xs, 0.99)}} {
+		if c.got != c.ref && !(math.IsNaN(c.got) && math.IsNaN(c.ref)) {
+			t.Fatalf("n=%d: q=%v selected %v, sort oracle %v", len(xs), c.q, c.got, c.ref)
+		}
+	}
+	for i := range xs {
+		if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
+			t.Fatalf("n=%d: summarize reordered its input", len(xs))
+		}
+	}
+}
+
+// The draws rotate through four shapes: small alphabets with NaNs (long
+// runs of ties); wide-range values (normal x 1e6, negatives, ±Inf,
+// subnormals, NaN); +0 mixed with -0 among a few values; and clustered
+// serve-like latencies 2e-3 + U·1e-3 with repeats, at n up to 2^14. One
+// selector serves every draw, as one session's Reports share it.
 func TestPercentilesMatchSortOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for draw := 0; draw < 300; draw++ {
-		xs := make([]float64, 1+rng.Intn(300))
-		distinct := 1 + rng.Intn(20) // small alphabets make long runs of ties
-		for i := range xs {
-			xs[i] = float64(rng.Intn(distinct)) * 0.25
-			if rng.Intn(50) == 0 {
-				xs[i] = math.NaN()
+	var sel selector
+	special := []float64{math.Inf(1), math.Inf(-1), math.NaN(), math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64}
+	for draw := 0; draw < 400; draw++ {
+		var xs []float64
+		switch draw % 4 {
+		case 0:
+			xs = make([]float64, 1+rng.Intn(300))
+			distinct := 1 + rng.Intn(20) // small alphabets make long runs of ties
+			for i := range xs {
+				xs[i] = float64(rng.Intn(distinct)) * 0.25
+				if rng.Intn(50) == 0 {
+					xs[i] = math.NaN()
+				}
+			}
+		case 1:
+			xs = make([]float64, 1+rng.Intn(1000))
+			for i := range xs {
+				switch rng.Intn(8) {
+				case 0:
+					xs[i] = special[rng.Intn(len(special))]
+				case 1:
+					xs[i] = math.Float64frombits(rng.Uint64() & (1<<52 - 1)) // subnormal or zero
+				default:
+					xs[i] = rng.NormFloat64() * 1e6
+				}
+			}
+		case 2:
+			xs = make([]float64, 1+rng.Intn(200))
+			for i := range xs {
+				switch rng.Intn(4) {
+				case 0:
+					xs[i] = math.Copysign(0, -1)
+				case 1:
+					xs[i] = 0
+				default:
+					xs[i] = float64(rng.Intn(5) - 2)
+				}
+			}
+		case 3:
+			xs = make([]float64, 1+rng.Intn(1<<14))
+			for i := range xs {
+				if i > 0 && rng.Intn(4) == 0 {
+					xs[i] = xs[rng.Intn(i)]
+				} else {
+					xs[i] = 2e-3 + float64(rng.Float64()*1e-3)
+				}
 			}
 		}
-		before := append([]float64(nil), xs...)
-		p50, p99 := percentiles(xs)
-		for _, c := range []struct {
-			q        float64
-			got, ref float64
-		}{{0.50, p50, percentile(xs, 0.50)}, {0.99, p99, percentile(xs, 0.99)}} {
-			if math.Float64bits(c.got) != math.Float64bits(c.ref) && !(math.IsNaN(c.got) && math.IsNaN(c.ref)) {
-				t.Fatalf("draw %d (n=%d): q=%v selected %v, sort oracle %v", draw, len(xs), c.q, c.got, c.ref)
-			}
-		}
-		for i := range xs {
-			if math.Float64bits(xs[i]) != math.Float64bits(before[i]) {
-				t.Fatalf("draw %d: percentiles reordered its input", draw)
-			}
-		}
+		checkSummary(t, &sel, xs)
 	}
 }

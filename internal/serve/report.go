@@ -1,9 +1,8 @@
 package serve
 
 import (
-	"cmp"
 	"math"
-	"slices"
+	"math/bits"
 
 	"gnnrdm/internal/comm"
 	"gnnrdm/internal/core"
@@ -46,46 +45,146 @@ type Report struct {
 	PredTime      float64 `json:"pred_time"`
 }
 
-// percentiles returns the nearest-rank p50 and p99 of a non-empty xs:
-// the elements a sort would put at those ranks, selected in one scratch
-// copy — the p99 first, then the p50 below it.
-func percentiles(xs []float64) (p50, p99 float64) {
-	s := slices.Clone(xs)
-	rank := func(q float64) int { return max(int(math.Ceil(q*float64(len(s))))-1, 0) }
-	k99 := rank(0.99)
-	p99 = nth(s, k99)
-	return nth(s[:k99+1], rank(0.50)), p99
+// digitBits is the width of one radix digit of the latency selection:
+// a 2^11-bucket histogram stays in L1. Serve's latencies share sign,
+// exponent and leading mantissa bits, so the digit just below the common
+// prefix of the smallest and largest key spreads them over the buckets.
+const (
+	digitBits = 11
+	digitMask = 1<<digitBits - 1
+)
+
+// selector is Report's reusable scratch for exact percentile selection:
+// a digit histogram and the candidate keys of the target buckets.
+type selector struct {
+	hist []int
+	cand []uint64
 }
 
-// nth returns the element a sort of s would put at index k (NaN first,
-// as sort.Float64s orders), leaving nothing greater before it and
-// nothing smaller after it: quickselect with a three-way partition, so
-// runs of equal values cost one pass.
-func nth(s []float64, k int) float64 {
+// orderKey maps x to a key whose unsigned order is sort.Float64s' order:
+// every NaN first (key 0), then -Inf < … < -0 < +0 < … < +Inf.
+func orderKey(x float64) uint64 {
+	if x != x {
+		return 0
+	}
+	b := math.Float64bits(x)
+	return b ^ (uint64(int64(b)>>63) | 1<<63)
+}
+
+// fromKey inverts orderKey (key 0 gives a NaN).
+func fromKey(k uint64) float64 {
+	return math.Float64frombits(k ^ (uint64(int64(^k)>>63) | 1<<63))
+}
+
+// digitShift is the shift that puts the digitBits bits just below the
+// common prefix of lo < hi (and of every key between them) at the bottom.
+func digitShift(lo, hi uint64) uint {
+	return uint(max(bits.Len64(lo^hi)-digitBits, 0))
+}
+
+// histogram returns the cleared histogram.
+func (sel *selector) histogram() []int {
+	if sel.hist == nil {
+		sel.hist = make([]int, 1<<digitBits)
+	}
+	clear(sel.hist)
+	return sel.hist
+}
+
+// bucketOf returns the bucket holding rank k of a histogram and k's rank
+// within it.
+func bucketOf(hist []int, k int) (b uint64, r int) {
+	for b, c := range hist {
+		if k < c {
+			return uint64(b), k
+		}
+		k -= c
+	}
+	panic("serve: rank past the histogram")
+}
+
+// summarize returns the mean (summed left to right) and the nearest-rank
+// p50 and p99 of a non-empty xs: the elements a sort would put at those
+// ranks (NaN first, as sort.Float64s orders). It reads xs in place and
+// never reorders it: one pass sums and finds the extreme keys, one builds
+// the histogram of the digit below their common prefix, one collects the
+// keys of the two target buckets, and selectKey refines those.
+func (sel *selector) summarize(xs []float64) (mean, p50, p99 float64) {
+	n := len(xs)
+	var sum float64
+	lo, hi := ^uint64(0), uint64(0)
+	for _, x := range xs {
+		sum += x
+		k := orderKey(x)
+		lo, hi = min(lo, k), max(hi, k)
+	}
+	mean = sum / float64(n)
+	if lo == hi {
+		return mean, fromKey(lo), fromKey(lo)
+	}
+	rank := func(q float64) int { return max(int(math.Ceil(q*float64(n)))-1, 0) }
+	shift := digitShift(lo, hi)
+	hist := sel.histogram()
+	for _, x := range xs {
+		hist[orderKey(x)>>shift&digitMask]++
+	}
+	b50, r50 := bucketOf(hist, rank(0.50))
+	b99, r99 := bucketOf(hist, rank(0.99))
+	n50, n99 := hist[b50], hist[b99]
+	if b99 == b50 {
+		n99 = 0
+	}
+	if cap(sel.cand) < n50+n99 {
+		sel.cand = make([]uint64, n50+n99)
+	}
+	c50, c99 := sel.cand[:n50], sel.cand[n50:n50+n99]
+	i50, i99 := 0, 0
+	for _, x := range xs {
+		k := orderKey(x)
+		switch k >> shift & digitMask {
+		case b50:
+			c50[i50] = k
+			i50++
+		case b99:
+			c99[i99] = k
+			i99++
+		}
+	}
+	if b99 == b50 {
+		c99 = c50
+	}
+	return mean, fromKey(sel.selectKey(c50, r50)), fromKey(sel.selectKey(c99, r99))
+}
+
+// selectKey returns the key a sort of keys would put at index k. It
+// permutes keys (so a second call on them selects from the same
+// multiset): each round keeps the bucket of the digit below the common
+// prefix that holds rank k, fixing digitBits more bits, until one key
+// value is left.
+func (sel *selector) selectKey(keys []uint64, k int) uint64 {
 	for {
-		// s[:lt] < pivot, s[lt:i] == pivot, s[gt:] > pivot.
-		pivot, lt, i, gt := s[len(s)/2], 0, 0, len(s)
-		for i < gt {
-			switch cmp.Compare(s[i], pivot) {
-			case -1:
-				s[lt], s[i] = s[i], s[lt]
-				lt++
-				i++
-			case 1:
-				gt--
-				s[i], s[gt] = s[gt], s[i]
-			default:
-				i++
+		lo, hi := keys[0], keys[0]
+		for _, x := range keys[1:] {
+			lo, hi = min(lo, x), max(hi, x)
+		}
+		if lo == hi {
+			return lo
+		}
+		shift := digitShift(lo, hi)
+		hist := sel.histogram()
+		for _, x := range keys {
+			hist[x>>shift&digitMask]++
+		}
+		var b uint64
+		b, k = bucketOf(hist, k)
+		m := 0
+		for i, x := range keys {
+			if x>>shift&digitMask == b {
+				keys[m], keys[i] = x, keys[m]
+				m++
 			}
 		}
-		switch {
-		case k < lt:
-			s = s[:lt]
-		case k >= gt:
-			s, k = s[gt:], k-gt
-		default:
-			return s[k]
-		}
+		keys = keys[:m]
 	}
 }
 
@@ -116,13 +215,8 @@ func (s *Session) Report() Report {
 		r.HitRate = float64(s.hits) / float64(r.Queries)
 		r.BytesPerQuery = float64(r.BytesTotal) / float64(r.Queries)
 	}
-	if n := len(s.latencies); n > 0 {
-		var sum float64
-		for _, l := range s.latencies {
-			sum += l
-		}
-		r.MeanLatency = sum / float64(n)
-		r.P50Latency, r.P99Latency = percentiles(s.latencies)
+	if len(s.latencies) > 0 {
+		r.MeanLatency, r.P50Latency, r.P99Latency = s.sel.summarize(s.latencies)
 	}
 	if span := s.prevCompletion - s.firstArrival; span > 0 {
 		r.ThroughputQPS = float64(r.Queries) / span

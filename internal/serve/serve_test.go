@@ -133,7 +133,7 @@ func TestCacheLRUAndStaleness(t *testing.T) {
 
 func TestPercentile(t *testing.T) {
 	xs := []float64{5, 1, 4, 2, 3}
-	if p50, p99 := percentiles(xs); p50 != 3 || p99 != 5 {
+	if _, p50, p99 := new(selector).summarize(xs); p50 != 3 || p99 != 5 {
 		t.Fatalf("p50, p99 = %v, %v, want 3, 5", p50, p99)
 	}
 	if r := (&Session{}).Report(); r.P50Latency != 0 || r.P99Latency != 0 {

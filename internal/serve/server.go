@@ -104,6 +104,7 @@ type Session struct {
 	misses    int
 	hitSeq    []byte
 	latencies []float64
+	sel       selector // Report's percentile scratch
 
 	prevCompletion float64
 	firstArrival   float64

@@ -38,7 +38,7 @@ func storeConfig() Config {
 func stream(t0 float64, vs ...int32) []Query {
 	qs := make([]Query, len(vs))
 	for i, v := range vs {
-		qs[i] = Query{Vertex: v, Arrival: t0 + float64(i)*0.01}
+		qs[i] = Query{Vertex: v, Arrival: t0 + float64(float64(i)*0.01)}
 	}
 	return qs
 }

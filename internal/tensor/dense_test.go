@@ -253,7 +253,7 @@ func refMatMul(a, b *Dense) *Dense {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
 			for k := 0; k < a.Cols; k++ {
-				s += float64(a.Row(i)[k]) * float64(b.Row(k)[j])
+				s += float64(float64(a.Row(i)[k]) * float64(b.Row(k)[j]))
 			}
 			c.Set(i, j, float32(s))
 		}
