@@ -139,23 +139,63 @@ type Mat struct {
 // TileShape returns the local tile shape of the given device under a
 // layout.
 func TileShape(l Layout, p, rank, rows, cols int) (r, c int) {
+	s := Split(l, p, rows, cols)
+	cl := s.Class(rank)
+	return s.Rows[cl>>1], s.Cols[cl&1]
+}
+
+// TileSplit is every rank's tile shape at once. PartRange's balanced
+// parts differ by at most one, so each tile dimension takes at most two
+// values: rank r's tile is Rows[1]×… when r < RowCut, else Rows[0]×…,
+// and …×Cols[1] when r mod ColMod (r itself when ColMod is 0) is below
+// ColCut, else …×Cols[0].
+type TileSplit struct {
+	Rows, Cols             [2]int
+	RowCut, ColCut, ColMod int
+}
+
+// Split returns the tile shapes of a rows×cols matrix under l on p
+// devices.
+func Split(l Layout, p, rows, cols int) TileSplit {
+	part := func(n, parts int) (v [2]int, cut int) {
+		return [2]int{n / parts, n/parts + 1}, n % parts
+	}
+	s := TileSplit{Rows: [2]int{rows, rows}, Cols: [2]int{cols, cols}}
 	switch l.normalize(p).Kind {
 	case Horizontal:
-		lo, hi := PartRange(rows, p, rank)
-		return hi - lo, cols
+		s.Rows, s.RowCut = part(rows, p)
 	case Vertical:
-		lo, hi := PartRange(cols, p, rank)
-		return rows, hi - lo
+		s.Cols, s.ColCut = part(cols, p)
 	case Grid:
-		pj := l.PJ
-		pi := p / pj
-		rlo, rhi := PartRange(rows, pi, rank/pj)
-		clo, chi := PartRange(cols, pj, rank%pj)
-		return rhi - rlo, chi - clo
+		// Row panel r/PJ is tall below rem·PJ; column slice r%PJ is wide
+		// below the column remainder.
+		var rem int
+		s.Rows, rem = part(rows, p/l.PJ)
+		s.RowCut = rem * l.PJ
+		s.Cols, s.ColCut = part(cols, l.PJ)
+		s.ColMod = l.PJ
 	case Replicated:
-		return rows, cols
+	default:
+		panic("dist: bad layout")
 	}
-	panic("dist: bad layout")
+	return s
+}
+
+// Class returns rank r's tile class, 2·tall + wide: its tile is
+// Rows[c>>1]×Cols[c&1].
+func (s *TileSplit) Class(r int) int {
+	c := 0
+	if r < s.RowCut {
+		c = 2
+	}
+	j := r
+	if s.ColMod != 0 {
+		j = r % s.ColMod
+	}
+	if j < s.ColCut {
+		c++
+	}
+	return c
 }
 
 // RowRange returns the global row range of a device's tile.

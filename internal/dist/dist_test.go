@@ -82,6 +82,52 @@ func TestTileShapes(t *testing.T) {
 	}
 }
 
+// TestSplitMatchesPartRange: Split's two-valued dimensions and cuts,
+// and so TileShape, give every rank the tile its PartRange row and
+// column ranges span, for every layout, on square, prime and composite
+// P, with dimensions below, at and above P.
+func TestSplitMatchesPartRange(t *testing.T) {
+	want := func(l Layout, p, rank, rows, cols int) (int, int) {
+		span := func(n, parts, i int) int {
+			lo, hi := PartRange(n, parts, i)
+			return hi - lo
+		}
+		switch l.normalize(p).Kind {
+		case Horizontal:
+			return span(rows, p, rank), cols
+		case Vertical:
+			return rows, span(cols, p, rank)
+		case Grid:
+			return span(rows, p/l.PJ, rank/l.PJ), span(cols, l.PJ, rank%l.PJ)
+		}
+		return rows, cols
+	}
+	for _, p := range []int{1, 2, 3, 4, 6, 12, 13, 16} {
+		layouts := []Layout{H, V, R}
+		for pj := 2; pj < p; pj++ {
+			if p%pj == 0 {
+				layouts = append(layouts, G(pj))
+			}
+		}
+		for _, l := range layouts {
+			for _, rows := range []int{0, 1, p - 1, p, 2*p + 3, 97} {
+				for _, cols := range []int{1, 5, p + 1, 64} {
+					s := Split(l, p, rows, cols)
+					for r := range p {
+						wr, wc := want(l, p, r, rows, cols)
+						c := s.Class(r)
+						gr, gc := s.Rows[c>>1], s.Cols[c&1]
+						tr, tc := TileShape(l, p, r, rows, cols)
+						if gr != wr || gc != wc || tr != wr || tc != wc {
+							t.Fatalf("%v p=%d %dx%d rank %d: Split gives %dx%d, TileShape %dx%d, PartRange %dx%d", l, p, rows, cols, r, gr, gc, tr, tc, wr, wc)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
 func globalRand(rng *rand.Rand, r, c int) *tensor.Dense {
 	m := tensor.NewDense(r, c)
 	m.Randomize(rng, 1)

@@ -31,43 +31,3 @@ func (r Resource) String() string {
 	}
 	return "unknown"
 }
-
-// Occupancy tracks one device's per-resource busy-until cursors during
-// critical-path pricing (plan.PriceDAGOn): each resource is a serial
-// timeline, so an op starts at max(its resource's cursor, its
-// dependencies' finish times) and advances only its own resource.
-type Occupancy struct {
-	busy [NumResources]float64
-}
-
-// Free returns when the resource is next available.
-func (o *Occupancy) Free(r Resource) float64 { return o.busy[r] }
-
-// Advance moves the resource's cursor to t if t is later.
-func (o *Occupancy) Advance(r Resource, t float64) {
-	if t > o.busy[r] {
-		o.busy[r] = t
-	}
-}
-
-// Makespan returns the latest cursor across all resources — the device's
-// overlapped finish time.
-func (o *Occupancy) Makespan() float64 {
-	m := o.busy[0]
-	for _, t := range o.busy[1:] {
-		if t > m {
-			m = t
-		}
-	}
-	return m
-}
-
-// Join sets every resource's cursor to the makespan, modelling a
-// synchronization point (an epoch boundary) where the device's engines
-// rejoin a single timeline.
-func (o *Occupancy) Join() {
-	m := o.Makespan()
-	for r := range o.busy {
-		o.busy[r] = m
-	}
-}

@@ -100,21 +100,31 @@ type gatherKey struct {
 
 // Bind fixes the cache's pricing context. The first call binds; later
 // calls with an identical context are no-ops, and a different context
-// panics (memoized entries would be silently wrong). PriceDAGEpochs
-// and sim.Run bind automatically.
+// panics with Check's error (memoized entries would be silently wrong).
+// PriceDAGEpochs and sim.Run bind automatically.
 func (c *PriceCache) Bind(p int, h *hw.Model, tp *topo.Topology) {
-	if !c.bound {
-		c.p, c.meter, c.bound = p, comm.Meter{HW: h, Topo: tp}, true
-		c.world = make([]int, p)
-		for i := range c.world {
-			c.world[i] = i
-		}
+	if err := c.Check(p, h, tp); err != nil {
+		panic(err)
+	}
+	if c.bound {
 		return
 	}
-	if c.p != p || c.meter.HW != h || c.meter.Topo != tp {
-		panic(fmt.Sprintf("plan: PriceCache bound to (P=%d, hw=%p, topo=%p) reused with (P=%d, hw=%p, topo=%p)",
-			c.p, c.meter.HW, c.meter.Topo, p, h, tp))
+	c.p, c.meter, c.bound = p, comm.Meter{HW: h, Topo: tp}, true
+	c.world = make([]int, p)
+	for i := range c.world {
+		c.world[i] = i
 	}
+}
+
+// Check reports whether the cache can price in the (P, hardware model,
+// topology) context: an unbound cache can bind to any, a bound one only
+// to its own.
+func (c *PriceCache) Check(p int, h *hw.Model, tp *topo.Topology) error {
+	if c.bound && (c.p != p || c.meter.HW != h || c.meter.Topo != tp) {
+		return fmt.Errorf("plan: PriceCache bound to (P=%d, hw=%p, topo=%p) reused with (P=%d, hw=%p, topo=%p)",
+			c.p, c.meter.HW, c.meter.Topo, p, h, tp)
+	}
+	return nil
 }
 
 func (c *PriceCache) mustBind() {

@@ -1,8 +1,8 @@
 // Package sim is the discrete-event execution backend's validated
 // entry point: it replays a compiled schedule's dependency DAG over
-// per-device occupancy lanes (hw.Occupancy — one serial timeline per
-// compute/link resource) and produces everything the live fabric would
-// measure — per-device clocks, per-rank communication and compute
+// per-device resource lanes (one serial timeline per hw.Resource:
+// compute and each link tier) and produces everything the live fabric
+// would measure — per-device clocks, per-rank communication and compute
 // time, the full per-kind / per-tier byte census, and optional trace
 // events — without ever materializing a payload buffer. The replay
 // loop itself is plan's (plan/replay.go, the one engine plan.PriceDAG*
@@ -22,8 +22,11 @@
 // bit-identical to live fabric runs for both executors, and the two
 // censuses with one ==.
 //
-// Because no payloads move, a run costs O(ops × P) float arithmetic
-// plus memoized O(P + intersecting tile pairs) redistribution censuses
+// Because no payloads move, a run costs O(ops × P) float arithmetic —
+// each op one pass over the ranks before each rendezvous round and one
+// after it, with a kernel whose size depends on the rank only through
+// its tile shape priced once per shape (DESIGN.md §4f) — plus memoized
+// O(P + intersecting tile pairs) redistribution censuses
 // (plan.PriceCache, shared across the 16 Table IV configs of a sweep) —
 // which is what lets `rdmbench scale` sweep 16 configs × topologies at
 // P = 65536 in seconds instead of simulating terabytes of tile traffic.
@@ -31,6 +34,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 
 	"gnnrdm/internal/hw"
 	"gnnrdm/internal/plan"
@@ -86,10 +90,17 @@ type Config struct {
 // second view of the same replay.
 type Result = plan.ReplayResult
 
-// Run executes the simulated training run.
+// Run executes the simulated training run. It returns an error, and
+// replays nothing, when the config is incomplete or its parts disagree:
+// a Sched that is not the DAG's schedule, census rows that do not cover
+// the schedule's P ranks, or a Cache bound to another (P, HW,
+// Topology) context.
 func Run(cfg Config) (*Result, error) {
 	s := cfg.Sched
-	if s == nil && cfg.DAG != nil {
+	if cfg.DAG != nil {
+		if s != nil && s != cfg.DAG.Sched {
+			return nil, errors.New("sim: Config.Sched is not Config.DAG's schedule")
+		}
 		s = cfg.DAG.Sched
 	}
 	if s == nil {
@@ -100,6 +111,14 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.EpochBarriers < 0 {
 		return nil, errors.New("sim: negative EpochBarriers")
+	}
+	if err := checkCensus(&cfg.Census, s.P); err != nil {
+		return nil, err
+	}
+	if cfg.Cache != nil {
+		if err := cfg.Cache.Check(s.P, cfg.HW, cfg.Topology); err != nil {
+			return nil, err
+		}
 	}
 	d := cfg.DAG
 	if d == nil {
@@ -114,6 +133,34 @@ func Run(cfg Config) (*Result, error) {
 	}
 	return d.Replay(cfg.Census, cfg.HW, cfg.Topology, epochs, cfg.Overlap,
 		cfg.EpochBarriers, cfg.Cache, cfg.Tracer, cfg.TraceLabel), nil
+}
+
+// checkCensus rejects a census whose rows do not fit a P-rank world.
+// The replay reads every rank's entry, and a short row would leave the
+// ranks past its end no honest charge. The panel rows may be empty (no
+// SpMM work); the explicit ABC census comes whole or not at all.
+func checkCensus(c *plan.Census, p int) error {
+	if n := len(c.NNZFwd); n != 0 && n != p {
+		return fmt.Errorf("sim: Census.NNZFwd has %d ranks, want 0 or P=%d", n, p)
+	}
+	if n := len(c.NNZBwd); n != 0 && n != p {
+		return fmt.Errorf("sim: Census.NNZBwd has %d ranks, want 0 or P=%d", n, p)
+	}
+	if c.ABCPairs == nil && c.NNZABC == nil {
+		return nil
+	}
+	if n := len(c.NNZABC); n != p {
+		return fmt.Errorf("sim: Census.NNZABC has %d ranks, want P=%d", n, p)
+	}
+	if n := len(c.ABCPairs); n != p {
+		return fmt.Errorf("sim: Census.ABCPairs has %d rows, want P=%d", n, p)
+	}
+	for r, row := range c.ABCPairs {
+		if len(row) != p {
+			return fmt.Errorf("sim: Census.ABCPairs row %d has %d entries, want P=%d", r, len(row), p)
+		}
+	}
+	return nil
 }
 
 // MustRun is Run panicking on a config error.

@@ -220,11 +220,28 @@ func TestSimTraceMatchesFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	session := func(x core.Executor, o core.Options) *trace.Session {
+	for _, cfg := range []int{0, 5, 10, 15} {
+		for _, tp := range []*topo.Topology{nil, sp.MustTopology(p)} {
+			for _, overlap := range []bool{false, true} {
+				o := DiffSpec{Dims: []int{16, 12, 8}}.opts(cfg)
+				o.Topology, o.Overlap = tp, overlap
+				checkTraceMatchesFabric(t, fmt.Sprintf("cfg%02d topo=%v overlap=%v", cfg, tp != nil, overlap), prob, p, epochs, o)
+			}
+		}
+	}
+}
+
+// checkTraceMatchesFabric trains prob on p ranks under o live and on
+// the sim executor, each with its own tracer, and fails unless every
+// (rank, track) holds the same non-phase events in the same order.
+func checkTraceMatchesFabric(t *testing.T, name string, prob *core.Problem, p, epochs int, o core.Options) {
+	t.Helper()
+	session := func(x core.Executor) *trace.Session {
+		o := o
 		o.Tracer = trace.NewTracer(0)
 		x.Train(p, hw.A6000(), prob, o, epochs)
 		if n := len(o.Tracer.Sessions()); n != 1 {
-			t.Fatalf("%s: want one trace session, got %d", x.Name(), n)
+			t.Fatalf("%s %s: want one trace session, got %d", name, x.Name(), n)
 		}
 		return o.Tracer.Sessions()[0]
 	}
@@ -237,28 +254,75 @@ func TestSimTraceMatchesFabric(t *testing.T) {
 		}
 		return out
 	}
-	for _, cfg := range []int{0, 5, 10, 15} {
-		for _, tp := range []*topo.Topology{nil, sp.MustTopology(p)} {
-			for _, overlap := range []bool{false, true} {
-				o := DiffSpec{Dims: []int{16, 12, 8}}.opts(cfg)
-				o.Topology, o.Overlap = tp, overlap
-				live, virt := session(core.FabricExecutor{}, o), session(core.SimExecutor{}, o)
-				name := fmt.Sprintf("cfg%02d topo=%v overlap=%v", cfg, tp != nil, overlap)
-				for r := 0; r < p; r++ {
-					for track := range max(live.Tracks(r), virt.Tracks(r)) {
-						lv, sv := nonPhase(live, r, track), nonPhase(virt, r, track)
-						if len(lv) != len(sv) {
-							t.Fatalf("%s rank %d track %d: live %d events, sim %d", name, r, track, len(lv), len(sv))
-						}
-						for i := range lv {
-							if lv[i] != sv[i] {
-								t.Fatalf("%s rank %d track %d event %d:\nlive %+v\nsim  %+v", name, r, track, i, lv[i], sv[i])
-							}
-						}
-					}
+	live, virt := session(core.FabricExecutor{}), session(core.SimExecutor{})
+	for r := 0; r < p; r++ {
+		for track := range max(live.Tracks(r), virt.Tracks(r)) {
+			lv, sv := nonPhase(live, r, track), nonPhase(virt, r, track)
+			if len(lv) != len(sv) {
+				t.Fatalf("%s rank %d track %d: live %d events, sim %d", name, r, track, len(lv), len(sv))
+			}
+			for i := range lv {
+				if lv[i] != sv[i] {
+					t.Fatalf("%s rank %d track %d event %d:\nlive %+v\nsim  %+v", name, r, track, i, lv[i], sv[i])
 				}
 			}
 		}
+	}
+}
+
+// TestSimMatchesFabricOffGrid pins the replay where every tile shape is
+// uneven: P ∈ {5, 7} over 67 vertices and 16→12→8 features, none of
+// them a multiple of P, so a layout's tiles take two shapes and a
+// kernel time computed once per shape must still land on the right
+// ranks. Each leg checks clocks, accumulators and meters under both
+// lane maps (CheckSimMatchesFabric) and the traced timeline event by
+// event, on the flat interconnect and on 2x4:nvlink,ib, and at R_A = 1
+// (one P-rank column group, so the SpMMs' column allgathers replay).
+// A last leg runs P = 72 with R_A = 6 flat, so the replay's rank blocks
+// split column groups and the blocks past the first start mid-cycle.
+// -short keeps two orderings and drops the P = 72 leg.
+func TestSimMatchesFabricOffGrid(t *testing.T) {
+	prob := DefaultProblem(5, 67, 16, 4)
+	dims := []int{16, 12, 8}
+	cfgs := []int{0, 5, 10, 15}
+	if testing.Short() {
+		cfgs = []int{5, 10}
+	}
+	sp, err := topo.ParseSpec("2x4:nvlink,ib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{5, 7} {
+		for _, hier := range []bool{false, true} {
+			for _, ra := range []int{p, 1} {
+				for _, cfg := range cfgs {
+					o := DiffSpec{Dims: dims}.opts(cfg)
+					o.RA = ra
+					if hier {
+						o.Topology = sp.MustTopology(p)
+					}
+					name := fmt.Sprintf("P%d/hier=%v/RA%d/cfg%02d", p, hier, ra, cfg)
+					t.Run(name, func(t *testing.T) {
+						CheckSimMatchesFabric(t, prob, p, 2, o)
+						for _, overlap := range []bool{false, true} {
+							o.Overlap = overlap
+							checkTraceMatchesFabric(t, fmt.Sprintf("overlap=%v", overlap), prob, p, 2, o)
+						}
+					})
+				}
+			}
+		}
+	}
+	if testing.Short() {
+		return
+	}
+	wide := DefaultProblem(5, 150, 16, 4)
+	for _, cfg := range []int{5, 10} {
+		o := DiffSpec{Dims: dims}.opts(cfg)
+		o.RA = 6
+		t.Run(fmt.Sprintf("P72/RA6/cfg%02d", cfg), func(t *testing.T) {
+			CheckSimMatchesFabric(t, wide, 72, 2, o)
+		})
 	}
 }
 
